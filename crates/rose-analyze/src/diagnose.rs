@@ -38,13 +38,14 @@ pub struct DiagnosisConfig {
     /// How many seeds a fresh schedule is tried on before being discarded
     /// (paper default: 1; §8 suggests >1 to reduce false negatives).
     pub discovery_runs: u32,
-    /// Width of the speculative execution window: how many upcoming runs
-    /// (sweep candidates × discovery runs, or confirmation replays) are
-    /// handed to the harness as one concurrent batch. ≤ 1 = fully
-    /// sequential execution. The search replays its sequential decisions
-    /// over each batch and discards over-speculated runs uncharged, so the
-    /// resulting report is **bit-identical at every width** — speculation
-    /// only trades wasted testing runs for wall-clock time.
+    /// Width of the speculative execution window: how many upcoming
+    /// schedules' discovery runs (or, for a confirmation, all its replays)
+    /// are handed to the harness as one concurrent batch. ≤ 1 = every
+    /// batch is one run, so nothing is executed that is not charged. The
+    /// search replays its sequential decisions over each batch and
+    /// discards over-speculated runs uncharged, so the resulting report is
+    /// **bit-identical at every width** — speculation only trades wasted
+    /// testing runs for wall-clock time.
     #[serde(default)]
     pub speculation: usize,
     /// Whether SCF sweeps may key on recorded execution indices (Level
@@ -219,17 +220,53 @@ impl PlanState {
     }
 }
 
-/// Outcome of one speculative sweep window
-/// ([`Diagnoser::evaluate_window`]).
-enum WindowOutcome {
-    /// The window's `i`-th schedule confirmed at the target rate.
-    Found(usize, FaultSchedule, f64),
-    /// The sequential search charged the window's first `n` schedules
-    /// without accepting one; the sweep resumes after them. `n` falls
-    /// short of the window when a sub-target candidate's confirmation
-    /// perturbed the seed stream (staling the speculated remainder) or the
-    /// schedule budget ran out.
-    Advanced(usize),
+/// What [`Diagnoser::evaluate_window`] decided about a window of schedules.
+struct WindowOutcome {
+    /// How many of the window's schedules the sequential search charged
+    /// (≥ 1). It falls short of the window when a schedule showed the bug —
+    /// its confirmation perturbs the seed stream, staling the speculated
+    /// remainder — or when the schedule budget ran out.
+    charged: usize,
+    /// The replay rate of the last charged schedule, when it confirmed at
+    /// the target rate.
+    accepted: Option<f64>,
+    /// The last charged discovery run.
+    last: RunObservation,
+}
+
+/// Cursor of the batch-replay primitive ([`Diagnoser::next_run`]) over a
+/// plan — the runs the sequential search executes next, in order, for as
+/// long as nothing stops it: `per` runs of each schedule in `window`.
+struct Replay<'p> {
+    window: &'p [FaultSchedule],
+    per: usize,
+    /// Plan position of the next run to charge.
+    next: usize,
+    /// Executed runs of the harness batch in flight, not yet charged.
+    batch: std::vec::IntoIter<RunObservation>,
+    /// Runs of that batch charged so far — the prefix to commit.
+    used: usize,
+}
+
+impl<'p> Replay<'p> {
+    fn new(window: &'p [FaultSchedule], per: usize) -> Self {
+        Replay {
+            window,
+            per,
+            next: 0,
+            batch: Vec::new().into_iter(),
+            used: 0,
+        }
+    }
+
+    /// Commits the charged prefix of the batch in flight: the harness
+    /// publishes those runs' side effects and drops the rest.
+    fn commit(&mut self, h: &mut dyn RunHarness) {
+        if self.used > 0 {
+            h.commit_speculative(self.used);
+            self.used = 0;
+        }
+    }
 }
 
 /// The diagnosis driver.
@@ -377,7 +414,7 @@ impl<'a> Diagnoser<'a> {
         }
         self.ei_sweeps += 1;
         let before = self.schedules;
-        let found = self.try_state(h, &state, 1);
+        let (_, found) = self.evaluate_state(h, &state, 1);
         self.ei_schedules += self.schedules - before;
         found
     }
@@ -386,7 +423,7 @@ impl<'a> Diagnoser<'a> {
     fn diagnose_flat(&mut self, h: &mut dyn RunHarness) -> DiagnosisReport {
         // --- Level 1: initial guess — fault order and inputs only.
         let mut state = PlanState::level1(self.extraction);
-        if let Some((sched, rate)) = self.try_state(h, &state, 1) {
+        if let (_, Some((sched, rate))) = self.evaluate_state(h, &state, 1) {
             return self.report(true, Some(sched), rate, 1);
         }
 
@@ -395,25 +432,17 @@ impl<'a> Diagnoser<'a> {
             if self.budget_exhausted() {
                 break;
             }
-            let fault = &self.extraction.faults[idx];
-            match fault.action {
-                FaultAction::Scf { .. } => {
-                    if let Some((sched, rate)) = self.sweep_scf(h, &mut state, idx) {
-                        return self.report(true, Some(sched), rate, 2);
-                    }
-                }
+            let found = match self.extraction.faults[idx].action {
+                FaultAction::Scf { .. } => self.sweep_scf(h, &mut state, idx),
                 FaultAction::Crash | FaultAction::Pause { .. } => {
-                    if let Some((sched, rate)) = self.find_context(h, &mut state, idx, true) {
-                        return self.report(true, Some(sched), rate, 2);
-                    }
+                    self.find_context(h, &mut state, idx, true)
                 }
-                FaultAction::Partition { .. } => {
-                    // No Amplification for network faults: they already
-                    // affect the entire deployment (§4.5.2).
-                    if let Some((sched, rate)) = self.find_context(h, &mut state, idx, false) {
-                        return self.report(true, Some(sched), rate, 2);
-                    }
-                }
+                // No Amplification for network faults: they already affect
+                // the entire deployment (§4.5.2).
+                FaultAction::Partition { .. } => self.find_context(h, &mut state, idx, false),
+            };
+            if let Some((sched, rate)) = found {
+                return self.report(true, Some(sched), rate, 2);
             }
         }
 
@@ -465,16 +494,43 @@ impl<'a> Diagnoser<'a> {
 
     // --- Levels ----------------------------------------------------------
 
-    /// Builds and evaluates one schedule from the current state. Returns the
-    /// accepted schedule when it confirms at target rate.
-    fn try_state(
+    /// Levels 2, 2.5 and 3 as one loop: each candidate is applied to the
+    /// refinement state, materialized and evaluated, in windows of
+    /// `speculation` schedules, until one confirms at the target rate, the
+    /// list ends, or the schedule budget runs out. The candidate sequence
+    /// of a sweep is data-independent — only the stopping point depends on
+    /// run outcomes — which is what lets a window be laid out in advance.
+    /// The levels differ only in the list they pass: flat invocation
+    /// indices, per-context execution-index counts, or offset sites.
+    fn sweep<C: Copy>(
         &mut self,
         h: &mut dyn RunHarness,
-        state: &PlanState,
+        state: &mut PlanState,
         level: u8,
+        candidates: &[C],
+        apply: impl Fn(&mut PlanState, C),
     ) -> Option<(FaultSchedule, f64)> {
-        let sched = self.build_schedule(state);
-        self.evaluate(h, sched, level).map(|(s, r, _)| (s, r))
+        let width = self.cfg.speculation.max(1);
+        let mut k = 0;
+        while k < candidates.len() && !self.budget_exhausted() {
+            let end = (k + width).min(candidates.len());
+            let mut window: Vec<FaultSchedule> = candidates[k..end]
+                .iter()
+                .map(|&c| {
+                    apply(state, c);
+                    self.build_schedule(state)
+                })
+                .collect();
+            let out = self.evaluate_window(h, &window, level);
+            if let Some(rate) = out.accepted {
+                apply(state, candidates[k + out.charged - 1]);
+                return Some((window.swap_remove(out.charged - 1), rate));
+            }
+            // Resume right after the last charged candidate: whatever the
+            // window speculated beyond it is stale.
+            k += out.charged;
+        }
+        None
     }
 
     /// Level 2 for SCF faults: sweep the invocation index. With path input
@@ -510,69 +566,13 @@ impl<'a> Diagnoser<'a> {
             }
             observed.min(self.cfg.scf_sweep_cap)
         };
-        if self.cfg.speculation > 1 {
-            return self.sweep_scf_speculative(h, state, idx, cap);
-        }
         // nth = 1 was Level 1.
-        for nth in 2..=cap {
-            if self.budget_exhausted() {
-                return None;
-            }
-            state.nths[idx] = nth;
-            if let Some(found) = self.try_state(h, state, 2) {
-                return Some(found);
-            }
+        let nths: Vec<u64> = (2..=cap).collect();
+        let found = self.sweep(h, state, 2, &nths, |s, nth| s.nths[idx] = nth);
+        if found.is_none() {
+            state.nths[idx] = 1;
         }
-        state.nths[idx] = 1;
-        None
-    }
-
-    /// Speculative SCF sweep: the `nth` candidates are evaluated in windows
-    /// of `speculation` schedules whose discovery runs execute as one
-    /// concurrent batch. The schedule sequence of this sweep is
-    /// data-independent — only the stopping point depends on run outcomes —
-    /// so the window can be laid out in advance and the sequential
-    /// decisions replayed over the batched observations, keeping the
-    /// report bit-identical to [`Diagnoser::sweep_scf`]'s sequential loop.
-    fn sweep_scf_speculative(
-        &mut self,
-        h: &mut dyn RunHarness,
-        state: &mut PlanState,
-        idx: usize,
-        cap: u64,
-    ) -> Option<(FaultSchedule, f64)> {
-        let width = self.cfg.speculation as u64;
-        // nth = 1 was Level 1.
-        let mut nth = 2u64;
-        while nth <= cap {
-            if self.budget_exhausted() {
-                return None;
-            }
-            let end = (nth + width - 1).min(cap);
-            let window: Vec<FaultSchedule> = (nth..=end)
-                .map(|n| {
-                    state.nths[idx] = n;
-                    self.build_schedule(state)
-                })
-                .collect();
-            match self.evaluate_window(h, &window, 2) {
-                WindowOutcome::Found(i, sched, rate) => {
-                    state.nths[idx] = nth + i as u64;
-                    return Some((sched, rate));
-                }
-                WindowOutcome::Advanced(0) => return None,
-                WindowOutcome::Advanced(n) => {
-                    // A sub-target candidate's confirmation perturbed the
-                    // seed stream (or the budget ran out mid-window): the
-                    // speculated remainder is stale, resume right after the
-                    // last charged candidate.
-                    state.nths[idx] = nth + n as u64 - 1;
-                    nth += n as u64;
-                }
-            }
-        }
-        state.nths[idx] = 1;
-        None
+        found
     }
 
     /// Level 2.5: sweep per-context execution-index counts instead of flat
@@ -588,30 +588,16 @@ impl<'a> Diagnoser<'a> {
         state: &mut PlanState,
         idx: usize,
     ) -> Option<(FaultSchedule, f64)> {
-        let ei = self.extraction.faults[idx].ei.clone()?;
+        let recorded = u64::from(self.extraction.faults[idx].ei.as_ref()?.count).max(1);
         self.ei_sweeps += 1;
-        let recorded = u64::from(ei.count).max(1);
-        let candidates: Vec<u64> = std::iter::once(recorded)
+        let counts: Vec<u64> = std::iter::once(recorded)
             .chain((1..recorded).rev())
             .take(self.cfg.scf_sweep_cap as usize)
             .collect();
         let before = self.schedules;
-        let found = if self.cfg.speculation > 1 {
-            self.sweep_scf_ei_speculative(h, state, idx, &candidates)
-        } else {
-            let mut found = None;
-            for &count in &candidates {
-                if self.budget_exhausted() {
-                    break;
-                }
-                state.ei_counts[idx] = Some(count);
-                if let Some(f) = self.try_state(h, state, 2) {
-                    found = Some(f);
-                    break;
-                }
-            }
-            found
-        };
+        let found = self.sweep(h, state, 2, &counts, |s, count| {
+            s.ei_counts[idx] = Some(count)
+        });
         if found.is_none() {
             state.ei_counts[idx] = None;
         }
@@ -619,49 +605,10 @@ impl<'a> Diagnoser<'a> {
         found
     }
 
-    /// Speculative EI sweep: like [`Diagnoser::sweep_scf_speculative`] but
-    /// over the execution-index count candidates. The candidate sequence is
-    /// data-independent, so the window layout and decision replay keep the
-    /// report bit-identical to the sequential loop at every width.
-    fn sweep_scf_ei_speculative(
-        &mut self,
-        h: &mut dyn RunHarness,
-        state: &mut PlanState,
-        idx: usize,
-        candidates: &[u64],
-    ) -> Option<(FaultSchedule, f64)> {
-        let width = self.cfg.speculation;
-        let mut k = 0usize;
-        while k < candidates.len() {
-            if self.budget_exhausted() {
-                return None;
-            }
-            let end = (k + width).min(candidates.len());
-            let window: Vec<FaultSchedule> = candidates[k..end]
-                .iter()
-                .map(|&count| {
-                    state.ei_counts[idx] = Some(count);
-                    self.build_schedule(state)
-                })
-                .collect();
-            match self.evaluate_window(h, &window, 2) {
-                WindowOutcome::Found(i, sched, rate) => {
-                    state.ei_counts[idx] = Some(candidates[k + i]);
-                    return Some((sched, rate));
-                }
-                WindowOutcome::Advanced(0) => return None,
-                WindowOutcome::Advanced(n) => {
-                    state.ei_counts[idx] = Some(candidates[k + n - 1]);
-                    k += n;
-                }
-            }
-        }
-        None
-    }
-
     /// Algorithm 1 (`findContextforFault`): grow a chain of unique preceding
     /// functions until the bug reproduces, the chain stops being observed,
-    /// or a duplicate function ends the unique code path.
+    /// or a duplicate function ends the unique code path. Each step depends
+    /// on what the previous run observed, so its window is one schedule.
     fn find_context(
         &mut self,
         h: &mut dyn RunHarness,
@@ -686,15 +633,14 @@ impl<'a> Diagnoser<'a> {
             // evaluated oldest-first.
             state.chains[idx].insert(0, f.clone());
 
-            let sched = self.build_schedule(state);
-            let (obs, found) = self.run_and_check(h, sched, 2);
-            if let Some(found) = found {
-                return Some(found);
+            let (obs, found) = self.evaluate_state(h, state, 2);
+            if found.is_some() {
+                return found;
             }
 
-            let injected = obs
-                .feedback
-                .was_injected(self.fault_id_in_schedule(state, idx));
+            // An extracted fault keeps its index as its id in every built
+            // schedule: amplified replicas are appended after the originals.
+            let injected = obs.feedback.was_injected(idx);
             let correct_order = obs.chain_observed(node, &state.chains[idx]);
             if correct_order && injected {
                 // Context holds but is not yet sufficient: keep extending
@@ -710,10 +656,9 @@ impl<'a> Diagnoser<'a> {
                 // Role-specific state? Replicate across all nodes (§4.5.2).
                 state.amplified[idx] = true;
                 self.amplifications += 1;
-                let sched = self.build_schedule(state);
-                let (obs2, found) = self.run_and_check(h, sched, 2);
-                if let Some(found) = found {
-                    return Some(found);
+                let (obs2, found) = self.evaluate_state(h, state, 2);
+                if found.is_some() {
+                    return found;
                 }
                 if obs2.function_observed_anywhere(&f) {
                     // Role-specific indeed: keep the amplified schedule and
@@ -753,60 +698,19 @@ impl<'a> Diagnoser<'a> {
         if state.chains[idx].is_empty() {
             state.chains[idx].push(function.clone());
         }
-        if self.cfg.speculation > 1 {
-            return self.sweep_offsets_speculative(h, state, idx, &function);
+        let offsets: Vec<u32> = self
+            .symbols
+            .sweep_order(&function)
+            .iter()
+            .map(|site| site.offset)
+            .collect();
+        let found = self.sweep(h, state, 3, &offsets, |s, offset| {
+            s.offsets[idx] = Some(offset)
+        });
+        if found.is_none() {
+            state.offsets[idx] = None;
         }
-        for site in self.symbols.sweep_order(&function) {
-            if self.budget_exhausted() {
-                return None;
-            }
-            state.offsets[idx] = Some(site.offset);
-            if let Some(found) = self.try_state(h, state, 3) {
-                return Some(found);
-            }
-        }
-        state.offsets[idx] = None;
-        None
-    }
-
-    /// Speculative offset sweep: like [`Diagnoser::sweep_scf_speculative`]
-    /// but over the function's prioritized offset sites.
-    fn sweep_offsets_speculative(
-        &mut self,
-        h: &mut dyn RunHarness,
-        state: &mut PlanState,
-        idx: usize,
-        function: &str,
-    ) -> Option<(FaultSchedule, f64)> {
-        let sites = self.symbols.sweep_order(function);
-        let width = self.cfg.speculation;
-        let mut k = 0usize;
-        while k < sites.len() {
-            if self.budget_exhausted() {
-                return None;
-            }
-            let end = (k + width).min(sites.len());
-            let window: Vec<FaultSchedule> = sites[k..end]
-                .iter()
-                .map(|site| {
-                    state.offsets[idx] = Some(site.offset);
-                    self.build_schedule(state)
-                })
-                .collect();
-            match self.evaluate_window(h, &window, 3) {
-                WindowOutcome::Found(i, sched, rate) => {
-                    state.offsets[idx] = Some(sites[k + i].offset);
-                    return Some((sched, rate));
-                }
-                WindowOutcome::Advanced(0) => return None,
-                WindowOutcome::Advanced(n) => {
-                    state.offsets[idx] = Some(sites[k + n - 1].offset);
-                    k += n;
-                }
-            }
-        }
-        state.offsets[idx] = None;
-        None
+        found
     }
 
     // --- Execution helpers -------------------------------------------------
@@ -815,26 +719,23 @@ impl<'a> Diagnoser<'a> {
         self.schedules >= self.cfg.max_schedules
     }
 
-    fn next_seed(&mut self) -> u64 {
-        self.seed_counter += 1;
-        self.cfg.base_seed.wrapping_add(self.seed_counter * 7_919)
-    }
-
-    /// The seed [`Diagnoser::next_seed`] will hand to the `ahead`-th
-    /// upcoming run (`ahead` ≥ 1), without advancing the stream. Used to
-    /// lay out speculative batches: job *k* of a batch gets `peek_seed(k+1)`,
-    /// which is exactly the seed sequential execution would draw for it as
-    /// long as the batch prefix is charged in order.
+    /// The seed of the `ahead`-th upcoming run (`ahead` ≥ 1), without
+    /// advancing the stream. Job *k* of a batch gets `peek_seed(k+1)`,
+    /// which is exactly the seed sequential execution draws for it as long
+    /// as the batch prefix is charged in order.
     fn peek_seed(&self, ahead: u64) -> u64 {
         self.cfg
             .base_seed
             .wrapping_add((self.seed_counter + ahead) * 7_919)
     }
 
-    /// Accounting every charged run passes through, in charge order — the
-    /// only place run-derived report state may accumulate, so reports stay
-    /// bit-identical at every speculation width.
-    fn account(&mut self, obs: &RunObservation) {
+    /// Books one executed run: the seed stream advances and the run's
+    /// virtual time and events are accounted. Every charged run passes
+    /// through here, in charge order — the only place run-derived report
+    /// state may accumulate, so reports stay bit-identical at every
+    /// speculation width.
+    fn charge(&mut self, obs: &RunObservation) {
+        self.seed_counter += 1;
         self.runs += 1;
         self.total_time += obs.wall;
         self.events_total += obs.sim_events;
@@ -847,30 +748,51 @@ impl<'a> Diagnoser<'a> {
         self.last_prefix = Some(prefix);
     }
 
-    /// Books one speculatively executed run exactly as
-    /// [`Diagnoser::execute`] would have: the seed stream advances and the
-    /// run's virtual time is accounted.
-    fn charge(&mut self, obs: &RunObservation) {
-        self.seed_counter += 1;
-        self.account(obs);
-    }
-
-    fn execute(&mut self, h: &mut dyn RunHarness, sched: &FaultSchedule) -> RunObservation {
-        let seed = self.next_seed();
-        let obs = h.run(sched, seed);
-        self.account(&obs);
+    /// The batch-replay primitive: charges and returns the next run of
+    /// `replay`'s plan. When no executed run is waiting it lays out the
+    /// next harness batch — one job with speculation off, so the search
+    /// executes precisely the runs it charges; the whole remaining plan
+    /// otherwise — seeding job *k* with `peek_seed(k+1)`. The caller
+    /// replays its sequential decisions over the runs it pulls and, as soon
+    /// as one of them stops it, [`Replay::commit`]s: runs executed
+    /// beyond that point are never charged.
+    fn next_run(&mut self, h: &mut dyn RunHarness, replay: &mut Replay<'_>) -> RunObservation {
+        if replay.batch.len() == 0 {
+            replay.commit(h);
+            let len = if self.cfg.speculation > 1 {
+                replay.window.len() * replay.per - replay.next
+            } else {
+                1
+            };
+            let jobs: Vec<(FaultSchedule, u64)> = (0..len)
+                .map(|k| {
+                    let sched = &replay.window[(replay.next + k) / replay.per];
+                    (sched.clone(), self.peek_seed(k as u64 + 1))
+                })
+                .collect();
+            replay.batch = h.run_speculative(&jobs).into_iter();
+        }
+        let obs = replay
+            .batch
+            .next()
+            .expect("the harness returns one observation per job");
+        replay.next += 1;
+        replay.used += 1;
+        self.charge(&obs);
         obs
     }
 
-    /// Evaluates a window of sweep schedules exactly as the sequential
-    /// `budget check → run_and_check` loop would, with every discovery run
-    /// of the window speculated as one harness batch.
+    /// Evaluates a window of schedules exactly as the sequential search
+    /// does — per schedule: budget check, up to `discovery_runs` seeds, and
+    /// on a bug `confirmBug` — over one replay of all the window's
+    /// discovery runs. The first schedule is charged unconditionally; its
+    /// budget check is the caller's.
     ///
-    /// Seeds are speculated position-wise (`peek_seed`), which matches the
-    /// sequential stream because a window only stays committed past a
-    /// schedule when that schedule consumed all its discovery runs without
-    /// a bug — any bug ends the window (confirmation consumes seeds, so
-    /// the speculated remainder would be stale and is discarded uncharged).
+    /// Seeds are laid out position-wise, which matches the sequential
+    /// stream because the window only moves past a schedule when that
+    /// schedule consumed all its discovery runs without a bug — any bug
+    /// ends the window (confirmation consumes seeds, so the speculated
+    /// remainder would be stale and is discarded uncharged).
     fn evaluate_window(
         &mut self,
         h: &mut dyn RunHarness,
@@ -878,94 +800,75 @@ impl<'a> Diagnoser<'a> {
         level: u8,
     ) -> WindowOutcome {
         let per = self.cfg.discovery_runs.max(1) as usize;
-        let mut jobs = Vec::with_capacity(window.len() * per);
+        let mut replay = Replay::new(window, per);
+        let mut charged = 0;
+        let mut accepted = None;
+        let mut last = None;
         for sched in window {
-            for _ in 0..per {
-                let ahead = jobs.len() as u64 + 1;
-                jobs.push((sched.clone(), self.peek_seed(ahead)));
-            }
-        }
-        let observations = h.run_speculative(&jobs);
-        let mut used = 0usize;
-        for (i, sched) in window.iter().enumerate() {
-            if self.budget_exhausted() {
-                h.commit_speculative(used);
-                return WindowOutcome::Advanced(i);
+            if charged > 0 && self.budget_exhausted() {
+                break;
             }
             self.schedules += 1;
-            let mut hit = false;
-            for j in 0..per {
-                let obs = &observations[i * per + j];
-                self.charge(obs);
-                used += 1;
-                if obs.bug {
-                    hit = true;
+            charged += 1;
+            let mut bug = false;
+            for _ in 0..per {
+                let obs = self.next_run(h, &mut replay);
+                bug = obs.bug;
+                last = Some(obs);
+                if bug {
                     break;
                 }
             }
-            if hit {
-                h.commit_speculative(used);
+            if bug {
+                replay.commit(h);
                 let rate = self.confirm(h, sched);
                 if rate >= self.cfg.target_replay_rate {
-                    return WindowOutcome::Found(i, sched.clone(), rate);
+                    accepted = Some(rate);
+                } else {
+                    self.candidates.push((sched.clone(), rate, level));
                 }
-                self.candidates.push((sched.clone(), rate, level));
-                return WindowOutcome::Advanced(i + 1);
+                break;
             }
         }
-        h.commit_speculative(used);
-        WindowOutcome::Advanced(window.len())
+        replay.commit(h);
+        WindowOutcome {
+            charged,
+            accepted,
+            last: last.expect("a window holds at least one schedule"),
+        }
     }
 
-    /// Runs one new schedule (up to `discovery_runs` seeds); on bug,
-    /// confirms it (`confirmBug`).
-    fn run_and_check(
+    /// Builds the schedule `state` describes and evaluates it as a window
+    /// of one, whatever the budget: the last discovery run, plus the
+    /// schedule and its rate when it confirmed at target.
+    fn evaluate_state(
         &mut self,
         h: &mut dyn RunHarness,
-        sched: FaultSchedule,
+        state: &PlanState,
         level: u8,
     ) -> (RunObservation, Option<(FaultSchedule, f64)>) {
-        self.schedules += 1;
-        let mut obs = self.execute(h, &sched);
-        let mut tries = 1;
-        while !obs.bug && tries < self.cfg.discovery_runs {
-            obs = self.execute(h, &sched);
-            tries += 1;
-        }
-        if obs.bug {
-            let rate = self.confirm(h, &sched);
-            if rate >= self.cfg.target_replay_rate {
-                return (obs, Some((sched, rate)));
-            }
-            self.candidates.push((sched, rate, level));
-        }
-        (obs, None)
-    }
-
-    fn evaluate(
-        &mut self,
-        h: &mut dyn RunHarness,
-        sched: FaultSchedule,
-        level: u8,
-    ) -> Option<(FaultSchedule, f64, u8)> {
-        let (_, found) = self.run_and_check(h, sched, level);
-        found.map(|(s, r)| (s, r, level))
+        let sched = self.build_schedule(state);
+        let out = self.evaluate_window(h, std::slice::from_ref(&sched), level);
+        (out.last, out.accepted.map(|rate| (sched, rate)))
     }
 
     /// `confirmBug`: replay-rate estimation over fresh seeds with the
-    /// paper's early abort.
+    /// paper's early abort, which is checked at the *top* of each
+    /// iteration — so a batched confirmation charges exactly the runs the
+    /// one-by-one loop performs and discards the rest.
     fn confirm(&mut self, h: &mut dyn RunHarness, sched: &FaultSchedule) -> f64 {
         self.last_confirm_causal = None;
-        if self.cfg.speculation > 1 {
-            return self.confirm_speculative(h, sched);
-        }
+        let runs = self.cfg.confirm_runs;
+        let mut replay = Replay::new(std::slice::from_ref(sched), runs as usize);
         let mut bug_runs = 0u32;
         let mut correct_runs = 0u32;
-        for _ in 0..self.cfg.confirm_runs {
+        let mut aborted = false;
+        for _ in 0..runs {
             if correct_runs > self.cfg.confirm_abort_correct {
-                return 0.0;
+                aborted = true;
+                break;
             }
-            let obs = self.execute(h, sched);
+            let obs = self.next_run(h, &mut replay);
             if obs.bug {
                 bug_runs += 1;
                 if self.last_confirm_causal.is_none() {
@@ -975,55 +878,14 @@ impl<'a> Diagnoser<'a> {
                 correct_runs += 1;
             }
         }
-        100.0 * f64::from(bug_runs) / f64::from(self.cfg.confirm_runs)
-    }
-
-    /// `confirmBug` over one speculative batch: all confirmation replays
-    /// execute concurrently, then the sequential decision — including the
-    /// early abort, which is checked at the *top* of each sequential
-    /// iteration — is replayed over the observations in seed order,
-    /// charging exactly the runs the sequential loop would have performed
-    /// and discarding the rest uncommitted.
-    fn confirm_speculative(&mut self, h: &mut dyn RunHarness, sched: &FaultSchedule) -> f64 {
-        let jobs: Vec<(FaultSchedule, u64)> = (0..u64::from(self.cfg.confirm_runs))
-            .map(|i| (sched.clone(), self.peek_seed(i + 1)))
-            .collect();
-        let observations = h.run_speculative(&jobs);
-        let mut bug_runs = 0u32;
-        let mut correct_runs = 0u32;
-        let mut used = 0usize;
-        let mut aborted = false;
-        for obs in &observations {
-            if correct_runs > self.cfg.confirm_abort_correct {
-                aborted = true;
-                break;
-            }
-            self.charge(obs);
-            used += 1;
-            if obs.bug {
-                bug_runs += 1;
-                if self.last_confirm_causal.is_none() {
-                    self.last_confirm_causal = obs.causal.clone();
-                }
-            } else {
-                correct_runs += 1;
-            }
-        }
-        h.commit_speculative(used);
+        replay.commit(h);
         if aborted {
             return 0.0;
         }
-        100.0 * f64::from(bug_runs) / f64::from(self.cfg.confirm_runs)
+        100.0 * f64::from(bug_runs) / f64::from(runs)
     }
 
     // --- Schedule construction ---------------------------------------------
-
-    /// The id the `idx`-th extracted fault gets in a built schedule (its
-    /// original copy precedes any amplified replicas, which are appended at
-    /// the end, so ids below `faults.len()` are stable).
-    fn fault_id_in_schedule(&self, _state: &PlanState, idx: usize) -> usize {
-        idx
-    }
 
     /// Materializes the current refinement state into a schedule.
     fn build_schedule(&self, state: &PlanState) -> FaultSchedule {
@@ -1493,6 +1355,26 @@ mod tests {
         }
     }
 
+    /// Records the length of every batch the search hands over, and how
+    /// many runs the harness executed for it.
+    struct Batches<H> {
+        inner: H,
+        lengths: Vec<usize>,
+        executed: usize,
+    }
+
+    impl<H: RunHarness> RunHarness for Batches<H> {
+        fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation {
+            self.executed += 1;
+            self.inner.run(schedule, seed)
+        }
+
+        fn run_speculative(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunObservation> {
+            self.lengths.push(jobs.len());
+            jobs.iter().map(|(s, seed)| self.run(s, *seed)).collect()
+        }
+    }
+
     /// Seed-sensitive SCF sweep bug: nth=7 reproduces on ~3 of 4 seeds, so
     /// the search exercises discovery misses, sub-target confirmations,
     /// the early abort, candidate pruning — every decision the speculative
@@ -1623,6 +1505,45 @@ mod tests {
         let (det_spec_report, det_spec_executed) = run_det(9);
         assert_eq!(det_spec_report, det_seq_report);
         assert!(det_spec_executed > det_seq_executed);
+    }
+
+    #[test]
+    fn width_one_search_executes_exactly_the_runs_it_charges() {
+        // The one loop runs at every width, so speculation off must mean
+        // batches of one job: nothing executed that is not charged, through
+        // discovery misses, sub-target confirmations and the confirm
+        // early abort (SeedyNth's nth=4 near-miss) alike.
+        let mut profile = Profile::default();
+        profile.syscall_counts.insert(SyscallId::Connect, 30);
+        let symbols = SymbolTable::new();
+        for (ei, ex) in [(false, scf_extraction()), (true, scf_ei_extraction(6))] {
+            for speculation in [0usize, 1] {
+                for discovery_runs in [1u32, 3] {
+                    let cfg = DiagnosisConfig {
+                        ei,
+                        speculation,
+                        discovery_runs,
+                        ..Default::default()
+                    };
+                    let mut h = Batches {
+                        inner: SeedyNth,
+                        lengths: Vec::new(),
+                        executed: 0,
+                    };
+                    let rep = Diagnoser::new(cfg, &profile, &symbols, &ex).diagnose(&mut h);
+                    let at = format!(
+                        "ei={ei} speculation={speculation} discovery_runs={discovery_runs}"
+                    );
+                    assert!(
+                        rep.runs > 20,
+                        "the search must have swept and confirmed: {at}"
+                    );
+                    assert!(h.lengths.iter().all(|&len| len == 1), "{at}");
+                    assert_eq!(h.lengths.len(), rep.runs, "{at}");
+                    assert_eq!(h.executed, rep.runs, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

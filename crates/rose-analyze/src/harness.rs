@@ -68,10 +68,10 @@ pub trait RunHarness {
     /// Speculatively executes a batch of independent `(schedule, seed)`
     /// jobs — possibly in parallel — returning observations in job order.
     ///
-    /// The diagnosis loop lays batches out in exactly the order its
-    /// sequential loop would have executed them, then replays its
-    /// decisions over the returned observations; the prefix of jobs the
-    /// sequential loop would actually have reached is reported via
+    /// Every testing run of the diagnosis reaches the harness through
+    /// here. The search lays a batch out in the order it executes runs one
+    /// by one, then replays its decisions over the returned observations;
+    /// the prefix of jobs it actually reached is reported via
     /// [`RunHarness::commit_speculative`]. Implementations with run side
     /// effects (telemetry) should buffer them per job until that call, and
     /// drop whatever lies beyond the committed prefix, so speculation is

@@ -6,10 +6,11 @@ use std::path::PathBuf;
 use rose_analyze::DiagnosisReport;
 use rose_core::{Rose, RoseConfig, TargetSystem};
 use rose_events::SimDuration;
-use rose_inject::FaultSchedule;
+use rose_inject::{Executor, FaultSchedule};
 use rose_jepsen::{Nemesis, NemesisConfig};
 use rose_obs::{CampaignSummary, ChromeTrace, Obs, PhaseRecord};
 use rose_profile::Profile;
+use rose_sim::KernelHook;
 use serde::{Deserialize, Serialize};
 
 use crate::registry::BugId;
@@ -171,7 +172,7 @@ pub fn run_workflow<S: TargetSystem>(
     // a label; the sanitized stem matches the Chrome export's.
     let mut opts = opts.clone();
     if opts.trace_dir.is_some() && opts.trace_label.is_none() {
-        opts.trace_label = Some(bug_file_stem(id));
+        opts.trace_label = Some(id.file_stem());
     }
     let opts = &opts;
     let (capture_result, report, attempts) = capture_and_diagnose(&rose, &profile, &capture, opts);
@@ -206,11 +207,10 @@ pub fn run_workflow<S: TargetSystem>(
                 }
             }
             if let Some(dir) = &opts.causal_dir {
-                let stem = opts
-                    .trace_label
-                    .clone()
-                    .unwrap_or_else(|| bug_file_stem(id));
-                export_causal(&stem, &report.propagation, dir);
+                let stem = opts.trace_label.clone().unwrap_or_else(|| id.file_stem());
+                // Best effort, like the Chrome export: a campaign is not
+                // lost over an unwritable artifact directory.
+                let _ = rose_obs::causal::save_chains(dir, &stem, &report.propagation);
             }
             CaseOutcome {
                 id,
@@ -321,23 +321,6 @@ fn diagnose_via_store<S: TargetSystem>(
     })
 }
 
-/// The sanitized file stem used for a bug's persisted artifacts (Chrome
-/// exports and trace-store files): lowercase, non-alphanumerics mapped to
-/// `-`.
-fn bug_file_stem(id: BugId) -> String {
-    id.info()
-        .name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '-'
-            }
-        })
-        .collect()
-}
-
 /// Writes `<dir>/<bug>.<suffix>.json`: a trace rendered onto per-node
 /// Chrome-trace tracks plus the campaign phase track, with the injection
 /// lane populated from executor feedback when available.
@@ -356,82 +339,27 @@ fn export_chrome_trace<S: TargetSystem>(
         feedback.export_chrome(&mut chrome, schedule);
     }
     chrome.add_phase_track(rose.obs());
-    let name = bug_file_stem(id);
+    let name = id.file_stem();
     if std::fs::create_dir_all(dir).is_ok() {
         let _ = chrome.save(dir.join(format!("{name}.{suffix}.json")));
     }
 }
 
-/// Writes `<dir>/<stem>.flow.json` (a Chrome trace of the winning
-/// schedule's propagation chains — per-hop anchor spans threaded by flow
-/// arrows) and `<dir>/<stem>.dot` (Graphviz) from a diagnosis report. No-op
-/// when the report carries no chains (diagnosis did not converge, or
-/// provenance was off).
-fn export_causal(stem: &str, chains: &[rose_obs::PropagationChain], dir: &std::path::Path) {
-    if chains.is_empty() || std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let mut chrome = ChromeTrace::new();
-    rose_obs::causal::export_flow(chains, &mut chrome);
-    let _ = chrome.save(dir.join(format!("{stem}.flow.json")));
-    let _ = std::fs::write(
-        dir.join(format!("{stem}.dot")),
-        rose_obs::causal::to_dot(chains),
-    );
-}
-
-/// Drives one registry bug end to end (profile → capture → diagnose).
+/// Drives one registry bug end to end (profile → capture → diagnose):
+/// [`run_workflow`] on the id's system ([`visit_case`]) and capture method
+/// ([`capture_spec`]).
 pub fn run_case(id: BugId, rose_cfg: RoseConfig, opts: &DriverOptions) -> CaseOutcome {
-    use crate::hbase::{hbase_capture, HbaseCase};
-    use crate::hdfs::HdfsBug;
-    use crate::kafka::{kafka_capture, KafkaCase};
-    use crate::mongodb::{mongodb_bug_of, mongodb_capture, MongoCase};
-    use crate::raft::RaftScenario;
-    use crate::redisraft::RedisRaftBug;
-    use crate::redpanda::{redpanda_bug_of, redpanda_capture, RedpandaCase};
-    use crate::tendermint::{tendermint_capture, TendermintCase};
-    use crate::zookeeper::{zookeeper_bug_of, zookeeper_capture, ZkCase};
-
-    match id {
-        BugId::RedisRaft42 => rr(id, RedisRaftBug::Rr42, rose_cfg, opts),
-        BugId::RedisRaft43 => rr(id, RedisRaftBug::Rr43, rose_cfg, opts),
-        BugId::RedisRaft51 => rr(id, RedisRaftBug::Rr51, rose_cfg, opts),
-        BugId::RedisRaftNew => rr(id, RedisRaftBug::RrNew, rose_cfg, opts),
-        BugId::RedisRaftNew2 => rr(id, RedisRaftBug::RrNew2, rose_cfg, opts),
-        BugId::Redpanda3003 | BugId::Redpanda3039 => {
-            let bug = redpanda_bug_of(id).expect("redpanda id");
-            run_workflow(
-                id,
-                RedpandaCase { bug },
-                redpanda_capture(bug),
-                rose_cfg,
-                opts,
-            )
-        }
-        BugId::Zookeeper2247
-        | BugId::Zookeeper3006
-        | BugId::Zookeeper3157
-        | BugId::Zookeeper4203 => {
-            let bug = zookeeper_bug_of(id).expect("zookeeper id");
-            run_workflow(id, ZkCase { bug }, zookeeper_capture(bug), rose_cfg, opts)
-        }
-        BugId::Hdfs4233 => hd(id, HdfsBug::Hdfs4233, rose_cfg, opts),
-        BugId::Hdfs12070 => hd(id, HdfsBug::Hdfs12070, rose_cfg, opts),
-        BugId::Hdfs15032 => hd(id, HdfsBug::Hdfs15032, rose_cfg, opts),
-        BugId::Hdfs16332 => hd(id, HdfsBug::Hdfs16332, rose_cfg, opts),
-        BugId::Kafka12508 => run_workflow(id, KafkaCase, kafka_capture(), rose_cfg, opts),
-        BugId::Hbase19608 => run_workflow(id, HbaseCase, hbase_capture(), rose_cfg, opts),
-        BugId::Mongo243 | BugId::Mongo3210 => {
-            let bug = mongodb_bug_of(id).expect("mongodb id");
-            run_workflow(id, MongoCase { bug }, mongodb_capture(bug), rose_cfg, opts)
-        }
-        BugId::Tendermint5839 => {
-            run_workflow(id, TendermintCase, tendermint_capture(), rose_cfg, opts)
-        }
-        BugId::RaftSnapshotTear => raft(id, RaftScenario::SnapshotTear, rose_cfg, opts),
-        BugId::RaftCompactionLoss => raft(id, RaftScenario::CompactionLoss, rose_cfg, opts),
-        BugId::RaftReconfigSplit => raft(id, RaftScenario::ReconfigSplit, rose_cfg, opts),
+    struct Workflow<'a> {
+        rose_cfg: RoseConfig,
+        opts: &'a DriverOptions,
     }
+    impl SystemVisitor for Workflow<'_> {
+        type Out = CaseOutcome;
+        fn visit<S: TargetSystem>(self, id: BugId, system: S) -> CaseOutcome {
+            run_workflow(id, system, capture_spec(id), self.rose_cfg, self.opts)
+        }
+    }
+    visit_case(id, Workflow { rose_cfg, opts })
 }
 
 /// A registry-coverage probe of one case: the static metadata a
@@ -459,9 +387,8 @@ pub struct CaseProbe {
 }
 
 /// Generic dispatch over the concrete [`TargetSystem`] behind a registry
-/// id. `run_case` bakes the full workflow (capture method included) into
-/// its dispatch; tools that need the *system alone* — the coverage probe,
-/// oracle-only hunting campaigns — implement this visitor instead, and
+/// id. Tools that need the system — the workflow driver, the coverage
+/// probe, oracle-only hunting campaigns — implement this visitor, and
 /// [`visit_case`] hands them the monomorphized system without this crate
 /// having to know what they do with it.
 pub trait SystemVisitor {
@@ -473,53 +400,101 @@ pub trait SystemVisitor {
 }
 
 /// Resolves a registry id to its concrete target system and applies the
-/// visitor. Every registry id must dispatch here — a new case that misses
-/// the match arms is a compile error.
+/// visitor.
 pub fn visit_case<V: SystemVisitor>(id: BugId, visitor: V) -> V::Out {
-    use crate::hbase::HbaseCase;
-    use crate::hdfs::{HdfsBug, HdfsCase};
-    use crate::kafka::KafkaCase;
-    use crate::mongodb::{mongodb_bug_of, MongoCase};
-    use crate::raft::{RaftScenario, RoseRaftCase};
-    use crate::redisraft::{RedisRaftBug, RedisRaftCase};
-    use crate::redpanda::{redpanda_bug_of, RedpandaCase};
-    use crate::tendermint::TendermintCase;
-    use crate::zookeeper::{zookeeper_bug_of, ZkCase};
+    struct SystemOnly<V>(V);
+    impl<V: SystemVisitor> CaseVisitor for SystemOnly<V> {
+        type Out = V::Out;
+        fn case<S: TargetSystem>(
+            self,
+            id: BugId,
+            system: S,
+            _capture: impl FnOnce() -> CaptureSpec,
+        ) -> V::Out {
+            self.0.visit(id, system)
+        }
+    }
+    dispatch(id, SystemOnly(visitor))
+}
 
-    let rr = |bug| RedisRaftCase { bug };
-    let hd = |bug| HdfsCase { bug };
-    let raft = |scenario| RoseRaftCase { scenario };
+/// How a registry bug's "production" trace is obtained.
+pub fn capture_spec(id: BugId) -> CaptureSpec {
+    struct CaptureOnly;
+    impl CaseVisitor for CaptureOnly {
+        type Out = CaptureSpec;
+        fn case<S: TargetSystem>(
+            self,
+            _id: BugId,
+            _system: S,
+            capture: impl FnOnce() -> CaptureSpec,
+        ) -> CaptureSpec {
+            capture()
+        }
+    }
+    dispatch(id, CaptureOnly)
+}
+
+/// What [`dispatch`] hands out per registry id: the concrete system and
+/// its capture method, built on demand.
+trait CaseVisitor {
+    type Out;
+
+    fn case<S: TargetSystem>(
+        self,
+        id: BugId,
+        system: S,
+        capture: impl FnOnce() -> CaptureSpec,
+    ) -> Self::Out;
+}
+
+/// The registry's one dispatch table. Every id must dispatch here — a new
+/// case that misses the match arms is a compile error.
+fn dispatch<V: CaseVisitor>(id: BugId, v: V) -> V::Out {
+    use crate::hbase::{hbase_capture, HbaseCase};
+    use crate::hdfs::{hdfs_capture, HdfsBug, HdfsCase};
+    use crate::kafka::{kafka_capture, KafkaCase};
+    use crate::mongodb::{mongodb_bug_of, mongodb_capture, MongoCase};
+    use crate::raft::{roseraft_capture, RaftScenario, RoseRaftCase};
+    use crate::redisraft::{redisraft_capture, RedisRaftBug, RedisRaftCase};
+    use crate::redpanda::{redpanda_bug_of, redpanda_capture, RedpandaCase};
+    use crate::tendermint::{tendermint_capture, TendermintCase};
+    use crate::zookeeper::{zookeeper_bug_of, zookeeper_capture, ZkCase};
+
+    let redisraft = |v: V, bug| v.case(id, RedisRaftCase { bug }, || redisraft_capture(bug));
+    let hdfs = |v: V, bug| v.case(id, HdfsCase { bug }, || hdfs_capture(bug));
+    let roseraft =
+        |v: V, scenario| v.case(id, RoseRaftCase { scenario }, || roseraft_capture(scenario));
     match id {
-        BugId::RedisRaft42 => visitor.visit(id, rr(RedisRaftBug::Rr42)),
-        BugId::RedisRaft43 => visitor.visit(id, rr(RedisRaftBug::Rr43)),
-        BugId::RedisRaft51 => visitor.visit(id, rr(RedisRaftBug::Rr51)),
-        BugId::RedisRaftNew => visitor.visit(id, rr(RedisRaftBug::RrNew)),
-        BugId::RedisRaftNew2 => visitor.visit(id, rr(RedisRaftBug::RrNew2)),
+        BugId::RedisRaft42 => redisraft(v, RedisRaftBug::Rr42),
+        BugId::RedisRaft43 => redisraft(v, RedisRaftBug::Rr43),
+        BugId::RedisRaft51 => redisraft(v, RedisRaftBug::Rr51),
+        BugId::RedisRaftNew => redisraft(v, RedisRaftBug::RrNew),
+        BugId::RedisRaftNew2 => redisraft(v, RedisRaftBug::RrNew2),
         BugId::Redpanda3003 | BugId::Redpanda3039 => {
             let bug = redpanda_bug_of(id).expect("redpanda id");
-            visitor.visit(id, RedpandaCase { bug })
+            v.case(id, RedpandaCase { bug }, || redpanda_capture(bug))
         }
         BugId::Zookeeper2247
         | BugId::Zookeeper3006
         | BugId::Zookeeper3157
         | BugId::Zookeeper4203 => {
             let bug = zookeeper_bug_of(id).expect("zookeeper id");
-            visitor.visit(id, ZkCase { bug })
+            v.case(id, ZkCase { bug }, || zookeeper_capture(bug))
         }
-        BugId::Hdfs4233 => visitor.visit(id, hd(HdfsBug::Hdfs4233)),
-        BugId::Hdfs12070 => visitor.visit(id, hd(HdfsBug::Hdfs12070)),
-        BugId::Hdfs15032 => visitor.visit(id, hd(HdfsBug::Hdfs15032)),
-        BugId::Hdfs16332 => visitor.visit(id, hd(HdfsBug::Hdfs16332)),
-        BugId::Kafka12508 => visitor.visit(id, KafkaCase),
-        BugId::Hbase19608 => visitor.visit(id, HbaseCase),
+        BugId::Hdfs4233 => hdfs(v, HdfsBug::Hdfs4233),
+        BugId::Hdfs12070 => hdfs(v, HdfsBug::Hdfs12070),
+        BugId::Hdfs15032 => hdfs(v, HdfsBug::Hdfs15032),
+        BugId::Hdfs16332 => hdfs(v, HdfsBug::Hdfs16332),
+        BugId::Kafka12508 => v.case(id, KafkaCase, kafka_capture),
+        BugId::Hbase19608 => v.case(id, HbaseCase, hbase_capture),
         BugId::Mongo243 | BugId::Mongo3210 => {
             let bug = mongodb_bug_of(id).expect("mongodb id");
-            visitor.visit(id, MongoCase { bug })
+            v.case(id, MongoCase { bug }, || mongodb_capture(bug))
         }
-        BugId::Tendermint5839 => visitor.visit(id, TendermintCase),
-        BugId::RaftSnapshotTear => visitor.visit(id, raft(RaftScenario::SnapshotTear)),
-        BugId::RaftCompactionLoss => visitor.visit(id, raft(RaftScenario::CompactionLoss)),
-        BugId::RaftReconfigSplit => visitor.visit(id, raft(RaftScenario::ReconfigSplit)),
+        BugId::Tendermint5839 => v.case(id, TendermintCase, tendermint_capture),
+        BugId::RaftSnapshotTear => roseraft(v, RaftScenario::SnapshotTear),
+        BugId::RaftCompactionLoss => roseraft(v, RaftScenario::CompactionLoss),
+        BugId::RaftReconfigSplit => roseraft(v, RaftScenario::ReconfigSplit),
     }
 }
 
@@ -565,51 +540,6 @@ fn probe<S: TargetSystem>(id: BugId, system: S, duration: SimDuration) -> CasePr
     }
 }
 
-fn raft(
-    id: BugId,
-    scenario: crate::raft::RaftScenario,
-    rose_cfg: RoseConfig,
-    opts: &DriverOptions,
-) -> CaseOutcome {
-    run_workflow(
-        id,
-        crate::raft::RoseRaftCase { scenario },
-        crate::raft::roseraft_capture(scenario),
-        rose_cfg,
-        opts,
-    )
-}
-
-fn rr(
-    id: BugId,
-    bug: crate::redisraft::RedisRaftBug,
-    rose_cfg: RoseConfig,
-    opts: &DriverOptions,
-) -> CaseOutcome {
-    run_workflow(
-        id,
-        crate::redisraft::RedisRaftCase { bug },
-        crate::redisraft::redisraft_capture(bug),
-        rose_cfg,
-        opts,
-    )
-}
-
-fn hd(
-    id: BugId,
-    bug: crate::hdfs::HdfsBug,
-    rose_cfg: RoseConfig,
-    opts: &DriverOptions,
-) -> CaseOutcome {
-    run_workflow(
-        id,
-        crate::hdfs::HdfsCase { bug },
-        crate::hdfs::hdfs_capture(bug),
-        rose_cfg,
-        opts,
-    )
-}
-
 /// Tries capture seeds until the oracle fires during a capture run.
 pub fn capture_buggy_trace<S: TargetSystem>(
     rose: &Rose<S>,
@@ -624,29 +554,21 @@ pub fn capture_buggy_trace<S: TargetSystem>(
     let mut last_failed: Option<rose_core::TraceCapture> = None;
     for attempt in 0..opts.max_capture_attempts {
         let seed = opts.capture_seed + u64::from(attempt) * 13;
-        let cap = match &capture.method {
-            CaptureMethod::Nemesis(ncfg) => {
-                let mut cfg = ncfg.clone();
-                cfg.seed = cfg.seed.wrapping_add(u64::from(attempt) * 101);
-                rose.capture_trace(profile, vec![Box::new(Nemesis::new(cfg))], seed, duration)
-            }
-            CaptureMethod::NemesisWithPrelude(ncfg, prelude) => {
-                let mut cfg = ncfg.clone();
-                cfg.seed = cfg.seed.wrapping_add(u64::from(attempt) * 101);
-                rose.capture_trace(
-                    profile,
-                    vec![
-                        Box::new(rose_inject::Executor::new(prelude.clone())),
-                        Box::new(Nemesis::new(cfg)),
-                    ],
-                    seed,
-                    duration,
-                )
-            }
-            CaptureMethod::Scripted(schedule) => {
-                rose.capture_trace_with_schedule(profile, schedule, seed, duration)
-            }
+        let nemesis = |ncfg: &NemesisConfig| -> Box<dyn KernelHook> {
+            let mut cfg = ncfg.clone();
+            cfg.seed = cfg.seed.wrapping_add(u64::from(attempt) * 101);
+            Box::new(Nemesis::new(cfg))
         };
+        let scripted =
+            |s: &FaultSchedule| -> Box<dyn KernelHook> { Box::new(Executor::new(s.clone())) };
+        let hooks = match &capture.method {
+            CaptureMethod::Nemesis(ncfg) => vec![nemesis(ncfg)],
+            CaptureMethod::NemesisWithPrelude(ncfg, prelude) => {
+                vec![scripted(prelude), nemesis(ncfg)]
+            }
+            CaptureMethod::Scripted(schedule) => vec![scripted(schedule)],
+        };
+        let cap = rose.capture_trace(profile, hooks, seed, duration);
         elapsed += cap.elapsed;
         if cap.bug {
             obs.end_phase(span, elapsed);

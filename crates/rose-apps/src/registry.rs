@@ -116,6 +116,12 @@ impl BugId {
             .collect()
     }
 
+    /// The file stem of the bug's persisted artifacts (Chrome exports,
+    /// trace-store files, causal exports, visited sets): see [`file_stem`].
+    pub fn file_stem(self) -> String {
+        file_stem(self.info().name)
+    }
+
     /// Resolves a display name (as printed by `Display`, case-insensitive)
     /// back to its id.
     pub fn parse(name: &str) -> Option<BugId> {
@@ -290,6 +296,20 @@ impl BugId {
             ),
         }
     }
+}
+
+/// Sanitizes a display name into a file stem: lowercase, non-alphanumerics
+/// mapped to `-`.
+pub fn file_stem(name: &str) -> String {
+    name.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '-'
+            }
+        })
+        .collect()
 }
 
 impl std::fmt::Display for BugId {

@@ -53,25 +53,9 @@ fn drive(id: BugId) -> (rose_analyze::DiagnosisReport, PathBuf) {
     (rep, dir)
 }
 
-/// Matches the driver's file-stem sanitization: lowercase, non-alphanumeric
-/// characters mapped to `-`.
-fn stem(id: BugId) -> String {
-    id.info()
-        .name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '-'
-            }
-        })
-        .collect()
-}
-
 fn assert_causal_artifacts(id: BugId, dir: &PathBuf) {
     for ext in ["flow.json", "dot"] {
-        let path = dir.join(format!("{}.{ext}", stem(id)));
+        let path = dir.join(format!("{}.{ext}", id.file_stem()));
         let data = std::fs::read(&path)
             .unwrap_or_else(|e| panic!("{id}: missing causal export {path:?}: {e}"));
         assert!(!data.is_empty(), "{id}: empty causal export {path:?}");

@@ -19,30 +19,36 @@
 //! and diagnoses from the reloaded binaries; `--causal <dir>` /
 //! `ROSE_CAUSAL` records causal provenance and writes each workflow-backed
 //! ablation's propagation chains as `ablation-*.flow.json` + `.dot`).
+//! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
+//! value prints the usage line to stderr and exits with status 2.
 
 use rose_analyze::{Diagnoser, DiagnosisConfig, RunHarness, RunObservation};
 use rose_apps::driver::{capture_and_diagnose, capture_buggy_trace, DriverOptions};
 use rose_apps::redisraft::{redisraft_capture, RedisRaftBug, RedisRaftCase};
 use rose_apps::registry::BugId;
 use rose_apps::zookeeper::{zookeeper_capture, ZkBug, ZkCase};
+use rose_bench::args::Args;
 use rose_bench::report::{self, ReportSink};
-use rose_core::{jobs_from_env_args, ordered_map, Rose, RoseConfig};
+use rose_core::{ordered_map, Rose, RoseConfig};
 use rose_events::{NodeId, SimDuration, SimTime};
 use rose_inject::{Condition, FaultAction, FaultSchedule};
 use rose_profile::{Profile, SymbolTable};
 
+const USAGE: &str = "usage: ablations [--jobs N] [--report PATH] [--trace-dir DIR] [--causal DIR]";
+
 fn main() {
-    let jobs = jobs_from_env_args();
-    let sink = ReportSink::from_env_args();
-    let trace_dir = report::trace_dir_from_env_args();
-    let causal_dir = report::causal_dir_from_env_args();
+    let mut args = Args::from_env();
+    let jobs = args.jobs();
+    let report_path = args.report();
+    let trace_dir = args.trace_dir();
+    let causal_dir = args.causal_dir();
+    args.finish(USAGE);
+    let sink = ReportSink::open(report_path);
     ablate_fault_order(&sink, jobs, trace_dir.clone(), causal_dir.clone());
     ablate_amplification(&sink, jobs, trace_dir, causal_dir);
     ablate_trace_diff(&sink);
     ablate_discovery_runs();
-    if let Some(path) = sink.path() {
-        report::progress(format!("JSONL report appended to {}", path.display()));
-    }
+    sink.announce();
 }
 
 /// Ablation 1 — fault order: strip the `AfterFault` prerequisites from the

@@ -16,12 +16,15 @@
 //! goes; `--jobs N` / `ROSE_JOBS` runs the campaigns concurrently with
 //! bit-identical results; `--report` / `ROSE_REPORT` behaves as in
 //! `table1`).
+//! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
+//! value prints the usage line to stderr and exits with status 2.
 
 use rose_apps::driver::{run_case, DriverOptions};
 use rose_apps::registry::BugId;
+use rose_bench::args::Args;
 use rose_bench::report::{self, ReportSink};
 use rose_bench::table::render;
-use rose_core::{jobs_from_env_args, ordered_map, RoseConfig};
+use rose_core::{ordered_map, RoseConfig};
 use serde::Serialize;
 
 /// One bug's flat-vs-EI comparison in `BENCH_ei.json`.
@@ -58,44 +61,19 @@ struct EiBench {
     rows: Vec<EiRow>,
 }
 
-/// Positional arguments are bug names (`BugId::parse`, case-insensitive);
-/// flag values (`--out x`, `--jobs n`, …) are skipped. No positionals →
-/// all 23 registry cases. An unknown name aborts with the roster.
-fn bugs_from_args() -> Vec<BugId> {
-    let mut picked = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a.starts_with("--") {
-            args.next();
-            continue;
-        }
-        match BugId::parse(&a) {
-            Some(id) => picked.push(id),
-            None => {
-                let known: Vec<&str> = BugId::all_with_hunted()
-                    .iter()
-                    .map(|id| id.info().name)
-                    .collect();
-                eprintln!("unknown bug '{a}'; known: {}", known.join(", "));
-                std::process::exit(2);
-            }
-        }
-    }
-    if picked.is_empty() {
-        picked = BugId::all_with_hunted().to_vec();
-    }
-    picked
-}
+const USAGE: &str = "usage: ei [BUG ...] [--out PATH] [--jobs N] [--report PATH]";
 
 fn main() {
-    let out_path = std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
+    let mut args = Args::from_env();
+    let out_path: String = args
+        .value("--out", None)
         .unwrap_or_else(|| "BENCH_ei.json".into());
-    let jobs = jobs_from_env_args();
-    let sink = ReportSink::from_env_args();
+    let jobs = args.jobs();
+    let report_path = args.report();
+    // No positionals → all 23 registry cases.
+    let bugs = args.bugs(USAGE, &BugId::all_with_hunted());
+    let sink = ReportSink::open(report_path);
 
-    let bugs = bugs_from_args();
     // Each worker runs the same bug's flat and EI campaigns back to back,
     // so both modes see identical capture seeds and the comparison isolates
     // the sweep keying.
@@ -200,17 +178,6 @@ fn main() {
         total_ei_schedules,
         rows,
     };
-    match serde_json::to_string(&bench) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&out_path, json + "\n") {
-                report::progress(format!("warning: could not write {out_path}: {e}"));
-            } else {
-                report::progress(format!("EI ablation written to {out_path}"));
-            }
-        }
-        Err(e) => report::progress(format!("warning: could not serialize summary: {e}")),
-    }
-    if let Some(path) = sink.path() {
-        report::progress(format!("JSONL report appended to {}", path.display()));
-    }
+    report::write_summary(&out_path, "EI ablation", &bench);
+    sink.announce();
 }

@@ -22,16 +22,19 @@
 //! roster below); `--budget` caps exploration runs per bug (default 192);
 //! `--state-dir` persists per-bug visited sets (`<bug>.visited`, the
 //! rose-store `RVST` format) so later campaigns skip known contexts;
-//! `--log` appends one JSONL line per exploration run.
+//! `--log` appends one JSONL line per exploration run. Flags are parsed
+//! strictly ([`rose_bench::args`]): an unknown flag, a bad value or an
+//! unknown bug name prints the usage line to stderr and exits with status 2.
 
 use std::io::Write;
 use std::path::PathBuf;
 
 use rose_apps::driver::{visit_case, SystemVisitor};
 use rose_apps::registry::{BugId, DiscoveryId};
+use rose_bench::args::Args;
 use rose_bench::report::{self, ReportSink};
 use rose_bench::table::render;
-use rose_core::{jobs_from_env_args, TargetSystem};
+use rose_core::TargetSystem;
 use rose_hunt::{hunt, HuntConfig, HuntOutcome};
 use rose_inject::schedule_fingerprint;
 use rose_obs::PhaseRecord;
@@ -103,73 +106,22 @@ impl SystemVisitor for HuntVisitor {
     }
 }
 
-/// `<bug>.visited` file stem: lowercase, non-alphanumerics mapped to `-`.
-fn stem(id: BugId) -> String {
-    id.info()
-        .name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '-'
-            }
-        })
-        .collect()
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn bugs_from_args() -> Vec<BugId> {
-    let mut picked = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a.starts_with("--") {
-            args.next();
-            continue;
-        }
-        match BugId::parse(&a) {
-            Some(id) => picked.push(id),
-            None => {
-                let known: Vec<&str> = BugId::all_with_hunted()
-                    .iter()
-                    .map(|id| id.info().name)
-                    .collect();
-                eprintln!("unknown bug '{a}'; known: {}", known.join(", "));
-                std::process::exit(2);
-            }
-        }
-    }
-    if picked.is_empty() {
-        picked = ROSTER.to_vec();
-    }
-    picked
-}
+const USAGE: &str = "usage: hunt [BUG ...] [--budget N] [--seed N] [--jobs N] [--out PATH] \
+                     [--log PATH] [--state-dir DIR] [--report PATH]";
 
 fn main() {
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_hunt.json".into());
-    let budget: usize = flag_value("--budget")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(192);
-    let seed: u64 = flag_value("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let state_dir = flag_value("--state-dir").map(PathBuf::from);
-    let log_path = flag_value("--log").map(PathBuf::from);
-    let jobs = jobs_from_env_args();
-    let sink = ReportSink::from_env_args();
-    let bugs = bugs_from_args();
+    let mut args = Args::from_env();
+    let out_path: String = args
+        .value("--out", None)
+        .unwrap_or_else(|| "BENCH_hunt.json".into());
+    let budget: usize = args.value("--budget", None).unwrap_or(192);
+    let seed: u64 = args.value("--seed", None).unwrap_or(42);
+    let state_dir: Option<PathBuf> = args.value("--state-dir", None);
+    let log_path: Option<PathBuf> = args.value("--log", None);
+    let jobs = args.jobs();
+    let report_path = args.report();
+    let bugs = args.bugs(USAGE, &ROSTER);
+    let sink = ReportSink::open(report_path);
 
     if let Some(dir) = &state_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -197,7 +149,7 @@ fn main() {
             jobs,
             visited_path: state_dir
                 .as_ref()
-                .map(|d| d.join(format!("{}.visited", stem(id)))),
+                .map(|d| d.join(format!("{}.visited", id.file_stem()))),
             ..HuntConfig::default()
         };
         let outcome = match visit_case(id, HuntVisitor { cfg }) {
@@ -332,17 +284,6 @@ fn main() {
         confirmed,
         rows,
     };
-    match serde_json::to_string(&bench) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&out_path, json + "\n") {
-                report::progress(format!("warning: could not write {out_path}: {e}"));
-            } else {
-                report::progress(format!("hunt summary written to {out_path}"));
-            }
-        }
-        Err(e) => report::progress(format!("warning: could not serialize summary: {e}")),
-    }
-    if let Some(path) = sink.path() {
-        report::progress(format!("JSONL report appended to {}", path.display()));
-    }
+    report::write_summary(&out_path, "hunt summary", &bench);
+    sink.announce();
 }

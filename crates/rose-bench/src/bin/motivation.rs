@@ -14,26 +14,32 @@
 //! the reloaded binary; `--causal <dir>` / `ROSE_CAUSAL` records causal
 //! provenance and writes the winning schedule's propagation chains as
 //! `motivation-redisraft-43.flow.json` + `.dot`).
+//! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
+//! value prints the usage line to stderr and exits with status 2.
 
 use rose_analyze::level1_schedule;
 use rose_apps::driver::{capture_and_diagnose, DriverOptions};
 use rose_apps::redisraft::{redisraft_capture, RedisRaftBug, RedisRaftCase};
+use rose_bench::args::Args;
 use rose_bench::report::{self, ReportSink};
-use rose_core::{jobs_from_env_args, Rose, RoseConfig, TargetSystem};
+use rose_core::{Rose, RoseConfig, TargetSystem};
+
+const USAGE: &str =
+    "usage: motivation [--runs N] [--jobs N] [--report PATH] [--trace-dir DIR] [--causal DIR]";
 
 fn main() {
-    let runs: u32 = std::env::args()
-        .skip_while(|a| a != "--runs")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
-    let jobs = jobs_from_env_args();
+    let mut args = Args::from_env();
+    let runs: u32 = args.value("--runs", None).unwrap_or(100);
+    let jobs = args.jobs();
+    let report_path = args.report();
+    let trace_dir = args.trace_dir();
+    let causal_dir = args.causal_dir();
+    args.finish(USAGE);
 
-    let sink = ReportSink::from_env_args();
+    let sink = ReportSink::open(report_path);
     let case = RedisRaftCase {
         bug: RedisRaftBug::Rr43,
     };
-    let causal_dir = report::causal_dir_from_env_args();
     let mut cfg = RoseConfig {
         jobs,
         causal: causal_dir.is_some(),
@@ -47,7 +53,7 @@ fn main() {
 
     report::section("capturing a buggy production trace under the Jepsen-style nemesis …");
     let opts = DriverOptions {
-        trace_dir: report::trace_dir_from_env_args(),
+        trace_dir,
         trace_label: Some("motivation-redisraft-43".into()),
         ..DriverOptions::default()
     };
@@ -109,7 +115,5 @@ fn main() {
          timed replay almost never lands there, the function-entry condition\n\
          always does.",
     );
-    if let Some(path) = sink.path() {
-        report::progress(format!("JSONL report appended to {}", path.display()));
-    }
+    sink.announce();
 }

@@ -19,12 +19,15 @@
 //! summary goes; `--jobs N` / `ROSE_JOBS` runs the campaigns concurrently
 //! with bit-identical results; `--report` / `ROSE_REPORT` and `--causal` /
 //! `ROSE_CAUSAL` behave as in `table1`).
+//! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
+//! value prints the usage line to stderr and exits with status 2.
 
 use rose_apps::driver::{run_case, DriverOptions};
 use rose_apps::registry::BugId;
+use rose_bench::args::Args;
 use rose_bench::report::{self, ReportSink};
 use rose_bench::table::render;
-use rose_core::{jobs_from_env_args, ordered_map, RoseConfig};
+use rose_core::{ordered_map, RoseConfig};
 use serde::Serialize;
 
 /// One row of `BENCH_redundancy.json`.
@@ -51,45 +54,24 @@ struct RedundancyBench {
     rows: Vec<RedundancyRow>,
 }
 
-/// Positional arguments are bug names (`BugId::parse`, case-insensitive);
-/// flag values (`--out x`, `--jobs n`, …) are skipped. No positionals →
-/// the default sweep-heavy trio. An unknown name aborts with the roster.
-fn bugs_from_args() -> Vec<BugId> {
-    let mut picked = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a.starts_with("--") {
-            args.next();
-            continue;
-        }
-        match BugId::parse(&a) {
-            Some(id) => picked.push(id),
-            None => {
-                let known: Vec<&str> = BugId::all_with_hunted()
-                    .iter()
-                    .map(|id| id.info().name)
-                    .collect();
-                eprintln!("unknown bug '{a}'; known: {}", known.join(", "));
-                std::process::exit(2);
-            }
-        }
-    }
-    if picked.is_empty() {
-        picked = vec![BugId::Hdfs12070, BugId::Hdfs15032, BugId::Zookeeper4203];
-    }
-    picked
-}
+const USAGE: &str =
+    "usage: redundancy [BUG ...] [--out PATH] [--jobs N] [--report PATH] [--causal DIR]";
 
 fn main() {
-    let out_path = std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
+    let mut args = Args::from_env();
+    let out_path: String = args
+        .value("--out", None)
         .unwrap_or_else(|| "BENCH_redundancy.json".into());
-    let jobs = jobs_from_env_args();
-    let sink = ReportSink::from_env_args();
-    let causal_dir = report::causal_dir_from_env_args();
+    let jobs = args.jobs();
+    let report_path = args.report();
+    let causal_dir = args.causal_dir();
+    // No positionals → the sweep-heavy trio.
+    let bugs = args.bugs(
+        USAGE,
+        &[BugId::Hdfs12070, BugId::Hdfs15032, BugId::Zookeeper4203],
+    );
+    let sink = ReportSink::open(report_path);
 
-    let bugs = bugs_from_args();
     let outcomes = ordered_map(jobs, bugs, |id| {
         let info = id.info();
         report::section(format!("{} ({}) …", info.name, info.system));
@@ -156,17 +138,6 @@ fn main() {
             .into(),
         rows,
     };
-    match serde_json::to_string(&bench) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&out_path, json + "\n") {
-                report::progress(format!("warning: could not write {out_path}: {e}"));
-            } else {
-                report::progress(format!("redundancy summary written to {out_path}"));
-            }
-        }
-        Err(e) => report::progress(format!("warning: could not serialize summary: {e}")),
-    }
-    if let Some(path) = sink.path() {
-        report::progress(format!("JSONL report appended to {}", path.display()));
-    }
+    report::write_summary(&out_path, "redundancy summary", &bench);
+    sink.announce();
 }

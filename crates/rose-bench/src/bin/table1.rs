@@ -18,20 +18,29 @@
 //! binary, with byte-identical output; `--causal <dir>` — or `ROSE_CAUSAL`
 //! — records causal provenance during testing runs and writes each bug's
 //! fault-propagation chains as `<bug>.flow.json` + `<bug>.dot`).
+//! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
+//! value prints the usage line to stderr and exits with status 2.
 
 use rose_apps::driver::{run_case, CaseOutcome, DriverOptions};
 use rose_apps::registry::BugId;
+use rose_bench::args::Args;
 use rose_bench::report::{self, ReportSink};
 use rose_bench::table::render;
-use rose_core::{jobs_from_env_args, ordered_map, RoseConfig};
+use rose_core::{ordered_map, RoseConfig};
+
+const USAGE: &str = "usage: table1 [--quick] [--ei] [--jobs N] [--report PATH] \
+                     [--trace-dir DIR] [--causal DIR]";
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let jobs = jobs_from_env_args();
-    let ei = report::ei_from_env_args();
-    let sink = ReportSink::from_env_args();
-    let trace_dir = report::trace_dir_from_env_args();
-    let causal_dir = report::causal_dir_from_env_args();
+    let mut args = Args::from_env();
+    let quick = args.flag("--quick", None);
+    let jobs = args.jobs();
+    let ei = args.ei();
+    let report_path = args.report();
+    let trace_dir = args.trace_dir();
+    let causal_dir = args.causal_dir();
+    args.finish(USAGE);
+    let sink = ReportSink::open(report_path);
     let bugs = BugId::campaign(quick);
 
     let mut rows = Vec::new();
@@ -133,7 +142,5 @@ fn main() {
         "  level distribution: L1={} L2={} L3={}",
         levels[1], levels[2], levels[3]
     ));
-    if let Some(path) = sink.path() {
-        report::progress(format!("JSONL report appended to {}", path.display()));
-    }
+    sink.announce();
 }

@@ -17,11 +17,15 @@
 //! traced run so the overhead column prices provenance recording too —
 //! taint-gated recording stays empty on these fault-free runs, which is
 //! the lightweight-instrumentation claim being measured).
+//! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
+//! value prints the usage line to stderr and exits with status 2.
 
+use rose_apps::registry::file_stem;
+use rose_bench::args::Args;
 use rose_bench::rediskv::{run_ycsb, run_ycsb_causal};
 use rose_bench::report::{self, ReportSink};
 use rose_bench::table::{fmt_bytes, render};
-use rose_core::{jobs_from_env_args, ordered_map};
+use rose_core::ordered_map;
 use rose_obs::{PhaseRecord, TracingStats};
 use rose_trace::{Tracer, TracerConfig, TracerMode};
 
@@ -34,17 +38,19 @@ fn tracer_for(mode: TracerMode) -> Tracer {
     Tracer::new(cfg)
 }
 
+const USAGE: &str =
+    "usage: table2 [--secs N] [--jobs N] [--report PATH] [--trace-dir DIR] [--causal DIR]";
+
 fn main() {
-    let secs: u64 = std::env::args()
-        .skip_while(|a| a != "--secs")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60);
+    let mut args = Args::from_env();
+    let secs: u64 = args.value("--secs", None).unwrap_or(60);
+    let jobs = args.jobs();
+    let report_path = args.report();
+    let trace_dir = args.trace_dir();
+    let causal = args.causal_dir().is_some();
+    args.finish(USAGE);
+    let sink = ReportSink::open(report_path);
     let clients = 6;
-    let jobs = jobs_from_env_args();
-    let sink = ReportSink::from_env_args();
-    let trace_dir = report::trace_dir_from_env_args();
-    let causal = report::causal_dir_from_env_args().is_some();
 
     // The baseline and the three tracer modes are four independent simulated
     // clusters; overhead percentages are derived only after all four finish,
@@ -83,17 +89,8 @@ fn main() {
                     ));
                 }
                 if let Some(dir) = &trace_dir {
-                    let stem: String = name
-                        .chars()
-                        .map(|c| {
-                            if c.is_ascii_alphanumeric() {
-                                c.to_ascii_lowercase()
-                            } else {
-                                '-'
-                            }
-                        })
-                        .collect();
-                    report::persist_trace_files(dir, &format!("table2-{stem}"), &trace);
+                    let stem = format!("table2-{}", file_stem(name));
+                    report::persist_trace_files(dir, &stem, &trace);
                 }
                 let rep = sim.hook_ref::<Tracer>().unwrap().report();
                 let charged = sim.hook_ref::<Tracer>().unwrap().total_charged;
@@ -151,7 +148,5 @@ fn main() {
         &rows,
     ));
     report::out(format!("baseline throughput: {base_tput:.0} ops/s"));
-    if let Some(path) = sink.path() {
-        report::progress(format!("JSONL report appended to {}", path.display()));
-    }
+    sink.announce();
 }

@@ -15,16 +15,18 @@
 //! `ROSE_CAUSAL` records causal provenance during each trigger run and
 //! writes the injected faults' chains as `table3-<bug>.flow.json` +
 //! `.dot` — these runs have no oracle, so chains are injection-rooted).
+//! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
+//! value prints the usage line to stderr and exits with status 2.
 
 use std::any::Any;
 use std::collections::BTreeSet;
 
-use rose_apps::driver::CaptureMethod;
-use rose_apps::redisraft::{redisraft_capture, RedisRaftBug, RedisRaftCase};
-use rose_apps::redpanda::{redpanda_capture, RedpandaBug, RedpandaCase};
+use rose_apps::driver::{capture_spec, visit_case, CaptureMethod, SystemVisitor};
+use rose_apps::registry::BugId;
+use rose_bench::args::Args;
 use rose_bench::report::{self, ReportSink};
 use rose_bench::table::render;
-use rose_core::{jobs_from_env_args, ordered_map, Rose, TargetSystem};
+use rose_core::{ordered_map, Rose, TargetSystem};
 use rose_events::SimDuration;
 use rose_obs::{PhaseRecord, ProfilingStats};
 use rose_sim::{HookEffects, HookEnv, KernelHook};
@@ -121,106 +123,47 @@ fn measure<S: TargetSystem>(
     (c.all, c.kept)
 }
 
+const USAGE: &str = "usage: table3 [--jobs N] [--report PATH] [--trace-dir DIR] [--causal DIR]";
+
 fn main() {
-    let jobs = jobs_from_env_args();
-    let sink = ReportSink::from_env_args();
-    let trace_dir = report::trace_dir_from_env_args();
-    let causal_dir = report::causal_dir_from_env_args();
+    let mut args = Args::from_env();
+    let jobs = args.jobs();
+    let report_path = args.report();
+    let trace_dir = args.trace_dir();
+    let causal_dir = args.causal_dir();
+    args.finish(USAGE);
+    let sink = ReportSink::open(report_path);
     let mut rows = Vec::new();
     type Persist = Option<(std::path::PathBuf, String)>;
-    type Case = (
-        &'static str,
-        Box<dyn Fn(Persist, Persist) -> (u64, u64) + Send>,
-    );
-    let cases: Vec<Case> = vec![
-        (
-            "RedisRaft-43",
-            Box::new(|persist, causal| {
-                measure(
-                    RedisRaftCase {
-                        bug: RedisRaftBug::Rr43,
-                    },
-                    redisraft_capture(RedisRaftBug::Rr43),
-                    persist,
-                    causal,
-                )
-            }),
-        ),
-        (
-            "RedisRaft-51",
-            Box::new(|persist, causal| {
-                measure(
-                    RedisRaftCase {
-                        bug: RedisRaftBug::Rr51,
-                    },
-                    redisraft_capture(RedisRaftBug::Rr51),
-                    persist,
-                    causal,
-                )
-            }),
-        ),
-        (
-            "RedisRaft-NEW",
-            Box::new(|persist, causal| {
-                measure(
-                    RedisRaftCase {
-                        bug: RedisRaftBug::RrNew,
-                    },
-                    redisraft_capture(RedisRaftBug::RrNew),
-                    persist,
-                    causal,
-                )
-            }),
-        ),
-        (
-            "Redpanda-3003",
-            Box::new(|persist, causal| {
-                measure(
-                    RedpandaCase {
-                        bug: RedpandaBug::Rp3003,
-                    },
-                    redpanda_capture(RedpandaBug::Rp3003),
-                    persist,
-                    causal,
-                )
-            }),
-        ),
-        (
-            "Redpanda-3039",
-            Box::new(|persist, causal| {
-                measure(
-                    RedpandaCase {
-                        bug: RedpandaBug::Rp3039,
-                    },
-                    redpanda_capture(RedpandaBug::Rp3039),
-                    persist,
-                    causal,
-                )
-            }),
-        ),
+    struct Measure {
+        persist: Persist,
+        causal: Persist,
+    }
+    impl SystemVisitor for Measure {
+        type Out = (u64, u64);
+        fn visit<S: TargetSystem>(self, id: BugId, system: S) -> (u64, u64) {
+            measure(system, capture_spec(id), self.persist, self.causal)
+        }
+    }
+    let cases = vec![
+        BugId::RedisRaft43,
+        BugId::RedisRaft51,
+        BugId::RedisRaftNew,
+        BugId::Redpanda3003,
+        BugId::Redpanda3039,
     ];
 
     // Each measurement is an isolated two-minute simulation; run up to
     // `jobs` of them concurrently and collect the counts in table order.
-    let measured = ordered_map(jobs, cases, |(name, run)| {
+    let measured = ordered_map(jobs, cases, |id| {
+        let name = id.info().name;
         report::section(format!("{name} …"));
-        let stem: String = name
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '-'
-                }
-            })
-            .collect();
-        let persist = trace_dir
-            .as_ref()
-            .map(|dir| (dir.clone(), format!("table3-{stem}")));
-        let causal = causal_dir
-            .as_ref()
-            .map(|dir| (dir.clone(), format!("table3-{stem}")));
-        (name, run(persist, causal))
+        let label = |dir: &std::path::PathBuf| (dir.clone(), format!("table3-{}", id.file_stem()));
+        let visitor = Measure {
+            persist: trace_dir.as_ref().map(label),
+            causal: causal_dir.as_ref().map(label),
+        };
+        (name, visit_case(id, visitor))
     });
 
     for (name, (all, kept)) in measured {
@@ -255,7 +198,5 @@ fn main() {
         ],
         &rows,
     ));
-    if let Some(path) = sink.path() {
-        report::progress(format!("JSONL report appended to {}", path.display()));
-    }
+    sink.announce();
 }

@@ -7,7 +7,8 @@
 //! - **stderr** carries progress and diagnostics ([`section`]/[`progress`]);
 //! - `--report <path>` (or the `ROSE_REPORT` environment variable) appends
 //!   the campaign's structured JSONL phase records to `<path>` via a
-//!   [`ReportSink`].
+//!   [`ReportSink`];
+//! - flags are parsed by [`crate::args`], strictly.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -30,111 +31,27 @@ pub fn out(line: impl AsRef<str>) {
     println!("{}", line.as_ref());
 }
 
-/// Parses `--trace-dir <path>` (or `--trace-dir=<path>`) from the process
-/// arguments, falling back to the `ROSE_TRACE_DIR` environment variable.
-/// When present, the bench binaries persist each captured buggy trace under
-/// the directory as `<bug>.rosetrace` (binary codec) + `<bug>.dump.json`
-/// (JSON baseline) and diagnose from the reloaded binary trace.
-pub fn trace_dir_from_env_args() -> Option<PathBuf> {
-    trace_dir_from_args(
-        std::env::args().skip(1),
-        std::env::var("ROSE_TRACE_DIR").ok(),
-    )
-}
-
-/// Testable core of [`trace_dir_from_env_args`].
-pub fn trace_dir_from_args(
-    args: impl IntoIterator<Item = String>,
-    env_fallback: Option<String>,
-) -> Option<PathBuf> {
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        if a == "--trace-dir" {
-            if let Some(p) = args.next() {
-                return Some(PathBuf::from(p));
-            }
-        } else if let Some(p) = a.strip_prefix("--trace-dir=") {
-            return Some(PathBuf::from(p));
-        }
-    }
-    match env_fallback {
-        Some(p) if !p.is_empty() => Some(PathBuf::from(p)),
-        _ => None,
-    }
-}
-
-/// Parses `--ei` from the process arguments, falling back to the `ROSE_EI`
-/// environment variable (any non-empty value other than `0`). When set, the
-/// bench binaries enable Level-2.5 execution-index SCF sweeps
-/// (`DiagnosisConfig::ei`): injections key on the failing call's recorded
-/// calling context and per-context count instead of its flat invocation
-/// index.
-pub fn ei_from_env_args() -> bool {
-    ei_from_args(std::env::args().skip(1), std::env::var("ROSE_EI").ok())
-}
-
-/// Testable core of [`ei_from_env_args`].
-pub fn ei_from_args(args: impl IntoIterator<Item = String>, env_fallback: Option<String>) -> bool {
-    if args.into_iter().any(|a| a == "--ei") {
-        return true;
-    }
-    matches!(env_fallback.as_deref(), Some(v) if !v.is_empty() && v != "0")
-}
-
-/// Parses `--causal <dir>` (or `--causal=<dir>`) from the process
-/// arguments, falling back to the `ROSE_CAUSAL` environment variable. When
-/// present, the bench binaries collect causal provenance during testing
-/// runs and write each bug's propagation chains under the directory as
-/// `<bug>.flow.json` (Perfetto flow arrows) + `<bug>.dot` (Graphviz).
-pub fn causal_dir_from_env_args() -> Option<PathBuf> {
-    causal_dir_from_args(std::env::args().skip(1), std::env::var("ROSE_CAUSAL").ok())
-}
-
-/// Testable core of [`causal_dir_from_env_args`].
-pub fn causal_dir_from_args(
-    args: impl IntoIterator<Item = String>,
-    env_fallback: Option<String>,
-) -> Option<PathBuf> {
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        if a == "--causal" {
-            if let Some(p) = args.next() {
-                return Some(PathBuf::from(p));
-            }
-        } else if let Some(p) = a.strip_prefix("--causal=") {
-            return Some(PathBuf::from(p));
-        }
-    }
-    match env_fallback {
-        Some(p) if !p.is_empty() => Some(PathBuf::from(p)),
-        _ => None,
-    }
-}
-
-/// Writes a diagnosis run's propagation chains under `dir` as
-/// `<stem>.flow.json` (Perfetto flow arrows threading per-hop anchor spans
-/// across node tracks) and `<stem>.dot` (Graphviz). No-op when the chain
-/// list is empty — a run with no recorded provenance produces no files.
-/// Failures warn on stderr rather than aborting the bench run.
+/// Writes a diagnosis run's propagation chains under `dir`
+/// ([`rose_obs::causal::save_chains`]). Failures warn on stderr rather than
+/// aborting the bench run.
 pub fn export_causal_files(dir: &Path, stem: &str, chains: &[rose_obs::PropagationChain]) {
-    if chains.is_empty() {
-        return;
-    }
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let mut chrome = rose_obs::ChromeTrace::new();
-        rose_obs::causal::export_flow(chains, &mut chrome);
-        chrome.save(dir.join(format!("{stem}.flow.json")))?;
-        std::fs::write(
-            dir.join(format!("{stem}.dot")),
-            rose_obs::causal::to_dot(chains),
-        )
-    };
-    if let Err(e) = write() {
+    if let Err(e) = rose_obs::causal::save_chains(dir, stem, chains) {
         progress(format!(
             "warning: could not export causal chains {stem} to {}: {e}",
             dir.display()
         ));
+    }
+}
+
+/// Writes a bench summary (`BENCH_*.json`) to `path` as one line of JSON.
+/// Failures warn on stderr rather than aborting the bench run.
+pub fn write_summary(path: &str, what: &str, summary: &impl serde::Serialize) {
+    match serde_json::to_string(summary) {
+        Ok(json) => match std::fs::write(path, json + "\n") {
+            Ok(()) => progress(format!("{what} written to {path}")),
+            Err(e) => progress(format!("warning: could not write {path}: {e}")),
+        },
+        Err(e) => progress(format!("warning: could not serialize summary: {e}")),
     }
 }
 
@@ -183,13 +100,11 @@ impl ReportSink {
         }
     }
 
-    /// Builds a sink from the process arguments (`--report <path>` or
-    /// `--report=<path>`), falling back to the `ROSE_REPORT` environment
-    /// variable. Returns a disabled sink when neither is present. An
-    /// enabled sink leads its report with the machine/toolchain header
-    /// record (core count + rustc version).
-    pub fn from_env_args() -> Self {
-        Self::from_args(std::env::args().skip(1), std::env::var("ROSE_REPORT").ok())
+    /// The sink a binary's `--report` / `ROSE_REPORT` value selects:
+    /// disabled when absent, else appending to the path and leading the
+    /// report with the machine/toolchain header record.
+    pub fn open(path: Option<PathBuf>) -> Self {
+        path.map_or_else(ReportSink::disabled, ReportSink::to_path)
             .with_meta_header()
     }
 
@@ -203,24 +118,6 @@ impl ReportSink {
         self
     }
 
-    /// Testable core of [`ReportSink::from_env_args`].
-    pub fn from_args(args: impl IntoIterator<Item = String>, env_fallback: Option<String>) -> Self {
-        let mut args = args.into_iter();
-        while let Some(a) = args.next() {
-            if a == "--report" {
-                if let Some(p) = args.next() {
-                    return ReportSink::to_path(p);
-                }
-            } else if let Some(p) = a.strip_prefix("--report=") {
-                return ReportSink::to_path(p.to_owned());
-            }
-        }
-        match env_fallback {
-            Some(p) if !p.is_empty() => ReportSink::to_path(p),
-            _ => ReportSink::disabled(),
-        }
-    }
-
     /// Whether records will be written anywhere.
     pub fn enabled(&self) -> bool {
         self.path.is_some()
@@ -229,6 +126,13 @@ impl ReportSink {
     /// The target path, if enabled.
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
+    }
+
+    /// Tells the progress channel where the report went, if anywhere.
+    pub fn announce(&self) {
+        if let Some(path) = &self.path {
+            progress(format!("JSONL report appended to {}", path.display()));
+        }
     }
 
     /// Appends a campaign registry's phase records as JSONL.
@@ -268,55 +172,6 @@ mod tests {
     use rose_obs::CampaignSummary;
 
     use super::*;
-
-    #[test]
-    fn parses_report_flag_variants() {
-        let s = ReportSink::from_args(
-            ["--quick".into(), "--report".into(), "r.jsonl".into()],
-            None,
-        );
-        assert_eq!(s.path(), Some(Path::new("r.jsonl")));
-        let s = ReportSink::from_args(["--report=x.jsonl".into()], None);
-        assert_eq!(s.path(), Some(Path::new("x.jsonl")));
-        let s = ReportSink::from_args(["--quick".into()], Some("env.jsonl".into()));
-        assert_eq!(s.path(), Some(Path::new("env.jsonl")));
-        let s = ReportSink::from_args(["--quick".into()], None);
-        assert!(!s.enabled());
-    }
-
-    #[test]
-    fn parses_trace_dir_flag_variants() {
-        let d = trace_dir_from_args(
-            ["--quick".into(), "--trace-dir".into(), "traces".into()],
-            None,
-        );
-        assert_eq!(d.as_deref(), Some(Path::new("traces")));
-        let d = trace_dir_from_args(["--trace-dir=t2".into()], None);
-        assert_eq!(d.as_deref(), Some(Path::new("t2")));
-        let d = trace_dir_from_args(["--quick".into()], Some("env-dir".into()));
-        assert_eq!(d.as_deref(), Some(Path::new("env-dir")));
-        assert_eq!(trace_dir_from_args(["--quick".into()], None), None);
-    }
-
-    #[test]
-    fn parses_ei_flag_variants() {
-        assert!(ei_from_args(["--quick".into(), "--ei".into()], None));
-        assert!(!ei_from_args(["--quick".into()], None));
-        assert!(ei_from_args(["--quick".into()], Some("1".into())));
-        assert!(!ei_from_args(["--quick".into()], Some("0".into())));
-        assert!(!ei_from_args(["--quick".into()], Some(String::new())));
-    }
-
-    #[test]
-    fn parses_causal_dir_flag_variants() {
-        let d = causal_dir_from_args(["--quick".into(), "--causal".into(), "causal".into()], None);
-        assert_eq!(d.as_deref(), Some(Path::new("causal")));
-        let d = causal_dir_from_args(["--causal=c2".into()], None);
-        assert_eq!(d.as_deref(), Some(Path::new("c2")));
-        let d = causal_dir_from_args(["--quick".into()], Some("env-causal".into()));
-        assert_eq!(d.as_deref(), Some(Path::new("env-causal")));
-        assert_eq!(causal_dir_from_args(["--quick".into()], None), None);
-    }
 
     #[test]
     fn meta_header_leads_the_report() {

@@ -1,0 +1,70 @@
+//! Every bench binary rejects bad command lines before doing any work: exit
+//! status 2, the usage line on stderr, nothing on stdout.
+
+use std::process::Command;
+
+const BINS: [(&str, &str); 8] = [
+    ("table1", env!("CARGO_BIN_EXE_table1")),
+    ("table2", env!("CARGO_BIN_EXE_table2")),
+    ("table3", env!("CARGO_BIN_EXE_table3")),
+    ("motivation", env!("CARGO_BIN_EXE_motivation")),
+    ("ablations", env!("CARGO_BIN_EXE_ablations")),
+    ("redundancy", env!("CARGO_BIN_EXE_redundancy")),
+    ("ei", env!("CARGO_BIN_EXE_ei")),
+    ("hunt", env!("CARGO_BIN_EXE_hunt")),
+];
+
+fn assert_rejected(name: &str, args: &[&str], env: &[(&str, &str)]) {
+    let exe = BINS.iter().find(|(n, _)| *n == name).expect("known bin").1;
+    let mut cmd = Command::new(exe);
+    cmd.args(args);
+    for var in [
+        "ROSE_JOBS",
+        "ROSE_REPORT",
+        "ROSE_TRACE_DIR",
+        "ROSE_CAUSAL",
+        "ROSE_EI",
+    ] {
+        cmd.env_remove(var);
+    }
+    cmd.envs(env.iter().copied());
+    let out = cmd.output().expect("bin starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{name} {args:?} wrote to stdout");
+    assert!(
+        stderr.contains(&format!("usage: {name}")),
+        "{name} {args:?}: no usage in {stderr:?}"
+    );
+}
+
+#[test]
+fn unknown_flags_exit_2_with_usage() {
+    for (name, _) in BINS {
+        assert_rejected(name, &["--no-such-flag"], &[]);
+    }
+    // Flags other bins take are unknown to a bin that does not.
+    assert_rejected("table2", &["--ei"], &[]);
+    assert_rejected("table3", &["--quick"], &[]);
+    assert_rejected("ei", &["--causal", "dir"], &[]);
+    assert_rejected("table1", &["RedisRaft-42"], &[]);
+}
+
+#[test]
+fn missing_and_unparsable_values_exit_2_with_usage() {
+    assert_rejected("table1", &["--quick", "--report"], &[]);
+    assert_rejected("table2", &["--secs", "abc"], &[]);
+    assert_rejected("motivation", &["--runs", "many"], &[]);
+    assert_rejected("ablations", &["--jobs", "x"], &[]);
+    assert_rejected("hunt", &["RedisRaft-42", "--budget", "-1"], &[]);
+    assert_rejected("hunt", &["--seed=abc"], &[]);
+    assert_rejected("redundancy", &["--out"], &[]);
+    assert_rejected("table3", &[], &[("ROSE_JOBS", "x")]);
+}
+
+#[test]
+fn unknown_bug_names_exit_2_with_the_roster() {
+    for name in ["hunt", "ei", "redundancy"] {
+        assert_rejected(name, &["--jobs=4", "NoSuchBug-1"], &[]);
+    }
+}

@@ -45,7 +45,7 @@ pub mod parallel;
 pub mod system;
 pub mod workflow;
 
-pub use parallel::{jobs_from_args, jobs_from_env_args, ordered_map};
+pub use parallel::ordered_map;
 pub use rose_analyze::{DiagnosisConfig, DiagnosisReport};
 pub use system::TargetSystem;
 pub use workflow::{Rose, RoseConfig, RunOnce, TraceCapture};

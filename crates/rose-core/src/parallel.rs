@@ -53,34 +53,6 @@ where
         .collect()
 }
 
-/// Parses a worker count from command-line arguments (`--jobs N` or
-/// `--jobs=N`), falling back to `env` (the `ROSE_JOBS` variable), falling
-/// back to 1 (sequential). Zero is clamped to 1.
-pub fn jobs_from_args<I>(args: I, env: Option<String>) -> usize
-where
-    I: IntoIterator<Item = String>,
-{
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--jobs" {
-            args.next()
-        } else {
-            arg.strip_prefix("--jobs=").map(str::to_owned)
-        };
-        if let Some(n) = value.and_then(|v| v.parse::<usize>().ok()) {
-            return n.max(1);
-        }
-    }
-    env.and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
-/// [`jobs_from_args`] over the process environment: `--jobs` from
-/// [`std::env::args`], `ROSE_JOBS` as the fallback.
-pub fn jobs_from_env_args() -> usize {
-    jobs_from_args(std::env::args().skip(1), std::env::var("ROSE_JOBS").ok())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,17 +83,5 @@ mod tests {
         });
         assert_eq!(ran.load(Ordering::SeqCst), 32);
         assert_eq!(out.len(), 32);
-    }
-
-    #[test]
-    fn jobs_parsing_prefers_flag_over_env() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from_args(args(&["--jobs", "4"]), None), 4);
-        assert_eq!(jobs_from_args(args(&["--jobs=6"]), Some("2".into())), 6);
-        assert_eq!(jobs_from_args(args(&["--quick"]), Some("3".into())), 3);
-        assert_eq!(jobs_from_args(args(&[]), None), 1);
-        assert_eq!(jobs_from_args(args(&["--jobs", "0"]), None), 1);
-        assert_eq!(jobs_from_args(args(&["--jobs"]), Some("5".into())), 5);
-        assert_eq!(jobs_from_args(args(&["--jobs", "x"]), Some("5".into())), 5);
     }
 }

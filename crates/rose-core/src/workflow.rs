@@ -150,6 +150,34 @@ impl<S: TargetSystem> Rose<S> {
         sim
     }
 
+    /// The oracle-poll loop every run path shares. The oracle stands in for
+    /// production health monitoring: the deployment advances in 5 s steps
+    /// for `duration`, and the oracle is evaluated after each step until it
+    /// first fires. `at_detection` runs at that instant and says whether
+    /// the run stops there; otherwise it plays out unpolled. Returns
+    /// whether the oracle fired.
+    pub fn poll_oracle(
+        &self,
+        sim: &mut Sim<S::App>,
+        duration: SimDuration,
+        mut at_detection: impl FnMut(&Sim<S::App>) -> bool,
+    ) -> bool {
+        let check_every = SimDuration::from_secs(5);
+        let mut elapsed = SimDuration::ZERO;
+        let mut bug = false;
+        while elapsed < duration {
+            sim.run_for(check_every);
+            elapsed += check_every;
+            if !bug && self.system.oracle(sim) {
+                bug = true;
+                if at_detection(sim) {
+                    break;
+                }
+            }
+        }
+        bug
+    }
+
     /// **Phase 1 — Profiling** (§4.3): run the system failure-free, count
     /// function and syscall frequencies, and fingerprint benign faults.
     pub fn profile(&self) -> Profile {
@@ -205,19 +233,9 @@ impl<S: TargetSystem> Rose<S> {
         let mut sim = self.deploy(seed, hooks);
         sim.start();
         // The monitoring infrastructure invokes `dump` when a deviation is
-        // detected (§4.4): the oracle is evaluated periodically and the run
-        // stops at first detection, so the dumped window ends at the bug.
-        let check_every = SimDuration::from_secs(5);
-        let mut elapsed = SimDuration::ZERO;
-        let mut bug = false;
-        while elapsed < duration {
-            sim.run_for(check_every);
-            elapsed += check_every;
-            if self.system.oracle(&sim) {
-                bug = true;
-                break;
-            }
-        }
+        // detected (§4.4): the run stops at first detection, so the dumped
+        // window ends at the bug.
+        let bug = self.poll_oracle(&mut sim, duration, |_| true);
         let now = sim.now();
         let tracer = sim.hook_mut::<Tracer>().expect("tracer attached");
         let trace = tracer.dump(now);
@@ -358,22 +376,14 @@ impl<S: TargetSystem> Rose<S> {
             .system
             .run_duration()
             .max(span + SimDuration::from_secs(30));
-        // The oracle stands in for production health monitoring: it is
-        // evaluated periodically and a transient manifestation (e.g. an
-        // unavailability window that later heals) still counts.
-        let check_every = SimDuration::from_secs(5);
-        let mut elapsed = SimDuration::ZERO;
-        let mut bug = false;
-        while elapsed < duration {
-            sim.run_for(check_every);
-            elapsed += check_every;
-            if !bug && self.system.oracle(&sim) {
-                bug = true;
-                if let Some(rec) = &recorder {
-                    rec.oracle(sim.now());
-                }
+        // A testing run plays out in full: a transient manifestation (e.g.
+        // an unavailability window that later heals) still counts.
+        let bug = self.poll_oracle(&mut sim, duration, |sim| {
+            if let Some(rec) = &recorder {
+                rec.oracle(sim.now());
             }
-        }
+            false
+        });
         let now = sim.now();
         // Dump before taking the causal log: the tracer records still-open
         // pause/silence intervals as causal nodes at dump time.
@@ -569,9 +579,8 @@ struct SimHarness<'a, S: TargetSystem> {
     pending: Vec<Obs>,
 }
 
-impl<'a, S: TargetSystem> RunHarness for SimHarness<'a, S> {
-    fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation {
-        let r = self.rose.run_once(self.profile, schedule, seed);
+impl From<RunOnce> for RunObservation {
+    fn from(r: RunOnce) -> Self {
         RunObservation {
             bug: r.bug,
             af_calls: r.af_calls,
@@ -582,16 +591,19 @@ impl<'a, S: TargetSystem> RunHarness for SimHarness<'a, S> {
             events_before_injection: r.events_before_injection,
         }
     }
+}
+
+impl<'a, S: TargetSystem> RunHarness for SimHarness<'a, S> {
+    fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation {
+        self.rose.run_once(self.profile, schedule, seed).into()
+    }
 
     fn run_speculative(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunObservation> {
         self.pending.clear();
-        if jobs.len() <= 1 {
+        if let [(schedule, seed)] = jobs {
             // Nothing to speculate over: run inline, publishing side
             // effects directly. The commit that follows finds no buffers.
-            return jobs
-                .iter()
-                .map(|(schedule, seed)| self.run(schedule, *seed))
-                .collect();
+            return vec![self.run(schedule, *seed)];
         }
         let rose = self.rose;
         let profile = self.profile;
@@ -600,24 +612,12 @@ impl<'a, S: TargetSystem> RunHarness for SimHarness<'a, S> {
             jobs.to_vec(),
             |(schedule, seed)| {
                 let worker = rose.fork();
-                let r = worker.run_once(profile, &schedule, seed);
-                let observation = RunObservation {
-                    bug: r.bug,
-                    af_calls: r.af_calls,
-                    feedback: r.feedback,
-                    wall: r.wall,
-                    causal: r.causal,
-                    sim_events: r.sim_events,
-                    events_before_injection: r.events_before_injection,
-                };
-                (observation, worker.obs)
+                let run = worker.run_once(profile, &schedule, seed);
+                (RunObservation::from(run), worker.obs)
             },
         );
-        let mut observations = Vec::with_capacity(results.len());
-        for (observation, worker_obs) in results {
-            observations.push(observation);
-            self.pending.push(worker_obs);
-        }
+        let (observations, pending) = results.into_iter().unzip();
+        self.pending = pending;
         observations
     }
 

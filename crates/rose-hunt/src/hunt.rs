@@ -264,20 +264,9 @@ fn explore_run<S: TargetSystem>(
     ];
     let mut sim = rose.deploy(seed, hooks);
     sim.start();
-    // Same periodic-oracle shape as the capture phase: stop at first
-    // detection so discovery runs and hand-off captures cover the same
-    // simulated span.
-    let check_every = SimDuration::from_secs(5);
-    let mut elapsed = SimDuration::ZERO;
-    let mut bug = false;
-    while elapsed < duration {
-        sim.run_for(check_every);
-        elapsed += check_every;
-        if rose.system().oracle(&sim) {
-            bug = true;
-            break;
-        }
-    }
+    // Stop at first detection, like the capture phase, so discovery runs
+    // and hand-off captures cover the same simulated span.
+    let bug = rose.poll_oracle(&mut sim, duration, |_| true);
     let now = sim.now();
     let injected = sim
         .hook_ref::<Executor>()

@@ -221,6 +221,25 @@ pub fn export_flow(chains: &[PropagationChain], chrome: &mut ChromeTrace) {
     }
 }
 
+/// Writes a diagnosis's propagation chains under `dir` as
+/// `<stem>.flow.json` (a Chrome trace: per-hop anchor spans threaded by
+/// flow arrows across node tracks) and `<stem>.dot` (Graphviz). No-op when
+/// there are no chains — diagnosis did not converge, or provenance was off.
+pub fn save_chains(
+    dir: &std::path::Path,
+    stem: &str,
+    chains: &[PropagationChain],
+) -> std::io::Result<()> {
+    if chains.is_empty() {
+        return Ok(());
+    }
+    std::fs::create_dir_all(dir)?;
+    let mut chrome = ChromeTrace::new();
+    export_flow(chains, &mut chrome);
+    chrome.save(dir.join(format!("{stem}.flow.json")))?;
+    std::fs::write(dir.join(format!("{stem}.dot")), to_dot(chains))
+}
+
 #[cfg(test)]
 mod tests {
     use rose_events::{CausalKind, EdgeKind, SimTime};

@@ -46,6 +46,19 @@ diff -u "$smoke_dir/stdout-j1.txt" "$smoke_dir/stdout-j4.txt"
 diff -u "$smoke_dir/report-j1.jsonl" "$smoke_dir/report-j4.jsonl"
 diff -r "$smoke_dir/causal-j1" "$smoke_dir/causal-j4"
 
+echo "== strict CLI: bad flags exit 2 with usage on stderr, nothing on stdout"
+for bad in "table1 --no-such-flag" "table2 --secs abc"; do
+    read -r bin flags <<< "$bad"
+    status=0
+    # shellcheck disable=SC2086
+    "./target/release/$bin" $flags > "$smoke_dir/bad-stdout.txt" 2> "$smoke_dir/bad-stderr.txt" || status=$?
+    if ((status != 2)) || [[ -s "$smoke_dir/bad-stdout.txt" ]] \
+        || ! grep -q "^usage: $bin" "$smoke_dir/bad-stderr.txt"; then
+        echo "FAIL: '$bad' must exit 2 with usage on stderr and an empty stdout (status $status)"
+        exit 1
+    fi
+done
+
 echo "== causal exports exist for every reproduced quick-campaign bug"
 flow_count=$(ls "$smoke_dir"/causal-j1/*.flow.json 2> /dev/null | wc -l)
 dot_count=$(ls "$smoke_dir"/causal-j1/*.dot 2> /dev/null | wc -l)
