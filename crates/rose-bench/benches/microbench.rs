@@ -1,17 +1,24 @@
-//! Criterion microbenches of Rose's hot paths: the tracer's per-event cost,
-//! the sliding window, trace merging, the `.rosetrace` codec against the
-//! JSON baseline, the streaming store merge, fault extraction, and the
-//! executor's condition matching.
+//! Criterion microbenches of Rose's hot paths: the simulator kernel itself
+//! (events/s on an idle and on a loaded cluster), the per-syscall hook chain,
+//! the tracer's per-event cost, the sliding window, trace merging, the
+//! `.rosetrace` codec against the JSON baseline, the streaming store merge,
+//! fault extraction, and the executor's condition matching.
 
 use std::io::Cursor;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use rose_bench::rediskv::run_ycsb;
 use rose_events::{
-    Errno, Event, EventKind, FunctionId, NodeId, Pid, SimTime, SlidingWindow, SyscallId, Trace,
+    Errno, Event, EventKind, FunctionId, NodeId, Pid, SimDuration, SimTime, SlidingWindow,
+    SyscallId, Trace,
 };
+use rose_hunt::SiteProbe;
 use rose_inject::{Condition, Executor, FaultAction, FaultSchedule, ScheduledFault};
 use rose_profile::Profile;
-use rose_sim::{HookEnv, KernelHook, SysRet, SyscallArgs};
+use rose_sim::{
+    Application, ChainId, ChainTable, HookEnv, KernelHook, NodeCtx, Sim, SimConfig, SysRet,
+    SyscallArgs,
+};
 use rose_trace::{Tracer, TracerConfig};
 
 fn af(ts: u64, node: u32, f: u32) -> Event {
@@ -100,18 +107,110 @@ fn bench_window_growth(c: &mut Criterion) {
     g.finish();
 }
 
+/// A probe firing outside any instrumented function.
+fn root_env(chains: &ChainTable, node: u32, pid: u32) -> HookEnv<'_> {
+    HookEnv {
+        now: SimTime::from_secs(1),
+        node: NodeId(node),
+        pid: Pid(pid),
+        chain: ChainId::ROOT,
+        chains,
+    }
+}
+
+/// A node that only services a 10 ms heartbeat timer: what the kernel costs
+/// when the application does nothing.
+struct IdleNode;
+
+impl Application for IdleNode {
+    type Msg = ();
+
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_, ()>) {
+        ctx.set_timer(SimDuration::from_millis(10), 0);
+    }
+
+    fn on_message(&mut self, _: &mut NodeCtx<'_, ()>, _: NodeId, _: ()) {}
+
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_, ()>, tag: u64) {
+        ctx.set_timer(SimDuration::from_millis(10), tag);
+    }
+}
+
+fn idle_cluster() -> Sim<IdleNode> {
+    let mut sim = Sim::new(SimConfig::new(3, 7), |_| IdleNode);
+    sim.start();
+    sim
+}
+
+/// The simulator kernel, the layer every run spends most of its time in:
+/// queue items executed per wall second with no hook attached.
+fn bench_sim_kernel(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sim_kernel");
+    // Both clusters are deterministic, so one probe run gives the event
+    // count every iteration executes.
+    let idle_secs = SimDuration::from_secs(60);
+    let mut probe = idle_cluster();
+    probe.run_for(idle_secs);
+    g.throughput(Throughput::Elements(probe.core().events_executed()));
+    g.bench_function("idle_3_nodes_60s", |b| {
+        b.iter(|| {
+            let mut sim = idle_cluster();
+            sim.run_for(idle_secs);
+            black_box(sim.core().events_executed())
+        });
+    });
+    let (probe, _) = run_ycsb(vec![], 4, 1, 42);
+    g.throughput(Throughput::Elements(probe.core().events_executed()));
+    g.bench_function("ycsb_a_4_clients_1s", |b| {
+        b.iter(|| black_box(run_ycsb(vec![], 4, 1, 42).1));
+    });
+    g.finish();
+}
+
+/// One `enter_function` → syscall → `exit_function` round through the whole
+/// chain a hunt run loads: executor `sys_enter`, body, tracer `sys_exit`,
+/// site probe, and the uprobe fan-out of the function entry.
+fn bench_hook_chain(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hook_chain");
+    g.throughput(Throughput::Elements(1));
+    let mut sched = FaultSchedule::new();
+    sched.push(ScheduledFault::new(NodeId(0), FaultAction::Crash).after(
+        Condition::ExecutionIndex {
+            chain: vec!["applyEntry".into()],
+            syscall: SyscallId::Stat,
+            count: u64::MAX,
+        },
+    ));
+    let mut sim = Sim::new(SimConfig::new(3, 7), |_| IdleNode);
+    sim.add_hook(Box::new(Executor::new(sched)));
+    sim.add_hook(Box::new(Tracer::new(
+        TracerConfig::rose(std::iter::empty()),
+    )));
+    sim.add_hook(Box::new(SiteProbe::new()));
+    // The call succeeds, so this is the steady state: nothing is recorded.
+    sim.install_file(NodeId(0), "/etc/app.conf", Vec::new());
+    sim.start();
+    sim.run_for(SimDuration::from_millis(100));
+    let pid = sim.core().procs.main_pid(NodeId(0)).expect("node 0 is up");
+    let mut ctx = NodeCtx::scratch(sim.core_mut(), NodeId(0), pid);
+    g.bench_function("enter_stat_exit_executor_tracer_probe", |b| {
+        b.iter(|| {
+            ctx.enter_function("applyEntry");
+            black_box(ctx.stat("/etc/app.conf").is_ok());
+            ctx.exit_function();
+        });
+    });
+    g.finish();
+}
+
 fn bench_tracer_hot_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("tracer");
     g.throughput(Throughput::Elements(1));
+    let chains = ChainTable::new();
     // The production fast path: a successful syscall is filtered out.
     g.bench_function("sys_exit_success_filtered", |b| {
         let mut t = Tracer::new(TracerConfig::rose(std::iter::empty()));
-        let env = HookEnv {
-            now: SimTime::from_secs(1),
-            node: NodeId(0),
-            pid: Pid(100),
-            call_chain: &[],
-        };
+        let env = root_env(&chains, 0, 100);
         let args = SyscallArgs::bare(SyscallId::Read)
             .with_fd(rose_events::Fd(3))
             .with_len(64);
@@ -123,12 +222,7 @@ fn bench_tracer_hot_path(c: &mut Criterion) {
     // The slow path: a failure is recorded into the window.
     g.bench_function("sys_exit_failure_recorded", |b| {
         let mut t = Tracer::new(TracerConfig::rose(std::iter::empty()).with_window(100_000));
-        let env = HookEnv {
-            now: SimTime::from_secs(1),
-            node: NodeId(0),
-            pid: Pid(100),
-            call_chain: &[],
-        };
+        let env = root_env(&chains, 0, 100);
         let args = SyscallArgs::bare(SyscallId::Stat).with_path("/etc/missing");
         let err: rose_sim::SysResult = Err(Errno::Enoent);
         b.iter(|| {
@@ -288,12 +382,8 @@ fn bench_executor_matching(c: &mut Criterion) {
         },
     ));
     let mut ex = Executor::new(sched);
-    let env = HookEnv {
-        now: SimTime::from_secs(1),
-        node: NodeId(1),
-        pid: Pid(101),
-        call_chain: &[],
-    };
+    let chains = ChainTable::new();
+    let env = root_env(&chains, 1, 101);
     let args = SyscallArgs::bare(SyscallId::Write)
         .with_fd(rose_events::Fd(4))
         .with_len(128);
@@ -307,6 +397,8 @@ fn bench_executor_matching(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_sim_kernel,
+    bench_hook_chain,
     bench_window,
     bench_window_growth,
     bench_tracer_hot_path,

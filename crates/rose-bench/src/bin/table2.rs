@@ -80,7 +80,9 @@ fn main() {
                     recorder.clone(),
                 );
                 let now = sim.now();
-                let trace = sim.hook_mut::<Tracer>().unwrap().dump(now);
+                let tracer = sim.hook_mut::<Tracer>().unwrap();
+                let trace = tracer.dump(now);
+                tracer.account_dump(&trace);
                 if let Some(rec) = recorder {
                     let log = rec.take_log();
                     report::progress(format!(

@@ -239,6 +239,8 @@ impl<S: TargetSystem> Rose<S> {
         let now = sim.now();
         let tracer = sim.hook_mut::<Tracer>().expect("tracer attached");
         let trace = tracer.dump(now);
+        // The capture's phase record carries the dump sizes (Table 2).
+        tracer.account_dump(&trace);
         let report = tracer.report();
         let charged = tracer.total_charged;
         tracer.publish_obs(&self.obs);

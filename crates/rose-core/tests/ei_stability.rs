@@ -96,7 +96,7 @@ impl KernelHook for SendSpy {
     fn sys_exit(&mut self, env: &HookEnv, args: &SyscallArgs, result: &SysResult) -> HookEffects {
         if env.node == NodeId(0) && args.call == SyscallId::Send {
             self.flat_ordinal += 1;
-            let chain = env.call_chain.to_vec();
+            let chain = env.call_chain().to_vec();
             let count = self.ctx_counts.entry(chain.clone()).or_insert(0);
             *count += 1;
             self.sends.push((self.flat_ordinal, chain.clone(), *count));

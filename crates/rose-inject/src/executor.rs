@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use rose_events::{NodeId, Pid, SimTime};
 use rose_sim::{
-    HookEffects, HookEnv, KernelHook, NetCmd, ProcEvent, ProcTable, SignalKind, SignalReq,
+    ChainId, HookEffects, HookEnv, KernelHook, NetCmd, ProcEvent, ProcTable, SignalKind, SignalReq,
     SignalTarget, SysResult, SysRet, SyscallArgs,
 };
 
@@ -23,8 +23,14 @@ struct FaultRt {
     injected_at: Option<SimTime>,
     /// Matching syscalls seen since arming (for `Scf` nth matching).
     scf_count: u64,
-    /// Matching syscalls seen for the active `SyscallInvocation` condition.
+    /// Matching syscalls seen for the active `SyscallInvocation` /
+    /// `ExecutionIndex` condition.
     cond_count: u64,
+    /// The active `ExecutionIndex` condition's chain as this run's kernel
+    /// interned it, once the run has entered that chain (`None` until
+    /// then: a chain nobody entered cannot be the current one). Probes then
+    /// compare calling contexts as integers.
+    want_chain: Option<ChainId>,
 }
 
 /// What the executor observed during a run, fed back to the diagnosis phase
@@ -80,13 +86,22 @@ impl ExecutionFeedback {
 /// own pid → node map from process lifecycle events rather than trusting any
 /// application-level identity.
 pub struct Executor {
-    schedule: FaultSchedule,
-    rt: Vec<FaultRt>,
+    faults: Faults,
     /// pid → node map built from Spawned/Restarted/ChildSpawned events.
     pid_node: BTreeMap<Pid, NodeId>,
     /// fd → path map (like the tracer's) so `Scf` faults can match fd-based
     /// calls against a target filename.
     fd_paths: BTreeMap<(Pid, rose_events::Fd), String>,
+}
+
+/// The fault-context state machine: the schedule and each fault's progress
+/// through its conditions. Kept apart from the executor's pid and fd maps
+/// so a probe can advance it while holding a path borrowed from them.
+struct Faults {
+    schedule: FaultSchedule,
+    rt: Vec<FaultRt>,
+    /// The distinct nodes the schedule targets, ascending (the poll order).
+    nodes: Vec<NodeId>,
     /// Provenance recorder; disabled unless a campaign asked for it.
     causal: rose_sim::CausalRecorder,
 }
@@ -96,43 +111,42 @@ impl Executor {
     /// order is enforced by adding `AfterFault` prerequisites.
     pub fn new(mut schedule: FaultSchedule) -> Self {
         schedule.enforce_order();
-        let rt = vec![FaultRt::default(); schedule.faults.len()];
-        Executor {
-            schedule,
-            rt,
-            pid_node: BTreeMap::new(),
-            fd_paths: BTreeMap::new(),
-            causal: rose_sim::CausalRecorder::disabled(),
-        }
+        Executor::without_order_enforcement(schedule)
     }
 
     /// Creates an executor without adding fault-order prerequisites (used by
     /// ablation experiments).
     pub fn without_order_enforcement(schedule: FaultSchedule) -> Self {
-        let rt = vec![FaultRt::default(); schedule.faults.len()];
+        let mut nodes: Vec<NodeId> = schedule.faults.iter().map(|f| f.node).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
         Executor {
-            schedule,
-            rt,
+            faults: Faults {
+                rt: vec![FaultRt::default(); schedule.faults.len()],
+                schedule,
+                nodes,
+                causal: rose_sim::CausalRecorder::disabled(),
+            },
             pid_node: BTreeMap::new(),
             fd_paths: BTreeMap::new(),
-            causal: rose_sim::CausalRecorder::disabled(),
         }
     }
 
     /// Attaches a causal recorder; every injection is then recorded as a
     /// provenance root on the target node.
     pub fn attach_causal(&mut self, rec: rose_sim::CausalRecorder) {
-        self.causal = rec;
+        self.faults.causal = rec;
     }
 
     /// The schedule being executed.
     pub fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
+        &self.faults.schedule
     }
 
     /// Execution feedback for the diagnosis loop.
     pub fn feedback(&self) -> ExecutionFeedback {
         let mut injected: Vec<(FaultId, u64)> = self
+            .faults
             .rt
             .iter()
             .enumerate()
@@ -140,6 +154,7 @@ impl Executor {
             .collect();
         injected.sort_by_key(|(_, t)| *t);
         let armed = self
+            .faults
             .rt
             .iter()
             .enumerate()
@@ -154,18 +169,20 @@ impl Executor {
     }
 
     /// The path context of a syscall, through the fd map when needed.
-    fn path_of(&self, pid: Pid, args: &SyscallArgs) -> Option<String> {
-        if args.path.is_some() {
+    fn path_of<'a>(
+        fd_paths: &'a BTreeMap<(Pid, rose_events::Fd), String>,
+        pid: Pid,
+        args: &SyscallArgs<'a>,
+    ) -> Option<&'a str> {
+        match args.path {
             // `rename` encodes "from\0to"; match on the source path.
-            return args
-                .path
-                .as_deref()
-                .map(|p| p.split('\0').next().unwrap_or(p).to_string());
+            Some(p) => Some(p.split('\0').next().unwrap_or(p)),
+            None => fd_paths.get(&(pid, args.fd?)).map(String::as_str),
         }
-        let fd = args.fd?;
-        self.fd_paths.get(&(pid, fd)).cloned()
     }
+}
 
+impl Faults {
     /// Advances state-based conditions (fault order, elapsed time) of every
     /// fault and arms those whose context is complete.
     fn advance_state_based(&mut self, now: SimTime) {
@@ -303,32 +320,33 @@ impl Executor {
         effects
     }
 
-    /// Processes an event-based observation on `node`.
+    /// Processes an event-based observation on `node`: offers each pending
+    /// fault's active condition to `matches`, in place.
     fn observe<F>(&mut self, node: NodeId, now: SimTime, mut matches: F) -> HookEffects
     where
         F: FnMut(&Condition, &mut FaultRt) -> bool,
     {
         self.advance_state_based(now);
-        for i in 0..self.schedule.faults.len() {
-            if self.schedule.faults[i].node != node
-                || self.rt[i].injected_at.is_some()
-                || self.rt[i].armed_at.is_some()
-            {
+        let mut progressed = false;
+        for (fault, rt) in self.schedule.faults.iter().zip(&mut self.rt) {
+            if fault.node != node || rt.injected_at.is_some() || rt.armed_at.is_some() {
                 continue;
             }
-            let progress = self.rt[i].progress;
-            if progress >= self.schedule.faults[i].conditions.len() {
+            let Some(cond) = fault.conditions.get(rt.progress) else {
                 continue;
-            }
-            let cond = self.schedule.faults[i].conditions[progress].clone();
-            let mut rt = self.rt[i].clone();
-            if matches(&cond, &mut rt) {
+            };
+            if matches(cond, rt) {
                 rt.progress += 1;
                 rt.cond_count = 0;
+                rt.want_chain = None;
+                progressed = true;
             }
-            self.rt[i] = rt;
         }
-        self.advance_state_based(now);
+        // The state-based pass above ran to its fixed point at `now`; it has
+        // new work only if an event-based condition just advanced.
+        if progressed {
+            self.advance_state_based(now);
+        }
         self.fire_ready(node, now)
     }
 }
@@ -340,18 +358,18 @@ impl KernelHook for Executor {
 
     fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs) -> HookEffects {
         let node = self.node_of(env.pid, env.node);
-        let path = self.path_of(env.pid, args);
+        let path = Self::path_of(&self.fd_paths, env.pid, args);
+        let faults = &mut self.faults;
 
         // 1. Progress SyscallInvocation / ExecutionIndex conditions.
         let call = args.call;
-        let chain = env.call_chain;
-        let mut effects = self.observe(node, env.now, |cond, rt| {
+        let mut effects = faults.observe(node, env.now, |cond, rt| {
             match cond {
                 Condition::SyscallInvocation {
                     syscall,
                     path: want,
                     nth,
-                } if *syscall == call && (want.is_none() || want.as_deref() == path.as_deref()) => {
+                } if *syscall == call && (want.is_none() || want.as_deref() == path) => {
                     rt.cond_count += 1;
                     return rt.cond_count >= *nth;
                 }
@@ -359,12 +377,17 @@ impl KernelHook for Executor {
                 // under the exact recorded chain advance it, so benign
                 // interleaving changes elsewhere cannot shift the target.
                 Condition::ExecutionIndex {
-                    chain: want_chain,
+                    chain: want,
                     syscall,
                     count,
-                } if *syscall == call && want_chain.as_slice() == chain => {
-                    rt.cond_count += 1;
-                    return rt.cond_count >= *count;
+                } if *syscall == call => {
+                    if rt.want_chain.is_none() {
+                        rt.want_chain = env.chains.lookup(want);
+                    }
+                    if rt.want_chain == Some(env.chain) {
+                        rt.cond_count += 1;
+                        return rt.cond_count >= *count;
+                    }
                 }
                 _ => {}
             }
@@ -374,11 +397,12 @@ impl KernelHook for Executor {
             return effects;
         }
 
-        // 2. Armed SCF faults match this invocation.
-        self.advance_state_based(env.now);
-        for i in 0..self.schedule.faults.len() {
-            let f = &self.schedule.faults[i];
-            if f.node != node || self.rt[i].armed_at.is_none() || self.rt[i].injected_at.is_some() {
+        // 2. Armed SCF faults match this invocation (`observe` left the
+        // state-based conditions at their fixed point for `env.now`).
+        for i in 0..faults.schedule.faults.len() {
+            let f = &faults.schedule.faults[i];
+            let rt = &mut faults.rt[i];
+            if f.node != node || rt.armed_at.is_none() || rt.injected_at.is_some() {
                 continue;
             }
             if let FaultAction::Scf {
@@ -388,11 +412,11 @@ impl KernelHook for Executor {
                 ..
             } = &f.action
             {
-                if *syscall == call && (want.is_none() || want.as_deref() == path.as_deref()) {
-                    self.rt[i].scf_count += 1;
-                    if self.rt[i].scf_count >= *nth {
-                        let e = self.fire(i, env.now);
-                        self.advance_state_based(env.now);
+                if *syscall == call && (want.is_none() || want.as_deref() == path) {
+                    rt.scf_count += 1;
+                    if rt.scf_count >= *nth {
+                        let e = faults.fire(i, env.now);
+                        faults.advance_state_based(env.now);
                         effects.merge(e);
                         break;
                     }
@@ -407,8 +431,8 @@ impl KernelHook for Executor {
         if let Ok(ret) = result {
             match (args.call, ret) {
                 (rose_events::SyscallId::Open | rose_events::SyscallId::Openat, SysRet::Fd(fd)) => {
-                    if let Some(p) = &args.path {
-                        self.fd_paths.insert((env.pid, *fd), p.clone());
+                    if let Some(p) = args.path {
+                        self.fd_paths.insert((env.pid, *fd), p.to_string());
                     }
                 }
                 (rose_events::SyscallId::Close, _) => {
@@ -431,29 +455,23 @@ impl KernelHook for Executor {
 
     fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>) -> HookEffects {
         let node = self.node_of(env.pid, env.node);
-        self.observe(node, env.now, |cond, _rt| match (cond, offset) {
-            (Condition::FunctionEntered { name }, None) => name == function,
-            (Condition::FunctionOffset { name, offset: want }, Some(off)) => {
-                name == function && *want == off
-            }
-            _ => false,
-        })
+        self.faults
+            .observe(node, env.now, |cond, _rt| match (cond, offset) {
+                (Condition::FunctionEntered { name }, None) => name == function,
+                (Condition::FunctionOffset { name, offset: want }, Some(off)) => {
+                    name == function && *want == off
+                }
+                _ => false,
+            })
     }
 
     fn poll(&mut self, now: SimTime, _procs: &ProcTable) -> HookEffects {
-        self.advance_state_based(now);
+        let faults = &mut self.faults;
+        faults.advance_state_based(now);
         // Fire any time/order-armed signal faults node by node.
-        let nodes: Vec<NodeId> = self
-            .schedule
-            .faults
-            .iter()
-            .map(|f| f.node)
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
         let mut effects = HookEffects::none();
-        for n in nodes {
-            effects.merge(self.fire_ready(n, now));
+        for i in 0..faults.nodes.len() {
+            effects.merge(faults.fire_ready(faults.nodes[i], now));
         }
         effects
     }

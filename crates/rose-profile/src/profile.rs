@@ -59,8 +59,8 @@ impl KernelHook for ProfilingHook {
         if let Ok(ret) = result {
             match (args.call, ret) {
                 (SyscallId::Open | SyscallId::Openat, rose_sim::SysRet::Fd(fd)) => {
-                    if let Some(p) = &args.path {
-                        self.fd_paths.insert((env.pid, *fd), p.clone());
+                    if let Some(p) = args.path {
+                        self.fd_paths.insert((env.pid, *fd), p.to_string());
                     }
                 }
                 (SyscallId::Close, _) => {
@@ -72,7 +72,7 @@ impl KernelHook for ProfilingHook {
             }
         }
         if let Err(errno) = result {
-            let path = if let Some(p) = args.path.as_deref() {
+            let path = if let Some(p) = args.path {
                 // `rename` carries "from\0to": fingerprint the source path.
                 Some(p.split('\0').next().unwrap_or(p).to_string())
             } else {
@@ -90,10 +90,12 @@ impl KernelHook for ProfilingHook {
 
     fn uprobe(&mut self, _env: &HookEnv, function: &str, offset: Option<u32>) -> HookEffects {
         if offset.is_none() {
-            *self
-                .function_counts
-                .entry(function.to_string())
-                .or_insert(0) += 1;
+            match self.function_counts.get_mut(function) {
+                Some(count) => *count += 1,
+                None => {
+                    self.function_counts.insert(function.to_string(), 1);
+                }
+            }
         }
         HookEffects::none()
     }

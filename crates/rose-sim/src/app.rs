@@ -240,10 +240,9 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
 
     /// `write(fd, data)`.
     pub fn write(&mut self, fd: Fd, data: &[u8]) -> Result<usize, Errno> {
-        let mut args = SyscallArgs::bare(SyscallId::Write)
+        let args = SyscallArgs::bare(SyscallId::Write)
             .with_fd(fd)
-            .with_len(data.len());
-        args.data_prefix = Some(data.to_vec());
+            .with_data(data);
         match self.core.syscall(self.node, self.pid, args)? {
             crate::syscalls::SysRet::Len(n) => Ok(n),
             _ => Ok(data.len()),
@@ -276,7 +275,8 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
 
     /// `rename(from, to)`.
     pub fn rename(&mut self, from: &str, to: &str) -> Result<(), Errno> {
-        let args = SyscallArgs::bare(SyscallId::Rename).with_path(format!("{from}\0{to}"));
+        let joined = format!("{from}\0{to}");
+        let args = SyscallArgs::bare(SyscallId::Rename).with_path(&joined);
         self.core.syscall(self.node, self.pid, args).map(|_| ())
     }
 
@@ -333,7 +333,7 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
     pub fn enter_function(&mut self, name: &str) {
         self.core.stats.fn_entries += 1;
         self.core.push_function(self.pid, name);
-        self.core.fire_uprobe(self.node, self.pid, name, None);
+        self.core.fire_uprobe(self.node, self.pid, None);
     }
 
     /// Marks exit from the innermost entered function.
@@ -349,12 +349,7 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
     /// Panics if called outside an entered function — an application
     /// programming error.
     pub fn at_offset(&mut self, offset: u32) {
-        let f = self
-            .core
-            .current_function(self.pid)
-            .expect("at_offset outside an entered function")
-            .to_string();
-        self.core.fire_uprobe(self.node, self.pid, &f, Some(offset));
+        self.core.fire_uprobe(self.node, self.pid, Some(offset));
     }
 
     /// Runs `f` attributed to a freshly forked child helper pid — the

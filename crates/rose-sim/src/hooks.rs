@@ -11,6 +11,7 @@ use std::any::Any;
 
 use rose_events::{Errno, IpAddr, NodeId, Pid, SimDuration, SimTime};
 
+use crate::chain::{ChainId, ChainTable};
 use crate::net::DropRule;
 use crate::process::ProcTable;
 use crate::syscalls::{SysResult, SyscallArgs};
@@ -24,11 +25,24 @@ pub struct HookEnv<'a> {
     pub node: NodeId,
     /// Process (possibly a child helper) that hit the probe.
     pub pid: Pid,
-    /// The firing process's live function-entry chain, outermost first —
-    /// the kernel's per-pid uprobe stack at the moment of the probe. This
-    /// is the calling-context half of an execution index; empty when the
-    /// probe fired outside any instrumented function.
-    pub call_chain: &'a [String],
+    /// The firing process's live function-entry chain — the kernel's
+    /// per-pid uprobe stack at the moment of the probe, interned. This is
+    /// the calling-context half of an execution index: equal ids are equal
+    /// chains, so hooks key and compare on it and never touch a string per
+    /// probe. [`ChainId::ROOT`] when the probe fired outside any
+    /// instrumented function.
+    pub chain: ChainId,
+    /// The kernel's chain table, which resolves ids to names and names to
+    /// ids.
+    pub chains: &'a ChainTable,
+}
+
+impl<'a> HookEnv<'a> {
+    /// The function names of [`HookEnv::chain`], outermost first — for the
+    /// places a hook emits a string (an SCF event, a site list).
+    pub fn call_chain(&self) -> &'a [String] {
+        self.chains.names(self.chain)
+    }
 }
 
 /// A signal request produced by a hook (`bpf_send_signal` analogue).

@@ -13,6 +13,7 @@ use rose_events::{Errno, IpAddr, NodeId, Pid, SimDuration, SimTime, SyscallId};
 use rose_obs::Obs;
 
 use crate::causal::CausalRecorder;
+use crate::chain::{ChainId, ChainTable};
 use crate::config::SimConfig;
 use crate::hooks::{
     HookEffects, HookEnv, KernelHook, NetCmd, ProcEvent, SignalKind, SignalReq, SignalTarget,
@@ -141,6 +142,14 @@ pub struct AppPanic {
     pub message: String,
 }
 
+/// The kernel counters mirrored into campaign telemetry, by name.
+const OBS_COUNTERS: [&str; 4] = [
+    "sim.syscalls",
+    "sim.syscall_failures",
+    "sim.uprobes",
+    "sim.packets",
+];
+
 /// The non-generic part of the simulated kernel state.
 pub struct SimCore<M> {
     /// Run configuration.
@@ -188,8 +197,15 @@ pub struct SimCore<M> {
     pub(crate) generations: Vec<u32>,
     /// Previous main pid of each node (for `Restarted` notifications).
     pub(crate) last_pid: Vec<Option<Pid>>,
-    /// Current function stack per pid, for offset attribution.
-    fn_stack: BTreeMap<Pid, Vec<String>>,
+    /// The run's calling-context tree: every distinct function-entry chain
+    /// interned once.
+    pub(crate) chains: ChainTable,
+    /// Current calling context per pid (absent = outside any function).
+    /// Entering a function moves to a child chain, leaving to the parent.
+    fn_stack: BTreeMap<Pid, ChainId>,
+    /// The `stats` values already published to `obs` by [`Self::flush_obs`],
+    /// in [`OBS_COUNTERS`] order.
+    obs_flushed: [u64; OBS_COUNTERS.len()],
     /// Signals raised by hooks against nodes other than the one currently
     /// executing; drained by the driver after each callback.
     pub(crate) pending_signals: Vec<(NodeId, SignalKind)>,
@@ -222,7 +238,9 @@ impl<M> SimCore<M> {
             paused_buf: BTreeMap::new(),
             generations: vec![0; n],
             last_pid: vec![None; n],
+            chains: ChainTable::new(),
             fn_stack: BTreeMap::new(),
+            obs_flushed: [0; OBS_COUNTERS.len()],
             pending_signals: Vec::new(),
             active: None,
         }
@@ -320,12 +338,14 @@ impl<M> SimCore<M> {
     /// Unwinds with [`CrashPayload`] if a hook delivers a kill signal to the
     /// calling process — the mechanism by which an injected crash stops the
     /// application at this exact kernel boundary.
-    pub(crate) fn syscall(&mut self, node: NodeId, pid: Pid, args: SyscallArgs) -> SysResult {
+    pub(crate) fn syscall(&mut self, node: NodeId, pid: Pid, args: SyscallArgs<'_>) -> SysResult {
+        let chain = self.chain_of(pid);
         let env = HookEnv {
             now: self.now,
             node,
             pid,
-            call_chain: Self::chain_of(&self.fn_stack, pid),
+            chain,
+            chains: &self.chains,
         };
         let mut effects = HookEffects::none();
         for h in &mut self.hooks {
@@ -343,19 +363,14 @@ impl<M> SimCore<M> {
         };
 
         self.stats.count_syscall(args.call, result.is_err());
-        if self.obs.is_active() {
-            self.obs.counter_inc("sim.syscalls");
-            if result.is_err() {
-                self.obs.counter_inc("sim.syscall_failures");
-            }
-        }
         self.charge(node, self.cfg.syscall_exec_cost);
 
         let env = HookEnv {
             now: self.now,
             node,
             pid,
-            call_chain: Self::chain_of(&self.fn_stack, pid),
+            chain,
+            chains: &self.chains,
         };
         for h in &mut self.hooks {
             effects.merge(h.sys_exit(&env, &args, &result));
@@ -365,31 +380,45 @@ impl<M> SimCore<M> {
         result
     }
 
-    /// A pid's live function-entry chain (empty when it has none).
-    fn chain_of(fn_stack: &BTreeMap<Pid, Vec<String>>, pid: Pid) -> &[String] {
-        fn_stack.get(&pid).map(Vec::as_slice).unwrap_or(&[])
+    /// A pid's live calling context.
+    pub(crate) fn chain_of(&self, pid: Pid) -> ChainId {
+        self.fn_stack.get(&pid).copied().unwrap_or(ChainId::ROOT)
     }
 
-    /// Fires the uprobe chain for a function entry or intra-function offset.
+    /// Publishes to `obs` what the per-event counters in `stats` gained
+    /// since the last call. The kernel counts every syscall, uprobe and
+    /// packet in `stats` only; the driver calls this once per
+    /// [`crate::Sim::run_until`], so an attached registry costs one locked
+    /// update per counter per step instead of one per event.
+    pub(crate) fn flush_obs(&mut self) {
+        let s = &self.stats;
+        let totals = [s.syscalls, s.syscall_failures, s.uprobes, s.packets];
+        for ((name, total), seen) in OBS_COUNTERS.iter().zip(totals).zip(&mut self.obs_flushed) {
+            self.obs.counter_add(name, total - *seen);
+            *seen = total;
+        }
+    }
+
+    /// Fires the uprobe chain for the entry of `pid`'s innermost function
+    /// (`offset == None`) or an instrumented offset inside it.
     ///
     /// # Panics
     ///
-    /// Unwinds with [`CrashPayload`] on an injected kill, like [`Self::syscall`].
-    pub(crate) fn fire_uprobe(
-        &mut self,
-        node: NodeId,
-        pid: Pid,
-        function: &str,
-        offset: Option<u32>,
-    ) {
+    /// Unwinds with [`CrashPayload`] on an injected kill, like
+    /// [`Self::syscall`]; panics if `pid` is outside any entered function.
+    pub(crate) fn fire_uprobe(&mut self, node: NodeId, pid: Pid, offset: Option<u32>) {
         self.stats.uprobes += 1;
-        self.obs.counter_inc("sim.uprobes");
         let env = HookEnv {
             now: self.now,
             node,
             pid,
-            call_chain: Self::chain_of(&self.fn_stack, pid),
+            chain: self.chain_of(pid),
+            chains: &self.chains,
         };
+        let function = env
+            .call_chain()
+            .last()
+            .expect("uprobe outside an entered function");
         let mut effects = HookEffects::none();
         for h in &mut self.hooks {
             effects.merge(h.uprobe(&env, function, offset));
@@ -410,7 +439,8 @@ impl<M> SimCore<M> {
             now: self.now,
             node: dst_node,
             pid,
-            call_chain: Self::chain_of(&self.fn_stack, pid),
+            chain: self.chain_of(pid),
+            chains: &self.chains,
         };
         let mut effects = HookEffects::none();
         for h in &mut self.hooks {
@@ -510,36 +540,36 @@ impl<M> SimCore<M> {
     }
 
     /// The system-call bodies: routes each call to the VFS or network state.
-    fn exec_syscall(&mut self, node: NodeId, pid: Pid, args: &SyscallArgs) -> SysResult {
+    fn exec_syscall(&mut self, node: NodeId, pid: Pid, args: &SyscallArgs<'_>) -> SysResult {
         use crate::syscalls::SysRet;
         let vfs = &mut self.vfs[node.0 as usize];
         match args.call {
             SyscallId::Open | SyscallId::Openat => {
-                let path = args.path.as_deref().unwrap_or("");
+                let path = args.path.unwrap_or("");
                 let flags = args.flags.unwrap_or(crate::syscalls::OpenFlags::Read);
                 vfs.open(pid, path, flags)
             }
             SyscallId::Close => vfs.close(pid, args.fd.ok_or(Errno::Ebadf)?),
             SyscallId::Read => vfs.read(pid, args.fd.ok_or(Errno::Ebadf)?, args.len),
             SyscallId::Write => {
-                let data = match &args.data_prefix {
-                    Some(d) => d.clone(),
-                    None => vec![0u8; args.len],
-                };
-                vfs.write(pid, args.fd.ok_or(Errno::Ebadf)?, &data)
+                let fd = args.fd.ok_or(Errno::Ebadf)?;
+                match args.data_prefix {
+                    Some(data) => vfs.write(pid, fd, data),
+                    None => vfs.write(pid, fd, &vec![0u8; args.len]),
+                }
             }
             SyscallId::Fsync => vfs.fsync(pid, args.fd.ok_or(Errno::Ebadf)?),
-            SyscallId::Stat => vfs.stat(args.path.as_deref().unwrap_or("")),
+            SyscallId::Stat => vfs.stat(args.path.unwrap_or("")),
             SyscallId::Fstat => vfs.fstat(pid, args.fd.ok_or(Errno::Ebadf)?),
             SyscallId::Rename => {
                 // `path` carries "from\0to".
-                let p = args.path.as_deref().unwrap_or("");
+                let p = args.path.unwrap_or("");
                 let (from, to) = p.split_once('\0').ok_or(Errno::Einval)?;
                 vfs.rename(from, to)
             }
-            SyscallId::Unlink => vfs.unlink(args.path.as_deref().unwrap_or("")),
+            SyscallId::Unlink => vfs.unlink(args.path.unwrap_or("")),
             SyscallId::Dup => vfs.dup(pid, args.fd.ok_or(Errno::Ebadf)?),
-            SyscallId::Readlink => vfs.readlink(args.path.as_deref().unwrap_or("")),
+            SyscallId::Readlink => vfs.readlink(args.path.unwrap_or("")),
             SyscallId::Connect => {
                 let peer = args.peer.ok_or(Errno::Einval)?;
                 let me = node.ip();
@@ -564,24 +594,19 @@ impl<M> SimCore<M> {
         }
     }
 
-    /// Pushes a function onto a pid's stack (uprobe attribution).
+    /// Pushes a function onto a pid's stack (uprobe attribution): one
+    /// lookup in the chain table, which allocates only the first time this
+    /// run sees the resulting chain.
     pub(crate) fn push_function(&mut self, pid: Pid, name: &str) {
-        self.fn_stack.entry(pid).or_default().push(name.to_string());
+        let chain = self.fn_stack.entry(pid).or_default();
+        *chain = self.chains.enter(*chain, name);
     }
 
     /// Pops a function from a pid's stack.
     pub(crate) fn pop_function(&mut self, pid: Pid) {
-        if let Some(s) = self.fn_stack.get_mut(&pid) {
-            s.pop();
+        if let Some(chain) = self.fn_stack.get_mut(&pid) {
+            *chain = self.chains.parent(*chain);
         }
-    }
-
-    /// The innermost entered function of a pid.
-    pub(crate) fn current_function(&self, pid: Pid) -> Option<&str> {
-        self.fn_stack
-            .get(&pid)
-            .and_then(|s| s.last())
-            .map(String::as_str)
     }
 
     /// Clears all bookkeeping of a dead process.

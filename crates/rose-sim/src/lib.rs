@@ -25,6 +25,7 @@
 
 pub mod app;
 pub mod causal;
+pub mod chain;
 pub mod config;
 pub mod hooks;
 pub mod kernel;
@@ -37,6 +38,7 @@ pub mod vfs;
 
 pub use app::{Application, ClientCtx, ClientDriver, NodeCtx};
 pub use causal::CausalRecorder;
+pub use chain::{ChainId, ChainTable};
 pub use config::SimConfig;
 pub use hooks::{
     HookEffects, HookEnv, KernelHook, NetCmd, ProcEvent, SignalKind, SignalReq, SignalTarget,

@@ -65,9 +65,10 @@ impl<A: Application> Sim<A> {
     }
 
     /// Attaches a campaign telemetry handle: the kernel publishes syscall,
-    /// packet, uprobe, crash, and restart counters into it, and hooks can
-    /// reach it through [`SimCore::obs`]. Without this call the default
-    /// disabled handle keeps every publish site free.
+    /// packet, uprobe, crash, and restart counters into it (the per-event
+    /// ones as one delta per [`Sim::run_until`]), and hooks can reach it
+    /// through [`SimCore::obs`]. Without this call the default disabled
+    /// handle keeps every publish site free.
     pub fn attach_obs(&mut self, obs: rose_obs::Obs) {
         self.core.obs = obs;
     }
@@ -180,6 +181,7 @@ impl<A: Application> Sim<A> {
         if self.core.now < until {
             self.core.now = until;
         }
+        self.core.flush_obs();
     }
 
     /// Runs the event loop for a span of virtual time.
@@ -335,7 +337,6 @@ impl<A: Application> Sim<A> {
                         return;
                     }
                     self.core.stats.packets += 1;
-                    self.core.obs.counter_inc("sim.packets");
                     // XDP ingress tap (node-to-node traffic only).
                     self.core.fire_packet_in(n, m.ip(), n.ip(), 64);
                     self.drain_pending_signals();
@@ -437,6 +438,7 @@ impl<A: Application> Sim<A> {
             return;
         };
         self.core.active = Some((node, pid));
+        let chain_before = self.core.chain_of(pid);
         let core = &mut self.core;
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             let mut ctx = NodeCtx { core, node, pid };
@@ -445,6 +447,15 @@ impl<A: Application> Sim<A> {
         self.core.active = None;
         match result {
             Ok(()) => {
+                // An unbalanced enter/exit would silently shift every later
+                // execution index of this pid. (A crash or abort is exempt:
+                // the stack is reaped with the process.)
+                debug_assert_eq!(
+                    self.core.chain_of(pid),
+                    chain_before,
+                    "callback on {node} returned inside {:?}: enter_function without exit_function",
+                    self.core.chains.names(self.core.chain_of(pid)),
+                );
                 self.apps[node.0 as usize] = Some(app);
             }
             Err(payload) => {

@@ -29,13 +29,16 @@ pub struct FileMeta {
 }
 
 /// The argument record of one system-call invocation, as visible to the
-/// hook chain (this is what eBPF probes see at `sys_enter`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SyscallArgs {
+/// hook chain (this is what eBPF probes see at `sys_enter`). Like the
+/// registers of a real call it points into the caller's memory: the path
+/// and the write buffer are borrowed for the duration of the call, and a
+/// hook copies them only when it records something.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SyscallArgs<'a> {
     /// Which call.
     pub call: SyscallId,
     /// Path argument, for path-based calls.
-    pub path: Option<String>,
+    pub path: Option<&'a str>,
     /// Descriptor argument, for fd-based calls.
     pub fd: Option<Fd>,
     /// Peer address, for network calls.
@@ -44,12 +47,12 @@ pub struct SyscallArgs {
     pub len: usize,
     /// Data being written (`write` passes the full buffer; the `IO content`
     /// tracing baseline copies up to its first 128 bytes).
-    pub data_prefix: Option<Vec<u8>>,
+    pub data_prefix: Option<&'a [u8]>,
     /// Open mode, for `open`/`openat`.
     pub flags: Option<OpenFlags>,
 }
 
-impl SyscallArgs {
+impl<'a> SyscallArgs<'a> {
     /// An argument record with only the call id set.
     pub fn bare(call: SyscallId) -> Self {
         SyscallArgs {
@@ -70,8 +73,15 @@ impl SyscallArgs {
     }
 
     /// Sets the path argument.
-    pub fn with_path(mut self, path: impl Into<String>) -> Self {
-        self.path = Some(path.into());
+    pub fn with_path(mut self, path: &'a str) -> Self {
+        self.path = Some(path);
+        self
+    }
+
+    /// Sets the write buffer (and the byte count to its length).
+    pub fn with_data(mut self, data: &'a [u8]) -> Self {
+        self.data_prefix = Some(data);
+        self.len = data.len();
         self
     }
 

@@ -76,6 +76,19 @@ impl Vfs {
         self.fd_tables.entry(pid).or_default()
     }
 
+    /// An open descriptor of `pid`, by reference: `read`/`write`/`fsync`
+    /// run once per I/O call and must not copy the description's path.
+    fn open_file(
+        fd_tables: &mut BTreeMap<Pid, BTreeMap<Fd, OpenFile>>,
+        pid: Pid,
+        fd: Fd,
+    ) -> Result<&mut OpenFile, Errno> {
+        fd_tables
+            .get_mut(&pid)
+            .and_then(|t| t.get_mut(&fd))
+            .ok_or(Errno::Ebadf)
+    }
+
     /// Resolves the path behind a descriptor, if open.
     pub fn fd_path(&self, pid: Pid, fd: Fd) -> Option<&str> {
         self.fd_tables
@@ -139,20 +152,17 @@ impl Vfs {
 
     /// `read` of up to `len` bytes from the descriptor's current offset.
     pub fn read(&mut self, pid: Pid, fd: Fd, len: usize) -> SysResult {
-        let of = self.table(pid).get_mut(&fd).ok_or(Errno::Ebadf)?.clone();
+        let of = Self::open_file(&mut self.fd_tables, pid, fd)?;
         let node = self.files.get(&of.path).ok_or(Errno::Eio)?;
         let end = (of.offset + len).min(node.data.len());
         let out = node.data[of.offset.min(node.data.len())..end].to_vec();
-        self.table(pid)
-            .get_mut(&fd)
-            .expect("fd checked above")
-            .offset = end;
+        of.offset = end;
         Ok(SysRet::Bytes(out))
     }
 
     /// `write` of `data` at the descriptor's current offset.
     pub fn write(&mut self, pid: Pid, fd: Fd, data: &[u8]) -> SysResult {
-        let of = self.table(pid).get(&fd).ok_or(Errno::Ebadf)?.clone();
+        let of = Self::open_file(&mut self.fd_tables, pid, fd)?;
         if matches!(of.flags, OpenFlags::Read) {
             return Err(Errno::Ebadf);
         }
@@ -162,16 +172,13 @@ impl Vfs {
             node.data.resize(end, 0);
         }
         node.data[of.offset..end].copy_from_slice(data);
-        self.table(pid)
-            .get_mut(&fd)
-            .expect("fd checked above")
-            .offset = end;
+        of.offset = end;
         Ok(SysRet::Len(data.len()))
     }
 
     /// `fsync` (a no-op on success: the simulated disk is write-through).
     pub fn fsync(&mut self, pid: Pid, fd: Fd) -> SysResult {
-        let of = self.table(pid).get(&fd).ok_or(Errno::Ebadf)?.clone();
+        let of = Self::open_file(&mut self.fd_tables, pid, fd)?;
         if self.files.contains_key(&of.path) {
             Ok(SysRet::Unit)
         } else {

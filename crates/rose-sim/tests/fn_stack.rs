@@ -1,6 +1,7 @@
 //! Per-pid function-stack attribution: the calling context the kernel hands
-//! to hooks as [`HookEnv::call_chain`] — the execution-index key — across
-//! nested functions, forked child helpers, and crash/restart cycles.
+//! to hooks as [`HookEnv::chain`] (names through [`HookEnv::call_chain`]) —
+//! the execution-index key — across nested functions, forked child helpers,
+//! and crash/restart cycles.
 
 use std::any::Any;
 
@@ -29,7 +30,7 @@ impl KernelHook for ChainSpy {
     fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs) -> HookEffects {
         if env.node == NodeId(0) {
             self.chains
-                .push((env.pid, args.call, env.call_chain.to_vec()));
+                .push((env.pid, args.call, env.call_chain().to_vec()));
         }
         HookEffects::none()
     }

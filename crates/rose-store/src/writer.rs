@@ -101,7 +101,9 @@ impl<W: Write> TraceWriter<W> {
         Ok(TraceWriter {
             sink,
             frame_capacity,
-            pending: Vec::with_capacity(frame_capacity),
+            // Reserved as events arrive (see `append_owned`): a writer for a
+            // 30-event dump must not pay for a 4096-event frame up front.
+            pending: Vec::new(),
             metas: Vec::new(),
             bytes_written: HEADER_LEN,
             events: 0,
@@ -126,6 +128,12 @@ impl<W: Write> TraceWriter<W> {
         }
         self.last_key = Some(key);
         self.events += 1;
+        if self.pending.len() == self.pending.capacity() {
+            // Amortized doubling, but never past one frame: the buffer is
+            // flushed at `frame_capacity`, so anything beyond it is waste.
+            let target = (self.pending.len() * 2).max(16).min(self.frame_capacity);
+            self.pending.reserve_exact(target - self.pending.len());
+        }
         self.pending.push(event);
         if self.pending.len() >= self.frame_capacity {
             self.flush_frame()?;

@@ -7,7 +7,11 @@ use rose_events::{
     Errno, Event, EventKind, Fd, FunctionId, IpAddr, NodeId, Pid, ProcState, SimDuration, SimTime,
     SlidingWindow, SyscallId, Trace,
 };
-use rose_store::{encoded_trace_bytes, load_trace, save_trace, unique_spill_path, SpillingWindow};
+use rose_store::codec::encode_frame;
+use rose_store::{
+    encoded_trace_bytes, load_trace, save_trace, unique_spill_path, SpillingWindow, TraceReader,
+    TraceWriter, DEFAULT_FRAME_CAPACITY,
+};
 
 /// A tracer-realistic event stream: mostly SCF and AF with recurring paths
 /// (what a Rose-mode dump looks like), a sprinkle of ND and PS.
@@ -65,6 +69,7 @@ fn save_and_load_round_trip_a_realistic_trace() {
     let trace = Trace::from_events(realistic_events(5_000));
     let summary = save_trace(&path, &trace).unwrap();
     assert_eq!(summary.events, 5_000);
+    assert_eq!(summary.frames, 5_000usize.div_ceil(DEFAULT_FRAME_CAPACITY));
     assert!(summary.sorted);
     assert_eq!(
         summary.bytes_written,
@@ -74,6 +79,42 @@ fn save_and_load_round_trip_a_realistic_trace() {
     let back = load_trace(&path).unwrap();
     assert_eq!(back, trace);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn frame_cuts_and_bytes_do_not_depend_on_how_the_buffer_grew() {
+    // The writer reserves its frame buffer as events arrive instead of a
+    // whole frame up front. Where frames are cut and what they hold must be
+    // exactly what cutting the input every `capacity` events gives, for
+    // traces far smaller than a frame, exactly one frame, and many frames.
+    for (n, capacity) in [
+        (30, DEFAULT_FRAME_CAPACITY),
+        (30, 7),
+        (33, 32),
+        (100, 16),
+        (DEFAULT_FRAME_CAPACITY, DEFAULT_FRAME_CAPACITY),
+        (5_000, DEFAULT_FRAME_CAPACITY),
+    ] {
+        let events = realistic_events(n);
+        let mut file = Vec::new();
+        let mut w = TraceWriter::with_frame_capacity(&mut file, capacity).unwrap();
+        for e in &events {
+            w.append(e).unwrap();
+        }
+        w.flush_frame().unwrap();
+        let metas = w.frame_metas().to_vec();
+        let summary = w.finish().unwrap();
+        assert_eq!(metas.len(), n.div_ceil(capacity), "{n} events / {capacity}");
+        for (meta, chunk) in metas.iter().zip(events.chunks(capacity)) {
+            let (payload, info) = encode_frame(chunk);
+            assert_eq!(meta.payload_len as usize, payload.len());
+            assert_eq!(meta.info, info);
+        }
+        assert_eq!(summary.frames, metas.len());
+        assert_eq!(summary.bytes_written, file.len() as u64);
+        let mut reader = TraceReader::new(std::io::Cursor::new(file)).unwrap();
+        assert_eq!(reader.read_all().unwrap(), events);
+    }
 }
 
 #[test]

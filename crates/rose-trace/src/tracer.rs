@@ -9,7 +9,9 @@ use rose_events::{
     SlidingWindow, SyscallId, Trace,
 };
 use rose_obs::Obs;
-use rose_sim::{HookEffects, HookEnv, KernelHook, ProcEvent, ProcTable, RunState, SyscallArgs};
+use rose_sim::{
+    ChainId, HookEffects, HookEnv, KernelHook, ProcEvent, ProcTable, RunState, SyscallArgs,
+};
 use rose_store::{unique_spill_path, SpillingWindow};
 use serde::{Deserialize, Serialize};
 
@@ -27,12 +29,13 @@ pub struct TracerReport {
     pub peak_bytes: usize,
     /// Simulated time to post-process the last dump (`Time` column), µs.
     pub processing_us: u64,
-    /// Size of the last dump in the JSON dump format, bytes. The historic
-    /// Table 2 "memory" story measured this serialization; it is reported
-    /// next to the binary size so the two are comparable.
+    /// Size of the last dump handed to [`Tracer::account_dump`] in the JSON
+    /// dump format, bytes (0 if none was). The historic Table 2 "memory"
+    /// story measured this serialization; it is reported next to the binary
+    /// size so the two are comparable.
     #[serde(default)]
     pub dump_json_bytes: u64,
-    /// Size of the last dump in the `.rosetrace` binary codec, bytes.
+    /// Size of that dump in the `.rosetrace` binary codec, bytes.
     #[serde(default)]
     pub dump_store_bytes: u64,
 }
@@ -116,11 +119,13 @@ pub struct Tracer {
     /// Pauses in progress: pid → (node, since), discovered by polling.
     ongoing_pauses: BTreeMap<Pid, (rose_events::NodeId, SimTime)>,
     /// Per-context invocation counts: how often each `(node, calling
-    /// context, syscall)` has executed this run. Bumped on **every**
+    /// context, syscall)` has executed this run, as
+    /// `ei_counts[node][chain][syscall]` — chain ids are dense, so the
+    /// per-syscall bump is two index operations. Bumped on **every**
     /// `sys_exit` (success or failure) so the count recorded on a failing
     /// SCF is the call's execution index, replayable by an executor that
     /// counts matching invocations from run start.
-    ei_counts: BTreeMap<(NodeId, Vec<String>, SyscallId), u32>,
+    ei_counts: Vec<Vec<[u32; SyscallId::ALL.len()]>>,
     events_matched: u64,
     last_processing_us: u64,
     last_dump_json_bytes: u64,
@@ -151,7 +156,7 @@ impl Tracer {
             fd_paths: BTreeMap::new(),
             conns: rose_sim::ConnTable::new(),
             ongoing_pauses: BTreeMap::new(),
-            ei_counts: BTreeMap::new(),
+            ei_counts: Vec::new(),
             events_matched: 0,
             last_processing_us: 0,
             last_dump_json_bytes: 0,
@@ -261,13 +266,19 @@ impl Tracer {
         // cost, so `processing_us` is non-zero even for an empty window.
         self.last_processing_us = self.cfg.costs.process_dump_base.as_micros()
             + events.len() as u64 * self.cfg.costs.process_per_event.as_micros();
-        let trace = Trace::from_events(events);
-        // Table 2 accounting: the same dump in both serializations. The
-        // sizes are pure functions of the trace, so reports stay identical
-        // whether or not the dump is then persisted anywhere.
+        Trace::from_events(events)
+    }
+
+    /// Table 2 accounting: sizes `trace` (a dump of this tracer) in both
+    /// serializations and keeps the two numbers for [`Tracer::report`].
+    /// Serializing a whole dump just to measure it costs far more than the
+    /// dump itself, and testing runs never read the sizes, so it is the
+    /// consumer's call, not part of [`Tracer::dump`]. The sizes are pure
+    /// functions of the trace, so reports stay identical whether or not the
+    /// dump is then persisted anywhere.
+    pub fn account_dump(&mut self, trace: &Trace) {
         self.last_dump_json_bytes = trace.to_json().len() as u64;
-        self.last_dump_store_bytes = rose_store::encoded_trace_bytes(&trace);
-        trace
+        self.last_dump_store_bytes = rose_store::encoded_trace_bytes(trace);
     }
 
     /// Dumps the window and persists it to `path` as a finished
@@ -302,6 +313,22 @@ impl Tracer {
         HookEffects::charge(d)
     }
 
+    /// Counts one more execution of `call` under `chain` on `node` and
+    /// returns the new count — the call's execution index.
+    fn bump_ei(&mut self, node: NodeId, chain: ChainId, call: SyscallId) -> u32 {
+        let node = node.0 as usize;
+        if self.ei_counts.len() <= node {
+            self.ei_counts.resize_with(node + 1, Vec::new);
+        }
+        let per_chain = &mut self.ei_counts[node];
+        if per_chain.len() <= chain.index() {
+            per_chain.resize(chain.index() + 1, [0; SyscallId::ALL.len()]);
+        }
+        let count = &mut per_chain[chain.index()][call as usize];
+        *count += 1;
+        *count
+    }
+
     /// Resolves the path context of a failing call: path-based calls carry
     /// it in their arguments (copied lazily on failure); fd-based calls go
     /// through the fd → path map.
@@ -309,7 +336,6 @@ impl Tracer {
         if args.call.is_path_based() {
             // `rename` carries "from\0to": record the source path.
             args.path
-                .as_deref()
                 .map(|p| p.split('\0').next().unwrap_or(p).to_string())
         } else {
             let fd = args.fd?;
@@ -335,8 +361,8 @@ impl KernelHook for Tracer {
         if let Ok(ret) = result {
             match (args.call, ret) {
                 (SyscallId::Open | SyscallId::Openat, rose_sim::SysRet::Fd(fd)) => {
-                    if let Some(p) = &args.path {
-                        self.fd_paths.insert((env.pid, *fd), p.clone());
+                    if let Some(p) = args.path {
+                        self.fd_paths.insert((env.pid, *fd), p.to_string());
                     }
                 }
                 (SyscallId::Close, _) => {
@@ -358,13 +384,9 @@ impl KernelHook for Tracer {
         // Execution-index maintenance: every completed call bumps its
         // (node, calling context, syscall) counter, so a failing call can be
         // stamped with its per-context invocation index.
-        let ei_count = {
-            let key = (env.node, env.call_chain.to_vec(), args.call);
-            let c = self.ei_counts.entry(key).or_insert(0);
-            *c += 1;
-            *c
-        };
-        let ei_of = |count: u32| Some(ExecutionIndex::new(env.call_chain.to_vec(), count));
+        let ei_count = self.bump_ei(env.node, env.chain, args.call);
+        // Names are resolved only here, when a failing call is recorded.
+        let ei_of = |count: u32| Some(ExecutionIndex::new(env.call_chain().to_vec(), count));
 
         match self.cfg.mode {
             TracerMode::Rose | TracerMode::IoContent => {
@@ -387,7 +409,6 @@ impl KernelHook for Tracer {
                     let content: Vec<u8> = match (args.call, result) {
                         (SyscallId::Write, _) => args
                             .data_prefix
-                            .as_deref()
                             .unwrap_or(&[])
                             .iter()
                             .take(self.cfg.content_cap)

@@ -85,6 +85,12 @@ cargo test -p rose-core -q "${profile[@]}" --test ei_stability
 cargo test -p rose-sim -q "${profile[@]}" --test fn_stack
 cargo test -p rose-apps --release -q --test ei_replay
 
+echo "== allocation budget of the per-syscall hook chain (release)"
+# Its own test binary (it installs a counting global allocator): executor +
+# tracer + site probe may add at most 0.5 allocations per syscall to a
+# fault-free ZooKeeper run, and re-entering a seen call chain none.
+cargo test --release -q --test alloc_budget
+
 echo "== hunted Raft campaign smoke (invariant oracle, jobs=1 vs jobs=4)"
 # The fastest hunted case runs end to end — nemesis capture against the
 # safety-invariant checker, diagnosis, causal export — at both widths; the

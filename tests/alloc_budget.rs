@@ -1,0 +1,121 @@
+//! Allocation budget of the per-syscall hook chain.
+//!
+//! Rose runs hundreds of testing runs per bug, and every one of them pushes
+//! each simulated syscall through executor `sys_enter` → body → tracer
+//! `sys_exit` → site probe. That path keys on interned chain ids and
+//! borrowed arguments, so what the hooks add on top of a bare run must stay
+//! a small fraction of an allocation per syscall (recording a failed call
+//! or first seeing a context is allowed to allocate; a steady-state probe
+//! is not). This binary owns its global allocator, so it holds exactly one
+//! test.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use rose::apps::zookeeper::{ZkBug, ZkCase};
+use rose::events::NodeId;
+use rose::hunt::SiteProbe;
+use rose::inject::{Executor, FaultSchedule};
+use rose::sim::{KernelHook, NodeCtx};
+use rose::trace::Tracer;
+use rose::{Rose, TargetSystem};
+
+/// Counts the allocations of the thread that switched counting on.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // `const` and destructor-free: reading it never allocates.
+    static ON: Cell<bool> = const { Cell::new(false) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a relaxed atomic statistic and the
+// thread-local is a plain `Cell<bool>` that needs no allocation or drop.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if ON.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if ON.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: as for `alloc`/`dealloc`, forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) this thread makes while `f` runs.
+fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ON.with(|on| on.set(true));
+    let out = f();
+    ON.with(|on| on.set(false));
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
+#[test]
+fn hook_chain_stays_within_its_allocation_budget() {
+    let system = ZkCase { bug: ZkBug::Zk2247 };
+    let duration = system.run_duration();
+    let rose = Rose::new(system);
+    let profile = rose.profile();
+    let tracer_cfg = rose.tracer_config(&profile);
+
+    // A fault-free run of one testing-run length, bare and then under the
+    // stack an exploration run loads.
+    let run = |hooks: Vec<Box<dyn KernelHook>>| {
+        let mut sim = rose.deploy(11, hooks);
+        sim.start();
+        let (allocations, ()) = allocations_of(|| sim.run_for(duration));
+        (allocations, sim)
+    };
+    let (bare, _) = run(vec![]);
+    let (hooked, mut sim) = run(vec![
+        Box::new(Executor::new(FaultSchedule::new())),
+        Box::new(Tracer::new(tracer_cfg)),
+        Box::new(SiteProbe::new()),
+    ]);
+    let syscalls = sim.core().stats.syscalls;
+    assert!(
+        syscalls > 1_000,
+        "a ZooKeeper run makes syscalls: {syscalls}"
+    );
+    let per_syscall = hooked.saturating_sub(bare) as f64 / syscalls as f64;
+    println!(
+        "allocations: bare {bare}, hooked {hooked}, {syscalls} syscalls, \
+         hooks add {per_syscall:.3} per syscall"
+    );
+    assert!(
+        per_syscall <= 0.5,
+        "executor + tracer + probe add {per_syscall:.3} allocations per syscall \
+         (bare {bare}, hooked {hooked}, {syscalls} syscalls); the budget is 0.5"
+    );
+
+    // Entering a chain the run has already seen is a lookup, under the
+    // whole hook stack.
+    let pid = sim.core().procs.main_pid(NodeId(0)).expect("node 0 is up");
+    let mut ctx = NodeCtx::scratch(sim.core_mut(), NodeId(0), pid);
+    ctx.enter_function("allocBudgetProbe");
+    ctx.exit_function();
+    let (second, ()) = allocations_of(|| {
+        ctx.enter_function("allocBudgetProbe");
+        ctx.exit_function();
+    });
+    assert_eq!(second, 0, "re-entering a seen chain must not allocate");
+}
