@@ -9,8 +9,14 @@ use serde::{Deserialize, Serialize};
 use crate::extract::{Extraction, ExtractionStats};
 use crate::harness::{RunHarness, RunObservation};
 
+/// Hard cap on syscall-invocation sweeps (paper §4.5.2: 50).
+pub const SCF_SWEEP_CAP: u64 = 50;
+
+/// Warm-up offset added to Level 1 relative fault times.
+pub const WARMUP: SimDuration = SimDuration::from_secs(5);
+
 /// Diagnosis knobs, defaulting to the paper's values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DiagnosisConfig {
     /// Accept a schedule at this replay rate (paper: 60 %).
     pub target_replay_rate: f64,
@@ -19,22 +25,15 @@ pub struct DiagnosisConfig {
     /// Abort a confirmation once this many clean runs are seen (paper:
     /// `if correctRuns > 3 return 0`).
     pub confirm_abort_correct: u32,
-    /// Hard cap on syscall-invocation sweeps (paper: 50).
-    pub scf_sweep_cap: u64,
     /// Global budget on generated schedules.
     pub max_schedules: usize,
     /// Base seed; every run uses a fresh derived seed.
     pub base_seed: u64,
-    /// Warm-up offset added to Level 1 relative fault times.
-    pub warmup: SimDuration,
     /// Number of cluster nodes (for the Amplification heuristic).
     pub cluster_nodes: u32,
     /// Whether the Amplification heuristic may replicate schedules across
     /// nodes (§4.5.2). Disable for ablations.
     pub enable_amplification: bool,
-    /// Whether schedules enforce the production fault order with
-    /// `AfterFault` prerequisites (§4.6.1). Disable for ablations.
-    pub enforce_fault_order: bool,
     /// How many seeds a fresh schedule is tried on before being discarded
     /// (paper default: 1; §8 suggests >1 to reduce false negatives).
     pub discovery_runs: u32,
@@ -46,13 +45,11 @@ pub struct DiagnosisConfig {
     /// discards over-speculated runs uncharged, so the resulting report is
     /// **bit-identical at every width** — speculation only trades wasted
     /// testing runs for wall-clock time.
-    #[serde(default)]
     pub speculation: usize,
     /// Whether SCF sweeps may key on recorded execution indices (Level
     /// 2.5): when the buggy trace stamped the failing call with its calling
     /// context, sweep per-context counts under that context instead of
     /// flat invocation indices. Off by default (the paper's Level 2).
-    #[serde(default)]
     pub ei: bool,
     /// A caller-supplied schedule to confirm before the search runs. A
     /// hunting campaign (`rose-hunt`) that discovered the failure by
@@ -61,7 +58,6 @@ pub struct DiagnosisConfig {
     /// the search entirely; a target-rate confirmation is kept unless the
     /// flat search beats it; a sub-target one joins the pruning pool, so
     /// seeding can never lower the reported replay rate.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub seed_schedule: Option<FaultSchedule>,
 }
 
@@ -71,13 +67,10 @@ impl Default for DiagnosisConfig {
             target_replay_rate: 60.0,
             confirm_runs: 10,
             confirm_abort_correct: 3,
-            scf_sweep_cap: 50,
             max_schedules: 120,
             base_seed: 10_000,
-            warmup: SimDuration::from_secs(5),
             cluster_nodes: 3,
             enable_amplification: true,
-            enforce_fault_order: true,
             discovery_runs: 1,
             speculation: 1,
             ei: false,
@@ -554,7 +547,7 @@ impl<'a> Diagnoser<'a> {
             // counter would.
         }
         let cap = if path.is_some() {
-            self.cfg.scf_sweep_cap
+            SCF_SWEEP_CAP
         } else {
             let observed = self.profile.syscall_count(*syscall);
             if observed == 0 {
@@ -564,7 +557,7 @@ impl<'a> Diagnoser<'a> {
                 // clamping the bound up to 1.
                 return None;
             }
-            observed.min(self.cfg.scf_sweep_cap)
+            observed.min(SCF_SWEEP_CAP)
         };
         // nth = 1 was Level 1.
         let nths: Vec<u64> = (2..=cap).collect();
@@ -592,7 +585,7 @@ impl<'a> Diagnoser<'a> {
         self.ei_sweeps += 1;
         let counts: Vec<u64> = std::iter::once(recorded)
             .chain((1..recorded).rev())
-            .take(self.cfg.scf_sweep_cap as usize)
+            .take(SCF_SWEEP_CAP as usize)
             .collect();
         let before = self.schedules;
         let found = self.sweep(h, state, 2, &counts, |s, count| {
@@ -726,7 +719,7 @@ impl<'a> Diagnoser<'a> {
     fn peek_seed(&self, ahead: u64) -> u64 {
         self.cfg
             .base_seed
-            .wrapping_add((self.seed_counter + ahead) * 7_919)
+            .wrapping_add((self.seed_counter + ahead).wrapping_mul(7_919))
     }
 
     /// Books one executed run: the seed stream advances and the run's
@@ -981,7 +974,7 @@ fn materialize(extraction: &Extraction, state: &PlanState, cfg: &DiagnosisConfig
             // only; SCFs arm immediately and match inputs).
             if !matches!(fault.action, FaultAction::Scf { .. }) {
                 sf.conditions.push(Condition::TimeElapsed {
-                    after: cfg.warmup + (fault.ts - t0),
+                    after: WARMUP + (fault.ts - t0),
                 });
             }
         } else {
@@ -1015,9 +1008,8 @@ fn materialize(extraction: &Extraction, state: &PlanState, cfg: &DiagnosisConfig
             sched.push(original.replicate_to(node));
         }
     }
-    if cfg.enforce_fault_order {
-        sched.enforce_order();
-    }
+    // Production fault order as `AfterFault` prerequisites (§4.6.1).
+    sched.enforce_order();
     sched
 }
 
@@ -1969,5 +1961,22 @@ mod tests {
             .faults
             .iter()
             .all(|f| matches!(f.action, FaultAction::Scf { .. })));
+    }
+
+    #[test]
+    fn seed_stream_wraps_at_the_top_of_the_seed_space() {
+        let profile = Profile::default();
+        let symbols = SymbolTable::new();
+        let ex = one_crash_extraction(&[]);
+        let cfg = DiagnosisConfig {
+            base_seed: u64::MAX,
+            ..Default::default()
+        };
+        let mut d = Diagnoser::new(cfg, &profile, &symbols, &ex);
+        assert_eq!(d.peek_seed(1), 7_918);
+        // Far enough into the stream the multiply itself overflows; a debug
+        // build must wrap there too, not panic.
+        d.seed_counter = u64::MAX / 7_919;
+        d.peek_seed(1);
     }
 }

@@ -24,6 +24,9 @@ pub mod diagnose;
 pub mod extract;
 pub mod harness;
 
-pub use diagnose::{level1_schedule, Diagnoser, DiagnosisConfig, DiagnosisReport, SweepRedundancy};
+pub use diagnose::{
+    level1_schedule, Diagnoser, DiagnosisConfig, DiagnosisReport, SweepRedundancy, SCF_SWEEP_CAP,
+    WARMUP,
+};
 pub use extract::{extract_faults, ExtractedFault, Extraction, ExtractionStats};
 pub use harness::{RunHarness, RunObservation};

@@ -35,8 +35,8 @@ pub enum CaptureMethod {
 pub struct CaptureSpec {
     /// How faults are injected during capture.
     pub method: CaptureMethod,
-    /// Overrides [`DriverOptions::capture_duration`] (shorter captures keep
-    /// traces lean when a bug takes many randomized attempts to surface).
+    /// Overrides [`CAPTURE_DURATION`] (shorter captures keep traces lean
+    /// when a bug takes many randomized attempts to surface).
     pub duration: Option<SimDuration>,
 }
 
@@ -57,37 +57,35 @@ impl CaptureSpec {
     }
 }
 
+/// Length of one capture run unless the case's [`CaptureSpec`] says
+/// otherwise.
+pub const CAPTURE_DURATION: SimDuration = SimDuration::from_secs(120);
+
 /// Driver knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriverOptions {
     /// First capture seed; attempts increment from here.
     pub capture_seed: u64,
     /// Max capture attempts before giving up.
     pub max_capture_attempts: u32,
-    /// Length of one capture run.
-    pub capture_duration: SimDuration,
     /// How many capture → diagnose rounds to run before giving up: when a
     /// diagnosis fails to reproduce at target rate (e.g. the captured trace
     /// was pathological — windows cut mid-fault, durations inflated to the
     /// dump horizon), the driver re-captures under fresh seeds and
     /// re-diagnoses, like an operator would grab another production trace.
-    #[serde(default = "default_diagnosis_rounds")]
     pub max_diagnosis_rounds: u32,
     /// After diagnosis, run one confirmation replay of the winning schedule
     /// and emit a reproduction phase record.
-    #[serde(default)]
     pub verify_reproduction: bool,
     /// Directory to write a Chrome `trace_event` export of each captured
     /// buggy trace (plus the campaign phase track) into, as
     /// `<bug>.trace.json`. `None` disables the export.
-    #[serde(default)]
     pub chrome_trace_dir: Option<PathBuf>,
     /// Worker threads for the case's parallel execution engine:
     /// confirmation replays fan out across a pool of this size, and the
     /// diagnosis search speculates the same number of schedules per batch.
     /// Tables, reports, and JSONL records are bit-identical for every
     /// value — purely a wall-clock knob. 0 or missing = sequential.
-    #[serde(default)]
     pub jobs: usize,
     /// Directory to persist each captured buggy trace into as
     /// `<bug>.rosetrace` (compact binary codec) next to `<bug>.dump.json`
@@ -95,24 +93,17 @@ pub struct DriverOptions {
     /// from the reloaded binary trace — exercising the store round trip end
     /// to end — and produces byte-identical reports either way. `None`
     /// disables persistence.
-    #[serde(default)]
     pub trace_dir: Option<PathBuf>,
     /// File stem for the persisted trace files; [`run_workflow`] fills it
     /// from the bug name when unset (direct `capture_and_diagnose` callers
     /// fall back to `"capture"`).
-    #[serde(default)]
     pub trace_label: Option<String>,
     /// Directory to write causal-provenance artifacts into: enables
     /// [`RoseConfig::causal`] so testing runs record happens-before logs,
     /// and renders the winning schedule's propagation chains as
     /// `<bug>.flow.json` (Perfetto flow arrows across node tracks) and
     /// `<bug>.dot` (Graphviz). `None` disables provenance collection.
-    #[serde(default)]
     pub causal_dir: Option<PathBuf>,
-}
-
-fn default_diagnosis_rounds() -> u32 {
-    4
 }
 
 impl Default for DriverOptions {
@@ -120,8 +111,7 @@ impl Default for DriverOptions {
         DriverOptions {
             capture_seed: 777,
             max_capture_attempts: 400,
-            capture_duration: SimDuration::from_secs(120),
-            max_diagnosis_rounds: default_diagnosis_rounds(),
+            max_diagnosis_rounds: 4,
             verify_reproduction: false,
             chrome_trace_dir: None,
             jobs: 1,
@@ -281,7 +271,9 @@ pub fn capture_and_diagnose<S: TargetSystem>(
             spent_runs += report.runs;
             spent_schedules += report.schedules_generated;
             spent_time += report.total_time;
-            local.capture_seed += u64::from(round_attempts) * 13;
+            local.capture_seed = local
+                .capture_seed
+                .wrapping_add(u64::from(round_attempts) * 13);
             local.max_capture_attempts = attempts_left;
             local.max_diagnosis_rounds = rounds_left;
             continue;
@@ -547,13 +539,13 @@ pub fn capture_buggy_trace<S: TargetSystem>(
     capture: &CaptureSpec,
     opts: &DriverOptions,
 ) -> (Option<rose_core::TraceCapture>, u32) {
-    let duration = capture.duration.unwrap_or(opts.capture_duration);
+    let duration = capture.duration.unwrap_or(CAPTURE_DURATION);
     let obs = rose.obs();
     let span = obs.begin_phase("tracing");
     let mut elapsed = SimDuration::ZERO;
     let mut last_failed: Option<rose_core::TraceCapture> = None;
     for attempt in 0..opts.max_capture_attempts {
-        let seed = opts.capture_seed + u64::from(attempt) * 13;
+        let seed = opts.capture_seed.wrapping_add(u64::from(attempt) * 13);
         let nemesis = |ncfg: &NemesisConfig| -> Box<dyn KernelHook> {
             let mut cfg = ncfg.clone();
             cfg.seed = cfg.seed.wrapping_add(u64::from(attempt) * 101);

@@ -320,12 +320,4 @@ impl ClientDriver<Bmsg> for ProcClient {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }

@@ -784,14 +784,6 @@ impl ClientDriver<Hmsg> for HdfsClient {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A writer that opens a file for write and never closes it (the lease the
@@ -831,12 +823,4 @@ impl ClientDriver<Hmsg> for WriterClient {
     }
 
     fn on_reply(&mut self, _ctx: &mut ClientCtx<'_, Hmsg>, _from: NodeId, _msg: Hmsg) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }

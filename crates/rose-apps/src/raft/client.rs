@@ -152,14 +152,6 @@ impl ClientDriver<RaftMsg> for KvClient {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A membership administrator: on a fixed cadence it alternates between
@@ -256,13 +248,5 @@ impl ClientDriver<RaftMsg> for ReconfigAdmin {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

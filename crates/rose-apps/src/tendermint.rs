@@ -309,12 +309,4 @@ impl ClientDriver<Tmsg> for TxClient {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }

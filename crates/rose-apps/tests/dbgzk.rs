@@ -16,12 +16,6 @@ impl KernelHook for Spy {
         }
         HookEffects::none()
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[test]

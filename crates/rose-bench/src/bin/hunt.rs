@@ -150,7 +150,6 @@ fn main() {
             visited_path: state_dir
                 .as_ref()
                 .map(|d| d.join(format!("{}.visited", id.file_stem()))),
-            ..HuntConfig::default()
         };
         let outcome = match visit_case(id, HuntVisitor { cfg }) {
             Ok(outcome) => outcome,

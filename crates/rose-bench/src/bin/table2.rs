@@ -82,7 +82,13 @@ fn main() {
                 let now = sim.now();
                 let tracer = sim.hook_mut::<Tracer>().unwrap();
                 let trace = tracer.dump(now);
-                tracer.account_dump(&trace);
+                let rep = tracer.report();
+                let charged = tracer.total_charged;
+                // The dump in both serializations (the JSON and Binary columns).
+                let dump_bytes = (
+                    trace.to_json().len() as u64,
+                    rose_store::encoded_trace_bytes(&trace),
+                );
                 if let Some(rec) = recorder {
                     let log = rec.take_log();
                     report::progress(format!(
@@ -94,9 +100,7 @@ fn main() {
                     let stem = format!("table2-{}", file_stem(name));
                     report::persist_trace_files(dir, &stem, &trace);
                 }
-                let rep = sim.hook_ref::<Tracer>().unwrap().report();
-                let charged = sim.hook_ref::<Tracer>().unwrap().total_charged;
-                (name, ops, Some((trace.len(), rep, charged)))
+                (name, ops, Some((trace.len(), rep, charged, dump_bytes)))
             }
         },
     );
@@ -107,7 +111,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, ops, traced) in measurements {
-        let Some((trace_events, rep, charged)) = traced else {
+        let Some((trace_events, rep, charged, (dump_json, dump_store))) = traced else {
             continue;
         };
         let overhead = 100.0 * (base_ops.saturating_sub(ops)) as f64 / base_ops as f64;
@@ -120,16 +124,16 @@ fn main() {
             peak_bytes: rep.peak_bytes,
             processing_us: rep.processing_us,
             overhead_charged_us: charged.as_micros(),
-            dump_json_bytes: rep.dump_json_bytes,
-            dump_store_bytes: rep.dump_store_bytes,
+            dump_json_bytes: dump_json,
+            dump_store_bytes: dump_store,
         })]);
         rows.push(vec![
             name.to_string(),
             rep.events_matched.to_string(),
             rep.events_saved.to_string(),
             fmt_bytes(rep.peak_bytes),
-            fmt_bytes(rep.dump_json_bytes as usize),
-            fmt_bytes(rep.dump_store_bytes as usize),
+            fmt_bytes(dump_json as usize),
+            fmt_bytes(dump_store as usize),
             format!("{:.2}", rep.processing_us as f64 / 1e6),
             format!("{overhead:.1}%"),
         ]);

@@ -18,7 +18,6 @@
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 
-use std::any::Any;
 use std::collections::BTreeSet;
 
 use rose_apps::driver::{capture_spec, visit_case, CaptureMethod, SystemVisitor};
@@ -51,14 +50,6 @@ impl KernelHook for AfCounter {
             }
         }
         HookEffects::none()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

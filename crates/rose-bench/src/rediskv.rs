@@ -174,14 +174,6 @@ impl ClientDriver<Rkmsg> for YcsbClient {
         // Closed loop: fire the next op immediately.
         self.issue(ctx);
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// Runs the YCSB-A workload against a 3-shard cluster with the given hooks

@@ -48,4 +48,4 @@ pub mod workflow;
 pub use parallel::ordered_map;
 pub use rose_analyze::{DiagnosisConfig, DiagnosisReport};
 pub use system::TargetSystem;
-pub use workflow::{Rose, RoseConfig, RunOnce, TraceCapture};
+pub use workflow::{Rose, RoseConfig, RunOnce, TraceCapture, PROFILING_SEED};

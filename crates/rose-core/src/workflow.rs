@@ -16,6 +16,9 @@ use rose_trace::{Tracer, TracerConfig, TracerReport};
 
 use crate::system::TargetSystem;
 
+/// Seed of the failure-free profiling run.
+pub const PROFILING_SEED: u64 = 42;
+
 /// Top-level configuration of a Rose campaign.
 #[derive(Debug, Clone)]
 pub struct RoseConfig {
@@ -23,10 +26,6 @@ pub struct RoseConfig {
     pub diagnosis: DiagnosisConfig,
     /// Length of the failure-free profiling run.
     pub profiling_duration: SimDuration,
-    /// Seed of the profiling run.
-    pub profiling_seed: u64,
-    /// Tracer window capacity used in capture and reproduction runs.
-    pub window_capacity: usize,
     /// Worker threads for replay fan-out and speculative schedule
     /// execution. 1 = fully sequential. Results, reports, and telemetry are
     /// bit-identical for every value — this is purely a wall-clock knob.
@@ -44,8 +43,6 @@ impl Default for RoseConfig {
         RoseConfig {
             diagnosis: DiagnosisConfig::default(),
             profiling_duration: SimDuration::from_secs(60),
-            profiling_seed: 42,
-            window_capacity: rose_events::DEFAULT_WINDOW_CAPACITY,
             jobs: 1,
             causal: false,
         }
@@ -61,6 +58,12 @@ pub struct TraceCapture {
     pub bug: bool,
     /// The tracer's counters at dump time (Table 2 columns).
     pub report: TracerReport,
+    /// Size of the dump in the JSON dump format, bytes. The historic Table 2
+    /// "memory" story measured this serialization; it is reported next to
+    /// the binary size so the two are comparable.
+    pub dump_json_bytes: u64,
+    /// Size of the dump in the `.rosetrace` binary codec, bytes.
+    pub dump_store_bytes: u64,
     /// Total probe CPU time the tracer charged during the run.
     pub charged: SimDuration,
     /// Simulated time the capture run covered.
@@ -80,8 +83,8 @@ impl TraceCapture {
             peak_bytes: self.report.peak_bytes,
             processing_us: self.report.processing_us,
             overhead_charged_us: self.charged.as_micros(),
-            dump_json_bytes: self.report.dump_json_bytes,
-            dump_store_bytes: self.report.dump_store_bytes,
+            dump_json_bytes: self.dump_json_bytes,
+            dump_store_bytes: self.dump_store_bytes,
         }
     }
 }
@@ -182,10 +185,7 @@ impl<S: TargetSystem> Rose<S> {
     /// function and syscall frequencies, and fingerprint benign faults.
     pub fn profile(&self) -> Profile {
         let span = self.obs.begin_phase("profiling");
-        let mut sim = self.deploy(
-            self.cfg.profiling_seed,
-            vec![Box::new(ProfilingHook::new())],
-        );
+        let mut sim = self.deploy(PROFILING_SEED, vec![Box::new(ProfilingHook::new())]);
         sim.start();
         sim.run_for(self.cfg.profiling_duration);
         let symbols = self.system.symbols();
@@ -205,7 +205,7 @@ impl<S: TargetSystem> Rose<S> {
 
     /// The production tracer configuration derived from a profile.
     pub fn tracer_config(&self, profile: &Profile) -> TracerConfig {
-        TracerConfig::rose(profile.infrequent_functions()).with_window(self.cfg.window_capacity)
+        TracerConfig::rose(profile.infrequent_functions())
     }
 
     /// FunctionId → name mapping of the tracer configuration.
@@ -239,15 +239,24 @@ impl<S: TargetSystem> Rose<S> {
         let now = sim.now();
         let tracer = sim.hook_mut::<Tracer>().expect("tracer attached");
         let trace = tracer.dump(now);
-        // The capture's phase record carries the dump sizes (Table 2).
-        tracer.account_dump(&trace);
         let report = tracer.report();
         let charged = tracer.total_charged;
         tracer.publish_obs(&self.obs);
+        // The capture's phase record carries the dump sizes (Table 2).
+        // Serializing a dump to measure it costs far more than the dump,
+        // so testing runs, which never report the sizes, do not.
+        let dump_json_bytes = trace.to_json().len() as u64;
+        let dump_store_bytes = rose_store::encoded_trace_bytes(&trace);
+        self.obs
+            .gauge_set("tracer.dump_json_bytes", dump_json_bytes as f64);
+        self.obs
+            .gauge_set("tracer.dump_store_bytes", dump_store_bytes as f64);
         TraceCapture {
             trace,
             bug,
             report,
+            dump_json_bytes,
+            dump_store_bytes,
             charged,
             elapsed: now.since(rose_events::SimTime::ZERO),
         }
@@ -438,8 +447,8 @@ impl<S: TargetSystem> Rose<S> {
     }
 
     /// Runs `n` independent replays of a schedule (seeds
-    /// `base_seed + 31·i`) across the configured worker pool, returning
-    /// the results in seed order.
+    /// `base_seed + 31·i`, wrapping) across the configured worker pool,
+    /// returning the results in seed order.
     ///
     /// Replays are embarrassingly parallel — each deploys its own fresh
     /// simulated cluster. Worker telemetry is absorbed in seed order, so
@@ -452,7 +461,9 @@ impl<S: TargetSystem> Rose<S> {
         n: u32,
         base_seed: u64,
     ) -> Vec<RunOnce> {
-        let seeds: Vec<u64> = (0..n).map(|i| base_seed + 31 * u64::from(i)).collect();
+        let seeds: Vec<u64> = (0..n)
+            .map(|i| base_seed.wrapping_add(31 * u64::from(i)))
+            .collect();
         if self.cfg.jobs <= 1 {
             return seeds
                 .into_iter()
@@ -487,28 +498,6 @@ impl<S: TargetSystem> Rose<S> {
         self.obs
             .record(PhaseRecord::Reproduction(run.phase_record(schedule.len())));
         run
-    }
-
-    /// Runs `n` confirmation replays (seeds `base_seed + 31·i`) across the
-    /// worker pool under one reproduction span, appending one phase record
-    /// per replay in seed order.
-    pub fn confirm_reproduction_n(
-        &self,
-        profile: &Profile,
-        schedule: &FaultSchedule,
-        n: u32,
-        base_seed: u64,
-    ) -> Vec<RunOnce> {
-        let span = self.obs.begin_phase("reproduction");
-        let runs = self.run_replays(profile, schedule, n, base_seed);
-        let mut wall = SimDuration::ZERO;
-        for run in &runs {
-            wall += run.wall;
-            self.obs
-                .record(PhaseRecord::Reproduction(run.phase_record(schedule.len())));
-        }
-        self.obs.end_phase(span, wall);
-        runs
     }
 
     /// Measures the replay rate of a schedule over `n` fresh seeds, fanned

@@ -10,7 +10,6 @@
 //! logical injection site while the flat-counter condition misses it
 //! whenever the benign prefix changed.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
@@ -105,14 +104,6 @@ impl KernelHook for SendSpy {
             }
         }
         HookEffects::none()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -69,16 +69,9 @@ impl SlidingWindow {
     /// push never re-walks SCF path strings or `SyscallOk` payloads — this
     /// runs for every traced event, and again for the evicted one.
     pub fn push(&mut self, event: Event) {
-        let _ = self.push_evicting(event);
-    }
-
-    /// Appends an event and returns the evicted oldest one, if the window
-    /// was full. This is the spill-tier primitive: a disk-backed window
-    /// catches the evicted event here instead of letting it drop.
-    pub fn push_evicting(&mut self, event: Event) -> Option<Event> {
         self.total_pushed += 1;
         self.bytes += event.wire_size();
-        let evicted = if self.buf.len() < self.capacity {
+        if self.buf.len() < self.capacity {
             if self.buf.len() == self.buf.capacity() {
                 // Grow in bounded doubling steps clamped to the configured
                 // capacity: amortized O(1) pushes without ever allocating
@@ -89,15 +82,12 @@ impl SlidingWindow {
                 self.buf.reserve_exact(chunk);
             }
             self.buf.push(event);
-            None
         } else {
             let old = core::mem::replace(&mut self.buf[self.head], event);
             self.bytes -= old.wire_size();
             self.head = (self.head + 1) % self.capacity;
-            Some(old)
-        };
+        }
         self.peak_bytes = self.peak_bytes.max(self.bytes);
-        evicted
     }
 
     /// Number of events currently held.
@@ -331,19 +321,5 @@ mod tests {
             allocs <= 12,
             "expected ~log2(100000/1024)+1 reallocations, saw {allocs}"
         );
-    }
-
-    #[test]
-    fn push_evicting_returns_the_displaced_oldest_event() {
-        let mut w = SlidingWindow::with_capacity(3);
-        for i in 0..3 {
-            assert!(w.push_evicting(ev(i)).is_none());
-        }
-        for i in 3..8u64 {
-            let old = w.push_evicting(ev(i)).expect("window is full");
-            assert_eq!(old.ts, SimTime::from_micros(i - 3));
-        }
-        let held: usize = w.iter().map(|e| e.kind.wire_size()).sum();
-        assert_eq!(w.bytes(), held);
     }
 }

@@ -24,7 +24,7 @@ use std::path::PathBuf;
 
 use rose_analyze::DiagnosisReport;
 use rose_core::{ordered_map, Rose, RoseConfig, TargetSystem};
-use rose_events::{fingerprint, Errno, NodeId, SimDuration, SimTime};
+use rose_events::{fingerprint, Errno, NodeId, SimDuration, SimTime, Trace};
 use rose_inject::{
     schedule_fingerprint, Condition, Executor, FaultAction, FaultSchedule, InjectionSite,
     PartitionKind, SiteKind,
@@ -40,38 +40,38 @@ use crate::errno::ErrnoModel;
 use crate::frontier::{Candidate, Frontier};
 use crate::probe::SiteProbe;
 
-/// Hunt campaign configuration.
+/// Candidates popped per frontier round (one `ordered_map` fan-out).
+pub const BATCH: usize = 8;
+
+/// Pause length for function-site pause candidates.
+pub const PAUSE: SimDuration = SimDuration::from_secs(8);
+
+/// Maximum faults per schedule (co-evolution depth).
+pub const MAX_DEPTH: usize = 3;
+
+/// At most this many newly-seen sites expand into children per run.
+pub const CHILDREN_PER_RUN: usize = 12;
+
+/// At most this many syscall-context sites become roots from the baseline
+/// run (function sites and menu entries are all kept).
+pub const SCF_ROOT_CAP: usize = 64;
+
+/// Time-grid step of the whole-node menu.
+pub const TIME_STEP: SimDuration = SimDuration::from_secs(15);
+
+/// Hunt campaign configuration. Exploration runs last the target system's
+/// [`TargetSystem::run_duration`] under [`RoseConfig::default`].
 #[derive(Debug, Clone)]
 pub struct HuntConfig {
-    /// The underlying toolchain configuration (profiling, diagnosis
-    /// knobs). The hand-off overrides its diagnosis seed schedule; its
-    /// `jobs` is ignored in favor of [`HuntConfig::jobs`].
-    pub rose: RoseConfig,
     /// Exploration-run budget, baseline included. The hunt stops at the
     /// first discovery or when the budget (or frontier) is exhausted.
     pub budget: usize,
-    /// Candidates popped per frontier round (one `ordered_map` fan-out).
-    pub batch: usize,
     /// Worker threads for exploration batches and the hand-off. Purely a
     /// wall-clock knob: results are bit-identical at every value.
     pub jobs: usize,
     /// Campaign seed: per-candidate run seeds and errno picks derive
     /// from it.
     pub seed: u64,
-    /// Length of one exploration run; `None` uses the target system's
-    /// [`TargetSystem::run_duration`].
-    pub run_duration: Option<SimDuration>,
-    /// Pause length for function-site pause candidates.
-    pub pause: SimDuration,
-    /// Maximum faults per schedule (co-evolution depth).
-    pub max_depth: usize,
-    /// At most this many newly-seen sites expand into children per run.
-    pub children_per_run: usize,
-    /// At most this many syscall-context sites become roots from the
-    /// baseline run (function sites and menu entries are all kept).
-    pub scf_root_cap: usize,
-    /// Time-grid step of the whole-node menu.
-    pub time_step: SimDuration,
     /// Where the visited set persists across campaigns (`None` = in
     /// memory only).
     pub visited_path: Option<PathBuf>,
@@ -80,17 +80,9 @@ pub struct HuntConfig {
 impl Default for HuntConfig {
     fn default() -> Self {
         HuntConfig {
-            rose: RoseConfig::default(),
             budget: 200,
-            batch: 8,
             jobs: 1,
             seed: 42,
-            run_duration: None,
-            pause: SimDuration::from_secs(8),
-            max_depth: 3,
-            children_per_run: 12,
-            scf_root_cap: 64,
-            time_step: SimDuration::from_secs(15),
             visited_path: None,
         }
     }
@@ -125,13 +117,16 @@ pub struct FrontierRecord {
 pub struct Discovery {
     /// The schedule whose exploration run fired the oracle.
     pub schedule: FaultSchedule,
-    /// The seed of that run (reused for the hand-off capture).
+    /// The seed of that run.
     pub seed: u64,
     /// 1-based exploration run that discovered it.
     pub run: usize,
-    /// The Level-2.5 diagnosis hand-off: capture the discovery as a
-    /// trace, re-diagnose with the winning schedule as the seed guess,
-    /// causal provenance on.
+    /// That run's tracer dump, taken when the oracle fired — the
+    /// production-style trace the hand-off diagnosed.
+    pub trace: Trace,
+    /// The Level-2.5 diagnosis hand-off: the discovery run's dump
+    /// re-diagnosed with the winning schedule as the seed guess, causal
+    /// provenance on.
     pub report: DiagnosisReport,
 }
 
@@ -208,7 +203,6 @@ fn site_candidates(
     site: &InjectionSite,
     score: u64,
     campaign_seed: u64,
-    pause: SimDuration,
 ) -> Vec<Candidate> {
     let errno = match &site.kind {
         SiteKind::SyscallContext { syscall, .. } => {
@@ -216,7 +210,7 @@ fn site_candidates(
         }
         SiteKind::Function { .. } => Errno::Eio, // unused by function sites
     };
-    site.faults(errno, pause)
+    site.faults(errno, PAUSE)
         .into_iter()
         .map(|fault| extend(base, fault, score))
         .collect()
@@ -239,17 +233,19 @@ fn absorb(visited: &mut BTreeSet<u64>, sites: &[InjectionSite]) -> Vec<Injection
 
 /// What one exploration run yields.
 struct ExploreRun {
-    bug: bool,
+    /// The tracer's dump at detection, when the oracle fired.
+    trace: Option<Trace>,
     sites: Vec<InjectionSite>,
     injected: usize,
     elapsed: SimDuration,
 }
 
 /// Runs one exploration deployment: executor + production tracer + the
-/// zero-charge site probe. The hook stack is the hand-off capture's stack
-/// plus the probe, and the probe charges nothing — so replaying the
-/// winning schedule through [`Rose::capture_trace_with_schedule`] at the
-/// same seed reproduces the discovery run exactly.
+/// zero-charge site probe. The hook stack is a scripted capture's stack
+/// plus the probe, and the probe charges nothing — so the dump of a run
+/// that fires the oracle is the trace [`Rose::capture_trace_with_schedule`]
+/// yields for the same schedule and seed (pinned by
+/// `rose-bench/tests/hunt_handoff.rs`).
 fn explore_run<S: TargetSystem>(
     rose: &Rose<S>,
     profile: &Profile,
@@ -264,10 +260,11 @@ fn explore_run<S: TargetSystem>(
     ];
     let mut sim = rose.deploy(seed, hooks);
     sim.start();
-    // Stop at first detection, like the capture phase, so discovery runs
-    // and hand-off captures cover the same simulated span.
+    // Stop at first detection, like the capture phase, so the dumped
+    // window ends at the bug.
     let bug = rose.poll_oracle(&mut sim, duration, |_| true);
     let now = sim.now();
+    let trace = bug.then(|| sim.hook_mut::<Tracer>().expect("tracer attached").dump(now));
     let injected = sim
         .hook_ref::<Executor>()
         .expect("executor attached")
@@ -276,7 +273,7 @@ fn explore_run<S: TargetSystem>(
         .len();
     let probe = sim.hook_ref::<SiteProbe>().expect("probe attached");
     ExploreRun {
-        bug,
+        trace,
         sites: probe.sites(),
         injected,
         elapsed: now.since(SimTime::ZERO),
@@ -292,11 +289,11 @@ pub fn hunt<S: TargetSystem>(
     label: &str,
     cfg: &HuntConfig,
 ) -> Result<HuntOutcome, rose_store::StoreError> {
-    let mut explore_cfg = cfg.rose.clone();
-    explore_cfg.jobs = 1; // workers are the hunt's own fan-out
-    let rose = Rose::with_config(system.clone(), explore_cfg.clone());
+    // Exploration runs are sequential inside: workers are the hunt's own
+    // fan-out.
+    let rose = Rose::new(system.clone());
     let profile = rose.profile();
-    let duration = cfg.run_duration.unwrap_or_else(|| system.run_duration());
+    let duration = system.run_duration();
 
     let mut visited: BTreeSet<u64> = match &cfg.visited_path {
         Some(path) => rose_store::load_visited(path)?,
@@ -308,7 +305,7 @@ pub fn hunt<S: TargetSystem>(
     let mut runs = 0usize;
     let mut virtual_secs = 0f64;
     let mut max_depth = 0usize;
-    let mut winner: Option<(FaultSchedule, u64, usize)> = None;
+    let mut winner: Option<(FaultSchedule, u64, usize, Trace)> = None;
 
     // Run 1: the fault-free baseline that seeds the site vocabulary.
     let baseline = FaultSchedule::new();
@@ -326,10 +323,10 @@ pub fn hunt<S: TargetSystem>(
         summary: "fault-free".to_string(),
         injected: 0,
         novelty: fresh.len(),
-        oracle: base.bug,
+        oracle: base.trace.is_some(),
     });
-    if base.bug {
-        winner = Some((baseline.clone(), baseline_seed, runs));
+    if let Some(trace) = base.trace {
+        winner = Some((baseline.clone(), baseline_seed, runs, trace));
     } else {
         // Roots: the whole-node menu…
         let cluster = system.cluster_size();
@@ -337,11 +334,7 @@ pub fn hunt<S: TargetSystem>(
         let horizon_us = duration
             .as_micros()
             .saturating_sub(SimDuration::from_secs(20).as_micros());
-        let menu = whole_node_menu(
-            &nemesis,
-            SimDuration::from_micros(horizon_us),
-            cfg.time_step,
-        );
+        let menu = whole_node_menu(&nemesis, SimDuration::from_micros(horizon_us), TIME_STEP);
         // Menu and site roots share one score: the frontier's fingerprint
         // tiebreak interleaves coarse whole-node faults with surgical
         // context candidates, which empirically lands the quick wins of
@@ -351,17 +344,17 @@ pub fn hunt<S: TargetSystem>(
             frontier.push(extend(&baseline, menu_fault(entry, cluster), 1));
         }
         // …plus the contexts the baseline itself exposed: every function
-        // site, and the first `scf_root_cap` syscall contexts by
+        // site, and the first `SCF_ROOT_CAP` syscall contexts by
         // fingerprint.
         let mut scf_roots = 0usize;
         for site in &fresh {
             if matches!(site.kind, SiteKind::SyscallContext { .. }) {
                 scf_roots += 1;
-                if scf_roots > cfg.scf_root_cap {
+                if scf_roots > SCF_ROOT_CAP {
                     continue;
                 }
             }
-            for cand in site_candidates(&baseline, site, 1, cfg.seed, cfg.pause) {
+            for cand in site_candidates(&baseline, site, 1, cfg.seed) {
                 frontier.push(cand);
             }
         }
@@ -369,9 +362,9 @@ pub fn hunt<S: TargetSystem>(
 
     // The frontier rounds: pop a batch, fan it out, fold results in order.
     while winner.is_none() && runs < cfg.budget && !frontier.is_empty() {
-        let batch = frontier.pop_batch(cfg.batch.min(cfg.budget - runs));
+        let batch = frontier.pop_batch(BATCH.min(cfg.budget - runs));
         let results = ordered_map(cfg.jobs, batch, |cand| {
-            let worker = Rose::with_config(system.clone(), explore_cfg.clone());
+            let worker = Rose::new(system.clone());
             let seed = derive_seed(cfg.seed, cand.fingerprint);
             let run = explore_run(&worker, &profile, &cand.schedule, seed, duration);
             (cand, seed, run)
@@ -389,21 +382,20 @@ pub fn hunt<S: TargetSystem>(
                 summary: cand.schedule.summary(),
                 injected: run.injected,
                 novelty: fresh.len(),
-                oracle: run.bug,
+                oracle: run.trace.is_some(),
             });
-            if run.bug {
-                winner = Some((cand.schedule.clone(), seed, runs));
+            if let Some(trace) = run.trace {
+                winner = Some((cand.schedule.clone(), seed, runs, trace));
                 break;
             }
             // Co-evolution: newly-revealed contexts become this
             // schedule's children — but only if every parent fault
             // actually fired (otherwise the child's order prerequisites
             // could never be satisfied either).
-            if cand.depth < cfg.max_depth && run.injected >= cand.schedule.len() {
+            if cand.depth < MAX_DEPTH && run.injected >= cand.schedule.len() {
                 let novelty = fresh.len() as u64;
-                for site in fresh.iter().take(cfg.children_per_run) {
-                    for child in site_candidates(&cand.schedule, site, novelty, cfg.seed, cfg.pause)
-                    {
+                for site in fresh.iter().take(CHILDREN_PER_RUN) {
+                    for child in site_candidates(&cand.schedule, site, novelty, cfg.seed) {
                         frontier.push(child);
                     }
                 }
@@ -415,29 +407,28 @@ pub fn hunt<S: TargetSystem>(
         rose_store::save_visited(path, &visited)?;
     }
 
-    // Hand-off: capture the discovery as a production-style trace and
-    // re-diagnose it at Level 2.5 with the winning schedule as the seed
-    // guess and causal provenance on. The capture reuses the discovery
-    // seed, so the oracle fires again and the dumped window ends at the
-    // bug, exactly like a monitored production incident.
-    let mut discovery = None;
-    if let Some((schedule, seed, run)) = winner {
-        let mut hand_cfg = cfg.rose.clone();
-        hand_cfg.jobs = cfg.jobs;
+    // Hand-off: the discovery run's dump is a production-style trace —
+    // its window ends at the bug, exactly like a monitored production
+    // incident — re-diagnosed at Level 2.5 with the winning schedule as
+    // the seed guess and causal provenance on.
+    let discovery = winner.map(|(schedule, seed, run, trace)| {
+        let mut hand_cfg = RoseConfig {
+            jobs: cfg.jobs,
+            causal: true,
+            ..RoseConfig::default()
+        };
         hand_cfg.diagnosis.speculation = cfg.jobs;
         hand_cfg.diagnosis.ei = true;
-        hand_cfg.causal = true;
         hand_cfg.diagnosis.seed_schedule = Some(schedule.clone());
-        let handoff = Rose::with_config(system.clone(), hand_cfg);
-        let capture = handoff.capture_trace_with_schedule(&profile, &schedule, seed, duration);
-        let report = handoff.reproduce(&profile, &capture.trace);
-        discovery = Some(Discovery {
+        let report = Rose::with_config(system.clone(), hand_cfg).reproduce(&profile, &trace);
+        Discovery {
             schedule,
             seed,
             run,
+            trace,
             report,
-        });
-    }
+        }
+    });
 
     let stats = HuntStats {
         bug: label.to_string(),

@@ -23,9 +23,10 @@
 //! 3. Syscall-failure candidates draw their errno from a per-syscall
 //!    realism model ([`ErrnoModel`]), deterministically per site and
 //!    campaign seed.
-//! 4. The first schedule whose run fires the oracle is captured as a
-//!    production-style trace and re-diagnosed with itself as the seed
-//!    guess ([`rose_analyze::DiagnosisConfig::seed_schedule`]).
+//! 4. The first run that fires the oracle dumps its tracer window — a
+//!    production-style trace — which is re-diagnosed with the run's
+//!    schedule as the seed guess
+//!    ([`rose_analyze::DiagnosisConfig::seed_schedule`]).
 //!
 //! Everything — frontier order, visited set, errno picks, seeds, logs —
 //! is bit-identical at any `--jobs` width; the visited set persists
@@ -38,5 +39,8 @@ pub mod probe;
 
 pub use errno::ErrnoModel;
 pub use frontier::{Candidate, Frontier};
-pub use hunt::{hunt, Discovery, FrontierRecord, HuntConfig, HuntOutcome};
+pub use hunt::{
+    hunt, Discovery, FrontierRecord, HuntConfig, HuntOutcome, BATCH, CHILDREN_PER_RUN, MAX_DEPTH,
+    PAUSE, SCF_ROOT_CAP, TIME_STEP,
+};
 pub use probe::SiteProbe;

@@ -7,11 +7,11 @@
 //! is a zero-charge [`KernelHook`] riding alongside the executor and
 //! tracer: at every `sys_enter` it records the execution-index context
 //! (node, live call chain, syscall), at every function-entry uprobe the
-//! (node, function) site. Charging nothing keeps exploration runs
-//! bit-identical to the eventual hand-off capture, which runs the same
-//! hook stack minus the probe.
+//! (node, function) site. Charging nothing keeps an exploration run
+//! bit-identical to a scripted capture of its schedule (the same hook
+//! stack minus the probe), so the hand-off can diagnose the discovery
+//! run's own dump.
 
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
 use rose_events::{NodeId, SyscallId};
@@ -97,14 +97,6 @@ impl KernelHook for SiteProbe {
             }
         }
         HookEffects::none()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -11,7 +11,6 @@
 //! SCF, and the same site list. (It lives in `rose-hunt` because that is
 //! the one crate that sees the kernel, the tracer and the probe.)
 
-use std::any::Any;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -222,14 +221,6 @@ impl KernelHook for NameKeyed {
             self.functions.insert((env.node, function.to_string()));
         }
         HookEffects::none()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -65,7 +65,7 @@ proptest! {
     }
 
     /// Popping in batches of any shape walks the same sequence the
-    /// frontier reported up front: batch size (the `--batch` knob) moves
+    /// frontier reported up front: batch size moves
     /// wall-clock, never which schedules run in which order.
     #[test]
     fn batch_shape_never_changes_the_exploration_sequence(

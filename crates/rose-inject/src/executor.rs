@@ -1,7 +1,6 @@
 //! The executor: tracks per-node fault contexts and injects faults at the
 //! exact kernel boundary where the last condition is observed (§4.6).
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use rose_events::{NodeId, Pid, SimTime};
@@ -491,13 +490,5 @@ impl KernelHook for Executor {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

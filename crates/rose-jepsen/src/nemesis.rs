@@ -7,8 +7,6 @@
 //! a [`KernelHook`] that acts on the kernel's periodic poll, picking random
 //! fault kinds, targets, and durations from a seeded RNG.
 
-use std::any::Any;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rose_events::{NodeId, SimDuration, SimTime};
@@ -196,13 +194,5 @@ impl KernelHook for Nemesis {
                 }
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

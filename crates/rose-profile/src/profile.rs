@@ -9,7 +9,6 @@
 //! 3. the faults that occur even without failures — *benign* faults that
 //!    the diagnosis phase removes from the buggy trace (the FR% column).
 
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
 use rose_events::{Errno, EventKind, SimDuration, SimTime, SyscallId};
@@ -98,14 +97,6 @@ impl KernelHook for ProfilingHook {
             }
         }
         HookEffects::none()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

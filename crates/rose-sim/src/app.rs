@@ -70,11 +70,6 @@ pub trait ClientDriver<M>: Any {
 
     /// A node replied.
     fn on_reply(&mut self, ctx: &mut ClientCtx<'_, M>, from: NodeId, msg: M);
-
-    /// Downcast support (harnesses read collected results back).
-    fn as_any(&self) -> &dyn Any;
-    /// Downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// The kernel-boundary handle applications run against.

@@ -245,11 +245,6 @@ pub trait KernelHook: Any {
     fn proc_event(&mut self, now: SimTime, event: &ProcEvent) {
         let _ = (now, event);
     }
-
-    /// Downcast support.
-    fn as_any(&self) -> &dyn Any;
-    /// Downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 #[cfg(test)]

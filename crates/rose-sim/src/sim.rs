@@ -1,6 +1,7 @@
 //! The simulation driver: owns the applications and clients and runs the
 //! event loop.
 
+use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
@@ -130,7 +131,7 @@ impl<A: Application> Sim<A> {
         self.core
             .hooks
             .iter_mut()
-            .find_map(|h| h.as_any_mut().downcast_mut::<T>())
+            .find_map(|h| (&mut **h as &mut dyn Any).downcast_mut::<T>())
     }
 
     /// Downcasts an attached hook by type (shared).
@@ -138,16 +139,13 @@ impl<A: Application> Sim<A> {
         self.core
             .hooks
             .iter()
-            .find_map(|h| h.as_any().downcast_ref::<T>())
+            .find_map(|h| (&**h as &dyn Any).downcast_ref::<T>())
     }
 
     /// Downcasts a registered client by type.
     pub fn client_ref<T: 'static>(&self, id: ClientId) -> Option<&T> {
-        self.clients
-            .get(id.0 as usize)?
-            .as_ref()?
-            .as_any()
-            .downcast_ref::<T>()
+        let client: &dyn Any = &**self.clients.get(id.0 as usize)?.as_ref()?;
+        client.downcast_ref::<T>()
     }
 
     /// Boots the cluster: schedules node starts (staggered), client starts,

@@ -3,8 +3,6 @@
 //! the execution-index key — across nested functions, forked child helpers,
 //! and crash/restart cycles.
 
-use std::any::Any;
-
 use rose_events::{NodeId, Pid, SimDuration, SyscallId};
 use rose_sim::{
     Application, HookEffects, HookEnv, KernelHook, NodeCtx, SignalKind, SignalReq, SignalTarget,
@@ -51,14 +49,6 @@ impl KernelHook for ChainSpy {
             };
         }
         HookEffects::none()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

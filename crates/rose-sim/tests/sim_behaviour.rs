@@ -1,8 +1,6 @@
 //! Behavioural tests of the simulated OS/cluster substrate, exercised
 //! through a small ping/persist application.
 
-use std::any::Any;
-
 use rose_events::{Errno, NodeId, SimDuration, SimTime, SyscallId};
 use rose_sim::{
     Application, ClientCtx, ClientDriver, HookEffects, HookEnv, KernelHook, NodeCtx, OpenFlags,
@@ -163,14 +161,6 @@ impl KernelHook for SpyHook {
         };
         self.proc_events.push(tag.to_string());
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A client that sends one Put to node 0 and records the ack.
@@ -189,14 +179,6 @@ impl ClientDriver<Msg> for PutClient {
         if matches!(msg, Msg::PutOk) {
             self.acked = true;
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

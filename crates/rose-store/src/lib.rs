@@ -11,10 +11,6 @@
 //! - an append-only [`TraceWriter`] / seekable [`TraceReader`] pair whose
 //!   frame index answers time-range and per-node queries without decoding
 //!   unrelated frames;
-//! - a [`SpillingWindow`] that tiers events evicted from the in-RAM
-//!   [`rose_events::SlidingWindow`] into disk frames, so the tracer's
-//!   logical window can exceed RAM while `dump` still reconstitutes the
-//!   full chronological history;
 //! - a streaming [`merge_readers`] k-way merge consuming frames lazily
 //!   from N node files in O(frames-in-flight) memory, with the exact tie
 //!   semantics of `Trace::merge`.
@@ -28,7 +24,6 @@ pub mod codec;
 pub mod error;
 pub mod merge;
 pub mod reader;
-pub mod spill;
 pub mod visited;
 pub mod writer;
 
@@ -36,7 +31,6 @@ pub use codec::{FrameInfo, MAGIC, VERSION};
 pub use error::StoreError;
 pub use merge::{merge_readers, MergeStats};
 pub use reader::{load_trace, ReadStats, TraceReader};
-pub use spill::{unique_spill_path, SpillingWindow};
 pub use visited::{load_visited, save_visited, VISITED_MAGIC, VISITED_VERSION};
 pub use writer::{
     encoded_trace_bytes, save_trace, FrameMeta, TraceWriter, WriteSummary, DEFAULT_FRAME_CAPACITY,

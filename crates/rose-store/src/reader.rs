@@ -3,9 +3,8 @@
 //! A finished file is opened through its index: frame offsets and summaries
 //! come from the trailer, so time-range and per-node reads decode only the
 //! frames that can match. Unfinished files (no trailer — a tracer that died
-//! mid-capture, or a spill file still being appended) are scanned
-//! sequentially once at open to rebuild the same metadata, CRC-checking
-//! every frame along the way.
+//! mid-capture) are scanned sequentially once at open to rebuild the same
+//! metadata, CRC-checking every frame along the way.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -116,11 +115,6 @@ impl<R: Read + Seek> TraceReader<R> {
     /// Number of data frames.
     pub fn frame_count(&self) -> usize {
         self.metas.len()
-    }
-
-    /// Metadata of frame `i`.
-    pub fn frame_meta(&self, i: usize) -> &FrameMeta {
-        &self.metas[i]
     }
 
     /// All frame metadata, in file order.

@@ -12,8 +12,8 @@
 //! reader can seek by time range or node without touching payloads, plus a
 //! file-level "sorted by (ts, node)" flag that the streaming merge uses to
 //! pick the O(frames-in-flight) path. Files that were never
-//! [`TraceWriter::finish`]ed (a tracer died mid-capture, a spill file still
-//! being appended) have no index; readers fall back to a sequential scan.
+//! [`TraceWriter::finish`]ed (a tracer died mid-capture) have no index;
+//! readers fall back to a sequential scan.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -101,7 +101,7 @@ impl<W: Write> TraceWriter<W> {
         Ok(TraceWriter {
             sink,
             frame_capacity,
-            // Reserved as events arrive (see `append_owned`): a writer for a
+            // Reserved as events arrive (see `append`): a writer for a
             // 30-event dump must not pay for a 4096-event frame up front.
             pending: Vec::new(),
             metas: Vec::new(),
@@ -114,12 +114,6 @@ impl<W: Write> TraceWriter<W> {
 
     /// Appends one event, flushing a frame when the buffer fills.
     pub fn append(&mut self, event: &Event) -> Result<(), StoreError> {
-        self.append_owned(event.clone())
-    }
-
-    /// Appends one event by value (the spill tier hands over evicted
-    /// events it already owns).
-    pub fn append_owned(&mut self, event: Event) -> Result<(), StoreError> {
         let key = (event.ts, event.node);
         if let Some(last) = self.last_key {
             if key < last {
@@ -134,7 +128,7 @@ impl<W: Write> TraceWriter<W> {
             let target = (self.pending.len() * 2).max(16).min(self.frame_capacity);
             self.pending.reserve_exact(target - self.pending.len());
         }
-        self.pending.push(event);
+        self.pending.push(event.clone());
         if self.pending.len() >= self.frame_capacity {
             self.flush_frame()?;
         }
@@ -158,15 +152,6 @@ impl<W: Write> TraceWriter<W> {
             info,
         });
         self.pending.clear();
-        Ok(())
-    }
-
-    /// Flushes buffered events and the underlying sink **without** writing
-    /// the index, leaving the file open for further appends. Spill files
-    /// use this before a dump re-reads them.
-    pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.flush_frame()?;
-        self.sink.flush()?;
         Ok(())
     }
 
@@ -203,11 +188,6 @@ impl<W: Write> TraceWriter<W> {
             events: self.events,
             sorted: self.sorted,
         })
-    }
-
-    /// Bytes written so far (flushed frames and header only).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
     }
 
     /// Events appended so far (buffered ones included).

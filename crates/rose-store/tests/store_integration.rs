@@ -1,16 +1,14 @@
-//! End-to-end store tests: spill-tier equivalence with the in-RAM window,
-//! file round trips through `save_trace`/`load_trace`, and the compression
+//! End-to-end store tests: file round trips through `save_trace`/`load_trace`, and the compression
 //! ratio of the binary codec against the JSON dump on tracer-realistic
 //! event mixes.
 
 use rose_events::{
     Errno, Event, EventKind, Fd, FunctionId, IpAddr, NodeId, Pid, ProcState, SimDuration, SimTime,
-    SlidingWindow, SyscallId, Trace,
+    SyscallId, Trace,
 };
 use rose_store::codec::encode_frame;
 use rose_store::{
-    encoded_trace_bytes, load_trace, save_trace, unique_spill_path, SpillingWindow, TraceReader,
-    TraceWriter, DEFAULT_FRAME_CAPACITY,
+    encoded_trace_bytes, load_trace, save_trace, TraceReader, TraceWriter, DEFAULT_FRAME_CAPACITY,
 };
 
 /// A tracer-realistic event stream: mostly SCF and AF with recurring paths
@@ -129,49 +127,4 @@ fn binary_codec_is_at_least_8x_smaller_than_json() {
         "binary {binary} B vs JSON {json} B: ratio {:.1}x < 8x",
         json as f64 / binary as f64
     );
-}
-
-#[test]
-fn spilling_window_matches_the_in_ram_window() {
-    // Same total capacity, tiny RAM tier: the spilled window must dump the
-    // exact chronological window the all-RAM one does, while holding far
-    // fewer events in memory.
-    let dir = temp_dir("equiv");
-    let events = realistic_events(4_096);
-    let total_cap = 1_024;
-    let mem_cap = 64;
-
-    let mut ram = SlidingWindow::with_capacity(total_cap);
-    let mut spilled = SpillingWindow::new(unique_spill_path(&dir), mem_cap, total_cap);
-    for e in &events {
-        ram.push(e.clone());
-        spilled.push(e.clone()).unwrap();
-    }
-    assert_eq!(spilled.len(), ram.len());
-    assert_eq!(spilled.total_pushed(), ram.total_pushed());
-    assert_eq!(spilled.dump().unwrap(), ram.snapshot());
-    // The RAM tier really is the only resident tier: its peak stays at the
-    // configured memory capacity, not the window size.
-    assert!(spilled.bytes() <= ram.bytes());
-    // Dump is repeatable and survives further pushes.
-    spilled.push(events[0].clone()).unwrap();
-    ram.push(events[0].clone());
-    assert_eq!(spilled.dump().unwrap(), ram.snapshot());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn spilled_dump_round_trips_through_the_store() {
-    // Window → dump → save → load: the full persistence pipeline a
-    // spill-configured tracer exercises.
-    let dir = temp_dir("pipeline");
-    let mut w = SpillingWindow::new(unique_spill_path(&dir), 32, 512);
-    for e in realistic_events(2_000) {
-        w.push(e).unwrap();
-    }
-    let trace = Trace::from_events(w.dump().unwrap());
-    let path = dir.join("dump.rosetrace");
-    save_trace(&path, &trace).unwrap();
-    assert_eq!(load_trace(&path).unwrap(), trace);
-    let _ = std::fs::remove_dir_all(&dir);
 }

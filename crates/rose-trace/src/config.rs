@@ -1,27 +1,12 @@
 //! Tracer configuration and probe cost model.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use rose_events::{FunctionId, SimDuration, DEFAULT_WINDOW_CAPACITY};
-use serde::{Deserialize, Serialize};
-
-/// Disk-spill configuration for the sliding window.
-///
-/// When set, only [`SpillConfig::mem_capacity`] events stay in RAM; the
-/// rest of the configured window tiers into `.rosetrace` frames under
-/// [`SpillConfig::dir`], so the logical window can exceed memory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpillConfig {
-    /// Directory for the tracer's spill file (one unique file per tracer).
-    pub dir: PathBuf,
-    /// Events kept in the RAM tier; everything older spills to disk.
-    pub mem_capacity: usize,
-}
 
 /// Which events a tracer records — the three columns of the paper's
 /// overhead study (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracerMode {
     /// The production Rose tracer: system-call **failures** only, plus AF,
     /// ND, and PS events.
@@ -38,7 +23,7 @@ pub enum TracerMode {
 /// Calibrated so that relative overheads land in the paper's regime
 /// (Rose ≈ 2.6 %, Full ≈ 3.9 %, IO content ≈ 4.9 % on a CPU-bound
 /// key-value workload); see `EXPERIMENTS.md`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// `sys_exit` tracepoint entry + return-value filter, paid on **every**
     /// system call while any syscall probe is loaded.
@@ -58,12 +43,7 @@ pub struct CostModel {
     /// Fixed cost of any dump, regardless of how many events it carries
     /// (spawning the userspace dumper, walking the fd → path map). Ensures
     /// `processing_us` is populated even for an empty window.
-    #[serde(default = "default_process_dump_base")]
     pub process_dump_base: SimDuration,
-}
-
-fn default_process_dump_base() -> SimDuration {
-    SimDuration::from_micros(50)
 }
 
 impl Default for CostModel {
@@ -75,33 +55,23 @@ impl Default for CostModel {
             xdp_packet: SimDuration::from_nanos(30),
             copy_per_byte: SimDuration::from_nanos(14),
             process_per_event: SimDuration::from_micros(12),
-            process_dump_base: default_process_dump_base(),
+            process_dump_base: SimDuration::from_micros(50),
         }
     }
 }
 
 /// Tracer configuration (paper defaults throughout).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TracerConfig {
     /// What to record.
     pub mode: TracerMode,
     /// Sliding-window capacity (paper: 1 million events).
     pub window_capacity: usize,
-    /// Network-silence threshold for ND events (paper: 5 s).
-    pub nd_threshold: SimDuration,
-    /// Waiting-state threshold for PS events (paper: 3 s).
-    pub ps_wait_threshold: SimDuration,
     /// Monitored (infrequent) application functions from the profiling
     /// phase: name → trace id. Uprobes are attached only to these.
     pub monitored_functions: BTreeMap<String, FunctionId>,
     /// Probe costs.
     pub costs: CostModel,
-    /// Max bytes of I/O payload captured per event in IO-content mode.
-    pub content_cap: usize,
-    /// Optional disk spill for the window (`None` keeps everything in RAM,
-    /// the paper's configuration).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub spill: Option<SpillConfig>,
 }
 
 impl TracerConfig {
@@ -115,12 +85,8 @@ impl TracerConfig {
         TracerConfig {
             mode: TracerMode::Rose,
             window_capacity: DEFAULT_WINDOW_CAPACITY,
-            nd_threshold: SimDuration::from_secs(5),
-            ps_wait_threshold: SimDuration::from_secs(3),
             monitored_functions,
             costs: CostModel::default(),
-            content_cap: 128,
-            spill: None,
         }
     }
 
@@ -144,16 +110,6 @@ impl TracerConfig {
         self
     }
 
-    /// Tiers the window to disk: keep `mem_capacity` events in RAM and
-    /// spill the rest of the window into `.rosetrace` frames under `dir`.
-    pub fn with_spill(mut self, dir: impl Into<PathBuf>, mem_capacity: usize) -> Self {
-        self.spill = Some(SpillConfig {
-            dir: dir.into(),
-            mem_capacity,
-        });
-        self
-    }
-
     /// Looks up a monitored function's id.
     pub fn function_id(&self, name: &str) -> Option<FunctionId> {
         self.monitored_functions.get(name).copied()
@@ -172,22 +128,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rose_defaults_match_paper() {
+    fn monitored_functions_get_dense_ids() {
         let c = TracerConfig::rose(["snap".to_string(), "elect".to_string()]);
-        assert_eq!(c.window_capacity, 1_000_000);
-        assert_eq!(c.nd_threshold, SimDuration::from_secs(5));
-        assert_eq!(c.ps_wait_threshold, SimDuration::from_secs(3));
-        assert_eq!(c.mode, TracerMode::Rose);
         assert_eq!(c.function_id("snap"), Some(FunctionId(0)));
         assert_eq!(c.function_name(FunctionId(1)), Some("elect"));
         assert_eq!(c.function_id("missing"), None);
-    }
-
-    #[test]
-    fn baselines_differ_only_in_mode() {
-        assert_eq!(TracerConfig::full().mode, TracerMode::Full);
-        let io = TracerConfig::io_content(std::iter::empty());
-        assert_eq!(io.mode, TracerMode::IoContent);
-        assert_eq!(io.content_cap, 128);
     }
 }

@@ -1,7 +1,6 @@
 //! The tracer: a [`KernelHook`] that records SCF/AF/ND/PS events into a
 //! sliding window and dumps them on demand.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use rose_events::{
@@ -12,13 +11,21 @@ use rose_obs::Obs;
 use rose_sim::{
     ChainId, HookEffects, HookEnv, KernelHook, ProcEvent, ProcTable, RunState, SyscallArgs,
 };
-use rose_store::{unique_spill_path, SpillingWindow};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{TracerConfig, TracerMode};
 
+/// Network-silence threshold for ND events (paper §4.4: 5 s).
+pub const ND_THRESHOLD: SimDuration = SimDuration::from_secs(5);
+
+/// Waiting-state threshold for PS events (paper §4.4: 3 s).
+pub const PS_WAIT_THRESHOLD: SimDuration = SimDuration::from_secs(3);
+
+/// Max bytes of I/O payload captured per event in IO-content mode (the
+/// paper's `IO content` baseline: 128).
+pub const CONTENT_CAP: usize = 128;
+
 /// Counters reported by a tracer (paper Table 2 columns).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TracerReport {
     /// Events that matched the tracer's criteria (`Events` column).
     pub events_matched: u64,
@@ -29,15 +36,6 @@ pub struct TracerReport {
     pub peak_bytes: usize,
     /// Simulated time to post-process the last dump (`Time` column), µs.
     pub processing_us: u64,
-    /// Size of the last dump handed to [`Tracer::account_dump`] in the JSON
-    /// dump format, bytes (0 if none was). The historic Table 2 "memory"
-    /// story measured this serialization; it is reported next to the binary
-    /// size so the two are comparable.
-    #[serde(default)]
-    pub dump_json_bytes: u64,
-    /// Size of that dump in the `.rosetrace` binary codec, bytes.
-    #[serde(default)]
-    pub dump_store_bytes: u64,
 }
 
 impl TracerReport {
@@ -47,58 +45,6 @@ impl TracerReport {
         obs.gauge_set("tracer.events_saved", self.events_saved as f64);
         obs.gauge_set("tracer.peak_bytes", self.peak_bytes as f64);
         obs.observe("tracer.processing_us", self.processing_us);
-        if self.dump_store_bytes > 0 {
-            obs.gauge_set("tracer.dump_json_bytes", self.dump_json_bytes as f64);
-            obs.gauge_set("tracer.dump_store_bytes", self.dump_store_bytes as f64);
-        }
-    }
-}
-
-/// The window storage behind a tracer: all-RAM (the paper's configuration)
-/// or two-tier with the older events spilled to `.rosetrace` frames.
-#[derive(Debug)]
-enum WindowTier {
-    Mem(SlidingWindow),
-    Spill(SpillingWindow),
-}
-
-impl WindowTier {
-    fn push(&mut self, event: Event) {
-        match self {
-            WindowTier::Mem(w) => w.push(event),
-            // The tracer hook interface cannot propagate errors; a spill
-            // write failing (disk full, file deleted underneath) is fatal
-            // to the capture, like the real tracer losing its dump target.
-            WindowTier::Spill(w) => w.push(event).expect("spill tier write failed"),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            WindowTier::Mem(w) => w.len(),
-            WindowTier::Spill(w) => w.len(),
-        }
-    }
-
-    fn peak_bytes(&self) -> usize {
-        match self {
-            WindowTier::Mem(w) => w.peak_bytes(),
-            WindowTier::Spill(w) => w.peak_bytes(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            WindowTier::Mem(w) => w.clear(),
-            WindowTier::Spill(w) => w.clear().expect("spill tier clear failed"),
-        }
-    }
-
-    fn dump_events(&mut self) -> Vec<Event> {
-        match self {
-            WindowTier::Mem(w) => w.snapshot(),
-            WindowTier::Spill(w) => w.dump().expect("spill tier read failed"),
-        }
     }
 }
 
@@ -109,7 +55,7 @@ impl WindowTier {
 /// bug oracle fires.
 pub struct Tracer {
     cfg: TracerConfig,
-    window: WindowTier,
+    window: SlidingWindow,
     /// fd → path map maintained from successful `open`/`close`/`dup` exits
     /// (the paper's lightweight mapping; reconstruction normally happens in
     /// post-processing, outside the hot path).
@@ -128,8 +74,6 @@ pub struct Tracer {
     ei_counts: Vec<Vec<[u32; SyscallId::ALL.len()]>>,
     events_matched: u64,
     last_processing_us: u64,
-    last_dump_json_bytes: u64,
-    last_dump_store_bytes: u64,
     /// Causal recorder: when attached, `dump` also emits provenance records
     /// for fault intervals that are still open at dump time (a pause or a
     /// partition in progress when the oracle fires has no end event, but
@@ -142,25 +86,15 @@ pub struct Tracer {
 impl Tracer {
     /// Creates a tracer with the given configuration.
     pub fn new(cfg: TracerConfig) -> Self {
-        let window = match &cfg.spill {
-            Some(spill) => WindowTier::Spill(SpillingWindow::new(
-                unique_spill_path(&spill.dir),
-                spill.mem_capacity.min(cfg.window_capacity),
-                cfg.window_capacity,
-            )),
-            None => WindowTier::Mem(SlidingWindow::with_capacity(cfg.window_capacity)),
-        };
         Tracer {
+            window: SlidingWindow::with_capacity(cfg.window_capacity),
             cfg,
-            window,
             fd_paths: BTreeMap::new(),
             conns: rose_sim::ConnTable::new(),
             ongoing_pauses: BTreeMap::new(),
             ei_counts: Vec::new(),
             events_matched: 0,
             last_processing_us: 0,
-            last_dump_json_bytes: 0,
-            last_dump_store_bytes: 0,
             causal: rose_sim::CausalRecorder::disabled(),
             total_charged: SimDuration::ZERO,
         }
@@ -183,8 +117,6 @@ impl Tracer {
             events_saved: self.window.len(),
             peak_bytes: self.window.peak_bytes(),
             processing_us: self.last_processing_us,
-            dump_json_bytes: self.last_dump_json_bytes,
-            dump_store_bytes: self.last_dump_store_bytes,
         }
     }
 
@@ -205,7 +137,7 @@ impl Tracer {
             .iter()
             .filter_map(|(pid, (node, since))| {
                 let d = now.since(*since);
-                (d >= self.cfg.ps_wait_threshold).then(|| {
+                (d >= PS_WAIT_THRESHOLD).then(|| {
                     Event::new(
                         now,
                         *node,
@@ -220,7 +152,7 @@ impl Tracer {
             .collect();
         if self.causal.is_active() {
             for (node, since) in self.ongoing_pauses.values() {
-                if now.since(*since) >= self.cfg.ps_wait_threshold {
+                if now.since(*since) >= PS_WAIT_THRESHOLD {
                     self.causal.open_pause(*node, *since, now);
                 }
             }
@@ -234,7 +166,7 @@ impl Tracer {
             .iter()
             .filter_map(|((src, dst), entry)| {
                 let gap = now.since(entry.last_seen);
-                (gap >= self.cfg.nd_threshold).then(|| {
+                (gap >= ND_THRESHOLD).then(|| {
                     Event::new(
                         now,
                         dst.node().unwrap_or_default(),
@@ -250,7 +182,7 @@ impl Tracer {
             .collect();
         if self.causal.is_active() {
             for ((src, dst), entry) in self.conns.iter() {
-                if now.since(entry.last_seen) >= self.cfg.nd_threshold {
+                if now.since(entry.last_seen) >= ND_THRESHOLD {
                     self.causal
                         .open_silence(dst.node().unwrap_or_default(), *src, now);
                 }
@@ -260,37 +192,13 @@ impl Tracer {
             self.record(e);
         }
 
-        let events = self.window.dump_events();
+        let events = self.window.snapshot();
         // Every dump pays the fixed post-processing setup (spawning the
         // userspace dumper, walking the fd → path map) plus a per-event
         // cost, so `processing_us` is non-zero even for an empty window.
         self.last_processing_us = self.cfg.costs.process_dump_base.as_micros()
             + events.len() as u64 * self.cfg.costs.process_per_event.as_micros();
         Trace::from_events(events)
-    }
-
-    /// Table 2 accounting: sizes `trace` (a dump of this tracer) in both
-    /// serializations and keeps the two numbers for [`Tracer::report`].
-    /// Serializing a whole dump just to measure it costs far more than the
-    /// dump itself, and testing runs never read the sizes, so it is the
-    /// consumer's call, not part of [`Tracer::dump`]. The sizes are pure
-    /// functions of the trace, so reports stay identical whether or not the
-    /// dump is then persisted anywhere.
-    pub fn account_dump(&mut self, trace: &Trace) {
-        self.last_dump_json_bytes = trace.to_json().len() as u64;
-        self.last_dump_store_bytes = rose_store::encoded_trace_bytes(trace);
-    }
-
-    /// Dumps the window and persists it to `path` as a finished
-    /// `.rosetrace` file, returning the trace and the write totals.
-    pub fn dump_to_store(
-        &mut self,
-        now: SimTime,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(Trace, rose_store::WriteSummary), rose_store::StoreError> {
-        let trace = self.dump(now);
-        let summary = rose_store::save_trace(path, &trace)?;
-        Ok((trace, summary))
     }
 
     /// Clears the window (e.g. between profiling and production phases).
@@ -411,11 +319,11 @@ impl KernelHook for Tracer {
                             .data_prefix
                             .unwrap_or(&[])
                             .iter()
-                            .take(self.cfg.content_cap)
+                            .take(CONTENT_CAP)
                             .copied()
                             .collect(),
                         (SyscallId::Read, Ok(rose_sim::SysRet::Bytes(b))) => {
-                            b.iter().take(self.cfg.content_cap).copied().collect()
+                            b.iter().take(CONTENT_CAP).copied().collect()
                         }
                         _ => Vec::new(),
                     };
@@ -476,7 +384,7 @@ impl KernelHook for Tracer {
     fn packet_in(&mut self, env: &HookEnv, src: IpAddr, dst: IpAddr, _size: usize) -> HookEffects {
         if let Some(prev) = self.conns.record(src, dst, env.now) {
             let gap = env.now.since(prev.last_seen);
-            if gap >= self.cfg.nd_threshold {
+            if gap >= ND_THRESHOLD {
                 let ev = EventKind::Nd {
                     dst,
                     src,
@@ -508,7 +416,7 @@ impl KernelHook for Tracer {
             .collect();
         for (pid, (node, since)) in ended {
             let duration = now.since(since);
-            if duration >= self.cfg.ps_wait_threshold {
+            if duration >= PS_WAIT_THRESHOLD {
                 let ev = EventKind::Ps {
                     pid,
                     state: ProcState::Waiting,
@@ -530,7 +438,7 @@ impl KernelHook for Tracer {
                 // first so the pause is not lost from the window.
                 if let Some((pnode, since)) = self.ongoing_pauses.remove(pid) {
                     let duration = now.since(since);
-                    if duration >= self.cfg.ps_wait_threshold {
+                    if duration >= PS_WAIT_THRESHOLD {
                         let ev = EventKind::Ps {
                             pid: *pid,
                             state: ProcState::Waiting,
@@ -560,13 +468,5 @@ impl KernelHook for Tracer {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

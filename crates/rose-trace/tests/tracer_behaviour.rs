@@ -121,12 +121,6 @@ fn fd_based_failures_resolve_paths_via_fd_map() {
             }
             HookEffects::none()
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     let mut cfg = TracerConfig::rose(["appendLog".to_string()]);

@@ -110,13 +110,6 @@ impl ClientDriver<Msg> for Admin {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// The developer inputs Rose asks for, bundled as a [`TargetSystem`].

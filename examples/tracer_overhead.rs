@@ -79,12 +79,6 @@ mod rose_bench_shim {
             };
             ctx.send(rose::events::NodeId((self.n % 3) as u32), msg);
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// Runs the workload, returning completed ops.
