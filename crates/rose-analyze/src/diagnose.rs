@@ -46,11 +46,6 @@ pub struct DiagnosisConfig {
     /// **bit-identical at every width** — speculation only trades wasted
     /// testing runs for wall-clock time.
     pub speculation: usize,
-    /// Whether SCF sweeps may key on recorded execution indices (Level
-    /// 2.5): when the buggy trace stamped the failing call with its calling
-    /// context, sweep per-context counts under that context instead of
-    /// flat invocation indices. Off by default (the paper's Level 2).
-    pub ei: bool,
     /// A caller-supplied schedule to confirm before the search runs. A
     /// hunting campaign (`rose-hunt`) that discovered the failure by
     /// blind exploration already holds the winning schedule — the best
@@ -73,7 +68,6 @@ impl Default for DiagnosisConfig {
             enable_amplification: true,
             discovery_runs: 1,
             speculation: 1,
-            ei: false,
             seed_schedule: None,
         }
     }
@@ -350,24 +344,22 @@ impl<'a> Diagnoser<'a> {
             };
         }
 
-        // --- Level 2.5 pre-pass (EI mode): before anything else, try the
-        // level-1 guess with every SCF keyed on its *recorded* execution
-        // index — the calling context and per-context count of the failing
-        // call in the buggy trace — instead of the flat first invocation.
-        // A 100% confirmation short-circuits the whole search; otherwise
-        // the flat search runs in full and the EI guess is kept only when
-        // it does at least as well, so EI mode never reports a lower
-        // replay rate than the flat counter would.
+        // --- Level 2.5 pre-pass: when the trace recorded execution
+        // indices, first try the level-1 guess with every SCF keyed on its
+        // *recorded* index — the calling context and per-context count of
+        // the failing call in the buggy trace — instead of the flat first
+        // invocation. A 100% confirmation short-circuits the whole search;
+        // otherwise the flat search runs in full and the EI guess is kept
+        // only when it does at least as well, so a recorded index never
+        // lowers the replay rate the flat counter would report.
         let mut ei_guess = None;
-        if self.cfg.ei {
-            if let Some((sched, rate)) = self.try_ei_level1(h) {
-                let causal = self.last_confirm_causal.take();
-                if rate >= 100.0 {
-                    self.last_confirm_causal = causal;
-                    return self.report(true, Some(sched), rate, 1);
-                }
-                ei_guess = Some((sched, rate, causal));
+        if let Some((sched, rate)) = self.try_ei_level1(h) {
+            let causal = self.last_confirm_causal.take();
+            if rate >= 100.0 {
+                self.last_confirm_causal = causal;
+                return self.report(true, Some(sched), rate, 1);
             }
+            ei_guess = Some((sched, rate, causal));
         }
 
         let flat = self.diagnose_flat(h);
@@ -538,14 +530,12 @@ impl<'a> Diagnoser<'a> {
         let FaultAction::Scf { syscall, path, .. } = &self.extraction.faults[idx].action else {
             return None;
         };
-        if self.cfg.ei && self.extraction.faults[idx].ei.is_some() {
-            if let Some(found) = self.sweep_scf_ei(h, state, idx) {
-                return Some(found);
-            }
-            // EI context unmatched in replays: fall through to the flat
-            // sweep, so EI mode never reproduces less than the flat
-            // counter would.
+        if let Some(found) = self.sweep_scf_ei(h, state, idx) {
+            return Some(found);
         }
+        // No recorded index, or its context went unmatched in replays: the
+        // flat sweep is the fallback, so a recorded index never reproduces
+        // less than the flat counter would.
         let cap = if path.is_some() {
             SCF_SWEEP_CAP
         } else {
@@ -569,7 +559,8 @@ impl<'a> Diagnoser<'a> {
     }
 
     /// Level 2.5: sweep per-context execution-index counts instead of flat
-    /// invocation indices. The trace stamped the failing call with its
+    /// invocation indices; `None`, with nothing charged, for a fault without
+    /// a recorded index. The trace stamped the failing call with its
     /// calling context and per-context count, so the sweep tries the
     /// recorded count first (the exact production index), then lower
     /// counts — the direction replays drift when the failing context is
@@ -1508,11 +1499,11 @@ mod tests {
         let mut profile = Profile::default();
         profile.syscall_counts.insert(SyscallId::Connect, 30);
         let symbols = SymbolTable::new();
-        for (ei, ex) in [(false, scf_extraction()), (true, scf_ei_extraction(6))] {
+        for ex in [scf_extraction(), scf_ei_extraction(6)] {
+            let ei = ex.faults[0].ei.is_some();
             for speculation in [0usize, 1] {
                 for discovery_runs in [1u32, 3] {
                     let cfg = DiagnosisConfig {
-                        ei,
                         speculation,
                         discovery_runs,
                         ..Default::default()
@@ -1687,11 +1678,7 @@ mod tests {
         let profile = Profile::default();
         let symbols = SymbolTable::new();
         let ex = scf_ei_extraction(3);
-        let cfg = DiagnosisConfig {
-            ei: true,
-            ..Default::default()
-        };
-        let mut d = Diagnoser::new(cfg, &profile, &symbols, &ex);
+        let mut d = Diagnoser::new(DiagnosisConfig::default(), &profile, &symbols, &ex);
         let rep = d.diagnose(&mut EiBug);
         assert!(rep.reproduced);
         assert_eq!(rep.level, 1);
@@ -1731,11 +1718,7 @@ mod tests {
         let profile = Profile::default();
         let symbols = SymbolTable::new();
         let ex = scf_ei_extraction(5);
-        let cfg = DiagnosisConfig {
-            ei: true,
-            ..Default::default()
-        };
-        let mut d = Diagnoser::new(cfg, &profile, &symbols, &ex);
+        let mut d = Diagnoser::new(DiagnosisConfig::default(), &profile, &symbols, &ex);
         let rep = d.diagnose(&mut LowCount);
         assert!(rep.reproduced);
         // EI pre-pass at the recorded count (misses) + flat Level 1 + the
@@ -1746,9 +1729,9 @@ mod tests {
     }
 
     #[test]
-    fn ei_flag_off_keeps_flat_sweep_even_with_recorded_index() {
-        // The recorded EI must be inert unless the mode is enabled: the
-        // flat-counter search stays byte-for-byte the paper's Level 2.
+    fn a_stripped_extraction_takes_the_flat_sweep() {
+        // Without its recorded index a fault is searched exactly as the
+        // paper's Level 2 does: flat invocation indices, no EI schedule.
         struct NthConnect;
         impl RunHarness for NthConnect {
             fn run(&mut self, schedule: &FaultSchedule, _seed: u64) -> RunObservation {
@@ -1771,7 +1754,7 @@ mod tests {
         let mut profile = Profile::default();
         profile.syscall_counts.insert(SyscallId::Connect, 30);
         let symbols = SymbolTable::new();
-        let ex = scf_ei_extraction(3);
+        let ex = scf_ei_extraction(3).without_execution_indices();
         let mut d = Diagnoser::new(DiagnosisConfig::default(), &profile, &symbols, &ex);
         let rep = d.diagnose(&mut NthConnect);
         assert!(rep.reproduced);
@@ -1811,7 +1794,6 @@ mod tests {
         let ex = scf_ei_extraction(6);
         let run_with = |speculation: usize, discovery_runs: u32| {
             let cfg = DiagnosisConfig {
-                ei: true,
                 speculation,
                 discovery_runs,
                 ..Default::default()

@@ -30,7 +30,9 @@ pub struct ExtractedFault {
     /// (the `AF` input of Algorithm 1).
     pub preceding: Vec<String>,
     /// The execution index the tracer stamped on the fault's first SCF
-    /// occurrence, when available (Level 2.5 input). Always `None` for
+    /// occurrence, when available. A fault that carries one is searched at
+    /// Level 2.5 (per-context counts under the recorded calling context),
+    /// with the flat invocation sweep as the fallback. Always `None` for
     /// non-SCF faults.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub ei: Option<ExecutionIndex>,
@@ -71,7 +73,7 @@ impl ExtractionStats {
 }
 
 /// Output of the extraction step.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Extraction {
     /// Faults in **chronological** order (the production fault order that
     /// schedules must preserve).
@@ -87,6 +89,16 @@ impl Extraction {
         let mut idx: Vec<usize> = (0..self.faults.len()).collect();
         idx.sort_by_key(|&i| (self.faults[i].class(), self.faults[i].ts));
         idx
+    }
+
+    /// This extraction with every recorded execution index dropped — the
+    /// only way to ask for the paper's flat Level-2 search, which the
+    /// flat-vs-EI ablation and differential tests compare against.
+    pub fn without_execution_indices(mut self) -> Self {
+        for fault in &mut self.faults {
+            fault.ei = None;
+        }
+        self
     }
 }
 

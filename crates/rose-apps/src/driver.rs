@@ -88,8 +88,7 @@ pub struct DriverOptions {
     /// value — purely a wall-clock knob. 0 or missing = sequential.
     pub jobs: usize,
     /// Directory to persist each captured buggy trace into as
-    /// `<bug>.rosetrace` (compact binary codec) next to `<bug>.dump.json`
-    /// (the JSON baseline, for size comparison). When set, diagnosis runs
+    /// `<bug>.rosetrace` (compact binary codec). When set, diagnosis runs
     /// from the reloaded binary trace — exercising the store round trip end
     /// to end — and produces byte-identical reports either way. `None`
     /// disables persistence.
@@ -285,13 +284,12 @@ pub fn capture_and_diagnose<S: TargetSystem>(
     }
 }
 
-/// Persists the captured trace under `opts.trace_dir` — `<label>.rosetrace`
-/// in the binary codec plus `<label>.dump.json` as the JSON baseline — then
-/// diagnoses from the **reloaded** binary trace, exercising the store round
-/// trip end to end. The codec preserves event order exactly, so the report
-/// is byte-identical to an in-memory diagnosis; on any I/O error the driver
-/// warns on stderr and falls back to the in-memory path rather than losing
-/// the campaign.
+/// Persists the captured trace under `opts.trace_dir` as `<label>.rosetrace`
+/// in the binary codec, then diagnoses from the **reloaded** binary trace,
+/// exercising the store round trip end to end. The codec preserves event
+/// order exactly, so the report is byte-identical to an in-memory diagnosis;
+/// on any I/O error the driver warns on stderr and falls back to the
+/// in-memory path rather than losing the campaign.
 fn diagnose_via_store<S: TargetSystem>(
     rose: &Rose<S>,
     profile: &Profile,
@@ -304,7 +302,6 @@ fn diagnose_via_store<S: TargetSystem>(
         std::fs::create_dir_all(dir)?;
         let bin_path = dir.join(format!("{label}.rosetrace"));
         rose.persist_trace(trace, &bin_path)?;
-        trace.save(dir.join(format!("{label}.dump.json")))?;
         rose.reproduce_from_store(profile, &bin_path)
     })();
     persisted.unwrap_or_else(|e| {
@@ -352,6 +349,37 @@ pub fn run_case(id: BugId, rose_cfg: RoseConfig, opts: &DriverOptions) -> CaseOu
         }
     }
     visit_case(id, Workflow { rose_cfg, opts })
+}
+
+/// The flat-vs-EI differential on one registry bug: captures the buggy
+/// trace as [`capture_buggy_trace`] does under `opts`, extracts once, and
+/// searches the extraction twice ([`Rose::reproduce_extracted`]) — first
+/// stripped of its execution indices (the paper's flat Level 2), then as
+/// recorded (Level 2.5). `(flat, ei)`, or `None` when no trace was captured.
+pub fn flat_vs_ei(
+    id: BugId,
+    rose_cfg: RoseConfig,
+    opts: &DriverOptions,
+) -> Option<(DiagnosisReport, DiagnosisReport)> {
+    struct Both<'a> {
+        rose_cfg: RoseConfig,
+        opts: &'a DriverOptions,
+    }
+    impl SystemVisitor for Both<'_> {
+        type Out = Option<(DiagnosisReport, DiagnosisReport)>;
+        fn visit<S: TargetSystem>(self, id: BugId, system: S) -> Self::Out {
+            let rose = Rose::with_config(system, self.rose_cfg);
+            let profile = rose.profile();
+            let (cap, _) = capture_buggy_trace(&rose, &profile, &capture_spec(id), self.opts);
+            let recorded = rose.extract(&profile, &cap?.trace);
+            let flat = recorded.clone().without_execution_indices();
+            Some((
+                rose.reproduce_extracted(&profile, &flat),
+                rose.reproduce_extracted(&profile, &recorded),
+            ))
+        }
+    }
+    visit_case(id, Both { rose_cfg, opts })
 }
 
 /// A registry-coverage probe of one case: the static metadata a

@@ -4,14 +4,36 @@
 //!
 //! Run with `--release`; these execute hundreds of simulated cluster runs.
 
-use rose_apps::driver::{run_case, DriverOptions};
+use rose_apps::driver::{flat_vs_ei, run_case, DriverOptions};
 use rose_apps::registry::BugId;
 use rose_core::RoseConfig;
 
 fn drive(id: BugId) -> rose_analyze::DiagnosisReport {
     let out = run_case(id, RoseConfig::default(), &DriverOptions::default());
     assert!(out.captured, "{id}: no buggy trace captured");
-    let rep = out.report.expect("diagnosis ran");
+    reproduced(id, out.report.expect("diagnosis ran"))
+}
+
+/// A sweep bug: searched flat (its extraction stripped of execution
+/// indices) the first invocation is the wrong one and the Level-2 nth sweep
+/// has to find the right one; the recorded index pins it at the first guess.
+fn drive_sweep_bug(id: BugId, fault: &str) {
+    let (flat, ei) = flat_vs_ei(id, RoseConfig::default(), &DriverOptions::default())
+        .unwrap_or_else(|| panic!("{id}: no buggy trace captured"));
+    let (flat, ei) = (reproduced(id, flat), reproduced(id, ei));
+    for rep in [&flat, &ei] {
+        assert!(
+            rep.faults_injected.contains(fault),
+            "{}",
+            rep.faults_injected
+        );
+    }
+    assert!(flat.schedules_generated > 1, "{id}: expected an nth sweep");
+    assert_eq!(flat.level, 2);
+    assert_eq!((ei.schedules_generated, ei.level), (1, 1), "{id}");
+}
+
+fn reproduced(id: BugId, rep: rose_analyze::DiagnosisReport) -> rose_analyze::DiagnosisReport {
     assert!(
         rep.reproduced,
         "{id}: not reproduced (rate {:.0}%, {} schedules, {} runs)",
@@ -71,16 +93,9 @@ fn zookeeper_3157_session_teardown_reproduces() {
 
 #[test]
 fn zookeeper_4203_needs_the_invocation_sweep() {
-    let rep = drive(BugId::Zookeeper4203);
-    assert!(
-        rep.faults_injected.contains("SCF(accept)"),
-        "{}",
-        rep.faults_injected
-    );
     // The first accept is a session accept; the election accept is found by
     // the Level 2 sweep.
-    assert!(rep.schedules_generated > 1, "expected an nth sweep");
-    assert_eq!(rep.level, 2);
+    drive_sweep_bug(BugId::Zookeeper4203, "SCF(accept)");
 }
 
 #[test]
@@ -99,32 +114,14 @@ fn hdfs_4233_no_journals_reproduces() {
 
 #[test]
 fn hdfs_12070_recovery_fstat_needs_the_sweep() {
-    let rep = drive(BugId::Hdfs12070);
-    assert!(
-        rep.faults_injected.contains("SCF(fstat)"),
-        "{}",
-        rep.faults_injected
-    );
-    assert!(
-        rep.schedules_generated > 1,
-        "block-report fstats precede the recovery one"
-    );
-    assert_eq!(rep.level, 2);
+    // Block-report fstats precede the recovery one.
+    drive_sweep_bug(BugId::Hdfs12070, "SCF(fstat)");
 }
 
 #[test]
 fn hdfs_15032_balancer_connect_needs_the_sweep() {
-    let rep = drive(BugId::Hdfs15032);
-    assert!(
-        rep.faults_injected.contains("SCF(connect)"),
-        "{}",
-        rep.faults_injected
-    );
-    assert!(
-        rep.schedules_generated > 1,
-        "cold-round connects are handled"
-    );
-    assert_eq!(rep.level, 2);
+    // Cold-round connects are handled; the warm-round one is not.
+    drive_sweep_bug(BugId::Hdfs15032, "SCF(connect)");
 }
 
 #[test]

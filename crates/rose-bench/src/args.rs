@@ -12,8 +12,8 @@
 //! silent default. Errors are recorded and reported by the finishing call,
 //! which prints the message and the binary's usage to stderr and exits with
 //! status 2 — so a binary must finish parsing before it has side effects.
-//! `ROSE_*` environment variables stand in for absent flags; unset or empty
-//! means absent, set but unparsable is an error like the flag would be.
+//! `ROSE_*` environment variables stand in for absent value flags; unset or
+//! empty means absent, set but unparsable is an error like the flag would be.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -51,16 +51,13 @@ impl Args {
         (self.env)(var?).filter(|v| !v.is_empty())
     }
 
-    /// Takes the boolean flag `name`; absent, `env_var` set to anything but
-    /// `0` turns it on.
-    pub fn flag(&mut self, name: &str, env_var: Option<&str>) -> bool {
-        match self.rest.iter().position(|a| a == name) {
-            Some(i) => {
-                self.rest.remove(i);
-                true
-            }
-            None => self.env_value(env_var).is_some_and(|v| v != "0"),
+    /// Takes the boolean flag `name`.
+    pub fn flag(&mut self, name: &str) -> bool {
+        let at = self.rest.iter().position(|a| a == name);
+        if let Some(i) = at {
+            self.rest.remove(i);
         }
+        at.is_some()
     }
 
     /// Takes the value of `--name <value>` / `--name=<value>`, falling back
@@ -102,12 +99,6 @@ impl Args {
             .map_or(1, |n| n.max(1))
     }
 
-    /// `--ei` / `ROSE_EI`: Level-2.5 execution-index SCF sweeps
-    /// (`DiagnosisConfig::ei`).
-    pub fn ei(&mut self) -> bool {
-        self.flag("--ei", Some("ROSE_EI"))
-    }
-
     /// `--report <path>` / `ROSE_REPORT`: where the campaign's JSONL phase
     /// records are appended (see [`crate::ReportSink::open`]).
     pub fn report(&mut self) -> Option<PathBuf> {
@@ -115,8 +106,7 @@ impl Args {
     }
 
     /// `--trace-dir <dir>` / `ROSE_TRACE_DIR`: persist captured traces as
-    /// `<stem>.rosetrace` + `<stem>.dump.json` and diagnose from the
-    /// reloaded binary trace.
+    /// `<stem>.rosetrace` and diagnose from the reloaded binary trace.
     pub fn trace_dir(&mut self) -> Option<PathBuf> {
         self.value("--trace-dir", Some("ROSE_TRACE_DIR"))
     }
@@ -216,7 +206,7 @@ mod tests {
         for (flag, take) in takes {
             let mut a = args(&["--quick", flag, "x"]);
             assert_eq!(take(&mut a), Some(PathBuf::from("x")));
-            assert!(a.flag("--quick", None));
+            assert!(a.flag("--quick"));
             assert_eq!(a.check(), Ok(Vec::new()));
             assert_eq!(
                 take(&mut args(&[&format!("{flag}=y")])),
@@ -234,22 +224,15 @@ mod tests {
     }
 
     #[test]
-    fn ei_flag_falls_back_to_env() {
+    fn boolean_flags_come_from_the_command_line_only() {
         fn on(_: &str) -> Option<String> {
             Some("1".into())
         }
-        fn zero(_: &str) -> Option<String> {
-            Some("0".into())
-        }
-        fn empty(_: &str) -> Option<String> {
-            Some(String::new())
-        }
-        assert!(args(&["--quick", "--ei"]).ei());
-        assert!(!args(&["--quick"]).ei());
-        assert!(with_env(&["--quick"], on).ei());
-        assert!(!with_env(&["--quick"], zero).ei());
-        assert!(!with_env(&["--quick"], empty).ei());
-        assert!(!with_env(&[], on).flag("--quick", None));
+        let mut a = args(&["--jobs", "2", "--quick"]);
+        assert!(a.flag("--quick"));
+        assert!(!a.flag("--quick"), "taken once");
+        assert!(!args(&["--jobs", "2"]).flag("--quick"));
+        assert!(!with_env(&[], on).flag("--quick"));
     }
 
     #[test]
@@ -264,11 +247,11 @@ mod tests {
         assert_eq!(args(&["--jobs", "0"]).jobs(), 1);
     }
 
-    /// `jobs` + `--out` + positionals, as `hunt`/`ei`/`redundancy` parse.
+    /// `jobs` + `--out` + positionals, as `hunt`/`redundancy` parse.
     fn names(v: &[&str]) -> Result<Vec<String>, String> {
         let mut a = args(v);
         a.jobs();
-        a.flag("--quick", None);
+        a.flag("--quick");
         a.value::<PathBuf>("--out", None);
         a.check()
     }

@@ -8,22 +8,26 @@
 //!    benign-fault profile.
 //! 4. **Discovery retries** (§8 "False negatives"): a synthetic flaky bug
 //!    diagnosed with 1 vs 3 discovery runs per schedule.
+//! 5. **Execution indices** (Level 2.5): three SCF bugs diagnosed from the
+//!    same extraction with and without its recorded execution indices —
+//!    the paper's flat Level-2 invocation sweep against the default search.
 //!
 //! Usage: `cargo run -p rose-bench --release --bin ablations [-- --jobs N] [-- --report out.jsonl] [-- --trace-dir traces/] [-- --causal causal/]`
 //! (`--jobs N` / `ROSE_JOBS` runs independent measurements — the two
-//! amplification campaigns, the replay batches — across `N` workers with
-//! bit-identical results; `--report <path>` / `ROSE_REPORT` appends the JSONL
-//! phase records of the workflow-backed ablations to `<path>`;
-//! `--trace-dir <dir>` / `ROSE_TRACE_DIR` persists the captured traces of
-//! the workflow-backed ablations as `ablation-*.rosetrace` + `.dump.json`
-//! and diagnoses from the reloaded binaries; `--causal <dir>` /
-//! `ROSE_CAUSAL` records causal provenance and writes each workflow-backed
-//! ablation's propagation chains as `ablation-*.flow.json` + `.dot`).
+//! amplification campaigns, the replay batches, the three flat-vs-EI bugs
+//! — across `N` workers with bit-identical results; `--report <path>` /
+//! `ROSE_REPORT` appends the JSONL phase records of the workflow-backed
+//! ablations to `<path>`; `--trace-dir <dir>` / `ROSE_TRACE_DIR` persists
+//! the captured traces of the workflow-backed ablations as
+//! `ablation-*.rosetrace` and diagnoses from the reloaded binaries;
+//! `--causal <dir>` / `ROSE_CAUSAL` records causal provenance and writes
+//! each workflow-backed ablation's propagation chains as
+//! `ablation-*.flow.json` + `.dot`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 
 use rose_analyze::{Diagnoser, DiagnosisConfig, RunHarness, RunObservation};
-use rose_apps::driver::{capture_and_diagnose, capture_buggy_trace, DriverOptions};
+use rose_apps::driver::{capture_and_diagnose, capture_buggy_trace, flat_vs_ei, DriverOptions};
 use rose_apps::redisraft::{redisraft_capture, RedisRaftBug, RedisRaftCase};
 use rose_apps::registry::BugId;
 use rose_apps::zookeeper::{zookeeper_capture, ZkBug, ZkCase};
@@ -48,6 +52,7 @@ fn main() {
     ablate_amplification(&sink, jobs, trace_dir, causal_dir);
     ablate_trace_diff(&sink);
     ablate_discovery_runs();
+    ablate_execution_indices(jobs);
     sink.announce();
 }
 
@@ -287,6 +292,35 @@ fn ablate_discovery_runs() {
             "   {label}: reproduced in {}/10 trials (avg {} runs each)",
             tallies.0,
             tallies.1 / 10
+        ));
+    }
+}
+
+/// Ablation 5 — execution indices: the same extraction searched flat (the
+/// paper's Level 2: the nth invocation of the failing call, whatever its
+/// caller) and with its recorded indices (Level 2.5: the calling context
+/// and per-context count). HDFS-12070 and Zookeeper-4203 are where the
+/// recorded context replaces a sweep; Zookeeper-2247 is the one known cost,
+/// a sub-100 % EI guess that is kept but pays for the flat search too.
+fn ablate_execution_indices(jobs: usize) {
+    report::out("\n== ablation 5: flat invocation sweep vs recorded execution index");
+    let bugs = vec![BugId::Hdfs12070, BugId::Zookeeper4203, BugId::Zookeeper2247];
+    let outcomes = ordered_map(jobs, bugs, |id| {
+        let both = flat_vs_ei(id, RoseConfig::default(), &DriverOptions::default());
+        (id, both.expect("capture"))
+    });
+    let cell = |rep: &rose_analyze::DiagnosisReport| {
+        format!(
+            "{:.0}% at L{} ({} schedules, {} runs)",
+            rep.replay_rate, rep.level, rep.schedules_generated, rep.runs
+        )
+    };
+    for (id, (flat, ei)) in outcomes {
+        report::out(format!(
+            "   {:<15} flat {} → EI {}",
+            id.info().name,
+            cell(&flat),
+            cell(&ei)
         ));
     }
 }

@@ -10,8 +10,8 @@
 //! bit-identical results; `--report <path>` / `ROSE_REPORT` appends the
 //! campaign's JSONL phase records to `<path>`; `--trace-dir <dir>` /
 //! `ROSE_TRACE_DIR` persists the captured trace as
-//! `motivation-redisraft-43.rosetrace` + `.dump.json` and diagnoses from
-//! the reloaded binary; `--causal <dir>` / `ROSE_CAUSAL` records causal
+//! `motivation-redisraft-43.rosetrace` and diagnoses from the reloaded
+//! binary; `--causal <dir>` / `ROSE_CAUSAL` records causal
 //! provenance and writes the winning schedule's propagation chains as
 //! `motivation-redisraft-43.flow.json` + `.dot`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad

@@ -4,19 +4,16 @@
 //! removed by the trace diff — plus the §6.5 discussion summary (bugs per
 //! diagnosis level).
 //!
-//! Usage: `cargo run -p rose-bench --release --bin table1 [-- --quick] [-- --ei] [-- --jobs N] [-- --report out.jsonl] [-- --trace-dir traces/] [-- --causal causal/]`
-//! (`--quick` runs the five RedisRaft rows only; `--ei` — or the `ROSE_EI`
-//! environment variable — enables Level-2.5 execution-index SCF sweeps,
-//! keying injections on the failing call's recorded calling context instead
-//! of its flat invocation index; `--jobs N` — or the
+//! Usage: `cargo run -p rose-bench --release --bin table1 [-- --quick] [-- --jobs N] [-- --report out.jsonl] [-- --trace-dir traces/] [-- --causal causal/]`
+//! (`--quick` runs the five RedisRaft rows only; `--jobs N` — or the
 //! `ROSE_JOBS` environment variable — runs up to `N` bug campaigns
 //! concurrently with bit-identical output; `--report <path>` — or the
 //! `ROSE_REPORT` environment variable — appends one JSONL phase record per
 //! workflow phase plus a campaign summary per bug to `<path>`;
 //! `--trace-dir <dir>` — or `ROSE_TRACE_DIR` — persists each captured trace
-//! as `<bug>.rosetrace` + `<bug>.dump.json` and diagnoses from the reloaded
-//! binary, with byte-identical output; `--causal <dir>` — or `ROSE_CAUSAL`
-//! — records causal provenance during testing runs and writes each bug's
+//! as `<bug>.rosetrace` and diagnoses from the reloaded binary, with
+//! byte-identical output; `--causal <dir>` — or `ROSE_CAUSAL` — records
+//! causal provenance during testing runs and writes each bug's
 //! fault-propagation chains as `<bug>.flow.json` + `<bug>.dot`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
@@ -28,14 +25,13 @@ use rose_bench::report::{self, ReportSink};
 use rose_bench::table::render;
 use rose_core::{ordered_map, RoseConfig};
 
-const USAGE: &str = "usage: table1 [--quick] [--ei] [--jobs N] [--report PATH] \
-                     [--trace-dir DIR] [--causal DIR]";
+const USAGE: &str =
+    "usage: table1 [--quick] [--jobs N] [--report PATH] [--trace-dir DIR] [--causal DIR]";
 
 fn main() {
     let mut args = Args::from_env();
-    let quick = args.flag("--quick", None);
+    let quick = args.flag("--quick");
     let jobs = args.jobs();
-    let ei = args.ei();
     let report_path = args.report();
     let trace_dir = args.trace_dir();
     let causal_dir = args.causal_dir();
@@ -61,9 +57,7 @@ fn main() {
             causal_dir: causal_dir.clone(),
             ..DriverOptions::default()
         };
-        let mut cfg = RoseConfig::default();
-        cfg.diagnosis.ei = ei;
-        let out = run_case(id, cfg, &opts);
+        let out = run_case(id, RoseConfig::default(), &opts);
         (id, out, t0.elapsed().as_secs_f64())
     });
 

@@ -12,11 +12,11 @@
 //! three tracer modes — concurrently; `--report <path>` / `ROSE_REPORT`
 //! appends one JSONL tracing record per tracer mode; `--trace-dir <dir>` /
 //! `ROSE_TRACE_DIR` persists each mode's dump as
-//! `table2-<mode>.rosetrace` + `table2-<mode>.dump.json`; `--causal <dir>`
-//! / `ROSE_CAUSAL` attaches an active causal provenance recorder to each
-//! traced run so the overhead column prices provenance recording too —
-//! taint-gated recording stays empty on these fault-free runs, which is
-//! the lightweight-instrumentation claim being measured).
+//! `table2-<mode>.rosetrace`; `--causal <dir>` / `ROSE_CAUSAL` attaches an
+//! active causal provenance recorder to each traced run so the overhead
+//! column prices provenance recording too — taint-gated recording stays
+//! empty on these fault-free runs, which is the lightweight-instrumentation
+//! claim being measured).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 

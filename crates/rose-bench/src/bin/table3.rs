@@ -11,8 +11,7 @@
 //! bug: all function entries as `candidates`, heuristic-kept entries as
 //! `kept`; `--trace-dir <dir>` / `ROSE_TRACE_DIR` additionally attaches a
 //! Rose-mode tracer to each run and persists its dump as
-//! `table3-<bug>.rosetrace` + `table3-<bug>.dump.json`; `--causal <dir>` /
-//! `ROSE_CAUSAL` records causal provenance during each trigger run and
+//! `table3-<bug>.rosetrace`; `--causal <dir>` / `ROSE_CAUSAL` records causal provenance during each trigger run and
 //! writes the injected faults' chains as `table3-<bug>.flow.json` +
 //! `.dot` — these runs have no oracle, so chains are injection-rooted).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad

@@ -56,14 +56,12 @@ pub fn write_summary(path: &str, what: &str, summary: &impl serde::Serialize) {
 }
 
 /// Persists a dumped trace under `dir` as `<stem>.rosetrace` (compact
-/// binary codec) next to `<stem>.dump.json` (the JSON baseline, so the two
-/// sizes can be compared on disk). Persistence failures warn on stderr
-/// rather than aborting the bench run.
+/// binary codec). Persistence failures warn on stderr rather than aborting
+/// the bench run.
 pub fn persist_trace_files(dir: &Path, stem: &str, trace: &rose_events::Trace) {
     let write = || -> Result<(), rose_store::StoreError> {
         std::fs::create_dir_all(dir)?;
         rose_store::save_trace(dir.join(format!("{stem}.rosetrace")), trace)?;
-        trace.save(dir.join(format!("{stem}.dump.json")))?;
         Ok(())
     };
     if let Err(e) = write() {

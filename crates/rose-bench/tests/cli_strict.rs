@@ -3,14 +3,13 @@
 
 use std::process::Command;
 
-const BINS: [(&str, &str); 8] = [
+const BINS: [(&str, &str); 7] = [
     ("table1", env!("CARGO_BIN_EXE_table1")),
     ("table2", env!("CARGO_BIN_EXE_table2")),
     ("table3", env!("CARGO_BIN_EXE_table3")),
     ("motivation", env!("CARGO_BIN_EXE_motivation")),
     ("ablations", env!("CARGO_BIN_EXE_ablations")),
     ("redundancy", env!("CARGO_BIN_EXE_redundancy")),
-    ("ei", env!("CARGO_BIN_EXE_ei")),
     ("hunt", env!("CARGO_BIN_EXE_hunt")),
 ];
 
@@ -18,13 +17,7 @@ fn assert_rejected(name: &str, args: &[&str], env: &[(&str, &str)]) {
     let exe = BINS.iter().find(|(n, _)| *n == name).expect("known bin").1;
     let mut cmd = Command::new(exe);
     cmd.args(args);
-    for var in [
-        "ROSE_JOBS",
-        "ROSE_REPORT",
-        "ROSE_TRACE_DIR",
-        "ROSE_CAUSAL",
-        "ROSE_EI",
-    ] {
+    for var in ["ROSE_JOBS", "ROSE_REPORT", "ROSE_TRACE_DIR", "ROSE_CAUSAL"] {
         cmd.env_remove(var);
     }
     cmd.envs(env.iter().copied());
@@ -43,10 +36,11 @@ fn unknown_flags_exit_2_with_usage() {
     for (name, _) in BINS {
         assert_rejected(name, &["--no-such-flag"], &[]);
     }
+    // Level 2.5 is the search, not a mode: the flag that selected it is gone.
+    assert_rejected("table1", &["--ei"], &[]);
     // Flags other bins take are unknown to a bin that does not.
-    assert_rejected("table2", &["--ei"], &[]);
     assert_rejected("table3", &["--quick"], &[]);
-    assert_rejected("ei", &["--causal", "dir"], &[]);
+    assert_rejected("hunt", &["--causal", "dir"], &[]);
     assert_rejected("table1", &["RedisRaft-42"], &[]);
 }
 
@@ -64,7 +58,7 @@ fn missing_and_unparsable_values_exit_2_with_usage() {
 
 #[test]
 fn unknown_bug_names_exit_2_with_the_roster() {
-    for name in ["hunt", "ei", "redundancy"] {
+    for name in ["hunt", "redundancy"] {
         assert_rejected(name, &["--jobs=4", "NoSuchBug-1"], &[]);
     }
 }

@@ -135,7 +135,8 @@ impl Trace {
         self.events.last().map(|e| e.ts)
     }
 
-    /// Serializes the trace to JSON (the on-disk dump format).
+    /// Serializes the trace to JSON (the size baseline the binary codec is
+    /// measured against).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("trace serialization cannot fail")
     }
@@ -143,17 +144,6 @@ impl Trace {
     /// Parses a trace from its JSON dump.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
-    }
-
-    /// Writes the trace dump to a file (the tracer's `dump` target).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Reads a trace dump back from a file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let s = std::fs::read_to_string(path)?;
-        Self::from_json(&s).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Per-type event counts `(scf, af, nd, ps, ok)` for reporting.
@@ -334,37 +324,9 @@ mod tests {
         let back = Trace::from_json(&t.to_json()).unwrap();
         assert_eq!(t, back);
     }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use crate::event::EventKind;
-    use crate::ids::{FunctionId, Pid};
 
     #[test]
-    fn save_load_round_trips_through_disk() {
-        let t = Trace::from_events(vec![Event::new(
-            SimTime::from_secs(1),
-            NodeId(0),
-            EventKind::Af {
-                pid: Pid(1),
-                function: FunctionId(2),
-            },
-        )]);
-        let path = std::env::temp_dir().join("rose-trace-roundtrip.json");
-        t.save(&path).unwrap();
-        let back = Trace::load(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let path = std::env::temp_dir().join("rose-trace-garbage.json");
-        std::fs::write(&path, b"not json").unwrap();
-        let err = Trace::load(&path).unwrap_err();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    fn from_json_rejects_garbage() {
+        assert!(Trace::from_json("not json").is_err());
     }
 }

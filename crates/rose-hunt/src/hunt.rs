@@ -418,7 +418,6 @@ pub fn hunt<S: TargetSystem>(
             ..RoseConfig::default()
         };
         hand_cfg.diagnosis.speculation = cfg.jobs;
-        hand_cfg.diagnosis.ei = true;
         hand_cfg.diagnosis.seed_schedule = Some(schedule.clone());
         let report = Rose::with_config(system.clone(), hand_cfg).reproduce(&profile, &trace);
         Discovery {

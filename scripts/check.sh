@@ -18,16 +18,20 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue; rose-trace does not link rose-store"
-if grep -rn "fn as_any" crates examples tests src || cargo tree -p rose-trace | grep rose-store; then
-    echo "FAIL: as_any impls are gone (trait upcasting); the tracer stays free of the store"
+echo "== no downcast glue, EI switch or JSON trace twin; rose-trace does not link rose-store"
+# Not the literal `--ei`: the negative CLI cases name it.
+if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
+    crates examples tests src README.md DESIGN.md \
+    || cargo tree -p rose-trace | grep rose-store; then
+    echo "FAIL: as_any impls are gone (trait upcasting), Level 2.5 is the only search," \
+        ".rosetrace the only trace file; the tracer stays free of the store"
     exit 1
 fi
 
 echo "== cargo bench --no-run"
 cargo bench --workspace --no-run -q
 
-echo "== table1 --quick determinism + trace-store + causal smoke (jobs=1 vs jobs=4)"
+echo "== table1 --quick determinism (Level 2.5) + trace-store + causal smoke (jobs=1 vs jobs=4)"
 cargo build -p rose-bench --release -q
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -50,7 +54,7 @@ diff -u "$smoke_dir/report-j1.jsonl" "$smoke_dir/report-j4.jsonl"
 diff -r "$smoke_dir/causal-j1" "$smoke_dir/causal-j4"
 
 echo "== strict CLI: bad flags exit 2 with usage on stderr, nothing on stdout"
-for bad in "table1 --no-such-flag" "table2 --secs abc"; do
+for bad in "table1 --no-such-flag" "table1 --ei" "table2 --secs abc"; do
     read -r bin flags <<< "$bad"
     status=0
     # shellcheck disable=SC2086
@@ -70,18 +74,6 @@ if ((flow_count == 0 || dot_count != flow_count)); then
     exit 1
 fi
 echo "   $flow_count propagation-chain exports checked"
-
-echo "== execution-index determinism (--ei campaign, jobs=1 vs jobs=4)"
-# The Level-2.5 EI campaign over the quick roster must stay bit-identical
-# at any width: stdout tables and the JSONL report byte for byte.
-for jobs in 1 4; do
-    ./target/release/table1 --quick --ei --jobs "$jobs" \
-        --report "$smoke_dir/ei-report-j$jobs.jsonl" \
-        > "$smoke_dir/ei-stdout-j$jobs.txt" 2> /dev/null
-done
-diff -u "$smoke_dir/ei-stdout-j1.txt" "$smoke_dir/ei-stdout-j4.txt"
-diff -u "$smoke_dir/ei-report-j1.jsonl" "$smoke_dir/ei-report-j4.jsonl"
-echo "   EI campaign bit-identical across widths"
 
 echo "== EI replay regressions (release)"
 cargo test -p rose-apps --release -q --test ei_replay
@@ -137,22 +129,23 @@ grep -q '"confirmed":true' "$smoke_dir/hunt-j1.json" || {
 }
 echo "   hunt campaign bit-identical across widths, discovery confirmed"
 
-echo "== binary traces are >= 8x smaller than their JSON dumps"
+echo "== --trace-dir writes one .rosetrace per bug, >= 8x smaller than the JSON form"
+# Both sizes come from the tracing records of the smoke's JSONL report.
 found=0
-for bin in "$smoke_dir"/traces/*.rosetrace; do
-    json="${bin%.rosetrace}.dump.json"
-    bin_size=$(stat -c%s "$bin")
-    json_size=$(stat -c%s "$json")
+while read -r json_size bin_size; do
     if ((bin_size * 8 > json_size)); then
-        echo "FAIL: $(basename "$bin") is $bin_size B vs $json_size B JSON (< 8x)"
+        echo "FAIL: a dump is $bin_size B in the store vs $json_size B as JSON (< 8x)"
         exit 1
     fi
     found=$((found + 1))
-done
-if ((found == 0)); then
-    echo "FAIL: table1 --trace-dir wrote no .rosetrace files"
+done < <(sed -n 's/.*"phase":"tracing".*"dump_json_bytes":\([0-9]*\),"dump_store_bytes":\([0-9]*\).*/\1 \2/p' \
+    "$smoke_dir/report-j4.jsonl")
+files=$(ls "$smoke_dir/traces" | wc -l)
+traces=$(ls "$smoke_dir"/traces/*.rosetrace 2> /dev/null | wc -l)
+if ((found == 0 || traces == 0 || files != traces)); then
+    echo "FAIL: expected tracing records and only .rosetrace files, got $found records, $traces/$files files"
     exit 1
 fi
-echo "   $found traces checked"
+echo "   $found dumps checked, $traces trace files"
 
 echo "ok"

@@ -24,7 +24,7 @@ macro_rules! surface {
 }
 
 #[test]
-fn thirty_one_options_with_the_papers_defaults() {
+fn thirty_options_with_the_papers_defaults() {
     surface!(
         rose = RoseConfig {
             diagnosis,
@@ -45,7 +45,6 @@ fn thirty_one_options_with_the_papers_defaults() {
             enable_amplification,
             discovery_runs,
             speculation,
-            ei,
             seed_schedule,
         } = diagnosis
     );
@@ -80,9 +79,9 @@ fn thirty_one_options_with_the_papers_defaults() {
         } = TracerConfig::rose(["snap".to_string()])
     );
 
-    // `RoseConfig::diagnosis` is counted as its eleven leaves.
-    assert_eq!((rose - 1, diag, driver, hunt, tracer), (3, 11, 9, 4, 4));
-    assert_eq!(rose - 1 + diag + driver + hunt + tracer, 31);
+    // `RoseConfig::diagnosis` is counted as its ten leaves.
+    assert_eq!((rose - 1, diag, driver, hunt, tracer), (3, 10, 9, 4, 4));
+    assert_eq!(rose - 1 + diag + driver + hunt + tracer, 30);
 
     // Diagnosis (§4.5): accept at 60 %, 10 confirmation runs, abort once
     // more than 3 of them come back clean.
@@ -91,7 +90,7 @@ fn thirty_one_options_with_the_papers_defaults() {
     assert_eq!(confirm_abort_correct, 3);
     assert_eq!((max_schedules, base_seed, discovery_runs), (120, 10_000, 1));
     assert_eq!((cluster_nodes, speculation), (3, 1));
-    assert!(enable_amplification && !ei && seed_schedule.is_none());
+    assert!(enable_amplification && seed_schedule.is_none());
 
     assert_eq!(profiling_duration, SimDuration::from_secs(60));
     assert_eq!(rose_jobs, 1);

@@ -4,7 +4,8 @@
 //! `capture_spec`.
 
 use rose::apps::driver::{
-    capture_spec, run_case, run_workflow, visit_case, CaseOutcome, DriverOptions, SystemVisitor,
+    capture_spec, flat_vs_ei, run_case, run_workflow, visit_case, CaseOutcome, DriverOptions,
+    SystemVisitor,
 };
 use rose::apps::registry::BugId;
 use rose::core::{RoseConfig, TargetSystem};
@@ -23,8 +24,9 @@ fn summary(out: &CaseOutcome) -> String {
 
 #[test]
 fn speculation_width_does_not_change_the_report() {
-    // HDFS-12070 needs a Level-2 invocation sweep (5 schedules), so width 3
-    // speculates past the hit and must discard what it over-ran.
+    // HDFS-12070's recorded execution index pins the failing call at the
+    // Level-1 guess; through the driver, width 3 must report what width 1
+    // does.
     let diagnose = |jobs: usize| {
         let opts = DriverOptions {
             jobs,
@@ -32,10 +34,27 @@ fn speculation_width_does_not_change_the_report() {
         };
         let out = run_case(BugId::Hdfs12070, RoseConfig::default(), &opts);
         let report = out.report.as_ref().expect("trace captured");
-        assert!(report.reproduced && report.level == 2);
+        assert!(report.reproduced && report.level == 1);
         summary(&out)
     };
     assert_eq!(diagnose(3), diagnose(1));
+
+    // Stripped of the index it needs the flat Level-2 invocation sweep (5
+    // schedules), so width 3 speculates past the hit and must discard what
+    // it over-ran.
+    let both = |jobs: usize| {
+        let mut cfg = RoseConfig {
+            jobs,
+            ..RoseConfig::default()
+        };
+        cfg.diagnosis.speculation = jobs;
+        let (flat, ei) =
+            flat_vs_ei(BugId::Hdfs12070, cfg, &DriverOptions::default()).expect("trace captured");
+        assert!(flat.reproduced && flat.level == 2 && flat.schedules_generated == 5);
+        assert!(ei.reproduced && ei.level == 1 && ei.schedules_generated == 1);
+        serde_json::to_string(&(flat, ei)).expect("reports serialize")
+    };
+    assert_eq!(both(3), both(1));
 }
 
 /// `run_case` against its public parts composed by hand. The search is cut

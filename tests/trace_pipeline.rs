@@ -1,7 +1,13 @@
 //! Integration of the observation pipeline across crates: simulator →
 //! tracer → dump → merge → extraction, without the diagnosis loop.
 
+use rose::analyze::Extraction;
+use rose::apps::driver::{
+    capture_buggy_trace, capture_spec, visit_case, DriverOptions, SystemVisitor,
+};
 use rose::apps::redisraft::{RaftClient, RedisRaft};
+use rose::apps::registry::BugId;
+use rose::core::{Rose, RoseConfig, TargetSystem};
 use rose::events::{EventKind, NodeId, SimDuration, Trace};
 use rose::jepsen::{Nemesis, NemesisConfig, NemesisOp};
 use rose::profile::ProfilingHook;
@@ -141,4 +147,70 @@ fn crash_events_distinguish_kills_from_aborts() {
         )
     });
     assert!(crashed, "external kill recorded as Crashed");
+}
+
+/// One case's captured trace, extracted three ways: in memory, through its
+/// JSON form, and through a `.rosetrace` file.
+struct ThreeWays;
+
+impl SystemVisitor for ThreeWays {
+    type Out = [Extraction; 3];
+    fn visit<S: TargetSystem>(self, id: BugId, system: S) -> Self::Out {
+        let cfg = RoseConfig {
+            profiling_duration: SimDuration::from_secs(10),
+            ..RoseConfig::default()
+        };
+        let rose = Rose::with_config(system, cfg);
+        let profile = rose.profile();
+        let opts = DriverOptions {
+            // Captures both heavy cases at the first attempt.
+            capture_seed: 5,
+            ..DriverOptions::default()
+        };
+        let (cap, _) = capture_buggy_trace(&rose, &profile, &capture_spec(id), &opts);
+        let trace = cap
+            .unwrap_or_else(|| panic!("{id}: no trace captured"))
+            .trace;
+
+        let json = Trace::from_json(&trace.to_json()).expect("JSON parses back");
+        let path = std::env::temp_dir().join(format!(
+            "rose-differential-{}-{}.rosetrace",
+            std::process::id(),
+            id.file_stem()
+        ));
+        rose::store::save_trace(&path, &trace).expect("trace persists");
+        let binary = rose::store::load_trace(&path);
+        let _ = std::fs::remove_file(&path);
+        let binary = binary.expect("trace loads back");
+        [&trace, &json, &binary].map(|t| rose.extract(&profile, t))
+    }
+}
+
+#[test]
+fn binary_and_json_traces_extract_identically() {
+    // One case per target system. Nothing may be lost by a trace's trip
+    // through either format, execution indices included: the binary file
+    // is the only one `--trace-dir` writes.
+    let mut indexed = 0;
+    for id in [
+        BugId::Redpanda3003,
+        BugId::Zookeeper3006,
+        BugId::Hdfs4233,
+        BugId::Kafka12508,
+        BugId::Hbase19608,
+        BugId::Mongo243,
+        BugId::Tendermint5839,
+        BugId::RedisRaftNew2,
+        BugId::RaftCompactionLoss,
+    ] {
+        let [memory, json, binary] = visit_case(id, ThreeWays);
+        assert!(!memory.faults.is_empty(), "{id}: nothing extracted");
+        assert_eq!(json, memory, "{id}: JSON round trip changed the extraction");
+        assert_eq!(
+            binary, memory,
+            "{id}: store round trip changed the extraction"
+        );
+        indexed += memory.faults.iter().filter(|f| f.ei.is_some()).count();
+    }
+    assert!(indexed > 0, "no roster trace carries an execution index");
 }
