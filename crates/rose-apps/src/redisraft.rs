@@ -13,6 +13,8 @@
 //! | `RedisRaft-NEW2` | a deposed leader replays its uncommitted entries to the new leader; apply asserts on repeated operation ids | leader isolated by a partition during writes, then healed |
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 use rand::Rng;
 use rose_events::{Errno, NodeId, SimDuration};
@@ -69,9 +71,28 @@ pub struct Entry {
     id: u64,
 }
 
+impl Entry {
+    /// Appends the entry's line of the on-disk log.
+    fn write_line(&self, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "e {} {} {} {} {}",
+            self.idx, self.term, self.key, self.val, self.id
+        );
+    }
+}
+
+/// A key's append list. The store, read replies and snapshot payloads
+/// share one list; the store copies it (`Arc::make_mut`) only when it
+/// appends while a handed-out reference is still alive.
+type Values = Arc<Vec<String>>;
+
+/// A snapshot payload: every key with its list.
+type SnapData = Vec<(String, Values)>;
+
 /// A decided-but-untransmitted snapshot: (term at decision, snapshot
 /// index, payload).
-type PendingSnap = (u64, u64, Vec<(String, Vec<String>)>);
+type PendingSnap = (u64, u64, SnapData);
 
 /// Wire messages.
 #[derive(Debug, Clone)]
@@ -120,7 +141,7 @@ pub enum Rmsg {
         /// Snapshot index.
         idx: u64,
         /// Snapshot payload.
-        data: Vec<(String, Vec<String>)>,
+        data: SnapData,
     },
     /// Client append request.
     Put {
@@ -146,7 +167,7 @@ pub enum Rmsg {
         /// Key.
         key: String,
         /// Current list.
-        values: Vec<String>,
+        values: Values,
     },
     /// Not the leader; try elsewhere.
     Redirect {
@@ -177,12 +198,18 @@ pub struct RedisRaft {
     leader: Option<NodeId>,
     /// In-memory log suffix (entries with idx > `log_base`).
     log: Vec<Entry>,
+    /// Whether `log` holds consecutive indices, so that entry `idx` sits at
+    /// offset `idx - log[0].idx`. Every in-memory mutation keeps a dense
+    /// log dense (push at `last_idx() + 1`, suffix `retain`, `truncate` +
+    /// push of the same index, `clear`); only `parse_log` can read one with
+    /// holes, duplicates or disorder, and recomputes the bit.
+    log_dense: bool,
     /// Index covered by the snapshot (and, on disk, the log file base).
     log_base: u64,
     snapshot_idx: u64,
     commit: u64,
     applied: u64,
-    kv: BTreeMap<String, Vec<String>>,
+    kv: BTreeMap<String, Values>,
     applied_ids: BTreeSet<u64>,
     next_idx: BTreeMap<NodeId, u64>,
     /// Clients waiting for commit, by entry idx.
@@ -194,6 +221,8 @@ pub struct RedisRaft {
     /// The log rebuild staged after a snapshot install (RedisRaft-43 window).
     rebuild_pending: bool,
     tick: u64,
+    /// The line `append_log_entry` is writing; kept for its capacity.
+    line: String,
 }
 
 impl RedisRaft {
@@ -207,6 +236,7 @@ impl RedisRaft {
             votes: BTreeSet::new(),
             leader: None,
             log: Vec::new(),
+            log_dense: true,
             log_base: 0,
             snapshot_idx: 0,
             commit: 0,
@@ -219,6 +249,7 @@ impl RedisRaft {
             replay_queue: Vec::new(),
             rebuild_pending: false,
             tick: 0,
+            line: String::new(),
         }
     }
 
@@ -230,15 +261,51 @@ impl RedisRaft {
         self.bug == Some(bug)
     }
 
+    // --- Log lookups --------------------------------------------------------
+
+    /// Offset before which no in-memory entry has an index ≥ `idx`:
+    /// `idx - log[0].idx` (clamped to the log) while the log is dense, 0
+    /// for a log `parse_log` read from a damaged file. The lookups below
+    /// are the linear scans they always were, started here: one step on a
+    /// dense log, the whole first-match scan on one with holes, where an
+    /// offset would answer with a neighbour.
+    fn log_seek(&self, idx: u64) -> usize {
+        match self.log.first() {
+            Some(first) if self.log_dense => usize::try_from(idx.saturating_sub(first.idx))
+                .map_or(self.log.len(), |off| off.min(self.log.len())),
+            _ => 0,
+        }
+    }
+
+    /// Position of the first entry with index `idx`.
+    fn log_pos(&self, idx: u64) -> Option<usize> {
+        let scan = |log: &[Entry]| log.iter().position(|e| e.idx == idx);
+        let from = self.log_seek(idx);
+        let pos = scan(&self.log[from..]).map(|at| from + at);
+        debug_assert_eq!(pos, scan(&self.log));
+        pos
+    }
+
+    /// The entries one AppendEntries carries to a peer at `next`: the first
+    /// 20 with an index ≥ `next`, in log order.
+    fn entries_from(&self, next: u64) -> Vec<Entry> {
+        fn batch(log: &[Entry], next: u64) -> impl Iterator<Item = &Entry> {
+            log.iter().filter(move |e| e.idx >= next).take(20)
+        }
+        let entries: Vec<Entry> = batch(&self.log[self.log_seek(next)..], next)
+            .cloned()
+            .collect();
+        debug_assert!(entries.iter().eq(batch(&self.log, next)));
+        entries
+    }
+
     // --- Persistence ------------------------------------------------------
 
     fn persist_log(&mut self, ctx: &mut NodeCtx<'_, Rmsg>) {
-        let mut out = format!("base {}\n", self.log_base);
+        let mut out = String::new();
+        let _ = writeln!(out, "base {}", self.log_base);
         for e in &self.log {
-            out.push_str(&format!(
-                "e {} {} {} {} {}\n",
-                e.idx, e.term, e.key, e.val, e.id
-            ));
+            e.write_line(&mut out);
         }
         let _ = ctx.write_file(LOG_PATH, out.as_bytes());
     }
@@ -250,16 +317,25 @@ impl RedisRaft {
             return;
         }
         if let Ok(fd) = ctx.open(LOG_PATH, OpenFlags::Append) {
-            let line = format!("e {} {} {} {} {}\n", e.idx, e.term, e.key, e.val, e.id);
-            let _ = ctx.write(fd, line.as_bytes());
+            self.line.clear();
+            e.write_line(&mut self.line);
+            let _ = ctx.write(fd, self.line.as_bytes());
             let _ = ctx.close(fd);
         }
     }
 
     fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut out = format!("idx {}\n", self.applied);
+        let mut out = String::new();
+        let _ = writeln!(out, "idx {}", self.applied);
         for (k, vs) in &self.kv {
-            out.push_str(&format!("kv {} {}\n", k, join_values(vs)));
+            let _ = write!(out, "kv {k} ");
+            for (i, v) in vs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(v);
+            }
+            out.push('\n');
         }
         out.into_bytes()
     }
@@ -314,8 +390,9 @@ impl RedisRaft {
                     self.snapshot_idx = 0;
                 }
             }
-            Err(Errno::Enoent) => {}
-            Err(_) => {}
+            Err(_) => {
+                // No snapshot yet, or an unreadable one: the log alone.
+            }
         }
 
         match ctx.read_file(LOG_PATH) {
@@ -380,7 +457,7 @@ impl RedisRaft {
                         .filter(|s| !s.is_empty())
                         .map(str::to_string)
                         .collect();
-                    self.kv.insert(k.to_string(), values);
+                    self.kv.insert(k.to_string(), Arc::new(values));
                 }
             }
         }
@@ -399,6 +476,7 @@ impl RedisRaft {
         };
         self.log_base = base;
         self.log.clear();
+        self.log_dense = true;
         for l in lines {
             let mut it = l.split_whitespace();
             if it.next() != Some("e") {
@@ -413,6 +491,12 @@ impl RedisRaft {
             ) else {
                 continue;
             };
+            // An ignored failed `open`/`write` in `append_log_entry`, or a
+            // crash inside one, leaves holes, repeats and merged lines.
+            self.log_dense &= self
+                .log
+                .last()
+                .is_none_or(|prev| prev.idx.checked_add(1) == Some(idx));
             self.log.push(Entry {
                 idx,
                 term,
@@ -453,7 +537,7 @@ impl RedisRaft {
         self.heartbeat(ctx);
     }
 
-    fn step_down(&mut self, ctx: &mut NodeCtx<'_, Rmsg>, term: u64, leader: Option<NodeId>) {
+    fn step_down(&mut self, term: u64, leader: Option<NodeId>) {
         let was_leader = self.role == Role::Leader;
         self.term = term;
         self.role = Role::Follower;
@@ -473,7 +557,6 @@ impl RedisRaft {
                 .cloned()
                 .collect();
         }
-        let _ = ctx;
     }
 
     fn heartbeat(&mut self, ctx: &mut NodeCtx<'_, Rmsg>) {
@@ -499,13 +582,7 @@ impl RedisRaft {
                 );
                 continue;
             }
-            let entries: Vec<Entry> = self
-                .log
-                .iter()
-                .filter(|e| e.idx >= next)
-                .take(20)
-                .cloned()
-                .collect();
+            let entries = self.entries_from(next);
             let prev = next - 1;
             let _ = ctx.send(
                 p,
@@ -526,7 +603,7 @@ impl RedisRaft {
             return;
         }
         ctx.enter_function("sendSnapshot");
-        let payload: Vec<(String, Vec<String>)> = self
+        let payload: SnapData = self
             .kv
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
@@ -562,12 +639,7 @@ impl RedisRaft {
         self.next_idx.insert(peer, idx + 1);
     }
 
-    fn install_snapshot(
-        &mut self,
-        ctx: &mut NodeCtx<'_, Rmsg>,
-        idx: u64,
-        data: Vec<(String, Vec<String>)>,
-    ) {
+    fn install_snapshot(&mut self, ctx: &mut NodeCtx<'_, Rmsg>, idx: u64, data: SnapData) {
         ctx.enter_function("installSnapshot");
         self.kv = data.into_iter().collect();
         self.snapshot_idx = idx;
@@ -589,9 +661,10 @@ impl RedisRaft {
     fn apply_committed(&mut self, ctx: &mut NodeCtx<'_, Rmsg>) {
         while self.applied < self.commit {
             let next = self.applied + 1;
-            let Some(e) = self.log.iter().find(|e| e.idx == next).cloned() else {
+            let Some(pos) = self.log_pos(next) else {
                 break;
             };
+            let e = &self.log[pos];
             ctx.enter_function("applyEntry");
             if !self.applied_ids.insert(e.id) {
                 if self.is(RedisRaftBug::RrNew2) {
@@ -605,10 +678,12 @@ impl RedisRaft {
                 ctx.exit_function();
                 continue;
             }
-            self.kv
-                .entry(e.key.clone())
-                .or_default()
-                .push(e.val.clone());
+            match self.kv.get_mut(&e.key) {
+                Some(values) => Arc::make_mut(values).push(e.val.clone()),
+                None => {
+                    self.kv.insert(e.key.clone(), Arc::new(vec![e.val.clone()]));
+                }
+            }
             self.applied = next;
             ctx.exit_function();
             if self.role == Role::Leader {
@@ -721,7 +796,7 @@ impl Application for RedisRaft {
         match msg {
             Rmsg::Vote { term, last } => {
                 if term > self.term {
-                    self.step_down(ctx, term, None);
+                    self.step_down(term, None);
                 }
                 let grant = term == self.term && self.voted_in < term && last >= self.commit;
                 if grant {
@@ -747,7 +822,7 @@ impl Application for RedisRaft {
                     return;
                 }
                 if term > self.term || self.role != Role::Follower {
-                    self.step_down(ctx, term, Some(from));
+                    self.step_down(term, Some(from));
                 }
                 self.leader = Some(from);
                 // Replay queue drains on first contact with the new leader
@@ -787,7 +862,7 @@ impl Application for RedisRaft {
                     if e.idx <= self.log_base {
                         continue;
                     }
-                    if let Some(pos) = self.log.iter().position(|x| x.idx == e.idx) {
+                    if let Some(pos) = self.log_pos(e.idx) {
                         if self.log[pos].term != e.term {
                             self.log.truncate(pos);
                             truncated = true;
@@ -860,7 +935,7 @@ impl Application for RedisRaft {
                     return;
                 }
                 if term > self.term {
-                    self.step_down(ctx, term, Some(from));
+                    self.step_down(term, Some(from));
                 }
                 self.install_snapshot(ctx, idx, data);
                 let _ = ctx.send(
@@ -875,8 +950,7 @@ impl Application for RedisRaft {
                 // Peer-forwarded replay (NEW2) arrives as a Put from a node;
                 // the defect path appends without propose-side dedup.
                 if self.role == Role::Leader {
-                    let idx = self.leader_append(ctx, key, val, id);
-                    let _ = idx;
+                    self.leader_append(ctx, key, val, id);
                     self.heartbeat(ctx);
                 }
             }
@@ -1253,5 +1327,102 @@ impl ClientDriver<Rmsg> for RaftClient {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(file: &str) -> RedisRaft {
+        let mut r = RedisRaft::new(None);
+        assert!(r.parse_log(file.as_bytes()), "{file:?} has a base header");
+        r
+    }
+
+    /// Both lookups against the linear scans they replaced, for every index
+    /// in and around the log's range.
+    fn assert_lookups_equal_the_scan(r: &RedisRaft) {
+        let top = r.log.iter().map(|e| e.idx).max().unwrap_or(r.log_base);
+        for idx in 0..=top + 2 {
+            assert_eq!(
+                r.log_pos(idx),
+                r.log.iter().position(|e| e.idx == idx),
+                "log_pos({idx}), dense={}",
+                r.log_dense
+            );
+            let old: Vec<Entry> = r
+                .log
+                .iter()
+                .filter(|e| e.idx >= idx)
+                .take(20)
+                .cloned()
+                .collect();
+            assert_eq!(r.entries_from(idx), old, "entries_from({idx})");
+        }
+    }
+
+    #[test]
+    fn lookups_equal_the_scan_on_damaged_log_files() {
+        // What `append_log_entry`'s ignored `open`/`write` failures, a failed
+        // rewrite and a crash inside a `write` leave behind. A torn line
+        // merges with the line appended after it and still parses (index
+        // 12, value `c0ne`, id 12): damaged, yet dense by index.
+        let hole = "base 0\ne 1 1 k1 c0n1 1\ne 3 1 k0 c0n3 3\n";
+        let repeat =
+            "base 0\ne 1 1 k1 c0n1 1\ne 2 1 k0 c0n2 2\ne 2 2 k0 c1n2 9\ne 3 2 k1 c1n3 10\n";
+        let torn = "base 10\ne 11 3 k0 c0n11 76\ne 12 3 k1 c0ne 12 3 k1 c0n12 77\n\
+                    e 13 3 k2 c0n13 78\n";
+        let all = "base 0\ne 1 1 k1 c0n1 1\ne 3 1 k0 c0n3 3\ne 4 1 k1 c0n4 4\ne 4 2 k1 c1n4 9\n\
+                   e 12 3 k1 c0ne 12 3 k1 c0n12 77\ne 13 3 k2 c0n13 78\ne 5 3 k0 c2n5 80\n";
+        for (file, dense) in [(hole, false), (repeat, false), (torn, true), (all, false)] {
+            let r = parsed(file);
+            assert_eq!(r.log_dense, dense, "{file:?}");
+            assert_lookups_equal_the_scan(&r);
+        }
+        let r = parsed(all);
+        assert_eq!(r.log.len(), 7);
+        assert_eq!((r.log[4].val.as_str(), r.log[4].id), ("c0ne", 12));
+        // The first match wins, and a hole is a miss — not its neighbour.
+        assert_eq!(r.log_pos(4), Some(2));
+        assert_eq!(r.log_pos(2), None);
+        let shipped: Vec<u64> = r.entries_from(4).iter().map(|e| e.idx).collect();
+        assert_eq!(shipped, [4, 4, 12, 13, 5]);
+    }
+
+    #[test]
+    fn in_memory_mutations_keep_a_dense_log_dense() {
+        let mut file = String::from("base 40\n");
+        for idx in 41..=90 {
+            let _ = writeln!(file, "e {idx} 2 k{} c0n{idx} {idx}", idx % 3);
+        }
+        let mut r = parsed(&file);
+        assert!(r.log_dense);
+        assert_eq!(r.log_pos(41), Some(0));
+        assert_eq!(r.log_pos(90), Some(49));
+        assert_eq!(r.entries_from(85).len(), 6);
+        assert_lookups_equal_the_scan(&r);
+
+        // Compaction keeps a suffix.
+        r.log_base = 60;
+        r.log.retain(|e| e.idx > 60);
+        assert_lookups_equal_the_scan(&r);
+        // Conflict resolution replaces an index in place, then appends.
+        let pos = r.log_pos(70).expect("70 is in the log");
+        r.log.truncate(pos);
+        for idx in 70..=72 {
+            assert_eq!(idx, r.last_idx() + 1);
+            r.log.push(Entry {
+                idx,
+                term: 3,
+                key: "k0".into(),
+                val: format!("c1n{idx}"),
+                id: 1_000 + idx,
+            });
+        }
+        assert_lookups_equal_the_scan(&r);
+        // A snapshot install empties it.
+        r.log.clear();
+        assert_lookups_equal_the_scan(&r);
     }
 }

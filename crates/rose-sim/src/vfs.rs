@@ -99,38 +99,28 @@ impl Vfs {
 
     /// `open`/`openat`.
     pub fn open(&mut self, pid: Pid, path: &str, flags: OpenFlags) -> SysResult {
-        match flags {
-            OpenFlags::Read => {
-                let node = self.files.get(path).ok_or(Errno::Enoent)?;
-                if node.mode & 0o400 == 0 {
-                    return Err(Errno::Eacces);
-                }
-            }
-            OpenFlags::Write => {
-                let node = self
-                    .files
-                    .entry(path.to_string())
-                    .or_insert_with(|| FileNode {
-                        data: Vec::new(),
-                        mode: DEFAULT_MODE,
-                    });
+        // The path is copied for the descriptor, and once more only when the
+        // call creates the file.
+        let offset = match (flags, self.files.get_mut(path)) {
+            (OpenFlags::Read, None) => return Err(Errno::Enoent),
+            (OpenFlags::Read, Some(node)) if node.mode & 0o400 == 0 => return Err(Errno::Eacces),
+            (OpenFlags::Read, Some(_)) => 0,
+            (OpenFlags::Write, Some(node)) => {
                 node.data.clear();
+                0
             }
-            OpenFlags::Append => {
-                self.files
-                    .entry(path.to_string())
-                    .or_insert_with(|| FileNode {
-                        data: Vec::new(),
-                        mode: DEFAULT_MODE,
-                    });
+            (OpenFlags::Append, Some(node)) => node.data.len(),
+            (OpenFlags::Write | OpenFlags::Append, None) => {
+                let node = FileNode {
+                    data: Vec::new(),
+                    mode: DEFAULT_MODE,
+                };
+                self.files.insert(path.to_string(), node);
+                0
             }
-        }
+        };
         let fd = Fd(self.next_fd);
         self.next_fd += 1;
-        let offset = match flags {
-            OpenFlags::Append => self.files[path].data.len(),
-            _ => 0,
-        };
         self.table(pid).insert(
             fd,
             OpenFile {

@@ -78,10 +78,11 @@ echo "   $flow_count propagation-chain exports checked"
 echo "== EI replay regressions (release)"
 cargo test -p rose-apps --release -q --test ei_replay
 
-echo "== allocation budget of the per-syscall hook chain (release)"
+echo "== allocation budgets: per-syscall hook chain, RedisRaft run (release)"
 # Its own test binary (it installs a counting global allocator): executor +
 # tracer + site probe may add at most 0.5 allocations per syscall to a
-# fault-free ZooKeeper run, and re-entering a seen call chain none.
+# fault-free ZooKeeper run, re-entering a seen call chain none, and a bare
+# fault-free RedisRaft run makes at most 6.5 per simulated event.
 cargo test --release -q --test alloc_budget
 
 echo "== hunted Raft campaign smoke (invariant oracle, jobs=1 vs jobs=4)"
@@ -147,5 +148,11 @@ if ((found == 0 || traces == 0 || files != traces)); then
     exit 1
 fi
 echo "   $found dumps checked, $traces trace files"
+
+echo "== benchmark package builds and passes its smoke run"
+# bench/ is a workspace of its own: nothing above notices a crates/ change
+# that breaks its build or its output checks.
+cargo build --release --offline --manifest-path bench/Cargo.toml
+bench/run.sh --smoke
 
 echo "ok"

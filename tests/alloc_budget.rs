@@ -1,4 +1,5 @@
-//! Allocation budget of the per-syscall hook chain.
+//! Allocation budgets of the run path: the per-syscall hook chain, and the
+//! heaviest target system's own callbacks.
 //!
 //! Rose runs hundreds of testing runs per bug, and every one of them pushes
 //! each simulated syscall through executor `sys_enter` → body → tracer
@@ -6,13 +7,16 @@
 //! borrowed arguments, so what the hooks add on top of a bare run must stay
 //! a small fraction of an allocation per syscall (recording a failed call
 //! or first seeing a context is allowed to allocate; a steady-state probe
-//! is not). This binary owns its global allocator, so it holds exactly one
-//! test.
+//! is not). RedisRaft is where a campaign's wall time lives; its callbacks
+//! share value lists and format into reused buffers, so a whole fault-free
+//! run stays within a few allocations per simulated event. This binary owns
+//! its global allocator, so it holds exactly one test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rose::apps::redisraft::{RedisRaftBug, RedisRaftCase};
 use rose::apps::zookeeper::{ZkBug, ZkCase};
 use rose::events::NodeId;
 use rose::hunt::SiteProbe;
@@ -118,4 +122,21 @@ fn hook_chain_stays_within_its_allocation_budget() {
         ctx.exit_function();
     });
     assert_eq!(second, 0, "re-entering a seen chain must not allocate");
+
+    // A bare fault-free RedisRaft run, kernel and target together.
+    let system = RedisRaftCase {
+        bug: RedisRaftBug::Rr42,
+    };
+    let duration = system.run_duration();
+    let mut sim = Rose::new(system).deploy(11, vec![]);
+    sim.start();
+    let (allocations, ()) = allocations_of(|| sim.run_for(duration));
+    let events = sim.core().events_executed();
+    let per_event = allocations as f64 / events as f64;
+    println!("RedisRaft: {allocations} allocations, {events} events, {per_event:.2} per event");
+    assert!(
+        per_event <= 6.5,
+        "a fault-free RedisRaft run makes {per_event:.2} allocations per simulated event \
+         ({allocations} over {events} events); the ceiling is 6.5"
+    );
 }

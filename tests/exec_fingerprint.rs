@@ -17,7 +17,9 @@ use rose::{Rose, TargetSystem};
 
 const SEED: u64 = 11;
 
-/// `(case, fault-free run, faulted run)`: one case per target system.
+/// `(case, fault-free run, faulted run)`: one case per target system, in
+/// the layout the test prints.
+#[rustfmt::skip]
 const EXPECTED: [(BugId, u64, u64); 9] = [
     (BugId::RedisRaftNew2, 0x2d964c5706f8708e, 0xa247117d8d6e01c7),
     (BugId::Redpanda3003, 0x53e496e352c9b30d, 0x68e5de54f91f89d3),
@@ -26,16 +28,8 @@ const EXPECTED: [(BugId, u64, u64); 9] = [
     (BugId::Kafka12508, 0xd1a3fab92025c89b, 0x44735e2bb7c8162f),
     (BugId::Hbase19608, 0x8165fba6c78fc585, 0x7b12887e2ea94e41),
     (BugId::Mongo243, 0x4dc1ee34b797b6a6, 0x89643f1735971ed7),
-    (
-        BugId::Tendermint5839,
-        0xa5bae14b66f823c6,
-        0x81f67f4983dbeb44,
-    ),
-    (
-        BugId::RaftCompactionLoss,
-        0xd0b451cdbb41785b,
-        0xb515db7594c95016,
-    ),
+    (BugId::Tendermint5839, 0xa5bae14b66f823c6, 0x81f67f4983dbeb44),
+    (BugId::RaftCompactionLoss, 0xd0b451cdbb41785b, 0xb515db7594c95016),
 ];
 
 /// Everything a run leaves behind, hashed in a fixed order.
