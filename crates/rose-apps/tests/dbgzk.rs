@@ -10,11 +10,10 @@ impl KernelHook for Spy {
     fn name(&self) -> &'static str {
         "spy"
     }
-    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs) -> HookEffects {
+    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, _fx: &mut HookEffects) {
         if args.call == SyscallId::Accept {
             eprintln!("ACCEPT {} {} ", env.now, env.node);
         }
-        HookEffects::none()
     }
 }
 

@@ -16,8 +16,8 @@ use rose_hunt::SiteProbe;
 use rose_inject::{Condition, Executor, FaultAction, FaultSchedule, ScheduledFault};
 use rose_profile::Profile;
 use rose_sim::{
-    Application, ChainId, ChainTable, HookEnv, KernelHook, NodeCtx, Sim, SimConfig, SysRet,
-    SyscallArgs,
+    Application, ChainId, ChainTable, HookEffects, HookEnv, KernelHook, NodeCtx, Sim, SimConfig,
+    SysRet, SyscallArgs,
 };
 use rose_trace::{Tracer, TracerConfig};
 
@@ -215,8 +215,9 @@ fn bench_tracer_hot_path(c: &mut Criterion) {
             .with_fd(rose_events::Fd(3))
             .with_len(64);
         let ok: rose_sim::SysResult = Ok(SysRet::Len(64));
+        let mut fx = HookEffects::none();
         b.iter(|| {
-            black_box(t.sys_exit(&env, &args, &ok));
+            t.sys_exit(&env, &args, &ok, black_box(&mut fx));
         });
     });
     // The slow path: a failure is recorded into the window.
@@ -225,8 +226,9 @@ fn bench_tracer_hot_path(c: &mut Criterion) {
         let env = root_env(&chains, 0, 100);
         let args = SyscallArgs::bare(SyscallId::Stat).with_path("/etc/missing");
         let err: rose_sim::SysResult = Err(Errno::Enoent);
+        let mut fx = HookEffects::none();
         b.iter(|| {
-            black_box(t.sys_exit(&env, &args, &err));
+            t.sys_exit(&env, &args, &err, black_box(&mut fx));
         });
     });
     g.finish();
@@ -387,9 +389,10 @@ fn bench_executor_matching(c: &mut Criterion) {
     let args = SyscallArgs::bare(SyscallId::Write)
         .with_fd(rose_events::Fd(4))
         .with_len(128);
+    let mut fx = HookEffects::none();
     g.bench_function("sys_enter_9_faults_armed", |b| {
         b.iter(|| {
-            black_box(ex.sys_enter(&env, &args));
+            ex.sys_enter(&env, &args, black_box(&mut fx));
         });
     });
     g.finish();

@@ -41,14 +41,19 @@ impl KernelHook for AfCounter {
         "af-counter"
     }
 
-    fn uprobe(&mut self, _env: &HookEnv, function: &str, offset: Option<u32>) -> HookEffects {
+    fn uprobe(
+        &mut self,
+        _env: &HookEnv,
+        function: &str,
+        offset: Option<u32>,
+        _fx: &mut HookEffects,
+    ) {
         if offset.is_none() {
             self.all += 1;
             if self.monitored.contains(function) {
                 self.kept += 1;
             }
         }
-        HookEffects::none()
     }
 }
 

@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn reads_and_writes_are_roughly_balanced() {
         let (sim, done) = run_ycsb(vec![], 2, 3, 2);
-        let w = sim.core().stats.per_syscall[&rose_events::SyscallId::Write];
+        let w = sim.core().stats.per_syscall()[&rose_events::SyscallId::Write];
         // Writes ≈ half the ops (plus the boot AOF creation).
         let ratio = w as f64 / done as f64;
         assert!(ratio > 0.35 && ratio < 0.65, "write ratio {ratio}");

@@ -92,7 +92,13 @@ impl KernelHook for SendSpy {
         "send-spy"
     }
 
-    fn sys_exit(&mut self, env: &HookEnv, args: &SyscallArgs, result: &SysResult) -> HookEffects {
+    fn sys_exit(
+        &mut self,
+        env: &HookEnv,
+        args: &SyscallArgs,
+        result: &SysResult,
+        _fx: &mut HookEffects,
+    ) {
         if env.node == NodeId(0) && args.call == SyscallId::Send {
             self.flat_ordinal += 1;
             let chain = env.call_chain().to_vec();
@@ -103,7 +109,6 @@ impl KernelHook for SendSpy {
                 self.hits.push((self.flat_ordinal, chain, *count));
             }
         }
-        HookEffects::none()
     }
 }
 

@@ -22,9 +22,12 @@ use rose_sim::{ChainId, HookEffects, HookEnv, KernelHook};
 #[derive(Debug, Default)]
 pub struct SiteProbe {
     /// Observed (node, chain, syscall) contexts, keyed by the kernel's
-    /// interned chain id: a context already seen costs one integer-keyed
-    /// probe and no allocation.
+    /// interned chain id.
     syscalls: BTreeSet<(NodeId, ChainId, SyscallId)>,
+    /// Which members `syscalls` has, as `seen[node][chain]` = one bit per
+    /// syscall (chain ids are dense): a context already seen — nearly every
+    /// call of a run — costs two index operations and no tree probe.
+    seen: Vec<Vec<u16>>,
     /// The function names of every chain in `syscalls`, resolved when the
     /// chain was first seen ([`SiteProbe::sites`] runs without the kernel).
     chain_names: BTreeMap<ChainId, Vec<String>>,
@@ -80,25 +83,44 @@ impl KernelHook for SiteProbe {
         "rose-hunt-probe"
     }
 
-    fn sys_enter(&mut self, env: &HookEnv, args: &rose_sim::SyscallArgs) -> HookEffects {
-        if self.syscalls.insert((env.node, env.chain, args.call)) {
-            self.chain_names
-                .entry(env.chain)
-                .or_insert_with(|| env.call_chain().to_vec());
+    fn sys_enter(&mut self, env: &HookEnv, args: &rose_sim::SyscallArgs, _fx: &mut HookEffects) {
+        let (node, chain) = (env.node.0 as usize, env.chain.index());
+        if self.seen.len() <= node {
+            self.seen.resize_with(node + 1, Vec::new);
         }
-        HookEffects::none()
+        let per_chain = &mut self.seen[node];
+        if per_chain.len() <= chain {
+            per_chain.resize(chain + 1, 0);
+        }
+        let bit = 1 << args.call as u32;
+        if per_chain[chain] & bit != 0 {
+            return;
+        }
+        per_chain[chain] |= bit;
+        self.syscalls.insert((env.node, env.chain, args.call));
+        self.chain_names
+            .entry(env.chain)
+            .or_insert_with(|| env.call_chain().to_vec());
     }
 
-    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>) -> HookEffects {
+    fn uprobe(
+        &mut self,
+        env: &HookEnv,
+        function: &str,
+        offset: Option<u32>,
+        _fx: &mut HookEffects,
+    ) {
         if offset.is_none() {
             let seen = self.functions.entry(env.node).or_default();
             if !seen.contains(function) {
                 seen.insert(function.to_string());
             }
         }
-        HookEffects::none()
     }
 }
+
+// One bit per syscall id.
+const _: () = assert!(SyscallId::ALL.len() <= u16::BITS as usize);
 
 #[cfg(test)]
 mod tests {
@@ -124,12 +146,14 @@ mod tests {
         let chain = chains.enter(ChainId::ROOT, "applyEntry");
         let empty = ChainId::ROOT;
         let t = &chains;
-        probe.sys_enter(&env(0, chain, t), &SyscallArgs::bare(SyscallId::Write));
-        probe.sys_enter(&env(0, chain, t), &SyscallArgs::bare(SyscallId::Write));
-        probe.sys_enter(&env(1, empty, t), &SyscallArgs::bare(SyscallId::Fsync));
-        probe.uprobe(&env(0, empty, t), "applyEntry", None);
-        probe.uprobe(&env(0, empty, t), "applyEntry", None);
-        probe.uprobe(&env(0, empty, t), "applyEntry", Some(2)); // offsets skipped
+        let fx = &mut HookEffects::none();
+        probe.sys_enter(&env(0, chain, t), &SyscallArgs::bare(SyscallId::Write), fx);
+        probe.sys_enter(&env(0, chain, t), &SyscallArgs::bare(SyscallId::Write), fx);
+        probe.sys_enter(&env(1, empty, t), &SyscallArgs::bare(SyscallId::Fsync), fx);
+        probe.uprobe(&env(0, empty, t), "applyEntry", None, fx);
+        probe.uprobe(&env(0, empty, t), "applyEntry", None, fx);
+        probe.uprobe(&env(0, empty, t), "applyEntry", Some(2), fx); // offsets skipped
+        assert_eq!(*fx, HookEffects::none(), "the probe charges nothing");
         assert_eq!(probe.context_count(), 3);
         let sites = probe.sites();
         assert_eq!(sites.len(), 3);
@@ -150,5 +174,31 @@ mod tests {
             SiteKind::SyscallContext { count, .. } => *count == 1,
             SiteKind::Function { .. } => true,
         }));
+    }
+
+    #[test]
+    fn a_repeated_context_changes_nothing() {
+        let mut chains = ChainTable::new();
+        let apply = chains.enter(ChainId::ROOT, "applyEntry");
+        let flush = chains.enter(apply, "flush");
+        let t = &chains;
+        let contexts = [
+            (0, apply, SyscallId::Write),
+            (1, flush, SyscallId::Fsync),
+            (0, ChainId::ROOT, SyscallId::Send),
+            (0, apply, SyscallId::Fsync),
+        ];
+        let fx = &mut HookEffects::none();
+        let mut once = SiteProbe::new();
+        let mut often = SiteProbe::new();
+        for (node, chain, call) in contexts {
+            once.sys_enter(&env(node, chain, t), &SyscallArgs::bare(call), fx);
+        }
+        for (node, chain, call) in contexts.into_iter().chain(contexts).rev().chain(contexts) {
+            often.sys_enter(&env(node, chain, t), &SyscallArgs::bare(call), fx);
+        }
+        assert_eq!(once.context_count(), 4);
+        assert_eq!(often.context_count(), 4);
+        assert_eq!(once.sites(), often.sites());
     }
 }

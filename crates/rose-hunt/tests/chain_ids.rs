@@ -190,14 +190,19 @@ impl KernelHook for NameKeyed {
         "name-keyed-reference"
     }
 
-    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs) -> HookEffects {
+    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, _fx: &mut HookEffects) {
         self.check_bijection(env);
         self.contexts
             .insert((env.node, env.call_chain().to_vec(), args.call));
-        HookEffects::none()
     }
 
-    fn sys_exit(&mut self, env: &HookEnv, args: &SyscallArgs, result: &SysResult) -> HookEffects {
+    fn sys_exit(
+        &mut self,
+        env: &HookEnv,
+        args: &SyscallArgs,
+        result: &SysResult,
+        _fx: &mut HookEffects,
+    ) {
         self.check_bijection(env);
         let chain = env.call_chain().to_vec();
         let count = self
@@ -208,10 +213,15 @@ impl KernelHook for NameKeyed {
         if result.is_err() {
             self.failures.push((env.node, chain, args.call, *count));
         }
-        HookEffects::none()
     }
 
-    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>) -> HookEffects {
+    fn uprobe(
+        &mut self,
+        env: &HookEnv,
+        function: &str,
+        offset: Option<u32>,
+        _fx: &mut HookEffects,
+    ) {
         self.check_bijection(env);
         if env.call_chain().last().map(String::as_str) != Some(function) {
             self.violations
@@ -220,7 +230,6 @@ impl KernelHook for NameKeyed {
         if offset.is_none() {
             self.functions.insert((env.node, function.to_string()));
         }
-        HookEffects::none()
     }
 }
 

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use rose_events::{NodeId, Pid, SimTime};
 use rose_sim::{
     ChainId, HookEffects, HookEnv, KernelHook, NetCmd, ProcEvent, ProcTable, SignalKind, SignalReq,
-    SignalTarget, SysResult, SysRet, SyscallArgs,
+    SignalTarget, SyscallArgs,
 };
 
 use crate::schedule::{Condition, FaultAction, FaultId, FaultSchedule, PartitionKind};
@@ -88,17 +88,18 @@ pub struct Executor {
     faults: Faults,
     /// pid → node map built from Spawned/Restarted/ChildSpawned events.
     pid_node: BTreeMap<Pid, NodeId>,
-    /// fd → path map (like the tracer's) so `Scf` faults can match fd-based
-    /// calls against a target filename.
-    fd_paths: BTreeMap<(Pid, rose_events::Fd), String>,
 }
 
 /// The fault-context state machine: the schedule and each fault's progress
-/// through its conditions. Kept apart from the executor's pid and fd maps
-/// so a probe can advance it while holding a path borrowed from them.
+/// through its conditions.
 struct Faults {
     schedule: FaultSchedule,
     rt: Vec<FaultRt>,
+    /// Faults not injected yet. At zero the schedule is spent: every pass
+    /// below skips an injected fault, so no probe can change any state or
+    /// produce an effect any more, and the probes return at once. A
+    /// confirmation run spends most of its syscalls there.
+    pending: usize,
     /// The distinct nodes the schedule targets, ascending (the poll order).
     nodes: Vec<NodeId>,
     /// Provenance recorder; disabled unless a campaign asked for it.
@@ -122,12 +123,12 @@ impl Executor {
         Executor {
             faults: Faults {
                 rt: vec![FaultRt::default(); schedule.faults.len()],
+                pending: schedule.faults.len(),
                 schedule,
                 nodes,
                 causal: rose_sim::CausalRecorder::disabled(),
             },
             pid_node: BTreeMap::new(),
-            fd_paths: BTreeMap::new(),
         }
     }
 
@@ -167,16 +168,14 @@ impl Executor {
         self.pid_node.get(&pid).copied().unwrap_or(fallback)
     }
 
-    /// The path context of a syscall, through the fd map when needed.
-    fn path_of<'a>(
-        fd_paths: &'a BTreeMap<(Pid, rose_events::Fd), String>,
-        pid: Pid,
-        args: &SyscallArgs<'a>,
-    ) -> Option<&'a str> {
+    /// The path context of a syscall: its path argument, or the path its
+    /// descriptor names, so `Scf` faults can match fd-based calls against a
+    /// target filename.
+    fn path_of<'a>(args: &SyscallArgs<'a>) -> Option<&'a str> {
         match args.path {
             // `rename` encodes "from\0to"; match on the source path.
             Some(p) => Some(p.split('\0').next().unwrap_or(p)),
-            None => fd_paths.get(&(pid, args.fd?)).map(String::as_str),
+            None => args.fd_path,
         }
     }
 }
@@ -224,81 +223,58 @@ impl Faults {
         }
     }
 
-    /// Marks a fault injected and produces its effects.
-    fn fire(&mut self, id: FaultId, now: SimTime) -> HookEffects {
+    /// Marks a fault injected and writes its effects. Returns whether the
+    /// fault had any to write (a split with an empty side has none).
+    fn fire(&mut self, id: FaultId, now: SimTime, fx: &mut HookEffects) -> bool {
         self.rt[id].injected_at = Some(now);
+        self.pending -= 1;
         let fault = &self.schedule.faults[id];
         self.causal.inject(fault.node, id, fault.action.tag(), now);
+        let signal = |kind| SignalReq {
+            target: SignalTarget::Node(fault.node),
+            kind,
+        };
         match &fault.action {
-            FaultAction::Scf { errno, .. } => HookEffects {
-                override_errno: Some(*errno),
-                ..Default::default()
-            },
-            FaultAction::Crash => HookEffects {
-                signal: Some(SignalReq {
-                    target: SignalTarget::Node(fault.node),
-                    kind: SignalKind::Crash,
-                }),
-                ..Default::default()
-            },
-            FaultAction::Pause { duration } => HookEffects {
-                signal: Some(SignalReq {
-                    target: SignalTarget::Node(fault.node),
-                    kind: SignalKind::Pause(*duration),
-                }),
-                ..Default::default()
-            },
+            FaultAction::Scf { errno, .. } => fx.set_override(*errno),
+            FaultAction::Crash => fx.set_signal(signal(SignalKind::Crash)),
+            FaultAction::Pause { duration } => fx.set_signal(signal(SignalKind::Pause(*duration))),
             FaultAction::Partition { kind, duration } => {
-                let mut net = Vec::new();
+                let before = fx.net().len();
+                let mut cut = |src: &NodeId, dst: &NodeId| {
+                    fx.push_net(NetCmd::Install {
+                        rule: rose_sim::DropRule {
+                            src: src.ip(),
+                            dst: dst.ip(),
+                        },
+                        heal_after: *duration,
+                    });
+                };
                 match kind {
-                    PartitionKind::IsolateNode(n) => {
-                        net.push(NetCmd::Isolate {
-                            ip: n.ip(),
-                            heal_after: *duration,
-                        });
-                    }
+                    PartitionKind::IsolateNode(n) => fx.push_net(NetCmd::Isolate {
+                        ip: n.ip(),
+                        heal_after: *duration,
+                    }),
                     PartitionKind::Split { group_a, group_b } => {
                         for a in group_a {
                             for b in group_b {
-                                net.push(NetCmd::Install {
-                                    rule: rose_sim::DropRule {
-                                        src: a.ip(),
-                                        dst: b.ip(),
-                                    },
-                                    heal_after: *duration,
-                                });
-                                net.push(NetCmd::Install {
-                                    rule: rose_sim::DropRule {
-                                        src: b.ip(),
-                                        dst: a.ip(),
-                                    },
-                                    heal_after: *duration,
-                                });
+                                cut(a, b);
+                                cut(b, a);
                             }
                         }
                     }
-                    PartitionKind::Link { src, dst } => {
-                        net.push(NetCmd::Install {
-                            rule: rose_sim::DropRule {
-                                src: src.ip(),
-                                dst: dst.ip(),
-                            },
-                            heal_after: *duration,
-                        });
-                    }
+                    PartitionKind::Link { src, dst } => cut(src, dst),
                 }
-                HookEffects {
-                    net,
-                    ..Default::default()
-                }
+                return fx.net().len() > before;
             }
         }
+        true
     }
 
     /// Injects any armed, still-pending signal/network fault for `node`.
-    /// Crash signals fire at the current probe point for precision.
-    fn fire_ready(&mut self, node: NodeId, now: SimTime) -> HookEffects {
-        let mut effects = HookEffects::none();
+    /// Crash signals fire at the current probe point for precision. Returns
+    /// whether a fired fault wrote an effect.
+    fn fire_ready(&mut self, node: NodeId, now: SimTime, fx: &mut HookEffects) -> bool {
+        let mut injecting = false;
         for i in 0..self.schedule.faults.len() {
             let f = &self.schedule.faults[i];
             if f.node == node
@@ -306,22 +282,29 @@ impl Faults {
                 && self.rt[i].injected_at.is_none()
                 && !matches!(f.action, FaultAction::Scf { .. })
             {
-                let e = self.fire(i, now);
+                let signals = !matches!(f.action, FaultAction::Partition { .. });
+                injecting |= self.fire(i, now, fx);
                 self.advance_state_based(now);
-                effects.merge(e);
-                if effects.signal.is_some() {
+                if signals {
                     // A kill/pause claimed this probe point; later faults
                     // re-evaluate at their own boundaries.
                     break;
                 }
             }
         }
-        effects
+        injecting
     }
 
     /// Processes an event-based observation on `node`: offers each pending
-    /// fault's active condition to `matches`, in place.
-    fn observe<F>(&mut self, node: NodeId, now: SimTime, mut matches: F) -> HookEffects
+    /// fault's active condition to `matches`, in place, then fires what
+    /// that armed. Returns whether a fired fault wrote an effect.
+    fn observe<F>(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        fx: &mut HookEffects,
+        mut matches: F,
+    ) -> bool
     where
         F: FnMut(&Condition, &mut FaultRt) -> bool,
     {
@@ -346,7 +329,7 @@ impl Faults {
         if progressed {
             self.advance_state_based(now);
         }
-        self.fire_ready(node, now)
+        self.fire_ready(node, now, fx)
     }
 }
 
@@ -355,14 +338,17 @@ impl KernelHook for Executor {
         "rose-executor"
     }
 
-    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs) -> HookEffects {
+    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
+        if self.faults.pending == 0 {
+            return;
+        }
         let node = self.node_of(env.pid, env.node);
-        let path = Self::path_of(&self.fd_paths, env.pid, args);
+        let path = Self::path_of(args);
         let faults = &mut self.faults;
 
         // 1. Progress SyscallInvocation / ExecutionIndex conditions.
         let call = args.call;
-        let mut effects = faults.observe(node, env.now, |cond, rt| {
+        let injecting = faults.observe(node, env.now, fx, |cond, rt| {
             match cond {
                 Condition::SyscallInvocation {
                     syscall,
@@ -392,8 +378,8 @@ impl KernelHook for Executor {
             }
             false
         });
-        if effects.is_injecting() {
-            return effects;
+        if injecting {
+            return;
         }
 
         // 2. Armed SCF faults match this invocation (`observe` left the
@@ -414,65 +400,40 @@ impl KernelHook for Executor {
                 if *syscall == call && (want.is_none() || want.as_deref() == path) {
                     rt.scf_count += 1;
                     if rt.scf_count >= *nth {
-                        let e = faults.fire(i, env.now);
+                        faults.fire(i, env.now, fx);
                         faults.advance_state_based(env.now);
-                        effects.merge(e);
                         break;
                     }
                 }
             }
         }
-        effects
     }
 
-    fn sys_exit(&mut self, env: &HookEnv, args: &SyscallArgs, result: &SysResult) -> HookEffects {
-        // Maintain the fd → path map from successful open/close/dup.
-        if let Ok(ret) = result {
-            match (args.call, ret) {
-                (rose_events::SyscallId::Open | rose_events::SyscallId::Openat, SysRet::Fd(fd)) => {
-                    if let Some(p) = args.path {
-                        self.fd_paths.insert((env.pid, *fd), p.to_string());
-                    }
-                }
-                (rose_events::SyscallId::Close, _) => {
-                    if let Some(fd) = args.fd {
-                        self.fd_paths.remove(&(env.pid, fd));
-                    }
-                }
-                (rose_events::SyscallId::Dup, SysRet::Fd(new)) => {
-                    if let Some(fd) = args.fd {
-                        if let Some(p) = self.fd_paths.get(&(env.pid, fd)).cloned() {
-                            self.fd_paths.insert((env.pid, *new), p);
-                        }
-                    }
-                }
-                _ => {}
-            }
+    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>, fx: &mut HookEffects) {
+        if self.faults.pending == 0 {
+            return;
         }
-        HookEffects::none()
-    }
-
-    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>) -> HookEffects {
         let node = self.node_of(env.pid, env.node);
         self.faults
-            .observe(node, env.now, |cond, _rt| match (cond, offset) {
+            .observe(node, env.now, fx, |cond, _rt| match (cond, offset) {
                 (Condition::FunctionEntered { name }, None) => name == function,
                 (Condition::FunctionOffset { name, offset: want }, Some(off)) => {
                     name == function && *want == off
                 }
                 _ => false,
-            })
+            });
     }
 
-    fn poll(&mut self, now: SimTime, _procs: &ProcTable) -> HookEffects {
+    fn poll(&mut self, now: SimTime, _procs: &ProcTable, fx: &mut HookEffects) {
         let faults = &mut self.faults;
+        if faults.pending == 0 {
+            return;
+        }
         faults.advance_state_based(now);
         // Fire any time/order-armed signal faults node by node.
-        let mut effects = HookEffects::none();
         for i in 0..faults.nodes.len() {
-            effects.merge(faults.fire_ready(faults.nodes[i], now));
+            faults.fire_ready(faults.nodes[i], now, fx);
         }
-        effects
     }
 
     fn proc_event(&mut self, _now: SimTime, event: &ProcEvent) {

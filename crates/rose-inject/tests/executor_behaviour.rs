@@ -1,12 +1,15 @@
 //! End-to-end tests of the executor: precise fault injection against the
 //! simulated cluster.
 
-use rose_events::{Errno, NodeId, SimDuration, SyscallId};
+use rose_events::{Errno, NodeId, Pid, SimDuration, SimTime, SyscallId};
 use rose_inject::{
     Condition, ExecutionFeedback, Executor, FaultAction, FaultSchedule, PartitionKind,
     ScheduledFault,
 };
-use rose_sim::{Application, NodeCtx, OpenFlags, Sim, SimConfig};
+use rose_sim::{
+    Application, ChainId, ChainTable, HookEffects, HookEnv, KernelHook, NodeCtx, OpenFlags,
+    ProcTable, SignalKind, SignalReq, SignalTarget, Sim, SimConfig, SyscallArgs,
+};
 
 /// A snapshotting app: every 200 ms it runs `storeSnapshotData` which opens,
 /// writes twice, and renames a snapshot — with instrumented offsets.
@@ -307,4 +310,58 @@ fn schedule_yaml_survives_executor_round_trip() {
     let parsed = FaultSchedule::from_yaml(&yaml).unwrap();
     let (_sim, fb) = run_with(parsed, 10, 2);
     assert!(fb.all_injected(1));
+}
+
+/// Fires every probe the executor listens on, on node 0 at `secs`.
+fn probe_all(ex: &mut Executor, secs: u64, fx: &mut HookEffects) {
+    let chains = ChainTable::new();
+    let env = HookEnv {
+        now: SimTime::from_secs(secs),
+        node: NodeId(0),
+        pid: Pid(100),
+        chain: ChainId::ROOT,
+        chains: &chains,
+    };
+    ex.sys_enter(&env, &SyscallArgs::bare(SyscallId::Write), fx);
+    ex.uprobe(&env, "storeSnapshotData", None, fx);
+    ex.poll(env.now, &ProcTable::new(), fx);
+}
+
+#[test]
+fn spent_schedule_has_no_effect_and_keeps_its_feedback() {
+    let mut s = FaultSchedule::new();
+    s.push(
+        ScheduledFault::new(NodeId(0), FaultAction::Crash).after(Condition::TimeElapsed {
+            after: SimDuration::from_secs(1),
+        }),
+    );
+    let mut ex = Executor::new(s);
+    let mut fx = HookEffects::none();
+    probe_all(&mut ex, 0, &mut fx);
+    assert_eq!(fx, HookEffects::none(), "not due yet");
+    probe_all(&mut ex, 2, &mut fx);
+    let crash = SignalReq {
+        target: SignalTarget::Node(NodeId(0)),
+        kind: SignalKind::Crash,
+    };
+    assert_eq!(fx.signal(), Some(crash));
+    let feedback = ex.feedback();
+    assert_eq!(feedback.injected, vec![(0, 2_000_000)]);
+
+    // Every fault has fired: the probes are inert from here on.
+    let mut fx = HookEffects::none();
+    probe_all(&mut ex, 3, &mut fx);
+    probe_all(&mut ex, 4, &mut fx);
+    assert_eq!(fx, HookEffects::none());
+    assert_eq!(ex.feedback(), feedback);
+}
+
+#[test]
+fn empty_schedule_never_arms() {
+    let mut ex = Executor::new(FaultSchedule::new());
+    let mut fx = HookEffects::none();
+    probe_all(&mut ex, 0, &mut fx);
+    probe_all(&mut ex, 60, &mut fx);
+    assert_eq!(fx, HookEffects::none());
+    assert_eq!(ex.feedback(), ExecutionFeedback::default());
 }

@@ -112,12 +112,12 @@ impl KernelHook for Nemesis {
         "jepsen-nemesis"
     }
 
-    fn poll(&mut self, now: SimTime, _procs: &ProcTable) -> HookEffects {
+    fn poll(&mut self, now: SimTime, _procs: &ProcTable, fx: &mut HookEffects) {
         let next = *self
             .next_at
             .get_or_insert(SimTime::ZERO + self.cfg.start_after);
         if now < next || self.cfg.ops.is_empty() {
-            return HookEffects::none();
+            return;
         }
         let op = self.cfg.ops[self.rng.gen_range(0..self.cfg.ops.len())];
         let node = NodeId(self.rng.gen_range(0..self.cfg.nodes));
@@ -137,28 +137,17 @@ impl KernelHook for Nemesis {
             duration,
         });
 
+        let signal = |kind| SignalReq {
+            target: SignalTarget::Node(node),
+            kind,
+        };
         match op {
-            NemesisOp::Crash => HookEffects {
-                signal: Some(SignalReq {
-                    target: SignalTarget::Node(node),
-                    kind: SignalKind::Crash,
-                }),
-                ..Default::default()
-            },
-            NemesisOp::Pause => HookEffects {
-                signal: Some(SignalReq {
-                    target: SignalTarget::Node(node),
-                    kind: SignalKind::Pause(duration),
-                }),
-                ..Default::default()
-            },
-            NemesisOp::Partition => HookEffects {
-                net: vec![NetCmd::Isolate {
-                    ip: node.ip(),
-                    heal_after: Some(duration),
-                }],
-                ..Default::default()
-            },
+            NemesisOp::Crash => fx.set_signal(signal(SignalKind::Crash)),
+            NemesisOp::Pause => fx.set_signal(signal(SignalKind::Pause(duration))),
+            NemesisOp::Partition => fx.push_net(NetCmd::Isolate {
+                ip: node.ip(),
+                heal_after: Some(duration),
+            }),
             NemesisOp::Split => {
                 // A random minority group (the event's `node` seeds it) is
                 // cut from the rest in both directions, like the executor's
@@ -171,14 +160,13 @@ impl KernelHook for Nemesis {
                         members.push(next);
                     }
                 }
-                let mut net = Vec::new();
                 for a in (0..self.cfg.nodes).map(NodeId) {
                     if members.contains(&a) {
                         continue;
                     }
                     for b in &members {
                         for (src, dst) in [(a, *b), (*b, a)] {
-                            net.push(NetCmd::Install {
+                            fx.push_net(NetCmd::Install {
                                 rule: rose_sim::DropRule {
                                     src: src.ip(),
                                     dst: dst.ip(),
@@ -187,10 +175,6 @@ impl KernelHook for Nemesis {
                             });
                         }
                     }
-                }
-                HookEffects {
-                    net,
-                    ..Default::default()
                 }
             }
         }

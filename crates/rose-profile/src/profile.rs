@@ -37,8 +37,6 @@ pub struct ProfilingHook {
     pub syscall_counts: BTreeMap<SyscallId, u64>,
     /// Failures observed in the failure-free run.
     pub benign: BTreeSet<FaultFingerprint>,
-    /// fd → path map for fingerprinting fd-based failures.
-    fd_paths: BTreeMap<(rose_events::Pid, rose_events::Fd), String>,
 }
 
 impl ProfilingHook {
@@ -53,41 +51,37 @@ impl KernelHook for ProfilingHook {
         "rose-profiler"
     }
 
-    fn sys_exit(&mut self, env: &HookEnv, args: &SyscallArgs, result: &SysResult) -> HookEffects {
+    fn sys_exit(
+        &mut self,
+        _env: &HookEnv,
+        args: &SyscallArgs,
+        result: &SysResult,
+        _fx: &mut HookEffects,
+    ) {
         *self.syscall_counts.entry(args.call).or_insert(0) += 1;
-        if let Ok(ret) = result {
-            match (args.call, ret) {
-                (SyscallId::Open | SyscallId::Openat, rose_sim::SysRet::Fd(fd)) => {
-                    if let Some(p) = args.path {
-                        self.fd_paths.insert((env.pid, *fd), p.to_string());
-                    }
-                }
-                (SyscallId::Close, _) => {
-                    if let Some(fd) = args.fd {
-                        self.fd_paths.remove(&(env.pid, fd));
-                    }
-                }
-                _ => {}
-            }
-        }
         if let Err(errno) = result {
-            let path = if let Some(p) = args.path {
-                // `rename` carries "from\0to": fingerprint the source path.
-                Some(p.split('\0').next().unwrap_or(p).to_string())
-            } else {
-                args.fd
-                    .and_then(|fd| self.fd_paths.get(&(env.pid, fd)).cloned())
+            // `rename` carries "from\0to": fingerprint the source path. An
+            // fd-based failure is fingerprinted by the path its descriptor
+            // names.
+            let path = match args.path {
+                Some(p) => Some(p.split('\0').next().unwrap_or(p)),
+                None => args.fd_path,
             };
             self.benign.insert(FaultFingerprint {
                 syscall: args.call,
                 errno: *errno,
-                path,
+                path: path.map(str::to_string),
             });
         }
-        HookEffects::none()
     }
 
-    fn uprobe(&mut self, _env: &HookEnv, function: &str, offset: Option<u32>) -> HookEffects {
+    fn uprobe(
+        &mut self,
+        _env: &HookEnv,
+        function: &str,
+        offset: Option<u32>,
+        _fx: &mut HookEffects,
+    ) {
         if offset.is_none() {
             match self.function_counts.get_mut(function) {
                 Some(count) => *count += 1,
@@ -96,7 +90,6 @@ impl KernelHook for ProfilingHook {
                 }
             }
         }
-        HookEffects::none()
     }
 }
 

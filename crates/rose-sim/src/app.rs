@@ -173,9 +173,12 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
 
     /// Sends a message to every peer.
     pub fn broadcast(&mut self, msg: M) {
-        for p in self.peers() {
-            // Send errors to individual peers are ignored, like UDP fan-out.
-            let _ = self.send(p, msg.clone());
+        for p in self.core.node_ids() {
+            if p != self.node {
+                // Send errors to individual peers are ignored, like UDP
+                // fan-out.
+                let _ = self.send(p, msg.clone());
+            }
         }
     }
 

@@ -2,10 +2,11 @@
 //!
 //! The paper's tracer and executor attach eBPF programs to syscall
 //! tracepoints/kprobes, uprobes, XDP, and read procfs. Here both are
-//! [`KernelHook`]s: the kernel calls every hook at each interception point
-//! and applies the returned [`HookEffects`] — a syscall-return override
-//! (`bpf_override_return`), a signal (`bpf_send_signal`), TC filter
-//! commands, and a CPU-time charge that models the probe's overhead.
+//! [`KernelHook`]s: the kernel hands every hook at an interception point
+//! the same [`HookEffects`] to write into and applies it once the chain has
+//! run — a syscall-return override (`bpf_override_return`), a signal
+//! (`bpf_send_signal`), TC filter commands, and a CPU-time charge that
+//! models the probe's overhead.
 
 use std::any::Any;
 
@@ -74,7 +75,7 @@ pub struct SignalReq {
 }
 
 /// A traffic-control command produced by a hook.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetCmd {
     /// Install a drop filter; heal (remove) it after the given time if set.
     Install {
@@ -94,19 +95,17 @@ pub enum NetCmd {
     ClearAll,
 }
 
-/// Everything a hook may ask the kernel to do in response to a probe.
-#[derive(Debug, Default)]
+/// Everything the hooks of one probe firing ask the kernel to do. The chain
+/// shares one value: each hook writes through the setters, which keep the
+/// chain's merge rules — an override or a signal belongs to the first hook
+/// that asks (one eBPF program per attach point claims the probe), charges
+/// and traffic-control commands accumulate in hook order.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct HookEffects {
-    /// Override the system call's return value with this error and skip its
-    /// body (`bpf_override_return`). Only meaningful from `sys_enter`.
-    pub override_errno: Option<Errno>,
-    /// Deliver a signal at this kernel boundary.
-    pub signal: Option<SignalReq>,
-    /// Traffic-control commands.
-    pub net: Vec<NetCmd>,
-    /// CPU time the probe consumed, charged to the interrupted process (the
-    /// source of tracer overhead).
-    pub charge: SimDuration,
+    pub(crate) override_errno: Option<Errno>,
+    pub(crate) signal: Option<SignalReq>,
+    pub(crate) net: Vec<NetCmd>,
+    pub(crate) charge: SimDuration,
 }
 
 impl HookEffects {
@@ -115,26 +114,38 @@ impl HookEffects {
         HookEffects::default()
     }
 
-    /// Only a CPU-time charge.
-    pub fn charge(d: SimDuration) -> Self {
-        HookEffects {
-            charge: d,
-            ..Default::default()
-        }
+    /// Overrides the system call's return value with `errno` and skips its
+    /// body (`bpf_override_return`), unless an earlier hook already did.
+    /// Only meaningful from `sys_enter`.
+    pub fn set_override(&mut self, errno: Errno) {
+        self.override_errno.get_or_insert(errno);
     }
 
-    /// Merges another effect set into this one. Overrides and signals are
-    /// first-writer-wins: in a chain, the first hook that injects a fault
-    /// claims the probe (matching one eBPF program per attach point).
-    pub fn merge(&mut self, other: HookEffects) {
-        if self.override_errno.is_none() {
-            self.override_errno = other.override_errno;
-        }
-        if self.signal.is_none() {
-            self.signal = other.signal;
-        }
-        self.net.extend(other.net);
-        self.charge += other.charge;
+    /// Delivers a signal at this kernel boundary, unless an earlier hook
+    /// already asked for one.
+    pub fn set_signal(&mut self, req: SignalReq) {
+        self.signal.get_or_insert(req);
+    }
+
+    /// Appends a traffic-control command.
+    pub fn push_net(&mut self, cmd: NetCmd) {
+        self.net.push(cmd);
+    }
+
+    /// Adds CPU time the probe consumed, charged to the interrupted process
+    /// (the source of tracer overhead).
+    pub fn add_charge(&mut self, d: SimDuration) {
+        self.charge += d;
+    }
+
+    /// The signal to deliver, if a hook asked for one.
+    pub fn signal(&self) -> Option<SignalReq> {
+        self.signal
+    }
+
+    /// The traffic-control commands, in the order hooks pushed them.
+    pub fn net(&self) -> &[NetCmd] {
+        &self.net
     }
 
     /// Whether any fault-injecting effect is present.
@@ -203,42 +214,52 @@ pub enum ProcEvent {
 /// A kernel hook: tracer, fault injector, or test instrumentation.
 ///
 /// All methods have no-op defaults so implementations attach only where
-/// needed, like loading a subset of eBPF programs.
+/// needed, like loading a subset of eBPF programs. Every probe method gets
+/// the firing's shared [`HookEffects`] as `fx` and writes what it wants done
+/// into it.
 pub trait KernelHook: Any {
     /// Short name for diagnostics.
     fn name(&self) -> &'static str;
 
     /// `sys_enter`: fired before a system call executes. May override the
     /// return value (skipping the body) or deliver a signal.
-    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs) -> HookEffects {
-        let _ = (env, args);
-        HookEffects::none()
+    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
+        let _ = (env, args, fx);
     }
 
     /// `sys_exit`: fired after a system call completes (including overridden
     /// ones), with the final result.
-    fn sys_exit(&mut self, env: &HookEnv, args: &SyscallArgs, result: &SysResult) -> HookEffects {
-        let _ = (env, args, result);
-        HookEffects::none()
+    fn sys_exit(
+        &mut self,
+        env: &HookEnv,
+        args: &SyscallArgs,
+        result: &SysResult,
+        fx: &mut HookEffects,
+    ) {
+        let _ = (env, args, result, fx);
     }
 
     /// Uprobe: fired at an application function entry (`offset == None`) or
     /// at a specific instrumented offset inside it.
-    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>) -> HookEffects {
-        let _ = (env, function, offset);
-        HookEffects::none()
+    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>, fx: &mut HookEffects) {
+        let _ = (env, function, offset, fx);
     }
 
     /// XDP ingress tap: a node-to-node packet arrived at `env.node`.
-    fn packet_in(&mut self, env: &HookEnv, src: IpAddr, dst: IpAddr, size: usize) -> HookEffects {
-        let _ = (env, src, dst, size);
-        HookEffects::none()
+    fn packet_in(
+        &mut self,
+        env: &HookEnv,
+        src: IpAddr,
+        dst: IpAddr,
+        size: usize,
+        fx: &mut HookEffects,
+    ) {
+        let _ = (env, src, dst, size, fx);
     }
 
     /// Periodic poll (procfs reader and time-based fault conditions).
-    fn poll(&mut self, now: SimTime, procs: &ProcTable) -> HookEffects {
-        let _ = (now, procs);
-        HookEffects::none()
+    fn poll(&mut self, now: SimTime, procs: &ProcTable, fx: &mut HookEffects) {
+        let _ = (now, procs, fx);
     }
 
     /// Process lifecycle notification.
@@ -252,31 +273,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_is_first_writer_wins_for_faults() {
-        let mut a = HookEffects {
-            override_errno: Some(Errno::Eio),
-            charge: SimDuration::from_micros(1),
-            ..Default::default()
+    fn setters_are_first_writer_wins_for_faults_and_additive_for_the_rest() {
+        let crash = SignalReq {
+            target: SignalTarget::Current,
+            kind: SignalKind::Crash,
         };
-        let b = HookEffects {
-            override_errno: Some(Errno::Enoent),
-            signal: Some(SignalReq {
-                target: SignalTarget::Current,
-                kind: SignalKind::Crash,
-            }),
-            charge: SimDuration::from_micros(2),
-            ..Default::default()
+        let pause = SignalReq {
+            target: SignalTarget::Node(NodeId(1)),
+            kind: SignalKind::Pause(SimDuration::from_secs(1)),
         };
-        a.merge(b);
-        assert_eq!(a.override_errno, Some(Errno::Eio));
-        assert!(a.signal.is_some());
-        assert_eq!(a.charge, SimDuration::from_micros(3));
-        assert!(a.is_injecting());
+        let mut fx = HookEffects::none();
+        // The first hook overrides and charges; the second asks for another
+        // errno and a signal; the third for another signal.
+        fx.set_override(Errno::Eio);
+        fx.add_charge(SimDuration::from_micros(1));
+        fx.set_override(Errno::Enoent);
+        fx.set_signal(crash);
+        fx.add_charge(SimDuration::from_micros(2));
+        fx.set_signal(pause);
+        fx.push_net(NetCmd::ClearAll);
+        fx.push_net(NetCmd::Isolate {
+            ip: IpAddr(1),
+            heal_after: None,
+        });
+        assert_eq!(fx.override_errno, Some(Errno::Eio));
+        assert_eq!(fx.signal(), Some(crash));
+        assert_eq!(fx.charge, SimDuration::from_micros(3));
+        assert_eq!(fx.net().len(), 2);
+        assert_eq!(fx.net()[0], NetCmd::ClearAll);
+        assert!(fx.is_injecting());
     }
 
     #[test]
     fn none_is_not_injecting() {
         assert!(!HookEffects::none().is_injecting());
-        assert!(!HookEffects::charge(SimDuration::from_micros(5)).is_injecting());
+        let mut fx = HookEffects::none();
+        fx.add_charge(SimDuration::from_micros(5));
+        assert!(!fx.is_injecting());
+        fx.push_net(NetCmd::ClearAll);
+        assert!(fx.is_injecting());
     }
 }

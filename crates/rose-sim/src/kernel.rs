@@ -4,7 +4,7 @@
 //! [`SimCore`] owns everything except the application instances themselves
 //! (which live in [`crate::sim::Sim`], generic over the application type).
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::mem;
 
 use rand::rngs::SmallRng;
@@ -20,6 +20,7 @@ use crate::hooks::{
 };
 use crate::net::NetState;
 use crate::process::ProcTable;
+use crate::queue::EventQueue;
 use crate::state::{ClientId, History, Logs, SimStats};
 use crate::syscalls::{SysResult, SyscallArgs};
 use crate::vfs::Vfs;
@@ -78,34 +79,6 @@ pub(crate) enum Item<M> {
     Poll,
 }
 
-/// A queue entry ordered by `(at, seq)`.
-pub(crate) struct Scheduled<M> {
-    pub at: SimTime,
-    pub seq: u64,
-    pub item: Item<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl<M> Eq for Scheduled<M> {}
-
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// An item buffered while a process is paused (SIGSTOP semantics: the socket
 /// buffer and timer queue drain only after SIGCONT).
 #[derive(Debug)]
@@ -156,8 +129,7 @@ pub struct SimCore<M> {
     pub cfg: SimConfig,
     /// Current simulated time.
     pub now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Scheduled<M>>,
+    queue: EventQueue<Item<M>>,
     /// The run's RNG — the single source of nondeterminism.
     pub rng: SmallRng,
     /// Process table.
@@ -200,9 +172,10 @@ pub struct SimCore<M> {
     /// The run's calling-context tree: every distinct function-entry chain
     /// interned once.
     pub(crate) chains: ChainTable,
-    /// Current calling context per pid (absent = outside any function).
-    /// Entering a function moves to a child chain, leaving to the parent.
-    fn_stack: BTreeMap<Pid, ChainId>,
+    /// Current calling context per pid, indexed by the pid's number (a pid
+    /// past the end is outside any function). Entering a function moves to
+    /// a child chain, leaving to the parent.
+    fn_stack: Vec<ChainId>,
     /// The `stats` values already published to `obs` by [`Self::flush_obs`],
     /// in [`OBS_COUNTERS`] order.
     obs_flushed: [u64; OBS_COUNTERS.len()],
@@ -221,8 +194,7 @@ impl<M> SimCore<M> {
             rng: SmallRng::seed_from_u64(cfg.seed),
             cfg,
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             procs: ProcTable::new(),
             vfs: (0..n).map(|_| Vfs::new()).collect(),
             net: NetState::new(),
@@ -239,7 +211,7 @@ impl<M> SimCore<M> {
             generations: vec![0; n],
             last_pid: vec![None; n],
             chains: ChainTable::new(),
-            fn_stack: BTreeMap::new(),
+            fn_stack: Vec::new(),
             obs_flushed: [0; OBS_COUNTERS.len()],
             pending_signals: Vec::new(),
             active: None,
@@ -277,9 +249,7 @@ impl<M> SimCore<M> {
 
     /// Schedules an item at an absolute time.
     pub(crate) fn schedule(&mut self, at: SimTime, item: Item<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Scheduled { at, seq, item });
+        self.queue.schedule(at, item);
     }
 
     /// Schedules an item after a delay.
@@ -288,13 +258,9 @@ impl<M> SimCore<M> {
         self.schedule(at, item);
     }
 
-    /// Pops the next item if it is due at or before `limit`.
-    pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<Scheduled<M>> {
-        if self.queue.peek().is_some_and(|s| s.at <= limit) {
-            self.queue.pop()
-        } else {
-            None
-        }
+    /// Pops the next item and its time if it is due at or before `limit`.
+    pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, Item<M>)> {
+        self.queue.pop_due(limit)
     }
 
     /// Samples a one-way message latency.
@@ -339,6 +305,18 @@ impl<M> SimCore<M> {
     /// calling process — the mechanism by which an injected crash stops the
     /// application at this exact kernel boundary.
     pub(crate) fn syscall(&mut self, node: NodeId, pid: Pid, args: SyscallArgs<'_>) -> SysResult {
+        // The descriptor's path as the table has it before the call runs,
+        // shown unchanged to `sys_enter` and `sys_exit`: the chain needs no
+        // descriptor bookkeeping of its own. A reference of the shared path,
+        // not a copy; it outlives a `close` of the descriptor.
+        let fd_path = args
+            .fd
+            .and_then(|fd| self.vfs[node.0 as usize].fd_path_shared(pid, fd))
+            .cloned();
+        let args = SyscallArgs {
+            fd_path: fd_path.as_deref(),
+            ..args
+        };
         let chain = self.chain_of(pid);
         let env = HookEnv {
             now: self.now,
@@ -347,12 +325,12 @@ impl<M> SimCore<M> {
             chain,
             chains: &self.chains,
         };
-        let mut effects = HookEffects::none();
+        let mut fx = HookEffects::none();
         for h in &mut self.hooks {
-            effects.merge(h.sys_enter(&env, &args));
+            h.sys_enter(&env, &args, &mut fx);
         }
 
-        let result = match effects.override_errno {
+        let result = match fx.override_errno {
             // `bpf_override_return`: skip the body entirely, return the
             // scheduled errno (paper §4.6.2).
             Some(errno) => {
@@ -373,16 +351,19 @@ impl<M> SimCore<M> {
             chains: &self.chains,
         };
         for h in &mut self.hooks {
-            effects.merge(h.sys_exit(&env, &args, &result));
+            h.sys_exit(&env, &args, &result, &mut fx);
         }
 
-        self.apply_effects(node, effects);
+        self.apply_effects(node, fx);
         result
     }
 
     /// A pid's live calling context.
     pub(crate) fn chain_of(&self, pid: Pid) -> ChainId {
-        self.fn_stack.get(&pid).copied().unwrap_or(ChainId::ROOT)
+        self.fn_stack
+            .get(pid.0 as usize)
+            .copied()
+            .unwrap_or(ChainId::ROOT)
     }
 
     /// Publishes to `obs` what the per-event counters in `stats` gained
@@ -419,11 +400,11 @@ impl<M> SimCore<M> {
             .call_chain()
             .last()
             .expect("uprobe outside an entered function");
-        let mut effects = HookEffects::none();
+        let mut fx = HookEffects::none();
         for h in &mut self.hooks {
-            effects.merge(h.uprobe(&env, function, offset));
+            h.uprobe(&env, function, offset, &mut fx);
         }
-        self.apply_effects(node, effects);
+        self.apply_effects(node, fx);
     }
 
     /// Fires the XDP ingress tap for a node-to-node packet.
@@ -442,31 +423,26 @@ impl<M> SimCore<M> {
             chain: self.chain_of(pid),
             chains: &self.chains,
         };
-        let mut effects = HookEffects::none();
+        let mut fx = HookEffects::none();
         for h in &mut self.hooks {
-            effects.merge(h.packet_in(&env, src, dst, size));
+            h.packet_in(&env, src, dst, size, &mut fx);
         }
-        self.apply_effects(dst_node, effects);
+        self.apply_effects(dst_node, fx);
     }
 
     /// Runs the periodic hook poll.
     pub(crate) fn fire_poll(&mut self) {
-        let now = self.now;
-        let mut effects = HookEffects::none();
-        // The process table is borrowed immutably while hooks run; effects
-        // are applied afterwards.
-        let procs = mem::take(&mut self.procs);
+        let mut fx = HookEffects::none();
         for h in &mut self.hooks {
-            effects.merge(h.poll(now, &procs));
+            h.poll(self.now, &self.procs, &mut fx);
         }
-        self.procs = procs;
         // Poll runs on a kernel thread: no callback is active, so pauses are
         // applied inline and crashes are deferred to the driver loop.
-        if effects.is_injecting() {
+        if fx.is_injecting() {
             self.note_injection();
         }
-        self.apply_net_cmds(mem::take(&mut effects.net));
-        if let Some(sig) = effects.signal {
+        self.apply_net_cmds(fx.net);
+        if let Some(sig) = fx.signal {
             if let SignalTarget::Node(n) = sig.target {
                 match sig.kind {
                     SignalKind::Crash => self.pending_signals.push((n, sig.kind)),
@@ -598,13 +574,17 @@ impl<M> SimCore<M> {
     /// lookup in the chain table, which allocates only the first time this
     /// run sees the resulting chain.
     pub(crate) fn push_function(&mut self, pid: Pid, name: &str) {
-        let chain = self.fn_stack.entry(pid).or_default();
+        let pid = pid.0 as usize;
+        if self.fn_stack.len() <= pid {
+            self.fn_stack.resize(pid + 1, ChainId::ROOT);
+        }
+        let chain = &mut self.fn_stack[pid];
         *chain = self.chains.enter(*chain, name);
     }
 
     /// Pops a function from a pid's stack.
     pub(crate) fn pop_function(&mut self, pid: Pid) {
-        if let Some(chain) = self.fn_stack.get_mut(&pid) {
+        if let Some(chain) = self.fn_stack.get_mut(pid.0 as usize) {
             *chain = self.chains.parent(*chain);
         }
     }
@@ -612,6 +592,8 @@ impl<M> SimCore<M> {
     /// Clears all bookkeeping of a dead process.
     pub(crate) fn reap(&mut self, node: NodeId, pid: Pid) {
         self.vfs[node.0 as usize].drop_process(pid);
-        self.fn_stack.remove(&pid);
+        if let Some(chain) = self.fn_stack.get_mut(pid.0 as usize) {
+            *chain = ChainId::ROOT;
+        }
     }
 }

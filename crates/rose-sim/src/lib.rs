@@ -31,10 +31,14 @@ pub mod hooks;
 pub mod kernel;
 pub mod net;
 pub mod process;
+mod queue;
 pub mod sim;
 pub mod state;
 pub mod syscalls;
 pub mod vfs;
+
+#[cfg(test)]
+mod fd_path_test;
 
 pub use app::{Application, ClientCtx, ClientDriver, NodeCtx};
 pub use causal::CausalRecorder;

@@ -7,7 +7,7 @@
 //! an ingress tap (the XDP analogue) through which the tracer observes
 //! packets for network-delay detection.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use rose_events::{IpAddr, SimTime};
 use serde::{Deserialize, Serialize};
@@ -118,14 +118,23 @@ impl ConnTable {
     /// Records a packet and returns the *previous* entry, which the caller
     /// compares against the delay threshold.
     pub fn record(&mut self, src: IpAddr, dst: IpAddr, now: SimTime) -> Option<ConnEntry> {
-        let e = self.conns.get(&(src, dst)).copied();
-        let entry = self.conns.entry((src, dst)).or_insert(ConnEntry {
-            last_seen: now,
-            packets: 0,
-        });
-        entry.last_seen = now;
-        entry.packets += 1;
-        e
+        match self.conns.entry((src, dst)) {
+            Entry::Occupied(mut e) => {
+                let prev = *e.get();
+                *e.get_mut() = ConnEntry {
+                    last_seen: now,
+                    packets: prev.packets + 1,
+                };
+                Some(prev)
+            }
+            Entry::Vacant(e) => {
+                e.insert(ConnEntry {
+                    last_seen: now,
+                    packets: 1,
+                });
+                None
+            }
+        }
     }
 
     /// Iterates over all tracked connections (for dump-time flushing of

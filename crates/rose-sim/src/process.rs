@@ -4,8 +4,6 @@
 //! restart, and applications may attribute work to short-lived child pids —
 //! both situations the paper's executor must remap (§5.4).
 
-use std::collections::BTreeMap;
-
 use rose_events::{NodeId, Pid, SimTime};
 
 /// Run state of a process.
@@ -37,80 +35,80 @@ pub struct ProcessEntry {
     pub started: SimTime,
 }
 
-/// The cluster-wide process table.
+/// The first pid handed out; pids start at 100 to look realistic in traces.
+const FIRST_PID: u32 = 100;
+
+/// The cluster-wide process table. Pids are handed out consecutively and
+/// never reused, so the table is a `Vec` indexed by `pid - FIRST_PID`: the
+/// kernel asks it for a node's main pid and pause state on every event.
 #[derive(Debug, Default)]
 pub struct ProcTable {
-    procs: BTreeMap<Pid, ProcessEntry>,
-    /// Current main pid of each node.
-    current: BTreeMap<NodeId, Pid>,
-    next_pid: u32,
+    /// Every process ever spawned, exited ones included, in pid order.
+    procs: Vec<ProcessEntry>,
+    /// Last spawned main pid of each node, indexed by node id.
+    current: Vec<Option<Pid>>,
 }
 
 impl ProcTable {
-    /// An empty table; pids start at 100 to look realistic in traces.
+    /// An empty table.
     pub fn new() -> Self {
-        ProcTable {
-            procs: BTreeMap::new(),
-            current: BTreeMap::new(),
-            next_pid: 100,
-        }
+        ProcTable::default()
+    }
+
+    /// Where `pid`'s entry is, if the table handed the pid out.
+    fn slot(&self, pid: Pid) -> Option<usize> {
+        let slot = pid.0.checked_sub(FIRST_PID)? as usize;
+        (slot < self.procs.len()).then_some(slot)
+    }
+
+    fn spawn(&mut self, node: NodeId, parent: Option<Pid>, now: SimTime) -> Pid {
+        let pid = Pid(FIRST_PID + self.procs.len() as u32);
+        self.procs.push(ProcessEntry {
+            pid,
+            node,
+            parent,
+            state: RunState::Running,
+            started: now,
+        });
+        pid
     }
 
     /// Spawns the main process of `node`, returning its fresh pid.
     pub fn spawn_main(&mut self, node: NodeId, now: SimTime) -> Pid {
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        self.procs.insert(
-            pid,
-            ProcessEntry {
-                pid,
-                node,
-                parent: None,
-                state: RunState::Running,
-                started: now,
-            },
-        );
-        self.current.insert(node, pid);
+        let pid = self.spawn(node, None, now);
+        let node = node.0 as usize;
+        if self.current.len() <= node {
+            self.current.resize(node + 1, None);
+        }
+        self.current[node] = Some(pid);
         pid
     }
 
     /// Spawns a child helper of `parent`.
     pub fn spawn_child(&mut self, parent: Pid, now: SimTime) -> Option<Pid> {
-        let node = self.procs.get(&parent)?.node;
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        self.procs.insert(
-            pid,
-            ProcessEntry {
-                pid,
-                node,
-                parent: Some(parent),
-                state: RunState::Running,
-                started: now,
-            },
-        );
-        Some(pid)
+        let node = self.get(parent)?.node;
+        Some(self.spawn(node, Some(parent), now))
     }
 
     /// Marks a process exited. Children of the process exit with it.
     pub fn exit(&mut self, pid: Pid) {
-        if let Some(e) = self.procs.get_mut(&pid) {
-            e.state = RunState::Exited;
-        }
-        let children: Vec<Pid> = self
-            .procs
-            .values()
-            .filter(|e| e.parent == Some(pid) && e.state != RunState::Exited)
-            .map(|e| e.pid)
-            .collect();
-        for c in children {
-            self.exit(c);
+        let Some(slot) = self.slot(pid) else {
+            return;
+        };
+        self.procs[slot].state = RunState::Exited;
+        // A child is spawned after its parent, so it sits behind it.
+        for child in slot + 1..self.procs.len() {
+            let e = &self.procs[child];
+            if e.parent == Some(pid) && e.state != RunState::Exited {
+                self.exit(e.pid);
+            }
         }
     }
 
     /// Marks a process paused.
     pub fn pause(&mut self, pid: Pid, now: SimTime) {
-        if let Some(e) = self.procs.get_mut(&pid) {
+        if let Some(slot) = self.slot(pid) {
+            let e = &mut self.procs[slot];
             if e.state == RunState::Running {
                 e.state = RunState::Paused { since: now };
             }
@@ -119,7 +117,8 @@ impl ProcTable {
 
     /// Resumes a paused process, returning when the pause began.
     pub fn resume(&mut self, pid: Pid) -> Option<SimTime> {
-        let e = self.procs.get_mut(&pid)?;
+        let slot = self.slot(pid)?;
+        let e = &mut self.procs[slot];
         match e.state {
             RunState::Paused { since } => {
                 e.state = RunState::Running;
@@ -131,33 +130,33 @@ impl ProcTable {
 
     /// The entry for `pid`.
     pub fn get(&self, pid: Pid) -> Option<&ProcessEntry> {
-        self.procs.get(&pid)
+        self.slot(pid).map(|slot| &self.procs[slot])
+    }
+
+    /// The entry of the last main process spawned on `node`, exited or not.
+    fn main_entry(&self, node: NodeId) -> Option<&ProcessEntry> {
+        self.get((*self.current.get(node.0 as usize)?)?)
     }
 
     /// The current main pid of `node`, if the node is up.
     pub fn main_pid(&self, node: NodeId) -> Option<Pid> {
-        let pid = *self.current.get(&node)?;
-        match self.procs.get(&pid)?.state {
-            RunState::Exited => None,
-            _ => Some(pid),
-        }
+        let e = self.main_entry(node)?;
+        (e.state != RunState::Exited).then_some(e.pid)
     }
 
     /// The node owning `pid` (walking up from children).
     pub fn node_of(&self, pid: Pid) -> Option<NodeId> {
-        self.procs.get(&pid).map(|e| e.node)
+        self.get(pid).map(|e| e.node)
     }
 
     /// All live (non-exited) processes.
     pub fn live(&self) -> impl Iterator<Item = &ProcessEntry> {
-        self.procs.values().filter(|e| e.state != RunState::Exited)
+        self.procs.iter().filter(|e| e.state != RunState::Exited)
     }
 
     /// Whether the node's main process is currently paused.
     pub fn is_paused(&self, node: NodeId) -> bool {
-        self.current
-            .get(&node)
-            .and_then(|p| self.procs.get(p))
+        self.main_entry(node)
             .is_some_and(|e| matches!(e.state, RunState::Paused { .. }))
     }
 }

@@ -170,10 +170,10 @@ impl<A: Application> Sim<A> {
     /// Runs the event loop until the virtual clock reaches `until`.
     pub fn run_until(&mut self, until: SimTime) {
         assert!(self.started, "Sim::run_until before Sim::start");
-        while let Some(s) = self.core.pop_due(until) {
-            self.core.now = s.at;
+        while let Some((at, item)) = self.core.pop_due(until) {
+            self.core.now = at;
             self.core.events_executed += 1;
-            self.handle(s.item);
+            self.handle(item);
             self.drain_pending_signals();
         }
         if self.core.now < until {
@@ -429,10 +429,15 @@ impl<A: Application> Sim<A> {
     /// Runs an application callback under `catch_unwind`, converting crash
     /// signals and application panics into node crashes.
     fn dispatch_node(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut NodeCtx<'_, A::Msg>)) {
-        let Some(mut app) = self.apps[node.0 as usize].take() else {
+        let Some(pid) = self.core.procs.main_pid(node) else {
+            // No process, no state.
+            self.apps[node.0 as usize] = None;
             return;
         };
-        let Some(pid) = self.core.procs.main_pid(node) else {
+        // The state is borrowed where it lives, not moved out and back per
+        // event; a callback that unwinds leaves it for the crash path to
+        // drop.
+        let Some(app) = self.apps[node.0 as usize].as_mut() else {
             return;
         };
         self.core.active = Some((node, pid));
@@ -440,7 +445,7 @@ impl<A: Application> Sim<A> {
         let core = &mut self.core;
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             let mut ctx = NodeCtx { core, node, pid };
-            f(&mut app, &mut ctx);
+            f(app, &mut ctx);
         }));
         self.core.active = None;
         match result {
@@ -454,7 +459,6 @@ impl<A: Application> Sim<A> {
                     "callback on {node} returned inside {:?}: enter_function without exit_function",
                     self.core.chains.names(self.core.chain_of(pid)),
                 );
-                self.apps[node.0 as usize] = Some(app);
             }
             Err(payload) => {
                 let (reason, aborted) = if let Some(cp) = payload.downcast_ref::<CrashPayload>() {
@@ -474,7 +478,8 @@ impl<A: Application> Sim<A> {
                 } else {
                     ("unknown panic".to_string(), true)
                 };
-                // The app state was moved into the unwound closure: dropped.
+                // The callback unwound half-way through the state, which
+                // `handle_crash` drops with the process.
                 self.handle_crash(node, reason, aborted);
             }
         }

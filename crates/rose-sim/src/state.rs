@@ -147,14 +147,14 @@ impl History {
 }
 
 /// Counters collected during a run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimStats {
     /// Total system calls executed (including overridden ones).
     pub syscalls: u64,
     /// System calls that returned an error.
     pub syscall_failures: u64,
-    /// Per-call-id invocation counts.
-    pub per_syscall: BTreeMap<SyscallId, u64>,
+    /// Per-call-id invocation counts, indexed by the id's discriminant.
+    per_syscall: [u64; SyscallId::ALL.len()],
     /// Node-to-node packets delivered.
     pub packets: u64,
     /// Process crashes (injected or application panics).
@@ -172,10 +172,19 @@ impl SimStats {
     /// Records one syscall invocation.
     pub fn count_syscall(&mut self, id: SyscallId, failed: bool) {
         self.syscalls += 1;
-        *self.per_syscall.entry(id).or_insert(0) += 1;
+        self.per_syscall[id as usize] += 1;
         if failed {
             self.syscall_failures += 1;
         }
+    }
+
+    /// Invocation counts of the calls that ran at least once.
+    pub fn per_syscall(&self) -> BTreeMap<SyscallId, u64> {
+        SyscallId::ALL
+            .into_iter()
+            .map(|id| (id, self.per_syscall[id as usize]))
+            .filter(|(_, count)| *count > 0)
+            .collect()
     }
 }
 
@@ -221,6 +230,6 @@ mod tests {
         s.count_syscall(SyscallId::Read, true);
         assert_eq!(s.syscalls, 2);
         assert_eq!(s.syscall_failures, 1);
-        assert_eq!(s.per_syscall[&SyscallId::Read], 2);
+        assert_eq!(s.per_syscall(), BTreeMap::from([(SyscallId::Read, 2)]));
     }
 }

@@ -41,6 +41,13 @@ pub struct SyscallArgs<'a> {
     pub path: Option<&'a str>,
     /// Descriptor argument, for fd-based calls.
     pub fd: Option<Fd>,
+    /// The path `fd` names in the calling process's descriptor table when
+    /// the call is made (`None` when `fd` is absent or not open) — the same
+    /// answer at `sys_enter` and `sys_exit`, also for the `close` that ends
+    /// it. Filled in by the kernel; what a caller puts here is overwritten.
+    /// The descriptor table is the only place that tracks descriptors, so
+    /// no hook keeps a map of its own.
+    pub fd_path: Option<&'a str>,
     /// Peer address, for network calls.
     pub peer: Option<IpAddr>,
     /// Byte count involved (write length, requested read length).
@@ -59,6 +66,7 @@ impl<'a> SyscallArgs<'a> {
             call,
             path: None,
             fd: None,
+            fd_path: None,
             peer: None,
             len: 0,
             data_prefix: None,

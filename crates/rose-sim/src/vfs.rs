@@ -1,12 +1,18 @@
 //! Per-node virtual filesystem.
 //!
 //! Each node owns a flat path → file map that survives process crashes and
-//! restarts (it models the node's disk). Descriptor tables are per process
+//! restarts (it models the node's disk). Descriptors belong to a process
 //! and are discarded on crash, so a crash mid-sequence leaves exactly the
 //! bytes written so far — the mechanism behind corrupted-snapshot bugs such
 //! as `RedisRaft-NEW`.
+//!
+//! The node's descriptor table is also the one place that knows which path
+//! a descriptor names: the kernel reads it before every fd-based call and
+//! shows it to the hook chain as [`crate::SyscallArgs::fd_path`].
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::rc::Rc;
 
 use rose_events::{Errno, Fd, Pid};
 
@@ -24,20 +30,29 @@ pub struct FileNode {
     pub mode: u32,
 }
 
-/// An open-file description in a process descriptor table.
+/// An open-file description of one process.
 #[derive(Debug, Clone)]
 struct OpenFile {
-    path: String,
+    pid: Pid,
+    fd: Fd,
+    /// The path the descriptor was opened on, shared with the key of
+    /// `files` while that file exists. Descriptors track paths, not inodes:
+    /// after a rename or unlink this still names the old path, and every
+    /// use looks it up by content.
+    path: Rc<str>,
     offset: usize,
     flags: OpenFlags,
 }
 
-/// One node's filesystem plus the descriptor tables of its processes.
+/// One node's filesystem plus the descriptors of its processes.
 #[derive(Debug, Default)]
 pub struct Vfs {
-    files: BTreeMap<String, FileNode>,
-    /// Per-process descriptor tables.
-    fd_tables: BTreeMap<Pid, BTreeMap<Fd, OpenFile>>,
+    /// The disk. Each path is stored once; descriptors share the key.
+    files: BTreeMap<Rc<str>, FileNode>,
+    /// Every open descriptor of every process of the node. A handful are
+    /// open at a time and each call names one `(pid, fd)`, so a scan of a
+    /// flat table beats a tree of trees.
+    open: Vec<OpenFile>,
     next_fd: u32,
 }
 
@@ -46,14 +61,15 @@ impl Vfs {
     pub fn new() -> Self {
         Vfs {
             files: BTreeMap::new(),
-            fd_tables: BTreeMap::new(),
+            open: Vec::new(),
             next_fd: 3,
         }
     }
 
     /// Pre-populates a file (test/setup helper; models deployment state).
     pub fn install(&mut self, path: impl Into<String>, data: Vec<u8>, mode: u32) {
-        self.files.insert(path.into(), FileNode { data, mode });
+        self.files
+            .insert(Rc::from(path.into()), FileNode { data, mode });
     }
 
     /// Direct read of a file's bytes, bypassing the syscall layer (used by
@@ -64,86 +80,95 @@ impl Vfs {
 
     /// Lists all paths currently on disk.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(String::as_str)
+        self.files.keys().map(|p| &**p)
     }
 
-    /// Drops the descriptor table of a crashed process. Disk contents stay.
+    /// Drops the descriptors of a crashed process. Disk contents stay.
     pub fn drop_process(&mut self, pid: Pid) {
-        self.fd_tables.remove(&pid);
+        self.open.retain(|o| o.pid != pid);
     }
 
-    fn table(&mut self, pid: Pid) -> &mut BTreeMap<Fd, OpenFile> {
-        self.fd_tables.entry(pid).or_default()
-    }
-
-    /// An open descriptor of `pid`, by reference: `read`/`write`/`fsync`
-    /// run once per I/O call and must not copy the description's path.
-    fn open_file(
-        fd_tables: &mut BTreeMap<Pid, BTreeMap<Fd, OpenFile>>,
-        pid: Pid,
-        fd: Fd,
-    ) -> Result<&mut OpenFile, Errno> {
-        fd_tables
-            .get_mut(&pid)
-            .and_then(|t| t.get_mut(&fd))
+    /// Where `pid`'s descriptor `fd` sits in the table. The newest
+    /// descriptors are the busiest, so the scan starts from the back.
+    fn slot(&self, pid: Pid, fd: Fd) -> Result<usize, Errno> {
+        self.open
+            .iter()
+            .rposition(|o| o.fd == fd && o.pid == pid)
             .ok_or(Errno::Ebadf)
+    }
+
+    fn allocate(&mut self, pid: Pid, path: Rc<str>, offset: usize, flags: OpenFlags) -> SysResult {
+        let fd = Fd(self.next_fd);
+        self.next_fd += 1;
+        self.open.push(OpenFile {
+            pid,
+            fd,
+            path,
+            offset,
+            flags,
+        });
+        Ok(SysRet::Fd(fd))
     }
 
     /// Resolves the path behind a descriptor, if open.
     pub fn fd_path(&self, pid: Pid, fd: Fd) -> Option<&str> {
-        self.fd_tables
-            .get(&pid)
-            .and_then(|t| t.get(&fd))
-            .map(|o| o.path.as_str())
+        self.fd_path_shared(pid, fd).map(|path| &**path)
+    }
+
+    /// [`Vfs::fd_path`] as the descriptor's own handle, which a caller can
+    /// clone (no copy) to keep the path across later calls into the
+    /// filesystem.
+    pub(crate) fn fd_path_shared(&self, pid: Pid, fd: Fd) -> Option<&Rc<str>> {
+        self.slot(pid, fd).ok().map(|i| &self.open[i].path)
     }
 
     /// `open`/`openat`.
     pub fn open(&mut self, pid: Pid, path: &str, flags: OpenFlags) -> SysResult {
-        // The path is copied for the descriptor, and once more only when the
-        // call creates the file.
-        let offset = match (flags, self.files.get_mut(path)) {
+        // One probe of the disk, with write access for the truncating
+        // open: the first key at or after `path` is `path` or the file does
+        // not exist. The path is copied only when the call creates the
+        // file; a descriptor on an existing file shares the disk's key.
+        let existing = self
+            .files
+            .range_mut::<str, _>((Bound::Included(path), Bound::Unbounded))
+            .next()
+            .filter(|(key, _)| &***key == path);
+        let (path, offset) = match (flags, existing) {
             (OpenFlags::Read, None) => return Err(Errno::Enoent),
-            (OpenFlags::Read, Some(node)) if node.mode & 0o400 == 0 => return Err(Errno::Eacces),
-            (OpenFlags::Read, Some(_)) => 0,
-            (OpenFlags::Write, Some(node)) => {
-                node.data.clear();
-                0
+            (OpenFlags::Read, Some((_, node))) if node.mode & 0o400 == 0 => {
+                return Err(Errno::Eacces)
             }
-            (OpenFlags::Append, Some(node)) => node.data.len(),
+            (OpenFlags::Read, Some((key, _))) => (key.clone(), 0),
+            (OpenFlags::Write, Some((key, node))) => {
+                node.data.clear();
+                (key.clone(), 0)
+            }
+            (OpenFlags::Append, Some((key, node))) => (key.clone(), node.data.len()),
             (OpenFlags::Write | OpenFlags::Append, None) => {
+                let path: Rc<str> = Rc::from(path);
                 let node = FileNode {
                     data: Vec::new(),
                     mode: DEFAULT_MODE,
                 };
-                self.files.insert(path.to_string(), node);
-                0
+                self.files.insert(path.clone(), node);
+                (path, 0)
             }
         };
-        let fd = Fd(self.next_fd);
-        self.next_fd += 1;
-        self.table(pid).insert(
-            fd,
-            OpenFile {
-                path: path.to_string(),
-                offset,
-                flags,
-            },
-        );
-        Ok(SysRet::Fd(fd))
+        self.allocate(pid, path, offset, flags)
     }
 
     /// `close`.
     pub fn close(&mut self, pid: Pid, fd: Fd) -> SysResult {
-        self.table(pid)
-            .remove(&fd)
-            .map(|_| SysRet::Unit)
-            .ok_or(Errno::Ebadf)
+        let slot = self.slot(pid, fd)?;
+        self.open.swap_remove(slot);
+        Ok(SysRet::Unit)
     }
 
     /// `read` of up to `len` bytes from the descriptor's current offset.
     pub fn read(&mut self, pid: Pid, fd: Fd, len: usize) -> SysResult {
-        let of = Self::open_file(&mut self.fd_tables, pid, fd)?;
-        let node = self.files.get(&of.path).ok_or(Errno::Eio)?;
+        let slot = self.slot(pid, fd)?;
+        let of = &mut self.open[slot];
+        let node = self.files.get(&*of.path).ok_or(Errno::Eio)?;
         let end = (of.offset + len).min(node.data.len());
         let out = node.data[of.offset.min(node.data.len())..end].to_vec();
         of.offset = end;
@@ -152,11 +177,12 @@ impl Vfs {
 
     /// `write` of `data` at the descriptor's current offset.
     pub fn write(&mut self, pid: Pid, fd: Fd, data: &[u8]) -> SysResult {
-        let of = Self::open_file(&mut self.fd_tables, pid, fd)?;
+        let slot = self.slot(pid, fd)?;
+        let of = &mut self.open[slot];
         if matches!(of.flags, OpenFlags::Read) {
             return Err(Errno::Ebadf);
         }
-        let node = self.files.get_mut(&of.path).ok_or(Errno::Eio)?;
+        let node = self.files.get_mut(&*of.path).ok_or(Errno::Eio)?;
         let end = of.offset + data.len();
         if node.data.len() < end {
             node.data.resize(end, 0);
@@ -168,8 +194,8 @@ impl Vfs {
 
     /// `fsync` (a no-op on success: the simulated disk is write-through).
     pub fn fsync(&mut self, pid: Pid, fd: Fd) -> SysResult {
-        let of = Self::open_file(&mut self.fd_tables, pid, fd)?;
-        if self.files.contains_key(&of.path) {
+        let of = &self.open[self.slot(pid, fd)?];
+        if self.files.contains_key(&*of.path) {
             Ok(SysRet::Unit)
         } else {
             Err(Errno::Eio)
@@ -187,12 +213,7 @@ impl Vfs {
 
     /// `fstat` by descriptor.
     pub fn fstat(&self, pid: Pid, fd: Fd) -> SysResult {
-        let of = self
-            .fd_tables
-            .get(&pid)
-            .and_then(|t| t.get(&fd))
-            .ok_or(Errno::Ebadf)?;
-        self.stat(&of.path)
+        self.stat(&self.open[self.slot(pid, fd)?].path)
     }
 
     /// `rename`. Open descriptors keep operating on the old inode contents
@@ -200,7 +221,7 @@ impl Vfs {
     /// is permitted (descriptors here track paths, a simplification).
     pub fn rename(&mut self, from: &str, to: &str) -> SysResult {
         let node = self.files.remove(from).ok_or(Errno::Enoent)?;
-        self.files.insert(to.to_string(), node);
+        self.files.insert(Rc::from(to), node);
         Ok(SysRet::Unit)
     }
 
@@ -214,11 +235,9 @@ impl Vfs {
 
     /// `dup`.
     pub fn dup(&mut self, pid: Pid, fd: Fd) -> SysResult {
-        let of = self.table(pid).get(&fd).ok_or(Errno::Ebadf)?.clone();
-        let new = Fd(self.next_fd);
-        self.next_fd += 1;
-        self.table(pid).insert(new, of);
-        Ok(SysRet::Fd(new))
+        let of = &self.open[self.slot(pid, fd)?];
+        let (path, offset, flags) = (of.path.clone(), of.offset, of.flags);
+        self.allocate(pid, path, offset, flags)
     }
 
     /// `readlink` (the simulated fs has no symlinks; always `ENOENT` unless a

@@ -25,30 +25,25 @@ impl KernelHook for ChainSpy {
         "chain-spy"
     }
 
-    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs) -> HookEffects {
+    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, _fx: &mut HookEffects) {
         if env.node == NodeId(0) {
             self.chains
                 .push((env.pid, args.call, env.call_chain().to_vec()));
         }
-        HookEffects::none()
     }
 
-    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>) -> HookEffects {
+    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>, fx: &mut HookEffects) {
         if offset.is_none()
             && env.node == NodeId(0)
             && self.crash_in.as_deref() == Some(function)
             && self.crashes_fired == 0
         {
             self.crashes_fired += 1;
-            return HookEffects {
-                signal: Some(SignalReq {
-                    target: SignalTarget::Current,
-                    kind: SignalKind::Crash,
-                }),
-                ..Default::default()
-            };
+            fx.set_signal(SignalReq {
+                target: SignalTarget::Current,
+                kind: SignalKind::Crash,
+            });
         }
-        HookEffects::none()
     }
 }
 

@@ -98,7 +98,7 @@ impl KernelHook for SpyHook {
         "spy"
     }
 
-    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs) -> HookEffects {
+    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
         self.sys_enters += 1;
         self.fingerprint = self
             .fingerprint
@@ -108,35 +108,38 @@ impl KernelHook for SpyHook {
         if args.call == SyscallId::Openat {
             self.openat_seen += 1;
             if Some(self.openat_seen) == self.fail_openat_at {
-                return HookEffects {
-                    override_errno: Some(Errno::Eio),
-                    ..Default::default()
-                };
+                fx.set_override(Errno::Eio);
             }
         }
-        HookEffects::none()
     }
 
-    fn sys_exit(&mut self, _env: &HookEnv, _args: &SyscallArgs, result: &SysResult) -> HookEffects {
+    fn sys_exit(
+        &mut self,
+        _env: &HookEnv,
+        _args: &SyscallArgs,
+        result: &SysResult,
+        _fx: &mut HookEffects,
+    ) {
         self.sys_exits += 1;
         if result.is_err() {
             self.failures += 1;
         }
-        HookEffects::none()
     }
 
-    fn uprobe(&mut self, _env: &HookEnv, function: &str, offset: Option<u32>) -> HookEffects {
+    fn uprobe(
+        &mut self,
+        _env: &HookEnv,
+        function: &str,
+        offset: Option<u32>,
+        fx: &mut HookEffects,
+    ) {
         self.uprobes.push((function.to_string(), offset));
         if offset.is_none() && self.crash_in.as_deref() == Some(function) {
-            return HookEffects {
-                signal: Some(SignalReq {
-                    target: SignalTarget::Current,
-                    kind: SignalKind::Crash,
-                }),
-                ..Default::default()
-            };
+            fx.set_signal(SignalReq {
+                target: SignalTarget::Current,
+                kind: SignalKind::Crash,
+            });
         }
-        HookEffects::none()
     }
 
     fn packet_in(
@@ -145,9 +148,9 @@ impl KernelHook for SpyHook {
         _src: rose_events::IpAddr,
         _dst: rose_events::IpAddr,
         _size: usize,
-    ) -> HookEffects {
+        _fx: &mut HookEffects,
+    ) {
         self.packets += 1;
-        HookEffects::none()
     }
 
     fn proc_event(&mut self, _now: SimTime, event: &ProcEvent) {

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use rose_events::{
-    Event, EventKind, ExecutionIndex, Fd, IpAddr, NodeId, Pid, ProcState, SimDuration, SimTime,
+    Event, EventKind, ExecutionIndex, IpAddr, NodeId, Pid, ProcState, SimDuration, SimTime,
     SlidingWindow, SyscallId, Trace,
 };
 use rose_obs::Obs;
@@ -56,10 +56,6 @@ impl TracerReport {
 pub struct Tracer {
     cfg: TracerConfig,
     window: SlidingWindow,
-    /// fd → path map maintained from successful `open`/`close`/`dup` exits
-    /// (the paper's lightweight mapping; reconstruction normally happens in
-    /// post-processing, outside the hot path).
-    fd_paths: BTreeMap<(Pid, Fd), String>,
     /// Receiver-side connection table for network-delay detection.
     conns: rose_sim::ConnTable,
     /// Pauses in progress: pid → (node, since), discovered by polling.
@@ -89,7 +85,6 @@ impl Tracer {
         Tracer {
             window: SlidingWindow::with_capacity(cfg.window_capacity),
             cfg,
-            fd_paths: BTreeMap::new(),
             conns: rose_sim::ConnTable::new(),
             ongoing_pauses: BTreeMap::new(),
             ei_counts: Vec::new(),
@@ -216,9 +211,9 @@ impl Tracer {
         self.window.push(event);
     }
 
-    fn charge(&mut self, d: SimDuration) -> HookEffects {
+    fn charge(&mut self, d: SimDuration, fx: &mut HookEffects) {
         self.total_charged += d;
-        HookEffects::charge(d)
+        fx.add_charge(d);
     }
 
     /// Counts one more execution of `call` under `chain` on `node` and
@@ -237,17 +232,18 @@ impl Tracer {
         *count
     }
 
-    /// Resolves the path context of a failing call: path-based calls carry
-    /// it in their arguments (copied lazily on failure); fd-based calls go
-    /// through the fd → path map.
-    fn resolve_path(&self, pid: Pid, args: &SyscallArgs) -> Option<String> {
+    /// Resolves the path context of a failing call, copied only now that
+    /// the call failed: path-based calls carry it in their arguments, for
+    /// fd-based calls the kernel resolved it from its descriptor table. (The
+    /// paper's tracer maintains that fd → path mapping itself; here that is
+    /// a `CostModel` charge, not work.)
+    fn resolve_path(args: &SyscallArgs) -> Option<String> {
         if args.call.is_path_based() {
             // `rename` carries "from\0to": record the source path.
             args.path
                 .map(|p| p.split('\0').next().unwrap_or(p).to_string())
         } else {
-            let fd = args.fd?;
-            self.fd_paths.get(&(pid, fd)).cloned()
+            args.fd_path.map(str::to_string)
         }
     }
 }
@@ -262,32 +258,9 @@ impl KernelHook for Tracer {
         env: &HookEnv,
         args: &SyscallArgs,
         result: &rose_sim::SysResult,
-    ) -> HookEffects {
+        fx: &mut HookEffects,
+    ) {
         let mut charge = self.cfg.costs.probe_filter;
-
-        // Maintain the fd → path map from successful open/close/dup.
-        if let Ok(ret) = result {
-            match (args.call, ret) {
-                (SyscallId::Open | SyscallId::Openat, rose_sim::SysRet::Fd(fd)) => {
-                    if let Some(p) = args.path {
-                        self.fd_paths.insert((env.pid, *fd), p.to_string());
-                    }
-                }
-                (SyscallId::Close, _) => {
-                    if let Some(fd) = args.fd {
-                        self.fd_paths.remove(&(env.pid, fd));
-                    }
-                }
-                (SyscallId::Dup, rose_sim::SysRet::Fd(new)) => {
-                    if let Some(fd) = args.fd {
-                        if let Some(p) = self.fd_paths.get(&(env.pid, fd)).cloned() {
-                            self.fd_paths.insert((env.pid, *new), p);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
 
         // Execution-index maintenance: every completed call bumps its
         // (node, calling context, syscall) counter, so a failing call can be
@@ -304,7 +277,7 @@ impl KernelHook for Tracer {
                         pid: env.pid,
                         syscall: args.call,
                         fd: args.fd,
-                        path: self.resolve_path(env.pid, args),
+                        path: Self::resolve_path(args),
                         errno: *errno,
                         ei: ei_of(ei_count),
                     };
@@ -346,7 +319,7 @@ impl KernelHook for Tracer {
                         pid: env.pid,
                         syscall: args.call,
                         fd: args.fd,
-                        path: self.resolve_path(env.pid, args),
+                        path: Self::resolve_path(args),
                         errno: *errno,
                         ei: ei_of(ei_count),
                     },
@@ -360,17 +333,17 @@ impl KernelHook for Tracer {
             }
         }
 
-        self.charge(charge)
+        self.charge(charge, fx);
     }
 
-    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>) -> HookEffects {
+    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>, fx: &mut HookEffects) {
         // Only entries of monitored functions have probes attached;
         // everything else costs nothing (no probe, no transition).
         if offset.is_some() {
-            return HookEffects::none();
+            return;
         }
         let Some(id) = self.cfg.function_id(function) else {
-            return HookEffects::none();
+            return;
         };
         let ev = EventKind::Af {
             pid: env.pid,
@@ -378,10 +351,17 @@ impl KernelHook for Tracer {
         };
         self.record(Event::new(env.now, env.node, ev));
         let charge = self.cfg.costs.uprobe_fire + self.cfg.costs.record_event;
-        self.charge(charge)
+        self.charge(charge, fx);
     }
 
-    fn packet_in(&mut self, env: &HookEnv, src: IpAddr, dst: IpAddr, _size: usize) -> HookEffects {
+    fn packet_in(
+        &mut self,
+        env: &HookEnv,
+        src: IpAddr,
+        dst: IpAddr,
+        _size: usize,
+        fx: &mut HookEffects,
+    ) {
         if let Some(prev) = self.conns.record(src, dst, env.now) {
             let gap = env.now.since(prev.last_seen);
             if gap >= ND_THRESHOLD {
@@ -395,10 +375,10 @@ impl KernelHook for Tracer {
             }
         }
         let c = self.cfg.costs.xdp_packet;
-        self.charge(c)
+        self.charge(c, fx);
     }
 
-    fn poll(&mut self, now: SimTime, procs: &ProcTable) -> HookEffects {
+    fn poll(&mut self, now: SimTime, procs: &ProcTable, _fx: &mut HookEffects) {
         // Pause detection by procfs polling: remember when a process enters
         // `waiting`; when it leaves (or at dump), emit a PS event if the
         // pause exceeded the threshold.
@@ -426,7 +406,6 @@ impl KernelHook for Tracer {
             }
         }
         self.ongoing_pauses = still_paused;
-        HookEffects::none()
     }
 
     fn proc_event(&mut self, now: SimTime, event: &ProcEvent) {

@@ -109,17 +109,13 @@ fn fd_based_failures_resolve_paths_via_fd_map() {
         fn name(&self) -> &'static str {
             "failwrite"
         }
-        fn sys_enter(&mut self, _env: &HookEnv, args: &SyscallArgs) -> HookEffects {
+        fn sys_enter(&mut self, _env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
             if args.call == SyscallId::Write {
                 self.seen += 1;
                 if self.seen == 5 {
-                    return HookEffects {
-                        override_errno: Some(Errno::Enospc),
-                        ..Default::default()
-                    };
+                    fx.set_override(Errno::Enospc);
                 }
             }
-            HookEffects::none()
         }
     }
 

@@ -18,13 +18,15 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch or JSON trace twin; rose-trace does not link rose-store"
+echo "== no downcast glue, EI switch, JSON trace twin or per-hook descriptor map; rose-trace does not link rose-store"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
+    || grep -rn "fd_paths" crates/*/src \
     || cargo tree -p rose-trace | grep rose-store; then
     echo "FAIL: as_any impls are gone (trait upcasting), Level 2.5 is the only search," \
-        ".rosetrace the only trace file; the tracer stays free of the store"
+        ".rosetrace the only trace file, descriptor -> path is the kernel's" \
+        "(SyscallArgs::fd_path); the tracer stays free of the store"
     exit 1
 fi
 
@@ -80,7 +82,7 @@ cargo test -p rose-apps --release -q --test ei_replay
 
 echo "== allocation budgets: per-syscall hook chain, RedisRaft run (release)"
 # Its own test binary (it installs a counting global allocator): executor +
-# tracer + site probe may add at most 0.5 allocations per syscall to a
+# tracer + site probe may add at most 0.1 allocations per syscall to a
 # fault-free ZooKeeper run, re-entering a seen call chain none, and a bare
 # fault-free RedisRaft run makes at most 6.5 per simulated event.
 cargo test --release -q --test alloc_budget
