@@ -61,14 +61,10 @@ pub mod tags {
     pub const ELECTION: u64 = 2;
     /// Leader heartbeat.
     pub const HEARTBEAT: u64 = 3;
-    /// Deferred work stage A.
-    pub const STAGE_A: u64 = 10;
     /// Deferred work stage B.
     pub const STAGE_B: u64 = 11;
     /// Client request pacing.
     pub const CLIENT_OP: u64 = 20;
-    /// Client timeout check.
-    pub const CLIENT_TIMEOUT: u64 = 21;
     /// Client final read.
     pub const CLIENT_READ: u64 = 22;
 }

@@ -280,16 +280,6 @@ impl RoseRaft {
         (self.kv.applied, self.kv.chain, self.kv.digest())
     }
 
-    /// Harness accessor: is this node currently leader?
-    pub fn is_leader(&self) -> bool {
-        self.role == Role::Leader
-    }
-
-    /// Harness accessor: the active voter set.
-    pub fn voters(&self) -> &[u32] {
-        &self.voters
-    }
-
     fn me(ctx: &NodeCtx<'_, RaftMsg>) -> u32 {
         ctx.node().0
     }

@@ -300,7 +300,7 @@ impl BugId {
 
 /// Sanitizes a display name into a file stem: lowercase, non-alphanumerics
 /// mapped to `-`.
-pub fn file_stem(name: &str) -> String {
+fn file_stem(name: &str) -> String {
     name.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() {

@@ -9,11 +9,11 @@
 //! name and a bug name is never swallowed as a flag's value.
 //!
 //! The parser is strict: a missing or unparsable value is an error, not a
-//! silent default. Errors are recorded and reported by the finishing call,
-//! which prints the message and the binary's usage to stderr and exits with
-//! status 2 — so a binary must finish parsing before it has side effects.
-//! `ROSE_*` environment variables stand in for absent value flags; unset or
-//! empty means absent, set but unparsable is an error like the flag would be.
+//! silent default (a count that must not be zero is taken as a `NonZero`
+//! type, so `0` is unparsable). Errors are recorded and reported by the
+//! finishing call, which prints the message and the binary's usage to stderr
+//! and exits with status 2 — so a binary must finish parsing before it has
+//! side effects.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -23,32 +23,25 @@ use rose_apps::registry::BugId;
 /// Command-line arguments not consumed yet, plus the first parse error.
 pub struct Args {
     rest: Vec<String>,
-    env: fn(&str) -> Option<String>,
     error: Option<String>,
 }
 
 impl Args {
-    /// The process's arguments and environment.
+    /// The process's arguments.
     pub fn from_env() -> Self {
-        Args::new(std::env::args().skip(1), |var| std::env::var(var).ok())
+        Args::new(std::env::args().skip(1))
     }
 
-    /// Explicit arguments and environment lookup (the testable core).
-    pub fn new(args: impl IntoIterator<Item = String>, env: fn(&str) -> Option<String>) -> Self {
+    /// Explicit arguments (the testable core).
+    pub fn new(args: impl IntoIterator<Item = String>) -> Self {
         Args {
             rest: args.into_iter().collect(),
-            env,
             error: None,
         }
     }
 
     fn fail(&mut self, msg: String) {
         self.error.get_or_insert(msg);
-    }
-
-    /// The environment fallback of a flag: unset or empty is absent.
-    fn env_value(&self, var: Option<&str>) -> Option<String> {
-        (self.env)(var?).filter(|v| !v.is_empty())
     }
 
     /// Takes the boolean flag `name`.
@@ -60,62 +53,52 @@ impl Args {
         at.is_some()
     }
 
-    /// Takes the value of `--name <value>` / `--name=<value>`, falling back
-    /// to `env_var`. `None` when neither is present.
-    pub fn value<T: FromStr>(&mut self, name: &str, env_var: Option<&str>) -> Option<T> {
+    /// Takes the value of `--name <value>` / `--name=<value>`. `None` when
+    /// the flag is absent.
+    pub fn value<T: FromStr>(&mut self, name: &str) -> Option<T> {
         let prefix = format!("{name}=");
-        let at = self
+        let i = self
             .rest
             .iter()
-            .position(|a| a == name || a.starts_with(&prefix));
-        let (source, raw) = match at {
-            Some(i) => {
-                let arg = self.rest.remove(i);
-                let raw = match arg.strip_prefix(&prefix) {
-                    Some(v) => v.to_string(),
-                    None if i < self.rest.len() && !self.rest[i].starts_with("--") => {
-                        self.rest.remove(i)
-                    }
-                    None => {
-                        self.fail(format!("{name} needs a value"));
-                        return None;
-                    }
-                };
-                (name, raw)
+            .position(|a| a == name || a.starts_with(&prefix))?;
+        let arg = self.rest.remove(i);
+        let raw = match arg.strip_prefix(&prefix) {
+            Some(v) => v.to_string(),
+            None if i < self.rest.len() && !self.rest[i].starts_with("--") => self.rest.remove(i),
+            None => {
+                self.fail(format!("{name} needs a value"));
+                return None;
             }
-            None => (env_var?, self.env_value(env_var)?),
         };
         let parsed = raw.parse().ok();
         if parsed.is_none() {
-            self.fail(format!("invalid value '{raw}' for {source}"));
+            self.fail(format!("invalid value '{raw}' for {name}"));
         }
         parsed
     }
 
-    /// `--jobs N` / `ROSE_JOBS`: the worker count, 1 (sequential) when
-    /// absent. Zero is clamped to 1.
+    /// `--jobs N`: the worker count, 1 (sequential) when absent. Zero is
+    /// clamped to 1.
     pub fn jobs(&mut self) -> usize {
-        self.value::<usize>("--jobs", Some("ROSE_JOBS"))
-            .map_or(1, |n| n.max(1))
+        self.value::<usize>("--jobs").map_or(1, |n| n.max(1))
     }
 
-    /// `--report <path>` / `ROSE_REPORT`: where the campaign's JSONL phase
-    /// records are appended (see [`crate::ReportSink::open`]).
+    /// `--report <path>`: where the campaign's JSONL phase records are
+    /// appended (see [`crate::ReportSink::open`]).
     pub fn report(&mut self) -> Option<PathBuf> {
-        self.value("--report", Some("ROSE_REPORT"))
+        self.value("--report")
     }
 
-    /// `--trace-dir <dir>` / `ROSE_TRACE_DIR`: persist captured traces as
-    /// `<stem>.rosetrace` and diagnose from the reloaded binary trace.
+    /// `--trace-dir <dir>`: persist captured traces as `<stem>.rosetrace`
+    /// and diagnose from the reloaded binary trace.
     pub fn trace_dir(&mut self) -> Option<PathBuf> {
-        self.value("--trace-dir", Some("ROSE_TRACE_DIR"))
+        self.value("--trace-dir")
     }
 
-    /// `--causal <dir>` / `ROSE_CAUSAL`: collect causal provenance during
-    /// testing runs and write propagation chains as `<stem>.flow.json` +
-    /// `<stem>.dot`.
+    /// `--causal <dir>`: collect causal provenance during testing runs and
+    /// write propagation chains as `<stem>.flow.json` + `<stem>.dot`.
     pub fn causal_dir(&mut self) -> Option<PathBuf> {
-        self.value("--causal", Some("ROSE_CAUSAL"))
+        self.value("--causal")
     }
 
     /// Ends parsing: the positional arguments, or the first error — a
@@ -173,30 +156,16 @@ fn exit_usage(msg: &str, usage: &str) -> ! {
 
 #[cfg(test)]
 mod tests {
+    use std::num::NonZeroU64;
+
     use super::*;
 
-    fn no_env(_: &str) -> Option<String> {
-        None
-    }
-
     fn args(v: &[&str]) -> Args {
-        Args::new(v.iter().map(|s| s.to_string()), no_env)
-    }
-
-    fn with_env(v: &[&str], env: fn(&str) -> Option<String>) -> Args {
-        Args::new(v.iter().map(|s| s.to_string()), env)
+        Args::new(v.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn path_flags_take_both_spellings_and_fall_back_to_env() {
-        fn env(var: &str) -> Option<String> {
-            match var {
-                "ROSE_REPORT" => Some("env.jsonl".into()),
-                "ROSE_TRACE_DIR" => Some("env-dir".into()),
-                "ROSE_CAUSAL" => Some(String::new()),
-                _ => None,
-            }
-        }
+    fn path_flags_take_both_spellings() {
         type Take = fn(&mut Args) -> Option<PathBuf>;
         let takes: [(&str, Take); 3] = [
             ("--report", Args::report),
@@ -214,35 +183,20 @@ mod tests {
             );
             assert_eq!(take(&mut args(&["--quick"])), None);
         }
-        // The flag beats the environment; an empty variable is absent.
-        let mut a = with_env(&["--report=x.jsonl"], env);
-        assert_eq!(a.report(), Some(PathBuf::from("x.jsonl")));
-        let mut a = with_env(&["--quick"], env);
-        assert_eq!(a.report(), Some(PathBuf::from("env.jsonl")));
-        assert_eq!(a.trace_dir(), Some(PathBuf::from("env-dir")));
-        assert_eq!(a.causal_dir(), None);
     }
 
     #[test]
-    fn boolean_flags_come_from_the_command_line_only() {
-        fn on(_: &str) -> Option<String> {
-            Some("1".into())
-        }
+    fn boolean_flags_are_taken_once() {
         let mut a = args(&["--jobs", "2", "--quick"]);
         assert!(a.flag("--quick"));
         assert!(!a.flag("--quick"), "taken once");
         assert!(!args(&["--jobs", "2"]).flag("--quick"));
-        assert!(!with_env(&[], on).flag("--quick"));
     }
 
     #[test]
-    fn jobs_prefers_flag_over_env_and_clamps_zero() {
-        fn env(var: &str) -> Option<String> {
-            (var == "ROSE_JOBS").then(|| "3".into())
-        }
+    fn jobs_defaults_to_one_and_clamps_zero() {
         assert_eq!(args(&["--jobs", "4"]).jobs(), 4);
-        assert_eq!(with_env(&["--jobs=6"], env).jobs(), 6);
-        assert_eq!(with_env(&["--quick"], env).jobs(), 3);
+        assert_eq!(args(&["--jobs=6"]).jobs(), 6);
         assert_eq!(args(&[]).jobs(), 1);
         assert_eq!(args(&["--jobs", "0"]).jobs(), 1);
     }
@@ -252,7 +206,7 @@ mod tests {
         let mut a = args(v);
         a.jobs();
         a.flag("--quick");
-        a.value::<PathBuf>("--out", None);
+        a.value::<PathBuf>("--out");
         a.check()
     }
 
@@ -268,14 +222,11 @@ mod tests {
             Ok(vec!["HDFS-12070".to_string(), "Zookeeper-4203".to_string()])
         );
         let mut a = args(&["--out=o.json", "x"]);
-        assert_eq!(a.value("--out", None), Some(PathBuf::from("o.json")));
+        assert_eq!(a.value("--out"), Some(PathBuf::from("o.json")));
     }
 
     #[test]
     fn bad_input_is_an_error_not_a_default() {
-        fn bad_jobs(var: &str) -> Option<String> {
-            (var == "ROSE_JOBS").then(|| "many".into())
-        }
         // Unknown flag, flag the binary does not consume, repeated flag.
         assert!(names(&["--no-such-flag"]).is_err());
         assert!(names(&["--ei"]).is_err());
@@ -284,14 +235,15 @@ mod tests {
         // Missing value: last argument, or followed by another flag.
         assert!(names(&["--out"]).is_err());
         assert!(names(&["--out", "--quick"]).is_err());
-        // Unparsable value, from the flag or from the environment.
+        // Unparsable value.
         assert!(names(&["--jobs", "x"]).is_err());
         assert!(names(&["--jobs", "-1"]).is_err());
-        let mut a = with_env(&[], bad_jobs);
-        assert_eq!(a.jobs(), 1);
-        assert!(a.check().unwrap_err().contains("ROSE_JOBS"));
         let mut a = args(&["--secs", "abc"]);
-        assert_eq!(a.value::<u64>("--secs", None), None);
+        assert_eq!(a.value::<u64>("--secs"), None);
+        assert!(a.check().unwrap_err().contains("--secs"));
+        // Zero is not a count: a bin asks for the `NonZero` type.
+        let mut a = args(&["--secs", "0"]);
+        assert_eq!(a.value::<NonZeroU64>("--secs"), None);
         assert!(a.check().unwrap_err().contains("--secs"));
     }
 }

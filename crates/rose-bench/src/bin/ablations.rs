@@ -13,16 +13,15 @@
 //!    the paper's flat Level-2 invocation sweep against the default search.
 //!
 //! Usage: `cargo run -p rose-bench --release --bin ablations [-- --jobs N] [-- --report out.jsonl] [-- --trace-dir traces/] [-- --causal causal/]`
-//! (`--jobs N` / `ROSE_JOBS` runs independent measurements — the two
-//! amplification campaigns, the replay batches, the three flat-vs-EI bugs
-//! — across `N` workers with bit-identical results; `--report <path>` /
-//! `ROSE_REPORT` appends the JSONL phase records of the workflow-backed
-//! ablations to `<path>`; `--trace-dir <dir>` / `ROSE_TRACE_DIR` persists
-//! the captured traces of the workflow-backed ablations as
-//! `ablation-*.rosetrace` and diagnoses from the reloaded binaries;
-//! `--causal <dir>` / `ROSE_CAUSAL` records causal provenance and writes
-//! each workflow-backed ablation's propagation chains as
-//! `ablation-*.flow.json` + `.dot`).
+//! (`--jobs N` runs independent measurements — the two amplification
+//! campaigns, the replay batches, the three flat-vs-EI bugs — across `N`
+//! workers with bit-identical results; `--report <path>` appends the JSONL
+//! phase records of the workflow-backed ablations to `<path>`;
+//! `--trace-dir <dir>` persists the captured traces of the workflow-backed
+//! ablations as `ablation-*.rosetrace` and diagnoses from the reloaded
+//! binaries; `--causal <dir>` records causal provenance and writes each
+//! workflow-backed ablation's propagation chains as `ablation-*.flow.json`
+//! and `.dot`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 

@@ -19,14 +19,16 @@
 //! [-- --log hunt_frontier.jsonl] [-- --state-dir DIR] [-- --report out.jsonl]`
 //!
 //! Positional `BUG` arguments name registry cases (default: the hunt
-//! roster below); `--budget` caps exploration runs per bug (default 192);
-//! `--state-dir` persists per-bug visited sets (`<bug>.visited`, the
-//! rose-store `RVST` format) so later campaigns skip known contexts;
-//! `--log` appends one JSONL line per exploration run. Flags are parsed
-//! strictly ([`rose_bench::args`]): an unknown flag, a bad value or an
-//! unknown bug name prints the usage line to stderr and exits with status 2.
+//! roster below); `--budget` caps exploration runs per bug (default 192,
+//! at least 1); `--state-dir` persists per-bug visited sets
+//! (`<bug>.visited`, the rose-store `RVST` format) so later campaigns skip
+//! known contexts; `--log` appends one JSONL line per exploration run.
+//! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag, a bad
+//! value or an unknown bug name prints the usage line to stderr and exits
+//! with status 2.
 
 use std::io::Write;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use rose_apps::driver::{visit_case, SystemVisitor};
@@ -112,12 +114,12 @@ const USAGE: &str = "usage: hunt [BUG ...] [--budget N] [--seed N] [--jobs N] [-
 fn main() {
     let mut args = Args::from_env();
     let out_path: String = args
-        .value("--out", None)
+        .value("--out")
         .unwrap_or_else(|| "BENCH_hunt.json".into());
-    let budget: usize = args.value("--budget", None).unwrap_or(192);
-    let seed: u64 = args.value("--seed", None).unwrap_or(42);
-    let state_dir: Option<PathBuf> = args.value("--state-dir", None);
-    let log_path: Option<PathBuf> = args.value("--log", None);
+    let budget = args.value("--budget").map_or(192, NonZeroUsize::get);
+    let seed: u64 = args.value("--seed").unwrap_or(42);
+    let state_dir: Option<PathBuf> = args.value("--state-dir");
+    let log_path: Option<PathBuf> = args.value("--log");
     let jobs = args.jobs();
     let report_path = args.report();
     let bugs = args.bugs(USAGE, &ROSTER);

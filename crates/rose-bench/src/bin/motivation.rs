@@ -5,17 +5,19 @@
 //! schedule replays at ~100 %.
 //!
 //! Usage: `cargo run -p rose-bench --release --bin motivation [-- --runs N] [-- --jobs N] [-- --report out.jsonl] [-- --trace-dir traces/] [-- --causal causal/]`
-//! (`--jobs N` / `ROSE_JOBS` fans the replay-rate measurements and the
-//! diagnosis's speculative schedule search across `N` workers with
-//! bit-identical results; `--report <path>` / `ROSE_REPORT` appends the
-//! campaign's JSONL phase records to `<path>`; `--trace-dir <dir>` /
-//! `ROSE_TRACE_DIR` persists the captured trace as
+//! (`--runs N` is the number of replays behind each rate, at least 1;
+//! `--jobs N` fans the replay-rate measurements and the diagnosis's
+//! speculative schedule search across `N` workers with bit-identical
+//! results; `--report <path>` appends the campaign's JSONL phase records to
+//! `<path>`; `--trace-dir <dir>` persists the captured trace as
 //! `motivation-redisraft-43.rosetrace` and diagnoses from the reloaded
-//! binary; `--causal <dir>` / `ROSE_CAUSAL` records causal
-//! provenance and writes the winning schedule's propagation chains as
+//! binary; `--causal <dir>` records causal provenance and writes the
+//! winning schedule's propagation chains as
 //! `motivation-redisraft-43.flow.json` + `.dot`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
+
+use std::num::NonZeroU32;
 
 use rose_analyze::level1_schedule;
 use rose_apps::driver::{capture_and_diagnose, DriverOptions};
@@ -29,7 +31,7 @@ const USAGE: &str =
 
 fn main() {
     let mut args = Args::from_env();
-    let runs: u32 = args.value("--runs", None).unwrap_or(100);
+    let runs = args.value("--runs").map_or(100, NonZeroU32::get);
     let jobs = args.jobs();
     let report_path = args.report();
     let trace_dir = args.trace_dir();

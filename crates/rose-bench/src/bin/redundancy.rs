@@ -16,9 +16,8 @@
 //! (positional `BUG` arguments name registry cases — e.g. `HDFS-12070
 //! RoseRaft-COMPACT` — and default to the three sweep-heavy bugs above;
 //! `--out <path>` — default `BENCH_redundancy.json` — is where the JSON
-//! summary goes; `--jobs N` / `ROSE_JOBS` runs the campaigns concurrently
-//! with bit-identical results; `--report` / `ROSE_REPORT` and `--causal` /
-//! `ROSE_CAUSAL` behave as in `table1`).
+//! summary goes; `--jobs N` runs the campaigns concurrently with
+//! bit-identical results; `--report` and `--causal` behave as in `table1`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 
@@ -60,7 +59,7 @@ const USAGE: &str =
 fn main() {
     let mut args = Args::from_env();
     let out_path: String = args
-        .value("--out", None)
+        .value("--out")
         .unwrap_or_else(|| "BENCH_redundancy.json".into());
     let jobs = args.jobs();
     let report_path = args.report();

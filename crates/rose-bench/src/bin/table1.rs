@@ -5,16 +5,14 @@
 //! diagnosis level).
 //!
 //! Usage: `cargo run -p rose-bench --release --bin table1 [-- --quick] [-- --jobs N] [-- --report out.jsonl] [-- --trace-dir traces/] [-- --causal causal/]`
-//! (`--quick` runs the five RedisRaft rows only; `--jobs N` — or the
-//! `ROSE_JOBS` environment variable — runs up to `N` bug campaigns
-//! concurrently with bit-identical output; `--report <path>` — or the
-//! `ROSE_REPORT` environment variable — appends one JSONL phase record per
-//! workflow phase plus a campaign summary per bug to `<path>`;
-//! `--trace-dir <dir>` — or `ROSE_TRACE_DIR` — persists each captured trace
-//! as `<bug>.rosetrace` and diagnoses from the reloaded binary, with
-//! byte-identical output; `--causal <dir>` — or `ROSE_CAUSAL` — records
-//! causal provenance during testing runs and writes each bug's
-//! fault-propagation chains as `<bug>.flow.json` + `<bug>.dot`).
+//! (`--quick` runs the five RedisRaft rows only; `--jobs N` runs up to `N`
+//! bug campaigns concurrently with bit-identical output; `--report <path>`
+//! appends one JSONL phase record per workflow phase plus a campaign
+//! summary per bug to `<path>`; `--trace-dir <dir>` persists each captured
+//! trace as `<bug>.rosetrace` and diagnoses from the reloaded binary, with
+//! byte-identical output; `--causal <dir>` records causal provenance during
+//! testing runs and writes each bug's fault-propagation chains as
+//! `<bug>.flow.json` + `<bug>.dot`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 

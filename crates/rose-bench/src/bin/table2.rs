@@ -7,22 +7,18 @@
 //! trace post-processing time, and application-level throughput overhead
 //! versus an untraced baseline.
 //!
-//! Usage: `cargo run -p rose-bench --release --bin table2 [-- --secs N] [-- --jobs N] [-- --report out.jsonl] [-- --trace-dir traces/] [-- --causal .]`
-//! (`--jobs N` / `ROSE_JOBS` runs the four measurements — baseline plus the
-//! three tracer modes — concurrently; `--report <path>` / `ROSE_REPORT`
-//! appends one JSONL tracing record per tracer mode; `--trace-dir <dir>` /
-//! `ROSE_TRACE_DIR` persists each mode's dump as
-//! `table2-<mode>.rosetrace`; `--causal <dir>` / `ROSE_CAUSAL` attaches an
-//! active causal provenance recorder to each traced run so the overhead
-//! column prices provenance recording too — taint-gated recording stays
-//! empty on these fault-free runs, which is the lightweight-instrumentation
-//! claim being measured).
+//! Usage: `cargo run -p rose-bench --release --bin table2 [-- --secs N] [-- --jobs N] [-- --report out.jsonl]`
+//! (`--secs N` is the virtual length of each measurement, at least 1;
+//! `--jobs N` runs the four measurements — baseline plus the three tracer
+//! modes — concurrently; `--report <path>` appends one JSONL tracing record
+//! per tracer mode).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 
-use rose_apps::registry::file_stem;
+use std::num::NonZeroU64;
+
 use rose_bench::args::Args;
-use rose_bench::rediskv::{run_ycsb, run_ycsb_causal};
+use rose_bench::rediskv::run_ycsb;
 use rose_bench::report::{self, ReportSink};
 use rose_bench::table::{fmt_bytes, render};
 use rose_core::ordered_map;
@@ -38,16 +34,13 @@ fn tracer_for(mode: TracerMode) -> Tracer {
     Tracer::new(cfg)
 }
 
-const USAGE: &str =
-    "usage: table2 [--secs N] [--jobs N] [--report PATH] [--trace-dir DIR] [--causal DIR]";
+const USAGE: &str = "usage: table2 [--secs N] [--jobs N] [--report PATH]";
 
 fn main() {
     let mut args = Args::from_env();
-    let secs: u64 = args.value("--secs", None).unwrap_or(60);
+    let secs = args.value("--secs").map_or(60, NonZeroU64::get);
     let jobs = args.jobs();
     let report_path = args.report();
-    let trace_dir = args.trace_dir();
-    let causal = args.causal_dir().is_some();
     args.finish(USAGE);
     let sink = ReportSink::open(report_path);
     let clients = 6;
@@ -71,14 +64,7 @@ fn main() {
             }
             Some((name, mode)) => {
                 report::section(format!("{name} tracer …"));
-                let recorder = causal.then(rose_sim::CausalRecorder::new);
-                let (mut sim, ops) = run_ycsb_causal(
-                    vec![Box::new(tracer_for(mode))],
-                    clients,
-                    secs,
-                    42,
-                    recorder.clone(),
-                );
+                let (mut sim, ops) = run_ycsb(vec![Box::new(tracer_for(mode))], clients, secs, 42);
                 let now = sim.now();
                 let tracer = sim.hook_mut::<Tracer>().unwrap();
                 let trace = tracer.dump(now);
@@ -89,17 +75,6 @@ fn main() {
                     trace.to_json().len() as u64,
                     rose_store::encoded_trace_bytes(&trace),
                 );
-                if let Some(rec) = recorder {
-                    let log = rec.take_log();
-                    report::progress(format!(
-                        "  {name}: causal recording on — {} provenance records on a fault-free run",
-                        log.len()
-                    ));
-                }
-                if let Some(dir) = &trace_dir {
-                    let stem = format!("table2-{}", file_stem(name));
-                    report::persist_trace_files(dir, &stem, &trace);
-                }
                 (name, ops, Some((trace.len(), rep, charged, dump_bytes)))
             }
         },

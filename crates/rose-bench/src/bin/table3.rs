@@ -5,15 +5,10 @@
 //! infrequent ones kept by the heuristic — and the traced-function counts
 //! are compared.
 //!
-//! Usage: `cargo run -p rose-bench --release --bin table3 [-- --jobs N] [-- --report out.jsonl] [-- --trace-dir traces/] [-- --causal causal/]`
-//! (`--jobs N` / `ROSE_JOBS` measures up to `N` bugs concurrently;
-//! `--report <path>` / `ROSE_REPORT` appends one JSONL profiling record per
-//! bug: all function entries as `candidates`, heuristic-kept entries as
-//! `kept`; `--trace-dir <dir>` / `ROSE_TRACE_DIR` additionally attaches a
-//! Rose-mode tracer to each run and persists its dump as
-//! `table3-<bug>.rosetrace`; `--causal <dir>` / `ROSE_CAUSAL` records causal provenance during each trigger run and
-//! writes the injected faults' chains as `table3-<bug>.flow.json` +
-//! `.dot` — these runs have no oracle, so chains are injection-rooted).
+//! Usage: `cargo run -p rose-bench --release --bin table3 [-- --jobs N] [-- --report out.jsonl]`
+//! (`--jobs N` measures up to `N` bugs concurrently; `--report <path>`
+//! appends one JSONL profiling record per bug: all function entries as
+//! `candidates`, heuristic-kept entries as `kept`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 
@@ -58,34 +53,17 @@ impl KernelHook for AfCounter {
 }
 
 /// Runs a system's trigger scenario for two minutes and returns
-/// (all function entries, entries kept by the heuristic). When `persist` is
-/// set, a Rose-mode tracer rides along and its dump is written to the trace
-/// store; the tracer charges probe costs, so it is attached only on request
-/// to keep the default counts unperturbed. When `causal` is set, a causal
-/// provenance recorder rides along and the run's fault chains are written
-/// as `<stem>.flow.json` + `<stem>.dot` (injection-rooted: these runs have
-/// no oracle).
-fn measure<S: TargetSystem>(
-    system: S,
-    capture: rose_apps::driver::CaptureSpec,
-    persist: Option<(std::path::PathBuf, String)>,
-    causal: Option<(std::path::PathBuf, String)>,
-) -> (u64, u64) {
+/// (all function entries, entries kept by the heuristic).
+fn measure<S: TargetSystem>(system: S, capture: rose_apps::driver::CaptureSpec) -> (u64, u64) {
     let rose = Rose::new(system);
     let profile = rose.profile();
-    let monitored: BTreeSet<String> = profile.infrequent_functions().into_iter().collect();
     let counter = AfCounter {
-        monitored: monitored.clone(),
+        monitored: profile.infrequent_functions().into_iter().collect(),
         all: 0,
         kept: 0,
     };
 
     let mut hooks: Vec<Box<dyn KernelHook>> = vec![Box::new(counter)];
-    if persist.is_some() {
-        hooks.push(Box::new(rose_trace::Tracer::new(
-            rose_trace::TracerConfig::rose(monitored),
-        )));
-    }
     match &capture.method {
         CaptureMethod::Scripted(s) => {
             hooks.push(Box::new(rose_inject::Executor::new(s.clone())));
@@ -95,49 +73,27 @@ fn measure<S: TargetSystem>(
         }
     }
     let mut sim = rose.deploy(33, hooks);
-    let recorder = causal.is_some().then(rose_sim::CausalRecorder::new);
-    if let Some(rec) = &recorder {
-        sim.attach_causal(rec.clone());
-        if let Some(executor) = sim.hook_mut::<rose_inject::Executor>() {
-            executor.attach_causal(rec.clone());
-        }
-    }
     sim.start();
     // "These schedules take on average 2 minutes to run" (§6.4).
     sim.run_for(SimDuration::from_secs(120));
-    if let Some((dir, stem)) = persist {
-        let now = sim.now();
-        let trace = sim.hook_mut::<rose_trace::Tracer>().unwrap().dump(now);
-        report::persist_trace_files(&dir, &stem, &trace);
-    }
-    if let (Some(rec), Some((dir, stem))) = (recorder, causal) {
-        let chains = rose_obs::causal::propagation_chains(&rec.take_log());
-        report::export_causal_files(&dir, &stem, &chains);
-    }
     let c = sim.hook_ref::<AfCounter>().unwrap();
     (c.all, c.kept)
 }
 
-const USAGE: &str = "usage: table3 [--jobs N] [--report PATH] [--trace-dir DIR] [--causal DIR]";
+const USAGE: &str = "usage: table3 [--jobs N] [--report PATH]";
 
 fn main() {
     let mut args = Args::from_env();
     let jobs = args.jobs();
     let report_path = args.report();
-    let trace_dir = args.trace_dir();
-    let causal_dir = args.causal_dir();
     args.finish(USAGE);
     let sink = ReportSink::open(report_path);
     let mut rows = Vec::new();
-    type Persist = Option<(std::path::PathBuf, String)>;
-    struct Measure {
-        persist: Persist,
-        causal: Persist,
-    }
+    struct Measure;
     impl SystemVisitor for Measure {
         type Out = (u64, u64);
         fn visit<S: TargetSystem>(self, id: BugId, system: S) -> (u64, u64) {
-            measure(system, capture_spec(id), self.persist, self.causal)
+            measure(system, capture_spec(id))
         }
     }
     let cases = vec![
@@ -153,12 +109,7 @@ fn main() {
     let measured = ordered_map(jobs, cases, |id| {
         let name = id.info().name;
         report::section(format!("{name} …"));
-        let label = |dir: &std::path::PathBuf| (dir.clone(), format!("table3-{}", id.file_stem()));
-        let visitor = Measure {
-            persist: trace_dir.as_ref().map(label),
-            causal: causal_dir.as_ref().map(label),
-        };
-        (name, visit_case(id, visitor))
+        (name, visit_case(id, Measure))
     });
 
     for (name, (all, kept)) in measured {

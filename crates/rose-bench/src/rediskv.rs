@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rose_events::{NodeId, SimDuration};
-use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
+use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpenFlags};
 
 use crate::ycsb::{YcsbConfig, ZipfSampler};
 
@@ -149,12 +149,10 @@ impl YcsbClient {
         let key = self.zipf.sample(&mut self.rng);
         let shard = NodeId((key % u64::from(ctx.cluster_size())) as u32);
         if self.rng.gen_bool(self.cfg.read_proportion) {
-            let hidx = ctx.invoke(format!("read k={key}"));
-            let _ = hidx;
+            ctx.invoke(format!("read k={key}"));
             ctx.send(shard, Rkmsg::Get { key, id });
         } else {
-            let hidx = ctx.invoke(format!("update k={key}"));
-            let _ = hidx;
+            ctx.invoke(format!("update k={key}"));
             let val = vec![0xabu8; self.cfg.value_size];
             ctx.send(shard, Rkmsg::Set { key, val, id });
         }
@@ -170,7 +168,6 @@ impl ClientDriver<Rkmsg> for YcsbClient {
 
     fn on_reply(&mut self, ctx: &mut ClientCtx<'_, Rkmsg>, _from: NodeId, _msg: Rkmsg) {
         self.completed += 1;
-        let _ = OpOutcome::Ok(None);
         // Closed loop: fire the next op immediately.
         self.issue(ctx);
     }
@@ -184,20 +181,16 @@ pub fn run_ycsb(
     secs: u64,
     seed: u64,
 ) -> (rose_sim::Sim<RedisKv>, u64) {
-    run_ycsb_causal(hooks, clients, secs, seed, None)
+    let (sim, ids) = ycsb_cluster(hooks, clients, seed);
+    run_cluster(sim, &ids, secs)
 }
 
-/// [`run_ycsb`] with an optional causal provenance recorder attached to the
-/// kernel, so the overhead study can price provenance recording alongside
-/// the tracer modes (taint-gated recording is effectively free on a
-/// fault-free run — this measures exactly that claim).
-pub fn run_ycsb_causal(
+/// The 3-shard cluster with its hooks and closed-loop clients, not started.
+fn ycsb_cluster(
     hooks: Vec<Box<dyn rose_sim::KernelHook>>,
     clients: u32,
-    secs: u64,
     seed: u64,
-    causal: Option<rose_sim::CausalRecorder>,
-) -> (rose_sim::Sim<RedisKv>, u64) {
+) -> (rose_sim::Sim<RedisKv>, Vec<ClientId>) {
     let mut cfg = rose_sim::SimConfig::new(3, seed);
     // Loopback-class latency: the overhead study is CPU-bound.
     cfg.net_latency_min = SimDuration::from_micros(15);
@@ -205,9 +198,6 @@ pub fn run_ycsb_causal(
     // A tuned-down base syscall cost for a hot in-memory store.
     cfg.syscall_exec_cost = SimDuration::from_nanos(1_500);
     let mut sim = rose_sim::Sim::new(cfg, |_| RedisKv::new());
-    if let Some(rec) = causal {
-        sim.attach_causal(rec);
-    }
     for h in hooks {
         sim.add_hook(h);
     }
@@ -218,6 +208,16 @@ pub fn run_ycsb_causal(
             900 + u64::from(c),
         ))));
     }
+    (sim, ids)
+}
+
+/// Starts the cluster, runs it for `secs` of virtual time and counts the
+/// ops its clients completed.
+fn run_cluster(
+    mut sim: rose_sim::Sim<RedisKv>,
+    ids: &[ClientId],
+    secs: u64,
+) -> (rose_sim::Sim<RedisKv>, u64) {
     sim.start();
     sim.run_for(SimDuration::from_secs(secs));
     let done: u64 = ids
@@ -242,6 +242,19 @@ mod tests {
             sim.core().stats.syscalls > 3 * done,
             "several syscalls per op"
         );
+    }
+
+    /// The lightweight-instrumentation claim for provenance: taint-gated
+    /// recording stays empty on a fault-free run and does not slow it.
+    #[test]
+    fn causal_recording_is_empty_and_free_on_a_fault_free_run() {
+        let (_, unrecorded) = run_ycsb(vec![], 4, 1, 1);
+        let recorder = rose_sim::CausalRecorder::new();
+        let (mut sim, ids) = ycsb_cluster(vec![], 4, 1);
+        sim.attach_causal(recorder.clone());
+        let (_, recorded) = run_cluster(sim, &ids, 1);
+        assert!(recorder.take_log().is_empty());
+        assert_eq!(recorded, unrecorded);
     }
 
     #[test]

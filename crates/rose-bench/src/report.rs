@@ -5,9 +5,8 @@
 //! - **stdout** carries only the final, table-formatted results (pipeable
 //!   into a file or a diff against the paper's numbers);
 //! - **stderr** carries progress and diagnostics ([`section`]/[`progress`]);
-//! - `--report <path>` (or the `ROSE_REPORT` environment variable) appends
-//!   the campaign's structured JSONL phase records to `<path>` via a
-//!   [`ReportSink`];
+//! - `--report <path>` appends the campaign's structured JSONL phase
+//!   records to `<path>` via a [`ReportSink`];
 //! - flags are parsed by [`crate::args`], strictly.
 
 use std::io::Write;
@@ -55,23 +54,6 @@ pub fn write_summary(path: &str, what: &str, summary: &impl serde::Serialize) {
     }
 }
 
-/// Persists a dumped trace under `dir` as `<stem>.rosetrace` (compact
-/// binary codec). Persistence failures warn on stderr rather than aborting
-/// the bench run.
-pub fn persist_trace_files(dir: &Path, stem: &str, trace: &rose_events::Trace) {
-    let write = || -> Result<(), rose_store::StoreError> {
-        std::fs::create_dir_all(dir)?;
-        rose_store::save_trace(dir.join(format!("{stem}.rosetrace")), trace)?;
-        Ok(())
-    };
-    if let Err(e) = write() {
-        progress(format!(
-            "warning: could not persist trace {stem} to {}: {e}",
-            dir.display()
-        ));
-    }
-}
-
 /// Where JSONL phase records go, if anywhere.
 ///
 /// Clones share one append lock, so concurrent writers (campaign worker
@@ -98,7 +80,7 @@ impl ReportSink {
         }
     }
 
-    /// The sink a binary's `--report` / `ROSE_REPORT` value selects:
+    /// The sink a binary's `--report` value selects:
     /// disabled when absent, else appending to the path and leading the
     /// report with the machine/toolchain header record.
     pub fn open(path: Option<PathBuf>) -> Self {
@@ -119,11 +101,6 @@ impl ReportSink {
     /// Whether records will be written anywhere.
     pub fn enabled(&self) -> bool {
         self.path.is_some()
-    }
-
-    /// The target path, if enabled.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
     }
 
     /// Tells the progress channel where the report went, if anywhere.

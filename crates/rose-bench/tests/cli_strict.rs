@@ -13,15 +13,9 @@ const BINS: [(&str, &str); 7] = [
     ("hunt", env!("CARGO_BIN_EXE_hunt")),
 ];
 
-fn assert_rejected(name: &str, args: &[&str], env: &[(&str, &str)]) {
+fn assert_rejected(name: &str, args: &[&str]) {
     let exe = BINS.iter().find(|(n, _)| *n == name).expect("known bin").1;
-    let mut cmd = Command::new(exe);
-    cmd.args(args);
-    for var in ["ROSE_JOBS", "ROSE_REPORT", "ROSE_TRACE_DIR", "ROSE_CAUSAL"] {
-        cmd.env_remove(var);
-    }
-    cmd.envs(env.iter().copied());
-    let out = cmd.output().expect("bin starts");
+    let out = Command::new(exe).args(args).output().expect("bin starts");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{name} {args:?} wrote to stdout");
@@ -34,31 +28,39 @@ fn assert_rejected(name: &str, args: &[&str], env: &[(&str, &str)]) {
 #[test]
 fn unknown_flags_exit_2_with_usage() {
     for (name, _) in BINS {
-        assert_rejected(name, &["--no-such-flag"], &[]);
+        assert_rejected(name, &["--no-such-flag"]);
     }
     // Level 2.5 is the search, not a mode: the flag that selected it is gone.
-    assert_rejected("table1", &["--ei"], &[]);
+    assert_rejected("table1", &["--ei"]);
     // Flags other bins take are unknown to a bin that does not.
-    assert_rejected("table3", &["--quick"], &[]);
-    assert_rejected("hunt", &["--causal", "dir"], &[]);
-    assert_rejected("table1", &["RedisRaft-42"], &[]);
+    assert_rejected("table3", &["--quick"]);
+    assert_rejected("hunt", &["--causal", "dir"]);
+    // table2 and table3 do not run the driver: no trace store, no provenance.
+    for name in ["table2", "table3"] {
+        assert_rejected(name, &["--causal", "d"]);
+        assert_rejected(name, &["--trace-dir", "d"]);
+    }
+    assert_rejected("table1", &["RedisRaft-42"]);
 }
 
 #[test]
 fn missing_and_unparsable_values_exit_2_with_usage() {
-    assert_rejected("table1", &["--quick", "--report"], &[]);
-    assert_rejected("table2", &["--secs", "abc"], &[]);
-    assert_rejected("motivation", &["--runs", "many"], &[]);
-    assert_rejected("ablations", &["--jobs", "x"], &[]);
-    assert_rejected("hunt", &["RedisRaft-42", "--budget", "-1"], &[]);
-    assert_rejected("hunt", &["--seed=abc"], &[]);
-    assert_rejected("redundancy", &["--out"], &[]);
-    assert_rejected("table3", &[], &[("ROSE_JOBS", "x")]);
+    assert_rejected("table1", &["--quick", "--report"]);
+    assert_rejected("table2", &["--secs", "abc"]);
+    assert_rejected("motivation", &["--runs", "many"]);
+    assert_rejected("ablations", &["--jobs", "x"]);
+    assert_rejected("hunt", &["RedisRaft-42", "--budget", "-1"]);
+    assert_rejected("hunt", &["--seed=abc"]);
+    assert_rejected("redundancy", &["--out"]);
+    // Zero is not a count.
+    assert_rejected("table2", &["--secs", "0"]);
+    assert_rejected("motivation", &["--runs", "0"]);
+    assert_rejected("hunt", &["--budget", "0"]);
 }
 
 #[test]
 fn unknown_bug_names_exit_2_with_the_roster() {
     for name in ["hunt", "redundancy"] {
-        assert_rejected(name, &["--jobs=4", "NoSuchBug-1"], &[]);
+        assert_rejected(name, &["--jobs=4", "NoSuchBug-1"]);
     }
 }

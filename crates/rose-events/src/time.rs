@@ -121,11 +121,6 @@ impl SimDuration {
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
-
-    /// Multiplies the span by an integer factor.
-    pub const fn mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0 * k)
-    }
 }
 
 impl Add<SimDuration> for SimTime {

@@ -21,14 +21,12 @@ use rose_sim::{ChainId, HookEffects, HookEnv, KernelHook};
 /// Collects the observed injection sites of one run.
 #[derive(Debug, Default)]
 pub struct SiteProbe {
-    /// Observed (node, chain, syscall) contexts, keyed by the kernel's
-    /// interned chain id.
-    syscalls: BTreeSet<(NodeId, ChainId, SyscallId)>,
-    /// Which members `syscalls` has, as `seen[node][chain]` = one bit per
-    /// syscall (chain ids are dense): a context already seen — nearly every
-    /// call of a run — costs two index operations and no tree probe.
+    /// Observed (node, chain, syscall) contexts as `seen[node][chain]` =
+    /// one bit per syscall, indexed by the kernel's interned chain id (chain
+    /// ids are dense): a context already seen — nearly every call of a run —
+    /// costs two index operations.
     seen: Vec<Vec<u16>>,
-    /// The function names of every chain in `syscalls`, resolved when the
+    /// The function names of every chain in `seen`, resolved when the
     /// chain was first seen ([`SiteProbe::sites`] runs without the kernel).
     chain_names: BTreeMap<ChainId, Vec<String>>,
     /// Observed function entry sites per node.
@@ -57,15 +55,22 @@ impl SiteProbe {
                 });
             }
         }
-        for (node, chain, syscall) in &self.syscalls {
-            out.push(InjectionSite {
-                node: *node,
-                kind: SiteKind::SyscallContext {
-                    chain: self.chain_names[chain].clone(),
-                    syscall: *syscall,
-                    count: 1,
-                },
-            });
+        for (node, per_chain) in self.seen.iter().enumerate() {
+            for (chain, names) in &self.chain_names {
+                let bits = per_chain.get(chain.index()).copied().unwrap_or(0);
+                for syscall in SyscallId::ALL {
+                    if bits & syscall_bit(syscall) != 0 {
+                        out.push(InjectionSite {
+                            node: NodeId(node as u32),
+                            kind: SiteKind::SyscallContext {
+                                chain: names.clone(),
+                                syscall,
+                                count: 1,
+                            },
+                        });
+                    }
+                }
+            }
         }
         // Chain ids are in first-seen order; the names decide the order.
         out.sort();
@@ -74,8 +79,14 @@ impl SiteProbe {
 
     /// How many distinct contexts the run touched.
     pub fn context_count(&self) -> usize {
-        self.syscalls.len() + self.functions.values().map(BTreeSet::len).sum::<usize>()
+        let syscalls = self.seen.iter().flatten().map(|bits| bits.count_ones());
+        syscalls.sum::<u32>() as usize + self.functions.values().map(BTreeSet::len).sum::<usize>()
     }
+}
+
+/// The bit of `call` in a `seen` entry.
+fn syscall_bit(call: SyscallId) -> u16 {
+    1 << call as u32
 }
 
 impl KernelHook for SiteProbe {
@@ -92,12 +103,11 @@ impl KernelHook for SiteProbe {
         if per_chain.len() <= chain {
             per_chain.resize(chain + 1, 0);
         }
-        let bit = 1 << args.call as u32;
+        let bit = syscall_bit(args.call);
         if per_chain[chain] & bit != 0 {
             return;
         }
         per_chain[chain] |= bit;
-        self.syscalls.insert((env.node, env.chain, args.call));
         self.chain_names
             .entry(env.chain)
             .or_insert_with(|| env.call_chain().to_vec());

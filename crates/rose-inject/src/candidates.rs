@@ -8,15 +8,10 @@
 //! syscall context), converts to concrete [`ScheduledFault`]s, and
 //! carries the stable fingerprint the hunt's visited-set dedupes on.
 //!
-//! Sites come from two sources with identical fingerprints: a live probe
-//! (`rose-hunt`'s kernel hook, which sees every context as it executes)
-//! and [`sites_from_trace`], which recovers sites from a dumped trace —
-//! AF events name function sites, and SCF events stamped with an
-//! execution index name syscall contexts.
+//! Sites come from a live probe (`rose-hunt`'s kernel hook, which sees
+//! every context as it executes).
 
-use std::collections::BTreeMap;
-
-use rose_events::{fingerprint, Errno, EventKind, FunctionId, NodeId, SimDuration, SyscallId};
+use rose_events::{fingerprint, Errno, NodeId, SimDuration, SyscallId};
 use serde::{Deserialize, Serialize};
 
 use crate::schedule::{Condition, FaultAction, FaultSchedule, ScheduledFault};
@@ -104,44 +99,6 @@ impl InjectionSite {
     }
 }
 
-/// Recovers injection sites from a dumped trace: every AF event names a
-/// function site, every SCF event stamped with an execution index names a
-/// syscall context. Sites are deduped and returned in a stable order.
-pub fn sites_from_trace(
-    trace: &rose_events::Trace,
-    functions: &BTreeMap<FunctionId, String>,
-) -> Vec<InjectionSite> {
-    let mut sites = std::collections::BTreeSet::new();
-    for e in trace.events() {
-        match &e.kind {
-            EventKind::Af { function, .. } => {
-                if let Some(name) = functions.get(function) {
-                    sites.insert(InjectionSite {
-                        node: e.node,
-                        kind: SiteKind::Function { name: name.clone() },
-                    });
-                }
-            }
-            EventKind::Scf {
-                syscall,
-                ei: Some(ei),
-                ..
-            } => {
-                sites.insert(InjectionSite {
-                    node: e.node,
-                    kind: SiteKind::SyscallContext {
-                        chain: ei.chain.clone(),
-                        syscall: *syscall,
-                        count: u64::from(ei.count).max(1),
-                    },
-                });
-            }
-            _ => {}
-        }
-    }
-    sites.into_iter().collect()
-}
-
 /// The stable fingerprint of a whole schedule: the hunt's tried-set key
 /// and the seed source for the run that executes it. Hashes the canonical
 /// YAML form, so structurally identical schedules collide on purpose and
@@ -155,61 +112,7 @@ pub fn schedule_fingerprint(schedule: &FaultSchedule) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use rose_events::{Event, ExecutionIndex, Pid, SimTime, Trace};
-
     use super::*;
-
-    fn af(node: u32, f: u32) -> Event {
-        Event::new(
-            SimTime::ZERO,
-            NodeId(node),
-            EventKind::Af {
-                pid: Pid(1),
-                function: FunctionId(f),
-            },
-        )
-    }
-
-    fn scf_with_ei(node: u32, chain: &[&str], count: u32) -> Event {
-        Event::new(
-            SimTime::ZERO,
-            NodeId(node),
-            EventKind::Scf {
-                pid: Pid(1),
-                syscall: SyscallId::Write,
-                fd: None,
-                path: Some("/raft/log".into()),
-                errno: Errno::Eio,
-                ei: Some(ExecutionIndex::new(
-                    chain.iter().map(|s| s.to_string()).collect(),
-                    count,
-                )),
-            },
-        )
-    }
-
-    #[test]
-    fn trace_enumeration_dedupes_and_orders() {
-        let functions: BTreeMap<FunctionId, String> = [(FunctionId(7), "applyEntry".to_string())]
-            .into_iter()
-            .collect();
-        let trace = Trace::from_events(vec![
-            af(1, 7),
-            af(1, 7),
-            af(1, 99), // unmonitored: no name, skipped
-            scf_with_ei(0, &["applyEntry", "writeSegment"], 3),
-            scf_with_ei(0, &["applyEntry", "writeSegment"], 3),
-        ]);
-        let sites = sites_from_trace(&trace, &functions);
-        assert_eq!(sites.len(), 2);
-        assert!(sites.iter().any(|s| matches!(
-            &s.kind,
-            SiteKind::Function { name } if name == "applyEntry"
-        )));
-        assert!(sites
-            .iter()
-            .any(|s| matches!(&s.kind, SiteKind::SyscallContext { count: 3, .. })));
-    }
 
     #[test]
     fn site_fingerprints_match_event_fingerprints() {

@@ -17,6 +17,6 @@ pub mod candidates;
 pub mod executor;
 pub mod schedule;
 
-pub use candidates::{schedule_fingerprint, sites_from_trace, InjectionSite, SiteKind};
+pub use candidates::{schedule_fingerprint, InjectionSite, SiteKind};
 pub use executor::{ExecutionFeedback, Executor};
 pub use schedule::{Condition, FaultAction, FaultId, FaultSchedule, PartitionKind, ScheduledFault};

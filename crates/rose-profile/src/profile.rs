@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rose_events::{Errno, EventKind, SimDuration, SimTime, SyscallId};
+use rose_events::{Errno, EventKind, SimDuration, SyscallId};
 use rose_sim::{HookEffects, HookEnv, KernelHook, SysResult, SyscallArgs};
 use serde::{Deserialize, Serialize};
 
@@ -274,12 +274,6 @@ impl Profile {
         serde_json::from_str(&s)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
-}
-
-/// Convenience: the current simulated timestamp of a hook environment; used
-/// by tests.
-pub fn now_of(env: &HookEnv) -> SimTime {
-    env.now
 }
 
 #[cfg(test)]

@@ -83,12 +83,6 @@ impl<A: Application> Sim<A> {
         self.core.causal = rec;
     }
 
-    /// The causal recorder (disabled unless [`Sim::attach_causal`] was
-    /// called).
-    pub fn causal(&self) -> &crate::causal::CausalRecorder {
-        &self.core.causal
-    }
-
     /// The telemetry handle (disabled unless [`Sim::attach_obs`] was called).
     pub fn obs(&self) -> &rose_obs::Obs {
         &self.core.obs

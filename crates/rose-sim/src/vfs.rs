@@ -251,14 +251,6 @@ impl Vfs {
             Err(Errno::Enoent)
         }
     }
-
-    /// Changes permission bits (setup helper for permission bugs).
-    pub fn chmod(&mut self, path: &str, mode: u32) -> Result<(), Errno> {
-        self.files
-            .get_mut(path)
-            .map(|f| f.mode = mode)
-            .ok_or(Errno::Enoent)
-    }
 }
 
 #[cfg(test)]

@@ -190,16 +190,6 @@ impl<W: Write> TraceWriter<W> {
         })
     }
 
-    /// Events appended so far (buffered ones included).
-    pub fn events_appended(&self) -> u64 {
-        self.events
-    }
-
-    /// Complete frames written so far.
-    pub fn frames_written(&self) -> usize {
-        self.metas.len()
-    }
-
     /// Frame metadata collected so far (flushed frames only).
     pub fn frame_metas(&self) -> &[FrameMeta] {
         &self.metas

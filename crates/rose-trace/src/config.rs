@@ -1,8 +1,8 @@
-//! Tracer configuration and probe cost model.
+//! Tracer configuration.
 
 use std::collections::BTreeMap;
 
-use rose_events::{FunctionId, SimDuration, DEFAULT_WINDOW_CAPACITY};
+use rose_events::{FunctionId, DEFAULT_WINDOW_CAPACITY};
 
 /// Which events a tracer records — the three columns of the paper's
 /// overhead study (Table 2).
@@ -18,48 +18,6 @@ pub enum TracerMode {
     IoContent,
 }
 
-/// CPU cost charged per probe firing, the source of the tracer's overhead.
-///
-/// Calibrated so that relative overheads land in the paper's regime
-/// (Rose ≈ 2.6 %, Full ≈ 3.9 %, IO content ≈ 4.9 % on a CPU-bound
-/// key-value workload); see `EXPERIMENTS.md`.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// `sys_exit` tracepoint entry + return-value filter, paid on **every**
-    /// system call while any syscall probe is loaded.
-    pub probe_filter: SimDuration,
-    /// Appending one event to the in-kernel ring buffer.
-    pub record_event: SimDuration,
-    /// A uprobe firing (user→kernel transition), paid per **monitored**
-    /// function entry.
-    pub uprobe_fire: SimDuration,
-    /// XDP per-packet processing.
-    pub xdp_packet: SimDuration,
-    /// Copying I/O payload bytes (IO-content mode), per byte.
-    pub copy_per_byte: SimDuration,
-    /// Post-processing a dumped trace, per saved event (path
-    /// reconstruction, serialization).
-    pub process_per_event: SimDuration,
-    /// Fixed cost of any dump, regardless of how many events it carries
-    /// (spawning the userspace dumper, walking the fd → path map). Ensures
-    /// `processing_us` is populated even for an empty window.
-    pub process_dump_base: SimDuration,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            probe_filter: SimDuration::from_nanos(320),
-            record_event: SimDuration::from_nanos(140),
-            uprobe_fire: SimDuration::from_micros(3),
-            xdp_packet: SimDuration::from_nanos(30),
-            copy_per_byte: SimDuration::from_nanos(14),
-            process_per_event: SimDuration::from_micros(12),
-            process_dump_base: SimDuration::from_micros(50),
-        }
-    }
-}
-
 /// Tracer configuration (paper defaults throughout).
 #[derive(Debug, Clone)]
 pub struct TracerConfig {
@@ -70,8 +28,6 @@ pub struct TracerConfig {
     /// Monitored (infrequent) application functions from the profiling
     /// phase: name → trace id. Uprobes are attached only to these.
     pub monitored_functions: BTreeMap<String, FunctionId>,
-    /// Probe costs.
-    pub costs: CostModel,
 }
 
 impl TracerConfig {
@@ -86,7 +42,6 @@ impl TracerConfig {
             mode: TracerMode::Rose,
             window_capacity: DEFAULT_WINDOW_CAPACITY,
             monitored_functions,
-            costs: CostModel::default(),
         }
     }
 

@@ -21,5 +21,5 @@
 pub mod config;
 pub mod tracer;
 
-pub use config::{CostModel, TracerConfig, TracerMode};
+pub use config::{TracerConfig, TracerMode};
 pub use tracer::{Tracer, TracerReport, CONTENT_CAP, ND_THRESHOLD, PS_WAIT_THRESHOLD};
