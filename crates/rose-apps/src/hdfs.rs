@@ -20,7 +20,7 @@ use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
-use crate::common::{benign_probes, join_values, tags, ProbeStyle};
+use crate::common::{benign_probes, tags, ProbeStyle};
 use crate::driver::{CaptureMethod, CaptureSpec};
 
 /// The four seeded HDFS defects.
@@ -83,8 +83,8 @@ pub enum Hmsg {
     Fetched {
         /// File key.
         file: String,
-        /// Values.
-        values: Vec<String>,
+        /// The block's lines, comma-joined: the read reply's wire form.
+        values: String,
         /// Requesting client.
         client: u32,
         /// Token trouble: the DN wants the client to retry later.
@@ -94,8 +94,8 @@ pub enum Hmsg {
     ReadOk {
         /// File key.
         file: String,
-        /// Values.
-        values: Vec<String>,
+        /// Values, comma-joined.
+        values: String,
     },
     /// Ask the client to retry the read (token refresh path).
     ReadRetry {
@@ -368,7 +368,7 @@ impl Application for Hdfs {
                 // DN read path, with block-token validation (HDFS-16332).
                 ctx.enter_function("serveRead");
                 let mut retry = false;
-                let mut values = Vec::new();
+                let mut values = String::new();
                 if self.token_expired {
                     // DEFECT (HDFS-16332): the expired token is never
                     // refreshed; every read is bounced.
@@ -377,10 +377,16 @@ impl Application for Hdfs {
                     if let Ok(fd) = ctx.open_read(&block_path(&file)) {
                         match ctx.read(fd, 4096) {
                             Ok(data) => {
-                                values = String::from_utf8_lossy(&data)
-                                    .lines()
-                                    .map(str::to_string)
-                                    .collect();
+                                // The client reports the lines comma-joined;
+                                // join them here, in the one buffer that
+                                // travels DN → NN → client.
+                                for (i, line) in String::from_utf8_lossy(&data).lines().enumerate()
+                                {
+                                    if i > 0 {
+                                        values.push(',');
+                                    }
+                                    values.push_str(line);
+                                }
                                 let _ = ctx.close(fd);
                             }
                             Err(Errno::Eacces) => {
@@ -772,7 +778,7 @@ impl ClientDriver<Hmsg> for HdfsClient {
             Hmsg::ReadOk { file, values } => {
                 if let Some((hidx, f, _, _)) = self.read_pending.take() {
                     if f == file {
-                        ctx.complete(hidx, OpOutcome::Ok(Some(join_values(&values))));
+                        ctx.complete(hidx, OpOutcome::Ok(Some(values)));
                     } else {
                         self.read_pending = Some((hidx, f, 0, 0));
                     }

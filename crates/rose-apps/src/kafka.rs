@@ -6,12 +6,14 @@
 //! the in-memory table, but the emitted (downstream-visible) view is never
 //! refreshed — readers see stale values from then on.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use rand::Rng;
-use rose_events::{Errno, NodeId, SimDuration, SyscallId};
+use rose_events::{Errno, FnvBuildHasher, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
-use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
+use rose_sim::{
+    Application, ClientCtx, ClientDriver, ClientId, History, NodeCtx, OpOutcome, OpenFlags,
+};
 
 use crate::common::{benign_probes, tags, ProbeStyle};
 use crate::driver::{CaptureMethod, CaptureSpec};
@@ -207,17 +209,23 @@ impl rose_core::TargetSystem for KafkaCase {
 pub fn lost_update_detected(sim: &rose_sim::Sim<Kafka>) -> bool {
     let changelog = sim.core().vfs[TABLE_BROKER.0 as usize]
         .peek(CHANGELOG)
-        .map(|b| String::from_utf8_lossy(b).to_string())
         .unwrap_or_default();
-    for op in sim.core().history.ops() {
-        if let (Some(kv), rose_sim::OpOutcome::Ok(_)) = (op.op.strip_prefix("update "), &op.outcome)
-        {
-            if !changelog.lines().any(|l| l == kv) {
-                return true;
-            }
-        }
-    }
-    false
+    lost_update(changelog, &sim.core().history)
+}
+
+/// Whether `history` acknowledges an update that is not a line of
+/// `changelog`. Called at every oracle poll, so the file's lines are
+/// indexed once per call, as slices of the file itself.
+fn lost_update(changelog: &[u8], history: &History) -> bool {
+    let text = String::from_utf8_lossy(changelog);
+    let records: HashSet<&str, FnvBuildHasher> = text.lines().collect();
+    history.ops().iter().any(|op| {
+        matches!(op.outcome, OpOutcome::Ok(_))
+            && op
+                .op
+                .strip_prefix("update ")
+                .is_some_and(|kv| !records.contains(kv))
+    })
 }
 
 /// Scripted capture trigger: fail the changelog open for a fresh update.
@@ -316,5 +324,35 @@ impl ClientDriver<Kmsg> for KafkaClient {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rose_events::SimTime;
+
+    #[test]
+    fn an_acknowledged_update_missing_from_the_changelog_is_lost() {
+        let mut h = History::default();
+        let mut update = |kv: &str, outcome: OpOutcome| {
+            let idx = h.invoke(ClientId(0), format!("update {kv}"), SimTime::ZERO);
+            h.complete(idx, SimTime::from_secs(1), outcome);
+        };
+        update("k1=v1", OpOutcome::Ok(None));
+        update("k2=v2", OpOutcome::Timeout);
+        assert!(!lost_update(b"k0=v0\nk1=v1\n", &h), "k1=v1 was kept");
+        // Unacknowledged updates and reads of the view are not judged.
+        let idx = h.invoke(ClientId(0), "view k2".into(), SimTime::ZERO);
+        h.complete(idx, SimTime::from_secs(1), OpOutcome::Ok(Some("v9".into())));
+        assert!(!lost_update(b"k1=v1\n", &h));
+
+        let idx = h.invoke(ClientId(0), "update k2=v3".into(), SimTime::ZERO);
+        h.complete(idx, SimTime::from_secs(2), OpOutcome::Ok(None));
+        assert!(lost_update(b"k1=v1\n", &h), "k2=v3 never reached the file");
+        assert!(lost_update(b"", &h));
+        // A record is a whole line, not a substring of one.
+        assert!(lost_update(b"k1=v1\nk2=v33\nxk2=v3\n", &h));
+        assert!(!lost_update(b"k1=v1\nk2=v33\nk2=v3", &h));
     }
 }

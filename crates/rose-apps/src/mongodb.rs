@@ -9,13 +9,16 @@
 //! | `MongoDB:3.2.10` | elections require full membership (v0-protocol quirk): any partition leaves the set primary-less — extended unavailability | isolate any node |
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rand::Rng;
 use rose_events::{NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
-use crate::common::{benign_probes, election_timeout, join_values, tags, ProbeStyle};
+use crate::common::{
+    benign_probes, election_timeout, join_values, push_value, read_values, tags, ProbeStyle, Values,
+};
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
 
@@ -100,7 +103,7 @@ pub enum Mmsg {
         /// Key.
         key: String,
         /// Values.
-        values: Vec<String>,
+        values: Values,
     },
     /// Not the primary.
     NotPrimary {
@@ -129,7 +132,7 @@ pub struct MongoDb {
     oplog_pos: u64,
     /// In-memory oplog: pos → (key, val) (drives sync and rollback).
     oplog: BTreeMap<u64, (String, String)>,
-    docs: BTreeMap<String, Vec<String>>,
+    docs: BTreeMap<String, Values>,
     /// Positions acknowledged by secondaries (primary-side).
     repl_acks: BTreeMap<u64, u32>,
     /// Client acks pending replication (only used under majority acking).
@@ -188,7 +191,7 @@ impl MongoDb {
             // entries were already acknowledged — the data loss.
             for (pos, key, val) in std::mem::take(&mut self.unreplicated) {
                 if let Some(list) = self.docs.get_mut(&key) {
-                    list.retain(|v| v != &val);
+                    Arc::make_mut(list).retain(|v| v != &val);
                 }
                 self.oplog.remove(&pos);
                 ctx.log(format!("WARN rollback: dropping {key}={val}"));
@@ -212,7 +215,7 @@ impl MongoDb {
             for p in divergent {
                 if let Some((key, val)) = self.oplog.remove(&p) {
                     if let Some(list) = self.docs.get_mut(&key) {
-                        list.retain(|v| v != &val);
+                        Arc::make_mut(list).retain(|v| v != &val);
                     }
                     ctx.log(format!("WARN rollback: dropping {key}={val}"));
                 }
@@ -351,7 +354,7 @@ impl Application for MongoDb {
                 for (pos, key, val) in entries {
                     if pos == self.oplog_pos + 1 {
                         self.persist_oplog(ctx, pos, &key, &val);
-                        self.docs.entry(key.clone()).or_default().push(val.clone());
+                        push_value(&mut self.docs, &key, val.clone());
                         self.oplog.insert(pos, (key, val));
                         self.oplog_pos = pos;
                     }
@@ -376,7 +379,7 @@ impl Application for MongoDb {
                 self.last_primary_us = ctx.now().as_micros();
                 if pos == self.oplog_pos + 1 {
                     self.persist_oplog(ctx, pos, &key, &val);
-                    self.docs.entry(key.clone()).or_default().push(val.clone());
+                    push_value(&mut self.docs, &key, val.clone());
                     self.oplog.insert(pos, (key, val));
                     self.oplog_pos = pos;
                     let _ = ctx.send(from, Mmsg::ReplOk { pos });
@@ -419,7 +422,7 @@ impl Application for MongoDb {
                 self.oplog_pos += 1;
                 let pos = self.oplog_pos;
                 self.persist_oplog(ctx, pos, &key, &val);
-                self.docs.entry(key.clone()).or_default().push(val.clone());
+                push_value(&mut self.docs, &key, val.clone());
                 self.oplog.insert(pos, (key.clone(), val.clone()));
                 self.unreplicated.push((pos, key.clone(), val.clone()));
                 ctx.broadcast(Mmsg::Repl {
@@ -447,7 +450,7 @@ impl Application for MongoDb {
                     );
                     return;
                 }
-                let values = self.docs.get(&key).cloned().unwrap_or_default();
+                let values = read_values(&self.docs, &key);
                 let _ = ctx.reply(client, Mmsg::FindOk { key, values });
             }
             _ => {}
@@ -647,5 +650,26 @@ impl ClientDriver<Mmsg> for MongoClient {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_find_reply_is_the_collections_own_list() {
+        crate::common::sharing::replies_share_the_stores_list_and_keep_what_they_were_sent(
+            MongoCase {
+                bug: MongoBug::Mongo243,
+            },
+            NodeId(0),
+            || Mmsg::Find { key: "d0".into() },
+            |msg| match msg {
+                Mmsg::FindOk { values, .. } => Some(values),
+                _ => None,
+            },
+            |node| node.docs.get("d0"),
+        );
     }
 }

@@ -11,18 +11,12 @@
 //! line per pair, and an `end` trailer that marks the image complete.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::hash::Hasher as _;
+
+use rose_events::FnvHasher;
 
 use super::log::{Cmd, Entry};
-
-/// FNV-1a over a byte slice, the repo's stock content hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The state machine.
 #[derive(Debug, Clone, Default)]
@@ -41,10 +35,19 @@ impl KvState {
     /// Applies one committed entry, advancing the chain.
     pub fn apply(&mut self, e: &Entry) {
         if let Cmd::Put { key, val, .. } = &e.cmd {
-            self.map.insert(key.clone(), *val);
+            match self.map.get_mut(key) {
+                Some(slot) => *slot = *val,
+                None => {
+                    self.map.insert(key.clone(), *val);
+                }
+            }
         }
-        let mix = format!("{:x}|{}|{}|{}", self.chain, e.idx, e.term, e.cmd.encode());
-        self.chain = fnv1a(mix.as_bytes());
+        // FNV-1a (the repo's stock content hash) of the text
+        // `{chain:x}|{idx}|{term}|{cmd}`, hashed as it is formatted.
+        let mut mix = FnvHasher::default();
+        let _ = write!(mix, "{:x}|{}|{}|", self.chain, e.idx, e.term);
+        let _ = e.cmd.encode_into(&mut mix);
+        self.chain = mix.finish();
         self.applied = e.idx;
         self.applied_term = e.term;
     }
@@ -58,14 +61,12 @@ impl KvState {
 /// Digest of an arbitrary map (used on restore, over what was actually
 /// reconstructed from disk).
 pub fn digest_of(map: &BTreeMap<String, u64>) -> u64 {
-    let mut buf = String::new();
+    // FNV-1a of every `{k}={v};`, in key order.
+    let mut h = FnvHasher::default();
     for (k, v) in map {
-        buf.push_str(k);
-        buf.push('=');
-        buf.push_str(&v.to_string());
-        buf.push(';');
+        let _ = write!(h, "{k}={v};");
     }
-    fnv1a(buf.as_bytes())
+    h.finish()
 }
 
 /// A materialized snapshot image.
@@ -129,7 +130,7 @@ impl SnapImage {
     pub fn encode_items<'a>(items: impl Iterator<Item = (&'a str, u64)>) -> String {
         let mut out = String::new();
         for (k, v) in items {
-            out.push_str(&format!("k {k} {v}\n"));
+            let _ = writeln!(out, "k {k} {v}");
         }
         out
     }
@@ -177,6 +178,58 @@ impl SnapImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::raft::log::reference::{self, every_cmd};
+
+    /// FNV-1a over a byte slice, as `apply` and `digest_of` called it on
+    /// the strings they used to build.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in bytes {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn the_streamed_chain_is_the_hash_of_the_formatted_mix() {
+        let mut kv = KvState::default();
+        let mut chain = 0u64;
+        for round in 0..3u64 {
+            for (i, cmd) in every_cmd().into_iter().enumerate() {
+                let e = Entry {
+                    idx: round * 1_000 + i as u64 + 1,
+                    term: round + 1,
+                    cmd,
+                };
+                let mix = format!("{chain:x}|{}|{}|{}", e.idx, e.term, reference::cmd(&e.cmd));
+                chain = fnv1a(mix.as_bytes());
+                kv.apply(&e);
+                assert_eq!(kv.chain, chain, "after {e:?}");
+                assert_eq!((kv.applied, kv.applied_term), (e.idx, e.term));
+            }
+        }
+        // Re-putting a key overwrites it; the map is what `insert` left.
+        assert_eq!(kv.map.get("k7"), Some(&0));
+        assert_eq!(kv.map.len(), 2);
+    }
+
+    #[test]
+    fn the_streamed_digest_is_the_hash_of_the_built_string() {
+        let mut map = BTreeMap::new();
+        assert_eq!(digest_of(&map), fnv1a(b""));
+        for (k, v) in [("k0", 7u64), ("k1", 0), ("", u64::MAX), ("k10", 10)] {
+            map.insert(k.to_string(), v);
+            let mut buf = String::new();
+            for (k, v) in &map {
+                buf.push_str(k);
+                buf.push('=');
+                buf.push_str(&v.to_string());
+                buf.push(';');
+            }
+            assert_eq!(digest_of(&map), fnv1a(buf.as_bytes()));
+        }
+    }
 
     fn put(idx: u64, key: &str, val: u64) -> Entry {
         Entry {

@@ -6,6 +6,12 @@
 //! file in place. Malformed trailing lines (a write torn by a crash) are
 //! dropped on parse, like a length-prefixed journal would drop a short
 //! record.
+//!
+//! Encoders write into the caller's sink (`fmt::Write`): the node's reused
+//! line buffer on the append path, the chain hasher on the apply path.
+
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// A state-machine command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,17 +42,25 @@ pub enum Cmd {
 }
 
 impl Cmd {
-    /// One-line wire/disk encoding.
-    pub fn encode(&self) -> String {
+    /// Writes the one-line wire/disk encoding.
+    pub fn encode_into(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Cmd::Put { key, val, id } => format!("put {key} {val} {id}"),
-            Cmd::Noop => "noop".to_string(),
-            Cmd::Joint { old, new } => format!("joint {} {}", csv(old), csv(new)),
-            Cmd::Final { new } => format!("final {}", csv(new)),
+            Cmd::Put { key, val, id } => write!(out, "put {key} {val} {id}"),
+            Cmd::Noop => out.write_str("noop"),
+            Cmd::Joint { old, new } => {
+                out.write_str("joint ")?;
+                csv_into(old, out)?;
+                out.write_char(' ')?;
+                csv_into(new, out)
+            }
+            Cmd::Final { new } => {
+                out.write_str("final ")?;
+                csv_into(new, out)
+            }
         }
     }
 
-    /// Parses [`Cmd::encode`] output.
+    /// Parses [`Cmd::encode_into`] output.
     pub fn decode(s: &str) -> Option<Cmd> {
         let mut it = s.split_whitespace();
         match it.next()? {
@@ -73,11 +87,14 @@ impl Cmd {
     }
 }
 
-fn csv(v: &[u32]) -> String {
-    v.iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+fn csv_into(v: &[u32], out: &mut impl fmt::Write) -> fmt::Result {
+    for (i, n) in v.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write!(out, "{n}")?;
+    }
+    Ok(())
 }
 
 fn parse_csv(s: &str) -> Option<Vec<u32>> {
@@ -96,8 +113,10 @@ pub struct Entry {
 }
 
 impl Entry {
-    fn encode(&self) -> String {
-        format!("e {} {} {}", self.idx, self.term, self.cmd.encode())
+    /// Writes the entry's log-file line, without the newline.
+    pub fn encode_into(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(out, "e {} {} ", self.idx, self.term)?;
+        self.cmd.encode_into(out)
     }
 
     fn decode(line: &str) -> Option<Entry> {
@@ -118,8 +137,11 @@ pub struct RaftLog {
     pub base_idx: u64,
     /// Term of the entry at `base_idx`.
     pub base_term: u64,
-    /// Entries `base_idx + 1 ..= last_idx`, in order.
-    pub entries: Vec<Entry>,
+    /// Entries `base_idx + 1 ..= last_idx`, in order. An entry is created
+    /// once, by the leader that appends it or by `parse`, and shared from
+    /// there: with the AppendEntries messages that carry it and with every
+    /// follower log it lands in.
+    pub entries: Vec<Arc<Entry>>,
 }
 
 impl RaftLog {
@@ -146,11 +168,24 @@ impl RaftLog {
         if idx <= self.base_idx {
             return None;
         }
-        self.entries.get((idx - self.base_idx - 1) as usize)
+        self.entries
+            .get((idx - self.base_idx - 1) as usize)
+            .map(|e| &**e)
+    }
+
+    /// The entries one AppendEntries carries from index `from` on: at most
+    /// `max`, none when `from` lies outside the suffix.
+    pub fn batch_from(&self, from: u64, max: usize) -> &[Arc<Entry>] {
+        let len = self.entries.len();
+        let start = match from.checked_sub(self.base_idx + 1) {
+            Some(off) => usize::try_from(off).map_or(len, |off| off.min(len)),
+            None => len,
+        };
+        &self.entries[start..start.saturating_add(max).min(len)]
     }
 
     /// Appends one entry (caller assigns contiguous indexes).
-    pub fn append(&mut self, e: Entry) {
+    pub fn append(&mut self, e: Arc<Entry>) {
         debug_assert_eq!(e.idx, self.last_idx() + 1);
         self.entries.push(e);
     }
@@ -183,17 +218,18 @@ impl RaftLog {
 
     /// Full-file encoding (header + every entry).
     pub fn encode(&self) -> String {
-        let mut out = format!("base {} {}\n", self.base_idx, self.base_term);
+        let mut out = String::new();
+        let _ = writeln!(out, "base {} {}", self.base_idx, self.base_term);
         for e in &self.entries {
-            out.push_str(&e.encode());
-            out.push('\n');
+            Self::encode_entry(e, &mut out);
         }
         out
     }
 
-    /// One appended entry's file line.
-    pub fn encode_entry(e: &Entry) -> String {
-        format!("{}\n", e.encode())
+    /// Appends one entry's file line (newline included) to `out`.
+    pub fn encode_entry(e: &Entry, out: &mut String) {
+        let _ = e.encode_into(out);
+        out.push('\n');
     }
 
     /// Parses a log file, dropping any malformed (torn) trailing lines.
@@ -212,7 +248,7 @@ impl RaftLog {
                 }
             } else if let Some(e) = Entry::decode(line) {
                 if e.idx == log.last_idx() + 1 {
-                    log.entries.push(e);
+                    log.entries.push(Arc::new(e));
                 }
             }
         }
@@ -220,12 +256,81 @@ impl RaftLog {
     }
 }
 
+/// The encoders as they were before they streamed — three nested
+/// `format!`s per entry — kept as the reference the tests compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Cmd, Entry, RaftLog};
+
+    fn csv(v: &[u32]) -> String {
+        v.iter()
+            .map(|n| n.to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
+    pub(crate) fn cmd(c: &Cmd) -> String {
+        match c {
+            Cmd::Put { key, val, id } => format!("put {key} {val} {id}"),
+            Cmd::Noop => "noop".to_string(),
+            Cmd::Joint { old, new } => format!("joint {} {}", csv(old), csv(new)),
+            Cmd::Final { new } => format!("final {}", csv(new)),
+        }
+    }
+
+    pub(crate) fn entry(e: &Entry) -> String {
+        format!("e {} {} {}", e.idx, e.term, cmd(&e.cmd))
+    }
+
+    pub(crate) fn entry_line(e: &Entry) -> String {
+        format!("{}\n", entry(e))
+    }
+
+    /// One command of every variant, with the empty and one-element voter
+    /// lists the csv writer has to get right.
+    pub(crate) fn every_cmd() -> Vec<Cmd> {
+        vec![
+            Cmd::Put {
+                key: "k7".into(),
+                val: 0,
+                id: u64::MAX,
+            },
+            Cmd::Put {
+                key: String::new(),
+                val: 18_446_744_073_709_551_615,
+                id: (3 << 32) | 41,
+            },
+            Cmd::Noop,
+            Cmd::Joint {
+                old: vec![0, 1, 2, 3, 4],
+                new: vec![0, 1, 2],
+            },
+            Cmd::Joint {
+                old: vec![],
+                new: vec![4],
+            },
+            Cmd::Final { new: vec![0, 1, 2] },
+            Cmd::Final { new: vec![] },
+        ]
+    }
+
+    pub(crate) fn log(log: &RaftLog) -> String {
+        let mut out = format!("base {} {}\n", log.base_idx, log.base_term);
+        for e in &log.entries {
+            out.push_str(&entry(e));
+            out.push('\n');
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::every_cmd;
     use super::*;
 
-    fn entry(idx: u64, term: u64) -> Entry {
-        Entry {
+    fn entry(idx: u64, term: u64) -> Arc<Entry> {
+        Arc::new(Entry {
             idx,
             term,
             cmd: Cmd::Put {
@@ -233,7 +338,69 @@ mod tests {
                 val: idx,
                 id: idx,
             },
+        })
+    }
+
+    #[test]
+    fn streamed_encoders_write_the_nested_format_text() {
+        let mut log = RaftLog {
+            base_idx: 400,
+            base_term: 3,
+            entries: vec![],
+        };
+        for (i, cmd) in every_cmd().into_iter().enumerate() {
+            let mut text = String::new();
+            cmd.encode_into(&mut text).unwrap();
+            assert_eq!(text, reference::cmd(&cmd));
+
+            let e = Arc::new(Entry {
+                idx: 401 + i as u64,
+                term: 3 + i as u64 % 2,
+                cmd,
+            });
+            // Appended to a buffer that already holds a line, like the
+            // node's reused one after `clear` — and like `encode`'s.
+            let mut line = String::from("kept\n");
+            RaftLog::encode_entry(&e, &mut line);
+            assert_eq!(line, format!("kept\n{}", reference::entry_line(&e)));
+            log.append(e);
         }
+        assert_eq!(log.encode(), reference::log(&log));
+        assert_eq!(RaftLog::default().encode(), "base 0 0\n");
+    }
+
+    #[test]
+    fn a_batch_is_the_entries_a_get_loop_would_collect() {
+        let mut log = RaftLog {
+            base_idx: 10,
+            base_term: 1,
+            entries: vec![],
+        };
+        for i in 11..=20 {
+            log.append(entry(i, 1));
+        }
+        for from in 0..=23 {
+            for max in [0, 1, 3, 60] {
+                let mut want = Vec::new();
+                let mut idx = from;
+                while want.len() < max {
+                    match log.get(idx) {
+                        Some(e) => want.push(e.clone()),
+                        None => break,
+                    }
+                    idx += 1;
+                }
+                let got: Vec<Entry> = log
+                    .batch_from(from, max)
+                    .iter()
+                    .map(|e| (**e).clone())
+                    .collect();
+                assert_eq!(got, want, "from {from}, max {max}");
+            }
+        }
+        assert!(log.batch_from(u64::MAX, usize::MAX).is_empty());
+        // A batch shares the log's entries; it does not copy them.
+        assert!(Arc::ptr_eq(&log.batch_from(11, 1)[0], &log.entries[0]));
     }
 
     #[test]
@@ -244,19 +411,19 @@ mod tests {
             entries: vec![],
         };
         log.append(entry(5, 2));
-        log.append(Entry {
+        log.append(Arc::new(Entry {
             idx: 6,
             term: 3,
             cmd: Cmd::Joint {
                 old: vec![0, 1, 2, 3, 4],
                 new: vec![0, 1, 2],
             },
-        });
-        log.append(Entry {
+        }));
+        log.append(Arc::new(Entry {
             idx: 7,
             term: 3,
             cmd: Cmd::Noop,
-        });
+        }));
         let parsed = RaftLog::parse(log.encode().as_bytes());
         assert_eq!(parsed.base_idx, 4);
         assert_eq!(parsed.base_term, 2);

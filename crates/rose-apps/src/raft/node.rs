@@ -16,6 +16,7 @@
 //! handling, none of which are reachable without external faults.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use rose_events::{Errno, NodeId, SimDuration, SimTime};
 use rose_sim::{Application, ClientId, NodeCtx, OpenFlags};
@@ -91,8 +92,8 @@ pub enum RaftMsg {
         prev_idx: u64,
         /// Term of the entry at `prev_idx`.
         prev_term: u64,
-        /// Suffix to append.
-        entries: Vec<Entry>,
+        /// Suffix to append: the leader's own log entries, shared.
+        entries: Vec<Arc<Entry>>,
         /// Leader commit index.
         commit: u64,
     },
@@ -235,6 +236,8 @@ pub struct RoseRaft {
     /// Recent stride checkpoints (idx -> (term, chain)) kept in memory for
     /// harness cross-validation against the journal-based checker.
     checkpoints: BTreeMap<u64, (u64, u64)>,
+    /// The log line `persist_append` is writing; kept for its capacity.
+    line: String,
 }
 
 impl Default for RoseRaft {
@@ -261,6 +264,7 @@ impl Default for RoseRaft {
             election_deadline: SimTime::ZERO,
             tick: 0,
             checkpoints: BTreeMap::new(),
+            line: String::new(),
         }
     }
 }
@@ -330,9 +334,11 @@ impl RoseRaft {
     }
 
     fn persist_append(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>, e: &Entry) {
+        self.line.clear();
+        RaftLog::encode_entry(e, &mut self.line);
         let res = (|| {
             let fd = ctx.open(LOG_PATH, OpenFlags::Append)?;
-            ctx.write(fd, RaftLog::encode_entry(e).as_bytes())?;
+            ctx.write(fd, self.line.as_bytes())?;
             ctx.fsync(fd)?;
             ctx.close(fd)
         })();
@@ -526,12 +532,12 @@ impl RoseRaft {
         if cmd.is_config() {
             self.apply_config_change(ctx, &cmd);
         }
-        let e = Entry {
+        let e = Arc::new(Entry {
             idx,
             term: self.term,
             cmd,
-        };
-        self.log.append(e.clone());
+        });
+        self.log.append(Arc::clone(&e));
         self.persist_append(ctx, &e);
         if idx.is_multiple_of(STRIDE) {
             ctx.log(format!(
@@ -566,15 +572,7 @@ impl RoseRaft {
             let Some(prev_term) = self.log.term_at(prev_idx) else {
                 continue;
             };
-            let mut entries = Vec::new();
-            let mut idx = ni;
-            while entries.len() < REPL_BATCH {
-                match self.log.get(idx) {
-                    Some(e) => entries.push(e.clone()),
-                    None => break,
-                }
-                idx += 1;
-            }
+            let entries = self.log.batch_from(ni, REPL_BATCH).to_vec();
             let _ = ctx.send(
                 p,
                 RaftMsg::App {
@@ -619,10 +617,10 @@ impl RoseRaft {
     fn apply_committed(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>) {
         while self.kv.applied < self.commit {
             let idx = self.kv.applied + 1;
-            let Some(e) = self.log.get(idx).cloned() else {
+            let Some(e) = self.log.get(idx) else {
                 break;
             };
-            self.kv.apply(&e);
+            self.kv.apply(e);
             if idx.is_multiple_of(STRIDE) {
                 ctx.log(format!(
                     "raft: APPLY idx={} term={} chain={:x}",
@@ -633,8 +631,8 @@ impl RoseRaft {
                     self.checkpoints.pop_first();
                 }
             }
-            if let Cmd::Put { id, .. } = e.cmd {
-                self.applied_ids.insert(id);
+            if let Cmd::Put { id, .. } = &e.cmd {
+                self.applied_ids.insert(*id);
             }
             if let Some((client, id)) = self.pending_clients.remove(&idx) {
                 let _ = ctx.reply(client, RaftMsg::PutOk { id });
@@ -1007,7 +1005,7 @@ impl RoseRaft {
             if e.cmd.is_config() {
                 self.apply_config_change(ctx, &e.cmd);
             }
-            self.log.append(e.clone());
+            self.log.append(Arc::clone(&e));
             self.persist_append(ctx, &e);
         }
         if truncated {
@@ -1033,7 +1031,7 @@ struct Append {
     term: u64,
     prev_idx: u64,
     prev_term: u64,
-    entries: Vec<Entry>,
+    entries: Vec<Arc<Entry>>,
     commit: u64,
 }
 

@@ -12,16 +12,18 @@
 //! | `RedisRaft-NEW` | the snapshot is written in place (open-truncate, no tmp/rename) and recovery rejects empty snapshots | crash exactly at the `write` call-site inside `storeSnapshotData` |
 //! | `RedisRaft-NEW2` | a deposed leader replays its uncommitted entries to the new leader; apply asserts on repeated operation ids | leader isolated by a partition during writes, then healed |
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use rand::Rng;
-use rose_events::{Errno, NodeId, SimDuration};
+use rose_events::{Errno, FnvBuildHasher, NodeId, SimDuration};
 use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
-use crate::common::{benign_probes, election_timeout, join_values, tags, ProbeStyle};
+use crate::common::{
+    benign_probes, election_timeout, join_values, push_value, read_values, tags, ProbeStyle, Values,
+};
 
 /// The five seeded RedisRaft defects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,20 +74,42 @@ pub struct Entry {
 }
 
 impl Entry {
-    /// Appends the entry's line of the on-disk log.
+    /// Appends the entry's line of the on-disk log:
+    /// `e <idx> <term> <key> <val> <id>`.
     fn write_line(&self, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "e {} {} {} {} {}",
-            self.idx, self.term, self.key, self.val, self.id
-        );
+        out.push_str("e ");
+        push_decimal(out, self.idx);
+        out.push(' ');
+        push_decimal(out, self.term);
+        out.push(' ');
+        out.push_str(&self.key);
+        out.push(' ');
+        out.push_str(&self.val);
+        out.push(' ');
+        push_decimal(out, self.id);
+        out.push('\n');
     }
 }
 
-/// A key's append list. The store, read replies and snapshot payloads
-/// share one list; the store copies it (`Arc::make_mut`) only when it
-/// appends while a handed-out reference is still alive.
-type Values = Arc<Vec<String>>;
+/// Appends `n` in decimal, as `{n}` would print it, without the formatter.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// A replicated entry as the log, an AppendEntries message and the replay
+/// queue hold it: one allocation per entry, shared from the leader's log to
+/// every follower's (entries are never changed once created).
+type SharedEntry = Arc<Entry>;
 
 /// A snapshot payload: every key with its list.
 type SnapData = Vec<(String, Values)>;
@@ -116,7 +140,7 @@ pub enum Rmsg {
         /// Index preceding `entries`.
         prev: u64,
         /// Suffix to append.
-        entries: Vec<Entry>,
+        entries: Vec<SharedEntry>,
         /// Leader commit index.
         commit: u64,
     },
@@ -197,7 +221,7 @@ pub struct RedisRaft {
     votes: BTreeSet<NodeId>,
     leader: Option<NodeId>,
     /// In-memory log suffix (entries with idx > `log_base`).
-    log: Vec<Entry>,
+    log: Vec<SharedEntry>,
     /// Whether `log` holds consecutive indices, so that entry `idx` sits at
     /// offset `idx - log[0].idx`. Every in-memory mutation keeps a dense
     /// log dense (push at `last_idx() + 1`, suffix `retain`, `truncate` +
@@ -210,14 +234,15 @@ pub struct RedisRaft {
     commit: u64,
     applied: u64,
     kv: BTreeMap<String, Values>,
-    applied_ids: BTreeSet<u64>,
+    /// Operation ids applied so far; only inserted into and probed.
+    applied_ids: HashSet<u64, FnvBuildHasher>,
     next_idx: BTreeMap<NodeId, u64>,
     /// Clients waiting for commit, by entry idx.
     pending_clients: BTreeMap<u64, (ClientId, u64)>,
     /// Snapshot transfers decided but not yet transmitted (RedisRaft-51).
     pending_snap: BTreeMap<NodeId, PendingSnap>,
     /// Entries a deposed leader intends to replay (RedisRaft-NEW2).
-    replay_queue: Vec<Entry>,
+    replay_queue: Vec<SharedEntry>,
     /// The log rebuild staged after a snapshot install (RedisRaft-43 window).
     rebuild_pending: bool,
     tick: u64,
@@ -242,7 +267,7 @@ impl RedisRaft {
             commit: 0,
             applied: 0,
             kv: BTreeMap::new(),
-            applied_ids: BTreeSet::new(),
+            applied_ids: HashSet::default(),
             next_idx: BTreeMap::new(),
             pending_clients: BTreeMap::new(),
             pending_snap: BTreeMap::new(),
@@ -279,7 +304,7 @@ impl RedisRaft {
 
     /// Position of the first entry with index `idx`.
     fn log_pos(&self, idx: u64) -> Option<usize> {
-        let scan = |log: &[Entry]| log.iter().position(|e| e.idx == idx);
+        let scan = |log: &[SharedEntry]| log.iter().position(|e| e.idx == idx);
         let from = self.log_seek(idx);
         let pos = scan(&self.log[from..]).map(|at| from + at);
         debug_assert_eq!(pos, scan(&self.log));
@@ -288,11 +313,11 @@ impl RedisRaft {
 
     /// The entries one AppendEntries carries to a peer at `next`: the first
     /// 20 with an index ≥ `next`, in log order.
-    fn entries_from(&self, next: u64) -> Vec<Entry> {
-        fn batch(log: &[Entry], next: u64) -> impl Iterator<Item = &Entry> {
+    fn entries_from(&self, next: u64) -> Vec<SharedEntry> {
+        fn batch(log: &[SharedEntry], next: u64) -> impl Iterator<Item = &SharedEntry> {
             log.iter().filter(move |e| e.idx >= next).take(20)
         }
-        let entries: Vec<Entry> = batch(&self.log[self.log_seek(next)..], next)
+        let entries: Vec<SharedEntry> = batch(&self.log[self.log_seek(next)..], next)
             .cloned()
             .collect();
         debug_assert!(entries.iter().eq(batch(&self.log, next)));
@@ -497,13 +522,13 @@ impl RedisRaft {
                 .log
                 .last()
                 .is_none_or(|prev| prev.idx.checked_add(1) == Some(idx));
-            self.log.push(Entry {
+            self.log.push(Arc::new(Entry {
                 idx,
                 term,
                 key: key.to_string(),
                 val: val.to_string(),
                 id,
-            });
+            }));
         }
         true
     }
@@ -678,12 +703,7 @@ impl RedisRaft {
                 ctx.exit_function();
                 continue;
             }
-            match self.kv.get_mut(&e.key) {
-                Some(values) => Arc::make_mut(values).push(e.val.clone()),
-                None => {
-                    self.kv.insert(e.key.clone(), Arc::new(vec![e.val.clone()]));
-                }
-            }
+            push_value(&mut self.kv, &e.key, e.val.clone());
             self.applied = next;
             ctx.exit_function();
             if self.role == Role::Leader {
@@ -703,13 +723,13 @@ impl RedisRaft {
         id: u64,
     ) -> u64 {
         let idx = self.last_idx() + 1;
-        let e = Entry {
+        let e = Arc::new(Entry {
             idx,
             term: self.term,
             key,
             val,
             id,
-        };
+        });
         self.append_log_entry(ctx, &e);
         self.log.push(e);
         idx
@@ -832,8 +852,8 @@ impl Application for RedisRaft {
                         let _ = ctx.send(
                             from,
                             Rmsg::Put {
-                                key: e.key,
-                                val: e.val,
+                                key: e.key.clone(),
+                                val: e.val.clone(),
                                 id: e.id,
                             },
                         );
@@ -899,11 +919,10 @@ impl Application for RedisRaft {
                 ctx.exit_function();
                 self.next_idx.insert(from, matched + 1);
                 // Quorum commit: count self + peers with matched >= idx.
-                let mut candidates: Vec<u64> = vec![self.last_idx()];
+                let mut candidates: Vec<u64> = Vec::with_capacity(self.next_idx.len() + 1);
+                candidates.push(self.last_idx());
                 // Track match indexes through next_idx - 1.
-                for (_, next) in self.next_idx.iter() {
-                    candidates.push(next.saturating_sub(1));
-                }
+                candidates.extend(self.next_idx.values().map(|next| next.saturating_sub(1)));
                 candidates.sort_unstable();
                 let majority_idx = candidates[candidates.len() / 2];
                 if majority_idx > self.commit {
@@ -989,7 +1008,7 @@ impl Application for RedisRaft {
             }
             Rmsg::Get { key } => {
                 if self.role == Role::Leader {
-                    let values = self.kv.get(&key).cloned().unwrap_or_default();
+                    let values = read_values(&self.kv, &key);
                     let _ = ctx.reply(client, Rmsg::GetOk { key, values });
                 } else {
                     let _ = ctx.reply(
@@ -1334,6 +1353,45 @@ impl ClientDriver<Rmsg> for RaftClient {
 mod tests {
     use super::*;
 
+    #[test]
+    fn write_line_prints_what_the_formatter_printed() {
+        let mut out = String::from("base 0\n");
+        let mut want = out.clone();
+        for (idx, term, id) in [
+            (0, 0, 0),
+            (1, 9, 10),
+            (407, 3, (2 << 32) | 136),
+            (u64::MAX, 100, u64::MAX),
+        ] {
+            let e = Entry {
+                idx,
+                term,
+                key: "k1".into(),
+                val: format!("c2n{idx}"),
+                id,
+            };
+            e.write_line(&mut out);
+            let _ = writeln!(want, "e {} {} {} {} {}", e.idx, e.term, e.key, e.val, e.id);
+        }
+        assert_eq!(out, want);
+    }
+
+    #[test]
+    fn a_get_reply_is_the_stores_own_list() {
+        crate::common::sharing::replies_share_the_stores_list_and_keep_what_they_were_sent(
+            RedisRaftCase {
+                bug: RedisRaftBug::Rr42,
+            },
+            NodeId(0),
+            || Rmsg::Get { key: "k0".into() },
+            |msg| match msg {
+                Rmsg::GetOk { values, .. } => Some(values),
+                _ => None,
+            },
+            |node| node.kv.get("k0"),
+        );
+    }
+
     fn parsed(file: &str) -> RedisRaft {
         let mut r = RedisRaft::new(None);
         assert!(r.parse_log(file.as_bytes()), "{file:?} has a base header");
@@ -1351,7 +1409,7 @@ mod tests {
                 "log_pos({idx}), dense={}",
                 r.log_dense
             );
-            let old: Vec<Entry> = r
+            let old: Vec<SharedEntry> = r
                 .log
                 .iter()
                 .filter(|e| e.idx >= idx)
@@ -1412,13 +1470,13 @@ mod tests {
         r.log.truncate(pos);
         for idx in 70..=72 {
             assert_eq!(idx, r.last_idx() + 1);
-            r.log.push(Entry {
+            r.log.push(Arc::new(Entry {
                 idx,
                 term: 3,
                 key: "k0".into(),
                 val: format!("c1n{idx}"),
                 id: 1_000 + idx,
-            });
+            }));
         }
         assert_lookups_equal_the_scan(&r);
         // A snapshot install empties it.

@@ -15,7 +15,9 @@ use rose_events::{NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
-use crate::common::{benign_probes, join_values, tags, ProbeStyle};
+use crate::common::{
+    benign_probes, join_values, push_value, read_values, tags, ProbeStyle, Values,
+};
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
 
@@ -63,7 +65,7 @@ pub enum Pmsg {
         /// Key.
         key: String,
         /// Values at their offsets.
-        values: Vec<String>,
+        values: Values,
     },
     /// Keepalive gossip.
     Gossip,
@@ -76,7 +78,7 @@ pub struct Redpanda {
     /// Appends into the active segment (rolled periodically).
     segment_records: u64,
     /// The log: key → values in offset order.
-    log: BTreeMap<String, Vec<String>>,
+    log: BTreeMap<String, Values>,
     /// Dedup state. Correct binary: `pid → last seq`. Defect: keyed by
     /// `(pid, session)`, so a new session forgets history.
     dedup: BTreeMap<(u32, u64), u64>,
@@ -153,13 +155,13 @@ impl Application for Redpanda {
                         let _ = ctx.write_file(SEGMENT, b"");
                         ctx.exit_function();
                     }
-                    self.log.entry(key).or_default().push(val);
+                    push_value(&mut self.log, &key, val);
                     self.dedup.insert(dk, seq);
                 }
                 let _ = ctx.reply(client, Pmsg::ProduceOk { seq });
             }
             Pmsg::Consume { key } => {
-                let values = self.log.get(&key).cloned().unwrap_or_default();
+                let values = read_values(&self.log, &key);
                 let _ = ctx.reply(client, Pmsg::ConsumeOk { key, values });
             }
             _ => {}
@@ -392,5 +394,26 @@ impl ClientDriver<Pmsg> for Producer {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_consume_reply_is_the_logs_own_list() {
+        crate::common::sharing::replies_share_the_stores_list_and_keep_what_they_were_sent(
+            RedpandaCase {
+                bug: RedpandaBug::Rp3003,
+            },
+            LEADER,
+            || Pmsg::Consume { key: "k0".into() },
+            |msg| match msg {
+                Pmsg::ConsumeOk { values, .. } => Some(values),
+                _ => None,
+            },
+            |broker| broker.log.get("k0"),
+        );
     }
 }

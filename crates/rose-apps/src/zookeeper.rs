@@ -12,13 +12,16 @@
 //! | `ZOOKEEPER-4203` | a failed `accept` during an election round kills the election logic while the candidate keeps disrupting with ever-higher epochs | SCF on a specific `accept` invocation |
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use rand::Rng;
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
-use crate::common::{benign_probes, election_timeout, join_values, tags, ProbeStyle};
+use crate::common::{
+    benign_probes, election_timeout, join_values, push_value, read_values, tags, ProbeStyle, Values,
+};
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
 
@@ -95,7 +98,7 @@ pub enum Zmsg {
         /// Key.
         key: String,
         /// Values.
-        values: Vec<String>,
+        values: Values,
     },
     /// Not the leader.
     Redirect {
@@ -129,7 +132,7 @@ pub struct ZooKeeper {
     leader: Option<NodeId>,
     zxid: u64,
     committed: u64,
-    tree: BTreeMap<String, Vec<String>>,
+    tree: BTreeMap<String, Values>,
     /// Pending client acks by zxid.
     pending: BTreeMap<u64, (ClientId, u64)>,
     /// Per-txn follower acks.
@@ -148,6 +151,8 @@ pub struct ZooKeeper {
     /// after this instant (microseconds).
     serving_from_us: u64,
     tick: u64,
+    /// The txn-log line `append_txn` is writing; kept for its capacity.
+    line: String,
 }
 
 impl ZooKeeper {
@@ -171,6 +176,7 @@ impl ZooKeeper {
             requests_seen: 0,
             serving_from_us: 0,
             tick: 0,
+            line: String::new(),
         }
     }
 
@@ -240,10 +246,11 @@ impl ZooKeeper {
 
     fn append_txn(&mut self, ctx: &mut NodeCtx<'_, Zmsg>, zxid: u64, key: &str, val: &str) -> bool {
         ctx.enter_function("appendTxnLog");
+        self.line.clear();
+        let _ = writeln!(self.line, "{zxid} {key} {val}");
         let ok = (|| {
             let fd = ctx.open(TXNLOG, OpenFlags::Append).ok()?;
-            let line = format!("{zxid} {key} {val}\n");
-            let r = ctx.write(fd, line.as_bytes());
+            let r = ctx.write(fd, self.line.as_bytes());
             let _ = ctx.close(fd);
             r.ok()
         })()
@@ -392,7 +399,7 @@ impl Application for ZooKeeper {
                 self.leader = Some(from);
                 self.role = Role::Follower;
                 if self.append_txn(ctx, zxid, &key, &val) {
-                    self.tree.entry(key).or_default().push(val);
+                    push_value(&mut self.tree, &key, val);
                     let _ = ctx.send(from, Zmsg::TxnOk { zxid });
                 }
             }
@@ -445,7 +452,7 @@ impl Application for ZooKeeper {
                 self.zxid += 1;
                 let zxid = self.zxid;
                 if self.append_txn(ctx, zxid, &key, &val) {
-                    self.tree.entry(key.clone()).or_default().push(val.clone());
+                    push_value(&mut self.tree, &key, val.clone());
                     self.pending.insert(zxid, (client, id));
                     ctx.broadcast(Zmsg::Txn {
                         epoch: self.epoch,
@@ -456,7 +463,7 @@ impl Application for ZooKeeper {
                 }
             }
             Zmsg::Read { key } => {
-                let values = self.tree.get(&key).cloned().unwrap_or_default();
+                let values = read_values(&self.tree, &key);
                 let _ = ctx.reply(client, Zmsg::ReadOk { key, values });
             }
             _ => {}
@@ -740,5 +747,24 @@ impl ClientDriver<Zmsg> for ZkClient {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_read_reply_is_the_trees_own_list() {
+        crate::common::sharing::replies_share_the_stores_list_and_keep_what_they_were_sent(
+            ZkCase { bug: ZkBug::Zk2247 },
+            NodeId(0),
+            || Zmsg::Read { key: "z0".into() },
+            |msg| match msg {
+                Zmsg::ReadOk { values, .. } => Some(values),
+                _ => None,
+            },
+            |zk| zk.tree.get("z0"),
+        );
     }
 }

@@ -64,3 +64,45 @@ fn unknown_bug_names_exit_2_with_the_roster() {
         assert_rejected(name, &["--jobs=4", "NoSuchBug-1"]);
     }
 }
+
+/// The one bin whose happy path no other gate runs: a sweep-redundancy row
+/// for the cheapest case, written where `--out` says.
+#[test]
+fn redundancy_writes_one_json_row_per_bug() {
+    let exe = BINS
+        .iter()
+        .find(|(n, _)| *n == "redundancy")
+        .expect("known bin")
+        .1;
+    let out_path =
+        std::env::temp_dir().join(format!("rose-redundancy-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&out_path);
+    let out = Command::new(exe)
+        .arg("HDFS-12070")
+        .arg("--out")
+        .arg(&out_path)
+        .output()
+        .expect("bin starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "redundancy HDFS-12070: {stderr}"
+    );
+
+    let text = std::fs::read_to_string(&out_path).expect("--out was written");
+    let _ = std::fs::remove_file(&out_path);
+    let json: serde_json::Value = serde_json::from_str(&text).expect("--out holds JSON");
+    let rows = json["rows"].as_array().expect("a rows array");
+    assert_eq!(rows.len(), 1, "{text}");
+    let row = &rows[0];
+    assert_eq!(row["bug"].as_str(), Some("HDFS-12070"));
+    assert!(
+        row["events_total"].as_u64().is_some_and(|n| n > 0),
+        "{text}"
+    );
+    assert!(
+        row["redundancy_factor"].as_f64().is_some_and(|f| f >= 1.0),
+        "{text}"
+    );
+}

@@ -13,6 +13,9 @@
 //! The digests are part of the on-disk visited-set format, so the hash
 //! function is pinned by golden tests below and must never change.
 
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::ids::NodeId;
 use crate::syscall::SyscallId;
 
@@ -69,6 +72,40 @@ impl Default for Fingerprinter {
         Fingerprinter::new()
     }
 }
+
+/// [`Fingerprinter`] as a [`Hasher`], for in-memory tables keyed by what the
+/// program itself makes (function names from a target's source, operation
+/// ids, values of a simulated history) and never iterated: short keys hash
+/// in a few cycles and no run depends on a per-process random state. FNV
+/// has no defence against keys crafted to collide, so keys from outside the
+/// program stay on the default hasher.
+///
+/// It is also a [`fmt::Write`] sink: `write!` into it hashes the very bytes
+/// `format!` would have put in a `String`, in the same order, so the digest
+/// is that of the built string (FNV consumes a byte at a time; how the text
+/// is split across `write_str` calls cannot matter) and nothing is built.
+#[derive(Debug, Clone, Default)]
+pub struct FnvHasher(Fingerprinter);
+
+impl Hasher for FnvHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write_bytes(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.finish()
+    }
+}
+
+impl fmt::Write for FnvHasher {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// `BuildHasher` of [`FnvHasher`], the `S` of a `HashMap<K, V, S>`.
+pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
 /// Fingerprint of a syscall execution context: (node, calling chain,
 /// syscall). Deliberately count-insensitive — "the n-th write under this
@@ -163,6 +200,28 @@ mod tests {
             syscall_context(NodeId(0), &chain(&["f"]), SyscallId::Fsync)
         );
         assert_ne!(base, syscall_context(NodeId(0), &[], SyscallId::Write));
+    }
+
+    #[test]
+    fn the_hasher_is_the_fingerprinter_over_the_same_bytes() {
+        use std::hash::BuildHasher;
+        let mut h = FnvBuildHasher::default().build_hasher();
+        h.write(b"appendTxnLog");
+        assert_eq!(
+            h.finish(),
+            Fingerprinter::new().write_bytes(b"appendTxnLog").finish()
+        );
+        // Formatted into it, text hashes as the string it would have built.
+        let mut h = FnvHasher::default();
+        fmt::Write::write_fmt(&mut h, format_args!("{:x}|{}|", 0xabc_u64, 17)).unwrap();
+        assert_eq!(
+            h.finish(),
+            Fingerprinter::new().write_bytes(b"abc|17|").finish()
+        );
+        // Keys differing in one byte, or only in length, land apart.
+        let of = |key: &str| FnvBuildHasher::default().hash_one(key);
+        assert_ne!(of("applyEntry"), of("applyEntrz"));
+        assert_ne!(of("ab"), of("a"));
     }
 
     #[test]

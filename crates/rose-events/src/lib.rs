@@ -27,7 +27,7 @@ pub mod window;
 
 pub use causal::{CausalEdge, CausalKind, CausalLog, CausalNode, CauseId, EdgeKind};
 pub use event::{Event, EventKind, ExecutionIndex, ProcState};
-pub use fingerprint::Fingerprinter;
+pub use fingerprint::{Fingerprinter, FnvBuildHasher, FnvHasher};
 pub use ids::{Fd, FunctionId, IpAddr, NodeId, Pid};
 pub use syscall::{Errno, SyscallId};
 pub use time::{SimDuration, SimTime};

@@ -13,6 +13,8 @@
 
 use std::collections::HashMap;
 
+use rose_events::FnvBuildHasher;
+
 /// An interned calling context. Only meaningful together with the
 /// [`ChainTable`] that issued it (one per simulated kernel); ids are dense
 /// and start at [`ChainId::ROOT`], so they can index a flat table.
@@ -43,8 +45,10 @@ pub struct ChainTable {
     chains: Vec<Chain>,
     /// Function name → the `(parent, child)` edges labelled with it. A
     /// function is entered from a handful of call sites, so the edge list
-    /// behind one name stays short and an entry costs one hash probe.
-    edges: HashMap<String, Vec<(ChainId, ChainId)>>,
+    /// behind one name stays short and an entry costs one hash probe —
+    /// FNV, since the names come from the target's own source and the map
+    /// is never iterated.
+    edges: HashMap<String, Vec<(ChainId, ChainId)>, FnvBuildHasher>,
 }
 
 impl Default for ChainTable {
@@ -61,7 +65,7 @@ impl ChainTable {
                 parent: ChainId::ROOT,
                 names: Vec::new(),
             }],
-            edges: HashMap::new(),
+            edges: HashMap::default(),
         }
     }
 

@@ -240,7 +240,8 @@ pub trait KernelHook: Any {
     }
 
     /// Uprobe: fired at an application function entry (`offset == None`) or
-    /// at a specific instrumented offset inside it.
+    /// at a specific instrumented offset inside it. `function` is the
+    /// innermost name of `env.chain`, so a hook may key on the chain id.
     fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>, fx: &mut HookEffects) {
         let _ = (env, function, offset, fx);
     }

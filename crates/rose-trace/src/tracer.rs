@@ -99,6 +99,10 @@ pub struct Tracer {
     /// SCF is the call's execution index, replayable by an executor that
     /// counts matching invocations from run start.
     ei_counts: Vec<Vec<[u32; SyscallId::ALL.len()]>>,
+    /// The monitored-function id of each chain's innermost function
+    /// (`Some(None)`: not monitored), looked up by name the first time a
+    /// uprobe fires under the chain and by chain id from then on.
+    af_by_chain: Vec<Option<Option<rose_events::FunctionId>>>,
     events_matched: u64,
     last_processing_us: u64,
     /// Causal recorder: when attached, `dump` also emits provenance records
@@ -119,6 +123,7 @@ impl Tracer {
             conns: rose_sim::ConnTable::new(),
             ongoing_pauses: BTreeMap::new(),
             ei_counts: Vec::new(),
+            af_by_chain: Vec::new(),
             events_matched: 0,
             last_processing_us: 0,
             causal: rose_sim::CausalRecorder::disabled(),
@@ -233,6 +238,7 @@ impl Tracer {
     pub fn reset(&mut self) {
         self.window.clear();
         self.ei_counts.clear();
+        self.af_by_chain.clear();
         self.events_matched = 0;
         self.total_charged = SimDuration::ZERO;
     }
@@ -373,7 +379,15 @@ impl KernelHook for Tracer {
         if offset.is_some() {
             return;
         }
-        let Some(id) = self.cfg.function_id(function) else {
+        // `function` is the innermost entry of `env.chain`, which the
+        // kernel has already resolved: the name is walked once per chain.
+        let slot = env.chain.index();
+        if self.af_by_chain.len() <= slot {
+            self.af_by_chain.resize(slot + 1, None);
+        }
+        let Some(id) =
+            *self.af_by_chain[slot].get_or_insert_with(|| self.cfg.function_id(function))
+        else {
             return;
         };
         let ev = EventKind::Af {

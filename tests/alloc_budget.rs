@@ -1,5 +1,5 @@
-//! Allocation budgets of the run path: the per-syscall hook chain, and the
-//! heaviest target system's own callbacks.
+//! Allocation budgets of the run path: the per-syscall hook chain, the
+//! target systems' own callbacks, and the oracle that polls them.
 //!
 //! Rose runs hundreds of testing runs per bug, and every one of them pushes
 //! each simulated syscall through executor `sys_enter` → body → tracer
@@ -7,16 +7,23 @@
 //! arguments and the kernel's own descriptor table, so what the hooks add
 //! on top of a bare run must stay a small fraction of an allocation per
 //! syscall (recording a failed call or first seeing a context is allowed to
-//! allocate; a steady-state probe is not). RedisRaft is where a campaign's wall time lives; its callbacks
-//! share value lists and format into reused buffers, so a whole fault-free
-//! run stays within a few allocations per simulated event. This binary owns
-//! its global allocator, so it holds exactly one test.
+//! allocate; a steady-state probe is not). The targets are where a
+//! campaign's wall time lives: RedisRaft (Table 1's heavy cases), RoseRaft
+//! (the hunt) and Redpanda (an Elle-checked list store) share value lists
+//! and log entries from store to wire and format into reused buffers, so a
+//! whole fault-free run stays within a few allocations per simulated event;
+//! and the Elle checker a run is polled with borrows from the history, so
+//! one call on a finished run allocates next to nothing beside the run it
+//! judges. This binary owns its global allocator, so it holds exactly one
+//! test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rose::apps::raft::{RaftScenario, RoseRaftCase};
 use rose::apps::redisraft::{RedisRaftBug, RedisRaftCase};
+use rose::apps::redpanda::{RedpandaBug, RedpandaCase};
 use rose::apps::zookeeper::{ZkBug, ZkCase};
 use rose::events::NodeId;
 use rose::hunt::SiteProbe;
@@ -123,20 +130,48 @@ fn hook_chain_stays_within_its_allocation_budget() {
     });
     assert_eq!(second, 0, "re-entering a seen chain must not allocate");
 
-    // A bare fault-free RedisRaft run, kernel and target together.
-    let system = RedisRaftCase {
+    // Bare fault-free runs, kernel and target together.
+    let redisraft = RedisRaftCase {
         bug: RedisRaftBug::Rr42,
     };
+    bare_run_stays_within(redisraft, 3.0);
+    let roseraft = RoseRaftCase {
+        scenario: RaftScenario::CompactionLoss,
+    };
+    bare_run_stays_within(roseraft, 4.0);
+    let redpanda = RedpandaCase {
+        bug: RedpandaBug::Rp3003,
+    };
+    let sim = bare_run_stays_within(redpanda.clone(), 3.5);
+
+    // One oracle poll on the finished run: the Elle checker over the whole
+    // history.
+    let (allocations, verdict) = allocations_of(|| redpanda.oracle(&sim));
+    let ops = sim.core().history.len();
+    println!("Redpanda-3003 oracle: {allocations} allocations over {ops} operations");
+    assert!(!verdict, "a fault-free run has no anomaly");
+    assert!(
+        allocations <= 2_000,
+        "one oracle call on a finished Redpanda run makes {allocations} allocations \
+         ({ops} operations in the history); the ceiling is 2000"
+    );
+}
+
+/// Runs `system` fault-free and bare for its testing-run length and holds
+/// it to `ceiling` allocations per simulated event.
+fn bare_run_stays_within<S: TargetSystem>(system: S, ceiling: f64) -> rose::sim::Sim<S::App> {
+    let name = system.name().to_string();
     let duration = system.run_duration();
     let mut sim = Rose::new(system).deploy(11, vec![]);
     sim.start();
     let (allocations, ()) = allocations_of(|| sim.run_for(duration));
     let events = sim.core().events_executed();
     let per_event = allocations as f64 / events as f64;
-    println!("RedisRaft: {allocations} allocations, {events} events, {per_event:.2} per event");
+    println!("{name}: {allocations} allocations, {events} events, {per_event:.2} per event");
     assert!(
-        per_event <= 6.5,
-        "a fault-free RedisRaft run makes {per_event:.2} allocations per simulated event \
-         ({allocations} over {events} events); the ceiling is 6.5"
+        per_event <= ceiling,
+        "a fault-free {name} run makes {per_event:.2} allocations per simulated event \
+         ({allocations} over {events} events); the ceiling is {ceiling}"
     );
+    sim
 }
