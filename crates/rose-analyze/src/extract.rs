@@ -145,6 +145,7 @@ pub fn extract_faults(
                     stats.removed_benign += 1;
                     continue;
                 }
+                let path = path.as_deref().map(str::to_owned);
                 let key = (e.node, *syscall, *errno, path.clone());
                 if let Some(&existing) = seen_scf.get(&key) {
                     // Repeated identical failure: one candidate fault.
@@ -158,11 +159,11 @@ pub fn extract_faults(
                     action: FaultAction::Scf {
                         syscall: *syscall,
                         errno: *errno,
-                        path: path.clone(),
+                        path,
                         nth: 1,
                     },
                     preceding: preceding(e.node, e.ts),
-                    ei: ei.clone(),
+                    ei: ei.as_deref().cloned(),
                 });
             }
             EventKind::Ps {
@@ -520,7 +521,7 @@ mod tests {
                 pid: Pid(node + 100),
                 syscall,
                 fd: None,
-                path: Some(path.to_string()),
+                path: Some(path.into()),
                 errno,
                 ei: None,
             },

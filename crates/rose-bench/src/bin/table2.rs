@@ -72,7 +72,7 @@ fn main() {
                 let charged = tracer.total_charged;
                 // The dump in both serializations (the JSON and Binary columns).
                 let dump_bytes = (
-                    trace.to_json().len() as u64,
+                    trace.json_len() as u64,
                     rose_store::encoded_trace_bytes(&trace),
                 );
                 (name, ops, Some((trace.len(), rep, charged, dump_bytes)))

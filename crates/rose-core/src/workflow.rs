@@ -245,7 +245,7 @@ impl<S: TargetSystem> Rose<S> {
         // The capture's phase record carries the dump sizes (Table 2).
         // Serializing a dump to measure it costs far more than the dump,
         // so testing runs, which never report the sizes, do not.
-        let dump_json_bytes = trace.to_json().len() as u64;
+        let dump_json_bytes = trace.json_len() as u64;
         let dump_store_bytes = rose_store::encoded_trace_bytes(&trace);
         self.obs
             .gauge_set("tracer.dump_json_bytes", dump_json_bytes as f64);

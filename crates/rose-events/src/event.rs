@@ -84,6 +84,11 @@ impl fmt::Display for ExecutionIndex {
 }
 
 /// The type-specific payload `I` of an event.
+///
+/// Layout rule: a tracer window holds hundreds of thousands of these, nearly
+/// all of them the small fixed-size variants, so the rare variable-length
+/// payloads (an SCF's path and execution index, an IO-content prefix) sit
+/// behind one pointer each instead of sizing every event by the largest.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum EventKind {
     /// System Call Failure: `{pid, syscall_id, fd, filename, errno}`.
@@ -99,12 +104,12 @@ pub enum EventKind {
         /// File descriptor operated on, for fd-based calls.
         fd: Option<Fd>,
         /// Path operated on, when known.
-        path: Option<String>,
+        path: Option<Box<str>>,
         /// The error returned.
         errno: Errno,
         /// The call's execution index, when the tracer recorded one.
         #[serde(default, skip_serializing_if = "Option::is_none")]
-        ei: Option<ExecutionIndex>,
+        ei: Option<Box<ExecutionIndex>>,
     },
     /// Application Function: `{pid, function_id}` — an infrequent profiled
     /// function was entered (uprobe fired).
@@ -146,7 +151,7 @@ pub enum EventKind {
         syscall: SyscallId,
         /// Captured I/O payload prefix (`IO content` baseline only, ≤128 B).
         #[serde(default, skip_serializing_if = "Option::is_none")]
-        content: Option<Vec<u8>>,
+        content: Option<Box<[u8]>>,
     },
 }
 
@@ -194,7 +199,7 @@ impl EventKind {
         base + match self {
             EventKind::Scf { path, ei, .. } => {
                 32 + path.as_ref().map_or(0, |p| p.len())
-                    + ei.as_ref().map_or(0, ExecutionIndex::wire_size)
+                    + ei.as_ref().map_or(0, |ei| ei.wire_size())
             }
             EventKind::Af { .. } => 8,
             EventKind::Nd { .. } => 24,
@@ -225,14 +230,21 @@ pub struct Event {
     /// [`EventKind::wire_size`], computed once at construction: the sliding
     /// window re-reads the size of both the incoming and the evicted event
     /// on every push, and recomputing it would re-walk SCF path strings and
-    /// `SyscallOk` payloads on the hot path.
-    wire: usize,
+    /// `SyscallOk` payloads on the hot path. This is Table 2's accounting
+    /// figure, not the in-memory layout.
+    wire: u32,
 }
+
+// A dump holds one `Event` per window slot and every store and merge stage
+// moves them by value: the record stays within 56 bytes.
+const _: () = assert!(size_of::<Event>() <= 56 && size_of::<EventKind>() <= 40);
 
 impl Event {
     /// Builds an event.
     pub fn new(ts: SimTime, node: NodeId, kind: EventKind) -> Self {
-        let wire = kind.wire_size();
+        // Saturates rather than panics: a decoded file may describe an
+        // absurd payload, and accounting is all this feeds.
+        let wire = u32::try_from(kind.wire_size()).unwrap_or(u32::MAX);
         Event {
             ts,
             node,
@@ -244,7 +256,7 @@ impl Event {
     /// The event's in-buffer size in bytes ([`EventKind::wire_size`]),
     /// cached at construction.
     pub fn wire_size(&self) -> usize {
-        self.wire
+        self.wire as usize
     }
 }
 
@@ -363,10 +375,10 @@ mod tests {
         let bare = scf(Errno::Eio);
         let mut kind = bare.clone();
         if let EventKind::Scf { ei, .. } = &mut kind {
-            *ei = Some(ExecutionIndex::new(
+            *ei = Some(Box::new(ExecutionIndex::new(
                 vec!["applyEntry".into(), "storeSnapshotData".into()],
                 3,
-            ));
+            )));
         }
         assert!(kind.wire_size() > bare.wire_size());
         let e = Event::new(SimTime::from_secs(1), NodeId(0), kind);
@@ -416,9 +428,68 @@ mod tests {
         let big = EventKind::SyscallOk {
             pid: Pid(1),
             syscall: SyscallId::Write,
-            content: Some(vec![0u8; 128]),
+            content: Some(vec![0u8; 128].into()),
         };
         assert!(big.wire_size() > small.wire_size() + 100);
+    }
+
+    #[test]
+    fn wire_size_is_the_papers_accounting_not_the_layout() {
+        // Table 2's `Memory` column sums these. They were fixed while the
+        // rare payloads still lay inline in a 96-byte event and must not
+        // follow the layout down.
+        let ei = ExecutionIndex::new(vec!["applyEntry".into(), "fsync".into()], 3);
+        assert_eq!(ei.wire_size(), 8 + (8 + 10) + (8 + 5));
+        let scf = |path: Option<&str>, ei: Option<&ExecutionIndex>| EventKind::Scf {
+            pid: Pid(1),
+            syscall: SyscallId::Read,
+            fd: Some(Fd(3)),
+            path: path.map(Box::from),
+            errno: Errno::Eio,
+            ei: ei.cloned().map(Box::new),
+        };
+        let ok = |content: Option<&[u8]>| EventKind::SyscallOk {
+            pid: Pid(1),
+            syscall: SyscallId::Write,
+            content: content.map(Box::from),
+        };
+        let table = [
+            (scf(None, None), 56),
+            (scf(Some("/data/snap"), None), 66),
+            (scf(Some("/data/snap"), Some(&ei)), 105),
+            (
+                EventKind::Af {
+                    pid: Pid(1),
+                    function: FunctionId(9),
+                },
+                32,
+            ),
+            (
+                EventKind::Nd {
+                    dst: IpAddr(1),
+                    src: IpAddr(2),
+                    duration: SimDuration::from_secs(6),
+                    packet_count: 10,
+                },
+                48,
+            ),
+            (
+                EventKind::Ps {
+                    pid: Pid(1),
+                    state: ProcState::Waiting,
+                    duration: SimDuration::from_secs(4),
+                },
+                40,
+            ),
+            (ok(None), 164),
+            (ok(Some(&[])), 164),
+            (ok(Some(&[7; 128])), 292),
+        ];
+        for (kind, bytes) in table {
+            assert_eq!(kind.wire_size(), bytes, "{kind:?}");
+            let cached = Event::new(SimTime::ZERO, NodeId(0), kind).wire_size();
+            assert_eq!(cached, bytes);
+        }
     }
 
     #[test]

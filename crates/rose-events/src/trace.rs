@@ -141,6 +141,24 @@ impl Trace {
         serde_json::to_string(self).expect("trace serialization cannot fail")
     }
 
+    /// The length of [`Trace::to_json`]'s output without building it: the
+    /// framing plus each event's serialization, one event's tree alive at a
+    /// time.
+    pub fn json_len(&self) -> usize {
+        let framing = r#"{"events":[]}"#.len();
+        let commas = self.events.len().saturating_sub(1);
+        let events: usize = self
+            .events
+            .iter()
+            .map(|e| {
+                serde_json::to_string(e)
+                    .expect("event serialization cannot fail")
+                    .len()
+            })
+            .sum();
+        framing + commas + events
+    }
+
     /// Parses a trace from its JSON dump.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
@@ -323,6 +341,16 @@ mod tests {
         let t = Trace::from_events(vec![af(1, 0, 1), crash(2, 0)]);
         let back = Trace::from_json(&t.to_json()).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn json_len_counts_the_framing_of_small_traces() {
+        // No event, one event (no comma) and two (one comma).
+        for n in 0..3 {
+            let t = Trace::from_events((0..n).map(|i| crash(i, 0)).collect());
+            let dump = t.to_json();
+            assert_eq!(t.json_len(), dump.len(), "{dump}");
+        }
     }
 
     #[test]

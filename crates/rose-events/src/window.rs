@@ -137,6 +137,17 @@ impl SlidingWindow {
         out
     }
 
+    /// Moves the window contents out in chronological (push) order — the
+    /// buffer itself, rotated in place, not a copy — and leaves the window
+    /// empty as [`SlidingWindow::clear`] does: `total_pushed` and
+    /// `peak_bytes` carry on.
+    pub fn drain(&mut self) -> Vec<Event> {
+        self.buf.rotate_left(self.head);
+        self.head = 0;
+        self.bytes = 0;
+        core::mem::take(&mut self.buf)
+    }
+
     /// Drops all events.
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -228,14 +239,14 @@ mod tests {
                     pid: Pid(1),
                     syscall: SyscallId::Open,
                     fd: None,
-                    path: Some(format!("/var/lib/db/segment-{i:010}.log")),
+                    path: Some(format!("/var/lib/db/segment-{i:010}.log").into()),
                     errno: Errno::Enoent,
                     ei: None,
                 },
                 _ => EventKind::SyscallOk {
                     pid: Pid(1),
                     syscall: SyscallId::Write,
-                    content: Some(vec![0u8; (i % 97) as usize]),
+                    content: Some(vec![0u8; (i % 97) as usize].into()),
                 },
             };
             Event::new(SimTime::from_micros(i), NodeId(0), kind)
@@ -274,6 +285,26 @@ mod tests {
             peak,
             "one small event cannot beat the old peak"
         );
+    }
+
+    #[test]
+    fn drain_is_snapshot_then_clear_without_the_copy() {
+        for pushes in [0u64, 3, 4, 6, 8, 9] {
+            let mut w = SlidingWindow::with_capacity(4);
+            for i in 0..pushes {
+                w.push(ev(i));
+            }
+            let (expected, peak) = (w.snapshot(), w.peak_bytes());
+            assert_eq!(w.drain(), expected, "after {pushes} pushes");
+            assert!(w.is_empty());
+            assert_eq!(w.bytes(), 0);
+            assert_eq!(w.total_pushed(), pushes);
+            assert_eq!(w.peak_bytes(), peak);
+            // The window keeps tracing: what follows is all the next drain sees.
+            w.push(ev(100));
+            w.push(ev(101));
+            assert_eq!(w.drain(), vec![ev(100), ev(101)]);
+        }
     }
 
     #[test]

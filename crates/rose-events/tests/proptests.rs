@@ -22,9 +22,10 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
                 pid: Pid(100 + p),
                 syscall: SyscallId::Read,
                 fd: Some(Fd(3)),
-                path,
+                path: path.map(String::into_boxed_str),
                 errno: Errno::Eio,
-                ei: ei.map(|(chain, count)| rose_events::ExecutionIndex::new(chain, count)),
+                ei: ei
+                    .map(|(chain, count)| Box::new(rose_events::ExecutionIndex::new(chain, count))),
             }),
         (1u32..5, 1u32..5, 0u64..10_000_000).prop_map(|(s, d, dur)| EventKind::Nd {
             src: IpAddr(s),
@@ -37,6 +38,15 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
             state: ProcState::Crashed,
             duration: SimDuration::ZERO,
         }),
+        (
+            0u32..4,
+            proptest::option::of(proptest::collection::vec(any::<u8>(), 0..16))
+        )
+            .prop_map(|(p, content)| EventKind::SyscallOk {
+                pid: Pid(100 + p),
+                syscall: SyscallId::Write,
+                content: content.map(Vec::into_boxed_slice),
+            }),
     ]
 }
 
@@ -118,6 +128,14 @@ proptest! {
         let t = Trace::from_events(events);
         let back = Trace::from_json(&t.to_json()).unwrap();
         prop_assert_eq!(t, back);
+    }
+
+    #[test]
+    fn json_len_is_the_length_of_the_dump(events in proptest::collection::vec(arb_event(), 0..60)) {
+        // 0..60 reaches the empty and the one-event trace, whose framing
+        // has no comma to count.
+        let t = Trace::from_events(events);
+        prop_assert_eq!(t.json_len(), t.to_json().len());
     }
 
     #[test]

@@ -286,7 +286,7 @@ impl ChromeTrace {
                     args.insert("fd".to_owned(), fd.to_string());
                 }
                 if let Some(path) = path {
-                    args.insert("path".to_owned(), path.clone());
+                    args.insert("path".to_owned(), path.to_string());
                 }
                 if let Some(ei) = ei {
                     args.insert("ei".to_owned(), ei.to_string());
@@ -550,7 +550,7 @@ mod tests {
                     pid: Pid(1),
                     syscall: SyscallId::Write,
                     fd: Some(Fd(3)),
-                    path: Some(nasty.to_owned()),
+                    path: Some(nasty.into()),
                     errno: Errno::Eio,
                     ei: None,
                 },

@@ -195,7 +195,7 @@ impl Profile {
                 self.benign.contains(&FaultFingerprint {
                     syscall: *syscall,
                     errno: *errno,
-                    path: path.clone(),
+                    path: path.as_deref().map(str::to_owned),
                 }) ||
                 // Fall back to a path-insensitive match: recurring failure
                 // classes (e.g. `stat`+ENOENT probing) are benign regardless

@@ -105,8 +105,10 @@ pub const fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table,
+/// `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -119,17 +121,40 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC32 (IEEE 802.3 polynomial) of `data`.
+/// CRC32 (IEEE 802.3 polynomial) of `data`, eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -214,8 +239,8 @@ pub fn encode_frame(events: &[Event]) -> (Vec<u8>, FrameInfo) {
         info.node_mask |= 1u64 << e.node.0.min(63);
         if let EventKind::Scf { path, ei, .. } = &e.kind {
             for s in path
-                .iter()
-                .map(String::as_str)
+                .as_deref()
+                .into_iter()
                 .chain(ei.iter().flat_map(|ei| ei.chain.iter().map(String::as_str)))
             {
                 dict_map.entry(s).or_insert_with(|| {
@@ -285,7 +310,7 @@ fn encode_event(out: &mut Vec<u8>, dict_map: &HashMap<&str, u64>, prev_ts: &mut 
                 write_varint(out, u64::from(fd.0));
             }
             if let Some(path) = path {
-                write_varint(out, dict_map[path.as_str()]);
+                write_varint(out, dict_map[&**path]);
             }
             out.push(errno_index(*errno));
             if let Some(ei) = ei {
@@ -355,11 +380,47 @@ pub fn parse_frame_header(payload: &[u8]) -> Result<(FrameInfo, usize), StoreErr
     ))
 }
 
+/// The fewest bytes one encoded event takes: tag, timestamp delta, node.
+pub(crate) const MIN_EVENT_LEN: u64 = 3;
+
+/// Checks a count read from a file against the bytes left to hold that many
+/// items of at least `min_len` bytes each, so that no reservation is sized
+/// by the file's word alone. Past the bound the items cannot all be there:
+/// the same [`StoreError::Truncated`] decoding them would run into.
+pub(crate) fn bounded_count(
+    count: u64,
+    min_len: u64,
+    remaining: usize,
+) -> Result<usize, StoreError> {
+    if count > remaining as u64 / min_len {
+        return Err(StoreError::Truncated);
+    }
+    Ok(count as usize)
+}
+
 /// Decodes one frame payload back into events.
 pub fn decode_frame(payload: &[u8]) -> Result<Vec<Event>, StoreError> {
+    let mut events = Vec::new();
+    decode_frame_into(payload, &mut events)?;
+    Ok(events)
+}
+
+/// Decodes one frame payload onto the end of `out` and returns how many
+/// events that was. On an error `out` is as it was found.
+pub fn decode_frame_into(payload: &[u8], out: &mut Vec<Event>) -> Result<usize, StoreError> {
+    let start = out.len();
+    let decoded = decode_events(payload, out);
+    if decoded.is_err() {
+        out.truncate(start);
+    }
+    decoded
+}
+
+fn decode_events(payload: &[u8], out: &mut Vec<Event>) -> Result<usize, StoreError> {
     let (info, mut pos) = parse_frame_header(payload)?;
     let dict_len = read_varint(payload, &mut pos)?;
-    let mut dict: Vec<String> = Vec::with_capacity(dict_len as usize);
+    // Entries borrow the payload; each is at least its length byte.
+    let mut dict: Vec<&str> = Vec::with_capacity(bounded_count(dict_len, 1, payload.len() - pos)?);
     for _ in 0..dict_len {
         let len = read_varint(payload, &mut pos)? as usize;
         let end = pos
@@ -368,14 +429,15 @@ pub fn decode_frame(payload: &[u8]) -> Result<Vec<Event>, StoreError> {
             .ok_or(StoreError::Truncated)?;
         let s = core::str::from_utf8(&payload[pos..end])
             .map_err(|_| StoreError::corrupt("dictionary entry is not UTF-8"))?;
-        dict.push(s.to_string());
+        dict.push(s);
         pos = end;
     }
 
-    let mut events = Vec::with_capacity(info.events as usize);
+    let events = bounded_count(info.events, MIN_EVENT_LEN, payload.len() - pos)?;
+    out.reserve(events);
     let mut prev_ts = 0u64;
-    for _ in 0..info.events {
-        events.push(decode_event(payload, &mut pos, &dict, &mut prev_ts)?);
+    for _ in 0..events {
+        out.push(decode_event(payload, &mut pos, &dict, &mut prev_ts)?);
     }
     if pos != payload.len() {
         return Err(StoreError::corrupt(format!(
@@ -389,7 +451,7 @@ pub fn decode_frame(payload: &[u8]) -> Result<Vec<Event>, StoreError> {
 fn decode_event(
     buf: &[u8],
     pos: &mut usize,
-    dict: &[String],
+    dict: &[&str],
     prev_ts: &mut u64,
 ) -> Result<Event, StoreError> {
     let tag = *buf.get(*pos).ok_or(StoreError::Truncated)?;
@@ -416,12 +478,10 @@ fn decode_event(
             if flags & !(FLAG_A | FLAG_B | FLAG_C) != 0 {
                 return Err(StoreError::corrupt(format!("bad SCF tag {tag:#04x}")));
             }
-            let dict_str = |idx: usize| -> Result<String, StoreError> {
-                dict.get(idx)
-                    .ok_or_else(|| {
-                        StoreError::corrupt(format!("dictionary index {idx} out of range"))
-                    })
-                    .cloned()
+            let dict_str = |idx: usize| -> Result<&str, StoreError> {
+                dict.get(idx).copied().ok_or_else(|| {
+                    StoreError::corrupt(format!("dictionary index {idx} out of range"))
+                })
             };
             let pid = Pid(read_u32(pos, "pid")?);
             let syscall = syscall_from_index(read_byte(pos)?)?;
@@ -432,7 +492,7 @@ fn decode_event(
             };
             let path = if flags & FLAG_B != 0 {
                 let idx = read_varint(buf, pos)? as usize;
-                Some(dict_str(idx)?)
+                Some(dict_str(idx)?.into())
             } else {
                 None
             };
@@ -450,10 +510,10 @@ fn decode_event(
                 let mut chain = Vec::with_capacity(chain_len);
                 for _ in 0..chain_len {
                     let idx = read_varint(buf, pos)? as usize;
-                    chain.push(dict_str(idx)?);
+                    chain.push(dict_str(idx)?.to_string());
                 }
                 let count = read_u32(pos, "EI count")?;
-                Some(rose_events::ExecutionIndex::new(chain, count))
+                Some(Box::new(rose_events::ExecutionIndex::new(chain, count)))
             } else {
                 None
             };
@@ -508,7 +568,7 @@ fn decode_event(
                     .checked_add(len)
                     .filter(|&e| e <= buf.len())
                     .ok_or(StoreError::Truncated)?;
-                let c = buf[*pos..end].to_vec();
+                let c = buf[*pos..end].into();
                 *pos = end;
                 Some(c)
             } else {
@@ -560,11 +620,45 @@ mod tests {
         assert_eq!(zigzag(1), 2);
     }
 
+    /// The bytewise CRC32 the sliced one replaced, kept as its reference.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_one_at_every_length() {
+        // 0..=64 covers no word, whole words only, and every remainder.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..64)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for len in 0..=bytes.len() {
+            for start in 0..=(bytes.len() - len).min(8) {
+                let data = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "{len} bytes from {start}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -597,10 +691,10 @@ mod tests {
                     fd: None,
                     path: Some("/data/раздел/セグメント.log".into()),
                     errno: Errno::Enoent,
-                    ei: Some(rose_events::ExecutionIndex::new(
+                    ei: Some(Box::new(rose_events::ExecutionIndex::new(
                         vec!["applyEntry".into(), "writeSegment".into()],
                         42,
-                    )),
+                    ))),
                 },
             ),
             Event::new(
@@ -636,7 +730,7 @@ mod tests {
                 EventKind::SyscallOk {
                     pid: Pid(1),
                     syscall: SyscallId::Write,
-                    content: Some(vec![0, 255, 128]),
+                    content: Some([0, 255, 128].into()),
                 },
             ),
         ];
@@ -692,10 +786,10 @@ mod tests {
                         fd: Some(Fd(3)),
                         path: Some(shared.into()),
                         errno: Errno::Eio,
-                        ei: Some(rose_events::ExecutionIndex::new(
+                        ei: Some(Box::new(rose_events::ExecutionIndex::new(
                             vec![shared.into(), shared.into(), "fsyncDir".into()],
                             i as u32 + 1,
-                        )),
+                        ))),
                     },
                 )
             })
@@ -721,7 +815,10 @@ mod tests {
                 fd: None,
                 path: None,
                 errno: Errno::Eio,
-                ei: Some(rose_events::ExecutionIndex::new(vec!["f".into()], 1)),
+                ei: Some(Box::new(rose_events::ExecutionIndex::new(
+                    vec!["f".into()],
+                    1,
+                ))),
             },
         )]);
         // The EI payload sits at the tail: chain_len, idx, count. Overwrite
@@ -733,6 +830,59 @@ mod tests {
             decode_frame(&payload),
             Err(StoreError::Corrupt(_) | StoreError::Truncated)
         ));
+    }
+
+    /// A frame payload that is only its header: the counts, nothing behind.
+    fn bare_header(events: u64, dict_len: u64) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for v in [events, 0, 0, 1, dict_len] {
+            write_varint(&mut payload, v);
+        }
+        payload
+    }
+
+    #[test]
+    fn counts_the_payload_cannot_back_are_truncation_not_allocation() {
+        // 2⁴⁰ events would be a 56 TB reservation, 2⁴⁰ dictionary entries
+        // 16 TB: both must be refused before anything is sized by them.
+        assert!(matches!(
+            decode_frame(&bare_header(1 << 40, 0)),
+            Err(StoreError::Truncated)
+        ));
+        assert!(matches!(
+            decode_frame(&bare_header(0, 1 << 40)),
+            Err(StoreError::Truncated)
+        ));
+        // Three events claimed, seven bytes behind: under the 3-byte floor.
+        let mut payload = bare_header(3, 0);
+        payload.extend_from_slice(&[KIND_AF, 0, 0, 1, 1, KIND_AF, 0]);
+        assert!(matches!(decode_frame(&payload), Err(StoreError::Truncated)));
+    }
+
+    #[test]
+    fn a_failed_decode_leaves_the_destination_as_it_found_it() {
+        let af = |f: u32| {
+            Event::new(
+                SimTime(u64::from(f)),
+                NodeId(0),
+                EventKind::Af {
+                    pid: Pid(1),
+                    function: FunctionId(f),
+                },
+            )
+        };
+        let (payload, _) = encode_frame(&[af(1), af(2), af(3)]);
+        let mut out = vec![af(9)];
+        assert_eq!(decode_frame_into(&payload, &mut out).unwrap(), 3);
+        assert_eq!(out, [af(9), af(1), af(2), af(3)]);
+        // Cut inside the last event: two decode before the error shows.
+        let cut = &payload[..payload.len() - 1];
+        assert!(decode_frame_into(cut, &mut out).is_err());
+        // Trailing garbage: all three decode before the error shows.
+        let mut long = payload.clone();
+        long.push(0);
+        assert!(decode_frame_into(&long, &mut out).is_err());
+        assert_eq!(out, [af(9), af(1), af(2), af(3)]);
     }
 
     #[test]

@@ -30,42 +30,34 @@ pub struct MergeStats {
 }
 
 /// One input's cursor: the frames still on disk plus the buffered tail of
-/// the current frame.
+/// the current frame, whose head is the next event to merge.
 struct Cursor<R: Read + Seek> {
     reader: TraceReader<R>,
     next_frame: usize,
     buf: std::vec::IntoIter<Event>,
-    peeked: Option<Event>,
 }
 
 impl<R: Read + Seek> Cursor<R> {
-    /// Refills until an event is peeked or the input is exhausted. Returns
+    /// Refills until an event is buffered or the input is exhausted. Returns
     /// how many events the refill brought in flight.
     fn fill(&mut self) -> Result<u64, StoreError> {
         let mut loaded = 0u64;
-        while self.peeked.is_none() {
-            if let Some(e) = self.buf.next() {
-                self.peeked = Some(e);
-            } else if self.next_frame < self.reader.frame_count() {
-                let events = self.reader.read_frame(self.next_frame)?;
-                self.next_frame += 1;
-                loaded += events.len() as u64;
-                self.buf = events.into_iter();
-            } else {
-                break;
-            }
+        while self.buf.as_slice().is_empty() && self.next_frame < self.reader.frame_count() {
+            let events = self.reader.read_frame(self.next_frame)?;
+            self.next_frame += 1;
+            loaded += events.len() as u64;
+            self.buf = events.into_iter();
         }
         Ok(loaded)
     }
 
+    /// The key of the next event, read where it lies.
     fn key(&self) -> Option<(SimTime, NodeId)> {
-        self.peeked.as_ref().map(|e| (e.ts, e.node))
+        self.buf.as_slice().first().map(|e| (e.ts, e.node))
     }
 
     fn take(&mut self) -> Event {
-        self.peeked
-            .take()
-            .expect("take() after a successful fill()")
+        self.buf.next().expect("take() after a successful fill()")
     }
 }
 
@@ -100,7 +92,6 @@ pub fn merge_readers<R: Read + Seek>(
             // A pre-sorted buffer replaces the file; never re-read frames.
             next_frame: if sorted { 0 } else { usize::MAX },
             buf,
-            peeked: None,
         });
     }
 

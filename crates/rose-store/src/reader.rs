@@ -13,8 +13,8 @@ use std::path::Path;
 use rose_events::{Event, NodeId, SimTime, Trace};
 
 use crate::codec::{
-    crc32, decode_frame, parse_frame_header, read_varint, FrameInfo, HEADER_LEN, MAGIC,
-    TRAILER_LEN, TRAILER_MAGIC, VERSION,
+    bounded_count, crc32, decode_frame_into, parse_frame_header, read_varint, FrameInfo,
+    HEADER_LEN, MAGIC, MIN_EVENT_LEN, TRAILER_LEN, TRAILER_MAGIC, VERSION,
 };
 use crate::error::StoreError;
 use crate::writer::FrameMeta;
@@ -40,6 +40,8 @@ pub struct TraceReader<R: Read + Seek> {
     /// appends kept `(ts, node)` order); `None` for scanned files.
     sorted: Option<bool>,
     stats: ReadStats,
+    /// The payload of the frame being decoded, reused from frame to frame.
+    payload: Vec<u8>,
 }
 
 impl TraceReader<File> {
@@ -71,12 +73,14 @@ impl<R: Read + Seek> TraceReader<R> {
                 metas,
                 sorted: Some(sorted),
                 stats: ReadStats::default(),
+                payload: Vec::new(),
             });
         }
 
         // No (valid) index: scan frame by frame. Every payload is read and
         // CRC-checked here, so corruption surfaces at open time.
         let mut metas = Vec::new();
+        let mut payload = Vec::new();
         let mut pos = HEADER_LEN;
         src.seek(SeekFrom::Start(pos))?;
         while pos < size {
@@ -89,14 +93,15 @@ impl<R: Read + Seek> TraceReader<R> {
             if pos + 8 + u64::from(payload_len) > size {
                 return Err(StoreError::Truncated);
             }
-            let mut payload = vec![0u8; payload_len as usize];
+            payload.resize(payload_len as usize, 0);
             read_exact_or_truncated(&mut src, &mut payload)?;
             let mut crc_buf = [0u8; 4];
             read_exact_or_truncated(&mut src, &mut crc_buf)?;
             if crc32(&payload) != u32::from_le_bytes(crc_buf) {
                 return Err(StoreError::BadCrc { frame: metas.len() });
             }
-            let (info, _) = parse_frame_header(&payload)?;
+            let (info, header_len) = parse_frame_header(&payload)?;
+            bounded_count(info.events, MIN_EVENT_LEN, payload.len() - header_len)?;
             metas.push(FrameMeta {
                 offset: pos,
                 payload_len,
@@ -109,6 +114,7 @@ impl<R: Read + Seek> TraceReader<R> {
             metas,
             sorted: None,
             stats: ReadStats::default(),
+            payload,
         })
     }
 
@@ -141,6 +147,15 @@ impl<R: Read + Seek> TraceReader<R> {
 
     /// Reads and decodes frame `i`, verifying its CRC.
     pub fn read_frame(&mut self, i: usize) -> Result<Vec<Event>, StoreError> {
+        let mut events = Vec::new();
+        self.read_frame_into(i, &mut events)?;
+        Ok(events)
+    }
+
+    /// Reads frame `i`, verifies its CRC and decodes it onto the end of
+    /// `out`; returns how many events that was. On an error `out` is as it
+    /// was found.
+    pub fn read_frame_into(&mut self, i: usize, out: &mut Vec<Event>) -> Result<usize, StoreError> {
         let meta = *self
             .metas
             .get(i)
@@ -153,25 +168,26 @@ impl<R: Read + Seek> TraceReader<R> {
                 "frame {i} length disagrees with the index"
             )));
         }
-        let mut payload = vec![0u8; meta.payload_len as usize];
-        read_exact_or_truncated(&mut self.src, &mut payload)?;
+        self.payload.resize(meta.payload_len as usize, 0);
+        read_exact_or_truncated(&mut self.src, &mut self.payload)?;
         let mut crc_buf = [0u8; 4];
         read_exact_or_truncated(&mut self.src, &mut crc_buf)?;
-        if crc32(&payload) != u32::from_le_bytes(crc_buf) {
+        if crc32(&self.payload) != u32::from_le_bytes(crc_buf) {
             return Err(StoreError::BadCrc { frame: i });
         }
-        let events = decode_frame(&payload)?;
-        self.stats.bytes_read += payload.len() as u64;
+        let events = decode_frame_into(&self.payload, out)?;
+        self.stats.bytes_read += self.payload.len() as u64;
         self.stats.frames_read += 1;
-        self.stats.events_read += events.len() as u64;
+        self.stats.events_read += events as u64;
         Ok(events)
     }
 
     /// Decodes every frame in file order.
     pub fn read_all(&mut self) -> Result<Vec<Event>, StoreError> {
+        // Every frame's count was held against its payload length at open.
         let mut out = Vec::with_capacity(self.event_count() as usize);
         for i in 0..self.frame_count() {
-            out.extend(self.read_frame(i)?);
+            self.read_frame_into(i, &mut out)?;
         }
         Ok(out)
     }
@@ -179,16 +195,13 @@ impl<R: Read + Seek> TraceReader<R> {
     /// Events with `lo <= ts <= hi`, decoding only frames whose timestamp
     /// range intersects the query.
     pub fn read_range(&mut self, lo: SimTime, hi: SimTime) -> Result<Vec<Event>, StoreError> {
-        let mut out = Vec::new();
+        let (mut out, mut frame) = (Vec::new(), Vec::new());
         for i in 0..self.frame_count() {
             if !self.metas[i].info.intersects(lo, hi) {
                 continue;
             }
-            out.extend(
-                self.read_frame(i)?
-                    .into_iter()
-                    .filter(|e| lo <= e.ts && e.ts <= hi),
-            );
+            self.read_frame_into(i, &mut frame)?;
+            out.extend(frame.drain(..).filter(|e| lo <= e.ts && e.ts <= hi));
         }
         Ok(out)
     }
@@ -196,12 +209,13 @@ impl<R: Read + Seek> TraceReader<R> {
     /// Events from one node, decoding only frames whose node bitmask can
     /// contain it.
     pub fn read_node(&mut self, node: NodeId) -> Result<Vec<Event>, StoreError> {
-        let mut out = Vec::new();
+        let (mut out, mut frame) = (Vec::new(), Vec::new());
         for i in 0..self.frame_count() {
             if !self.metas[i].info.may_contain_node(node) {
                 continue;
             }
-            out.extend(self.read_frame(i)?.into_iter().filter(|e| e.node == node));
+            self.read_frame_into(i, &mut frame)?;
+            out.extend(frame.drain(..).filter(|e| e.node == node));
         }
         Ok(out)
     }
@@ -248,12 +262,22 @@ fn try_load_index<R: Read + Seek>(
 
     let mut pos = 0usize;
     let frame_count = read_varint(&payload, &mut pos)?;
-    let mut metas = Vec::with_capacity(frame_count as usize);
-    for _ in 0..frame_count {
+    // An index entry is six varints.
+    let mut metas = Vec::with_capacity(bounded_count(frame_count, 6, payload.len() - pos)?);
+    for i in 0..frame_count {
         let offset = read_varint(&payload, &mut pos)?;
         let payload_len = u32::try_from(read_varint(&payload, &mut pos)?)
             .map_err(|_| StoreError::corrupt("index frame length exceeds u32"))?;
+        // Nothing is sized by an entry the file cannot back: the frame lies
+        // between the header and the index, and holds the events it claims.
+        let end = offset.checked_add(8 + u64::from(payload_len));
+        if offset < HEADER_LEN || end.is_none_or(|end| end > index_offset) {
+            return Err(StoreError::corrupt(format!(
+                "index places frame {i} outside the file's data"
+            )));
+        }
         let events = read_varint(&payload, &mut pos)?;
+        bounded_count(events, MIN_EVENT_LEN, payload_len as usize)?;
         let min_ts = read_varint(&payload, &mut pos)?;
         let max_ts = read_varint(&payload, &mut pos)?;
         let node_mask = read_varint(&payload, &mut pos)?;

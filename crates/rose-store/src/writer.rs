@@ -112,16 +112,19 @@ impl<W: Write> TraceWriter<W> {
         })
     }
 
-    /// Appends one event, flushing a frame when the buffer fills.
-    pub fn append(&mut self, event: &Event) -> Result<(), StoreError> {
+    /// Counts `event` and folds its key into the file's sorted flag.
+    fn note(&mut self, event: &Event) {
         let key = (event.ts, event.node);
-        if let Some(last) = self.last_key {
-            if key < last {
-                self.sorted = false;
-            }
+        if self.last_key.is_some_and(|last| key < last) {
+            self.sorted = false;
         }
         self.last_key = Some(key);
         self.events += 1;
+    }
+
+    /// Appends one event, flushing a frame when the buffer fills.
+    pub fn append(&mut self, event: &Event) -> Result<(), StoreError> {
+        self.note(event);
         if self.pending.len() == self.pending.capacity() {
             // Amortized doubling, but never past one frame: the buffer is
             // flushed at `frame_capacity`, so anything beyond it is waste.
@@ -135,12 +138,52 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
+    /// Appends a run of events the caller already holds, writing the same
+    /// bytes as [`TraceWriter::append`] on each in turn: every full frame is
+    /// encoded straight from the slice, and only what tops up a part-filled
+    /// frame or is left over after the last full one is buffered.
+    pub fn append_slice(&mut self, events: &[Event]) -> Result<(), StoreError> {
+        let top_up = match self.pending.len() {
+            0 => 0,
+            held => self.frame_capacity - held,
+        };
+        let (head, rest) = events.split_at(top_up.min(events.len()));
+        for e in head {
+            self.append(e)?;
+        }
+        // Either the part-filled frame has just been flushed or `rest` is
+        // empty: frames cut from here on start where `append` would cut.
+        let mut frames = rest.chunks_exact(self.frame_capacity);
+        for frame in &mut frames {
+            for e in frame {
+                self.note(e);
+            }
+            self.write_frame(frame)?;
+        }
+        for e in frames.remainder() {
+            self.append(e)?;
+        }
+        Ok(())
+    }
+
     /// Encodes and writes the buffered events as one frame, if any.
     pub fn flush_frame(&mut self) -> Result<(), StoreError> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let (payload, info) = encode_frame(&self.pending);
+        // Lent to `write_frame` for the call, then kept for its capacity.
+        let mut pending = std::mem::take(&mut self.pending);
+        let written = self.write_frame(&pending);
+        if written.is_ok() {
+            pending.clear();
+        }
+        self.pending = pending;
+        written
+    }
+
+    /// Encodes and writes `events` as one frame.
+    fn write_frame(&mut self, events: &[Event]) -> Result<(), StoreError> {
+        let (payload, info) = encode_frame(events);
         let offset = self.bytes_written;
         self.sink.write_all(&(payload.len() as u32).to_le_bytes())?;
         self.sink.write_all(&payload)?;
@@ -151,7 +194,6 @@ impl<W: Write> TraceWriter<W> {
             payload_len: payload.len() as u32,
             info,
         });
-        self.pending.clear();
         Ok(())
     }
 
@@ -204,9 +246,7 @@ impl<W: Write> TraceWriter<W> {
 /// Writes a whole trace to `path` as a finished `.rosetrace` file.
 pub fn save_trace(path: impl AsRef<Path>, trace: &Trace) -> Result<WriteSummary, StoreError> {
     let mut w = TraceWriter::create(path)?;
-    for e in trace.events() {
-        w.append(e)?;
-    }
+    w.append_slice(trace.events())?;
     w.finish()
 }
 
@@ -217,8 +257,7 @@ pub fn save_trace(path: impl AsRef<Path>, trace: &Trace) -> Result<WriteSummary,
 /// counting sink.
 pub fn encoded_trace_bytes(trace: &Trace) -> u64 {
     let mut w = TraceWriter::new(std::io::sink()).expect("sink writes cannot fail");
-    for e in trace.events() {
-        w.append(e).expect("sink writes cannot fail");
-    }
+    w.append_slice(trace.events())
+        .expect("sink writes cannot fail");
     w.finish().expect("sink writes cannot fail").bytes_written
 }

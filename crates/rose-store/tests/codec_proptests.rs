@@ -39,9 +39,10 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
                 pid: Pid(100 + p),
                 syscall: SyscallId::ALL[sys],
                 fd: fd.map(Fd),
-                path,
+                path: path.map(String::into_boxed_str),
                 errno: Errno::ALL[errno],
-                ei: ei.map(|(chain, count)| rose_events::ExecutionIndex::new(chain, count)),
+                ei: ei
+                    .map(|(chain, count)| Box::new(rose_events::ExecutionIndex::new(chain, count))),
             }),
         (0u32..64, 0u32..4).prop_map(|(f, p)| EventKind::Af {
             pid: Pid(100 + p),
@@ -71,7 +72,7 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
             .prop_map(|(p, sys, content)| EventKind::SyscallOk {
                 pid: Pid(100 + p),
                 syscall: SyscallId::ALL[sys],
-                content,
+                content: content.map(Vec::into_boxed_slice),
             }),
     ]
 }

@@ -29,7 +29,7 @@ fn realistic_events(n: usize) -> Vec<Event> {
                     pid: Pid(100 + (i % 3) as u32),
                     syscall: SyscallId::ALL[i % SyscallId::ALL.len()],
                     fd: Some(Fd((i % 32) as u32)),
-                    path: Some(paths[i % paths.len()].to_string()),
+                    path: Some(paths[i % paths.len()].into()),
                     errno: Errno::ALL[i % Errno::ALL.len()],
                     ei: None,
                 },
@@ -127,4 +127,89 @@ fn binary_codec_is_at_least_8x_smaller_than_json() {
         "binary {binary} B vs JSON {json} B: ratio {:.1}x < 8x",
         json as f64 / binary as f64
     );
+}
+
+/// The file an `append` loop writes: the reference for the slice path.
+fn appended(events: &[Event]) -> Vec<u8> {
+    let mut file = Vec::new();
+    let mut w = TraceWriter::new(&mut file).unwrap();
+    for e in events {
+        w.append(e).unwrap();
+    }
+    w.finish().unwrap();
+    file
+}
+
+#[test]
+fn the_slice_path_writes_the_bytes_of_an_append_loop() {
+    let dir = temp_dir("slice");
+    let path = dir.join("slice.rosetrace");
+    let full = DEFAULT_FRAME_CAPACITY;
+    for n in [0, 1, full - 1, full, full + 1, 10_000] {
+        let events = realistic_events(n);
+        let reference = appended(&events);
+        let summary = save_trace(&path, &Trace::from_events(events.clone())).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), reference, "{n} events");
+        assert_eq!(summary.events, n as u64);
+        assert_eq!(summary.frames, n.div_ceil(full));
+        assert!(summary.sorted);
+
+        // A slice handed to a writer that already holds part of a frame
+        // tops that frame up first, so the cuts stay where they were.
+        for held in [1, full / 2, full - 1].into_iter().filter(|h| *h <= n) {
+            let mut file = Vec::new();
+            let mut w = TraceWriter::new(&mut file).unwrap();
+            for e in &events[..held] {
+                w.append(e).unwrap();
+            }
+            w.append_slice(&events[held..]).unwrap();
+            w.finish().unwrap();
+            assert_eq!(file, reference, "{n} events, {held} appended first");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_slice_path_notices_disorder_inside_and_between_slices() {
+    let events = realistic_events(3 * DEFAULT_FRAME_CAPACITY);
+    let sorted_flag = |slices: &[&[Event]]| {
+        let mut w = TraceWriter::new(std::io::sink()).unwrap();
+        for s in slices {
+            w.append_slice(s).unwrap();
+        }
+        w.finish().unwrap().sorted
+    };
+    assert!(sorted_flag(&[&events]));
+    let mut swapped = events.clone();
+    swapped.swap(DEFAULT_FRAME_CAPACITY + 5, DEFAULT_FRAME_CAPACITY + 6);
+    assert!(!sorted_flag(&[&swapped]));
+    let (early, late) = events.split_at(DEFAULT_FRAME_CAPACITY);
+    assert!(sorted_flag(&[early, late]));
+    assert!(!sorted_flag(&[late, early]));
+}
+
+#[test]
+fn a_frame_that_fails_leaves_the_destination_as_it_was() {
+    let events = realistic_events(40);
+    let mut file = Vec::new();
+    let mut w = TraceWriter::with_frame_capacity(&mut file, 16).unwrap();
+    w.append_slice(&events).unwrap();
+    w.finish().unwrap();
+    let second = TraceReader::new(std::io::Cursor::new(&file))
+        .unwrap()
+        .frame_metas()[1];
+    // Damage one payload byte of frame 1: the index still loads, the frame's
+    // CRC no longer matches.
+    file[second.offset as usize + 4 + 9] ^= 0x40;
+
+    let mut r = TraceReader::new(std::io::Cursor::new(&file)).unwrap();
+    let mut out = Vec::new();
+    assert_eq!(r.read_frame_into(0, &mut out).unwrap(), 16);
+    assert!(r.read_frame_into(1, &mut out).is_err());
+    assert_eq!(out, events[..16]);
+    // The reader and its reused payload buffer are still good for the rest.
+    assert_eq!(r.read_frame_into(2, &mut out).unwrap(), 8);
+    assert_eq!(out[16..], events[32..]);
+    assert!(r.read_all().is_err());
 }

@@ -60,7 +60,8 @@ const PROCESS_DUMP_BASE_COST: SimDuration = SimDuration::from_micros(50);
 pub struct TracerReport {
     /// Events that matched the tracer's criteria (`Events` column).
     pub events_matched: u64,
-    /// Events currently held in the window (`Saved` column).
+    /// Events the last dump carried; before any dump, events currently held
+    /// in the window (`Saved` column).
     pub events_saved: usize,
     /// Peak window memory in bytes (`Memory` column). Monotone over the
     /// tracer's lifetime, including across [`Tracer::reset`].
@@ -104,6 +105,8 @@ pub struct Tracer {
     /// uprobe fires under the chain and by chain id from then on.
     af_by_chain: Vec<Option<Option<rose_events::FunctionId>>>,
     events_matched: u64,
+    /// How many events the last dump took out of the window.
+    last_dump_events: Option<usize>,
     last_processing_us: u64,
     /// Causal recorder: when attached, `dump` also emits provenance records
     /// for fault intervals that are still open at dump time (a pause or a
@@ -125,6 +128,7 @@ impl Tracer {
             ei_counts: Vec::new(),
             af_by_chain: Vec::new(),
             events_matched: 0,
+            last_dump_events: None,
             last_processing_us: 0,
             causal: rose_sim::CausalRecorder::disabled(),
             total_charged: SimDuration::ZERO,
@@ -145,7 +149,7 @@ impl Tracer {
     pub fn report(&self) -> TracerReport {
         TracerReport {
             events_matched: self.events_matched,
-            events_saved: self.window.len(),
+            events_saved: self.last_dump_events.unwrap_or(self.window.len()),
             peak_bytes: self.window.peak_bytes(),
             processing_us: self.last_processing_us,
         }
@@ -159,8 +163,10 @@ impl Tracer {
     }
 
     /// The `dump` primitive: flushes in-progress pauses and silent
-    /// connections (paper §4.4 "Event Duration"), then snapshots the window
-    /// into a [`Trace`]. The window itself keeps tracing.
+    /// connections (paper §4.4 "Event Duration"), then moves the window's
+    /// events into a [`Trace`] — the tracer keeps no second copy of what it
+    /// wrote out. The emptied window keeps tracing, so a later dump carries
+    /// what was recorded since this one.
     pub fn dump(&mut self, now: SimTime) -> Trace {
         // Flush pauses that have not yet ended.
         let pending: Vec<Event> = self
@@ -223,7 +229,8 @@ impl Tracer {
             self.record(e);
         }
 
-        let events = self.window.snapshot();
+        let events = self.window.drain();
+        self.last_dump_events = Some(events.len());
         // Every dump pays the fixed post-processing setup (spawning the
         // userspace dumper, walking the fd → path map) plus a per-event
         // cost, so `processing_us` is non-zero even for an empty window.
@@ -237,6 +244,7 @@ impl Tracer {
     /// high-water mark over the tracer's lifetime.
     pub fn reset(&mut self) {
         self.window.clear();
+        self.last_dump_events = None;
         self.ei_counts.clear();
         self.af_by_chain.clear();
         self.events_matched = 0;
@@ -274,13 +282,12 @@ impl Tracer {
     /// fd-based calls the kernel resolved it from its descriptor table. (The
     /// paper's tracer maintains that fd → path mapping itself; here that is
     /// a [`PROBE_FILTER_COST`] charge, not work.)
-    fn resolve_path(args: &SyscallArgs) -> Option<String> {
+    fn resolve_path(args: &SyscallArgs) -> Option<Box<str>> {
         if args.call.is_path_based() {
             // `rename` carries "from\0to": record the source path.
-            args.path
-                .map(|p| p.split('\0').next().unwrap_or(p).to_string())
+            args.path.map(|p| p.split('\0').next().unwrap_or(p).into())
         } else {
-            args.fd_path.map(str::to_string)
+            args.fd_path.map(Box::from)
         }
     }
 }
@@ -304,7 +311,12 @@ impl KernelHook for Tracer {
         // stamped with its per-context invocation index.
         let ei_count = self.bump_ei(env.node, env.chain, args.call);
         // Names are resolved only here, when a failing call is recorded.
-        let ei_of = |count: u32| Some(ExecutionIndex::new(env.call_chain().to_vec(), count));
+        let ei_of = |count: u32| {
+            Some(Box::new(ExecutionIndex::new(
+                env.call_chain().to_vec(),
+                count,
+            )))
+        };
 
         match self.cfg.mode {
             TracerMode::Rose | TracerMode::IoContent => {
@@ -324,19 +336,12 @@ impl KernelHook for Tracer {
                 if self.cfg.mode == TracerMode::IoContent
                     && matches!(args.call, SyscallId::Read | SyscallId::Write)
                 {
-                    let content: Vec<u8> = match (args.call, result) {
-                        (SyscallId::Write, _) => args
-                            .data_prefix
-                            .unwrap_or(&[])
-                            .iter()
-                            .take(CONTENT_CAP)
-                            .copied()
-                            .collect(),
-                        (SyscallId::Read, Ok(rose_sim::SysRet::Bytes(b))) => {
-                            b.iter().take(CONTENT_CAP).copied().collect()
-                        }
-                        _ => Vec::new(),
+                    let payload: &[u8] = match (args.call, result) {
+                        (SyscallId::Write, _) => args.data_prefix.unwrap_or(&[]),
+                        (SyscallId::Read, Ok(rose_sim::SysRet::Bytes(b))) => b,
+                        _ => &[],
                     };
+                    let content: Box<[u8]> = payload[..payload.len().min(CONTENT_CAP)].into();
                     charge += RECORD_EVENT_COST;
                     charge += SimDuration::from_nanos(
                         content.len() as u64 * COPY_PER_BYTE_COST.as_nanos(),

@@ -186,7 +186,7 @@ fn io_content_mode_captures_write_payloads() {
             _ => None,
         })
         .expect("write content captured");
-    assert_eq!(content, b"entry");
+    assert_eq!(*content, *b"entry");
 }
 
 #[test]
@@ -332,6 +332,38 @@ fn dump_processing_time_scales_with_saved_events() {
     let t = dump(&mut sim);
     let rep = sim.hook_ref::<Tracer>().unwrap().report();
     assert!(rep.processing_us >= t.len() as u64);
+}
+
+#[test]
+fn a_dump_takes_the_window_and_the_report_still_describes_it() {
+    let mut sim = sim_with(TracerMode::Full, 14);
+    sim.run_for(SimDuration::from_secs(2));
+    let before = sim.hook_ref::<Tracer>().unwrap().report();
+    assert!(before.events_saved > 0);
+
+    // One dump, as every caller makes: the report reads as it did when the
+    // dump was a copy and the window still held the events.
+    let first = dump(&mut sim);
+    let after = sim.hook_ref::<Tracer>().unwrap().report();
+    assert_eq!(first.len(), before.events_saved);
+    assert_eq!(after.events_saved, before.events_saved);
+    assert_eq!(after.events_matched, before.events_matched);
+    assert_eq!(after.peak_bytes, before.peak_bytes);
+
+    // The emptied window keeps tracing: a second dump carries what was
+    // recorded in between and nothing of the first.
+    sim.run_for(SimDuration::from_secs(1));
+    let second = dump(&mut sim);
+    let rep = sim.hook_ref::<Tracer>().unwrap().report();
+    assert!(!second.is_empty());
+    assert!(second.start() > first.end());
+    assert_eq!(rep.events_saved, second.len());
+    assert_eq!(
+        rep.events_matched,
+        (first.len() + second.len()) as u64,
+        "every matched event left in exactly one dump"
+    );
+    assert_eq!(rep.peak_bytes, before.peak_bytes, "the peak is monotone");
 }
 
 #[test]
