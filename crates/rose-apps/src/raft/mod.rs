@@ -99,7 +99,13 @@ impl rose_core::TargetSystem for RoseRaftCase {
     }
 
     fn oracle(&self, sim: &rose_sim::Sim<RoseRaft>) -> bool {
-        let report = rose_jepsen::check_raft(&sim.core().logs);
+        // This run's checker reads what the journal gained since the last
+        // poll; `check_raft` on the whole journal gives the same report.
+        let core = sim.core();
+        let report = core.oracle_state(|checker: &mut rose_jepsen::RaftChecker| {
+            checker.feed(&core.logs);
+            checker.report()
+        });
         self.scenario
             .violation_tags()
             .iter()

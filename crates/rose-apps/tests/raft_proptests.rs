@@ -6,14 +6,17 @@
 //!
 //! The schedules run through [`rose_inject::Executor`] with `TimeElapsed`
 //! contexts, the same machinery diagnosis replays use, so this corpus also
-//! exercises the injection path the workflow depends on.
+//! exercises the injection path the workflow depends on — in a debug build
+//! with the executor's probe filter checked against its state at every
+//! probe it turns away — and each run doubles as a differential of the
+//! incremental journal checker against the from-scratch one.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rose_apps::raft::{KvClient, ReconfigAdmin, RoseRaft};
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_inject::{Condition, Executor, FaultAction, FaultSchedule, PartitionKind, ScheduledFault};
-use rose_jepsen::check_raft;
+use rose_jepsen::{check_raft, RaftChecker};
 use rose_sim::{Sim, SimConfig};
 
 const CLUSTER: u32 = 5;
@@ -205,8 +208,21 @@ fn run_plan(seed: u64, plan: &[Planned], admin: bool) -> Result<(), TestCaseErro
         sim.add_client(Box::new(ReconfigAdmin::new()));
     }
     sim.start();
-    sim.run_for(SimDuration::from_secs(40));
-    let report = check_raft(&sim.core().logs);
+    // Polled the way a workflow run is: the checker that reads only what
+    // each 5 s step journalled must report, at every boundary, what the
+    // whole journal so far says — violations, their order, each once.
+    let mut polled = RaftChecker::default();
+    for _ in 0..8 {
+        sim.run_for(SimDuration::from_secs(5));
+        polled.feed(&sim.core().logs);
+        prop_assert_eq!(
+            polled.report().violations,
+            check_raft(&sim.core().logs).violations,
+            "at {}",
+            sim.now()
+        );
+    }
+    let report = polled.report();
     if let Some(divergence) = cross_validate(&sim) {
         prop_assert!(
             !report.ok(),

@@ -40,8 +40,12 @@ pub trait TargetSystem: Clone + Send + Sync + 'static {
     /// Attaches the representative workload (clients) to the cluster.
     fn attach_workload(&self, sim: &mut Sim<Self::App>);
 
-    /// The bug oracle, evaluated after a run: log parsing, invariant
-    /// checkers (Elle-style), or health checks (§4.6).
+    /// The bug oracle: log parsing, invariant checkers (Elle-style), or
+    /// health checks (§4.6). A run is polled with it every few simulated
+    /// seconds until it first fires, and `self` is shared by every run of a
+    /// campaign, so what a checker wants to keep between two polls of one
+    /// run (how far it has read) goes on the run:
+    /// [`rose_sim::SimCore::oracle_state`].
     fn oracle(&self, sim: &Sim<Self::App>) -> bool;
 
     /// The binary's symbol table (the `readelf`/`objdump` output analogue).

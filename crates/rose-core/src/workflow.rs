@@ -345,10 +345,15 @@ impl<S: TargetSystem> Rose<S> {
         report
     }
 
-    /// Runs one testing execution with a schedule: used by the harness and
-    /// by replay-rate measurements outside diagnosis (e.g. the motivation
-    /// experiment).
-    pub fn run_once(&self, profile: &Profile, schedule: &FaultSchedule, seed: u64) -> RunOnce {
+    /// Deploys and starts one testing execution of a schedule — executor and
+    /// production tracer, provenance recorder when configured — and says how
+    /// long it is to run.
+    fn deploy_testing(
+        &self,
+        profile: &Profile,
+        schedule: &FaultSchedule,
+        seed: u64,
+    ) -> TestingRun<S> {
         let tracer_cfg = self.tracer_config(profile);
         // The diagnosis already applied (or deliberately ablated) fault-order
         // enforcement when materializing the schedule; execute it verbatim.
@@ -387,8 +392,31 @@ impl<S: TargetSystem> Rose<S> {
             .system
             .run_duration()
             .max(span + SimDuration::from_secs(30));
-        // A testing run plays out in full: a transient manifestation (e.g.
-        // an unavailability window that later heals) still counts.
+        self.obs.counter_inc("workflow.testing_runs");
+        TestingRun {
+            sim,
+            recorder,
+            tracer_cfg,
+            duration,
+        }
+    }
+
+    /// Runs one testing execution with a schedule: used by the harness and
+    /// by replay-rate measurements outside diagnosis (e.g. the motivation
+    /// experiment).
+    pub fn run_once(&self, profile: &Profile, schedule: &FaultSchedule, seed: u64) -> RunOnce {
+        let TestingRun {
+            mut sim,
+            recorder,
+            tracer_cfg,
+            duration,
+        } = self.deploy_testing(profile, schedule, seed);
+        // The oracle is polled until it first fires, so a transient
+        // manifestation (e.g. an unavailability window that later heals)
+        // still counts. The run then plays out in full, unpolled: the dump,
+        // and with it `af_calls`, the executor's feedback and `sim_events`,
+        // describe the whole run, and the diagnosis reads them when a
+        // schedule's confirmation falls below target.
         let bug = self.poll_oracle(&mut sim, duration, |sim| {
             if let Some(rec) = &recorder {
                 rec.oracle(sim.now());
@@ -415,7 +443,6 @@ impl<S: TargetSystem> Rose<S> {
             .collect();
         let wall = duration + self.system.oracle_cost();
         feedback.publish_obs(&self.obs);
-        self.obs.counter_inc("workflow.testing_runs");
         let sim_events = sim.core().events_executed();
         let events_before_injection = sim.core().first_injection_events();
         RunOnce {
@@ -446,14 +473,42 @@ impl<S: TargetSystem> Rose<S> {
         }
     }
 
-    /// Runs `n` independent replays of a schedule (seeds
-    /// `base_seed + 31·i`, wrapping) across the configured worker pool,
-    /// returning the results in seed order.
+    /// Runs `run` once per replay seed (`base_seed + 31·i`, wrapping) across
+    /// the configured worker pool, returning the results in seed order.
     ///
     /// Replays are embarrassingly parallel — each deploys its own fresh
     /// simulated cluster. Worker telemetry is absorbed in seed order, so
     /// every counter and histogram ends up byte-identical to a sequential
     /// pass no matter how many workers ran.
+    fn map_replays<T: Send>(
+        &self,
+        n: u32,
+        base_seed: u64,
+        run: impl Fn(&Rose<S>, u64) -> T + Sync,
+    ) -> Vec<T> {
+        let seeds: Vec<u64> = (0..n)
+            .map(|i| base_seed.wrapping_add(31 * u64::from(i)))
+            .collect();
+        if self.cfg.jobs <= 1 {
+            return seeds.into_iter().map(|seed| run(self, seed)).collect();
+        }
+        let results = crate::parallel::ordered_map(self.cfg.jobs, seeds, |seed| {
+            let worker = self.fork();
+            let out = run(&worker, seed);
+            (out, worker.obs)
+        });
+        results
+            .into_iter()
+            .map(|(out, worker_obs)| {
+                self.obs.absorb(&worker_obs);
+                out
+            })
+            .collect()
+    }
+
+    /// Runs `n` independent replays of a schedule (seeds
+    /// `base_seed + 31·i`, wrapping) across the configured worker pool,
+    /// returning the results in seed order.
     pub fn run_replays(
         &self,
         profile: &Profile,
@@ -461,27 +516,9 @@ impl<S: TargetSystem> Rose<S> {
         n: u32,
         base_seed: u64,
     ) -> Vec<RunOnce> {
-        let seeds: Vec<u64> = (0..n)
-            .map(|i| base_seed.wrapping_add(31 * u64::from(i)))
-            .collect();
-        if self.cfg.jobs <= 1 {
-            return seeds
-                .into_iter()
-                .map(|seed| self.run_once(profile, schedule, seed))
-                .collect();
-        }
-        let results = crate::parallel::ordered_map(self.cfg.jobs, seeds, |seed| {
-            let worker = self.fork();
-            let run = worker.run_once(profile, schedule, seed);
-            (run, worker.obs)
-        });
-        results
-            .into_iter()
-            .map(|(run, worker_obs)| {
-                self.obs.absorb(&worker_obs);
-                run
-            })
-            .collect()
+        self.map_replays(n, base_seed, |rose, seed| {
+            rose.run_once(profile, schedule, seed)
+        })
     }
 
     /// Runs one confirmation replay of a schedule and appends the
@@ -501,7 +538,11 @@ impl<S: TargetSystem> Rose<S> {
     }
 
     /// Measures the replay rate of a schedule over `n` fresh seeds, fanned
-    /// out across the configured worker pool.
+    /// out across the configured worker pool: the share of
+    /// [`Rose::run_replays`]' runs with `bug` set. Only that bit of each
+    /// replay is read and the oracle latches at its first detection, so a
+    /// replay stops there — the same hooks over the same execution up to
+    /// that point, without the rest of the run.
     pub fn replay_rate(
         &self,
         profile: &Profile,
@@ -510,12 +551,26 @@ impl<S: TargetSystem> Rose<S> {
         base_seed: u64,
     ) -> f64 {
         let bugs = self
-            .run_replays(profile, schedule, n, base_seed)
-            .iter()
-            .filter(|r| r.bug)
+            .map_replays(n, base_seed, |rose, seed| {
+                let mut run = rose.deploy_testing(profile, schedule, seed);
+                rose.poll_oracle(&mut run.sim, run.duration, |_| true)
+            })
+            .into_iter()
+            .filter(|bug| *bug)
             .count() as u32;
         100.0 * f64::from(bugs) / f64::from(n.max(1))
     }
+}
+
+/// A deployed, started testing execution.
+struct TestingRun<S: TargetSystem> {
+    sim: Sim<S::App>,
+    /// The provenance recorder shared with the kernel and both hooks, when
+    /// [`RoseConfig::causal`] is on.
+    recorder: Option<rose_sim::CausalRecorder>,
+    tracer_cfg: TracerConfig,
+    /// How long the run is to last.
+    duration: SimDuration,
 }
 
 /// Result of a single testing execution.

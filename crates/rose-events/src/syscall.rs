@@ -37,6 +37,9 @@ pub enum SyscallId {
     Recv,
 }
 
+// `SyscallId::bit` leaves a `u32` mask at least one free bit.
+const _: () = assert!(SyscallId::ALL.len() < u32::BITS as usize);
+
 impl SyscallId {
     /// All system calls, in a stable order.
     pub const ALL: [SyscallId; 16] = [
@@ -57,6 +60,12 @@ impl SyscallId {
         SyscallId::Send,
         SyscallId::Recv,
     ];
+
+    /// This call's bit in a set of syscalls kept as a `u32` mask (the hooks'
+    /// per-node and per-context tables); bits from `ALL.len()` up are free.
+    pub const fn bit(self) -> u32 {
+        1 << self as u32
+    }
 
     /// Calls that take a path name directly rather than a file descriptor.
     ///

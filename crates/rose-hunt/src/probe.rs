@@ -12,7 +12,7 @@
 //! stack minus the probe), so the hand-off can diagnose the discovery
 //! run's own dump.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rose_events::{NodeId, SyscallId};
 use rose_inject::{InjectionSite, SiteKind};
@@ -21,16 +21,15 @@ use rose_sim::{ChainId, HookEffects, HookEnv, KernelHook};
 /// Collects the observed injection sites of one run.
 #[derive(Debug, Default)]
 pub struct SiteProbe {
-    /// Observed (node, chain, syscall) contexts as `seen[node][chain]` =
-    /// one bit per syscall, indexed by the kernel's interned chain id (chain
-    /// ids are dense): a context already seen — nearly every call of a run —
-    /// costs two index operations.
-    seen: Vec<Vec<u16>>,
+    /// Observed contexts as `seen[node][chain]`, indexed by the kernel's
+    /// interned chain id (chain ids are dense): one bit per syscall made
+    /// under the chain, and [`ENTERED`] for the entry of its innermost
+    /// function. A context already seen — nearly every probe of a run —
+    /// costs two index operations and no string.
+    seen: Vec<Vec<u32>>,
     /// The function names of every chain in `seen`, resolved when the
     /// chain was first seen ([`SiteProbe::sites`] runs without the kernel).
     chain_names: BTreeMap<ChainId, Vec<String>>,
-    /// Observed function entry sites per node.
-    functions: BTreeMap<NodeId, BTreeSet<String>>,
 }
 
 impl SiteProbe {
@@ -44,24 +43,25 @@ impl SiteProbe {
     /// invocation — which is also what makes two runs that reached the
     /// same context agree on the site regardless of how often each hit it.
     pub fn sites(&self) -> Vec<InjectionSite> {
-        let mut out = Vec::with_capacity(self.context_count());
-        for (node, functions) in &self.functions {
-            for function in functions {
-                out.push(InjectionSite {
-                    node: *node,
-                    kind: SiteKind::Function {
-                        name: function.clone(),
-                    },
-                });
-            }
-        }
+        let marks = self.seen.iter().flatten().map(|bits| bits.count_ones());
+        let mut out = Vec::with_capacity(marks.sum::<u32>() as usize);
         for (node, per_chain) in self.seen.iter().enumerate() {
+            let node = NodeId(node as u32);
             for (chain, names) in &self.chain_names {
                 let bits = per_chain.get(chain.index()).copied().unwrap_or(0);
+                // A function site is the function, whatever called it.
+                if let (true, Some(function)) = (bits & ENTERED != 0, names.last()) {
+                    out.push(InjectionSite {
+                        node,
+                        kind: SiteKind::Function {
+                            name: function.clone(),
+                        },
+                    });
+                }
                 for syscall in SyscallId::ALL {
-                    if bits & syscall_bit(syscall) != 0 {
+                    if bits & syscall.bit() != 0 {
                         out.push(InjectionSite {
-                            node: NodeId(node as u32),
+                            node,
                             kind: SiteKind::SyscallContext {
                                 chain: names.clone(),
                                 syscall,
@@ -73,28 +73,19 @@ impl SiteProbe {
             }
         }
         // Chain ids are in first-seen order; the names decide the order.
+        // Only function sites repeat: once per chain that ends in them.
         out.sort();
+        out.dedup();
         out
     }
 
     /// How many distinct contexts the run touched.
     pub fn context_count(&self) -> usize {
-        let syscalls = self.seen.iter().flatten().map(|bits| bits.count_ones());
-        syscalls.sum::<u32>() as usize + self.functions.values().map(BTreeSet::len).sum::<usize>()
-    }
-}
-
-/// The bit of `call` in a `seen` entry.
-fn syscall_bit(call: SyscallId) -> u16 {
-    1 << call as u32
-}
-
-impl KernelHook for SiteProbe {
-    fn name(&self) -> &'static str {
-        "rose-hunt-probe"
+        self.sites().len()
     }
 
-    fn sys_enter(&mut self, env: &HookEnv, args: &rose_sim::SyscallArgs, _fx: &mut HookEffects) {
+    /// Marks `bit` at the probe's (node, chain).
+    fn mark(&mut self, env: &HookEnv, bit: u32) {
         let (node, chain) = (env.node.0 as usize, env.chain.index());
         if self.seen.len() <= node {
             self.seen.resize_with(node + 1, Vec::new);
@@ -103,7 +94,6 @@ impl KernelHook for SiteProbe {
         if per_chain.len() <= chain {
             per_chain.resize(chain + 1, 0);
         }
-        let bit = syscall_bit(args.call);
         if per_chain[chain] & bit != 0 {
             return;
         }
@@ -112,25 +102,33 @@ impl KernelHook for SiteProbe {
             .entry(env.chain)
             .or_insert_with(|| env.call_chain().to_vec());
     }
+}
+
+/// The bit of a function entry in a `seen` entry, above every syscall's.
+const ENTERED: u32 = 1 << SyscallId::ALL.len();
+
+impl KernelHook for SiteProbe {
+    fn name(&self) -> &'static str {
+        "rose-hunt-probe"
+    }
+
+    fn sys_enter(&mut self, env: &HookEnv, args: &rose_sim::SyscallArgs, _fx: &mut HookEffects) {
+        self.mark(env, args.call.bit());
+    }
 
     fn uprobe(
         &mut self,
         env: &HookEnv,
-        function: &str,
+        _function: &str,
         offset: Option<u32>,
         _fx: &mut HookEffects,
     ) {
+        // The entered function is the innermost name of `env.chain`.
         if offset.is_none() {
-            let seen = self.functions.entry(env.node).or_default();
-            if !seen.contains(function) {
-                seen.insert(function.to_string());
-            }
+            self.mark(env, ENTERED);
         }
     }
 }
-
-// One bit per syscall id.
-const _: () = assert!(SyscallId::ALL.len() <= u16::BITS as usize);
 
 #[cfg(test)]
 mod tests {
@@ -154,15 +152,18 @@ mod tests {
         let mut probe = SiteProbe::new();
         let mut chains = ChainTable::new();
         let chain = chains.enter(ChainId::ROOT, "applyEntry");
+        let flush = chains.enter(chain, "flushLog");
+        let nested = chains.enter(flush, "applyEntry");
         let empty = ChainId::ROOT;
         let t = &chains;
         let fx = &mut HookEffects::none();
         probe.sys_enter(&env(0, chain, t), &SyscallArgs::bare(SyscallId::Write), fx);
         probe.sys_enter(&env(0, chain, t), &SyscallArgs::bare(SyscallId::Write), fx);
         probe.sys_enter(&env(1, empty, t), &SyscallArgs::bare(SyscallId::Fsync), fx);
-        probe.uprobe(&env(0, empty, t), "applyEntry", None, fx);
-        probe.uprobe(&env(0, empty, t), "applyEntry", None, fx);
-        probe.uprobe(&env(0, empty, t), "applyEntry", Some(2), fx); // offsets skipped
+        probe.uprobe(&env(0, chain, t), "applyEntry", None, fx);
+        probe.uprobe(&env(0, chain, t), "applyEntry", None, fx);
+        probe.uprobe(&env(0, nested, t), "applyEntry", None, fx); // one site per function
+        probe.uprobe(&env(1, flush, t), "flushLog", Some(2), fx); // offsets skipped
         assert_eq!(*fx, HookEffects::none(), "the probe charges nothing");
         assert_eq!(probe.context_count(), 3);
         let sites = probe.sites();

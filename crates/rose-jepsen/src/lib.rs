@@ -20,4 +20,4 @@ pub mod raft_checker;
 pub use elle::{check_appends, unavailable_tail, Anomaly, ElleReport};
 pub use hunt::{whole_node_menu, MenuEntry};
 pub use nemesis::{Nemesis, NemesisConfig, NemesisEvent, NemesisOp};
-pub use raft_checker::{check_raft, RaftReport, RaftViolation};
+pub use raft_checker::{check_raft, RaftChecker, RaftReport, RaftViolation};

@@ -149,145 +149,168 @@ fn fields(line: &str) -> Fields {
     }
 }
 
-/// Runs the four invariant checks over a cluster journal.
-pub fn check_raft(logs: &Logs) -> RaftReport {
-    let mut report = RaftReport::default();
-    // term -> first winner
-    let mut leaders: BTreeMap<u64, NodeId> = BTreeMap::new();
-    // (node, term) -> highest journaled append idx
-    let mut appends: BTreeMap<(NodeId, u64), u64> = BTreeMap::new();
-    // idx -> (term, chain) first applier observed
-    let mut applied: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    // (idx, chain) -> digest recorded by the snapshot creator
-    let mut snap_notes: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    // Deferred restore records: a restore may be journaled before the
-    // creator's note when log order interleaves across nodes.
-    let mut restores: Vec<(u64, u64, u64)> = Vec::new();
-    // Dedup: report each (tag, idx/term) once, not per repeated checkpoint.
-    let mut seen: Vec<RaftViolation> = Vec::new();
-
-    for l in logs.lines() {
-        let Some(event) = l.line.strip_prefix("raft: ") else {
-            continue;
-        };
-        if event.starts_with("BECAME_LEADER") {
-            let Some(term) = fields(event).term else {
-                continue;
-            };
-            match leaders.get(&term) {
-                None => {
-                    leaders.insert(term, l.node);
-                }
-                Some(&first) if first != l.node => {
-                    push_unique(
-                        &mut seen,
-                        &mut report,
-                        RaftViolation::DualLeaders {
-                            term,
-                            a: first,
-                            b: l.node,
-                        },
-                    );
-                }
-                Some(_) => {}
-            }
-        } else if event.starts_with("LEADER_APPEND") {
-            let Fields {
-                term: Some(term),
-                idx: Some(idx),
-                ..
-            } = fields(event)
-            else {
-                continue;
-            };
-            let high = appends.entry((l.node, term)).or_insert(0);
-            if idx <= *high {
-                push_unique(
-                    &mut seen,
-                    &mut report,
-                    RaftViolation::AppendRegression {
-                        node: l.node,
-                        term,
-                        idx,
-                    },
-                );
-            } else {
-                *high = idx;
-            }
-        } else if event.starts_with("APPLY") {
-            let Fields {
-                idx: Some(idx),
-                term: Some(term),
-                chain: Some(chain),
-                ..
-            } = fields(event)
-            else {
-                continue;
-            };
-            match applied.get(&idx) {
-                None => {
-                    applied.insert(idx, (term, chain));
-                }
-                Some(&(t0, c0)) => {
-                    if t0 != term {
-                        push_unique(
-                            &mut seen,
-                            &mut report,
-                            RaftViolation::ConflictingCommit {
-                                idx,
-                                term_a: t0.min(term),
-                                term_b: t0.max(term),
-                            },
-                        );
-                    } else if c0 != chain {
-                        push_unique(
-                            &mut seen,
-                            &mut report,
-                            RaftViolation::ChainDivergence { idx, term },
-                        );
-                    }
-                }
-            }
-        } else {
-            let note = event.starts_with("SNAP_NOTE");
-            if !note && !event.starts_with("SNAP_RESTORE") {
-                continue;
-            }
-            let Fields {
-                idx: Some(idx),
-                chain: Some(chain),
-                digest: Some(digest),
-                ..
-            } = fields(event)
-            else {
-                continue;
-            };
-            if note {
-                snap_notes.entry((idx, chain)).or_insert(digest);
-            } else {
-                restores.push((idx, chain, digest));
-            }
-        }
-    }
-
-    for (idx, chain, digest) in restores {
-        if let Some(&noted) = snap_notes.get(&(idx, chain)) {
-            if noted != digest {
-                push_unique(
-                    &mut seen,
-                    &mut report,
-                    RaftViolation::SnapshotDivergence { idx },
-                );
-            }
-        }
-    }
-    report
+/// The four invariant checks as a resumable reader of one journal; the
+/// default has read nothing.
+///
+/// A run is polled every few seconds of a journal that only grows; the
+/// checker keeps what the lines so far established and a cursor behind
+/// them, so each line is parsed once per run however often the run is
+/// polled. [`check_raft`] is the same checker fed a journal in one piece.
+#[derive(Debug, Default)]
+pub struct RaftChecker {
+    /// Journal lines read so far.
+    seen: usize,
+    /// term -> first winner
+    leaders: BTreeMap<u64, NodeId>,
+    /// (node, term) -> highest journaled append idx
+    appends: BTreeMap<(NodeId, u64), u64>,
+    /// idx -> (term, chain) first applier observed
+    applied: BTreeMap<u64, (u64, u64)>,
+    /// (idx, chain) -> digest recorded by the snapshot creator
+    snap_notes: BTreeMap<(u64, u64), u64>,
+    /// Restore records, judged at report time: a restore may be journaled
+    /// before the creator's note when log order interleaves across nodes.
+    restores: Vec<(u64, u64, u64)>,
+    /// Violations of the first three invariants, in journal order, each
+    /// (tag, idx/term) once however often its checkpoint repeats.
+    violations: Vec<RaftViolation>,
 }
 
-fn push_unique(seen: &mut Vec<RaftViolation>, report: &mut RaftReport, v: RaftViolation) {
-    if !seen.contains(&v) {
-        seen.push(v.clone());
-        report.violations.push(v);
+impl RaftChecker {
+    /// Reads the lines `logs` gained since the last call. A checker follows
+    /// one journal, which only grows.
+    pub fn feed(&mut self, logs: &Logs) {
+        let lines = &logs.lines()[self.seen..];
+        self.seen += lines.len();
+        for l in lines {
+            let Some(event) = l.line.strip_prefix("raft: ") else {
+                continue;
+            };
+            if event.starts_with("BECAME_LEADER") {
+                let Some(term) = fields(event).term else {
+                    continue;
+                };
+                match self.leaders.get(&term) {
+                    None => {
+                        self.leaders.insert(term, l.node);
+                    }
+                    Some(&first) if first != l.node => {
+                        push_unique(
+                            &mut self.violations,
+                            RaftViolation::DualLeaders {
+                                term,
+                                a: first,
+                                b: l.node,
+                            },
+                        );
+                    }
+                    Some(_) => {}
+                }
+            } else if event.starts_with("LEADER_APPEND") {
+                let Fields {
+                    term: Some(term),
+                    idx: Some(idx),
+                    ..
+                } = fields(event)
+                else {
+                    continue;
+                };
+                let high = self.appends.entry((l.node, term)).or_insert(0);
+                if idx <= *high {
+                    push_unique(
+                        &mut self.violations,
+                        RaftViolation::AppendRegression {
+                            node: l.node,
+                            term,
+                            idx,
+                        },
+                    );
+                } else {
+                    *high = idx;
+                }
+            } else if event.starts_with("APPLY") {
+                let Fields {
+                    idx: Some(idx),
+                    term: Some(term),
+                    chain: Some(chain),
+                    ..
+                } = fields(event)
+                else {
+                    continue;
+                };
+                match self.applied.get(&idx) {
+                    None => {
+                        self.applied.insert(idx, (term, chain));
+                    }
+                    Some(&(t0, c0)) => {
+                        if t0 != term {
+                            push_unique(
+                                &mut self.violations,
+                                RaftViolation::ConflictingCommit {
+                                    idx,
+                                    term_a: t0.min(term),
+                                    term_b: t0.max(term),
+                                },
+                            );
+                        } else if c0 != chain {
+                            push_unique(
+                                &mut self.violations,
+                                RaftViolation::ChainDivergence { idx, term },
+                            );
+                        }
+                    }
+                }
+            } else {
+                let note = event.starts_with("SNAP_NOTE");
+                if !note && !event.starts_with("SNAP_RESTORE") {
+                    continue;
+                }
+                let Fields {
+                    idx: Some(idx),
+                    chain: Some(chain),
+                    digest: Some(digest),
+                    ..
+                } = fields(event)
+                else {
+                    continue;
+                };
+                if note {
+                    self.snap_notes.entry((idx, chain)).or_insert(digest);
+                } else {
+                    self.restores.push((idx, chain, digest));
+                }
+            }
+        }
+    }
+
+    /// The verdict over everything read so far: journal-order violations,
+    /// then each restore (a handful per run) against the notes known now.
+    pub fn report(&self) -> RaftReport {
+        let mut violations = self.violations.clone();
+        for (idx, chain, digest) in &self.restores {
+            if let Some(noted) = self.snap_notes.get(&(*idx, *chain)) {
+                if noted != digest {
+                    push_unique(
+                        &mut violations,
+                        RaftViolation::SnapshotDivergence { idx: *idx },
+                    );
+                }
+            }
+        }
+        RaftReport { violations }
+    }
+}
+
+/// Runs the four invariant checks over a cluster journal, from scratch.
+pub fn check_raft(logs: &Logs) -> RaftReport {
+    let mut checker = RaftChecker::default();
+    checker.feed(logs);
+    checker.report()
+}
+
+fn push_unique(violations: &mut Vec<RaftViolation>, v: RaftViolation) {
+    if !violations.contains(&v) {
+        violations.push(v);
     }
 }
 
@@ -335,9 +358,6 @@ mod tests {
         // Deferred restore records: a restore may be journaled before the
         // creator's note when log order interleaves across nodes.
         let mut restores: Vec<(u64, u64, u64)> = Vec::new();
-        // Dedup: report each (tag, idx/term) once, not per repeated checkpoint.
-        let mut seen: Vec<RaftViolation> = Vec::new();
-
         for l in logs.lines() {
             let line = l.line.as_str();
             if !line.starts_with("raft: ") {
@@ -353,8 +373,7 @@ mod tests {
                     }
                     Some(&first) if first != l.node => {
                         push_unique(
-                            &mut seen,
-                            &mut report,
+                            &mut report.violations,
                             RaftViolation::DualLeaders {
                                 term,
                                 a: first,
@@ -371,8 +390,7 @@ mod tests {
                 let high = appends.entry((l.node, term)).or_insert(0);
                 if idx <= *high {
                     push_unique(
-                        &mut seen,
-                        &mut report,
+                        &mut report.violations,
                         RaftViolation::AppendRegression {
                             node: l.node,
                             term,
@@ -397,8 +415,7 @@ mod tests {
                     Some(&(t0, c0)) => {
                         if t0 != term {
                             push_unique(
-                                &mut seen,
-                                &mut report,
+                                &mut report.violations,
                                 RaftViolation::ConflictingCommit {
                                     idx,
                                     term_a: t0.min(term),
@@ -407,8 +424,7 @@ mod tests {
                             );
                         } else if c0 != chain {
                             push_unique(
-                                &mut seen,
-                                &mut report,
+                                &mut report.violations,
                                 RaftViolation::ChainDivergence { idx, term },
                             );
                         }
@@ -439,8 +455,7 @@ mod tests {
             if let Some(&noted) = snap_notes.get(&(idx, chain)) {
                 if noted != digest {
                     push_unique(
-                        &mut seen,
-                        &mut report,
+                        &mut report.violations,
                         RaftViolation::SnapshotDivergence { idx },
                     );
                 }
@@ -527,6 +542,39 @@ mod tests {
                 check_raft(&logs).violations,
                 check_raft_decimal_first(&logs).violations
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn a_journal_read_in_pieces_gives_the_verdict_of_each_prefix(
+            lines in gen_journal(),
+            cuts in proptest::collection::vec(0usize..8, 0..12),
+        ) {
+            // Violations, their order and their dedup: a restore ahead of
+            // its note, or a repeat across two polls, must not show.
+            let whole = journal_of(&lines);
+            let mut prefix = Logs::default();
+            let mut checker = RaftChecker::default();
+            let mut cuts = cuts.into_iter();
+            let mut rest = whole.lines();
+            loop {
+                let (now, later) = rest.split_at(cuts.next().unwrap_or(rest.len()).min(rest.len()));
+                for l in now {
+                    prefix.push(l.ts, l.node, l.line.clone());
+                }
+                checker.feed(&prefix);
+                let report = checker.report();
+                prop_assert_eq!(&report.violations, &check_raft(&prefix).violations);
+                // … and of the loop `check_raft` was before it had a cursor.
+                prop_assert_eq!(report.violations, check_raft_decimal_first(&prefix).violations);
+                rest = later;
+                if rest.is_empty() {
+                    break;
+                }
+            }
+            prop_assert_eq!(prefix.len(), whole.len());
         }
     }
 

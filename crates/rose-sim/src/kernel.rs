@@ -4,6 +4,8 @@
 //! [`SimCore`] owns everything except the application instances themselves
 //! (which live in [`crate::sim::Sim`], generic over the application type).
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::mem;
 
@@ -144,6 +146,9 @@ pub struct SimCore<M> {
     pub logs: Logs,
     /// Client operation history.
     pub history: History,
+    /// What the run's oracle keeps between polls; see
+    /// [`SimCore::oracle_state`].
+    oracle_state: RefCell<Option<Box<dyn Any>>>,
     /// Run counters.
     pub stats: SimStats,
     /// Campaign telemetry handle, shared with hooks and the workflow.
@@ -201,6 +206,7 @@ impl<M> SimCore<M> {
             hooks: Vec::new(),
             logs: Logs::default(),
             history: History::default(),
+            oracle_state: RefCell::new(None),
             stats: SimStats::default(),
             obs: Obs::disabled(),
             causal: CausalRecorder::disabled(),
@@ -285,6 +291,24 @@ impl<M> SimCore<M> {
     /// Writes an application log line.
     pub fn log(&mut self, node: NodeId, line: impl Into<String>) {
         self.logs.push(self.now, node, line.into());
+    }
+
+    /// Runs `f` on the oracle's per-run state, a `T::default()` the first
+    /// time. An oracle is a method of the target system, and one target
+    /// system value judges every run of a campaign (across worker threads),
+    /// so what a checker has already read of *this* run's journal or history
+    /// — its cursor and the tables behind it — lives here, on the run, and
+    /// goes away with it. One slot: a run has one oracle; asking for another
+    /// type starts that type afresh.
+    pub fn oracle_state<T: Any + Default, R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let mut slot = self.oracle_state.borrow_mut();
+        if let Some(state) = slot.as_mut().and_then(|state| state.downcast_mut::<T>()) {
+            return f(state);
+        }
+        let mut fresh = T::default();
+        let out = f(&mut fresh);
+        *slot = Some(Box::new(fresh));
+        out
     }
 
     /// Notifies every hook of a process event.

@@ -113,8 +113,20 @@ echo "   $found dumps checked, $traces trace files"
 
 echo "== benchmark package builds against these crates"
 # bench/ is a workspace of its own: nothing above notices a crates/ change
-# that breaks its build or its output checks.
+# that breaks its build or its output checks. Building it rewrites
+# bench/Cargo.lock whenever a crate's dependency list has moved since the
+# lock was committed; a crates/ change may not edit bench/, so the file is
+# put back as it was found, pass or fail.
+cp bench/Cargo.lock "$smoke_dir/bench-Cargo.lock"
+trap 'cp "$smoke_dir/bench-Cargo.lock" bench/Cargo.lock; rm -rf "$smoke_dir"' EXIT
 cargo build --release --offline --manifest-path bench/Cargo.toml
+
+echo "== the benchmark's mirror of run_once / run_workflow still equals them"
+# bench/src/mirror.rs re-implements the run loop and the workflow driver to
+# put spans between their steps; this test holds its counts and reports
+# equal to the crates' own. Without it a crates/ change that drifts from the
+# mirror shows up only as a failed traced benchmark pass.
+cargo test --release --offline --quiet --manifest-path bench/Cargo.toml --test mirror_equivalence
 
 echo "== benchmark package passes its smoke run"
 bench/run.sh --smoke

@@ -25,9 +25,11 @@ use rose::apps::raft::{RaftScenario, RoseRaftCase};
 use rose::apps::redisraft::{RedisRaftBug, RedisRaftCase};
 use rose::apps::redpanda::{RedpandaBug, RedpandaCase};
 use rose::apps::zookeeper::{ZkBug, ZkCase};
-use rose::events::NodeId;
+use rose::events::{NodeId, SimDuration, SyscallId};
 use rose::hunt::SiteProbe;
-use rose::inject::{Executor, FaultSchedule};
+use rose::inject::{
+    Condition, Executor, FaultAction, FaultSchedule, PartitionKind, ScheduledFault,
+};
 use rose::sim::{KernelHook, NodeCtx};
 use rose::trace::Tracer;
 use rose::{Rose, TargetSystem};
@@ -97,26 +99,65 @@ fn hook_chain_stays_within_its_allocation_budget() {
         (allocations, sim)
     };
     let (bare, _) = run(vec![]);
-    let (hooked, mut sim) = run(vec![
-        Box::new(Executor::new(FaultSchedule::new())),
-        Box::new(Tracer::new(tracer_cfg)),
-        Box::new(SiteProbe::new()),
-    ]);
-    let syscalls = sim.core().stats.syscalls;
-    assert!(
-        syscalls > 1_000,
-        "a ZooKeeper run makes syscalls: {syscalls}"
+    // A schedule that stays pending to the end of the run without touching
+    // it: a split with an empty side fires — the executor arms it, injects
+    // it, re-derives its probe filter — and cuts nothing; the crash behind
+    // it waits for a function nobody enters, and for a write under a chain
+    // nobody reaches. Every probe of the run goes through the filter.
+    let mut pending = FaultSchedule::new();
+    pending.push(
+        ScheduledFault::new(
+            NodeId(0),
+            FaultAction::Partition {
+                kind: PartitionKind::Split {
+                    group_a: vec![],
+                    group_b: vec![NodeId(1)],
+                },
+                duration: None,
+            },
+        )
+        .after(Condition::TimeElapsed {
+            after: SimDuration::from_secs(10),
+        }),
     );
-    let per_syscall = hooked.saturating_sub(bare) as f64 / syscalls as f64;
-    println!(
-        "allocations: bare {bare}, hooked {hooked}, {syscalls} syscalls, \
-         hooks add {per_syscall:.3} per syscall"
+    pending.push(
+        ScheduledFault::new(NodeId(1), FaultAction::Crash)
+            .after(Condition::FunctionEntered {
+                name: "allocBudgetNoSuchFunction".into(),
+            })
+            .after(Condition::ExecutionIndex {
+                chain: vec!["allocBudgetNoSuchFunction".into()],
+                syscall: SyscallId::Write,
+                count: 1,
+            }),
     );
-    assert!(
-        per_syscall <= 0.1,
-        "executor + tracer + probe add {per_syscall:.3} allocations per syscall \
-         (bare {bare}, hooked {hooked}, {syscalls} syscalls); the budget is 0.1"
-    );
+    let mut last = None;
+    for (what, schedule, fired) in [("spent", FaultSchedule::new(), 0), ("pending", pending, 1)] {
+        let (hooked, sim) = run(vec![
+            Box::new(Executor::new(schedule)),
+            Box::new(Tracer::new(tracer_cfg.clone())),
+            Box::new(SiteProbe::new()),
+        ]);
+        let executor = sim.hook_ref::<Executor>().expect("executor attached");
+        assert_eq!(executor.feedback().injected.len(), fired, "{what} executor");
+        let syscalls = sim.core().stats.syscalls;
+        assert!(
+            syscalls > 1_000,
+            "a ZooKeeper run makes syscalls: {syscalls}"
+        );
+        let per_syscall = hooked.saturating_sub(bare) as f64 / syscalls as f64;
+        println!(
+            "allocations: bare {bare}, hooked {hooked} ({what} executor), {syscalls} syscalls, \
+             hooks add {per_syscall:.3} per syscall"
+        );
+        assert!(
+            per_syscall <= 0.1,
+            "{what} executor + tracer + probe add {per_syscall:.3} allocations per syscall \
+             (bare {bare}, hooked {hooked}, {syscalls} syscalls); the budget is 0.1"
+        );
+        last = Some(sim);
+    }
+    let mut sim = last.expect("two runs");
 
     // Entering a chain the run has already seen is a lookup, under the
     // whole hook stack.
