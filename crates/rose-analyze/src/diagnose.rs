@@ -159,19 +159,11 @@ impl DiagnosisReport {
         }
     }
 
-    /// Publishes the search's headline numbers into a telemetry registry
-    /// and appends the diagnosis phase record.
+    /// Appends the diagnosis phase record to a telemetry registry.
     pub fn publish_obs(&self, obs: &rose_obs::Obs, schedule_budget: usize) {
-        let record = self.phase_record(schedule_budget);
-        obs.counter_add("diagnosis.runs", record.runs as u64);
-        obs.counter_add(
-            "diagnosis.schedules_generated",
-            record.schedules_generated as u64,
-        );
-        obs.counter_add("diagnosis.amplifications", record.amplifications as u64);
-        obs.gauge_set("diagnosis.replay_rate_pct", record.replay_rate_pct);
-        obs.gauge_set("diagnosis.fr_pct", record.fr_pct);
-        obs.record(rose_obs::PhaseRecord::Diagnosis(record));
+        obs.record(rose_obs::PhaseRecord::Diagnosis(
+            self.phase_record(schedule_budget),
+        ));
     }
 }
 

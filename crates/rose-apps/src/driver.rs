@@ -519,7 +519,8 @@ fn dispatch<V: CaseVisitor>(id: BugId, v: V) -> V::Out {
 }
 
 /// Builds the case's cluster, runs it fault-free for `duration`, and
-/// collects the probe.
+/// collects the probe. Driven by `tests/registry_coverage.rs`, which holds
+/// every registered case to a quiet fault-free run.
 pub fn probe_case(id: BugId, duration: SimDuration) -> CaseProbe {
     struct ProbeVisitor {
         duration: SimDuration,

@@ -279,7 +279,8 @@ impl RoseRaft {
         &self.checkpoints
     }
 
-    /// Harness accessor: (applied index, chain, content digest).
+    /// Harness accessor: (applied index, chain, content digest). Driven by
+    /// `tests/raft_proptests.rs`, which compares replicas by it.
     pub fn state_summary(&self) -> (u64, u64, u64) {
         (self.kv.applied, self.kv.chain, self.kv.digest())
     }

@@ -116,9 +116,8 @@ impl<S: TargetSystem> Rose<S> {
         }
     }
 
-    /// Attaches a campaign telemetry registry: every subsequent deployment
-    /// shares it (kernel counters), and each phase appends spans and
-    /// records to it.
+    /// Attaches a campaign telemetry registry: each phase appends its span
+    /// and record to it, and every testing run counts itself.
     pub fn attach_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -144,7 +143,6 @@ impl<S: TargetSystem> Rose<S> {
         let sim_cfg = SimConfig::new(self.system.cluster_size(), seed);
         let sys = self.system.clone();
         let mut sim = Sim::new(sim_cfg, move |n| sys.build_node(n));
-        sim.attach_obs(self.obs.clone());
         self.system.install(&mut sim);
         for h in hooks {
             sim.add_hook(h);
@@ -241,16 +239,11 @@ impl<S: TargetSystem> Rose<S> {
         let trace = tracer.dump(now);
         let report = tracer.report();
         let charged = tracer.total_charged;
-        tracer.publish_obs(&self.obs);
         // The capture's phase record carries the dump sizes (Table 2).
         // Serializing a dump to measure it costs far more than the dump,
         // so testing runs, which never report the sizes, do not.
         let dump_json_bytes = trace.json_len() as u64;
         let dump_store_bytes = rose_store::encoded_trace_bytes(&trace);
-        self.obs
-            .gauge_set("tracer.dump_json_bytes", dump_json_bytes as f64);
-        self.obs
-            .gauge_set("tracer.dump_store_bytes", dump_store_bytes as f64);
         TraceCapture {
             trace,
             bug,
@@ -289,16 +282,13 @@ impl<S: TargetSystem> Rose<S> {
         self.reproduce_extracted(profile, &extraction)
     }
 
-    /// Persists a captured trace to `path` as a finished `.rosetrace` file,
-    /// publishing the codec's byte counters to the campaign telemetry.
+    /// Persists a captured trace to `path` as a finished `.rosetrace` file.
     pub fn persist_trace(
         &self,
         trace: &Trace,
         path: impl AsRef<std::path::Path>,
     ) -> Result<rose_store::WriteSummary, rose_store::StoreError> {
-        let summary = rose_store::save_trace(path, trace)?;
-        rose_store::publish_obs(&self.obs, Some(summary), None);
-        Ok(summary)
+        rose_store::save_trace(path, trace)
     }
 
     /// Diagnosis over a store-backed trace: loads the `.rosetrace` file at
@@ -311,9 +301,7 @@ impl<S: TargetSystem> Rose<S> {
         profile: &Profile,
         path: impl AsRef<std::path::Path>,
     ) -> Result<DiagnosisReport, rose_store::StoreError> {
-        let mut reader = rose_store::TraceReader::open(path)?;
-        let trace = Trace::from_events(reader.read_all()?);
-        rose_store::publish_obs(&self.obs, None, Some(reader.stats()));
+        let trace = rose_store::load_trace(path)?;
         Ok(self.reproduce(profile, &trace))
     }
 
@@ -478,7 +466,7 @@ impl<S: TargetSystem> Rose<S> {
     ///
     /// Replays are embarrassingly parallel — each deploys its own fresh
     /// simulated cluster. Worker telemetry is absorbed in seed order, so
-    /// every counter and histogram ends up byte-identical to a sequential
+    /// every counter and the record list end up identical to a sequential
     /// pass no matter how many workers ran.
     fn map_replays<T: Send>(
         &self,

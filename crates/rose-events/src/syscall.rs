@@ -83,28 +83,6 @@ impl SyscallId {
         )
     }
 
-    /// Calls that operate on a file descriptor mapped through the tracer's
-    /// fd → path table.
-    pub const fn is_fd_based(self) -> bool {
-        matches!(
-            self,
-            SyscallId::Close
-                | SyscallId::Read
-                | SyscallId::Write
-                | SyscallId::Fsync
-                | SyscallId::Fstat
-                | SyscallId::Dup
-        )
-    }
-
-    /// Network-related calls.
-    pub const fn is_network(self) -> bool {
-        matches!(
-            self,
-            SyscallId::Connect | SyscallId::Accept | SyscallId::Send | SyscallId::Recv
-        )
-    }
-
     /// The symbolic Linux name.
     pub const fn name(self) -> &'static str {
         match self {
@@ -248,25 +226,6 @@ impl fmt::Display for Errno {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn syscall_classes_are_disjoint() {
-        for sc in SyscallId::ALL {
-            let classes = sc.is_path_based() as u8 + sc.is_fd_based() as u8 + sc.is_network() as u8;
-            assert!(classes <= 1, "{sc} belongs to multiple classes");
-        }
-    }
-
-    #[test]
-    fn every_syscall_is_classified_or_plain() {
-        // Every call in ALL must be reachable through exactly one class or
-        // be intentionally class-less; currently all 16 are classified.
-        let classified = SyscallId::ALL
-            .iter()
-            .filter(|s| s.is_path_based() || s.is_fd_based() || s.is_network())
-            .count();
-        assert_eq!(classified, SyscallId::ALL.len());
-    }
 
     #[test]
     fn errno_codes_match_linux() {

@@ -17,6 +17,18 @@ pub struct Trace {
     events: Vec<Event>,
 }
 
+/// Stable-sorts `events` by `(ts, node)` unless they already are in that
+/// order: the sort allocates scratch for half its input even when it has
+/// nothing to move.
+fn sort_canonical(events: &mut [Event]) {
+    let sorted = events
+        .windows(2)
+        .all(|w| (w[0].ts, w[0].node) <= (w[1].ts, w[1].node));
+    if !sorted {
+        events.sort_by_key(|e| (e.ts, e.node));
+    }
+}
+
 impl Trace {
     /// An empty trace.
     pub fn new() -> Self {
@@ -24,9 +36,10 @@ impl Trace {
     }
 
     /// Builds a trace from events, sorting them by `(ts, node)` to establish
-    /// the canonical order.
+    /// the canonical order. A window dumps in push order, so the usual input
+    /// is already canonical and is kept as it arrived.
     pub fn from_events(mut events: Vec<Event>) -> Self {
-        events.sort_by_key(|e| (e.ts, e.node));
+        sort_canonical(&mut events);
         Trace { events }
     }
 
@@ -44,14 +57,7 @@ impl Trace {
         use std::collections::BinaryHeap;
 
         let mut dumps: Vec<Vec<Event>> = dumps.into_iter().collect();
-        for dump in &mut dumps {
-            let sorted = dump
-                .windows(2)
-                .all(|w| (w[0].ts, w[0].node) <= (w[1].ts, w[1].node));
-            if !sorted {
-                dump.sort_by_key(|e| (e.ts, e.node));
-            }
-        }
+        dumps.iter_mut().for_each(|dump| sort_canonical(dump));
         let total = dumps.iter().map(Vec::len).sum();
         let mut cursors: Vec<_> = dumps
             .into_iter()
@@ -236,6 +242,23 @@ mod tests {
                 duration: SimDuration::ZERO,
             },
         )
+    }
+
+    #[test]
+    fn from_events_keeps_an_ordered_dump_where_it_is_and_sorts_any_other() {
+        // Ordered, ties included: the allocation it arrived in comes back.
+        let ordered: Vec<Event> = (0..64u32).map(|i| af(u64::from(i / 2), 0, i)).collect();
+        let (ptr, copy) = (ordered.as_ptr(), ordered.clone());
+        let t = Trace::from_events(ordered);
+        assert_eq!(t.events().as_ptr(), ptr);
+        assert_eq!(t.events(), &copy[..]);
+        // Unordered: the stable sort, so equal keys keep arrival order.
+        let unordered: Vec<Event> = (0..64u32)
+            .map(|i| af(u64::from(7 * i % 16), i % 3, i))
+            .collect();
+        let mut want = unordered.clone();
+        want.sort_by_key(|e| (e.ts, e.node));
+        assert_eq!(Trace::from_events(unordered).events(), &want[..]);
     }
 
     #[test]

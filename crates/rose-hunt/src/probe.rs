@@ -79,11 +79,6 @@ impl SiteProbe {
         out
     }
 
-    /// How many distinct contexts the run touched.
-    pub fn context_count(&self) -> usize {
-        self.sites().len()
-    }
-
     /// Marks `bit` at the probe's (node, chain).
     fn mark(&mut self, env: &HookEnv, bit: u32) {
         let (node, chain) = (env.node.0 as usize, env.chain.index());
@@ -165,7 +160,7 @@ mod tests {
         probe.uprobe(&env(0, nested, t), "applyEntry", None, fx); // one site per function
         probe.uprobe(&env(1, flush, t), "flushLog", Some(2), fx); // offsets skipped
         assert_eq!(*fx, HookEffects::none(), "the probe charges nothing");
-        assert_eq!(probe.context_count(), 3);
+        assert_eq!(probe.sites().len(), 3);
         let sites = probe.sites();
         assert_eq!(sites.len(), 3);
         assert!(sites.contains(&InjectionSite {
@@ -208,8 +203,8 @@ mod tests {
         for (node, chain, call) in contexts.into_iter().chain(contexts).rev().chain(contexts) {
             often.sys_enter(&env(node, chain, t), &SyscallArgs::bare(call), fx);
         }
-        assert_eq!(once.context_count(), 4);
-        assert_eq!(often.context_count(), 4);
+        assert_eq!(once.sites().len(), 4);
+        assert_eq!(often.sites().len(), 4);
         assert_eq!(once.sites(), often.sites());
     }
 }

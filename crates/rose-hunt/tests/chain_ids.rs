@@ -300,7 +300,7 @@ proptest! {
             .collect();
         want.sort();
         let probe = sim.hook_ref::<SiteProbe>().unwrap();
-        prop_assert_eq!(probe.context_count(), want.len());
+        prop_assert_eq!(probe.sites().len(), want.len());
         prop_assert_eq!(probe.sites(), want);
     }
 }

@@ -41,23 +41,15 @@ pub struct ExecutionFeedback {
 }
 
 impl ExecutionFeedback {
-    /// Whether every fault of the schedule fired.
-    pub fn all_injected(&self, schedule_len: usize) -> bool {
-        self.injected.len() == schedule_len
-    }
-
     /// Whether a specific fault fired.
     pub fn was_injected(&self, id: FaultId) -> bool {
         self.injected.iter().any(|(f, _)| *f == id)
     }
 
-    /// Publishes injection counters into a telemetry registry.
+    /// Publishes the armed/injected tallies into a telemetry registry.
     pub fn publish_obs(&self, obs: &rose_obs::Obs) {
         obs.counter_add("executor.injected", self.injected.len() as u64);
         obs.counter_add("executor.armed", self.armed.len() as u64);
-        for (_, at_us) in &self.injected {
-            obs.observe("executor.injection_us", *at_us);
-        }
     }
 
     /// Marks each injection on the Chrome-trace injection lane of the node

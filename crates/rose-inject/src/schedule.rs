@@ -135,17 +135,6 @@ pub enum Condition {
     },
 }
 
-impl Condition {
-    /// State-based conditions become satisfied by the passage of time or by
-    /// other injections, not by observing an event on the node.
-    pub fn is_state_based(&self) -> bool {
-        matches!(
-            self,
-            Condition::AfterFault { .. } | Condition::TimeElapsed { .. }
-        )
-    }
-}
-
 /// Sentinel group value assigned by [`FaultSchedule::push`].
 const GROUP_UNSET: usize = usize::MAX;
 
@@ -349,15 +338,5 @@ mod tests {
         ));
         s.push(crash(0));
         assert_eq!(s.summary(), "3*PS(Crash) + ND + PS(Crash)");
-    }
-
-    #[test]
-    fn state_based_classification() {
-        assert!(Condition::AfterFault { fault: 0 }.is_state_based());
-        assert!(Condition::TimeElapsed {
-            after: SimDuration::ZERO
-        }
-        .is_state_based());
-        assert!(!Condition::FunctionEntered { name: "x".into() }.is_state_based());
     }
 }

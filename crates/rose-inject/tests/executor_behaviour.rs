@@ -86,7 +86,7 @@ fn scf_fails_nth_invocation_on_path() {
         },
     ));
     let (sim, fb) = run_with(s, 1, 2);
-    assert!(fb.all_injected(1));
+    assert_eq!(fb.injected.len(), 1);
     // Writes 1 and 2 (round 1) succeeded; write 3 (round 2, first write)
     // failed. The snapshot file from round 1 must exist and be complete.
     assert_eq!(sim.core().vfs[0].peek("/data/snap").unwrap().len(), 24);
@@ -103,7 +103,7 @@ fn crash_fires_at_function_entry() {
         }),
     );
     let (sim, fb) = run_with(s, 2, 1);
-    assert!(fb.all_injected(1));
+    assert_eq!(fb.injected.len(), 1);
     // Killed at entry, before any write: no snapshot file at crash time.
     // (The node restarts and snapshots again, so check the crash happened
     // before the first round completed via stats.)
@@ -123,9 +123,11 @@ fn crash_at_offset_corrupts_snapshot() {
             offset: 2,
         }),
     );
-    let mut sim = Sim::new(SimConfig::new(3, 3).without_restart(), |_| {
-        Snapshotter::default()
-    });
+    let cfg = SimConfig {
+        auto_restart: false,
+        ..SimConfig::new(3, 3)
+    };
+    let mut sim = Sim::new(cfg, |_| Snapshotter::default());
     sim.add_hook(Box::new(Executor::new(s)));
     sim.start();
     sim.run_for(SimDuration::from_secs(2));
@@ -156,7 +158,7 @@ fn crash_mid_write_then_restart_triggers_recovery_bug() {
         }),
     );
     let (sim, fb) = run_with(s, 4, 5);
-    assert!(fb.all_injected(1));
+    assert_eq!(fb.injected.len(), 1);
     // Node restarted and kept running (no corrupt-snapshot panic, since the
     // completed snapshot from the rename path is the one recovery reads).
     assert!(sim.app(NodeId(0)).is_some());
@@ -180,7 +182,7 @@ fn pause_and_partition_inject_with_durations() {
         },
     ));
     let (sim, fb) = run_with(s, 5, 12);
-    assert!(fb.all_injected(2));
+    assert_eq!(fb.injected.len(), 2);
     // Both healed by the end of the run.
     assert!(!sim.core().procs.is_paused(NodeId(1)));
     assert_eq!(sim.core().net.active_rules(), 0);
@@ -204,7 +206,7 @@ fn fault_order_is_enforced() {
         }),
     );
     let (_sim, fb) = run_with(s, 6, 10);
-    assert!(fb.all_injected(2));
+    assert_eq!(fb.injected.len(), 2);
     let t0 = fb.injected.iter().find(|(f, _)| *f == 0).unwrap().1;
     let t1 = fb.injected.iter().find(|(f, _)| *f == 1).unwrap().1;
     assert!(t0 >= 3_000_000, "fault 0 waits for its time condition");
@@ -257,7 +259,7 @@ fn condition_survives_restart_via_pid_remap() {
         }),
     );
     let (sim, fb) = run_with(s, 7, 15);
-    assert!(fb.all_injected(2), "both crashes fired: {fb:?}");
+    assert_eq!(fb.injected.len(), 2, "both crashes fired: {fb:?}");
     assert_eq!(sim.core().stats.crashes, 2);
     let t0 = fb.injected[0].1;
     let t1 = fb.injected[1].1;
@@ -279,7 +281,7 @@ fn sequential_conditions_require_order() {
             }),
     );
     let (sim, fb) = run_with(s, 8, 2);
-    assert!(fb.all_injected(1));
+    assert_eq!(fb.injected.len(), 1);
     assert_eq!(sim.core().stats.crashes, 1);
 }
 
@@ -309,7 +311,7 @@ fn schedule_yaml_survives_executor_round_trip() {
     let yaml = s.to_yaml();
     let parsed = FaultSchedule::from_yaml(&yaml).unwrap();
     let (_sim, fb) = run_with(parsed, 10, 2);
-    assert!(fb.all_injected(1));
+    assert_eq!(fb.injected.len(), 1);
 }
 
 /// Fires every probe the executor listens on, on node 0 at `secs`.

@@ -52,15 +52,6 @@ pub struct PropagationChain {
     pub hops: Vec<ChainHop>,
 }
 
-impl PropagationChain {
-    /// Whether the chain actually reaches the oracle event.
-    pub fn reaches_oracle(&self) -> bool {
-        self.hops
-            .last()
-            .is_some_and(|h| matches!(h.label.as_str(), "oracle"))
-    }
-}
-
 /// Computes one propagation chain per injection recorded in the log, in
 /// injection order. Deterministic: same log, same bytes out.
 pub fn propagation_chains(log: &CausalLog) -> Vec<PropagationChain> {
@@ -287,7 +278,6 @@ mod tests {
         assert_eq!(chains.len(), 1);
         let chain = &chains[0];
         assert_eq!((chain.fault, chain.tag.as_str()), (0, "SCF(write)"));
-        assert!(chain.reaches_oracle());
         let labels: Vec<&str> = chain.hops.iter().map(|h| h.label.as_str()).collect();
         assert_eq!(
             labels,
@@ -318,7 +308,6 @@ mod tests {
         let chains = propagation_chains(&log);
         assert_eq!(chains.len(), 1);
         assert_eq!(chains[0].hops.len(), 1);
-        assert!(!chains[0].reaches_oracle());
         assert_eq!(chains[0].hops[0].label, "inject f3 ND");
     }
 

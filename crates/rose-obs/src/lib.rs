@@ -5,12 +5,12 @@
 //! This crate is the telemetry backbone shared by every phase of a campaign
 //! (profiling → tracing → diagnosis → reproduction):
 //!
-//! - [`Obs`] — a lightweight, deterministic span/metric registry. Counters,
-//!   gauges, and histograms are plain `BTreeMap`s behind an `Arc<Mutex<_>>`
-//!   handle that clones cheaply into the simulator, hooks, and workflow
-//!   code. Phase spans are keyed on **simulated** time only: the registry
-//!   never reads a wall clock, so attaching it cannot perturb sim
-//!   determinism, and identical seeds produce byte-identical reports.
+//! - [`Obs`] — a lightweight, deterministic campaign registry: a clock,
+//!   phase spans, phase records and named counters behind an
+//!   `Arc<Mutex<_>>` handle that clones cheaply into the workflow layers.
+//!   Phase spans are keyed on **simulated** time only: the registry never
+//!   reads a wall clock, so attaching it cannot perturb sim determinism,
+//!   and identical seeds produce byte-identical reports.
 //! - [`RunReport`]/[`PhaseRecord`] — a structured JSONL run report with one
 //!   record per phase (profiling, tracing, diagnosis, reproduction) plus a
 //!   final campaign summary, round-trippable via `serde_json`.
@@ -31,7 +31,7 @@ pub mod report;
 
 pub use causal::{ChainHop, PropagationChain};
 pub use chrome::{ChromeTrace, TraceEvent};
-pub use metrics::{Histogram, MetricsSnapshot, Obs, PhaseSpan, SpanId};
+pub use metrics::{Obs, PhaseSpan, SpanId};
 pub use report::{
     CampaignSummary, DiagnosisStats, HuntStats, MetaStats, PhaseRecord, ProfilingStats,
     ReproductionStats, RunReport, TracingStats,

@@ -1,10 +1,13 @@
-//! The deterministic span/metric registry.
+//! The deterministic campaign registry: a clock, phase spans, phase
+//! records and named counters.
 //!
 //! An [`Obs`] is a cheap clonable handle onto a shared registry. The
-//! simulator kernel, the tracer, and the workflow all hold clones of the
-//! same handle and publish into it; at the end of a campaign the registry is
-//! drained into a [`crate::RunReport`] and (optionally) a
-//! [`crate::ChromeTrace`] phase track.
+//! workflow layers (`rose-core`, `rose-apps`, `rose-hunt`, the bins) hold
+//! clones of the same handle and publish into it; at the end of a campaign
+//! the registry is drained into a [`crate::RunReport`] and (optionally) a
+//! [`crate::ChromeTrace`] phase track. The kernel, the codec and the tracer
+//! know nothing of it: a number worth keeping goes into the phase record of
+//! the phase that produced it.
 //!
 //! Two properties matter more than feature count:
 //!
@@ -14,8 +17,7 @@
 //!    rerun with the same seed yields byte-identical output.
 //! 2. **Near-zero cost when detached.** Every mutating call first checks a
 //!    plain `bool` on the handle itself; a disabled handle never touches
-//!    the mutex. Hot kernel paths (one counter bump per syscall) stay free
-//!    unless a campaign explicitly attaches telemetry.
+//!    the mutex.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -43,121 +45,21 @@ pub struct PhaseSpan {
     pub end: Option<SimDuration>,
 }
 
-impl PhaseSpan {
-    /// The span's duration, zero while still open.
-    pub fn duration(&self) -> SimDuration {
-        self.end.map_or(SimDuration::ZERO, |e| {
-            SimDuration(e.0.saturating_sub(self.start.0))
-        })
-    }
-}
-
-/// A fixed-size summary histogram: count, sum, min, max.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Histogram {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of all observed values.
-    pub sum: u64,
-    /// Smallest observed value (0 when empty).
-    pub min: u64,
-    /// Largest observed value (0 when empty).
-    pub max: u64,
-}
-
-impl Histogram {
-    /// Folds one observation in.
-    pub fn observe(&mut self, value: u64) {
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Folds another histogram's summary in, as if every observation it
-    /// absorbed had been observed here too.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
-    /// Mean of the observations, 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// An estimate of the `q`-quantile (`q` in `[0, 1]`) from the summary.
-    ///
-    /// A count/sum/min/max summary cannot recover the true distribution, so
-    /// this interpolates linearly between `min` and `max`. The estimate is
-    /// exact in the cases reports actually lean on: an empty histogram
-    /// (returns 0), a single sample, and all-identical samples all yield the
-    /// observed value for every `q`; `q <= 0` is `min` and `q >= 1` is
-    /// `max`. Out-of-range and NaN `q` are clamped into `[0, 1]`.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        let span = (self.max - self.min) as f64;
-        self.min + (span * q).round() as u64
-    }
-}
-
-/// A point-in-time copy of every metric in the registry.
-///
-/// Maps are `BTreeMap`s so serialization order — and therefore report
-/// bytes — is independent of insertion order.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Monotone counters.
-    pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges.
-    pub gauges: BTreeMap<String, f64>,
-    /// Summary histograms.
-    pub histograms: BTreeMap<String, Histogram>,
-}
-
 #[derive(Debug, Default)]
 struct Registry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
     spans: Vec<PhaseSpan>,
     records: Vec<PhaseRecord>,
     /// Accumulated simulated time across all runs of the campaign.
     campaign_now: SimDuration,
 }
 
-/// Shared telemetry handle. Clones refer to the same registry.
-#[derive(Debug, Clone)]
+/// Shared telemetry handle. Clones refer to the same registry. The default
+/// is [`Obs::disabled`].
+#[derive(Debug, Clone, Default)]
 pub struct Obs {
     active: bool,
     inner: Arc<Mutex<Registry>>,
-}
-
-impl Default for Obs {
-    fn default() -> Self {
-        Obs::disabled()
-    }
 }
 
 impl Obs {
@@ -165,17 +67,14 @@ impl Obs {
     pub fn new() -> Self {
         Obs {
             active: true,
-            inner: Arc::new(Mutex::new(Registry::default())),
+            ..Obs::default()
         }
     }
 
     /// A no-op handle: every mutating call returns without touching the
     /// registry. This is the default everywhere telemetry is optional.
     pub fn disabled() -> Self {
-        Obs {
-            active: false,
-            inner: Arc::new(Mutex::new(Registry::default())),
-        }
+        Obs::default()
     }
 
     /// Whether this handle publishes into a registry.
@@ -187,7 +86,7 @@ impl Obs {
         self.inner.lock().expect("rose-obs registry poisoned")
     }
 
-    // ---- counters / gauges / histograms ---------------------------------
+    // ---- counters -------------------------------------------------------
 
     /// Adds `n` to the counter `name`.
     pub fn counter_add(&self, name: &str, n: u64) {
@@ -215,93 +114,31 @@ impl Obs {
         self.lock().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Sets the gauge `name` to `value` (last write wins).
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        if !self.active {
-            return;
-        }
-        self.lock().gauges.insert(name.to_owned(), value);
-    }
-
-    /// Current value of a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.lock().gauges.get(name).copied()
-    }
-
-    /// Folds one observation into the histogram `name`.
-    pub fn observe(&self, name: &str, value: u64) {
-        if !self.active {
-            return;
-        }
-        let mut reg = self.lock();
-        match reg.histograms.get_mut(name) {
-            Some(h) => h.observe(value),
-            None => {
-                let mut h = Histogram::default();
-                h.observe(value);
-                reg.histograms.insert(name.to_owned(), h);
-            }
-        }
-    }
-
-    /// Current state of a histogram (empty default if never touched).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.lock()
-            .histograms
-            .get(name)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// A copy of every metric, for reports and assertions.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let reg = self.lock();
-        MetricsSnapshot {
-            counters: reg.counters.clone(),
-            gauges: reg.gauges.clone(),
-            histograms: reg.histograms.clone(),
-        }
-    }
-
     // ---- merging forked registries --------------------------------------
 
-    /// Folds a snapshot of another registry into this one: counters add,
-    /// histograms merge, gauges overwrite (last write wins).
+    /// Absorbs a forked registry: its counters are added to this one's and
+    /// its phase records appended in order. Spans and the campaign clock
+    /// are *not* transferred — the parent's sequential phases own the
+    /// timeline.
     ///
     /// This is the join half of the fork/join pattern used by parallel
     /// execution: each worker publishes into a private registry, and the
     /// parent absorbs the workers *in task order*, so the merged registry
-    /// is byte-identical to what sequential execution would have produced.
-    pub fn merge_snapshot(&self, snap: &MetricsSnapshot) {
-        if !self.active {
-            return;
-        }
-        let mut reg = self.lock();
-        for (name, n) in &snap.counters {
-            let slot = reg.counters.entry(name.clone()).or_insert(0);
-            *slot = slot.saturating_add(*n);
-        }
-        for (name, value) in &snap.gauges {
-            reg.gauges.insert(name.clone(), *value);
-        }
-        for (name, h) in &snap.histograms {
-            reg.histograms.entry(name.clone()).or_default().merge(h);
-        }
-    }
-
-    /// Absorbs a forked registry: its metrics (see
-    /// [`Obs::merge_snapshot`]) and its phase records, appended in order.
-    /// Spans and the campaign clock are *not* transferred — the parent's
-    /// sequential phases own the timeline.
+    /// equals what sequential execution would have produced.
     pub fn absorb(&self, other: &Obs) {
         if !self.active {
             return;
         }
-        self.merge_snapshot(&other.snapshot());
-        let records = other.records();
-        if !records.is_empty() {
-            self.lock().records.extend(records);
+        let (counters, records) = {
+            let fork = other.lock();
+            (fork.counters.clone(), fork.records.clone())
+        };
+        let mut reg = self.lock();
+        for (name, n) in counters {
+            let slot = reg.counters.entry(name).or_insert(0);
+            *slot = slot.saturating_add(n);
         }
+        reg.records.extend(records);
     }
 
     // ---- phase spans ----------------------------------------------------
@@ -375,36 +212,36 @@ impl Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::MetaStats;
+
+    /// A record told apart by one number.
+    fn meta(cores: u64) -> PhaseRecord {
+        PhaseRecord::Meta(MetaStats {
+            cores: cores as usize,
+            rustc: String::new(),
+        })
+    }
 
     #[test]
     fn disabled_handle_is_inert() {
         let obs = Obs::disabled();
         obs.counter_add("x", 5);
-        obs.gauge_set("g", 1.0);
-        obs.observe("h", 3);
+        obs.record(meta(1));
+        let span = obs.begin_phase("p");
+        obs.end_phase(span, SimDuration::from_secs(1));
         assert_eq!(obs.counter("x"), 0);
-        assert_eq!(obs.gauge("g"), None);
-        assert_eq!(obs.histogram("h").count, 0);
+        assert!(obs.records().is_empty());
+        assert!(obs.phases().is_empty());
+        assert_eq!(obs.campaign_elapsed(), SimDuration::ZERO);
     }
 
     #[test]
     fn clones_share_the_registry() {
         let obs = Obs::new();
         let other = obs.clone();
-        other.counter_add("sim.syscalls", 3);
-        obs.counter_inc("sim.syscalls");
-        assert_eq!(obs.counter("sim.syscalls"), 4);
-    }
-
-    #[test]
-    fn histogram_tracks_bounds_and_mean() {
-        let obs = Obs::new();
-        for v in [10, 2, 6] {
-            obs.observe("lat", v);
-        }
-        let h = obs.histogram("lat");
-        assert_eq!((h.count, h.sum, h.min, h.max), (3, 18, 2, 10));
-        assert!((h.mean() - 6.0).abs() < 1e-9);
+        other.counter_add("workflow.testing_runs", 3);
+        obs.counter_inc("workflow.testing_runs");
+        assert_eq!(obs.counter("workflow.testing_runs"), 4);
     }
 
     #[test]
@@ -420,7 +257,6 @@ mod tests {
         assert_eq!(spans[0].end, Some(SimDuration::from_secs(60)));
         assert_eq!(spans[1].start, SimDuration::from_secs(60));
         assert_eq!(spans[1].end, Some(SimDuration::from_secs(180)));
-        assert_eq!(spans[1].duration(), SimDuration::from_secs(120));
         assert_eq!(obs.campaign_elapsed(), SimDuration::from_secs(180));
     }
 
@@ -429,32 +265,28 @@ mod tests {
         // Sequential reference: everything published into one registry.
         let seq = Obs::new();
         for v in [5u64, 1, 9] {
-            seq.counter_add("runs", 1);
-            seq.observe("lat", v);
-            seq.gauge_set("last", v as f64);
+            seq.counter_inc("runs");
+            seq.counter_add("events", v);
+            seq.record(meta(v));
         }
         // Fork/join: one private registry per "run", absorbed in order.
         let par = Obs::new();
         for v in [5u64, 1, 9] {
             let worker = Obs::new();
-            worker.counter_add("runs", 1);
-            worker.observe("lat", v);
-            worker.gauge_set("last", v as f64);
+            worker.counter_inc("runs");
+            worker.counter_add("events", v);
+            worker.record(meta(v));
+            let span = worker.begin_phase("run");
+            worker.end_phase(span, SimDuration::from_secs(v));
             par.absorb(&worker);
         }
-        assert_eq!(par.snapshot(), seq.snapshot());
-    }
-
-    #[test]
-    fn histogram_merge_handles_empty_sides() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        b.observe(7);
-        a.merge(&b);
-        assert_eq!((a.count, a.min, a.max), (1, 7, 7));
-        let empty = Histogram::default();
-        a.merge(&empty);
-        assert_eq!((a.count, a.min, a.max), (1, 7, 7));
+        for name in ["runs", "events"] {
+            assert_eq!(par.counter(name), seq.counter(name));
+        }
+        assert_eq!(par.records(), seq.records());
+        // The parent's sequential phases own the timeline.
+        assert!(par.phases().is_empty());
+        assert_eq!(par.campaign_elapsed(), SimDuration::ZERO);
     }
 
     #[test]
@@ -467,31 +299,16 @@ mod tests {
     }
 
     #[test]
-    fn percentile_edge_cases_are_exact() {
-        // Empty: every quantile is 0.
-        let empty = Histogram::default();
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(empty.percentile(q), 0);
-        }
-        // Single sample: every quantile is that sample.
-        let mut single = Histogram::default();
-        single.observe(42);
-        for q in [0.0, 0.5, 1.0, -1.0, 2.0, f64::NAN] {
-            assert_eq!(single.percentile(q), 42);
-        }
-    }
-
-    #[test]
     fn counter_increment_saturates_instead_of_wrapping() {
         let obs = Obs::new();
         obs.counter_add("near-max", u64::MAX - 1);
         obs.counter_inc("near-max");
         obs.counter_inc("near-max");
         assert_eq!(obs.counter("near-max"), u64::MAX);
-        // Merging a forked snapshot saturates the same way.
+        // Absorbing a fork saturates the same way.
         let fork = Obs::new();
         fork.counter_add("near-max", u64::MAX);
-        obs.merge_snapshot(&fork.snapshot());
+        obs.absorb(&fork);
         assert_eq!(obs.counter("near-max"), u64::MAX);
     }
 
@@ -500,42 +317,7 @@ mod tests {
 
         use super::super::*;
 
-        fn from_samples(samples: &[u64]) -> Histogram {
-            let mut h = Histogram::default();
-            for &s in samples {
-                h.observe(s);
-            }
-            h
-        }
-
         proptest! {
-            #[test]
-            fn percentile_is_bounded_and_monotone(
-                samples in proptest::collection::vec(0u64..1_000_000, 1..64),
-                qa_millis in 0u64..1001,
-                qb_millis in 0u64..1001,
-            ) {
-                let h = from_samples(&samples);
-                let qa = qa_millis as f64 / 1000.0;
-                let qb = qb_millis as f64 / 1000.0;
-                let (lo, hi) = (qa.min(qb), qa.max(qb));
-                prop_assert!(h.percentile(lo) >= h.min);
-                prop_assert!(h.percentile(hi) <= h.max);
-                prop_assert!(h.percentile(lo) <= h.percentile(hi));
-                prop_assert_eq!(h.percentile(0.0), h.min);
-                prop_assert_eq!(h.percentile(1.0), h.max);
-            }
-
-            #[test]
-            fn identical_samples_pin_every_quantile(
-                value in 0u64..u64::MAX / 2,
-                n in 1usize..32,
-                q_millis in 0u64..1001,
-            ) {
-                let h = from_samples(&vec![value; n]);
-                prop_assert_eq!(h.percentile(q_millis as f64 / 1000.0), value);
-            }
-
             #[test]
             fn counter_never_wraps(a in 0u64..u64::MAX, b in 0u64..u64::MAX) {
                 let obs = Obs::new();
@@ -544,17 +326,6 @@ mod tests {
                 let got = obs.counter("c");
                 prop_assert_eq!(got, a.saturating_add(b));
                 prop_assert!(got >= a.max(b));
-            }
-
-            #[test]
-            fn merge_equals_observing_both_sample_sets(
-                xs in proptest::collection::vec(0u64..1_000_000, 0..32),
-                ys in proptest::collection::vec(0u64..1_000_000, 0..32),
-            ) {
-                let mut merged = from_samples(&xs);
-                merged.merge(&from_samples(&ys));
-                let all: Vec<u64> = xs.iter().chain(&ys).copied().collect();
-                prop_assert_eq!(merged, from_samples(&all));
             }
         }
     }

@@ -258,21 +258,11 @@ impl RunReport {
         Ok(RunReport { records })
     }
 
-    /// Writes the JSONL report to a file, replacing it.
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
-
     /// Loads a JSONL report from a file.
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let s = std::fs::read_to_string(path)?;
         RunReport::from_jsonl(&s)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
-    /// Records with the given phase tag.
-    pub fn with_phase(&self, phase: &str) -> Vec<&PhaseRecord> {
-        self.records.iter().filter(|r| r.phase() == phase).collect()
     }
 }
 
@@ -345,7 +335,8 @@ mod tests {
         assert_eq!(first["phase"], "profiling");
         assert_eq!(first["kept"], 9);
         let report = RunReport::from_jsonl(&s).unwrap();
-        assert_eq!(report.with_phase("campaign").len(), 1);
+        let campaigns = report.records.iter().filter(|r| r.phase() == "campaign");
+        assert_eq!(campaigns.count(), 1);
     }
 
     #[test]

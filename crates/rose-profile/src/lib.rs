@@ -12,5 +12,5 @@
 pub mod profile;
 pub mod symbols;
 
-pub use profile::{FaultFingerprint, Profile, ProfileSummary, ProfilingHook};
+pub use profile::{FaultFingerprint, Profile, ProfilingHook};
 pub use symbols::{site, FunctionSym, OffsetKind, OffsetSite, SymbolTable};

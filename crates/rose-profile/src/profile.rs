@@ -173,7 +173,8 @@ impl Profile {
             .collect()
     }
 
-    /// Candidate functions discarded as frequent.
+    /// Candidate functions discarded as frequent. Driven by the root
+    /// `tests/trace_pipeline.rs`, which checks the hot paths land here.
     pub fn frequent_functions(&self) -> Vec<String> {
         self.candidates
             .iter()
@@ -216,49 +217,24 @@ impl Profile {
     }
 }
 
-/// Expected time and count statistics of a profiling run, used in reports.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct ProfileSummary {
-    /// Candidate functions considered.
-    pub candidates: usize,
-    /// Kept (infrequent) functions.
-    pub kept: usize,
-    /// Benign fingerprints collected.
-    pub benign: usize,
-}
-
 impl Profile {
-    /// Summary statistics.
-    pub fn summary(&self) -> ProfileSummary {
-        ProfileSummary {
-            candidates: self.candidates.len(),
-            kept: self.infrequent_functions().len(),
-            benign: self.benign.len(),
-        }
-    }
-
     /// The profiling-phase record for the campaign's JSONL run report.
     pub fn phase_record(&self) -> rose_obs::ProfilingStats {
-        let s = self.summary();
+        let candidates = self.candidates.len();
+        let kept = self.infrequent_functions().len();
         rose_obs::ProfilingStats {
-            candidates: s.candidates,
-            kept: s.kept,
-            dropped: s.candidates.saturating_sub(s.kept),
-            benign: s.benign,
+            candidates,
+            kept,
+            dropped: candidates.saturating_sub(kept),
+            benign: self.benign.len(),
             duration_secs: self.run_duration.as_secs_f64(),
             syscalls: self.syscall_counts.values().sum(),
         }
     }
 
-    /// Publishes the profile's headline numbers into a telemetry registry
-    /// and appends the profiling phase record.
+    /// Appends the profiling phase record to a telemetry registry.
     pub fn publish_obs(&self, obs: &rose_obs::Obs) {
-        let record = self.phase_record();
-        obs.gauge_set("profile.candidates", record.candidates as f64);
-        obs.gauge_set("profile.kept", record.kept as f64);
-        obs.gauge_set("profile.benign", record.benign as f64);
-        obs.counter_add("profile.syscalls", record.syscalls);
-        obs.record(rose_obs::PhaseRecord::Profiling(record));
+        obs.record(rose_obs::PhaseRecord::Profiling(self.phase_record()));
     }
 
     /// Writes the profile to a file (the Profiler's output artifact, §5.1).

@@ -2,9 +2,9 @@
 //! tracer, and the executor emit happens-before records while a run
 //! executes.
 //!
-//! Follows the same pattern as [`rose_obs::Obs`]: a cheap `Clone` handle
-//! around an `Arc<Mutex<_>>`, disabled by default so every emission site is
-//! a plain boolean test when no campaign asked for provenance. The recorder
+//! A cheap `Clone` handle around an `Arc<Mutex<_>>`, disabled by default so
+//! every emission site is a plain boolean test when no campaign asked for
+//! provenance. The recorder
 //! maintains a per-simulated-node *frontier* — the last causal node emitted
 //! on that node — so each new record extends intra-node program order, and
 //! tracks taint (reachability from an injection) so message edges are only

@@ -44,18 +44,6 @@ impl SimConfig {
             syscall_exec_cost: SimDuration::from_micros(2),
         }
     }
-
-    /// Sets the seed, returning the updated configuration.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Disables supervisor restarts.
-    pub fn without_restart(mut self) -> Self {
-        self.auto_restart = false;
-        self
-    }
 }
 
 impl Default for SimConfig {
@@ -74,13 +62,5 @@ mod tests {
         assert_eq!(c.proc_poll_interval, SimDuration::from_secs(1));
         assert!(c.auto_restart);
         assert_eq!(c.nodes, 3);
-    }
-
-    #[test]
-    fn builders_update_fields() {
-        let c = SimConfig::new(5, 1).with_seed(9).without_restart();
-        assert_eq!(c.seed, 9);
-        assert_eq!(c.nodes, 5);
-        assert!(!c.auto_restart);
     }
 }

@@ -12,7 +12,6 @@ use std::mem;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rose_events::{Errno, IpAddr, NodeId, Pid, SimDuration, SimTime, SyscallId};
-use rose_obs::Obs;
 
 use crate::causal::CausalRecorder;
 use crate::chain::{ChainId, ChainTable};
@@ -21,7 +20,7 @@ use crate::hooks::{
     HookEffects, HookEnv, KernelHook, NetCmd, ProcEvent, SignalKind, SignalReq, SignalTarget,
 };
 use crate::net::NetState;
-use crate::process::ProcTable;
+use crate::process::{ProcTable, RunState};
 use crate::queue::EventQueue;
 use crate::state::{ClientId, History, Logs, SimStats};
 use crate::syscalls::{SysResult, SyscallArgs};
@@ -117,14 +116,6 @@ pub struct AppPanic {
     pub message: String,
 }
 
-/// The kernel counters mirrored into campaign telemetry, by name.
-const OBS_COUNTERS: [&str; 4] = [
-    "sim.syscalls",
-    "sim.syscall_failures",
-    "sim.uprobes",
-    "sim.packets",
-];
-
 /// The non-generic part of the simulated kernel state.
 pub struct SimCore<M> {
     /// Run configuration.
@@ -151,10 +142,6 @@ pub struct SimCore<M> {
     oracle_state: RefCell<Option<Box<dyn Any>>>,
     /// Run counters.
     pub stats: SimStats,
-    /// Campaign telemetry handle, shared with hooks and the workflow.
-    /// Disabled (free) unless a campaign attaches one via
-    /// [`crate::Sim::attach_obs`].
-    pub obs: Obs,
     /// Causal provenance recorder, shared with hooks and the workflow.
     /// Disabled (free) unless attached via [`crate::Sim::attach_causal`].
     pub causal: CausalRecorder,
@@ -181,12 +168,9 @@ pub struct SimCore<M> {
     /// past the end is outside any function). Entering a function moves to
     /// a child chain, leaving to the parent.
     fn_stack: Vec<ChainId>,
-    /// The `stats` values already published to `obs` by [`Self::flush_obs`],
-    /// in [`OBS_COUNTERS`] order.
-    obs_flushed: [u64; OBS_COUNTERS.len()],
-    /// Signals raised by hooks against nodes other than the one currently
-    /// executing; drained by the driver after each callback.
-    pub(crate) pending_signals: Vec<(NodeId, SignalKind)>,
+    /// Crash signals raised by hooks against nodes other than the one
+    /// currently executing; drained by the driver after each callback.
+    pub(crate) pending_crashes: Vec<NodeId>,
     /// The node/pid whose callback is currently executing, if any.
     pub(crate) active: Option<(NodeId, Pid)>,
 }
@@ -208,7 +192,6 @@ impl<M> SimCore<M> {
             history: History::default(),
             oracle_state: RefCell::new(None),
             stats: SimStats::default(),
-            obs: Obs::disabled(),
             causal: CausalRecorder::disabled(),
             events_executed: 0,
             first_injection_events: None,
@@ -218,8 +201,7 @@ impl<M> SimCore<M> {
             last_pid: vec![None; n],
             chains: ChainTable::new(),
             fn_stack: Vec::new(),
-            obs_flushed: [0; OBS_COUNTERS.len()],
-            pending_signals: Vec::new(),
+            pending_crashes: Vec::new(),
             active: None,
         }
     }
@@ -390,20 +372,6 @@ impl<M> SimCore<M> {
             .unwrap_or(ChainId::ROOT)
     }
 
-    /// Publishes to `obs` what the per-event counters in `stats` gained
-    /// since the last call. The kernel counts every syscall, uprobe and
-    /// packet in `stats` only; the driver calls this once per
-    /// [`crate::Sim::run_until`], so an attached registry costs one locked
-    /// update per counter per step instead of one per event.
-    pub(crate) fn flush_obs(&mut self) {
-        let s = &self.stats;
-        let totals = [s.syscalls, s.syscall_failures, s.uprobes, s.packets];
-        for ((name, total), seen) in OBS_COUNTERS.iter().zip(totals).zip(&mut self.obs_flushed) {
-            self.obs.counter_add(name, total - *seen);
-            *seen = total;
-        }
-    }
-
     /// Fires the uprobe chain for the entry of `pid`'s innermost function
     /// (`offset == None`) or an instrumented offset inside it.
     ///
@@ -466,13 +434,12 @@ impl<M> SimCore<M> {
             self.note_injection();
         }
         self.apply_net_cmds(fx.net);
-        if let Some(sig) = fx.signal {
-            if let SignalTarget::Node(n) = sig.target {
-                match sig.kind {
-                    SignalKind::Crash => self.pending_signals.push((n, sig.kind)),
-                    SignalKind::Pause(_) => self.deliver_signal(n, n, sig.kind),
-                }
-            }
+        if let Some(SignalReq {
+            target: SignalTarget::Node(n),
+            kind,
+        }) = fx.signal
+        {
+            self.deliver_signal(n, n, kind);
         }
     }
 
@@ -503,34 +470,38 @@ impl<M> SimCore<M> {
                 // driver catches the unwind at the callback boundary.
                 std::panic::panic_any(CrashPayload { node: target });
             }
-            SignalKind::Crash => {
-                self.pending_signals.push((target, SignalKind::Crash));
-            }
-            SignalKind::Pause(d) => {
-                if let Some(pid) = self.procs.main_pid(target) {
-                    self.procs.pause(pid, self.now);
-                    self.causal.pause(target, self.now);
-                    self.notify_proc_event(ProcEvent::PauseStart { node: target, pid });
-                    self.schedule_in(d, Item::Resume(target, pid));
-                }
-            }
+            SignalKind::Crash => self.pending_crashes.push(target),
+            SignalKind::Pause(d) => self.pause_node(target, d),
         }
     }
 
-    fn apply_net_cmds(&mut self, cmds: Vec<NetCmd>) {
+    /// Stops `node`'s main process, if it is up, for `d` (a
+    /// SIGSTOP/SIGCONT pair).
+    pub(crate) fn pause_node(&mut self, node: NodeId, d: SimDuration) {
+        if let Some(pid) = self.procs.main_pid(node) {
+            self.procs.pause(pid, self.now);
+            self.causal.pause(node, self.now);
+            self.notify_proc_event(ProcEvent::PauseStart { node, pid });
+            self.schedule_in(d, Item::Resume(node, pid));
+        }
+    }
+
+    pub(crate) fn apply_net_cmds(&mut self, cmds: Vec<NetCmd>) {
         for cmd in cmds {
             match cmd {
                 NetCmd::Install { rule, heal_after } => {
-                    let id = self.net.install(rule);
-                    if let Some(d) = heal_after {
-                        self.schedule_in(d, Item::Heal(id));
+                    let heal_at = heal_after.map(|d| self.now + d);
+                    let id = self.net.install(rule, heal_at);
+                    if let Some(at) = heal_at {
+                        self.schedule(at, Item::Heal(id));
                     }
                 }
                 NetCmd::Isolate { ip, heal_after } => {
+                    let heal_at = heal_after.map(|d| self.now + d);
                     let peers: Vec<IpAddr> = self.node_ids().map(|n| n.ip()).collect();
-                    for id in self.net.isolate(ip, peers) {
-                        if let Some(d) = heal_after {
-                            self.schedule_in(d, Item::Heal(id));
+                    for id in self.net.isolate(ip, peers, heal_at) {
+                        if let Some(at) = heal_at {
+                            self.schedule(at, Item::Heal(id));
                         }
                     }
                 }
@@ -619,5 +590,14 @@ impl<M> SimCore<M> {
         if let Some(chain) = self.fn_stack.get_mut(pid.0 as usize) {
             *chain = ChainId::ROOT;
         }
+        debug_assert!(
+            self.vfs[node.0 as usize]
+                .descriptor_owners()
+                .all(|owner| self
+                    .procs
+                    .get(owner)
+                    .is_some_and(|e| e.state != RunState::Exited)),
+            "{node} still holds a descriptor of an exited process after reaping {pid:?}",
+        );
     }
 }

@@ -26,8 +26,8 @@ pub struct DropRule {
 #[derive(Debug, Default)]
 pub struct NetState {
     /// Active drop rules, keyed by an installation id so they can be removed
-    /// when a partition heals.
-    rules: BTreeMap<u64, DropRule>,
+    /// when a partition heals, each with the instant its heal is due.
+    rules: BTreeMap<u64, (DropRule, Option<SimTime>)>,
     next_rule: u64,
     /// Packets dropped by filters, for reporting.
     pub dropped: u64,
@@ -41,24 +41,30 @@ impl NetState {
         NetState::default()
     }
 
-    /// Installs a drop filter and returns its id.
-    pub fn install(&mut self, rule: DropRule) -> u64 {
+    /// Installs a drop filter — one whose removal the caller has scheduled
+    /// for `heal_at`, if given — and returns its id.
+    pub fn install(&mut self, rule: DropRule, heal_at: Option<SimTime>) -> u64 {
         let id = self.next_rule;
         self.next_rule += 1;
-        self.rules.insert(id, rule);
+        self.rules.insert(id, (rule, heal_at));
         id
     }
 
     /// Installs filters that fully isolate `ip`: all traffic in and out of
     /// it (against every peer in `peers`) is dropped. Returns the rule ids.
-    pub fn isolate(&mut self, ip: IpAddr, peers: impl IntoIterator<Item = IpAddr>) -> Vec<u64> {
+    pub fn isolate(
+        &mut self,
+        ip: IpAddr,
+        peers: impl IntoIterator<Item = IpAddr>,
+        heal_at: Option<SimTime>,
+    ) -> Vec<u64> {
         let mut ids = Vec::new();
         for p in peers {
             if p == ip {
                 continue;
             }
-            ids.push(self.install(DropRule { src: ip, dst: p }));
-            ids.push(self.install(DropRule { src: p, dst: ip }));
+            ids.push(self.install(DropRule { src: ip, dst: p }, heal_at));
+            ids.push(self.install(DropRule { src: p, dst: ip }, heal_at));
         }
         ids
     }
@@ -75,12 +81,24 @@ impl NetState {
 
     /// Whether a packet `src → dst` passes the installed filters.
     pub fn passes(&self, src: IpAddr, dst: IpAddr) -> bool {
-        !self.rules.values().any(|r| r.src == src && r.dst == dst)
+        !self
+            .rules
+            .values()
+            .any(|(r, _)| r.src == src && r.dst == dst)
     }
 
-    /// Number of active rules.
+    /// Number of active rules. Driven by `tests/sim_behaviour.rs` and
+    /// rose-inject's `tests/executor_behaviour.rs`, which count what a
+    /// healed partition leaves behind.
     pub fn active_rules(&self) -> usize {
         self.rules.len()
+    }
+
+    /// Whether a rule is still installed although its heal was due by `now`.
+    pub(crate) fn has_overdue_rule(&self, now: SimTime) -> bool {
+        self.rules
+            .values()
+            .any(|(_, heal_at)| heal_at.is_some_and(|at| at <= now))
     }
 
     /// Records the outcome of a send attempt in the counters.
@@ -153,7 +171,7 @@ mod tests {
         let mut n = NetState::new();
         let a = IpAddr(1);
         let b = IpAddr(2);
-        n.install(DropRule { src: a, dst: b });
+        n.install(DropRule { src: a, dst: b }, None);
         assert!(!n.passes(a, b));
         assert!(n.passes(b, a));
     }
@@ -162,7 +180,7 @@ mod tests {
     fn isolate_cuts_both_directions() {
         let mut n = NetState::new();
         let ips: Vec<IpAddr> = (1..=3).map(IpAddr).collect();
-        let ids = n.isolate(ips[0], ips.iter().copied());
+        let ids = n.isolate(ips[0], ips.iter().copied(), None);
         assert_eq!(ids.len(), 4);
         assert!(!n.passes(ips[0], ips[1]));
         assert!(!n.passes(ips[2], ips[0]));

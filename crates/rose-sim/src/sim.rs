@@ -10,7 +10,7 @@ use rose_events::{NodeId, Pid, SimDuration, SimTime};
 
 use crate::app::{Application, ClientCtx, ClientDriver, NodeCtx};
 use crate::config::SimConfig;
-use crate::hooks::{KernelHook, ProcEvent, SignalKind};
+use crate::hooks::{KernelHook, NetCmd, ProcEvent};
 use crate::kernel::{AppPanic, Buffered, CrashPayload, Endpoint, Item, SimCore};
 use crate::net::DropRule;
 use crate::state::ClientId;
@@ -65,15 +65,6 @@ impl<A: Application> Sim<A> {
         self.core.hooks.push(hook);
     }
 
-    /// Attaches a campaign telemetry handle: the kernel publishes syscall,
-    /// packet, uprobe, crash, and restart counters into it (the per-event
-    /// ones as one delta per [`Sim::run_until`]), and hooks can reach it
-    /// through [`SimCore::obs`]. Without this call the default disabled
-    /// handle keeps every publish site free.
-    pub fn attach_obs(&mut self, obs: rose_obs::Obs) {
-        self.core.obs = obs;
-    }
-
     /// Attaches a causal provenance recorder: the kernel emits
     /// happens-before records into it (injections, overridden syscalls,
     /// tainted message receipts, crash/restart/pause transitions), and
@@ -81,11 +72,6 @@ impl<A: Application> Sim<A> {
     /// the default disabled handle keeps every emission site free.
     pub fn attach_causal(&mut self, rec: crate::causal::CausalRecorder) {
         self.core.causal = rec;
-    }
-
-    /// The telemetry handle (disabled unless [`Sim::attach_obs`] was called).
-    pub fn obs(&self) -> &rose_obs::Obs {
-        &self.core.obs
     }
 
     /// Registers a workload client.
@@ -105,7 +91,9 @@ impl<A: Application> Sim<A> {
         &self.core
     }
 
-    /// Mutable kernel state.
+    /// Mutable kernel state. Driven by `tests/sim_behaviour.rs` and the root
+    /// `tests/alloc_budget.rs`, which issue syscalls on a hand-built
+    /// `NodeCtx` and switch restarts off mid-run.
     pub fn core_mut(&mut self) -> &mut SimCore<A::Msg> {
         &mut self.core
     }
@@ -165,6 +153,11 @@ impl<A: Application> Sim<A> {
     pub fn run_until(&mut self, until: SimTime) {
         assert!(self.started, "Sim::run_until before Sim::start");
         while let Some((at, item)) = self.core.pop_due(until) {
+            debug_assert!(
+                at >= self.core.now,
+                "virtual time ran backwards: an item due at {at} popped at {}",
+                self.core.now,
+            );
             self.core.now = at;
             self.core.events_executed += 1;
             self.handle(item);
@@ -173,7 +166,11 @@ impl<A: Application> Sim<A> {
         if self.core.now < until {
             self.core.now = until;
         }
-        self.core.flush_obs();
+        debug_assert!(
+            !self.core.net.has_overdue_rule(self.core.now),
+            "a drop rule outlived its heal, due by {}",
+            self.core.now,
+        );
     }
 
     /// Runs the event loop for a span of virtual time.
@@ -182,8 +179,12 @@ impl<A: Application> Sim<A> {
         self.run_until(t);
     }
 
-    // --- Manual fault injection (used by the Jepsen-style nemesis and
-    // tests; the Rose executor injects through hooks instead) -------------
+    // --- Manual fault injection. The Rose executor injects through hooks
+    // instead; `inject_crash`, `inject_isolation` and `inject_partition`
+    // are driven by the scenario suites only — `tests/sim_behaviour.rs` and
+    // `tests/proptests.rs` here, rose-trace's `tests/tracer_behaviour.rs`,
+    // rose-apps' `tests/{redisraft,small_systems}_bugs.rs` and the root
+    // `tests/{trace_pipeline,exec_fingerprint}.rs` ------------------------
 
     /// Crashes a node immediately (between events — coarse, like `kill -9`
     /// from a shell rather than `bpf_send_signal` at a probe point).
@@ -193,24 +194,15 @@ impl<A: Application> Sim<A> {
 
     /// Pauses a node for `d` (SIGSTOP/SIGCONT pair).
     pub fn inject_pause(&mut self, node: NodeId, d: SimDuration) {
-        if let Some(pid) = self.core.procs.main_pid(node) {
-            self.core.procs.pause(pid, self.core.now);
-            self.core.causal.pause(node, self.core.now);
-            self.core
-                .notify_proc_event(ProcEvent::PauseStart { node, pid });
-            self.core.schedule_in(d, Item::Resume(node, pid));
-        }
+        self.core.pause_node(node, d);
     }
 
     /// Isolates a node from all peers, healing after `heal_after` if given.
     pub fn inject_isolation(&mut self, node: NodeId, heal_after: Option<SimDuration>) {
-        let peers: Vec<_> = self.core.node_ids().map(|n| n.ip()).collect();
-        let ids = self.core.net.isolate(node.ip(), peers);
-        if let Some(d) = heal_after {
-            for id in ids {
-                self.core.schedule_in(d, Item::Heal(id));
-            }
-        }
+        self.core.apply_net_cmds(vec![NetCmd::Isolate {
+            ip: node.ip(),
+            heal_after,
+        }]);
     }
 
     /// Partitions the cluster into two groups (bidirectional drops between
@@ -221,22 +213,18 @@ impl<A: Application> Sim<A> {
         group_b: &[NodeId],
         heal_after: Option<SimDuration>,
     ) {
+        let mut cmds = Vec::new();
         for a in group_a {
             for b in group_b {
-                let r1 = self.core.net.install(DropRule {
-                    src: a.ip(),
-                    dst: b.ip(),
-                });
-                let r2 = self.core.net.install(DropRule {
-                    src: b.ip(),
-                    dst: a.ip(),
-                });
-                if let Some(d) = heal_after {
-                    self.core.schedule_in(d, Item::Heal(r1));
-                    self.core.schedule_in(d, Item::Heal(r2));
+                for (src, dst) in [(a.ip(), b.ip()), (b.ip(), a.ip())] {
+                    cmds.push(NetCmd::Install {
+                        rule: DropRule { src, dst },
+                        heal_after,
+                    });
                 }
             }
         }
+        self.core.apply_net_cmds(cmds);
     }
 
     // --- Event handling ---------------------------------------------------
@@ -266,7 +254,7 @@ impl<A: Application> Sim<A> {
                             .push(Buffered::Timer { tag });
                         return;
                     }
-                    self.dispatch_node(n, |app, ctx| app.on_timer(ctx, tag));
+                    self.fire_timer(n, tag);
                 }
                 Endpoint::Client(c) => {
                     self.dispatch_client(c, |cl, ctx| cl.on_timer(ctx, tag));
@@ -292,7 +280,6 @@ impl<A: Application> Sim<A> {
             Some(old_pid) => {
                 self.core.generations[n.0 as usize] += 1;
                 self.core.stats.restarts += 1;
-                self.core.obs.counter_inc("sim.restarts");
                 self.core.causal.restart(n, self.core.now);
                 self.core.notify_proc_event(ProcEvent::Restarted {
                     node: n,
@@ -353,6 +340,20 @@ impl<A: Application> Sim<A> {
         }
     }
 
+    /// A message or a timer is about to reach `n`'s application: its
+    /// process must be up and not stopped.
+    fn debug_assert_runnable(&self, n: NodeId) {
+        debug_assert!(
+            self.core.procs.main_pid(n).is_some() && !self.core.procs.is_paused(n),
+            "an event reached {n}, whose process is paused or has exited",
+        );
+    }
+
+    fn fire_timer(&mut self, n: NodeId, tag: u64) {
+        self.debug_assert_runnable(n);
+        self.dispatch_node(n, |app, ctx| app.on_timer(ctx, tag));
+    }
+
     /// Performs the implicit `recv` and invokes the application callback.
     fn deliver_to_node(
         &mut self,
@@ -361,6 +362,7 @@ impl<A: Application> Sim<A> {
         msg: A::Msg,
         cause: Option<rose_events::CauseId>,
     ) {
+        self.debug_assert_runnable(n);
         if let (Some(c), Endpoint::Node(m)) = (cause, from) {
             self.core.causal.recv(n, m, c, self.core.now);
         }
@@ -406,15 +408,21 @@ impl<A: Application> Sim<A> {
             Buffered::Timer { tag } => seen_tags.insert(*tag),
             Buffered::Msg { .. } => true,
         });
-        for item in buffered {
+        let mut buffered = buffered.into_iter();
+        while let Some(item) = buffered.next() {
             if self.apps[n.0 as usize].is_none() {
+                break;
+            }
+            if self.core.procs.is_paused(n) {
+                // A callback of this flush stopped the process again: what
+                // it has not serviced waits for the next SIGCONT.
+                let rest = std::iter::once(item).chain(buffered);
+                self.core.paused_buf.entry(n).or_default().extend(rest);
                 break;
             }
             match item {
                 Buffered::Msg { from, msg, cause } => self.deliver_to_node(n, from, msg, cause),
-                Buffered::Timer { tag } => {
-                    self.dispatch_node(n, |app, ctx| app.on_timer(ctx, tag));
-                }
+                Buffered::Timer { tag } => self.fire_timer(n, tag),
             }
             self.drain_pending_signals();
         }
@@ -506,7 +514,6 @@ impl<A: Application> Sim<A> {
         self.core.procs.exit(pid);
         self.core.reap(node, pid);
         self.core.stats.crashes += 1;
-        self.core.obs.counter_inc("sim.crashes");
         self.core.causal.crash(node, aborted, self.core.now);
         self.core.last_pid[node.0 as usize] = Some(pid);
         self.core.paused_buf.remove(&node);
@@ -527,13 +534,8 @@ impl<A: Application> Sim<A> {
     }
 
     fn drain_pending_signals(&mut self) {
-        while let Some((node, kind)) = self.core.pending_signals.pop() {
-            match kind {
-                SignalKind::Crash => {
-                    self.handle_crash(node, "killed at probe point (injected fault)".into(), false)
-                }
-                SignalKind::Pause(d) => self.inject_pause(node, d),
-            }
+        while let Some(node) = self.core.pending_crashes.pop() {
+            self.handle_crash(node, "killed at probe point (injected fault)".into(), false);
         }
     }
 }

@@ -39,11 +39,6 @@ impl Logs {
         self.lines.iter().any(|l| l.line.contains(needle))
     }
 
-    /// Lines of one node.
-    pub fn of_node(&self, node: NodeId) -> impl Iterator<Item = &LogLine> {
-        self.lines.iter().filter(move |l| l.node == node)
-    }
-
     /// Number of lines.
     pub fn len(&self) -> usize {
         self.lines.len()
@@ -203,7 +198,6 @@ mod tests {
         );
         assert!(logs.grep("snapshot index mismatch"));
         assert!(!logs.grep("unrelated"));
-        assert_eq!(logs.of_node(NodeId(1)).count(), 1);
     }
 
     #[test]

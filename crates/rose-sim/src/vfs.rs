@@ -88,6 +88,11 @@ impl Vfs {
         self.open.retain(|o| o.pid != pid);
     }
 
+    /// The owner of every open descriptor.
+    pub(crate) fn descriptor_owners(&self) -> impl Iterator<Item = Pid> + '_ {
+        self.open.iter().map(|o| o.pid)
+    }
+
     /// Where `pid`'s descriptor `fd` sits in the table. The newest
     /// descriptors are the busiest, so the scan starts from the back.
     fn slot(&self, pid: Pid, fd: Fd) -> Result<usize, Errno> {

@@ -11,6 +11,7 @@ use rose_sim::{
 /// request.
 #[derive(Default)]
 struct PingApp {
+    msgs_seen: u32,
     pings_seen: u32,
     counter: u64,
 }
@@ -51,6 +52,7 @@ impl Application for PingApp {
     }
 
     fn on_message(&mut self, ctx: &mut NodeCtx<'_, Msg>, from: NodeId, msg: Msg) {
+        self.msgs_seen += 1;
         if let Msg::Ping = msg {
             self.pings_seen += 1;
             let _ = ctx.send(from, Msg::Pong);
@@ -89,6 +91,8 @@ struct SpyHook {
     openat_seen: u32,
     /// Crash the process at entry of this function.
     crash_in: Option<String>,
+    /// Stop this node for this long at its next `recv`, once.
+    pause_at_next_recv: Option<(NodeId, SimDuration)>,
     /// Order- and timing-sensitive digest of all probe firings.
     fingerprint: u64,
 }
@@ -105,6 +109,15 @@ impl KernelHook for SpyHook {
             .wrapping_mul(31)
             .wrapping_add(env.now.as_micros())
             .wrapping_add(env.pid.0 as u64);
+        if args.call == SyscallId::Recv
+            && self.pause_at_next_recv.is_some_and(|(n, _)| n == env.node)
+        {
+            let (_, d) = self.pause_at_next_recv.take().unwrap();
+            fx.set_signal(SignalReq {
+                target: SignalTarget::Current,
+                kind: SignalKind::Pause(d),
+            });
+        }
         if args.call == SyscallId::Openat {
             self.openat_seen += 1;
             if Some(self.openat_seen) == self.fail_openat_at {
@@ -301,6 +314,25 @@ fn pause_buffers_messages_and_resumes() {
 }
 
 #[test]
+fn a_pause_during_the_resume_flush_holds_back_the_rest_of_the_buffer() {
+    let mut sim = make_sim(5);
+    sim.start();
+    sim.run_for(SimDuration::from_secs(1));
+    sim.inject_pause(NodeId(1), SimDuration::from_secs(2));
+    // The first `recv` after SIGCONT stops the process again, for 3 s.
+    sim.hook_mut::<SpyHook>().unwrap().pause_at_next_recv =
+        Some((NodeId(1), SimDuration::from_secs(3)));
+    sim.run_for(SimDuration::from_millis(1_900));
+    let before = sim.app(NodeId(1)).unwrap().msgs_seen;
+    sim.run_for(SimDuration::from_millis(600));
+    // The callback in flight ran to its end; the rest of what the first
+    // pause buffered waits for the second SIGCONT with what came since.
+    assert_eq!(sim.app(NodeId(1)).unwrap().msgs_seen, before + 1);
+    sim.run_for(SimDuration::from_secs(3));
+    assert!(sim.app(NodeId(1)).unwrap().msgs_seen > before + 40);
+}
+
+#[test]
 fn partition_blocks_traffic_and_heals() {
     let mut sim = make_sim(6);
     sim.start();
@@ -403,7 +435,11 @@ fn app_panic_is_logged_and_crashes_node() {
             ctx.panic("assert idx == snapshot.idx failed");
         }
     }
-    let mut sim: Sim<Bomb> = Sim::new(SimConfig::new(1, 1).without_restart(), |_| Bomb);
+    let cfg = SimConfig {
+        auto_restart: false,
+        ..SimConfig::new(1, 1)
+    };
+    let mut sim: Sim<Bomb> = Sim::new(cfg, |_| Bomb);
     sim.start();
     sim.run_for(SimDuration::from_secs(1));
     assert!(sim

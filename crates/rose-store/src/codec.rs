@@ -398,13 +398,6 @@ pub(crate) fn bounded_count(
     Ok(count as usize)
 }
 
-/// Decodes one frame payload back into events.
-pub fn decode_frame(payload: &[u8]) -> Result<Vec<Event>, StoreError> {
-    let mut events = Vec::new();
-    decode_frame_into(payload, &mut events)?;
-    Ok(events)
-}
-
 /// Decodes one frame payload onto the end of `out` and returns how many
 /// events that was. On an error `out` is as it was found.
 pub fn decode_frame_into(payload: &[u8], out: &mut Vec<Event>) -> Result<usize, StoreError> {
@@ -588,6 +581,12 @@ fn decode_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode_frame(payload: &[u8]) -> Result<Vec<Event>, StoreError> {
+        let mut events = Vec::new();
+        decode_frame_into(payload, &mut events)?;
+        Ok(events)
+    }
 
     #[test]
     fn varint_round_trips_boundaries() {

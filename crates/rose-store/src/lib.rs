@@ -30,26 +30,8 @@ pub mod writer;
 pub use codec::{FrameInfo, MAGIC, VERSION};
 pub use error::StoreError;
 pub use merge::{merge_readers, MergeStats};
-pub use reader::{load_trace, ReadStats, TraceReader};
+pub use reader::{load_trace, TraceReader};
 pub use visited::{load_visited, save_visited, VISITED_MAGIC, VISITED_VERSION};
 pub use writer::{
     encoded_trace_bytes, save_trace, FrameMeta, TraceWriter, WriteSummary, DEFAULT_FRAME_CAPACITY,
 };
-
-/// Publishes codec I/O totals to a [`rose_obs::Obs`] handle under the
-/// `store.*` counter namespace (a disabled handle makes this a no-op).
-pub fn publish_obs(obs: &rose_obs::Obs, written: Option<WriteSummary>, read: Option<ReadStats>) {
-    if !obs.is_active() {
-        return;
-    }
-    if let Some(w) = written {
-        obs.counter_add("store.bytes_written", w.bytes_written);
-        obs.counter_add("store.frames_written", w.frames as u64);
-        obs.counter_add("store.events_written", w.events);
-    }
-    if let Some(r) = read {
-        obs.counter_add("store.bytes_read", r.bytes_read);
-        obs.counter_add("store.frames_read", r.frames_read);
-        obs.counter_add("store.events_read", r.events_read);
-    }
-}

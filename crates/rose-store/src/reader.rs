@@ -19,17 +19,6 @@ use crate::codec::{
 use crate::error::StoreError;
 use crate::writer::FrameMeta;
 
-/// Cumulative decode counters, published to rose-obs by the tracer layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadStats {
-    /// Frame payload bytes read and CRC-checked.
-    pub bytes_read: u64,
-    /// Frames decoded.
-    pub frames_read: u64,
-    /// Events decoded.
-    pub events_read: u64,
-}
-
 /// Random-access reader over one `.rosetrace` file (or any `Read + Seek`
 /// source, e.g. an in-memory buffer in tests).
 #[derive(Debug)]
@@ -39,7 +28,6 @@ pub struct TraceReader<R: Read + Seek> {
     /// `Some` when the file had an index (the writer recorded whether all
     /// appends kept `(ts, node)` order); `None` for scanned files.
     sorted: Option<bool>,
-    stats: ReadStats,
     /// The payload of the frame being decoded, reused from frame to frame.
     payload: Vec<u8>,
 }
@@ -72,7 +60,6 @@ impl<R: Read + Seek> TraceReader<R> {
                 src,
                 metas,
                 sorted: Some(sorted),
-                stats: ReadStats::default(),
                 payload: Vec::new(),
             });
         }
@@ -113,7 +100,6 @@ impl<R: Read + Seek> TraceReader<R> {
             src,
             metas,
             sorted: None,
-            stats: ReadStats::default(),
             payload,
         })
     }
@@ -138,11 +124,6 @@ impl<R: Read + Seek> TraceReader<R> {
     /// scanned (order unknown without decoding).
     pub fn is_sorted(&self) -> Option<bool> {
         self.sorted
-    }
-
-    /// Cumulative decode counters.
-    pub fn stats(&self) -> ReadStats {
-        self.stats
     }
 
     /// Reads and decodes frame `i`, verifying its CRC.
@@ -175,11 +156,7 @@ impl<R: Read + Seek> TraceReader<R> {
         if crc32(&self.payload) != u32::from_le_bytes(crc_buf) {
             return Err(StoreError::BadCrc { frame: i });
         }
-        let events = decode_frame_into(&self.payload, out)?;
-        self.stats.bytes_read += self.payload.len() as u64;
-        self.stats.frames_read += 1;
-        self.stats.events_read += events as u64;
-        Ok(events)
+        decode_frame_into(&self.payload, out)
     }
 
     /// Decodes every frame in file order.
@@ -193,7 +170,9 @@ impl<R: Read + Seek> TraceReader<R> {
     }
 
     /// Events with `lo <= ts <= hi`, decoding only frames whose timestamp
-    /// range intersects the query.
+    /// range intersects the query. Driven, like [`Self::read_node`], by the
+    /// root `tests/store_corruption.rs` (every damaged file through every
+    /// read path) and `tests/codec_proptests.rs`.
     pub fn read_range(&mut self, lo: SimTime, hi: SimTime) -> Result<Vec<Event>, StoreError> {
         let (mut out, mut frame) = (Vec::new(), Vec::new());
         for i in 0..self.frame_count() {

@@ -7,7 +7,6 @@ use rose_events::{
     Event, EventKind, ExecutionIndex, IpAddr, NodeId, Pid, ProcState, SimDuration, SimTime,
     SlidingWindow, SyscallId, Trace,
 };
-use rose_obs::Obs;
 use rose_sim::{
     ChainId, HookEffects, HookEnv, KernelHook, ProcEvent, ProcTable, RunState, SyscallArgs,
 };
@@ -68,16 +67,6 @@ pub struct TracerReport {
     pub peak_bytes: usize,
     /// Simulated time to post-process the last dump (`Time` column), µs.
     pub processing_us: u64,
-}
-
-impl TracerReport {
-    /// Publishes the report's counters into a telemetry registry.
-    pub fn publish_obs(&self, obs: &Obs) {
-        obs.counter_add("tracer.events_matched", self.events_matched);
-        obs.gauge_set("tracer.events_saved", self.events_saved as f64);
-        obs.gauge_set("tracer.peak_bytes", self.peak_bytes as f64);
-        obs.observe("tracer.processing_us", self.processing_us);
-    }
 }
 
 /// The Rose tracer (and its Full / IO-content baseline variants).
@@ -153,13 +142,6 @@ impl Tracer {
             peak_bytes: self.window.peak_bytes(),
             processing_us: self.last_processing_us,
         }
-    }
-
-    /// Publishes the current counters (plus the total CPU time charged)
-    /// into a telemetry registry.
-    pub fn publish_obs(&self, obs: &Obs) {
-        self.report().publish_obs(obs);
-        obs.counter_add("tracer.charged_us", self.total_charged.as_micros());
     }
 
     /// The `dump` primitive: flushes in-progress pauses and silent

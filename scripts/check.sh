@@ -18,22 +18,26 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor map, sizing by serialising, criterion or ROSE_* twin of a flag; rose-trace does not link rose-store"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor map, sizing by serialising, write-only metric, criterion or ROSE_* twin of a flag; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
     || grep -rn "fd_paths" crates/*/src \
     || grep -rnE "\.to_json\(\)\.len\(\)" crates/*/src \
+    || grep -rnE "gauge_set|MetricsSnapshot|merge_snapshot|obs\.observe\(|flush_obs" crates/*/src \
     || grep -n "criterion" Cargo.toml Cargo.lock crates/*/Cargo.toml third_party/*/Cargo.toml \
         bench/Cargo.toml bench/Cargo.lock \
     || grep -rnE "ROSE_(JOBS|REPORT|TRACE_DIR|CAUSAL)|env::var" \
         crates/rose-bench/src README.md DESIGN.md .claude/skills/verify/SKILL.md \
-    || cargo tree -p rose-trace | grep rose-store; then
+    || cargo tree -p rose-trace | grep rose-store \
+    || cargo tree -p rose-sim -p rose-store -p rose-trace | grep rose-obs; then
     echo "FAIL: as_any impls are gone (trait upcasting), Level 2.5 is the only search," \
         ".rosetrace the only trace file, descriptor -> path is the kernel's" \
         "(SyscallArgs::fd_path), a dump is sized by Trace::json_len," \
+        "a number nobody reads is not published (Obs holds counters only)," \
         "bench/run.sh is the one wall-clock instrument," \
-        "a flag is the only spelling of a harness input; the tracer stays free of the store"
+        "a flag is the only spelling of a harness input; the tracer stays free of the store," \
+        "and telemetry is the workflow layers' concern (no rose-obs under rose-sim, rose-store, rose-trace)"
     exit 1
 fi
 

@@ -19,7 +19,7 @@
 //! | [`analyze`] | `rose-analyze` | trace diff and the Level 1–3 diagnosis search |
 //! | [`core`] | `rose-core` | the `Rose` workflow: profile → trace → diagnose → reproduce |
 //! | [`store`] | `rose-store` | `.rosetrace` binary persistence, streaming merge, hunt visited set |
-//! | [`obs`] | `rose-obs` | campaign telemetry: spans/metrics, JSONL reports, Chrome traces |
+//! | [`obs`] | `rose-obs` | campaign telemetry: spans, records, counters; JSONL reports, Chrome traces |
 //! | [`apps`] | `rose-apps` | the eight target systems and the 20-bug registry |
 //! | [`jepsen`] | `rose-jepsen` | randomized nemesis and the Elle-style history checker |
 //! | [`hunt`] | `rose-hunt` | oracle-only co-evolving fault-space exploration |
