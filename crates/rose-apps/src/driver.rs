@@ -1,14 +1,14 @@
 //! The end-to-end case driver: profile → capture a buggy trace → diagnose →
 //! reproduce, for each bug in the registry.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use rose_analyze::DiagnosisReport;
 use rose_core::{Rose, RoseConfig, TargetSystem};
 use rose_events::SimDuration;
 use rose_inject::{Executor, FaultSchedule};
 use rose_jepsen::{Nemesis, NemesisConfig};
-use rose_obs::{CampaignSummary, ChromeTrace, Obs, PhaseRecord};
+use rose_obs::{CampaignSummary, Obs, PhaseRecord};
 use rose_profile::Profile;
 use rose_sim::KernelHook;
 use serde::{Deserialize, Serialize};
@@ -74,34 +74,27 @@ pub struct DriverOptions {
     /// dump horizon), the driver re-captures under fresh seeds and
     /// re-diagnoses, like an operator would grab another production trace.
     pub max_diagnosis_rounds: u32,
-    /// After diagnosis, run one confirmation replay of the winning schedule
-    /// and emit a reproduction phase record.
-    pub verify_reproduction: bool,
-    /// Directory to write a Chrome `trace_event` export of each captured
-    /// buggy trace (plus the campaign phase track) into, as
-    /// `<bug>.trace.json`. `None` disables the export.
-    pub chrome_trace_dir: Option<PathBuf>,
     /// Worker threads for the case's parallel execution engine:
     /// confirmation replays fan out across a pool of this size, and the
     /// diagnosis search speculates the same number of schedules per batch.
     /// Tables, reports, and JSONL records are bit-identical for every
     /// value — purely a wall-clock knob. 0 or missing = sequential.
     pub jobs: usize,
-    /// Directory to persist each captured buggy trace into as
-    /// `<bug>.rosetrace` (compact binary codec). When set, diagnosis runs
-    /// from the reloaded binary trace — exercising the store round trip end
-    /// to end — and produces byte-identical reports either way. `None`
-    /// disables persistence.
+    /// Directory to save each captured buggy trace into as
+    /// `<label>.rosetrace` (compact binary codec). The file is an output
+    /// only: diagnosis reads the trace it captured, in memory. `None`
+    /// saves nothing.
     pub trace_dir: Option<PathBuf>,
-    /// File stem for the persisted trace files; [`run_workflow`] fills it
-    /// from the bug name when unset (direct `capture_and_diagnose` callers
-    /// fall back to `"capture"`).
+    /// File stem of every file the campaign writes; [`run_workflow`] fills
+    /// it from the bug name when unset (direct `capture_and_diagnose`
+    /// callers fall back to `"capture"`).
     pub trace_label: Option<String>,
-    /// Directory to write causal-provenance artifacts into: enables
-    /// [`RoseConfig::causal`] so testing runs record happens-before logs,
-    /// and renders the winning schedule's propagation chains as
-    /// `<bug>.flow.json` (Perfetto flow arrows across node tracks) and
-    /// `<bug>.dot` (Graphviz). `None` disables provenance collection.
+    /// Directory to write causal-provenance artifacts into: the returned
+    /// report's propagation chains as `<label>.flow.json` (Perfetto flow
+    /// arrows across node tracks) and `<label>.dot` (Graphviz).
+    /// [`run_workflow`] also enables [`RoseConfig::causal`] so testing runs
+    /// record happens-before logs; other callers set it themselves. `None`
+    /// writes nothing.
     pub causal_dir: Option<PathBuf>,
 }
 
@@ -111,8 +104,6 @@ impl Default for DriverOptions {
             capture_seed: 777,
             max_capture_attempts: 400,
             max_diagnosis_rounds: 4,
-            verify_reproduction: false,
-            chrome_trace_dir: None,
             jobs: 1,
             trace_dir: None,
             trace_label: None,
@@ -157,67 +148,18 @@ pub fn run_workflow<S: TargetSystem>(
     let obs = Obs::new();
     rose.attach_obs(obs.clone());
     let profile = rose.profile();
-    // Persisted trace files are named after the bug unless the caller chose
-    // a label; the sanitized stem matches the Chrome export's.
+    // Every file the case writes is named after the bug unless the caller
+    // chose a label.
     let mut opts = opts.clone();
-    if opts.trace_dir.is_some() && opts.trace_label.is_none() {
-        opts.trace_label = Some(id.file_stem());
-    }
-    let opts = &opts;
-    let (capture_result, report, attempts) = capture_and_diagnose(&rose, &profile, &capture, opts);
-    let outcome = match capture_result {
-        Some(cap) => {
-            let trace_events = cap.trace.len();
-            let report = report.expect("diagnosis ran");
-            let mut confirmation = None;
-            if opts.verify_reproduction {
-                if let Some(schedule) = &report.schedule {
-                    // A deterministic confirmation seed distinct from both
-                    // the capture and diagnosis seed sequences.
-                    let seed = opts.capture_seed.wrapping_mul(7919).wrapping_add(17);
-                    confirmation = Some(rose.confirm_reproduction(&profile, schedule, seed));
-                }
-            }
-            if let Some(dir) = &opts.chrome_trace_dir {
-                export_chrome_trace(id, &rose, &profile, &cap.trace, None, dir, "trace");
-                // The confirmation replay gets its own export, with the
-                // injection lane populated from executor feedback — loading
-                // it next to the capture makes the schedule diff visual.
-                if let (Some(run), Some(schedule)) = (&confirmation, &report.schedule) {
-                    export_chrome_trace(
-                        id,
-                        &rose,
-                        &profile,
-                        &run.trace,
-                        Some((&run.feedback, schedule)),
-                        dir,
-                        "repro.trace",
-                    );
-                }
-            }
-            if let Some(dir) = &opts.causal_dir {
-                let stem = opts.trace_label.clone().unwrap_or_else(|| id.file_stem());
-                // Best effort, like the Chrome export: a campaign is not
-                // lost over an unwritable artifact directory.
-                let _ = rose_obs::causal::save_chains(dir, &stem, &report.propagation);
-            }
-            CaseOutcome {
-                id,
-                captured: true,
-                capture_attempts: attempts,
-                trace_events,
-                report: Some(report),
-                obs: obs.clone(),
-            }
-        }
-        None => CaseOutcome {
-            id,
-            captured: false,
-            capture_attempts: attempts,
-            trace_events: 0,
-            report: None,
-            obs: obs.clone(),
-        },
+    opts.trace_label.get_or_insert_with(|| id.file_stem());
+    let (capture_result, report, attempts) = capture_and_diagnose(&rose, &profile, &capture, &opts);
+    let outcome = CaseOutcome {
+        id,
+        captured: capture_result.is_some(),
+        capture_attempts: attempts,
+        trace_events: capture_result.map_or(0, |cap| cap.trace.len()),
+        report,
+        obs: obs.clone(),
     };
     let info = id.info();
     obs.record(PhaseRecord::Campaign(CampaignSummary {
@@ -239,6 +181,12 @@ pub fn run_workflow<S: TargetSystem>(
 /// mid-fault, durations inflated to the dump horizon). Run/schedule/time
 /// accounting from failed rounds is carried into the final report. Returns
 /// the last capture, its diagnosis, and the total capture attempts.
+///
+/// Diagnosis always reads the trace it captured. The files `opts` asks for
+/// are outputs only, named `<label>.*` after `opts.trace_label`: each
+/// round's trace under `trace_dir`, and the returned report's propagation
+/// chains under `causal_dir`. A file that cannot be written is a warning on
+/// stderr, never a lost campaign.
 pub fn capture_and_diagnose<S: TargetSystem>(
     rose: &Rose<S>,
     profile: &Profile,
@@ -249,6 +197,7 @@ pub fn capture_and_diagnose<S: TargetSystem>(
     Option<DiagnosisReport>,
     u32,
 ) {
+    let label = opts.trace_label.as_deref().unwrap_or("capture");
     let mut local = opts.clone();
     let mut attempts = 0u32;
     let mut spent_runs = 0usize;
@@ -260,10 +209,14 @@ pub fn capture_and_diagnose<S: TargetSystem>(
         let Some(cap) = capture_result else {
             return (None, None, attempts);
         };
-        let mut report = match &local.trace_dir {
-            Some(dir) => diagnose_via_store(rose, profile, &cap.trace, dir, &local),
-            None => rose.reproduce(profile, &cap.trace),
-        };
+        if let Some(dir) = &opts.trace_dir {
+            let saved = (|| {
+                std::fs::create_dir_all(dir)?;
+                rose_store::save_trace(dir.join(format!("{label}.rosetrace")), &cap.trace)
+            })();
+            warn_unwritten("trace", label, dir, saved);
+        }
+        let mut report = rose.reproduce(profile, &cap.trace);
         let rounds_left = local.max_diagnosis_rounds.saturating_sub(1);
         let attempts_left = opts.max_capture_attempts.saturating_sub(attempts);
         if !report.reproduced && rounds_left > 0 && attempts_left > 0 {
@@ -280,57 +233,26 @@ pub fn capture_and_diagnose<S: TargetSystem>(
         report.runs += spent_runs;
         report.schedules_generated += spent_schedules;
         report.total_time += spent_time;
+        if let Some(dir) = &opts.causal_dir {
+            let saved = rose_obs::causal::save_chains(dir, label, &report.propagation);
+            warn_unwritten("causal chains", label, dir, saved);
+        }
         return (Some(cap), Some(report), attempts);
     }
 }
 
-/// Persists the captured trace under `opts.trace_dir` as `<label>.rosetrace`
-/// in the binary codec, then diagnoses from the **reloaded** binary trace,
-/// exercising the store round trip end to end. The codec preserves event
-/// order exactly, so the report is byte-identical to an in-memory diagnosis;
-/// on any I/O error the driver warns on stderr and falls back to the
-/// in-memory path rather than losing the campaign.
-fn diagnose_via_store<S: TargetSystem>(
-    rose: &Rose<S>,
-    profile: &Profile,
-    trace: &rose_events::Trace,
-    dir: &std::path::Path,
-    opts: &DriverOptions,
-) -> DiagnosisReport {
-    let label = opts.trace_label.as_deref().unwrap_or("capture");
-    let persisted = (|| -> Result<DiagnosisReport, rose_store::StoreError> {
-        std::fs::create_dir_all(dir)?;
-        let bin_path = dir.join(format!("{label}.rosetrace"));
-        rose.persist_trace(trace, &bin_path)?;
-        rose.reproduce_from_store(profile, &bin_path)
-    })();
-    persisted.unwrap_or_else(|e| {
-        eprintln!("warning: trace store persistence failed ({e}); diagnosing in memory");
-        rose.reproduce(profile, trace)
-    })
-}
-
-/// Writes `<dir>/<bug>.<suffix>.json`: a trace rendered onto per-node
-/// Chrome-trace tracks plus the campaign phase track, with the injection
-/// lane populated from executor feedback when available.
-fn export_chrome_trace<S: TargetSystem>(
-    id: BugId,
-    rose: &Rose<S>,
-    profile: &Profile,
-    trace: &rose_events::Trace,
-    injections: Option<(&rose_inject::ExecutionFeedback, &FaultSchedule)>,
-    dir: &std::path::Path,
-    suffix: &str,
+/// Reports a campaign file that could not be written.
+fn warn_unwritten<T, E: std::fmt::Display>(
+    what: &str,
+    label: &str,
+    dir: &Path,
+    saved: Result<T, E>,
 ) {
-    let functions = rose.function_names(profile);
-    let mut chrome = ChromeTrace::from_trace(trace, &functions);
-    if let Some((feedback, schedule)) = injections {
-        feedback.export_chrome(&mut chrome, schedule);
-    }
-    chrome.add_phase_track(rose.obs());
-    let name = id.file_stem();
-    if std::fs::create_dir_all(dir).is_ok() {
-        let _ = chrome.save(dir.join(format!("{name}.{suffix}.json")));
+    if let Err(e) = saved {
+        eprintln!(
+            "warning: could not write {what} {label} to {}: {e}",
+            dir.display()
+        );
     }
 }
 

@@ -116,8 +116,8 @@ impl BugId {
             .collect()
     }
 
-    /// The file stem of the bug's persisted artifacts (Chrome exports,
-    /// trace-store files, causal exports, visited sets): see [`file_stem`].
+    /// The file stem of the bug's persisted artifacts (trace-store files,
+    /// causal exports, visited sets): see [`file_stem`].
     pub fn file_stem(self) -> String {
         file_stem(self.info().name)
     }

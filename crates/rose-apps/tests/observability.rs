@@ -1,34 +1,24 @@
 //! End-to-end telemetry: one full workflow run with reporting enabled must
-//! yield one structured record per phase plus a campaign summary, a
+//! yield one structured record per phase plus a campaign summary, and a
 //! serde-round-trippable JSONL report that is byte-identical across
-//! identical-seed reruns, and a schema-valid Chrome trace export.
+//! identical-seed reruns; a confirmation replay adds the reproduction
+//! record.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use rose_apps::driver::{run_case, DriverOptions};
+use rose_apps::kafka::KafkaCase;
 use rose_apps::registry::BugId;
-use rose_core::RoseConfig;
-use rose_obs::{ChromeTrace, PhaseRecord, RunReport};
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rose-obs-it-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn opts(trace_dir: Option<PathBuf>) -> DriverOptions {
-    DriverOptions {
-        verify_reproduction: true,
-        chrome_trace_dir: trace_dir,
-        ..DriverOptions::default()
-    }
-}
+use rose_core::{Rose, RoseConfig};
+use rose_obs::{Obs, PhaseRecord, RunReport};
 
 #[test]
 fn full_workflow_emits_one_record_per_phase_and_a_campaign_summary() {
-    let out = run_case(BugId::Kafka12508, RoseConfig::default(), &opts(None));
+    let out = run_case(
+        BugId::Kafka12508,
+        RoseConfig::default(),
+        &DriverOptions::default(),
+    );
     assert!(
         out.captured,
         "Kafka-12508 capture is scripted and must succeed"
@@ -39,19 +29,16 @@ fn full_workflow_emits_one_record_per_phase_and_a_campaign_summary() {
     for r in &records {
         *by_phase.entry(r.phase()).or_default() += 1;
     }
-    for phase in [
-        "profiling",
-        "tracing",
-        "diagnosis",
-        "reproduction",
-        "campaign",
-    ] {
-        assert_eq!(
-            by_phase.get(phase).copied().unwrap_or(0),
-            1,
-            "expected exactly one {phase} record, got {by_phase:?}"
-        );
-    }
+    assert_eq!(
+        by_phase,
+        BTreeMap::from([
+            ("campaign", 1),
+            ("diagnosis", 1),
+            ("profiling", 1),
+            ("tracing", 1)
+        ]),
+        "expected exactly one record per phase"
+    );
     // The campaign summary is last and counts the phase records before it.
     match records.last().unwrap() {
         PhaseRecord::Campaign(c) => {
@@ -68,7 +55,7 @@ fn full_workflow_emits_one_record_per_phase_and_a_campaign_summary() {
     // Phase spans cover the same campaign clock, in workflow order.
     let spans = out.obs.phases();
     let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(names, ["profiling", "tracing", "diagnosis", "reproduction"]);
+    assert_eq!(names, ["profiling", "tracing", "diagnosis"]);
     for s in &spans {
         assert!(s.end.is_some(), "span {} left open", s.name);
     }
@@ -84,9 +71,39 @@ fn full_workflow_emits_one_record_per_phase_and_a_campaign_summary() {
 }
 
 #[test]
+fn a_confirmation_replay_appends_the_reproduction_record() {
+    let out = run_case(
+        BugId::Kafka12508,
+        RoseConfig::default(),
+        &DriverOptions::default(),
+    );
+    let schedule = out
+        .report
+        .and_then(|r| r.schedule)
+        .expect("Kafka-12508 diagnoses to a schedule");
+
+    let mut rose = Rose::new(KafkaCase);
+    let obs = Obs::new();
+    rose.attach_obs(obs.clone());
+    let profile = rose.profile();
+    let run = rose.confirm_reproduction(&profile, &schedule, 1);
+
+    let records = obs.records();
+    let [PhaseRecord::Profiling(_), PhaseRecord::Reproduction(repro)] = records.as_slice() else {
+        panic!("expected a profiling then a reproduction record, got {records:?}");
+    };
+    assert_eq!(repro.schedule_faults, schedule.len());
+    assert_eq!(repro.injections, run.feedback.injected.len());
+    assert_eq!(repro.oracle_bug, run.bug);
+    let names: Vec<String> = obs.phases().into_iter().map(|s| s.name).collect();
+    assert_eq!(names, ["profiling", "reproduction"]);
+}
+
+#[test]
 fn jsonl_report_round_trips_and_is_deterministic_across_reruns() {
-    let a = run_case(BugId::Kafka12508, RoseConfig::default(), &opts(None));
-    let b = run_case(BugId::Kafka12508, RoseConfig::default(), &opts(None));
+    let opts = DriverOptions::default();
+    let a = run_case(BugId::Kafka12508, RoseConfig::default(), &opts);
+    let b = run_case(BugId::Kafka12508, RoseConfig::default(), &opts);
 
     let jsonl_a = a.obs.report().to_jsonl();
     let jsonl_b = b.obs.report().to_jsonl();
@@ -98,57 +115,4 @@ fn jsonl_report_round_trips_and_is_deterministic_across_reruns() {
     let parsed = RunReport::from_jsonl(&jsonl_a).unwrap();
     assert_eq!(parsed.records, a.obs.records());
     assert_eq!(parsed.to_jsonl(), jsonl_a);
-}
-
-#[test]
-fn chrome_trace_export_is_written_and_schema_valid() {
-    let dir = tmpdir("chrome");
-    let out = run_case(
-        BugId::Kafka12508,
-        RoseConfig::default(),
-        &opts(Some(dir.clone())),
-    );
-    assert!(out.captured);
-
-    let path = dir.join("kafka-12508.trace.json");
-    let json = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing {}: {e}", path.display()));
-    let chrome = ChromeTrace::from_json(&json).unwrap();
-    assert!(!chrome.trace_events.is_empty(), "empty trace export");
-
-    for ev in &chrome.trace_events {
-        assert!(!ev.name.is_empty(), "unnamed event");
-        assert!(
-            ["X", "i", "M"].contains(&ev.ph.as_str()),
-            "unknown ph {:?}",
-            ev.ph
-        );
-        match ev.ph.as_str() {
-            "X" => assert!(ev.dur.unwrap_or(0) >= 1, "complete event without dur"),
-            "i" => assert_eq!(ev.s.as_deref(), Some("t"), "instant without scope"),
-            _ => {}
-        }
-    }
-    // The campaign phase track rides on pid 0; per-node tracks on pid ≥ 1.
-    assert!(chrome
-        .trace_events
-        .iter()
-        .any(|e| e.pid == 0 && e.ph == "X"));
-    assert!(chrome.trace_events.iter().any(|e| e.pid >= 1));
-
-    // With verify_reproduction on, the confirmation replay is exported too,
-    // with the injection lane populated from executor feedback.
-    let repro = dir.join("kafka-12508.repro.trace.json");
-    let repro = std::fs::read_to_string(&repro)
-        .unwrap_or_else(|e| panic!("missing {}: {e}", repro.display()));
-    let repro = ChromeTrace::from_json(&repro).unwrap();
-    assert!(
-        repro
-            .trace_events
-            .iter()
-            .any(|e| e.name.starts_with("inject ")),
-        "no injection markers in the reproduction export"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -89,8 +89,7 @@ impl Args {
         self.value("--report")
     }
 
-    /// `--trace-dir <dir>`: persist captured traces as `<stem>.rosetrace`
-    /// and diagnose from the reloaded binary trace.
+    /// `--trace-dir <dir>`: save captured traces as `<stem>.rosetrace`.
     pub fn trace_dir(&mut self) -> Option<PathBuf> {
         self.value("--trace-dir")
     }

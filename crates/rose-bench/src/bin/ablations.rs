@@ -17,11 +17,10 @@
 //! campaigns, the replay batches, the three flat-vs-EI bugs — across `N`
 //! workers with bit-identical results; `--report <path>` appends the JSONL
 //! phase records of the workflow-backed ablations to `<path>`;
-//! `--trace-dir <dir>` persists the captured traces of the workflow-backed
-//! ablations as `ablation-*.rosetrace` and diagnoses from the reloaded
-//! binaries; `--causal <dir>` records causal provenance and writes each
-//! workflow-backed ablation's propagation chains as `ablation-*.flow.json`
-//! and `.dot`).
+//! `--trace-dir <dir>` saves the captured traces of the workflow-backed
+//! ablations as `ablation-*.rosetrace`; `--causal <dir>` records causal
+//! provenance and writes each workflow-backed ablation's propagation chains
+//! as `ablation-*.flow.json` and `.dot`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 
@@ -80,6 +79,7 @@ fn ablate_fault_order(
     let opts = DriverOptions {
         trace_dir,
         trace_label: Some("ablation-fault-order-redisraft-43".into()),
+        causal_dir,
         ..DriverOptions::default()
     };
     // Capture + diagnose with re-capture rounds, so a pathological first
@@ -91,13 +91,6 @@ fn ablate_fault_order(
         &opts,
     );
     let report = report.expect("diagnosis ran");
-    if let Some(dir) = &causal_dir {
-        report::export_causal_files(
-            dir,
-            "ablation-fault-order-redisraft-43",
-            &report.propagation,
-        );
-    }
     let ordered = report.schedule.expect("winning schedule");
 
     let mut unordered = ordered.clone();

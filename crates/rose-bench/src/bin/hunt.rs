@@ -123,8 +123,9 @@ fn main() {
     let jobs = args.jobs();
     let report_path = args.report();
     let bugs = args.bugs(USAGE, &ROSTER);
-    let sink = ReportSink::open(report_path);
 
+    // The paths this bin can fail on come first: a bad one exits before
+    // the report file gets its header.
     if let Some(dir) = &state_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create state dir {}: {e}", dir.display());
@@ -137,6 +138,7 @@ fn main() {
             std::process::exit(2);
         })
     });
+    let sink = ReportSink::open(report_path);
 
     // Bugs run sequentially; the hunt itself fans its frontier batches
     // (and the hand-off diagnosis) across `--jobs` workers.

@@ -9,10 +9,9 @@
 //! `--jobs N` fans the replay-rate measurements and the diagnosis's
 //! speculative schedule search across `N` workers with bit-identical
 //! results; `--report <path>` appends the campaign's JSONL phase records to
-//! `<path>`; `--trace-dir <dir>` persists the captured trace as
-//! `motivation-redisraft-43.rosetrace` and diagnoses from the reloaded
-//! binary; `--causal <dir>` records causal provenance and writes the
-//! winning schedule's propagation chains as
+//! `<path>`; `--trace-dir <dir>` saves the captured trace as
+//! `motivation-redisraft-43.rosetrace`; `--causal <dir>` records causal
+//! provenance and writes the winning schedule's propagation chains as
 //! `motivation-redisraft-43.flow.json` + `.dot`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
@@ -57,6 +56,7 @@ fn main() {
     let opts = DriverOptions {
         trace_dir,
         trace_label: Some("motivation-redisraft-43".into()),
+        causal_dir,
         ..DriverOptions::default()
     };
     // Capture + diagnose with the driver's re-capture rounds: a pathological
@@ -70,9 +70,6 @@ fn main() {
     );
     let cap = cap.expect("RedisRaft-43 capture");
     let report = report.expect("diagnosis ran");
-    if let Some(dir) = &causal_dir {
-        report::export_causal_files(dir, "motivation-redisraft-43", &report.propagation);
-    }
     report::progress(format!(
         "captured after {attempts} attempt(s); {} events",
         cap.trace.len()

@@ -74,17 +74,13 @@ fn main() {
     let outcomes = ordered_map(jobs, bugs, |id| {
         let info = id.info();
         report::section(format!("{} ({}) …", info.name, info.system));
-        let cfg = RoseConfig {
-            // Event counting rides on the kernel's existing run loop; the
-            // causal recorder is only attached when chains were asked for.
-            causal: causal_dir.is_some(),
-            ..RoseConfig::default()
-        };
+        // Event counting rides on the kernel's existing run loop; the causal
+        // recorder is only attached when chains were asked for.
         let opts = DriverOptions {
             causal_dir: causal_dir.clone(),
             ..DriverOptions::default()
         };
-        (id, run_case(id, cfg, &opts))
+        (id, run_case(id, RoseConfig::default(), &opts))
     });
 
     let mut rows = Vec::new();

@@ -8,11 +8,10 @@
 //! (`--quick` runs the five RedisRaft rows only; `--jobs N` runs up to `N`
 //! bug campaigns concurrently with bit-identical output; `--report <path>`
 //! appends one JSONL phase record per workflow phase plus a campaign
-//! summary per bug to `<path>`; `--trace-dir <dir>` persists each captured
-//! trace as `<bug>.rosetrace` and diagnoses from the reloaded binary, with
-//! byte-identical output; `--causal <dir>` records causal provenance during
-//! testing runs and writes each bug's fault-propagation chains as
-//! `<bug>.flow.json` + `<bug>.dot`).
+//! summary per bug to `<path>`; `--trace-dir <dir>` saves each captured
+//! trace as `<bug>.rosetrace` and changes nothing else; `--causal <dir>`
+//! records causal provenance during testing runs and writes each bug's
+//! fault-propagation chains as `<bug>.flow.json` + `<bug>.dot`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 

@@ -10,7 +10,7 @@
 //! - flags are parsed by [`crate::args`], strictly.
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use rose_obs::{Obs, PhaseRecord, RunReport};
@@ -28,18 +28,6 @@ pub fn progress(msg: impl AsRef<str>) {
 /// Prints a result line to stdout (the table channel).
 pub fn out(line: impl AsRef<str>) {
     println!("{}", line.as_ref());
-}
-
-/// Writes a diagnosis run's propagation chains under `dir`
-/// ([`rose_obs::causal::save_chains`]). Failures warn on stderr rather than
-/// aborting the bench run.
-pub fn export_causal_files(dir: &Path, stem: &str, chains: &[rose_obs::PropagationChain]) {
-    if let Err(e) = rose_obs::causal::save_chains(dir, stem, chains) {
-        progress(format!(
-            "warning: could not export causal chains {stem} to {}: {e}",
-            dir.display()
-        ));
-    }
 }
 
 /// Writes a bench summary (`BENCH_*.json`) to `path` as one line of JSON.

@@ -65,6 +65,36 @@ fn unknown_bug_names_exit_2_with_the_roster() {
     }
 }
 
+/// A `--log` or `--state-dir` path `hunt` cannot create fails the command
+/// line before any side effect: exit 2, and no `--report` file left behind.
+#[test]
+fn hunt_rejects_an_uncreatable_path_before_writing_its_report() {
+    let exe = BINS
+        .iter()
+        .find(|(n, _)| *n == "hunt")
+        .expect("known bin")
+        .1;
+    let report =
+        std::env::temp_dir().join(format!("rose-hunt-report-{}.jsonl", std::process::id()));
+    for bad in [
+        ["--log", "/no/such/dir/x.jsonl"],
+        ["--state-dir", "/dev/null/state"],
+    ] {
+        let _ = std::fs::remove_file(&report);
+        let out = Command::new(exe)
+            .arg("RedisRaft-42")
+            .arg("--report")
+            .arg(&report)
+            .args(bad)
+            .output()
+            .expect("bin starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "hunt {bad:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "hunt {bad:?} wrote to stdout");
+        assert!(!report.exists(), "hunt {bad:?} wrote its report first");
+    }
+}
+
 /// The one bin whose happy path no other gate runs: a sweep-redundancy row
 /// for the cheapest case, written where `--out` says.
 #[test]

@@ -282,29 +282,6 @@ impl<S: TargetSystem> Rose<S> {
         self.reproduce_extracted(profile, &extraction)
     }
 
-    /// Persists a captured trace to `path` as a finished `.rosetrace` file.
-    pub fn persist_trace(
-        &self,
-        trace: &Trace,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<rose_store::WriteSummary, rose_store::StoreError> {
-        rose_store::save_trace(path, trace)
-    }
-
-    /// Diagnosis over a store-backed trace: loads the `.rosetrace` file at
-    /// `path` and runs [`Rose::reproduce`] on it. The loaded trace is
-    /// event-for-event identical to the one [`Rose::persist_trace`] wrote
-    /// (the codec is exact), so the resulting [`DiagnosisReport`] matches
-    /// the in-memory path byte for byte.
-    pub fn reproduce_from_store(
-        &self,
-        profile: &Profile,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<DiagnosisReport, rose_store::StoreError> {
-        let trace = rose_store::load_trace(path)?;
-        Ok(self.reproduce(profile, &trace))
-    }
-
     /// The extraction step alone (exposed for inspection and tests).
     pub fn extract(&self, profile: &Profile, trace: &Trace) -> Extraction {
         extract_faults(trace, profile, &self.function_names(profile))

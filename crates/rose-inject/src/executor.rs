@@ -51,21 +51,6 @@ impl ExecutionFeedback {
         obs.counter_add("executor.injected", self.injected.len() as u64);
         obs.counter_add("executor.armed", self.armed.len() as u64);
     }
-
-    /// Marks each injection on the Chrome-trace injection lane of the node
-    /// it targeted.
-    pub fn export_chrome(&self, chrome: &mut rose_obs::ChromeTrace, schedule: &FaultSchedule) {
-        for (id, at_us) in &self.injected {
-            let Some(fault) = schedule.faults.get(*id) else {
-                continue;
-            };
-            chrome.add_injection(
-                format!("inject {}", fault.action.tag()),
-                rose_events::SimTime::from_micros(*at_us),
-                fault.node,
-            );
-        }
-    }
 }
 
 /// The Rose executor: a [`KernelHook`] loaded for reproduction runs.

@@ -14,15 +14,17 @@
 //! - [`RunReport`]/[`PhaseRecord`] — a structured JSONL run report with one
 //!   record per phase (profiling, tracing, diagnosis, reproduction) plus a
 //!   final campaign summary, round-trippable via `serde_json`.
-//! - [`ChromeTrace`] — a Chrome `trace_event` (about://tracing /
-//!   Perfetto-loadable) exporter that renders the simulated timeline: one
-//!   process track per node with syscall-failure, pause, network-silence,
-//!   function, and injection lanes, so a failed reproduction can be
-//!   visually diffed against the captured buggy trace.
 //! - [`causal`] — fault-propagation chains computed from a run's causal
 //!   log: per injected fault, the shortest happens-before path from the
 //!   injection point to the oracle event, rendered as Perfetto flow arrows
 //!   across node tracks and as Graphviz DOT.
+//! - [`ChromeTrace`] — the Chrome `trace_event` (about://tracing /
+//!   Perfetto-loadable) format those flow arrows are written in; the flow
+//!   file is the one Chrome file a campaign writes.
+//!
+//! Phase spans are what the campaign clock is made of: each
+//! [`Obs::end_phase`] advances it, and the campaign record reports it. No
+//! file renders them.
 
 pub mod causal;
 pub mod chrome;

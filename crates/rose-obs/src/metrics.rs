@@ -4,10 +4,9 @@
 //! An [`Obs`] is a cheap clonable handle onto a shared registry. The
 //! workflow layers (`rose-core`, `rose-apps`, `rose-hunt`, the bins) hold
 //! clones of the same handle and publish into it; at the end of a campaign
-//! the registry is drained into a [`crate::RunReport`] and (optionally) a
-//! [`crate::ChromeTrace`] phase track. The kernel, the codec and the tracer
-//! know nothing of it: a number worth keeping goes into the phase record of
-//! the phase that produced it.
+//! the registry is drained into a [`crate::RunReport`]. The kernel, the
+//! codec and the tracer know nothing of it: a number worth keeping goes
+//! into the phase record of the phase that produced it.
 //!
 //! Two properties matter more than feature count:
 //!

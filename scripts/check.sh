@@ -18,10 +18,12 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor map, sizing by serialising, write-only metric, criterion or ROSE_* twin of a flag; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag or campaign fork; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
+    || grep -rnE "diagnose_via_store|reproduce_from_store|persist_trace|chrome_trace_dir|verify_reproduction|export_causal_files|ChromeTrace::from_trace" \
+        crates examples tests src README.md DESIGN.md \
     || grep -rn "fd_paths" crates/*/src \
     || grep -rnE "\.to_json\(\)\.len\(\)" crates/*/src \
     || grep -rnE "gauge_set|MetricsSnapshot|merge_snapshot|obs\.observe\(|flush_obs" crates/*/src \
@@ -37,7 +39,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "a number nobody reads is not published (Obs holds counters only)," \
         "bench/run.sh is the one wall-clock instrument," \
         "a flag is the only spelling of a harness input; the tracer stays free of the store," \
-        "and telemetry is the workflow layers' concern (no rose-obs under rose-sim, rose-store, rose-trace)"
+        "telemetry is the workflow layers' concern (no rose-obs under rose-sim, rose-store, rose-trace)," \
+        "and a campaign diagnoses the trace it captured: capture_and_diagnose writes every" \
+        "campaign file, none is read back, and there is no capture-timeline Chrome export"
     exit 1
 fi
 
@@ -45,8 +49,9 @@ echo "== table1 --quick determinism (Level 2.5) + trace-store + causal smoke (jo
 cargo build -p rose-bench --release -q
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
-# jobs=4 also persists traces and diagnoses from the reloaded binary files;
-# the diffs below then prove the store round trip is byte-identical too.
+# jobs=4 also saves traces; the diffs below show --trace-dir changes no
+# output (the files are outputs only). That a saved trace loads back equal
+# to the dump is tests/trace_pipeline.rs's job, not this step's.
 # Both widths collect causal provenance, so the flow/DOT diff is the
 # causal-determinism gate: provenance must be byte-identical at any width.
 for jobs in 1 4; do

@@ -24,7 +24,7 @@ macro_rules! surface {
 }
 
 #[test]
-fn twenty_nine_options_with_the_papers_defaults() {
+fn twenty_seven_options_with_the_papers_defaults() {
     surface!(
         rose = RoseConfig {
             diagnosis,
@@ -53,8 +53,6 @@ fn twenty_nine_options_with_the_papers_defaults() {
             capture_seed,
             max_capture_attempts,
             max_diagnosis_rounds,
-            verify_reproduction,
-            chrome_trace_dir,
             jobs,
             trace_dir,
             trace_label,
@@ -79,8 +77,8 @@ fn twenty_nine_options_with_the_papers_defaults() {
     );
 
     // `RoseConfig::diagnosis` is counted as its ten leaves.
-    assert_eq!((rose - 1, diag, driver, hunt, tracer), (3, 10, 9, 4, 3));
-    assert_eq!(rose - 1 + diag + driver + hunt + tracer, 29);
+    assert_eq!((rose - 1, diag, driver, hunt, tracer), (3, 10, 7, 4, 3));
+    assert_eq!(rose - 1 + diag + driver + hunt + tracer, 27);
 
     // Diagnosis (§4.5): accept at 60 %, 10 confirmation runs, abort once
     // more than 3 of them come back clean.
@@ -98,8 +96,7 @@ fn twenty_nine_options_with_the_papers_defaults() {
     assert_eq!((capture_seed, max_capture_attempts), (777, 400));
     assert_eq!(max_diagnosis_rounds, 4);
     assert_eq!(driver_jobs, 1);
-    assert!(!verify_reproduction && trace_label.is_none());
-    assert!(chrome_trace_dir.is_none() && trace_dir.is_none() && causal_dir.is_none());
+    assert!(trace_label.is_none() && trace_dir.is_none() && causal_dir.is_none());
 
     assert_eq!((budget, jobs, seed), (200, 1, 42));
     assert!(visited_path.is_none());

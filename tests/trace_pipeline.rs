@@ -182,15 +182,23 @@ impl SystemVisitor for ThreeWays {
         let binary = rose::store::load_trace(&path);
         let _ = std::fs::remove_file(&path);
         let binary = binary.expect("trace loads back");
+        // Not `assert_eq!`: a failure would print two whole traces.
+        assert!(
+            binary == trace,
+            "{id}: the reloaded .rosetrace differs from the dump"
+        );
         [&trace, &json, &binary].map(|t| rose.extract(&profile, t))
     }
 }
 
+/// One case per target system. Nothing may be lost by a trace's trip
+/// through either format, execution indices included: the binary file is
+/// the only one `--trace-dir` writes, and it loads back equal to the dump,
+/// event for event. A campaign therefore diagnoses the trace it captured
+/// and never reads its own file back: extraction is the diagnosis's only
+/// input from a trace, and this test holds it equal on every path.
 #[test]
 fn binary_and_json_traces_extract_identically() {
-    // One case per target system. Nothing may be lost by a trace's trip
-    // through either format, execution indices included: the binary file
-    // is the only one `--trace-dir` writes.
     let mut indexed = 0;
     for id in [
         BugId::Redpanda3003,
