@@ -199,6 +199,17 @@ impl PlanState {
     }
 }
 
+/// A schedule `confirmBug` measured, with its provenance: the diagnosis
+/// level that produced it and the causal log of its first bug run, from
+/// which a report builds its propagation chains.
+struct Guess {
+    schedule: FaultSchedule,
+    /// Replay rate over the confirmation runs; 0 after the early abort.
+    rate: f64,
+    level: u8,
+    causal: Option<rose_events::CausalLog>,
+}
+
 /// What [`Diagnoser::evaluate_window`] decided about a window of schedules.
 struct WindowOutcome {
     /// How many of the window's schedules the sequential search charged
@@ -206,9 +217,8 @@ struct WindowOutcome {
     /// its confirmation perturbs the seed stream, staling the speculated
     /// remainder — or when the schedule budget ran out.
     charged: usize,
-    /// The replay rate of the last charged schedule, when it confirmed at
-    /// the target rate.
-    accepted: Option<f64>,
+    /// The last charged schedule, when it confirmed at the target rate.
+    accepted: Option<Guess>,
     /// The last charged discovery run.
     last: RunObservation,
 }
@@ -259,10 +269,9 @@ pub struct Diagnoser<'a> {
     total_time: SimDuration,
     seed_counter: u64,
     amplifications: usize,
-    /// Schedules that showed the bug but confirmed below target.
-    candidates: Vec<(FaultSchedule, f64, u8)>,
-    /// Causal log of the first bug run of the most recent confirmation.
-    last_confirm_causal: Option<rose_events::CausalLog>,
+    /// Schedules that showed the bug but confirmed below target, with the
+    /// level that produced them: what the pruning runs re-confirm.
+    candidates: Vec<(FaultSchedule, u8)>,
     /// Redundancy accounting over charged runs (see [`SweepRedundancy`]).
     events_total: u64,
     shared_prefix_events: u64,
@@ -293,7 +302,6 @@ impl<'a> Diagnoser<'a> {
             seed_counter: 0,
             amplifications: 0,
             candidates: Vec::new(),
-            last_confirm_causal: None,
             events_total: 0,
             shared_prefix_events: 0,
             last_prefix: None,
@@ -303,105 +311,91 @@ impl<'a> Diagnoser<'a> {
     }
 
     /// Runs the full three-level search.
+    ///
+    /// Three kinds of guess reach `confirmBug`, in this order: the seed
+    /// schedule, the Level-2.5 guess, and the flat search — Levels 1–3, or
+    /// the pruning runs when those find nothing. One rule ranks them: the
+    /// highest replay rate wins, and on equal rates the guess found first.
+    /// A guess confirmed at 100 % cannot be beaten, so it ends the search.
     pub fn diagnose(&mut self, h: &mut dyn RunHarness) -> DiagnosisReport {
-        // --- Hunter hand-off: a seeded schedule is the discovery run's
-        // exact fault sequence, confirmed before any search work. Unlike
-        // the level passes below it needs no extraction — a hunt may have
-        // produced a trace whose extraction is empty (e.g. a pure
-        // partition bug) and the seed is still worth confirming.
-        let mut seed_guess = None;
-        if let Some(sched) = self.cfg.seed_schedule.clone() {
-            self.schedules += 1;
-            let level = seeded_level(&sched);
-            let rate = self.confirm(h, &sched);
-            let causal = self.last_confirm_causal.take();
-            if rate >= 100.0 {
-                self.last_confirm_causal = causal;
-                return self.report(true, Some(sched), rate, level);
-            }
-            if rate >= self.cfg.target_replay_rate {
-                seed_guess = Some((sched, rate, level, causal));
-            } else if rate > 0.0 {
-                self.candidates.push((sched, rate, level));
+        let mut guesses: Vec<Guess> = self.confirm_seed(h).into_iter().collect();
+        let certain = |guesses: &[Guess]| guesses.iter().any(|g| g.rate >= 100.0);
+        if !certain(&guesses) {
+            guesses.extend(self.try_ei_level1(h));
+        }
+        if !certain(&guesses) {
+            match self.search(h) {
+                Some(found) => guesses.push(found),
+                None => guesses.extend(self.prune(h)),
             }
         }
-
-        if self.extraction.faults.is_empty() {
-            return match seed_guess {
-                Some((sched, rate, level, causal)) => {
-                    self.last_confirm_causal = causal;
-                    self.report(true, Some(sched), rate, level)
-                }
-                None => self.report(false, None, 0.0, 0),
-            };
-        }
-
-        // --- Level 2.5 pre-pass: when the trace recorded execution
-        // indices, first try the level-1 guess with every SCF keyed on its
-        // *recorded* index — the calling context and per-context count of
-        // the failing call in the buggy trace — instead of the flat first
-        // invocation. A 100% confirmation short-circuits the whole search;
-        // otherwise the flat search runs in full and the EI guess is kept
-        // only when it does at least as well, so a recorded index never
-        // lowers the replay rate the flat counter would report.
-        let mut ei_guess = None;
-        if let Some((sched, rate)) = self.try_ei_level1(h) {
-            let causal = self.last_confirm_causal.take();
-            if rate >= 100.0 {
-                self.last_confirm_causal = causal;
-                return self.report(true, Some(sched), rate, 1);
-            }
-            ei_guess = Some((sched, rate, causal));
-        }
-
-        let flat = self.diagnose_flat(h);
-        let merged = match ei_guess {
-            Some((sched, rate, causal)) if !flat.reproduced || rate >= flat.replay_rate => {
-                self.last_confirm_causal = causal;
-                self.report(true, Some(sched), rate, 1)
-            }
-            _ => flat,
-        };
-        match seed_guess {
-            Some((sched, rate, level, causal))
-                if !merged.reproduced || rate >= merged.replay_rate =>
-            {
-                self.last_confirm_causal = causal;
-                self.report(true, Some(sched), rate, level)
-            }
-            _ => merged,
-        }
+        let best = guesses
+            .into_iter()
+            .reduce(|best, g| if g.rate > best.rate { g } else { best });
+        self.report(best)
     }
 
-    /// The level-1 guess with recorded execution indices applied to every
-    /// SCF fault that carries one. `None` when nothing carries an index or
-    /// the guess misses the target rate (sub-target candidates still land
-    /// in the pruning pool).
-    fn try_ei_level1(&mut self, h: &mut dyn RunHarness) -> Option<(FaultSchedule, f64)> {
-        let mut state = PlanState::level1(self.extraction);
-        let mut any = false;
-        for (i, fault) in self.extraction.faults.iter().enumerate() {
-            if let Some(ei) = &fault.ei {
-                state.ei_counts[i] = Some(u64::from(ei.count).max(1));
-                any = true;
-            }
+    /// Hunter hand-off: a seeded schedule is the discovery run's exact fault
+    /// sequence, confirmed before any search work. It needs no extraction —
+    /// a hunt may have produced a trace whose extraction is empty (e.g. a
+    /// pure partition bug) and the seed is still worth confirming. `None`
+    /// below the target rate; a seed that showed the bug at all then joins
+    /// the pruning pool.
+    fn confirm_seed(&mut self, h: &mut dyn RunHarness) -> Option<Guess> {
+        let schedule = self.cfg.seed_schedule.clone()?;
+        self.schedules += 1;
+        let level = seeded_level(&schedule);
+        let seed = self.confirm(h, schedule, level);
+        if seed.rate >= self.cfg.target_replay_rate {
+            return Some(seed);
         }
-        if !any {
+        if seed.rate > 0.0 {
+            self.candidates.push((seed.schedule, seed.level));
+        }
+        None
+    }
+
+    /// Level 2.5 pre-pass: the level-1 guess with every SCF keyed on its
+    /// *recorded* execution index — the calling context and per-context
+    /// count of the failing call in the buggy trace — instead of the flat
+    /// first invocation. `None` when nothing carries an index or the guess
+    /// misses the target rate (sub-target candidates still land in the
+    /// pruning pool). The flat search still runs after a sub-100 % guess,
+    /// so a recorded index never lowers the rate the flat counter reaches.
+    fn try_ei_level1(&mut self, h: &mut dyn RunHarness) -> Option<Guess> {
+        let mut state = PlanState::level1(self.extraction);
+        let faults = &self.extraction.faults;
+        state.ei_counts = faults
+            .iter()
+            .map(|f| f.ei.as_ref().map(|ei| u64::from(ei.count).max(1)))
+            .collect();
+        if state.ei_counts.iter().all(Option::is_none) {
             return None;
         }
+        self.ei_sweep(|d| d.evaluate_state(h, &state, 1).1)
+    }
+
+    /// Runs one Level-2.5 sweep, counting it in `ei_sweeps` and the
+    /// schedules it generates in `ei_schedules`.
+    fn ei_sweep(&mut self, sweep: impl FnOnce(&mut Self) -> Option<Guess>) -> Option<Guess> {
         self.ei_sweeps += 1;
         let before = self.schedules;
-        let (_, found) = self.evaluate_state(h, &state, 1);
+        let found = sweep(self);
         self.ei_schedules += self.schedules - before;
         found
     }
 
-    /// The paper's flat three-level search (Algorithm 1).
-    fn diagnose_flat(&mut self, h: &mut dyn RunHarness) -> DiagnosisReport {
+    /// The paper's flat three-level search (Algorithm 1): the first
+    /// schedule that confirms at the target rate. An empty extraction has
+    /// nothing to search.
+    fn search(&mut self, h: &mut dyn RunHarness) -> Option<Guess> {
+        if self.extraction.faults.is_empty() {
+            return None;
+        }
         // --- Level 1: initial guess — fault order and inputs only.
         let mut state = PlanState::level1(self.extraction);
-        if let (_, Some((sched, rate))) = self.evaluate_state(h, &state, 1) {
-            return self.report(true, Some(sched), rate, 1);
+        if let (_, Some(found)) = self.evaluate_state(h, &state, 1) {
+            return Some(found);
         }
 
         // --- Level 2: contextualize each fault, highest priority first.
@@ -418,8 +412,8 @@ impl<'a> Diagnoser<'a> {
                 // the entire deployment (§4.5.2).
                 FaultAction::Partition { .. } => self.find_context(h, &mut state, idx, false),
             };
-            if let Some((sched, rate)) = found {
-                return self.report(true, Some(sched), rate, 2);
+            if found.is_some() {
+                return found;
             }
         }
 
@@ -431,42 +425,31 @@ impl<'a> Diagnoser<'a> {
             if matches!(self.extraction.faults[idx].action, FaultAction::Scf { .. }) {
                 continue;
             }
-            if let Some((sched, rate)) = self.sweep_offsets(h, &mut state, idx) {
-                return self.report(true, Some(sched), rate, 3);
+            let found = self.sweep_offsets(h, &mut state, idx);
+            if found.is_some() {
+                return found;
             }
         }
+        None
+    }
 
-        // --- Pruning runs: revisit sub-target candidates with fresh seeds.
-        type Best = (FaultSchedule, f64, u8, Option<rose_events::CausalLog>);
-        let mut best: Option<Best> = None;
-        let candidates = std::mem::take(&mut self.candidates);
-        for (sched, _, level) in candidates {
+    /// Pruning runs: re-confirm the sub-target candidates with fresh seeds,
+    /// in the order found, until one reaches the target rate or the budget
+    /// runs out.
+    fn prune(&mut self, h: &mut dyn RunHarness) -> Vec<Guess> {
+        let mut confirmed = Vec::new();
+        for (schedule, level) in std::mem::take(&mut self.candidates) {
             if self.budget_exhausted() {
                 break;
             }
-            let rate = self.confirm(h, &sched);
-            let causal = self.last_confirm_causal.take();
-            if best.as_ref().is_none_or(|(_, r, _, _)| rate > *r) {
-                best = Some((sched, rate, level, causal));
-            }
-            if best
-                .as_ref()
-                .is_some_and(|(_, r, _, _)| *r >= self.cfg.target_replay_rate)
-            {
+            let guess = self.confirm(h, schedule, level);
+            let reached = guess.rate >= self.cfg.target_replay_rate;
+            confirmed.push(guess);
+            if reached {
                 break;
             }
         }
-        match best {
-            Some((sched, rate, level, causal)) if rate >= self.cfg.target_replay_rate => {
-                self.last_confirm_causal = causal;
-                self.report(true, Some(sched), rate, level)
-            }
-            Some((sched, rate, level, causal)) => {
-                self.last_confirm_causal = causal;
-                self.report(false, Some(sched), rate, level)
-            }
-            None => self.report(false, None, 0.0, 0),
-        }
+        confirmed
     }
 
     // --- Levels ----------------------------------------------------------
@@ -478,7 +461,8 @@ impl<'a> Diagnoser<'a> {
     /// of a sweep is data-independent — only the stopping point depends on
     /// run outcomes — which is what lets a window be laid out in advance.
     /// The levels differ only in the list they pass: flat invocation
-    /// indices, per-context execution-index counts, or offset sites.
+    /// indices, per-context execution-index counts, or offset sites. A sweep
+    /// that finds nothing leaves `state` as it found it.
     fn sweep<C: Copy>(
         &mut self,
         h: &mut dyn RunHarness,
@@ -486,27 +470,29 @@ impl<'a> Diagnoser<'a> {
         level: u8,
         candidates: &[C],
         apply: impl Fn(&mut PlanState, C),
-    ) -> Option<(FaultSchedule, f64)> {
+    ) -> Option<Guess> {
+        let start = state.clone();
         let width = self.cfg.speculation.max(1);
         let mut k = 0;
         while k < candidates.len() && !self.budget_exhausted() {
             let end = (k + width).min(candidates.len());
-            let mut window: Vec<FaultSchedule> = candidates[k..end]
+            let window: Vec<FaultSchedule> = candidates[k..end]
                 .iter()
                 .map(|&c| {
                     apply(state, c);
-                    self.build_schedule(state)
+                    materialize(self.extraction, state, self.cfg.cluster_nodes)
                 })
                 .collect();
             let out = self.evaluate_window(h, &window, level);
-            if let Some(rate) = out.accepted {
+            if out.accepted.is_some() {
                 apply(state, candidates[k + out.charged - 1]);
-                return Some((window.swap_remove(out.charged - 1), rate));
+                return out.accepted;
             }
             // Resume right after the last charged candidate: whatever the
             // window speculated beyond it is stale.
             k += out.charged;
         }
+        *state = start;
         None
     }
 
@@ -518,12 +504,13 @@ impl<'a> Diagnoser<'a> {
         h: &mut dyn RunHarness,
         state: &mut PlanState,
         idx: usize,
-    ) -> Option<(FaultSchedule, f64)> {
+    ) -> Option<Guess> {
         let FaultAction::Scf { syscall, path, .. } = &self.extraction.faults[idx].action else {
             return None;
         };
-        if let Some(found) = self.sweep_scf_ei(h, state, idx) {
-            return Some(found);
+        let found = self.sweep_scf_ei(h, state, idx);
+        if found.is_some() {
+            return found;
         }
         // No recorded index, or its context went unmatched in replays: the
         // flat sweep is the fallback, so a recorded index never reproduces
@@ -543,11 +530,7 @@ impl<'a> Diagnoser<'a> {
         };
         // nth = 1 was Level 1.
         let nths: Vec<u64> = (2..=cap).collect();
-        let found = self.sweep(h, state, 2, &nths, |s, nth| s.nths[idx] = nth);
-        if found.is_none() {
-            state.nths[idx] = 1;
-        }
-        found
+        self.sweep(h, state, 2, &nths, |s, nth| s.nths[idx] = nth)
     }
 
     /// Level 2.5: sweep per-context execution-index counts instead of flat
@@ -563,22 +546,17 @@ impl<'a> Diagnoser<'a> {
         h: &mut dyn RunHarness,
         state: &mut PlanState,
         idx: usize,
-    ) -> Option<(FaultSchedule, f64)> {
+    ) -> Option<Guess> {
         let recorded = u64::from(self.extraction.faults[idx].ei.as_ref()?.count).max(1);
-        self.ei_sweeps += 1;
         let counts: Vec<u64> = std::iter::once(recorded)
             .chain((1..recorded).rev())
             .take(SCF_SWEEP_CAP as usize)
             .collect();
-        let before = self.schedules;
-        let found = self.sweep(h, state, 2, &counts, |s, count| {
-            s.ei_counts[idx] = Some(count)
-        });
-        if found.is_none() {
-            state.ei_counts[idx] = None;
-        }
-        self.ei_schedules += self.schedules - before;
-        found
+        self.ei_sweep(|d| {
+            d.sweep(h, state, 2, &counts, |s, count| {
+                s.ei_counts[idx] = Some(count)
+            })
+        })
     }
 
     /// Algorithm 1 (`findContextforFault`): grow a chain of unique preceding
@@ -591,11 +569,11 @@ impl<'a> Diagnoser<'a> {
         state: &mut PlanState,
         idx: usize,
         allow_amplification: bool,
-    ) -> Option<(FaultSchedule, f64)> {
+    ) -> Option<Guess> {
         let fault = &self.extraction.faults[idx];
         let node = fault.node;
         let preceding = fault.preceding.clone();
-        let saved_amplified = state.amplified[idx];
+        let start = state.clone();
 
         for f in preceding {
             if self.budget_exhausted() {
@@ -641,19 +619,14 @@ impl<'a> Diagnoser<'a> {
                     // keep extending the chain.
                     continue;
                 }
-                // Not role-specific: revert the amplification.
-                state.amplified[idx] = saved_amplified;
             }
             // `f` is not on the trigger path: stop contextualizing this
-            // fault. The refinement state reverts so later faults are
-            // explored against the unmodified Level 1 baseline.
-            state.chains[idx].clear();
-            state.amplified[idx] = saved_amplified;
-            return None;
+            // fault.
+            break;
         }
-        // Chain exhausted (or duplicate) without reproducing: revert.
-        state.chains[idx].clear();
-        state.amplified[idx] = saved_amplified;
+        // Not reproduced: the refinement state reverts so later faults are
+        // explored against the unmodified Level 1 baseline.
+        *state = start;
         None
     }
 
@@ -664,7 +637,7 @@ impl<'a> Diagnoser<'a> {
         h: &mut dyn RunHarness,
         state: &mut PlanState,
         idx: usize,
-    ) -> Option<(FaultSchedule, f64)> {
+    ) -> Option<Guess> {
         // The function to sweep: the newest chain entry, or the immediately
         // preceding production function if Level 2 kept no chain.
         let function = state.chains[idx]
@@ -680,13 +653,9 @@ impl<'a> Diagnoser<'a> {
             .iter()
             .map(|site| site.offset)
             .collect();
-        let found = self.sweep(h, state, 3, &offsets, |s, offset| {
+        self.sweep(h, state, 3, &offsets, |s, offset| {
             s.offsets[idx] = Some(offset)
-        });
-        if found.is_none() {
-            state.offsets[idx] = None;
-        }
-        found
+        })
     }
 
     // --- Execution helpers -------------------------------------------------
@@ -797,11 +766,11 @@ impl<'a> Diagnoser<'a> {
             }
             if bug {
                 replay.commit(h);
-                let rate = self.confirm(h, sched);
-                if rate >= self.cfg.target_replay_rate {
-                    accepted = Some(rate);
+                let guess = self.confirm(h, sched.clone(), level);
+                if guess.rate >= self.cfg.target_replay_rate {
+                    accepted = Some(guess);
                 } else {
-                    self.candidates.push((sched.clone(), rate, level));
+                    self.candidates.push((guess.schedule, level));
                 }
                 break;
             }
@@ -816,71 +785,63 @@ impl<'a> Diagnoser<'a> {
 
     /// Builds the schedule `state` describes and evaluates it as a window
     /// of one, whatever the budget: the last discovery run, plus the
-    /// schedule and its rate when it confirmed at target.
+    /// guess when it confirmed at target.
     fn evaluate_state(
         &mut self,
         h: &mut dyn RunHarness,
         state: &PlanState,
         level: u8,
-    ) -> (RunObservation, Option<(FaultSchedule, f64)>) {
-        let sched = self.build_schedule(state);
+    ) -> (RunObservation, Option<Guess>) {
+        let sched = materialize(self.extraction, state, self.cfg.cluster_nodes);
         let out = self.evaluate_window(h, std::slice::from_ref(&sched), level);
-        (out.last, out.accepted.map(|rate| (sched, rate)))
+        (out.last, out.accepted)
     }
 
     /// `confirmBug`: replay-rate estimation over fresh seeds with the
     /// paper's early abort, which is checked at the *top* of each
     /// iteration — so a batched confirmation charges exactly the runs the
     /// one-by-one loop performs and discards the rest.
-    fn confirm(&mut self, h: &mut dyn RunHarness, sched: &FaultSchedule) -> f64 {
-        self.last_confirm_causal = None;
+    fn confirm(&mut self, h: &mut dyn RunHarness, schedule: FaultSchedule, level: u8) -> Guess {
         let runs = self.cfg.confirm_runs;
-        let mut replay = Replay::new(std::slice::from_ref(sched), runs as usize);
-        let mut bug_runs = 0u32;
-        let mut correct_runs = 0u32;
-        let mut aborted = false;
-        for _ in 0..runs {
-            if correct_runs > self.cfg.confirm_abort_correct {
-                aborted = true;
-                break;
-            }
+        let mut replay = Replay::new(std::slice::from_ref(&schedule), runs as usize);
+        let (mut bug_runs, mut correct_runs) = (0u32, 0u32);
+        let mut causal = None;
+        while bug_runs + correct_runs < runs && correct_runs <= self.cfg.confirm_abort_correct {
             let obs = self.next_run(h, &mut replay);
             if obs.bug {
                 bug_runs += 1;
-                if self.last_confirm_causal.is_none() {
-                    self.last_confirm_causal = obs.causal;
-                }
+                causal = causal.or(obs.causal);
             } else {
                 correct_runs += 1;
             }
         }
         replay.commit(h);
-        if aborted {
-            return 0.0;
-        }
-        100.0 * f64::from(bug_runs) / f64::from(runs)
-    }
-
-    // --- Schedule construction ---------------------------------------------
-
-    /// Materializes the current refinement state into a schedule.
-    fn build_schedule(&self, state: &PlanState) -> FaultSchedule {
-        materialize(self.extraction, state, &self.cfg)
-    }
-
-    fn report(
-        &mut self,
-        reproduced: bool,
-        schedule: Option<FaultSchedule>,
-        rate: f64,
-        level: u8,
-    ) -> DiagnosisReport {
-        let faults_injected = schedule.as_ref().map(summary_of).unwrap_or_default();
-        // Chains only make sense for a schedule we actually confirmed.
-        let propagation = match (&schedule, self.last_confirm_causal.take()) {
-            (Some(_), Some(log)) => rose_obs::causal::propagation_chains(&log),
-            _ => Vec::new(),
+        let aborted = bug_runs + correct_runs < runs;
+        let rate = if aborted {
+            0.0
+        } else {
+            100.0 * f64::from(bug_runs) / f64::from(runs)
         };
+        Guess {
+            schedule,
+            rate,
+            level,
+            causal,
+        }
+    }
+
+    /// The report on `best`, the winning guess: reproduced when it reached
+    /// the target rate, with its propagation chains drawn from its own
+    /// confirmation's causal log.
+    fn report(&self, best: Option<Guess>) -> DiagnosisReport {
+        let (rate, level) = best.as_ref().map_or((0.0, 0), |g| (g.rate, g.level));
+        let propagation = best
+            .as_ref()
+            .and_then(|g| g.causal.as_ref())
+            .map(rose_obs::causal::propagation_chains)
+            .unwrap_or_default();
+        let schedule = best.map(|g| g.schedule);
+        let faults_injected = schedule.as_ref().map(summary_of).unwrap_or_default();
         let fresh = self.events_total.saturating_sub(self.shared_prefix_events);
         let redundancy = SweepRedundancy {
             events_total: self.events_total,
@@ -892,7 +853,7 @@ impl<'a> Diagnoser<'a> {
             },
         };
         DiagnosisReport {
-            reproduced,
+            reproduced: schedule.is_some() && rate >= self.cfg.target_replay_rate,
             schedule,
             replay_rate: rate,
             schedules_generated: self.schedules,
@@ -914,7 +875,7 @@ impl<'a> Diagnoser<'a> {
 /// where no context was discovered, context chains (with optional Level 3
 /// offsets) elsewhere, amplified replicas appended, production fault order
 /// enforced.
-fn materialize(extraction: &Extraction, state: &PlanState, cfg: &DiagnosisConfig) -> FaultSchedule {
+fn materialize(extraction: &Extraction, state: &PlanState, cluster_nodes: u32) -> FaultSchedule {
     let t0 = extraction
         .faults
         .first()
@@ -983,7 +944,7 @@ fn materialize(extraction: &Extraction, state: &PlanState, cfg: &DiagnosisConfig
             continue;
         }
         let original = sched.faults[i].clone();
-        for n in 0..cfg.cluster_nodes {
+        for n in 0..cluster_nodes {
             let node = rose_events::NodeId(n);
             if node == fault.node {
                 continue;
@@ -1000,8 +961,9 @@ fn materialize(extraction: &Extraction, state: &PlanState, cfg: &DiagnosisConfig
 /// at their relative production times. This is also the paper's §3 baseline
 /// ("manually created schedule incorporating these faults"), used by the
 /// motivation experiment.
-pub fn level1_schedule(extraction: &Extraction, cfg: &DiagnosisConfig) -> FaultSchedule {
-    materialize(extraction, &PlanState::level1(extraction), cfg)
+pub fn level1_schedule(extraction: &Extraction) -> FaultSchedule {
+    // Level 1 amplifies no fault, so no replica needs the cluster size.
+    materialize(extraction, &PlanState::level1(extraction), 0)
 }
 
 /// The fault-context level a seeded (hunter-supplied) schedule reports:
@@ -1895,6 +1857,38 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_extraction_prunes_a_sub_target_seed() {
+        // The seed shows the bug on 8 of its first 10 runs and 7 of the
+        // next 10: below a 90 % target both times. With nothing extracted
+        // it is the only candidate, and the pruning runs report it.
+        struct Fading(u64);
+        impl RunHarness for Fading {
+            fn run(&mut self, _schedule: &FaultSchedule, _seed: u64) -> RunObservation {
+                self.0 += 1;
+                RunObservation {
+                    bug: !matches!(self.0, 9 | 10 | 18..=20),
+                    wall: SimDuration::from_secs(10),
+                    ..Default::default()
+                }
+            }
+        }
+        let profile = Profile::default();
+        let symbols = SymbolTable::new();
+        let ex = Extraction::default();
+        let cfg = DiagnosisConfig {
+            target_replay_rate: 90.0,
+            seed_schedule: Some(hunter_seed()),
+            ..Default::default()
+        };
+        let rep = Diagnoser::new(cfg, &profile, &symbols, &ex).diagnose(&mut Fading(0));
+        assert!(!rep.reproduced);
+        assert_eq!(rep.schedule, Some(hunter_seed()));
+        assert_eq!(rep.replay_rate, 70.0, "the pruning run's rate");
+        assert_eq!(rep.level, seeded_level(&hunter_seed()));
+        assert_eq!(rep.runs, 20);
+    }
+
+    #[test]
     fn dead_seed_schedule_never_lowers_the_result() {
         // The seed never fires; the flat level-1 search reproduces. The
         // report must match the unseeded search apart from the seed's own
@@ -1935,6 +1929,77 @@ mod tests {
             .faults
             .iter()
             .all(|f| matches!(f.action, FaultAction::Scf { .. })));
+    }
+
+    /// Confirms the three guesses at chosen rates, in tenths: the hunter
+    /// seed (a crash), the EI-keyed Level-1 guess (an SCF keyed on its
+    /// execution index) and the flat Level-1 guess (the bare SCF). The
+    /// `k`-th run of a guess shows the bug iff `k % 10 < tenths`, so a
+    /// confirmation's clean runs come last and never trip the early abort.
+    struct Rated {
+        tenths: [u64; 3],
+        runs: [u64; 3],
+    }
+
+    impl RunHarness for Rated {
+        fn run(&mut self, schedule: &FaultSchedule, _seed: u64) -> RunObservation {
+            let f = &schedule.faults[0];
+            let guess = if matches!(f.action, FaultAction::Crash) {
+                0
+            } else if f
+                .conditions
+                .iter()
+                .any(|c| matches!(c, Condition::ExecutionIndex { .. }))
+            {
+                1
+            } else {
+                2
+            };
+            let k = self.runs[guess];
+            self.runs[guess] += 1;
+            RunObservation {
+                bug: k % 10 < self.tenths[guess],
+                wall: SimDuration::from_secs(10),
+                ..Default::default()
+            }
+        }
+    }
+
+    #[test]
+    fn the_highest_rate_wins_and_the_first_found_breaks_ties() {
+        let profile = Profile::default();
+        let symbols = SymbolTable::new();
+        let ex = scf_ei_extraction(3);
+        // (seed, EI, flat) in tenths → winner, its rate, its level, runs.
+        let cases = [
+            ([8, 8, 7], 0, 80.0, 2, 32),   // seed ties EI → seed
+            ([7, 8, 8], 1, 80.0, 1, 32),   // EI ties flat → EI
+            ([8, 8, 9], 2, 90.0, 1, 32),   // flat strictly higher → flat
+            ([10, 8, 9], 0, 100.0, 2, 10), // a 100 % seed runs no search
+            ([7, 10, 9], 1, 100.0, 1, 21), // a 100 % EI guess, no flat search
+        ];
+        for (tenths, winner, rate, level, runs) in cases {
+            let cfg = DiagnosisConfig {
+                seed_schedule: Some(hunter_seed()),
+                ..Default::default()
+            };
+            let mut h = Rated {
+                tenths,
+                runs: [0; 3],
+            };
+            let rep = Diagnoser::new(cfg, &profile, &symbols, &ex).diagnose(&mut h);
+            let at = format!("tenths={tenths:?}");
+            assert!(rep.reproduced, "{at}");
+            assert_eq!(rep.replay_rate, rate, "{at}");
+            assert_eq!(rep.level, level, "{at}");
+            assert_eq!(rep.runs, runs, "{at}");
+            let mut h = Rated {
+                tenths: [0; 3],
+                runs: [0; 3],
+            };
+            h.tenths[winner] = 10;
+            assert!(h.run(rep.schedule.as_ref().unwrap(), 0).bug, "{at}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! and exits with status 2 — so a binary must finish parsing before it has
 //! side effects.
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -78,9 +79,9 @@ impl Args {
     }
 
     /// `--jobs N`: the worker count, 1 (sequential) when absent. Zero is
-    /// clamped to 1.
+    /// not a count.
     pub fn jobs(&mut self) -> usize {
-        self.value::<usize>("--jobs").map_or(1, |n| n.max(1))
+        self.value("--jobs").map_or(1, NonZeroUsize::get)
     }
 
     /// `--report <path>`: where the campaign's JSONL phase records are
@@ -193,11 +194,13 @@ mod tests {
     }
 
     #[test]
-    fn jobs_defaults_to_one_and_clamps_zero() {
+    fn jobs_defaults_to_one_and_rejects_zero() {
         assert_eq!(args(&["--jobs", "4"]).jobs(), 4);
         assert_eq!(args(&["--jobs=6"]).jobs(), 6);
         assert_eq!(args(&[]).jobs(), 1);
-        assert_eq!(args(&["--jobs", "0"]).jobs(), 1);
+        let mut a = args(&["--jobs", "0"]);
+        a.jobs();
+        assert!(a.check().unwrap_err().contains("--jobs"));
     }
 
     /// `jobs` + `--out` + positionals, as `hunt`/`redundancy` parse.

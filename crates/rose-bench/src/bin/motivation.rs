@@ -23,7 +23,7 @@ use rose_apps::driver::{capture_and_diagnose, DriverOptions};
 use rose_apps::redisraft::{redisraft_capture, RedisRaftBug, RedisRaftCase};
 use rose_bench::args::Args;
 use rose_bench::report::{self, ReportSink};
-use rose_core::{Rose, RoseConfig, TargetSystem};
+use rose_core::{Rose, RoseConfig};
 
 const USAGE: &str =
     "usage: motivation [--runs N] [--jobs N] [--report PATH] [--trace-dir DIR] [--causal DIR]";
@@ -78,10 +78,7 @@ fn main() {
     // The manual baseline: the extracted faults replayed at their relative
     // production times (what §3 calls "a simple schedule incorporating
     // these faults").
-    let extraction = rose.extract(&profile, &cap.trace);
-    let mut diag_cfg = rose.config().diagnosis.clone();
-    diag_cfg.cluster_nodes = rose.system().cluster_size();
-    let manual = level1_schedule(&extraction, &diag_cfg);
+    let manual = level1_schedule(&rose.extract(&profile, &cap.trace));
 
     report::section(format!("measuring the manual schedule over {runs} runs …"));
     let manual_rate = rose.replay_rate(&profile, &manual, runs, 5_000);

@@ -56,6 +56,7 @@ fn missing_and_unparsable_values_exit_2_with_usage() {
     assert_rejected("table2", &["--secs", "0"]);
     assert_rejected("motivation", &["--runs", "0"]);
     assert_rejected("hunt", &["--budget", "0"]);
+    assert_rejected("table1", &["--jobs", "0"]);
 }
 
 #[test]

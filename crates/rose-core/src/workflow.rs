@@ -438,6 +438,21 @@ impl<S: TargetSystem> Rose<S> {
         }
     }
 
+    /// Runs `run` once per item, each on its own [`Rose::fork`], across the
+    /// configured worker pool. Returns each result with its worker's
+    /// telemetry, in item order, for the caller to absorb when it decides.
+    fn fan_out<T: Send, R: Send>(
+        &self,
+        items: Vec<T>,
+        run: impl Fn(&Rose<S>, T) -> R + Sync,
+    ) -> Vec<(R, Obs)> {
+        crate::parallel::ordered_map(self.cfg.jobs, items, |item| {
+            let worker = self.fork();
+            let out = run(&worker, item);
+            (out, worker.obs)
+        })
+    }
+
     /// Runs `run` once per replay seed (`base_seed + 31·i`, wrapping) across
     /// the configured worker pool, returning the results in seed order.
     ///
@@ -457,12 +472,7 @@ impl<S: TargetSystem> Rose<S> {
         if self.cfg.jobs <= 1 {
             return seeds.into_iter().map(|seed| run(self, seed)).collect();
         }
-        let results = crate::parallel::ordered_map(self.cfg.jobs, seeds, |seed| {
-            let worker = self.fork();
-            let out = run(&worker, seed);
-            (out, worker.obs)
-        });
-        results
+        self.fan_out(seeds, run)
             .into_iter()
             .map(|(out, worker_obs)| {
                 self.obs.absorb(&worker_obs);
@@ -618,15 +628,9 @@ impl<'a, S: TargetSystem> RunHarness for SimHarness<'a, S> {
         }
         let rose = self.rose;
         let profile = self.profile;
-        let results = crate::parallel::ordered_map(
-            rose.cfg.jobs.max(1),
-            jobs.to_vec(),
-            |(schedule, seed)| {
-                let worker = rose.fork();
-                let run = worker.run_once(profile, &schedule, seed);
-                (RunObservation::from(run), worker.obs)
-            },
-        );
+        let results = rose.fan_out(jobs.to_vec(), |worker, (schedule, seed)| {
+            RunObservation::from(worker.run_once(profile, &schedule, seed))
+        });
         let (observations, pending) = results.into_iter().unzip();
         self.pending = pending;
         observations

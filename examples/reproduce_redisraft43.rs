@@ -13,7 +13,7 @@
 use rose::analyze::level1_schedule;
 use rose::apps::driver::{capture_buggy_trace, DriverOptions};
 use rose::apps::redisraft::{redisraft_capture, RedisRaftBug, RedisRaftCase};
-use rose::core::{Rose, TargetSystem};
+use rose::core::Rose;
 
 fn main() {
     let rose = Rose::new(RedisRaftCase {
@@ -53,9 +53,7 @@ fn main() {
     );
 
     println!("4. the naive baseline: replay the faults at their recorded times …");
-    let mut diag_cfg = rose.config().diagnosis.clone();
-    diag_cfg.cluster_nodes = rose.system().cluster_size();
-    let manual = level1_schedule(&extraction, &diag_cfg);
+    let manual = level1_schedule(&extraction);
     let manual_rate = rose.replay_rate(&profile, &manual, 20, 4_000);
     println!("   replay rate: {manual_rate:.0}% — the paper's ~1% Jepsen experience");
 

@@ -18,13 +18,14 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag or campaign fork; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork or side channel beside a confirmed schedule; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
     || grep -rnE "diagnose_via_store|reproduce_from_store|persist_trace|chrome_trace_dir|verify_reproduction|export_causal_files|ChromeTrace::from_trace" \
         crates examples tests src README.md DESIGN.md \
     || grep -rn "fd_paths" crates/*/src \
+    || grep -rn "last_confirm_causal" crates/*/src \
     || grep -rnE "\.to_json\(\)\.len\(\)" crates/*/src \
     || grep -rnE "gauge_set|MetricsSnapshot|merge_snapshot|obs\.observe\(|flush_obs" crates/*/src \
     || grep -n "criterion" Cargo.toml Cargo.lock crates/*/Cargo.toml third_party/*/Cargo.toml \
@@ -40,8 +41,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "bench/run.sh is the one wall-clock instrument," \
         "a flag is the only spelling of a harness input; the tracer stays free of the store," \
         "telemetry is the workflow layers' concern (no rose-obs under rose-sim, rose-store, rose-trace)," \
-        "and a campaign diagnoses the trace it captured: capture_and_diagnose writes every" \
-        "campaign file, none is read back, and there is no capture-timeline Chrome export"
+        "a campaign diagnoses the trace it captured: capture_and_diagnose writes every" \
+        "campaign file, none is read back, and there is no capture-timeline Chrome export," \
+        "and a confirmed schedule carries its own causal log (a Guess, no last_confirm_causal)"
     exit 1
 fi
 
@@ -100,6 +102,17 @@ grep -q '"confirmed":true' "$smoke_dir/hunt-j1.json" || {
     exit 1
 }
 echo "   hunt campaign bit-identical across widths, discovery confirmed"
+
+echo "== ablations determinism (jobs=1 vs jobs=4)"
+# The only bin that reaches the amplification-off search (ablation 2) and an
+# EI guess kept beside a confirmed flat result (ablation 5, Zookeeper-2247).
+for jobs in 1 4; do
+    ./target/release/ablations --jobs "$jobs" \
+        --report "$smoke_dir/ablations-j$jobs.jsonl" \
+        > "$smoke_dir/ablations-stdout-j$jobs.txt" 2> /dev/null
+done
+diff -u "$smoke_dir/ablations-stdout-j1.txt" "$smoke_dir/ablations-stdout-j4.txt"
+diff -u "$smoke_dir/ablations-j1.jsonl" "$smoke_dir/ablations-j4.jsonl"
 
 echo "== --trace-dir writes one .rosetrace per bug, >= 8x smaller than the JSON form"
 # Both sizes come from the tracing records of the smoke's JSONL report.
