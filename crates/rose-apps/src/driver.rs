@@ -55,6 +55,26 @@ impl CaptureSpec {
         self.duration = Some(d);
         self
     }
+
+    /// The hooks that inject capture attempt `attempt`'s faults: a scripted
+    /// schedule or prelude's executor first, then the nemesis, reseeded by
+    /// `101 · attempt`.
+    pub fn hooks(&self, attempt: u32) -> Vec<Box<dyn KernelHook>> {
+        let nemesis = |ncfg: &NemesisConfig| -> Box<dyn KernelHook> {
+            let mut cfg = ncfg.clone();
+            cfg.seed = cfg.seed.wrapping_add(u64::from(attempt) * 101);
+            Box::new(Nemesis::new(cfg))
+        };
+        let scripted =
+            |s: &FaultSchedule| -> Box<dyn KernelHook> { Box::new(Executor::new(s.clone())) };
+        match &self.method {
+            CaptureMethod::Nemesis(ncfg) => vec![nemesis(ncfg)],
+            CaptureMethod::NemesisWithPrelude(ncfg, prelude) => {
+                vec![scripted(prelude), nemesis(ncfg)]
+            }
+            CaptureMethod::Scripted(schedule) => vec![scripted(schedule)],
+        }
+    }
 }
 
 /// Length of one capture run unless the case's [`CaptureSpec`] says
@@ -497,21 +517,7 @@ pub fn capture_buggy_trace<S: TargetSystem>(
     let mut last_failed: Option<rose_core::TraceCapture> = None;
     for attempt in 0..opts.max_capture_attempts {
         let seed = opts.capture_seed.wrapping_add(u64::from(attempt) * 13);
-        let nemesis = |ncfg: &NemesisConfig| -> Box<dyn KernelHook> {
-            let mut cfg = ncfg.clone();
-            cfg.seed = cfg.seed.wrapping_add(u64::from(attempt) * 101);
-            Box::new(Nemesis::new(cfg))
-        };
-        let scripted =
-            |s: &FaultSchedule| -> Box<dyn KernelHook> { Box::new(Executor::new(s.clone())) };
-        let hooks = match &capture.method {
-            CaptureMethod::Nemesis(ncfg) => vec![nemesis(ncfg)],
-            CaptureMethod::NemesisWithPrelude(ncfg, prelude) => {
-                vec![scripted(prelude), nemesis(ncfg)]
-            }
-            CaptureMethod::Scripted(schedule) => vec![scripted(schedule)],
-        };
-        let cap = rose.capture_trace(profile, hooks, seed, duration);
+        let cap = rose.capture_trace(profile, capture.hooks(attempt), seed, duration);
         elapsed += cap.elapsed;
         if cap.bug {
             obs.end_phase(span, elapsed);

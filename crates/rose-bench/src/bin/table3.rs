@@ -12,9 +12,7 @@
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 
-use std::collections::BTreeSet;
-
-use rose_apps::driver::{capture_spec, visit_case, CaptureMethod, SystemVisitor};
+use rose_apps::driver::{capture_spec, visit_case, CaptureSpec, SystemVisitor};
 use rose_apps::registry::BugId;
 use rose_bench::args::Args;
 use rose_bench::report::{self, ReportSink};
@@ -22,62 +20,24 @@ use rose_bench::table::render;
 use rose_core::{ordered_map, Rose, TargetSystem};
 use rose_events::SimDuration;
 use rose_obs::{PhaseRecord, ProfilingStats};
-use rose_sim::{HookEffects, HookEnv, KernelHook};
+use rose_profile::ProfilingHook;
+use rose_sim::KernelHook;
 
-/// Counts function entries: all of them, and those in the monitored set.
-struct AfCounter {
-    monitored: BTreeSet<String>,
-    all: u64,
-    kept: u64,
-}
-
-impl KernelHook for AfCounter {
-    fn name(&self) -> &'static str {
-        "af-counter"
-    }
-
-    fn uprobe(
-        &mut self,
-        _env: &HookEnv,
-        function: &str,
-        offset: Option<u32>,
-        _fx: &mut HookEffects,
-    ) {
-        if offset.is_none() {
-            self.all += 1;
-            if self.monitored.contains(function) {
-                self.kept += 1;
-            }
-        }
-    }
-}
-
-/// Runs a system's trigger scenario for two minutes and returns
-/// (all function entries, entries kept by the heuristic).
-fn measure<S: TargetSystem>(system: S, capture: rose_apps::driver::CaptureSpec) -> (u64, u64) {
+/// Runs a system's trigger scenario — the faults of its first capture
+/// attempt — for two minutes under a counting profiler and returns (all
+/// function entries, entries of the functions the heuristic keeps).
+fn measure<S: TargetSystem>(system: S, capture: CaptureSpec) -> (u64, u64) {
     let rose = Rose::new(system);
-    let profile = rose.profile();
-    let counter = AfCounter {
-        monitored: profile.infrequent_functions().into_iter().collect(),
-        all: 0,
-        kept: 0,
-    };
-
-    let mut hooks: Vec<Box<dyn KernelHook>> = vec![Box::new(counter)];
-    match &capture.method {
-        CaptureMethod::Scripted(s) => {
-            hooks.push(Box::new(rose_inject::Executor::new(s.clone())));
-        }
-        CaptureMethod::Nemesis(cfg) | CaptureMethod::NemesisWithPrelude(cfg, _) => {
-            hooks.push(Box::new(rose_jepsen::Nemesis::new(cfg.clone())));
-        }
-    }
+    let kept = rose.profile().infrequent_functions();
+    let mut hooks: Vec<Box<dyn KernelHook>> = vec![Box::new(ProfilingHook::new())];
+    hooks.extend(capture.hooks(0));
     let mut sim = rose.deploy(33, hooks);
     sim.start();
     // "These schedules take on average 2 minutes to run" (§6.4).
     sim.run_for(SimDuration::from_secs(120));
-    let c = sim.hook_ref::<AfCounter>().unwrap();
-    (c.all, c.kept)
+    let counts = &sim.hook_ref::<ProfilingHook>().unwrap().function_counts;
+    let entries = |f: &String| counts.get(f).copied().unwrap_or(0);
+    (counts.values().sum(), kept.iter().map(entries).sum())
 }
 
 const USAGE: &str = "usage: table3 [--jobs N] [--report PATH]";

@@ -88,10 +88,6 @@ struct SendSpy {
 }
 
 impl KernelHook for SendSpy {
-    fn name(&self) -> &'static str {
-        "send-spy"
-    }
-
     fn sys_exit(
         &mut self,
         env: &HookEnv,

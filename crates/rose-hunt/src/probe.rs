@@ -103,10 +103,6 @@ impl SiteProbe {
 const ENTERED: u32 = 1 << SyscallId::ALL.len();
 
 impl KernelHook for SiteProbe {
-    fn name(&self) -> &'static str {
-        "rose-hunt-probe"
-    }
-
     fn sys_enter(&mut self, env: &HookEnv, args: &rose_sim::SyscallArgs, _fx: &mut HookEffects) {
         self.mark(env, args.call.bit());
     }

@@ -186,10 +186,6 @@ impl NameKeyed {
 }
 
 impl KernelHook for NameKeyed {
-    fn name(&self) -> &'static str {
-        "name-keyed-reference"
-    }
-
     fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, _fx: &mut HookEffects) {
         self.check_bijection(env);
         self.contexts

@@ -1,8 +1,8 @@
 //! The executor: tracks per-node fault contexts and injects faults at the
 //! exact kernel boundary where the last condition is observed (§4.6).
 
-use rose_events::{NodeId, Pid, SimTime};
-use rose_sim::{ChainId, HookEffects, HookEnv, KernelHook, ProcEvent, ProcTable, SyscallArgs};
+use rose_events::{NodeId, SimTime};
+use rose_sim::{ChainId, HookEffects, HookEnv, KernelHook, ProcTable, SyscallArgs};
 
 use crate::schedule::{Condition, FaultAction, FaultId, FaultSchedule};
 
@@ -52,18 +52,15 @@ impl ExecutionFeedback {
 
 /// The Rose executor: a [`KernelHook`] loaded for reproduction runs.
 ///
-/// State tracking is per process id, with child pids and post-restart pids
-/// remapped to the original node identity (§5.4): the executor maintains its
-/// own pid → node map from process lifecycle events rather than trusting any
-/// application-level identity.
+/// State tracking is per node. The paper's executor remaps child pids and
+/// post-restart pids to the original node itself (§5.4), because an eBPF
+/// program sees only raw pids; this kernel names the node on every probe
+/// ([`HookEnv::node`]), so the executor keeps no pid → node map.
 pub struct Executor {
     faults: Faults,
     /// What the next probe can change, derived from `faults` whenever they
     /// move; a probe that passes it by returns without touching them.
     filter: Filter,
-    /// pid → node map built from Spawned/Restarted/ChildSpawned events,
-    /// indexed by the pid's number like the kernel's per-pid tables.
-    pid_node: Vec<Option<NodeId>>,
 }
 
 /// The fault-context state machine: the schedule and each fault's progress
@@ -106,7 +103,6 @@ impl Executor {
         Executor {
             filter: Filter::of(&faults),
             faults,
-            pid_node: Vec::new(),
         }
     }
 
@@ -141,37 +137,16 @@ impl Executor {
         ExecutionFeedback { injected, armed }
     }
 
-    /// Resolves the node a pid belongs to via the executor's own mapping.
-    fn node_of(&self, pid: Pid, fallback: NodeId) -> NodeId {
-        match self.pid_node.get(pid.0 as usize) {
-            Some(Some(node)) => *node,
-            _ => fallback,
-        }
-    }
-
-    fn map_pid(&mut self, pid: Pid, node: NodeId) {
-        let pid = pid.0 as usize;
-        if self.pid_node.len() <= pid {
-            self.pid_node.resize(pid + 1, None);
-        }
-        self.pid_node[pid] = Some(node);
-    }
-
-    /// The node a probe concerns — resolved through the executor's own pid
-    /// map — unless the filter shows the probe can change nothing: the
-    /// state-based pass has no work yet and either no node is waited on for
-    /// anything or this one is not `wanted` for this probe.
-    fn admit(&self, env: &HookEnv, wanted: impl Fn(NodeWaits) -> bool) -> Option<NodeId> {
+    /// Whether a probe can change anything: not when the state-based pass
+    /// has no work yet and either no node is waited on for anything or the
+    /// probe's node is not `wanted` for this probe.
+    fn admits(&self, env: &HookEnv, wanted: impl Fn(NodeWaits) -> bool) -> bool {
         let filter = &self.filter;
-        let admitted = if filter.asleep(env.now) {
-            None
-        } else {
-            let node = self.node_of(env.pid, env.node);
-            (env.now >= filter.wake_at || wanted(filter.node(node))).then_some(node)
-        };
+        let admitted =
+            !filter.asleep(env.now) && (env.now >= filter.wake_at || wanted(filter.node(env.node)));
         // The one way turning a probe away can be wrong is a stale cache.
         debug_assert!(
-            admitted.is_some() || filter.is_current(&self.faults),
+            admitted || filter.is_current(&self.faults),
             "stale probe filter"
         );
         admitted
@@ -298,8 +273,9 @@ impl Faults {
         self.fire_ready(node, now, fx)
     }
 
-    /// A system call entered on `node`: the whole per-probe pass.
-    fn sys_enter(&mut self, node: NodeId, env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
+    /// A system call entered on `env.node`: the whole per-probe pass.
+    fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
+        let node = env.node;
         let path = args.subject_path();
 
         // 1. Progress SyscallInvocation / ExecutionIndex conditions.
@@ -365,16 +341,10 @@ impl Faults {
         }
     }
 
-    /// A function entry (`offset == None`) or instrumented offset on `node`.
-    fn uprobe(
-        &mut self,
-        node: NodeId,
-        now: SimTime,
-        function: &str,
-        offset: Option<u32>,
-        fx: &mut HookEffects,
-    ) {
-        self.observe(node, now, fx, |cond, _rt| match (cond, offset) {
+    /// A function entry (`offset == None`) or instrumented offset on
+    /// `env.node`.
+    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>, fx: &mut HookEffects) {
+        self.observe(env.node, env.now, fx, |cond, _rt| match (cond, offset) {
             (Condition::FunctionEntered { name }, None) => name == function,
             (Condition::FunctionOffset { name, offset: want }, Some(off)) => {
                 name == function && *want == off
@@ -530,25 +500,19 @@ impl Filter {
 }
 
 impl KernelHook for Executor {
-    fn name(&self) -> &'static str {
-        "rose-executor"
-    }
-
     fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
         let call = args.call.bit();
-        let Some(node) = self.admit(env, |w| w.ready || w.syscalls & call != 0) else {
-            return;
-        };
-        self.faults.sys_enter(node, env, args, fx);
-        self.refresh_filter();
+        if self.admits(env, |w| w.ready || w.syscalls & call != 0) {
+            self.faults.sys_enter(env, args, fx);
+            self.refresh_filter();
+        }
     }
 
     fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>, fx: &mut HookEffects) {
-        let Some(node) = self.admit(env, |w| w.ready || w.uprobes) else {
-            return;
-        };
-        self.faults.uprobe(node, env.now, function, offset, fx);
-        self.refresh_filter();
+        if self.admits(env, |w| w.ready || w.uprobes) {
+            self.faults.uprobe(env, function, offset, fx);
+            self.refresh_filter();
+        }
     }
 
     fn poll(&mut self, now: SimTime, _procs: &ProcTable, fx: &mut HookEffects) {
@@ -558,28 +522,13 @@ impl KernelHook for Executor {
         self.faults.poll(now, fx);
         self.refresh_filter();
     }
-
-    fn proc_event(&mut self, _now: SimTime, event: &ProcEvent) {
-        match event {
-            ProcEvent::Spawned { node, pid }
-            | ProcEvent::Restarted {
-                node, new_pid: pid, ..
-            } => self.map_pid(*pid, *node),
-            ProcEvent::ChildSpawned { parent, child } => {
-                if let Some(Some(node)) = self.pid_node.get(parent.0 as usize) {
-                    self.map_pid(*child, *node);
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
-    use rose_events::{Errno, SimDuration, SyscallId};
+    use rose_events::{Errno, Pid, SimDuration, SyscallId};
     use rose_sim::ChainTable;
 
     use super::*;
@@ -590,13 +539,8 @@ mod tests {
     struct Unfiltered(Executor);
 
     impl KernelHook for Unfiltered {
-        fn name(&self) -> &'static str {
-            "rose-executor-unfiltered"
-        }
-
         fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
-            let node = self.0.node_of(env.pid, env.node);
-            self.0.faults.sys_enter(node, env, args, fx);
+            self.0.faults.sys_enter(env, args, fx);
         }
 
         fn uprobe(
@@ -606,16 +550,11 @@ mod tests {
             offset: Option<u32>,
             fx: &mut HookEffects,
         ) {
-            let node = self.0.node_of(env.pid, env.node);
-            self.0.faults.uprobe(node, env.now, function, offset, fx);
+            self.0.faults.uprobe(env, function, offset, fx);
         }
 
         fn poll(&mut self, now: SimTime, _procs: &ProcTable, fx: &mut HookEffects) {
             self.0.faults.poll(now, fx);
-        }
-
-        fn proc_event(&mut self, now: SimTime, event: &ProcEvent) {
-            self.0.proc_event(now, event);
         }
     }
 
@@ -744,7 +683,7 @@ mod tests {
     type GenStep = (u64, u8, u64);
 
     fn gen_steps() -> impl Strategy<Value = Vec<GenStep>> {
-        proptest::collection::vec((0u64..3, 0u8..16, 0u64..u64::MAX), 0..400)
+        proptest::collection::vec((0u64..3, 0u8..14, 0u64..u64::MAX), 0..400)
     }
 
     /// What one generated run reached.
@@ -776,33 +715,14 @@ mod tests {
         let (table, ids) = chains;
         let mut reach = Reach::default();
 
-        // The live pids and their nodes; pid 0 is never announced, so its
-        // probes fall back to the node the kernel names.
-        let mut pids: Vec<(Pid, NodeId)> = vec![(Pid(0), NodeId(0))];
-        let mut next_pid = 1;
-        let both = |event: ProcEvent, filtered: &mut Executor, reference: &mut Unfiltered| {
-            filtered.proc_event(SimTime::ZERO, &event);
-            reference.proc_event(SimTime::ZERO, &event);
-        };
-        for node in (0..NODES).map(NodeId) {
-            let pid = Pid(next_pid);
-            next_pid += 1;
-            pids.push((pid, node));
-            both(
-                ProcEvent::Spawned { node, pid },
-                &mut filtered,
-                &mut reference,
-            );
-        }
-
         let mut now = SimTime::ZERO;
         for (i, &(dt, kind, dice)) in steps.iter().enumerate() {
             now += SimDuration::from_micros(TICK.as_micros() * dt);
-            let (pid, node) = pick(&pids, dice);
             let env = HookEnv {
                 now,
-                node,
-                pid,
+                node: NodeId((dice % u64::from(NODES)) as u32),
+                // Any pid: both executors go by the node the kernel names.
+                pid: Pid(dice as u32),
                 chain: pick(ids, dice >> 8),
                 chains: table,
             };
@@ -819,8 +739,8 @@ mod tests {
                     }
                     reach.probes += unspent;
                     let call = args.call.bit();
-                    let admitted = filtered.admit(&env, |w| w.ready || w.syscalls & call != 0);
-                    reach.admitted += unspent * u64::from(admitted.is_some());
+                    let admitted = filtered.admits(&env, |w| w.ready || w.syscalls & call != 0);
+                    reach.admitted += unspent * u64::from(admitted);
                     filtered.sys_enter(&env, &args, &mut got);
                     reference.sys_enter(&env, &args, &mut want);
                 }
@@ -833,36 +753,14 @@ mod tests {
                     let function = env.call_chain().last().expect("inside a function");
                     let offset = ((dice >> 16) % 2 == 0).then_some((dice >> 24) as u32 % 2);
                     reach.probes += unspent;
-                    let admitted = filtered.admit(&env, |w| w.ready || w.uprobes);
-                    reach.admitted += unspent * u64::from(admitted.is_some());
+                    let admitted = filtered.admits(&env, |w| w.ready || w.uprobes);
+                    reach.admitted += unspent * u64::from(admitted);
                     filtered.uprobe(&env, function, offset, &mut got);
                     reference.uprobe(&env, function, offset, &mut want);
                 }
-                13 => {
+                _ => {
                     filtered.poll(now, &ProcTable::new(), &mut got);
                     reference.poll(now, &ProcTable::new(), &mut want);
-                }
-                14 => {
-                    let new_pid = Pid(next_pid);
-                    next_pid += 1;
-                    let slot = pids.iter_mut().find(|(p, n)| *n == node && p.0 != 0);
-                    let slot = slot.expect("every node has a main pid");
-                    let old_pid = std::mem::replace(&mut slot.0, new_pid);
-                    let event = ProcEvent::Restarted {
-                        node,
-                        new_pid,
-                        old_pid,
-                    };
-                    both(event, &mut filtered, &mut reference);
-                }
-                _ => {
-                    let child = Pid(next_pid);
-                    next_pid += 1;
-                    if pid.0 != 0 {
-                        pids.push((child, node));
-                    }
-                    let event = ProcEvent::ChildSpawned { parent: pid, child };
-                    both(event, &mut filtered, &mut reference);
                 }
             }
             prop_assert_eq!(&got, &want, "step {} ({:?} at {})", i, steps[i], now);

@@ -245,8 +245,8 @@ fn without_order_enforcement_faults_race() {
 #[test]
 fn condition_survives_restart_via_pid_remap() {
     // Crash node 2 twice: the second fault's context (a function entry) is
-    // observed by the *restarted* process with a fresh pid — the executor's
-    // pid → node remapping must keep tracking.
+    // observed by the *restarted* process with a fresh pid, which the
+    // kernel's probe context still names as node 2.
     let mut s = FaultSchedule::new();
     s.push(
         ScheduledFault::new(NodeId(2), FaultAction::Crash).after(Condition::FunctionEntered {
@@ -264,6 +264,62 @@ fn condition_survives_restart_via_pid_remap() {
     let t0 = fb.injected[0].1;
     let t1 = fb.injected[1].1;
     assert!(t1 > t0);
+}
+
+/// Every tick forks a helper process that writes a marker file, and
+/// remembers the pid of each helper whose write failed.
+#[derive(Default)]
+struct Forker {
+    failed: Vec<Pid>,
+}
+
+impl Application for Forker {
+    type Msg = Tick;
+
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_, Tick>) {
+        ctx.set_timer(SimDuration::from_millis(200), 0);
+    }
+
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Tick>, _tag: u64) {
+        let failed = ctx.as_child(|child| {
+            let written = child.write_file("/data/marker", b"done");
+            written.is_err().then(|| child.pid())
+        });
+        self.failed.extend(failed);
+        ctx.set_timer(SimDuration::from_millis(200), 0);
+    }
+
+    fn on_message(&mut self, _ctx: &mut NodeCtx<'_, Tick>, _from: NodeId, _msg: Tick) {}
+}
+
+#[test]
+fn an_scf_on_a_node_fires_on_its_child_helpers_call() {
+    // The second `openat` of the marker on node 1 is made by a forked
+    // helper, whose pid is not the node's: the fault must still land there,
+    // and only there.
+    let mut s = FaultSchedule::new();
+    s.push(ScheduledFault::new(
+        NodeId(1),
+        FaultAction::Scf {
+            syscall: SyscallId::Openat,
+            errno: Errno::Eio,
+            path: Some("/data/marker".into()),
+            nth: 2,
+        },
+    ));
+    let mut sim = Sim::new(SimConfig::new(3, 11), |_| Forker::default());
+    sim.add_hook(Box::new(Executor::new(s)));
+    sim.start();
+    sim.run_for(SimDuration::from_secs(2));
+    let fb = sim.hook_ref::<Executor>().unwrap().feedback();
+    assert_eq!(fb.injected.len(), 1);
+    let failed = &sim.app(NodeId(1)).unwrap().failed;
+    assert_eq!(failed.len(), 1);
+    let helper = sim.core().procs.get(failed[0]).unwrap();
+    let main = sim.core().procs.main_pid(NodeId(1));
+    assert_eq!(helper.parent, main, "a child helper made the failing call");
+    assert!(sim.app(NodeId(0)).unwrap().failed.is_empty());
+    assert!(sim.app(NodeId(2)).unwrap().failed.is_empty());
 }
 
 #[test]

@@ -95,10 +95,6 @@ impl Nemesis {
 }
 
 impl KernelHook for Nemesis {
-    fn name(&self) -> &'static str {
-        "jepsen-nemesis"
-    }
-
     fn poll(&mut self, now: SimTime, _procs: &ProcTable, fx: &mut HookEffects) {
         let next = *self
             .next_at

@@ -47,10 +47,6 @@ impl ProfilingHook {
 }
 
 impl KernelHook for ProfilingHook {
-    fn name(&self) -> &'static str {
-        "rose-profiler"
-    }
-
     fn sys_exit(
         &mut self,
         _env: &HookEnv,

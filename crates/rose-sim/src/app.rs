@@ -329,7 +329,6 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
     /// Marks entry into a named application function — the uprobe site.
     /// Must be paired with [`NodeCtx::exit_function`].
     pub fn enter_function(&mut self, name: &str) {
-        self.core.stats.fn_entries += 1;
         self.core.push_function(self.pid, name);
         self.core.fire_uprobe(self.node, self.pid, None);
     }
@@ -351,16 +350,14 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
     }
 
     /// Runs `f` attributed to a freshly forked child helper pid — the
-    /// child-process scenario the executor's pid mapping handles (§5.4).
+    /// child-process scenario of the paper's §5.4. Its probes name this
+    /// node, as every probe of the child's pid does.
     pub fn as_child<R>(&mut self, f: impl FnOnce(&mut NodeCtx<'_, M>) -> R) -> R {
-        let parent = self.pid;
         let child = self
             .core
             .procs
-            .spawn_child(parent, self.core.now)
+            .spawn_child(self.pid, self.core.now)
             .expect("parent process exists");
-        self.core
-            .notify_proc_event(crate::hooks::ProcEvent::ChildSpawned { parent, child });
         let prev = std::mem::replace(&mut self.pid, child);
         let out = f(self);
         self.pid = prev;

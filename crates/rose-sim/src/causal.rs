@@ -223,18 +223,6 @@ impl CausalRecorder {
         });
     }
 
-    /// A snapshot of the log collected so far.
-    pub fn log(&self) -> CausalLog {
-        if !self.active {
-            return CausalLog::default();
-        }
-        self.inner
-            .lock()
-            .expect("causal recorder poisoned")
-            .log
-            .clone()
-    }
-
     /// Takes the log, leaving the recorder empty (frontiers reset too).
     pub fn take_log(&self) -> CausalLog {
         if !self.active {
@@ -256,7 +244,7 @@ mod tests {
         r.inject(NodeId(0), 0, "PS(Crash)".into(), SimTime::ZERO);
         r.oracle(SimTime::from_secs(1));
         assert!(!r.is_active());
-        assert!(r.log().is_empty());
+        assert!(r.take_log().is_empty());
         assert_eq!(r.send_cause(NodeId(0)), None);
     }
 
@@ -272,7 +260,7 @@ mod tests {
         );
         r.crash(NodeId(0), true, SimTime::from_secs(2));
         r.oracle(SimTime::from_secs(2));
-        let log = r.log();
+        let log = r.take_log();
         assert_eq!(log.len(), 4);
         // inject --Inject--> scf --Signal--> crash --Oracle--> oracle
         assert_eq!(log.edges[0].kind, EdgeKind::Inject);
@@ -291,7 +279,7 @@ mod tests {
         r.recv(NodeId(2), NodeId(1), c, SimTime::from_secs(1));
         // Node 2's frontier is now tainted transitively.
         assert!(r.send_cause(NodeId(2)).is_some());
-        let log = r.log();
+        let log = r.take_log();
         assert!(log
             .edges
             .iter()
@@ -305,7 +293,7 @@ mod tests {
         r.pause(NodeId(2), SimTime::from_secs(1));
         r.oracle(SimTime::from_secs(3));
         r.oracle(SimTime::from_secs(4));
-        let log = r.log();
+        let log = r.take_log();
         let oracle = log.oracle().unwrap();
         let in_edges = log.edges.iter().filter(|e| e.to == oracle).count();
         assert_eq!(in_edges, 2, "one edge per node frontier");
@@ -324,7 +312,7 @@ mod tests {
         r.inject(NodeId(0), 0, "PS(Crash)".into(), SimTime::from_secs(1));
         r.crash(NodeId(0), false, SimTime::from_secs(1));
         r.restart(NodeId(0), SimTime::from_secs(2));
-        let log = r.log();
+        let log = r.take_log();
         assert!(log.edges.iter().any(|e| e.kind == EdgeKind::Fork));
         assert_eq!(log.node(CauseId(2)).kind, CausalKind::Restart);
     }
@@ -335,7 +323,7 @@ mod tests {
         r.inject(NodeId(0), 0, "ND".into(), SimTime::from_secs(1));
         let log = r.take_log();
         assert_eq!(log.len(), 1);
-        assert!(r.log().is_empty());
+        assert!(r.take_log().is_empty());
         assert_eq!(r.send_cause(NodeId(0)), None);
     }
 }

@@ -44,10 +44,6 @@ impl Reference {
 }
 
 impl KernelHook for Reference {
-    fn name(&self) -> &'static str {
-        "fd-map-reference"
-    }
-
     fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, _fx: &mut HookEffects) {
         self.check("sys_enter", env, args);
     }
@@ -98,10 +94,6 @@ struct Override {
 }
 
 impl KernelHook for Override {
-    fn name(&self) -> &'static str {
-        "override"
-    }
-
     fn sys_enter(&mut self, _env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
         match args.call {
             SyscallId::Openat if args.path == Some("/denied") => fx.set_override(Errno::Eacces),

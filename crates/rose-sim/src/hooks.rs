@@ -22,7 +22,8 @@ use crate::syscalls::{SysResult, SyscallArgs};
 pub struct HookEnv<'a> {
     /// Current simulated time.
     pub now: SimTime,
-    /// Node on which the probe fired.
+    /// Node on which the probe fired — the node `pid` belongs to, whether it
+    /// is the node's first process, a restarted one or a child helper.
     pub node: NodeId,
     /// Process (possibly a child helper) that hit the probe.
     pub pid: Pid,
@@ -91,8 +92,6 @@ pub enum NetCmd {
         /// Auto-heal delay.
         heal_after: Option<SimDuration>,
     },
-    /// Remove every installed filter.
-    ClearAll,
 }
 
 /// Everything the hooks of one probe firing ask the kernel to do. The chain
@@ -157,28 +156,12 @@ impl HookEffects {
 /// Process lifecycle notifications delivered to hooks.
 #[derive(Debug, Clone)]
 pub enum ProcEvent {
-    /// A node's main process started for the first time.
-    Spawned {
-        /// The node.
-        node: NodeId,
-        /// Its fresh pid.
-        pid: Pid,
-    },
     /// A node's main process restarted with a new pid after a crash.
     Restarted {
         /// The node.
         node: NodeId,
         /// The replacement pid.
-        new_pid: Pid,
-        /// The pid the node had before the crash.
-        old_pid: Pid,
-    },
-    /// A child helper process was forked.
-    ChildSpawned {
-        /// Parent (node main) pid.
-        parent: Pid,
-        /// The child pid.
-        child: Pid,
+        pid: Pid,
     },
     /// A process exited abnormally.
     Crashed {
@@ -186,28 +169,10 @@ pub enum ProcEvent {
         node: NodeId,
         /// The pid that died.
         pid: Pid,
-        /// Panic/abort message, if any.
-        reason: String,
         /// True when the process exited through its own abort path (failed
         /// assertion/panic) rather than an external kill — distinguishable
         /// black-box from the `wait(2)` status.
         aborted: bool,
-    },
-    /// A process was paused (SIGSTOP delivered).
-    PauseStart {
-        /// The node.
-        node: NodeId,
-        /// Paused pid.
-        pid: Pid,
-    },
-    /// A paused process resumed (SIGCONT).
-    PauseEnd {
-        /// The node.
-        node: NodeId,
-        /// Resumed pid.
-        pid: Pid,
-        /// When the pause began.
-        since: SimTime,
     },
 }
 
@@ -218,9 +183,6 @@ pub enum ProcEvent {
 /// the firing's shared [`HookEffects`] as `fx` and writes what it wants done
 /// into it.
 pub trait KernelHook: Any {
-    /// Short name for diagnostics.
-    fn name(&self) -> &'static str;
-
     /// `sys_enter`: fired before a system call executes. May override the
     /// return value (skipping the body) or deliver a signal.
     fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
@@ -247,15 +209,8 @@ pub trait KernelHook: Any {
     }
 
     /// XDP ingress tap: a node-to-node packet arrived at `env.node`.
-    fn packet_in(
-        &mut self,
-        env: &HookEnv,
-        src: IpAddr,
-        dst: IpAddr,
-        size: usize,
-        fx: &mut HookEffects,
-    ) {
-        let _ = (env, src, dst, size, fx);
+    fn packet_in(&mut self, env: &HookEnv, src: IpAddr, dst: IpAddr, fx: &mut HookEffects) {
+        let _ = (env, src, dst, fx);
     }
 
     /// Periodic poll (procfs reader and time-based fault conditions).
@@ -292,16 +247,16 @@ mod tests {
         fx.set_signal(crash);
         fx.add_charge(SimDuration::from_micros(2));
         fx.set_signal(pause);
-        fx.push_net(NetCmd::ClearAll);
-        fx.push_net(NetCmd::Isolate {
-            ip: IpAddr(1),
+        let isolate = |ip| NetCmd::Isolate {
+            ip: IpAddr(ip),
             heal_after: None,
-        });
+        };
+        fx.push_net(isolate(2));
+        fx.push_net(isolate(1));
         assert_eq!(fx.override_errno, Some(Errno::Eio));
         assert_eq!(fx.signal(), Some(crash));
         assert_eq!(fx.charge, SimDuration::from_micros(3));
-        assert_eq!(fx.net().len(), 2);
-        assert_eq!(fx.net()[0], NetCmd::ClearAll);
+        assert_eq!(fx.net(), [isolate(2), isolate(1)]);
         assert!(fx.is_injecting());
     }
 
@@ -311,7 +266,10 @@ mod tests {
         let mut fx = HookEffects::none();
         fx.add_charge(SimDuration::from_micros(5));
         assert!(!fx.is_injecting());
-        fx.push_net(NetCmd::ClearAll);
+        fx.push_net(NetCmd::Isolate {
+            ip: IpAddr(1),
+            heal_after: None,
+        });
         assert!(fx.is_injecting());
     }
 }

@@ -159,8 +159,6 @@ pub struct SimCore<M> {
     pub(crate) paused_buf: BTreeMap<NodeId, Vec<Buffered<M>>>,
     /// Per-node restart generation (0 = first boot).
     pub(crate) generations: Vec<u32>,
-    /// Previous main pid of each node (for `Restarted` notifications).
-    pub(crate) last_pid: Vec<Option<Pid>>,
     /// The run's calling-context tree: every distinct function-entry chain
     /// interned once.
     pub(crate) chains: ChainTable,
@@ -198,7 +196,6 @@ impl<M> SimCore<M> {
             busy: vec![SimDuration::ZERO; n],
             paused_buf: BTreeMap::new(),
             generations: vec![0; n],
-            last_pid: vec![None; n],
             chains: ChainTable::new(),
             fn_stack: Vec::new(),
             pending_crashes: Vec::new(),
@@ -380,7 +377,6 @@ impl<M> SimCore<M> {
     /// Unwinds with [`CrashPayload`] on an injected kill, like
     /// [`Self::syscall`]; panics if `pid` is outside any entered function.
     pub(crate) fn fire_uprobe(&mut self, node: NodeId, pid: Pid, offset: Option<u32>) {
-        self.stats.uprobes += 1;
         let env = HookEnv {
             now: self.now,
             node,
@@ -400,13 +396,7 @@ impl<M> SimCore<M> {
     }
 
     /// Fires the XDP ingress tap for a node-to-node packet.
-    pub(crate) fn fire_packet_in(
-        &mut self,
-        dst_node: NodeId,
-        src: IpAddr,
-        dst: IpAddr,
-        size: usize,
-    ) {
+    pub(crate) fn fire_packet_in(&mut self, dst_node: NodeId, src: IpAddr, dst: IpAddr) {
         let pid = self.procs.main_pid(dst_node).unwrap_or_default();
         let env = HookEnv {
             now: self.now,
@@ -417,7 +407,7 @@ impl<M> SimCore<M> {
         };
         let mut fx = HookEffects::none();
         for h in &mut self.hooks {
-            h.packet_in(&env, src, dst, size, &mut fx);
+            h.packet_in(&env, src, dst, &mut fx);
         }
         self.apply_effects(dst_node, fx);
     }
@@ -481,7 +471,6 @@ impl<M> SimCore<M> {
         if let Some(pid) = self.procs.main_pid(node) {
             self.procs.pause(pid, self.now);
             self.causal.pause(node, self.now);
-            self.notify_proc_event(ProcEvent::PauseStart { node, pid });
             self.schedule_in(d, Item::Resume(node, pid));
         }
     }
@@ -505,7 +494,6 @@ impl<M> SimCore<M> {
                         }
                     }
                 }
-                NetCmd::ClearAll => self.net.clear(),
             }
         }
     }

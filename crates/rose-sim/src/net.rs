@@ -74,11 +74,6 @@ impl NetState {
         self.rules.remove(&id);
     }
 
-    /// Removes every installed filter.
-    pub fn clear(&mut self) {
-        self.rules.clear();
-    }
-
     /// Whether a packet `src → dst` passes the installed filters.
     pub fn passes(&self, src: IpAddr, dst: IpAddr) -> bool {
         !self

@@ -2,7 +2,9 @@
 //!
 //! Each node runs one application process; crashes assign fresh pids on
 //! restart, and applications may attribute work to short-lived child pids —
-//! both situations the paper's executor must remap (§5.4).
+//! both situations the paper's executor must remap (§5.4). Here the kernel
+//! names the node on every probe ([`crate::HookEnv::node`]), so no hook keeps
+//! a pid → node map of its own.
 
 use rose_events::{NodeId, Pid, SimTime};
 
@@ -136,6 +138,11 @@ impl ProcTable {
     /// The entry of the last main process spawned on `node`, exited or not.
     fn main_entry(&self, node: NodeId) -> Option<&ProcessEntry> {
         self.get((*self.current.get(node.0 as usize)?)?)
+    }
+
+    /// Whether `node` has had a main process before, up or exited.
+    pub(crate) fn has_run(&self, node: NodeId) -> bool {
+        self.main_entry(node).is_some()
     }
 
     /// The current main pid of `node`, if the node is up.

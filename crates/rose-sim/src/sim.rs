@@ -274,23 +274,14 @@ impl<A: Application> Sim<A> {
         if self.apps[n.0 as usize].is_some() {
             return;
         }
-        let old = self.core.last_pid[n.0 as usize];
+        let restart = self.core.procs.has_run(n);
         let pid = self.core.procs.spawn_main(n, self.core.now);
-        match old {
-            Some(old_pid) => {
-                self.core.generations[n.0 as usize] += 1;
-                self.core.stats.restarts += 1;
-                self.core.causal.restart(n, self.core.now);
-                self.core.notify_proc_event(ProcEvent::Restarted {
-                    node: n,
-                    new_pid: pid,
-                    old_pid,
-                });
-            }
-            None => {
-                self.core
-                    .notify_proc_event(ProcEvent::Spawned { node: n, pid });
-            }
+        if restart {
+            self.core.generations[n.0 as usize] += 1;
+            self.core.stats.restarts += 1;
+            self.core.causal.restart(n, self.core.now);
+            self.core
+                .notify_proc_event(ProcEvent::Restarted { node: n, pid });
         }
         self.apps[n.0 as usize] = Some((self.factory)(n));
         self.dispatch_node(n, |app, ctx| app.on_start(ctx));
@@ -317,7 +308,7 @@ impl<A: Application> Sim<A> {
                     }
                     self.core.stats.packets += 1;
                     // XDP ingress tap (node-to-node traffic only).
-                    self.core.fire_packet_in(n, m.ip(), n.ip(), 64);
+                    self.core.fire_packet_in(n, m.ip(), n.ip());
                     self.drain_pending_signals();
                     if self.apps[n.0 as usize].is_none() {
                         return;
@@ -388,15 +379,10 @@ impl<A: Application> Sim<A> {
     }
 
     fn handle_resume(&mut self, n: NodeId, pid: Pid) {
-        let Some(since) = self.core.procs.resume(pid) else {
+        if self.core.procs.resume(pid).is_none() {
             return;
-        };
+        }
         self.core.causal.resume(n, self.core.now);
-        self.core.notify_proc_event(ProcEvent::PauseEnd {
-            node: n,
-            pid,
-            since,
-        });
         // SIGCONT drains pending socket data before the process services its
         // timer queue: buffered messages flush first, then timers (each in
         // arrival order). Repeated expirations of the same periodic timer
@@ -515,16 +501,11 @@ impl<A: Application> Sim<A> {
         self.core.reap(node, pid);
         self.core.stats.crashes += 1;
         self.core.causal.crash(node, aborted, self.core.now);
-        self.core.last_pid[node.0 as usize] = Some(pid);
         self.core.paused_buf.remove(&node);
         self.apps[node.0 as usize] = None;
         self.core.log(node, format!("process down: {reason}"));
-        self.core.notify_proc_event(ProcEvent::Crashed {
-            node,
-            pid,
-            reason,
-            aborted,
-        });
+        self.core
+            .notify_proc_event(ProcEvent::Crashed { node, pid, aborted });
         if self.core.cfg.auto_restart {
             let base = self.core.cfg.restart_delay.as_micros();
             let jitter = self.core.rng.gen_range(0.75..1.25_f64);

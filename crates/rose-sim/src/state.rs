@@ -156,11 +156,6 @@ pub struct SimStats {
     pub crashes: u64,
     /// Node restarts performed by the supervisor.
     pub restarts: u64,
-    /// Uprobe firings (function entries + offsets hit).
-    pub uprobes: u64,
-    /// Total application function entries, traced or not (the denominator of
-    /// the paper's Table 3 function-frequency study).
-    pub fn_entries: u64,
 }
 
 impl SimStats {

@@ -21,10 +21,6 @@ struct ChainSpy {
 }
 
 impl KernelHook for ChainSpy {
-    fn name(&self) -> &'static str {
-        "chain-spy"
-    }
-
     fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, _fx: &mut HookEffects) {
         if env.node == NodeId(0) {
             self.chains

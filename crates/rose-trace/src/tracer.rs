@@ -63,7 +63,7 @@ pub struct TracerReport {
     /// in the window (`Saved` column).
     pub events_saved: usize,
     /// Peak window memory in bytes (`Memory` column). Monotone over the
-    /// tracer's lifetime, including across [`Tracer::reset`].
+    /// tracer's lifetime.
     pub peak_bytes: usize,
     /// Simulated time to post-process the last dump (`Time` column), µs.
     pub processing_us: u64,
@@ -130,11 +130,6 @@ impl Tracer {
     /// Attaches a causal recorder (a clone of the run's shared handle).
     pub fn attach_causal(&mut self, rec: rose_sim::CausalRecorder) {
         self.causal = rec;
-    }
-
-    /// The tracer's configuration.
-    pub fn config(&self) -> &TracerConfig {
-        &self.cfg
     }
 
     /// Current counters.
@@ -224,18 +219,6 @@ impl Tracer {
         Trace::from_events(events)
     }
 
-    /// Clears the window (e.g. between profiling and production phases).
-    /// `peak_bytes` is deliberately *not* reset: it is a monotone
-    /// high-water mark over the tracer's lifetime.
-    pub fn reset(&mut self) {
-        self.window.clear();
-        self.last_dump_events = None;
-        self.ei_counts.clear();
-        self.af_by_chain.clear();
-        self.events_matched = 0;
-        self.total_charged = SimDuration::ZERO;
-    }
-
     fn record(&mut self, event: Event) {
         self.events_matched += 1;
         self.window.push(event);
@@ -264,10 +247,6 @@ impl Tracer {
 }
 
 impl KernelHook for Tracer {
-    fn name(&self) -> &'static str {
-        "rose-tracer"
-    }
-
     fn sys_exit(
         &mut self,
         env: &HookEnv,
@@ -379,14 +358,7 @@ impl KernelHook for Tracer {
         self.charge(UPROBE_FIRE_COST + RECORD_EVENT_COST, fx);
     }
 
-    fn packet_in(
-        &mut self,
-        env: &HookEnv,
-        src: IpAddr,
-        dst: IpAddr,
-        _size: usize,
-        fx: &mut HookEffects,
-    ) {
+    fn packet_in(&mut self, env: &HookEnv, src: IpAddr, dst: IpAddr, fx: &mut HookEffects) {
         if let Some(prev) = self.conns.record(src, dst, env.now) {
             let gap = env.now.since(prev.last_seen);
             if gap >= ND_THRESHOLD {
@@ -434,9 +406,7 @@ impl KernelHook for Tracer {
 
     fn proc_event(&mut self, now: SimTime, event: &ProcEvent) {
         match event {
-            ProcEvent::Crashed {
-                node, pid, aborted, ..
-            } => {
+            ProcEvent::Crashed { node, pid, aborted } => {
                 // A crash ends any pause the poller was tracking: flush it
                 // first so the pause is not lost from the window.
                 if let Some((pnode, since)) = self.ongoing_pauses.remove(pid) {
@@ -461,15 +431,14 @@ impl KernelHook for Tracer {
                 };
                 self.record(Event::new(now, *node, ev));
             }
-            ProcEvent::Restarted { node, new_pid, .. } => {
+            ProcEvent::Restarted { node, pid } => {
                 let ev = EventKind::Ps {
-                    pid: *new_pid,
+                    pid: *pid,
                     state: ProcState::Restarted,
                     duration: SimDuration::ZERO,
                 };
                 self.record(Event::new(now, *node, ev));
             }
-            _ => {}
         }
     }
 }

@@ -106,9 +106,6 @@ fn fd_based_failures_resolve_paths_via_fd_map() {
         seen: u32,
     }
     impl KernelHook for FailWrite {
-        fn name(&self) -> &'static str {
-            "failwrite"
-        }
         fn sys_enter(&mut self, _env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
             if args.call == SyscallId::Write {
                 self.seen += 1;
@@ -404,7 +401,7 @@ fn dump_records_causal_edges_for_open_intervals() {
     sim.inject_partition(&[NodeId(0)], &[NodeId(2)], None);
     sim.run_for(SimDuration::from_secs(10));
     let _ = dump(&mut sim);
-    let log = rec.log();
+    let log = rec.take_log();
     let open_ps = log
         .nodes
         .iter()
@@ -434,16 +431,4 @@ fn dump_records_causal_edges_for_open_intervals() {
         }),
         "OpenPs chained via an Observe edge"
     );
-}
-
-#[test]
-fn peak_bytes_is_monotone_across_reset() {
-    let mut sim = sim_with(TracerMode::Full, 14);
-    sim.run_for(SimDuration::from_secs(3));
-    let before = sim.hook_ref::<Tracer>().unwrap().report().peak_bytes;
-    assert!(before > 0);
-    sim.hook_mut::<Tracer>().unwrap().reset();
-    let after = sim.hook_ref::<Tracer>().unwrap().report();
-    assert_eq!(after.events_saved, 0, "reset empties the window");
-    assert!(after.peak_bytes >= before, "peak_bytes must be monotone");
 }

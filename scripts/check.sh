@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -29,6 +29,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -rnE "MenuEntry|menu_fault|whole_node_menu|NemesisOp::ALL|NemesisEvent|fn path_of|fn resolve_path" \
         crates/*/src \
     || grep -rnE "NetCmd|SignalReq|DropRule" crates/rose-jepsen/src \
+    || grep -rnE "pid_node|map_pid|AfCounter|fn_entries|NetCmd::ClearAll|ProcEvent::(Spawned|ChildSpawned|PauseStart|PauseEnd)" \
+        crates/*/src \
+    || grep -rnF "fn name(&self) -> &'static str" crates tests examples \
     || grep -rnE "\.to_json\(\)\.len\(\)" crates/*/src \
     || grep -rnE "gauge_set|MetricsSnapshot|merge_snapshot|obs\.observe\(|flush_obs" crates/*/src \
     || grep -n "criterion" Cargo.toml Cargo.lock crates/*/Cargo.toml third_party/*/Cargo.toml \
@@ -49,7 +52,10 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "a confirmed schedule carries its own causal log (a Guess, no last_confirm_causal)," \
         "every injected fault is a FaultAction and FaultAction::apply alone writes its effects" \
         "(no menu entries, nemesis events or nemesis-built NetCmd/SignalReq/DropRule)," \
-        "and SyscallArgs::subject_path is the one rule for the path a call is about"
+        "SyscallArgs::subject_path is the one rule for the path a call is about," \
+        "and the hook boundary carries only what hooks read: HookEnv::node names a probe's" \
+        "node (no pid map), lifecycle events are crash and restart, no NetCmd::ClearAll," \
+        "no SimStats::fn_entries or Table 3 AfCounter (its ProfilingHook counts), no KernelHook::name"
     exit 1
 fi
 
