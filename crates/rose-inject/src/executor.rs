@@ -52,10 +52,8 @@ impl ExecutionFeedback {
 
 /// The Rose executor: a [`KernelHook`] loaded for reproduction runs.
 ///
-/// State tracking is per node. The paper's executor remaps child pids and
-/// post-restart pids to the original node itself (§5.4), because an eBPF
-/// program sees only raw pids; this kernel names the node on every probe
-/// ([`HookEnv::node`]), so the executor keeps no pid → node map.
+/// State tracking is per node: the node each probe names
+/// ([`HookEnv::node`]).
 pub struct Executor {
     faults: Faults,
     /// What the next probe can change, derived from `faults` whenever they

@@ -10,9 +10,8 @@
 //! The [`Executor`] tracks, per node, the sequence of conditions of each
 //! fault (function entries, intra-function offsets, nth syscall invocations
 //! with optional path inputs, prior faults, elapsed time) and enforces the
-//! production fault order. The paper's executor also remaps child and
-//! post-restart pids to node identities (§5.4); here the kernel's probe
-//! context names the node ([`rose_sim::HookEnv::node`]).
+//! production fault order; a probe's node is the one
+//! [`rose_sim::HookEnv::node`] names.
 
 pub mod candidates;
 pub mod executor;

@@ -351,7 +351,7 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
 
     /// Runs `f` attributed to a freshly forked child helper pid — the
     /// child-process scenario of the paper's §5.4. Its probes name this
-    /// node, as every probe of the child's pid does.
+    /// node ([`crate::HookEnv::node`]).
     pub fn as_child<R>(&mut self, f: impl FnOnce(&mut NodeCtx<'_, M>) -> R) -> R {
         let child = self
             .core

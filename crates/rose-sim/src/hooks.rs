@@ -23,7 +23,10 @@ pub struct HookEnv<'a> {
     /// Current simulated time.
     pub now: SimTime,
     /// Node on which the probe fired — the node `pid` belongs to, whether it
-    /// is the node's first process, a restarted one or a child helper.
+    /// is the node's first process, a restarted one or a child helper. The
+    /// paper's executor must remap such pids to the node itself (§5.4),
+    /// because an eBPF program sees only raw pids; here the kernel names the
+    /// node on every probe, so no hook keeps a pid → node map of its own.
     pub node: NodeId,
     /// Process (possibly a child helper) that hit the probe.
     pub pid: Pid,

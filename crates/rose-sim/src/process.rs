@@ -2,9 +2,7 @@
 //!
 //! Each node runs one application process; crashes assign fresh pids on
 //! restart, and applications may attribute work to short-lived child pids —
-//! both situations the paper's executor must remap (§5.4). Here the kernel
-//! names the node on every probe ([`crate::HookEnv::node`]), so no hook keeps
-//! a pid → node map of its own.
+//! a probe of either still names its node ([`crate::HookEnv::node`]).
 
 use rose_events::{NodeId, Pid, SimTime};
 
