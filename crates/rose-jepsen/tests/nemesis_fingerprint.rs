@@ -3,7 +3,8 @@
 //! The nemesis is a [`KernelHook`] whose only output is the effects it writes
 //! at the kernel's periodic poll. This drives it directly — every operation
 //! it knows, a five-node cluster, a poll every 100 ms for 300 virtual
-//! seconds — and hashes each non-empty [`HookEffects`] with the time it was
+//! seconds — and hashes the signal and traffic-control commands of each
+//! non-empty [`HookEffects`], all a nemesis can write, with the time it was
 //! written. A change in how the nemesis draws or writes a fault moves the
 //! hash; if the change meant that, paste the value the test prints.
 
@@ -13,7 +14,7 @@ use rose_events::{FnvHasher, SimDuration, SimTime};
 use rose_jepsen::{Nemesis, NemesisConfig, NemesisOp};
 use rose_sim::{HookEffects, KernelHook, NetCmd, ProcTable, SignalKind};
 
-const EXPECTED: u64 = 0xc13cd593982cd15d;
+const EXPECTED: u64 = 0x0a2cbdc5b1ef027b;
 
 /// Which operation wrote `fx`, as an index into the op list below.
 fn op_of(fx: &HookEffects) -> usize {
@@ -43,7 +44,7 @@ fn the_nemesis_writes_the_recorded_effects() {
         let mut fx = HookEffects::none();
         nemesis.poll(now, &procs, &mut fx);
         if fx != HookEffects::none() {
-            write!(hash, "{now:?} {fx:?};").expect("hashing cannot fail");
+            write!(hash, "{now:?} {:?} {:?};", fx.signal(), fx.net()).expect("hashing cannot fail");
             faults[op_of(&fx)] += 1;
         }
         now += SimDuration::from_millis(100);
