@@ -253,11 +253,10 @@ mod tests {
     #[test]
     fn causal_recording_is_empty_and_free_on_a_fault_free_run() {
         let (_, unrecorded) = run_ycsb(vec![], 4, 1, 1);
-        let recorder = rose_sim::CausalRecorder::new();
         let (mut sim, ids) = ycsb_cluster(vec![], 4, 1);
-        sim.attach_causal(recorder.clone());
-        let (_, recorded) = run_cluster(sim, &ids, 1);
-        assert!(recorder.take_log().is_empty());
+        sim.record_causal();
+        let (mut sim, recorded) = run_cluster(sim, &ids, 1);
+        assert!(sim.take_causal_log().is_empty());
         assert_eq!(recorded, unrecorded);
     }
 

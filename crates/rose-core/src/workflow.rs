@@ -30,8 +30,8 @@ pub struct RoseConfig {
     /// execution. 1 = fully sequential. Results, reports, and telemetry are
     /// bit-identical for every value — this is purely a wall-clock knob.
     pub jobs: usize,
-    /// Collect causal provenance during testing runs: every run records a
-    /// happens-before log (injections, overridden syscalls, tainted message
+    /// Collect causal provenance in [`Rose::run_once`]: every such run
+    /// records a happens-before log (injections, overridden syscalls, tainted message
     /// receipts, crash/pause transitions, oracle detection), and the
     /// diagnosis report carries per-fault propagation chains computed from
     /// the winning schedule's confirmation run.
@@ -161,7 +161,7 @@ impl<S: TargetSystem> Rose<S> {
         &self,
         sim: &mut Sim<S::App>,
         duration: SimDuration,
-        mut at_detection: impl FnMut(&Sim<S::App>) -> bool,
+        mut at_detection: impl FnMut(&mut Sim<S::App>) -> bool,
     ) -> bool {
         let check_every = SimDuration::from_secs(5);
         let mut elapsed = SimDuration::ZERO;
@@ -311,8 +311,7 @@ impl<S: TargetSystem> Rose<S> {
     }
 
     /// Deploys and starts one testing execution of a schedule — executor and
-    /// production tracer, provenance recorder when configured — and says how
-    /// long it is to run.
+    /// production tracer — and says how long it is to run.
     fn deploy_testing(
         &self,
         profile: &Profile,
@@ -327,19 +326,6 @@ impl<S: TargetSystem> Rose<S> {
             Box::new(Tracer::new(tracer_cfg.clone())),
         ];
         let mut sim = self.deploy(seed, hooks);
-        let recorder = if self.cfg.causal {
-            let rec = rose_sim::CausalRecorder::new();
-            sim.attach_causal(rec.clone());
-            sim.hook_mut::<Executor>()
-                .expect("executor attached")
-                .attach_causal(rec.clone());
-            sim.hook_mut::<Tracer>()
-                .expect("tracer attached")
-                .attach_causal(rec.clone());
-            Some(rec)
-        } else {
-            None
-        };
         sim.start();
         // A run must outlive the schedule's longest relative fault time plus
         // room for the failure to manifest.
@@ -360,7 +346,6 @@ impl<S: TargetSystem> Rose<S> {
         self.obs.counter_inc("workflow.testing_runs");
         TestingRun {
             sim,
-            recorder,
             tracer_cfg,
             duration,
         }
@@ -372,10 +357,12 @@ impl<S: TargetSystem> Rose<S> {
     pub fn run_once(&self, profile: &Profile, schedule: &FaultSchedule, seed: u64) -> RunOnce {
         let TestingRun {
             mut sim,
-            recorder,
             tracer_cfg,
             duration,
         } = self.deploy_testing(profile, schedule, seed);
+        if self.cfg.causal {
+            sim.record_causal();
+        }
         // The oracle is polled until it first fires, so a transient
         // manifestation (e.g. an unavailability window that later heals)
         // still counts. The run then plays out in full, unpolled: the dump,
@@ -383,14 +370,10 @@ impl<S: TargetSystem> Rose<S> {
         // describe the whole run, and the diagnosis reads them when a
         // schedule's confirmation falls below target.
         let bug = self.poll_oracle(&mut sim, duration, |sim| {
-            if let Some(rec) = &recorder {
-                rec.oracle(sim.now());
-            }
+            sim.record_oracle();
             false
         });
         let now = sim.now();
-        // Dump before taking the causal log: the tracer records still-open
-        // pause/silence intervals as causal nodes at dump time.
         let trace = sim.hook_mut::<Tracer>().expect("tracer attached").dump(now);
         let feedback = sim
             .hook_ref::<Executor>()
@@ -416,7 +399,7 @@ impl<S: TargetSystem> Rose<S> {
             feedback,
             af_calls,
             wall,
-            causal: recorder.map(|rec| rec.take_log()),
+            causal: self.cfg.causal.then(|| sim.take_causal_log()),
             sim_events,
             events_before_injection,
         }
@@ -547,9 +530,6 @@ impl<S: TargetSystem> Rose<S> {
 /// A deployed, started testing execution.
 struct TestingRun<S: TargetSystem> {
     sim: Sim<S::App>,
-    /// The provenance recorder shared with the kernel and both hooks, when
-    /// [`RoseConfig::causal`] is on.
-    recorder: Option<rose_sim::CausalRecorder>,
     tracer_cfg: TracerConfig,
     /// How long the run is to last.
     duration: SimDuration,

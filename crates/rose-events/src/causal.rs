@@ -16,7 +16,7 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::ids::{IpAddr, NodeId};
+use crate::ids::NodeId;
 use crate::syscall::{Errno, SyscallId};
 use crate::time::SimTime;
 
@@ -69,18 +69,6 @@ pub enum CausalKind {
     Pause,
     /// The node's process resumed (SIGCONT).
     Resume,
-    /// The tracer dumped while a pause was still in progress (the PS
-    /// interval had no end yet when the oracle fired).
-    OpenPs {
-        /// How long the process had been paused at dump time, µs.
-        since_us: u64,
-    },
-    /// The tracer dumped while a connection was still silent (the ND
-    /// interval had no end yet when the oracle fired).
-    OpenNd {
-        /// Source address of the silent peer.
-        src: IpAddr,
-    },
     /// The bug oracle fired.
     Oracle,
 }
@@ -98,8 +86,6 @@ impl CausalKind {
             CausalKind::Restart => "restart".to_string(),
             CausalKind::Pause => "pause".to_string(),
             CausalKind::Resume => "resume".to_string(),
-            CausalKind::OpenPs { since_us } => format!("pause open {since_us}us"),
-            CausalKind::OpenNd { src } => format!("silence open from {src}"),
             CausalKind::Oracle => "oracle".to_string(),
         }
     }
@@ -119,8 +105,6 @@ pub enum EdgeKind {
     Fork,
     /// Injection → the system call it overrode.
     Inject,
-    /// Tracer observation of a still-open fault interval at dump time.
-    Observe,
     /// Frontier → oracle: the last causal node of each simulated node when
     /// the bug oracle fired.
     Oracle,
@@ -134,7 +118,6 @@ impl fmt::Display for EdgeKind {
             EdgeKind::Signal => "signal",
             EdgeKind::Fork => "fork",
             EdgeKind::Inject => "inject",
-            EdgeKind::Observe => "observe",
             EdgeKind::Oracle => "oracle",
         };
         f.write_str(s)

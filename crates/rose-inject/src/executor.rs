@@ -73,8 +73,6 @@ struct Faults {
     /// move without it: they decide *whether* a probe the filter let in
     /// matches, never which probes it lets in.
     moved: bool,
-    /// Provenance recorder; disabled unless a campaign asked for it.
-    causal: rose_sim::CausalRecorder,
 }
 
 impl Executor {
@@ -96,18 +94,11 @@ impl Executor {
             schedule,
             nodes,
             moved: false,
-            causal: rose_sim::CausalRecorder::disabled(),
         };
         Executor {
             filter: Filter::of(&faults),
             faults,
         }
-    }
-
-    /// Attaches a causal recorder; every injection is then recorded as a
-    /// provenance root on the target node.
-    pub fn attach_causal(&mut self, rec: rose_sim::CausalRecorder) {
-        self.faults.causal = rec;
     }
 
     /// The schedule being executed.
@@ -198,13 +189,14 @@ impl Faults {
         }
     }
 
-    /// Marks a fault injected and writes its effects. Returns whether the
-    /// fault had any to write (a split with an empty side has none).
+    /// Marks a fault injected, notes it in `fx` for the run's causal log and
+    /// writes its effects. Returns whether the fault had any to write (a
+    /// split with an empty side has none).
     fn fire(&mut self, id: FaultId, now: SimTime, fx: &mut HookEffects) -> bool {
         self.rt[id].injected_at = Some(now);
         self.moved = true;
         let fault = &self.schedule.faults[id];
-        self.causal.inject(fault.node, id, fault.action.tag(), now);
+        fx.push_inject(fault.node, id, fault.action.tag());
         fault.action.apply(fault.node, fx)
     }
 

@@ -462,6 +462,7 @@ fn an_execution_index_behind_an_earlier_fault_counts_from_that_fault() {
     };
     let none = HookEffects::none();
     let mut eio = HookEffects::none();
+    eio.push_inject(NodeId(0), 1, "SCF(write)".into());
     eio.set_override(Errno::Eio);
 
     // Two writes under the recorded context, then the crash.

@@ -1,10 +1,9 @@
 //! Fault-propagation chains over a run's causality DAG.
 //!
 //! A reproduction run that confirms a bug leaves behind a [`CausalLog`]:
-//! the happens-before records the kernel, the tracer, and the executor
-//! emitted while the run executed (injections, injected syscall failures,
-//! signal deliveries, cross-node message edges, restarts, open fault
-//! intervals, and the oracle firing). This module turns that log into the
+//! the happens-before records the kernel wrote while the run executed
+//! (the injections the executor noted, injected syscall failures, signal
+//! deliveries, cross-node message edges, restarts, and the oracle firing). This module turns that log into the
 //! artifact a human debugging the schedule actually wants — for each
 //! injected fault, the *propagation chain*: the shortest causal path from
 //! the injection point to the oracle event, with a one-line summary per

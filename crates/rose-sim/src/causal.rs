@@ -1,20 +1,17 @@
-//! The causal recorder: a shared handle through which the kernel, the
-//! tracer, and the executor emit happens-before records while a run
-//! executes.
+//! The causal recorder: the run's happens-before log, written by the kernel
+//! while the run executes.
 //!
-//! A cheap `Clone` handle around an `Arc<Mutex<_>>`, disabled by default so
+//! A plain value the run's [`crate::SimCore`] owns, disabled by default so
 //! every emission site is a plain boolean test when no campaign asked for
-//! provenance. The recorder
-//! maintains a per-simulated-node *frontier* — the last causal node emitted
-//! on that node — so each new record extends intra-node program order, and
-//! tracks taint (reachability from an injection) so message edges are only
-//! materialized for traffic that is causally downstream of a fault.
+//! provenance. The kernel records every node: its own transitions, and the
+//! injections a hook notes in the [`crate::HookEffects`] it fills. The
+//! recorder maintains a per-simulated-node *frontier* — the last causal node
+//! emitted on that node — so each new record extends intra-node program
+//! order, and tracks taint (reachability from an injection) so message
+//! edges are only materialized for traffic that is causally downstream of a
+//! fault.
 
-use std::sync::{Arc, Mutex};
-
-use rose_events::{
-    CausalKind, CausalLog, CauseId, EdgeKind, Errno, IpAddr, NodeId, SimTime, SyscallId,
-};
+use rose_events::{CausalKind, CausalLog, CauseId, EdgeKind, Errno, NodeId, SimTime, SyscallId};
 
 #[derive(Debug, Default)]
 struct RecorderState {
@@ -66,12 +63,11 @@ impl RecorderState {
     }
 }
 
-/// Shared handle for emitting causal provenance records. Cheap to clone;
-/// all clones write into the same log.
-#[derive(Debug, Clone, Default)]
-pub struct CausalRecorder {
+/// The run's causal provenance recorder.
+#[derive(Debug, Default)]
+pub(crate) struct CausalRecorder {
     active: bool,
-    inner: Arc<Mutex<RecorderState>>,
+    state: RecorderState,
 }
 
 impl CausalRecorder {
@@ -79,7 +75,7 @@ impl CausalRecorder {
     pub fn new() -> Self {
         CausalRecorder {
             active: true,
-            inner: Arc::default(),
+            state: RecorderState::default(),
         }
     }
 
@@ -88,22 +84,15 @@ impl CausalRecorder {
         CausalRecorder::default()
     }
 
-    /// Whether records are being collected.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    fn with<R: Default>(&self, f: impl FnOnce(&mut RecorderState) -> R) -> R {
-        if !self.active {
-            return R::default();
+    fn with(&mut self, f: impl FnOnce(&mut RecorderState)) {
+        if self.active {
+            f(&mut self.state);
         }
-        let mut st = self.inner.lock().expect("causal recorder poisoned");
-        f(&mut st)
     }
 
     /// Records a fault injection on `node` (program-ordered after the
     /// node's previous causal activity).
-    pub fn inject(&self, node: NodeId, fault: usize, tag: String, now: SimTime) {
+    pub fn inject(&mut self, node: NodeId, fault: usize, tag: String, now: SimTime) {
         self.with(|st| {
             st.push_on_frontier(
                 now,
@@ -120,7 +109,7 @@ impl CausalRecorder {
     /// Records a system call returning an injected error. The edge from the
     /// injection that claimed the probe is typed [`EdgeKind::Inject`]; any
     /// later failure of the same armed fault chains as program order.
-    pub fn scf(&self, node: NodeId, syscall: SyscallId, errno: Errno, now: SimTime) {
+    pub fn scf(&mut self, node: NodeId, syscall: SyscallId, errno: Errno, now: SimTime) {
         self.with(|st| {
             let edge = match st.last.get(&node) {
                 Some(p) if matches!(st.log.node(*p).kind, CausalKind::Inject { .. }) => {
@@ -135,12 +124,10 @@ impl CausalRecorder {
     /// The cause a message sent by `node` right now should carry: the
     /// node's frontier, but only once it is causally downstream of an
     /// injection (pre-fault traffic carries no provenance, keeping the log
-    /// proportional to post-injection activity).
+    /// proportional to post-injection activity). A disabled recorder has no
+    /// frontier.
     pub fn send_cause(&self, node: NodeId) -> Option<CauseId> {
-        if !self.active {
-            return None;
-        }
-        let st = self.inner.lock().expect("causal recorder poisoned");
+        let st = &self.state;
         st.last
             .get(&node)
             .copied()
@@ -148,7 +135,7 @@ impl CausalRecorder {
     }
 
     /// Records the receipt of a message carrying `cause` on `to`.
-    pub fn recv(&self, to: NodeId, from: NodeId, cause: CauseId, now: SimTime) {
+    pub fn recv(&mut self, to: NodeId, from: NodeId, cause: CauseId, now: SimTime) {
         self.with(|st| {
             let mut parents = vec![(cause, EdgeKind::Message)];
             if let Some(p) = st.last.get(&to) {
@@ -162,57 +149,36 @@ impl CausalRecorder {
     }
 
     /// Records a SIGSTOP landing on `node`.
-    pub fn pause(&self, node: NodeId, now: SimTime) {
+    pub fn pause(&mut self, node: NodeId, now: SimTime) {
         self.with(|st| {
             st.push_on_frontier(now, node, CausalKind::Pause, EdgeKind::Signal);
         });
     }
 
     /// Records a SIGCONT resuming `node`.
-    pub fn resume(&self, node: NodeId, now: SimTime) {
+    pub fn resume(&mut self, node: NodeId, now: SimTime) {
         self.with(|st| {
             st.push_on_frontier(now, node, CausalKind::Resume, EdgeKind::Signal);
         });
     }
 
     /// Records `node`'s process dying.
-    pub fn crash(&self, node: NodeId, aborted: bool, now: SimTime) {
+    pub fn crash(&mut self, node: NodeId, aborted: bool, now: SimTime) {
         self.with(|st| {
             st.push_on_frontier(now, node, CausalKind::Crash { aborted }, EdgeKind::Signal);
         });
     }
 
     /// Records the supervisor restarting `node` (fork edge from the crash).
-    pub fn restart(&self, node: NodeId, now: SimTime) {
+    pub fn restart(&mut self, node: NodeId, now: SimTime) {
         self.with(|st| {
             st.push_on_frontier(now, node, CausalKind::Restart, EdgeKind::Fork);
         });
     }
 
-    /// Records a pause still in progress when the tracer dumped.
-    pub fn open_pause(&self, node: NodeId, since: SimTime, now: SimTime) {
-        self.with(|st| {
-            st.push_on_frontier(
-                now,
-                node,
-                CausalKind::OpenPs {
-                    since_us: now.since(since).as_micros(),
-                },
-                EdgeKind::Observe,
-            );
-        });
-    }
-
-    /// Records a connection still silent when the tracer dumped.
-    pub fn open_silence(&self, dst: NodeId, src: IpAddr, now: SimTime) {
-        self.with(|st| {
-            st.push_on_frontier(now, dst, CausalKind::OpenNd { src }, EdgeKind::Observe);
-        });
-    }
-
     /// Records the bug oracle firing, with edges from every simulated
     /// node's frontier. Idempotent: only the first call creates the node.
-    pub fn oracle(&self, now: SimTime) {
+    pub fn oracle(&mut self, now: SimTime) {
         self.with(|st| {
             if st.log.oracle().is_some() {
                 return;
@@ -224,13 +190,8 @@ impl CausalRecorder {
     }
 
     /// Takes the log, leaving the recorder empty (frontiers reset too).
-    pub fn take_log(&self) -> CausalLog {
-        if !self.active {
-            return CausalLog::default();
-        }
-        let mut st = self.inner.lock().expect("causal recorder poisoned");
-        let state = std::mem::take(&mut *st);
-        state.log
+    pub fn take_log(&mut self) -> CausalLog {
+        std::mem::take(&mut self.state).log
     }
 }
 
@@ -240,17 +201,17 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_free() {
-        let r = CausalRecorder::disabled();
+        let mut r = CausalRecorder::disabled();
         r.inject(NodeId(0), 0, "PS(Crash)".into(), SimTime::ZERO);
         r.oracle(SimTime::from_secs(1));
-        assert!(!r.is_active());
+        assert!(!r.active);
         assert!(r.take_log().is_empty());
         assert_eq!(r.send_cause(NodeId(0)), None);
     }
 
     #[test]
     fn injection_chains_to_oracle_through_program_order() {
-        let r = CausalRecorder::new();
+        let mut r = CausalRecorder::new();
         r.inject(NodeId(0), 0, "SCF(write)".into(), SimTime::from_secs(1));
         r.scf(
             NodeId(0),
@@ -271,7 +232,7 @@ mod tests {
 
     #[test]
     fn taint_gates_message_capture() {
-        let r = CausalRecorder::new();
+        let mut r = CausalRecorder::new();
         // No causal activity on node 1: nothing to carry.
         assert_eq!(r.send_cause(NodeId(1)), None);
         r.inject(NodeId(1), 0, "ND".into(), SimTime::from_secs(1));
@@ -288,7 +249,7 @@ mod tests {
 
     #[test]
     fn oracle_is_idempotent_and_collects_all_frontiers() {
-        let r = CausalRecorder::new();
+        let mut r = CausalRecorder::new();
         r.inject(NodeId(0), 0, "PS(Crash)".into(), SimTime::from_secs(1));
         r.pause(NodeId(2), SimTime::from_secs(1));
         r.oracle(SimTime::from_secs(3));
@@ -308,7 +269,7 @@ mod tests {
 
     #[test]
     fn crash_restart_is_a_fork_edge() {
-        let r = CausalRecorder::new();
+        let mut r = CausalRecorder::new();
         r.inject(NodeId(0), 0, "PS(Crash)".into(), SimTime::from_secs(1));
         r.crash(NodeId(0), false, SimTime::from_secs(1));
         r.restart(NodeId(0), SimTime::from_secs(2));
@@ -319,7 +280,7 @@ mod tests {
 
     #[test]
     fn take_log_resets_state() {
-        let r = CausalRecorder::new();
+        let mut r = CausalRecorder::new();
         r.inject(NodeId(0), 0, "ND".into(), SimTime::from_secs(1));
         let log = r.take_log();
         assert_eq!(log.len(), 1);

@@ -6,7 +6,8 @@
 //! the same [`HookEffects`] to write into and applies it once the chain has
 //! run — a syscall-return override (`bpf_override_return`), a signal
 //! (`bpf_send_signal`), TC filter commands, and a CPU-time charge that
-//! models the probe's overhead.
+//! models the probe's overhead — and records the injections a hook noted
+//! in it into the run's causal log.
 
 use std::any::Any;
 
@@ -100,14 +101,16 @@ pub enum NetCmd {
 /// Everything the hooks of one probe firing ask the kernel to do. The chain
 /// shares one value: each hook writes through the setters, which keep the
 /// chain's merge rules — an override or a signal belongs to the first hook
-/// that asks (one eBPF program per attach point claims the probe), charges
-/// and traffic-control commands accumulate in hook order.
+/// that asks (one eBPF program per attach point claims the probe), charges,
+/// traffic-control commands and injection notes accumulate in hook order.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct HookEffects {
     pub(crate) override_errno: Option<Errno>,
     pub(crate) signal: Option<SignalReq>,
     pub(crate) net: Vec<NetCmd>,
     pub(crate) charge: SimDuration,
+    /// `(node, fault, tag)` of each scheduled fault a hook fired here.
+    pub(crate) injections: Vec<(NodeId, usize, String)>,
 }
 
 impl HookEffects {
@@ -138,6 +141,13 @@ impl HookEffects {
     /// (the source of tracer overhead).
     pub fn add_charge(&mut self, d: SimDuration) {
         self.charge += d;
+    }
+
+    /// Notes that fault `fault` of a schedule, tagged `tag`, fired on
+    /// `node`. The kernel records the note in the run's causal log before it
+    /// acts on the effects; the note alone is not an injecting effect.
+    pub fn push_inject(&mut self, node: NodeId, fault: usize, tag: String) {
+        self.injections.push((node, fault, tag));
     }
 
     /// The signal to deliver, if a hook asked for one.
@@ -268,6 +278,7 @@ mod tests {
         assert!(!HookEffects::none().is_injecting());
         let mut fx = HookEffects::none();
         fx.add_charge(SimDuration::from_micros(5));
+        fx.push_inject(NodeId(0), 0, "PS(Crash)".into());
         assert!(!fx.is_injecting());
         fx.push_net(NetCmd::Isolate {
             ip: IpAddr(1),

@@ -142,9 +142,10 @@ pub struct SimCore<M> {
     oracle_state: RefCell<Option<Box<dyn Any>>>,
     /// Run counters.
     pub stats: SimStats,
-    /// Causal provenance recorder, shared with hooks and the workflow.
-    /// Disabled (free) unless attached via [`crate::Sim::attach_causal`].
-    pub causal: CausalRecorder,
+    /// The run's causal provenance recorder. Only the kernel writes it: a
+    /// hook's part is the injection notes in its [`HookEffects`]. Disabled
+    /// (free) unless [`crate::Sim::record_causal`] turned it on.
+    pub(crate) causal: CausalRecorder,
     /// Queue items handled so far (the per-run simulated-event count the
     /// sweep-redundancy profiler reads).
     pub(crate) events_executed: u64,
@@ -332,6 +333,7 @@ impl<M> SimCore<M> {
         for h in &mut self.hooks {
             h.sys_enter(&env, &args, &mut fx);
         }
+        self.record_injections(&mut fx);
 
         let result = match fx.override_errno {
             // `bpf_override_return`: skip the body entirely, return the
@@ -418,6 +420,7 @@ impl<M> SimCore<M> {
         for h in &mut self.hooks {
             h.poll(self.now, &self.procs, &mut fx);
         }
+        self.record_injections(&mut fx);
         // Poll runs on a kernel thread: no callback is active, so pauses are
         // applied inline and crashes are deferred to the driver loop.
         if fx.is_injecting() {
@@ -433,8 +436,18 @@ impl<M> SimCore<M> {
         }
     }
 
+    /// Records the injections the hooks noted in `fx`, after their loop and
+    /// before the kernel acts on the effects — so an injection precedes the
+    /// syscall failure, crash or pause it causes.
+    fn record_injections(&mut self, fx: &mut HookEffects) {
+        for (node, fault, tag) in fx.injections.drain(..) {
+            self.causal.inject(node, fault, tag, self.now);
+        }
+    }
+
     /// Applies hook effects raised at a probe point inside `node`'s process.
-    fn apply_effects(&mut self, node: NodeId, effects: HookEffects) {
+    fn apply_effects(&mut self, node: NodeId, mut effects: HookEffects) {
+        self.record_injections(&mut effects);
         if effects.is_injecting() {
             self.note_injection();
         }

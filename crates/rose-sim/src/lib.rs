@@ -24,7 +24,7 @@
 //! replay-rate experiments vary only the seed.
 
 pub mod app;
-pub mod causal;
+mod causal;
 pub mod chain;
 pub mod config;
 pub mod hooks;
@@ -41,7 +41,6 @@ pub mod vfs;
 mod fd_path_test;
 
 pub use app::{Application, ClientCtx, ClientDriver, NodeCtx};
-pub use causal::CausalRecorder;
 pub use chain::{ChainId, ChainTable};
 pub use config::SimConfig;
 pub use hooks::{

@@ -6,9 +6,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
 use rand::Rng;
-use rose_events::{NodeId, Pid, SimDuration, SimTime};
+use rose_events::{CausalLog, NodeId, Pid, SimDuration, SimTime};
 
 use crate::app::{Application, ClientCtx, ClientDriver, NodeCtx};
+use crate::causal::CausalRecorder;
 use crate::config::SimConfig;
 use crate::hooks::{KernelHook, NetCmd, ProcEvent};
 use crate::kernel::{AppPanic, Buffered, CrashPayload, Endpoint, Item, SimCore};
@@ -65,13 +66,24 @@ impl<A: Application> Sim<A> {
         self.core.hooks.push(hook);
     }
 
-    /// Attaches a causal provenance recorder: the kernel emits
-    /// happens-before records into it (injections, overridden syscalls,
-    /// tainted message receipts, crash/restart/pause transitions), and
-    /// hooks can reach it through [`SimCore::causal`]. Without this call
-    /// the default disabled handle keeps every emission site free.
-    pub fn attach_causal(&mut self, rec: crate::causal::CausalRecorder) {
-        self.core.causal = rec;
+    /// Records causal provenance for this run: the kernel logs
+    /// happens-before records (the injections hooks note in their
+    /// [`HookEffects`](crate::HookEffects), overridden syscalls, tainted
+    /// message receipts, crash/restart/pause transitions) from the next
+    /// event on. Without this call every recording site is a boolean test.
+    pub fn record_causal(&mut self) {
+        self.core.causal = CausalRecorder::new();
+    }
+
+    /// Records the bug oracle firing now, with an edge from every node's
+    /// latest record. Only the first call counts; a no-op unless recording.
+    pub fn record_oracle(&mut self) {
+        self.core.causal.oracle(self.core.now);
+    }
+
+    /// Takes the run's causal log (empty unless recording).
+    pub fn take_causal_log(&mut self) -> CausalLog {
+        self.core.causal.take_log()
     }
 
     /// Registers a workload client.

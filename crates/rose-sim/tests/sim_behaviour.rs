@@ -1,7 +1,9 @@
 //! Behavioural tests of the simulated OS/cluster substrate, exercised
 //! through a small ping/persist application.
 
-use rose_events::{Errno, NodeId, SimDuration, SimTime, SyscallId};
+use rose_events::{
+    CausalEdge, CausalKind, CauseId, EdgeKind, Errno, NodeId, SimDuration, SimTime, SyscallId,
+};
 use rose_sim::{
     Application, ClientCtx, ClientDriver, HookEffects, HookEnv, KernelHook, NodeCtx, OpenFlags,
     ProcEvent, SignalKind, SignalReq, SignalTarget, Sim, SimConfig, SysResult, SyscallArgs,
@@ -86,7 +88,7 @@ struct SpyHook {
     uprobes: Vec<(String, Option<u32>)>,
     packets: u32,
     proc_events: Vec<String>,
-    /// Fail the nth (1-based) `openat` with EIO.
+    /// Fail the nth (1-based) `openat` with EIO, noting the injection.
     fail_openat_at: Option<u32>,
     openat_seen: u32,
     /// Crash the process at entry of this function.
@@ -117,6 +119,7 @@ impl KernelHook for SpyHook {
         if args.call == SyscallId::Openat {
             self.openat_seen += 1;
             if Some(self.openat_seen) == self.fail_openat_at {
+                fx.push_inject(env.node, 0, "SCF(openat)".into());
                 fx.set_override(Errno::Eio);
             }
         }
@@ -270,6 +273,46 @@ fn injected_scf_overrides_syscall_and_body_is_skipped() {
     // EIO (injected) is distinguishable from the natural ENOENT: the app
     // logged it.
     assert!(sim.core().logs.grep("recover failed: EIO"));
+}
+
+#[test]
+fn a_noted_injection_precedes_the_failure_it_causes_in_the_causal_log() {
+    let log_of = |record: bool| {
+        let mut sim = make_sim(3);
+        sim.hook_mut::<SpyHook>().unwrap().fail_openat_at = Some(1);
+        if record {
+            sim.record_causal();
+        }
+        sim.start();
+        sim.run_for(SimDuration::from_secs(1));
+        sim.take_causal_log()
+    };
+    let log = log_of(true);
+    let inject = CausalKind::Inject {
+        fault: 0,
+        tag: "SCF(openat)".into(),
+    };
+    let scf = CausalKind::Scf {
+        syscall: SyscallId::Openat,
+        errno: Errno::Eio,
+    };
+    assert_eq!(
+        (log.nodes[0].node, &log.nodes[0].kind),
+        (Some(NodeId(0)), &inject)
+    );
+    assert_eq!(
+        (log.nodes[1].node, &log.nodes[1].kind),
+        (Some(NodeId(0)), &scf)
+    );
+    assert_eq!(
+        log.edges[0],
+        CausalEdge {
+            from: CauseId(0),
+            to: CauseId(1),
+            kind: EdgeKind::Inject,
+        }
+    );
+    assert!(log_of(false).is_empty());
 }
 
 #[test]

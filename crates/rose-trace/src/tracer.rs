@@ -100,11 +100,6 @@ pub struct Tracer {
     /// How many events the last dump took out of the window.
     last_dump_events: Option<usize>,
     last_processing_us: u64,
-    /// Causal recorder: when attached, `dump` also emits provenance records
-    /// for fault intervals that are still open at dump time (a pause or a
-    /// partition in progress when the oracle fires has no end event, but
-    /// its causal edge must not be lost).
-    causal: rose_sim::CausalRecorder,
     /// Sum of all CPU time this tracer charged (for overhead reporting).
     pub total_charged: SimDuration,
 }
@@ -122,14 +117,8 @@ impl Tracer {
             events_matched: 0,
             last_dump_events: None,
             last_processing_us: 0,
-            causal: rose_sim::CausalRecorder::disabled(),
             total_charged: SimDuration::ZERO,
         }
-    }
-
-    /// Attaches a causal recorder (a clone of the run's shared handle).
-    pub fn attach_causal(&mut self, rec: rose_sim::CausalRecorder) {
-        self.causal = rec;
     }
 
     /// Current counters.
@@ -167,13 +156,6 @@ impl Tracer {
                 })
             })
             .collect();
-        if self.causal.is_active() {
-            for (node, since) in self.ongoing_pauses.values() {
-                if now.since(*since) >= PS_WAIT_THRESHOLD {
-                    self.causal.open_pause(*node, *since, now);
-                }
-            }
-        }
         for e in pending {
             self.record(e);
         }
@@ -197,14 +179,6 @@ impl Tracer {
                 })
             })
             .collect();
-        if self.causal.is_active() {
-            for ((src, dst), entry) in self.conns.iter() {
-                if now.since(entry.last_seen) >= ND_THRESHOLD {
-                    self.causal
-                        .open_silence(dst.node().unwrap_or_default(), *src, now);
-                }
-            }
-        }
         for e in silent {
             self.record(e);
         }

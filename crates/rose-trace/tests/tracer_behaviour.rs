@@ -384,51 +384,3 @@ fn dump_processing_time_is_populated_on_every_dump_path() {
         "a loaded dump costs more than an empty one"
     );
 }
-
-#[test]
-fn dump_records_causal_edges_for_open_intervals() {
-    use rose_events::CausalKind;
-    // A pause and a partition both still in progress when the dump fires
-    // (the oracle-trip scenario): the tracer must emit OpenPs/OpenNd
-    // causal records so the propagation chain does not dead-end.
-    let rec = rose_sim::CausalRecorder::new();
-    let mut sim = sim_with(TracerMode::Rose, 15);
-    sim.attach_causal(rec.clone());
-    sim.hook_mut::<Tracer>().unwrap().attach_causal(rec.clone());
-    sim.run_for(SimDuration::from_secs(2));
-    // Never-ending pause and never-healing partition.
-    sim.inject_pause(NodeId(1), SimDuration::from_secs(3600));
-    sim.inject_partition(&[NodeId(0)], &[NodeId(2)], None);
-    sim.run_for(SimDuration::from_secs(10));
-    let _ = dump(&mut sim);
-    let log = rec.take_log();
-    let open_ps = log
-        .nodes
-        .iter()
-        .find(|n| matches!(n.kind, CausalKind::OpenPs { .. }))
-        .expect("ongoing pause recorded as OpenPs");
-    assert_eq!(open_ps.node, Some(NodeId(1)));
-    if let CausalKind::OpenPs { since_us } = open_ps.kind {
-        assert!(since_us >= 3_000_000, "pause open for >= threshold");
-    }
-    assert!(
-        log.nodes
-            .iter()
-            .any(|n| matches!(n.kind, CausalKind::OpenNd { .. })),
-        "ongoing silence recorded as OpenNd"
-    );
-    // Each open-interval record is chained with an Observe edge.
-    let observe_targets: Vec<_> = log
-        .edges
-        .iter()
-        .filter(|e| e.kind == rose_events::EdgeKind::Observe)
-        .map(|e| e.to)
-        .collect();
-    assert!(
-        log.nodes.iter().enumerate().any(|(i, n)| {
-            matches!(n.kind, CausalKind::OpenPs { .. })
-                && observe_targets.contains(&rose_events::CauseId(i as u64))
-        }),
-        "OpenPs chained via an Observe edge"
-    );
-}
