@@ -33,9 +33,9 @@ pub struct SlidingWindow {
     /// Total bytes currently held, tracked incrementally.
     bytes: usize,
     /// High-water mark of `bytes` over the window's lifetime. Monotone:
-    /// survives eviction and [`SlidingWindow::clear`], so one window can
-    /// report its true peak across dump/reset cycles (the Table 2 `Memory`
-    /// column is a peak, not an instantaneous figure).
+    /// survives eviction and [`SlidingWindow::drain`], so one window can
+    /// report its true peak across dumps (the Table 2 `Memory` column is a
+    /// peak, not an instantaneous figure).
     #[serde(default)]
     peak_bytes: usize,
 }
@@ -116,7 +116,7 @@ impl SlidingWindow {
     }
 
     /// Lifetime high-water mark of [`SlidingWindow::bytes`]. Monotone — it
-    /// is never reduced, not even by [`SlidingWindow::clear`].
+    /// is never reduced, not even by [`SlidingWindow::drain`].
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
@@ -139,20 +139,12 @@ impl SlidingWindow {
 
     /// Moves the window contents out in chronological (push) order — the
     /// buffer itself, rotated in place, not a copy — and leaves the window
-    /// empty as [`SlidingWindow::clear`] does: `total_pushed` and
-    /// `peak_bytes` carry on.
+    /// empty: `total_pushed` and `peak_bytes` carry on.
     pub fn drain(&mut self) -> Vec<Event> {
         self.buf.rotate_left(self.head);
         self.head = 0;
         self.bytes = 0;
         core::mem::take(&mut self.buf)
-    }
-
-    /// Drops all events.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-        self.bytes = 0;
     }
 
     /// Iterates over the events in chronological order without copying.
@@ -269,25 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_bytes_survives_clear() {
-        let mut w = SlidingWindow::with_capacity(4);
-        for i in 0..4 {
-            w.push(ev(i));
-        }
-        let peak = w.peak_bytes();
-        assert!(peak > 0);
-        w.clear();
-        assert_eq!(w.bytes(), 0);
-        assert_eq!(w.peak_bytes(), peak);
-        w.push(ev(9));
-        assert_eq!(
-            w.peak_bytes(),
-            peak,
-            "one small event cannot beat the old peak"
-        );
-    }
-
-    #[test]
     fn drain_is_snapshot_then_clear_without_the_copy() {
         for pushes in [0u64, 3, 4, 6, 8, 9] {
             let mut w = SlidingWindow::with_capacity(4);
@@ -305,18 +278,6 @@ mod tests {
             w.push(ev(101));
             assert_eq!(w.drain(), vec![ev(100), ev(101)]);
         }
-    }
-
-    #[test]
-    fn clear_resets_contents_but_not_totals() {
-        let mut w = SlidingWindow::with_capacity(3);
-        for i in 0..5 {
-            w.push(ev(i));
-        }
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.bytes(), 0);
-        assert_eq!(w.total_pushed(), 5);
     }
 
     #[test]

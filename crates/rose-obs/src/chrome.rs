@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use rose_events::{NodeId, SimDuration, SimTime};
+use rose_events::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// The campaign track.
@@ -87,42 +87,22 @@ impl ChromeTrace {
         });
     }
 
-    /// Adds a complete ("X") span event on the `(pid, tid)` lane.
-    pub fn add_span(
-        &mut self,
-        name: impl Into<String>,
-        start: SimTime,
-        dur: SimDuration,
-        lane: (u32, u32),
-        cat: &str,
-        args: BTreeMap<String, String>,
-    ) {
+    /// Adds a 1 µs complete ("X") anchor slice on a track's causal lane.
+    /// Flow steps must coincide with a slice; these anchors are what the
+    /// arrows attach to.
+    pub fn add_flow_anchor(&mut self, name: impl Into<String>, ts_us: u64, pid: u32) {
         self.trace_events.push(TraceEvent {
             name: name.into(),
             ph: "X".into(),
-            ts: start.as_micros(),
-            // Viewers drop zero-length slices; clamp to 1 µs.
-            dur: Some(dur.as_micros().max(1)),
-            pid: lane.0,
-            tid: lane.1,
-            cat: Some(cat.to_owned()),
-            args,
+            ts: ts_us,
+            dur: Some(1),
+            pid,
+            tid: TID_CAUSAL,
+            cat: Some("causal".to_owned()),
+            args: BTreeMap::new(),
             id: None,
             bp: None,
         });
-    }
-
-    /// Adds a 1 µs anchor slice on a track's causal lane. Flow steps must
-    /// coincide with a slice; these anchors are what the arrows attach to.
-    pub fn add_flow_anchor(&mut self, name: impl Into<String>, ts_us: u64, pid: u32) {
-        self.add_span(
-            name,
-            SimTime::from_micros(ts_us),
-            SimDuration::from_micros(1),
-            (pid, TID_CAUSAL),
-            "causal",
-            BTreeMap::new(),
-        );
     }
 
     /// Adds one step of a flow: `ph` is `"s"` (start), `"t"` (step), or

@@ -18,13 +18,8 @@ pub struct SimConfig {
     pub net_latency_min: SimDuration,
     /// Maximum one-way message latency (uniformly sampled).
     pub net_latency_max: SimDuration,
-    /// Delay before the supervisor restarts a crashed node, plus up to 25 %
-    /// jitter.
-    pub restart_delay: SimDuration,
     /// Whether crashed nodes are restarted at all.
     pub auto_restart: bool,
-    /// Interval of the process-state poller (paper default: 1 s).
-    pub proc_poll_interval: SimDuration,
     /// Base CPU cost charged per executed system call, feeding the overhead
     /// model.
     pub syscall_exec_cost: SimDuration,
@@ -38,9 +33,7 @@ impl SimConfig {
             nodes: n,
             net_latency_min: SimDuration::from_micros(300),
             net_latency_max: SimDuration::from_micros(1_800),
-            restart_delay: SimDuration::from_secs(2),
             auto_restart: true,
-            proc_poll_interval: SimDuration::from_secs(1),
             syscall_exec_cost: SimDuration::from_micros(2),
         }
     }
@@ -59,7 +52,8 @@ mod tests {
     #[test]
     fn defaults_match_paper_thresholds() {
         let c = SimConfig::default();
-        assert_eq!(c.proc_poll_interval, SimDuration::from_secs(1));
+        assert_eq!(crate::sim::PROC_POLL_INTERVAL, SimDuration::from_secs(1));
+        assert_eq!(crate::sim::RESTART_DELAY, SimDuration::from_secs(2));
         assert!(c.auto_restart);
         assert_eq!(c.nodes, 3);
     }

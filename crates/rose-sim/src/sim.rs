@@ -17,6 +17,14 @@ use crate::net::DropRule;
 use crate::state::ClientId;
 use crate::syscalls::SyscallArgs;
 
+/// Interval of the process-state poller, the kernel's periodic hook poll
+/// (paper default: 1 s).
+pub const PROC_POLL_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Delay before the supervisor restarts a crashed node, plus up to 25 %
+/// jitter.
+pub const RESTART_DELAY: SimDuration = SimDuration::from_secs(2);
+
 /// Installs a process-wide panic hook that silences the expected simulation
 /// unwinds (injected crashes and application panics) while delegating
 /// everything else to the previous hook.
@@ -157,8 +165,7 @@ impl<A: Application> Sim<A> {
                 Item::ClientStart(ClientId(c as u32)),
             );
         }
-        let poll = self.core.cfg.proc_poll_interval;
-        self.core.schedule_in(poll, Item::Poll);
+        self.core.schedule_in(PROC_POLL_INTERVAL, Item::Poll);
     }
 
     /// Runs the event loop until the virtual clock reaches `until`.
@@ -276,8 +283,7 @@ impl<A: Application> Sim<A> {
             Item::Heal(id) => self.core.net.remove(id),
             Item::Poll => {
                 self.core.fire_poll();
-                let poll = self.core.cfg.proc_poll_interval;
-                self.core.schedule_in(poll, Item::Poll);
+                self.core.schedule_in(PROC_POLL_INTERVAL, Item::Poll);
             }
         }
     }
@@ -519,7 +525,7 @@ impl<A: Application> Sim<A> {
         self.core
             .notify_proc_event(ProcEvent::Crashed { node, pid, aborted });
         if self.core.cfg.auto_restart {
-            let base = self.core.cfg.restart_delay.as_micros();
+            let base = RESTART_DELAY.as_micros();
             let jitter = self.core.rng.gen_range(0.75..1.25_f64);
             let delay = SimDuration::from_micros((base as f64 * jitter) as u64);
             self.core.schedule_in(delay, Item::NodeStart(node));
