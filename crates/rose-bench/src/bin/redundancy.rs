@@ -3,8 +3,8 @@
 //! fault-free prefixes. Consecutive candidates of an invocation sweep
 //! differ only in when their faults fire, so everything before the first
 //! injection re-simulates the identical prefix — the work a
-//! fork-on-snapshot executor (ROADMAP item 1) would reclaim. This bin puts
-//! a measured number on that target instead of a guess.
+//! fork-on-snapshot executor (ROADMAP item 4 step 4) would reclaim. This
+//! bin puts a measured number on that target instead of a guess.
 //!
 //! For each of HDFS-12070, HDFS-15032, and ZK-4203 (the bugs whose
 //! diagnoses lean hardest on invocation sweeps), the full workflow runs
@@ -74,8 +74,8 @@ fn main() {
     let outcomes = ordered_map(jobs, bugs, |id| {
         let info = id.info();
         report::section(format!("{} ({}) …", info.name, info.system));
-        // Event counting rides on the kernel's existing run loop; the causal
-        // recorder is only attached when chains were asked for.
+        // Event counting rides on the kernel's existing run loop; causal
+        // provenance is only recorded when chains were asked for.
         let opts = DriverOptions {
             causal_dir: causal_dir.clone(),
             ..DriverOptions::default()

@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -32,6 +32,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -rnE "pid_node|map_pid|AfCounter|fn_entries|NetCmd::ClearAll|ProcEvent::(Spawned|ChildSpawned|PauseStart|PauseEnd)" \
         crates/*/src \
     || grep -rnF "fn name(&self) -> &'static str" crates tests examples \
+    || grep -rnE "OpenPs|OpenNd|open_pause|open_silence|EdgeKind::Observe|fn add_span" crates/*/src \
+    || grep -rnE "CausalRecorder|attach_causal" crates/rose-inject/src crates/rose-trace/src \
+    || grep -n "Mutex" crates/rose-sim/src/causal.rs \
     || grep -rnE "\.to_json\(\)\.len\(\)" crates/*/src \
     || grep -rnE "gauge_set|MetricsSnapshot|merge_snapshot|obs\.observe\(|flush_obs" crates/*/src \
     || grep -n "criterion" Cargo.toml Cargo.lock crates/*/Cargo.toml third_party/*/Cargo.toml \
@@ -55,7 +58,11 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "SyscallArgs::subject_path is the one rule for the path a call is about," \
         "and the hook boundary carries only what hooks read: HookEnv::node names a probe's" \
         "node (no pid map), lifecycle events are crash and restart, no NetCmd::ClearAll," \
-        "no SimStats::fn_entries or Table 3 AfCounter (its ProfilingHook counts), no KernelHook::name"
+        "no SimStats::fn_entries or Table 3 AfCounter (its ProfilingHook counts), no KernelHook::name," \
+        "and provenance has one writer: the run's kernel owns the causal recorder (no Mutex), the" \
+        "executor notes its injections in HookEffects (no recorder in rose-inject or rose-trace)," \
+        "the tracer records no open pause/silence after the verdict (nothing read them), and" \
+        "ChromeTrace has no add_span (add_flow_anchor is its one slice)"
     exit 1
 fi
 
