@@ -1,8 +1,8 @@
 //! The causal recorder: the run's happens-before log, written by the kernel
 //! while the run executes.
 //!
-//! A plain value the run's [`crate::SimCore`] owns, disabled by default so
-//! every emission site is a plain boolean test when no campaign asked for
+//! A plain value the run's [`crate::SimCore`] owns, disabled (empty) by
+//! default so every emission site is one test when no campaign asked for
 //! provenance. The kernel records every node: its own transitions, and the
 //! injections a hook notes in the [`crate::HookEffects`] it fills. The
 //! recorder maintains a per-simulated-node *frontier* — the last causal node
@@ -63,30 +63,29 @@ impl RecorderState {
     }
 }
 
-/// The run's causal provenance recorder.
+/// The run's causal provenance recorder: the log and its bookkeeping while
+/// recording, nothing otherwise.
 #[derive(Debug, Default)]
 pub(crate) struct CausalRecorder {
-    active: bool,
-    state: RecorderState,
+    state: Option<Box<RecorderState>>,
 }
 
 impl CausalRecorder {
     /// An active recorder.
     pub fn new() -> Self {
         CausalRecorder {
-            active: true,
-            state: RecorderState::default(),
+            state: Some(Box::default()),
         }
     }
 
-    /// A disabled recorder: every emission is a no-op boolean test.
+    /// A disabled recorder: every emission is a no-op test.
     pub fn disabled() -> Self {
         CausalRecorder::default()
     }
 
     fn with(&mut self, f: impl FnOnce(&mut RecorderState)) {
-        if self.active {
-            f(&mut self.state);
+        if let Some(st) = &mut self.state {
+            f(st);
         }
     }
 
@@ -127,7 +126,7 @@ impl CausalRecorder {
     /// proportional to post-injection activity). A disabled recorder has no
     /// frontier.
     pub fn send_cause(&self, node: NodeId) -> Option<CauseId> {
-        let st = &self.state;
+        let st = self.state.as_ref()?;
         st.last
             .get(&node)
             .copied()
@@ -191,7 +190,11 @@ impl CausalRecorder {
 
     /// Takes the log, leaving the recorder empty (frontiers reset too).
     pub fn take_log(&mut self) -> CausalLog {
-        std::mem::take(&mut self.state).log
+        self.state
+            .as_deref_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
+            .log
     }
 }
 
@@ -204,7 +207,7 @@ mod tests {
         let mut r = CausalRecorder::disabled();
         r.inject(NodeId(0), 0, "PS(Crash)".into(), SimTime::ZERO);
         r.oracle(SimTime::from_secs(1));
-        assert!(!r.active);
+        assert!(r.state.is_none());
         assert!(r.take_log().is_empty());
         assert_eq!(r.send_cause(NodeId(0)), None);
     }

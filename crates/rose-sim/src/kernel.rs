@@ -359,7 +359,7 @@ impl<M> SimCore<M> {
             h.sys_exit(&env, &args, &result, &mut fx);
         }
 
-        self.apply_effects(node, fx);
+        self.apply_effects(node, &mut fx);
         result
     }
 
@@ -394,7 +394,7 @@ impl<M> SimCore<M> {
         for h in &mut self.hooks {
             h.uprobe(&env, function, offset, &mut fx);
         }
-        self.apply_effects(node, fx);
+        self.apply_effects(node, &mut fx);
     }
 
     /// Fires the XDP ingress tap for a node-to-node packet.
@@ -411,7 +411,7 @@ impl<M> SimCore<M> {
         for h in &mut self.hooks {
             h.packet_in(&env, src, dst, &mut fx);
         }
-        self.apply_effects(dst_node, fx);
+        self.apply_effects(dst_node, &mut fx);
     }
 
     /// Runs the periodic hook poll.
@@ -440,19 +440,23 @@ impl<M> SimCore<M> {
     /// before the kernel acts on the effects — so an injection precedes the
     /// syscall failure, crash or pause it causes.
     fn record_injections(&mut self, fx: &mut HookEffects) {
+        // Nearly every probe notes nothing: keep its path to one test.
+        if fx.injections.is_empty() {
+            return;
+        }
         for (node, fault, tag) in fx.injections.drain(..) {
             self.causal.inject(node, fault, tag, self.now);
         }
     }
 
     /// Applies hook effects raised at a probe point inside `node`'s process.
-    fn apply_effects(&mut self, node: NodeId, mut effects: HookEffects) {
-        self.record_injections(&mut effects);
+    fn apply_effects(&mut self, node: NodeId, effects: &mut HookEffects) {
+        self.record_injections(effects);
         if effects.is_injecting() {
             self.note_injection();
         }
         self.charge(node, effects.charge);
-        self.apply_net_cmds(effects.net);
+        self.apply_net_cmds(mem::take(&mut effects.net));
         if let Some(SignalReq { target, kind }) = effects.signal {
             let target_node = match target {
                 SignalTarget::Current => node,
