@@ -31,10 +31,10 @@ pub struct RoseConfig {
     /// bit-identical for every value — this is purely a wall-clock knob.
     pub jobs: usize,
     /// Collect causal provenance in [`Rose::run_once`]: every such run
-    /// records a happens-before log (injections, overridden syscalls, tainted message
-    /// receipts, crash/pause transitions, oracle detection), and the
-    /// diagnosis report carries per-fault propagation chains computed from
-    /// the winning schedule's confirmation run.
+    /// records a happens-before log (injections, overridden syscalls,
+    /// tainted message receipts, crash/pause transitions, oracle detection),
+    /// and the diagnosis report carries per-fault propagation chains
+    /// computed from the winning schedule's confirmation run.
     pub causal: bool,
 }
 

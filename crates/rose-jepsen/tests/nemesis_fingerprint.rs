@@ -44,7 +44,8 @@ fn the_nemesis_writes_the_recorded_effects() {
         let mut fx = HookEffects::none();
         nemesis.poll(now, &procs, &mut fx);
         if fx != HookEffects::none() {
-            write!(hash, "{now:?} {:?} {:?};", fx.signal(), fx.net()).expect("hashing cannot fail");
+            let (signal, net) = (fx.signal(), fx.net());
+            write!(hash, "{now:?} {signal:?} {net:?};").expect("hashing cannot fail");
             faults[op_of(&fx)] += 1;
         }
         now += SimDuration::from_millis(100);

@@ -3,11 +3,11 @@
 //! A reproduction run that confirms a bug leaves behind a [`CausalLog`]:
 //! the happens-before records the kernel wrote while the run executed
 //! (the injections the executor noted, injected syscall failures, signal
-//! deliveries, cross-node message edges, restarts, and the oracle firing). This module turns that log into the
-//! artifact a human debugging the schedule actually wants — for each
-//! injected fault, the *propagation chain*: the shortest causal path from
-//! the injection point to the oracle event, with a one-line summary per
-//! hop.
+//! deliveries, cross-node message edges, restarts, and the oracle firing).
+//! This module turns that log into the artifact a human debugging the
+//! schedule actually wants — for each injected fault, the *propagation
+//! chain*: the shortest causal path from the injection point to the oracle
+//! event, with a one-line summary per hop.
 //!
 //! Construction is purely deterministic: adjacency lists are built in edge
 //! insertion order and the breadth-first search visits neighbours in that

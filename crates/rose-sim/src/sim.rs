@@ -19,11 +19,11 @@ use crate::syscalls::SyscallArgs;
 
 /// Interval of the process-state poller, the kernel's periodic hook poll
 /// (paper default: 1 s).
-pub const PROC_POLL_INTERVAL: SimDuration = SimDuration::from_secs(1);
+pub(crate) const PROC_POLL_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
 /// Delay before the supervisor restarts a crashed node, plus up to 25 %
 /// jitter.
-pub const RESTART_DELAY: SimDuration = SimDuration::from_secs(2);
+pub(crate) const RESTART_DELAY: SimDuration = SimDuration::from_secs(2);
 
 /// Installs a process-wide panic hook that silences the expected simulation
 /// unwinds (injected crashes and application panics) while delegating
