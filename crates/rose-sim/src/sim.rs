@@ -78,7 +78,8 @@ impl<A: Application> Sim<A> {
     /// happens-before records (the injections hooks note in their
     /// [`HookEffects`](crate::HookEffects), overridden syscalls, tainted
     /// message receipts, crash/restart/pause transitions) from the next
-    /// event on. Without this call every recording site is a boolean test.
+    /// event on. Without this call the recorder holds nothing and every
+    /// recording site is one test.
     pub fn record_causal(&mut self) {
         self.core.causal = CausalRecorder::new();
     }
