@@ -7,7 +7,7 @@ use rose_profile::{Profile, SymbolTable};
 use serde::{Deserialize, Serialize};
 
 use crate::extract::{Extraction, ExtractionStats};
-use crate::harness::{RunHarness, RunObservation};
+use crate::harness::{RunHarness, RunObservation, RunVerdict};
 
 /// Hard cap on syscall-invocation sweeps (paper §4.5.2: 50).
 pub const SCF_SWEEP_CAP: u64 = 50;
@@ -102,7 +102,7 @@ pub struct DiagnosisReport {
     /// [`rose_obs::causal`]). Empty when the harness recorded no causal log.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub propagation: Vec<rose_obs::PropagationChain>,
-    /// Sweep-redundancy measurement over every charged testing run.
+    /// Sweep-redundancy measurement over the charged discovery runs.
     #[serde(default)]
     pub redundancy: SweepRedundancy,
     /// SCF faults whose Level-2 sweep keyed on a recorded execution index
@@ -121,13 +121,16 @@ pub struct DiagnosisReport {
 /// Consecutive candidates of a sweep differ only in when their faults fire:
 /// everything before the first injection replays the identical fault-free
 /// prefix. This measures that waste — the quantity a fork-on-snapshot
-/// executor would reclaim.
+/// executor would reclaim — over the charged discovery runs only: a
+/// confirmation replay stops at its verdict and carries no event count
+/// ([`RunVerdict`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SweepRedundancy {
-    /// Simulation queue items executed across all charged runs.
+    /// Simulation queue items executed across the charged discovery runs.
     pub events_total: u64,
     /// Events inside fault-free prefixes shared with the previous charged
-    /// run (`min` of the two prefixes, summed over consecutive run pairs).
+    /// discovery run (`min` of the two prefixes, summed over consecutive
+    /// pairs).
     pub shared_prefix_events: u64,
     /// `events_total / (events_total - shared_prefix_events)`: how many
     /// times more events were simulated than a prefix-sharing executor
@@ -223,21 +226,62 @@ struct WindowOutcome {
     last: RunObservation,
 }
 
+/// The two kinds of run the batch-replay primitive charges: a discovery
+/// run's full [`RunObservation`], and a confirmation replay's
+/// [`RunVerdict`].
+trait Charged: Sized {
+    /// Executes a batch of this kind of run through the harness.
+    fn execute(h: &mut dyn RunHarness, jobs: &[(FaultSchedule, u64)]) -> Vec<Self>;
+    /// Virtual time the run is charged.
+    fn wall(&self) -> SimDuration;
+    /// The run's full observation — the only kind whose events enter
+    /// [`SweepRedundancy`].
+    fn observation(&self) -> Option<&RunObservation>;
+}
+
+impl Charged for RunObservation {
+    fn execute(h: &mut dyn RunHarness, jobs: &[(FaultSchedule, u64)]) -> Vec<Self> {
+        h.run_speculative(jobs)
+    }
+
+    fn wall(&self) -> SimDuration {
+        self.wall
+    }
+
+    fn observation(&self) -> Option<&RunObservation> {
+        Some(self)
+    }
+}
+
+impl Charged for RunVerdict {
+    fn execute(h: &mut dyn RunHarness, jobs: &[(FaultSchedule, u64)]) -> Vec<Self> {
+        h.run_verdicts(jobs)
+    }
+
+    fn wall(&self) -> SimDuration {
+        self.wall
+    }
+
+    fn observation(&self) -> Option<&RunObservation> {
+        None
+    }
+}
+
 /// Cursor of the batch-replay primitive ([`Diagnoser::next_run`]) over a
 /// plan — the runs the sequential search executes next, in order, for as
 /// long as nothing stops it: `per` runs of each schedule in `window`.
-struct Replay<'p> {
+struct Replay<'p, R> {
     window: &'p [FaultSchedule],
     per: usize,
     /// Plan position of the next run to charge.
     next: usize,
     /// Executed runs of the harness batch in flight, not yet charged.
-    batch: std::vec::IntoIter<RunObservation>,
+    batch: std::vec::IntoIter<R>,
     /// Runs of that batch charged so far — the prefix to commit.
     used: usize,
 }
 
-impl<'p> Replay<'p> {
+impl<'p, R> Replay<'p, R> {
     fn new(window: &'p [FaultSchedule], per: usize) -> Self {
         Replay {
             window,
@@ -272,10 +316,11 @@ pub struct Diagnoser<'a> {
     /// Schedules that showed the bug but confirmed below target, with the
     /// level that produced them: what the pruning runs re-confirm.
     candidates: Vec<(FaultSchedule, u8)>,
-    /// Redundancy accounting over charged runs (see [`SweepRedundancy`]).
+    /// Redundancy accounting over charged discovery runs (see
+    /// [`SweepRedundancy`]).
     events_total: u64,
     shared_prefix_events: u64,
-    /// Fault-free prefix length of the previously charged run.
+    /// Fault-free prefix length of the previously charged discovery run.
     last_prefix: Option<u64>,
     /// SCF sweeps that keyed on a recorded execution index (Level 2.5).
     ei_sweeps: usize,
@@ -675,14 +720,22 @@ impl<'a> Diagnoser<'a> {
     }
 
     /// Books one executed run: the seed stream advances and the run's
-    /// virtual time and events are accounted. Every charged run passes
-    /// through here, in charge order — the only place run-derived report
-    /// state may accumulate, so reports stay bit-identical at every
-    /// speculation width.
-    fn charge(&mut self, obs: &RunObservation) {
+    /// virtual time is accounted, and a discovery run's events too. Every
+    /// charged run passes through here, in charge order — the only place
+    /// run-derived report state may accumulate, so reports stay
+    /// bit-identical at every speculation width.
+    fn charge(&mut self, run: &impl Charged) {
         self.seed_counter += 1;
         self.runs += 1;
-        self.total_time += obs.wall;
+        self.total_time += run.wall();
+        if let Some(obs) = run.observation() {
+            self.count_events(obs);
+        }
+    }
+
+    /// The sweep-redundancy share of [`Diagnoser::charge`], for a run that
+    /// carries its events.
+    fn count_events(&mut self, obs: &RunObservation) {
         self.events_total += obs.sim_events;
         // The fault-free prefix: everything before the first injection, or
         // the whole run when no fault fired at all.
@@ -700,8 +753,9 @@ impl<'a> Diagnoser<'a> {
     /// otherwise — seeding job *k* with `peek_seed(k+1)`. The caller
     /// replays its sequential decisions over the runs it pulls and, as soon
     /// as one of them stops it, [`Replay::commit`]s: runs executed
-    /// beyond that point are never charged.
-    fn next_run(&mut self, h: &mut dyn RunHarness, replay: &mut Replay<'_>) -> RunObservation {
+    /// beyond that point are never charged. The run kind picks the harness
+    /// call: observations for discovery, verdicts for confirmation.
+    fn next_run<R: Charged>(&mut self, h: &mut dyn RunHarness, replay: &mut Replay<'_, R>) -> R {
         if replay.batch.len() == 0 {
             replay.commit(h);
             let len = if self.cfg.speculation > 1 {
@@ -715,16 +769,16 @@ impl<'a> Diagnoser<'a> {
                     (sched.clone(), self.peek_seed(k as u64 + 1))
                 })
                 .collect();
-            replay.batch = h.run_speculative(&jobs).into_iter();
+            replay.batch = R::execute(h, &jobs).into_iter();
         }
-        let obs = replay
+        let run = replay
             .batch
             .next()
-            .expect("the harness returns one observation per job");
+            .expect("the harness returns one run per job");
         replay.next += 1;
         replay.used += 1;
-        self.charge(&obs);
-        obs
+        self.charge(&run);
+        run
     }
 
     /// Evaluates a window of schedules exactly as the sequential search
@@ -757,7 +811,7 @@ impl<'a> Diagnoser<'a> {
             charged += 1;
             let mut bug = false;
             for _ in 0..per {
-                let obs = self.next_run(h, &mut replay);
+                let obs: RunObservation = self.next_run(h, &mut replay);
                 bug = obs.bug;
                 last = Some(obs);
                 if bug {
@@ -800,17 +854,18 @@ impl<'a> Diagnoser<'a> {
     /// `confirmBug`: replay-rate estimation over fresh seeds with the
     /// paper's early abort, which is checked at the *top* of each
     /// iteration — so a batched confirmation charges exactly the runs the
-    /// one-by-one loop performs and discards the rest.
+    /// one-by-one loop performs and discards the rest. It reads one verdict
+    /// per replay ([`RunHarness::run_verdicts`]).
     fn confirm(&mut self, h: &mut dyn RunHarness, schedule: FaultSchedule, level: u8) -> Guess {
         let runs = self.cfg.confirm_runs;
         let mut replay = Replay::new(std::slice::from_ref(&schedule), runs as usize);
         let (mut bug_runs, mut correct_runs) = (0u32, 0u32);
         let mut causal = None;
         while bug_runs + correct_runs < runs && correct_runs <= self.cfg.confirm_abort_correct {
-            let obs = self.next_run(h, &mut replay);
-            if obs.bug {
+            let verdict: RunVerdict = self.next_run(h, &mut replay);
+            if verdict.bug {
                 bug_runs += 1;
-                causal = causal.or(obs.causal);
+                causal = causal.or(verdict.causal);
             } else {
                 correct_runs += 1;
             }
@@ -1481,6 +1536,160 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`SeedyNth`]'s and [`SeedyEi`]'s bug, with what a simulated run
+    /// carries besides its bit: seed-dependent event counts and, on a bug
+    /// run, a causal log stamped with the seed — so the report's redundancy
+    /// and propagation chains say which runs they came from.
+    fn eventful(schedule: &FaultSchedule, seed: u64) -> RunObservation {
+        let mut obs = SeedyNth.run(schedule, seed);
+        obs.bug |= SeedyEi.run(schedule, seed).bug;
+        obs.sim_events = 1_000 + seed % 97;
+        obs.events_before_injection = Some(seed % 89);
+        if obs.bug {
+            let mut log = rose_events::CausalLog::default();
+            let inject = log.push_node(
+                SimTime::from_micros(seed),
+                Some(NodeId(1)),
+                rose_events::CausalKind::Inject {
+                    fault: 0,
+                    tag: "SCF(connect)".into(),
+                },
+            );
+            let oracle = log.push_node(
+                SimTime::from_micros(seed + 1),
+                None,
+                rose_events::CausalKind::Oracle,
+            );
+            log.push_edge(inject, oracle, rose_events::EdgeKind::Oracle);
+            obs.causal = Some(log);
+        }
+        obs
+    }
+
+    /// Which batch call a job came through.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Via {
+        Speculative,
+        Verdicts,
+    }
+
+    /// An [`eventful`] harness that overrides both batch calls, as one that
+    /// stops a replay at its verdict does, and logs every job with the call
+    /// it came through.
+    struct Routed(Vec<(Via, FaultSchedule, u64)>);
+
+    impl RunHarness for Routed {
+        fn run(&mut self, _schedule: &FaultSchedule, _seed: u64) -> RunObservation {
+            unreachable!("the search executes every run through a batch call")
+        }
+
+        fn run_speculative(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunObservation> {
+            jobs.iter()
+                .map(|(schedule, seed)| {
+                    self.0.push((Via::Speculative, schedule.clone(), *seed));
+                    eventful(schedule, *seed)
+                })
+                .collect()
+        }
+
+        fn run_verdicts(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunVerdict> {
+            jobs.iter()
+                .map(|(schedule, seed)| {
+                    self.0.push((Via::Verdicts, schedule.clone(), *seed));
+                    let obs = eventful(schedule, *seed);
+                    RunVerdict {
+                        bug: obs.bug,
+                        wall: obs.wall,
+                        causal: obs.causal,
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// The same runs through the trait's defaults only: confirmations are
+    /// played out through `run_speculative`, as the benchmark's mirror
+    /// harness plays them. Logs every job it executes.
+    struct Played(Vec<(FaultSchedule, u64)>);
+
+    impl RunHarness for Played {
+        fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation {
+            self.0.push((schedule.clone(), seed));
+            eventful(schedule, seed)
+        }
+    }
+
+    #[test]
+    fn confirmations_arrive_as_verdicts_and_discovery_runs_as_observations() {
+        let mut profile = Profile::default();
+        profile.syscall_counts.insert(SyscallId::Connect, 30);
+        let symbols = SymbolTable::new();
+        let mut confirmed = 0;
+        for ex in [scf_extraction(), scf_ei_extraction(6)] {
+            let ei = ex.faults[0].ei.is_some();
+            for discovery_runs in [1u32, 3] {
+                for speculation in [1usize, 2, 4] {
+                    let cfg = DiagnosisConfig {
+                        speculation,
+                        discovery_runs,
+                        ..Default::default()
+                    };
+                    let at = format!(
+                        "ei={ei} discovery_runs={discovery_runs} speculation={speculation}"
+                    );
+                    let mut routed = Routed(Vec::new());
+                    let stopped =
+                        Diagnoser::new(cfg.clone(), &profile, &symbols, &ex).diagnose(&mut routed);
+                    let mut played = Played(Vec::new());
+                    let full = Diagnoser::new(cfg, &profile, &symbols, &ex).diagnose(&mut played);
+                    assert_eq!(
+                        serde_json::to_string(&stopped).unwrap(),
+                        serde_json::to_string(&full).unwrap(),
+                        "{at}"
+                    );
+                    // The same jobs in the same order; only the call differs.
+                    let jobs: Vec<_> = routed
+                        .0
+                        .iter()
+                        .map(|(_, s, seed)| (s.clone(), *seed))
+                        .collect();
+                    assert_eq!(jobs, played.0, "{at}");
+                    assert!(stopped.redundancy.events_total > 0, "{at}");
+
+                    // A confirmation replays a schedule whose discovery run
+                    // showed the bug.
+                    let mut shown: Vec<&FaultSchedule> = Vec::new();
+                    for (via, schedule, seed) in &routed.0 {
+                        match via {
+                            Via::Speculative if eventful(schedule, *seed).bug => {
+                                shown.push(schedule)
+                            }
+                            Via::Speculative => {}
+                            Via::Verdicts => assert!(shown.contains(&schedule), "{at}"),
+                        }
+                    }
+                    if speculation == 1 {
+                        // Every run executed is charged, so each discovery
+                        // run that shows the bug is followed by its
+                        // schedule's confirmation.
+                        assert_eq!(routed.0.len(), stopped.runs, "{at}");
+                        for pair in routed.0.windows(2) {
+                            let [(via, schedule, seed), (next_via, next_schedule, _)] = pair else {
+                                unreachable!()
+                            };
+                            if *via == Via::Speculative && eventful(schedule, *seed).bug {
+                                assert_eq!(*next_via, Via::Verdicts, "{at}");
+                                assert_eq!(next_schedule, schedule, "{at}");
+                            }
+                        }
+                    }
+                    confirmed += usize::from(stopped.reproduced);
+                }
+            }
+        }
+        assert!(confirmed > 0, "some search confirmed at target");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 use rose_events::{NodeId, SimDuration};
 use rose_inject::{ExecutionFeedback, FaultSchedule};
 
-/// Everything the diagnosis loop needs to observe from one testing run.
+/// Everything the diagnosis loop needs to observe from one discovery run:
+/// the search refines the next schedule from its `feedback` and `af_calls`.
 #[derive(Debug, Clone, Default)]
 pub struct RunObservation {
     /// Did the bug oracle fire?
@@ -24,7 +25,8 @@ pub struct RunObservation {
     /// Causal provenance log of the run, when the harness collected one.
     pub causal: Option<rose_events::CausalLog>,
     /// Simulation queue items executed during the run (the sweep-redundancy
-    /// profiler's unit of work).
+    /// profiler's unit of work). Only discovery runs carry a count: a
+    /// confirmation replay is a [`RunVerdict`].
     pub sim_events: u64,
     /// Of those, how many executed before the first fault fired — the
     /// fault-free prefix a later candidate of the same sweep re-simulates.
@@ -59,6 +61,32 @@ impl RunObservation {
     }
 }
 
+/// What `confirmBug` reads from one confirmation replay: the run's verdict —
+/// did the bug show — and not what it saw on the way. One per run, not a
+/// per-fault account of what each injected fault did.
+#[derive(Debug, Clone, Default)]
+pub struct RunVerdict {
+    /// Did the bug oracle fire?
+    pub bug: bool,
+    /// Virtual time the run is charged: the length it was scheduled for,
+    /// plus the oracle's cost, exactly as for a [`RunObservation`] — where
+    /// the run stopped does not move the Table 1 `Time` column.
+    pub wall: SimDuration,
+    /// Causal provenance log of the run up to its verdict, when the harness
+    /// collected one.
+    pub causal: Option<rose_events::CausalLog>,
+}
+
+impl From<RunObservation> for RunVerdict {
+    fn from(o: RunObservation) -> Self {
+        RunVerdict {
+            bug: o.bug,
+            wall: o.wall,
+            causal: o.causal,
+        }
+    }
+}
+
 /// Executes candidate fault schedules in the testing environment.
 pub trait RunHarness {
     /// Runs the target system once with `schedule` injected, using `seed`
@@ -66,12 +94,14 @@ pub trait RunHarness {
     fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation;
 
     /// Speculatively executes a batch of independent `(schedule, seed)`
-    /// jobs — possibly in parallel — returning observations in job order.
+    /// discovery runs — possibly in parallel — returning observations in
+    /// job order.
     ///
-    /// Every testing run of the diagnosis reaches the harness through
-    /// here. The search lays a batch out in the order it executes runs one
-    /// by one, then replays its decisions over the returned observations;
-    /// the prefix of jobs it actually reached is reported via
+    /// Every discovery run of the diagnosis reaches the harness through
+    /// here, and confirmation replays through [`RunHarness::run_verdicts`].
+    /// The search lays a batch out in the order it executes runs one by
+    /// one, then replays its decisions over the returned runs; the prefix
+    /// of jobs it actually reached is reported via
     /// [`RunHarness::commit_speculative`]. Implementations with run side
     /// effects (telemetry) should buffer them per job until that call, and
     /// drop whatever lies beyond the committed prefix, so speculation is
@@ -86,11 +116,25 @@ pub trait RunHarness {
             .collect()
     }
 
-    /// Commits the first `used` jobs of the last [`run_speculative`]
-    /// batch: their buffered side effects become visible, the rest are
-    /// discarded. No-op by default.
+    /// Executes a batch of confirmation replays exactly as
+    /// [`RunHarness::run_speculative`] does discovery runs, returning each
+    /// run's verdict in job order. A verdict is all `confirmBug` reads and
+    /// the oracle latches at its first detection, so an implementation may
+    /// stop each run there. The default plays the runs out through
+    /// `run_speculative` and keeps their verdicts: exact, only slower.
+    fn run_verdicts(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunVerdict> {
+        self.run_speculative(jobs)
+            .into_iter()
+            .map(RunVerdict::from)
+            .collect()
+    }
+
+    /// Commits the first `used` jobs of the last batch, whichever of
+    /// [`run_speculative`] or [`run_verdicts`] ran it: their buffered side
+    /// effects become visible, the rest are discarded. No-op by default.
     ///
     /// [`run_speculative`]: RunHarness::run_speculative
+    /// [`run_verdicts`]: RunHarness::run_verdicts
     fn commit_speculative(&mut self, used: usize) {
         let _ = used;
     }

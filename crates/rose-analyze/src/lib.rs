@@ -18,7 +18,8 @@
 //!   function, prioritizing syscall call-sites, then call sites, then the
 //!   rest;
 //! - **confirmation** — re-run candidate schedules ten times and accept at
-//!   a ≥ 60 % replay rate (with the paper's early-abort after 4 clean runs).
+//!   a ≥ 60 % replay rate (with the paper's early-abort after 4 clean runs),
+//!   reading one verdict per replay.
 
 pub mod diagnose;
 pub mod extract;
@@ -29,4 +30,4 @@ pub use diagnose::{
     WARMUP,
 };
 pub use extract::{extract_faults, ExtractedFault, Extraction, ExtractionStats};
-pub use harness::{RunHarness, RunObservation};
+pub use harness::{RunHarness, RunObservation, RunVerdict};

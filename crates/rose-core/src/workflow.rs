@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use rose_analyze::{
     extract_faults, Diagnoser, DiagnosisConfig, DiagnosisReport, Extraction, RunHarness,
-    RunObservation,
+    RunObservation, RunVerdict,
 };
 use rose_events::{EventKind, FunctionId, NodeId, SimDuration, Trace};
 use rose_inject::{ExecutionFeedback, Executor, FaultSchedule};
@@ -30,7 +30,8 @@ pub struct RoseConfig {
     /// execution. 1 = fully sequential. Results, reports, and telemetry are
     /// bit-identical for every value — this is purely a wall-clock knob.
     pub jobs: usize,
-    /// Collect causal provenance in [`Rose::run_once`]: every such run
+    /// Collect causal provenance in testing runs ([`Rose::run_once`],
+    /// confirmation replays and [`Rose::replay_verdicts`]): every such run
     /// records a happens-before log (injections, overridden syscalls,
     /// tainted message receipts, crash/pause transitions, oracle detection),
     /// and the diagnosis report carries per-fault propagation chains
@@ -351,9 +352,9 @@ impl<S: TargetSystem> Rose<S> {
         }
     }
 
-    /// Runs one testing execution with a schedule: used by the harness and
-    /// by replay-rate measurements outside diagnosis (e.g. the motivation
-    /// experiment).
+    /// Runs one testing execution with a schedule, played out in full: the
+    /// harness's discovery runs, and replays outside diagnosis that read
+    /// more than the verdict (e.g. the ablations).
     pub fn run_once(&self, profile: &Profile, schedule: &FaultSchedule, seed: u64) -> RunOnce {
         let TestingRun {
             mut sim,
@@ -367,8 +368,9 @@ impl<S: TargetSystem> Rose<S> {
         // manifestation (e.g. an unavailability window that later heals)
         // still counts. The run then plays out in full, unpolled: the dump,
         // and with it `af_calls`, the executor's feedback and `sim_events`,
-        // describe the whole run, and the diagnosis reads them when a
-        // schedule's confirmation falls below target.
+        // describe the whole run, and the search refines the next schedule
+        // from them. Only discovery runs play out; a confirmation replay
+        // stops at its verdict (`Rose::verdict`).
         let bug = self.poll_oracle(&mut sim, duration, |sim| {
             sim.record_oracle();
             false
@@ -402,6 +404,36 @@ impl<S: TargetSystem> Rose<S> {
             causal: self.cfg.causal.then(|| sim.take_causal_log()),
             sim_events,
             events_before_injection,
+        }
+    }
+
+    /// Runs one testing execution with a schedule up to its verdict: the
+    /// same hooks over the same execution as [`Rose::run_once`] until the
+    /// oracle first fires, and nothing after. The oracle latches there, so
+    /// the verdict is the played-out run's; the causal log, recorded when
+    /// `causal` is set, ends at the oracle node. The run is charged the
+    /// length it was scheduled for, as a played-out one is.
+    fn verdict(
+        &self,
+        profile: &Profile,
+        schedule: &FaultSchedule,
+        seed: u64,
+        causal: bool,
+    ) -> RunVerdict {
+        let TestingRun {
+            mut sim, duration, ..
+        } = self.deploy_testing(profile, schedule, seed);
+        if causal {
+            sim.record_causal();
+        }
+        let bug = self.poll_oracle(&mut sim, duration, |sim| {
+            sim.record_oracle();
+            true
+        });
+        RunVerdict {
+            bug,
+            wall: duration + self.system.oracle_cost(),
+            causal: causal.then(|| sim.take_causal_log()),
         }
     }
 
@@ -502,12 +534,26 @@ impl<S: TargetSystem> Rose<S> {
         run
     }
 
+    /// Runs `n` independent replays of a schedule as [`Rose::run_replays`]
+    /// does, each stopped at its verdict, returning the verdicts in seed
+    /// order; each carries its causal log when [`RoseConfig::causal`] is on.
+    pub fn replay_verdicts(
+        &self,
+        profile: &Profile,
+        schedule: &FaultSchedule,
+        n: u32,
+        base_seed: u64,
+    ) -> Vec<RunVerdict> {
+        self.map_replays(n, base_seed, |rose, seed| {
+            rose.verdict(profile, schedule, seed, rose.cfg.causal)
+        })
+    }
+
     /// Measures the replay rate of a schedule over `n` fresh seeds, fanned
     /// out across the configured worker pool: the share of
     /// [`Rose::run_replays`]' runs with `bug` set. Only that bit of each
-    /// replay is read and the oracle latches at its first detection, so a
-    /// replay stops there — the same hooks over the same execution up to
-    /// that point, without the rest of the run.
+    /// replay is read, so a replay stops at its verdict and records no
+    /// causal log.
     pub fn replay_rate(
         &self,
         profile: &Profile,
@@ -517,8 +563,7 @@ impl<S: TargetSystem> Rose<S> {
     ) -> f64 {
         let bugs = self
             .map_replays(n, base_seed, |rose, seed| {
-                let mut run = rose.deploy_testing(profile, schedule, seed);
-                rose.poll_oracle(&mut run.sim, run.duration, |_| true)
+                rose.verdict(profile, schedule, seed, false).bug
             })
             .into_iter()
             .filter(|bug| *bug)
@@ -558,8 +603,10 @@ pub struct RunOnce {
     pub events_before_injection: Option<u64>,
 }
 
-/// The [`RunHarness`] the diagnosis loop drives: each `run` deploys a fresh
-/// simulated cluster, executes the schedule, and evaluates the oracle.
+/// The [`RunHarness`] the diagnosis loop drives: each run deploys a fresh
+/// simulated cluster, executes the schedule, and evaluates the oracle. A
+/// discovery run plays out in full ([`Rose::run_once`]); a confirmation
+/// replay stops at its verdict (`Rose::verdict`).
 ///
 /// Speculative batches fork one worker toolchain per job (a `SimHarness` is
 /// just a config plus profile reference — forking is cheap), buffer each
@@ -589,26 +636,46 @@ impl From<RunOnce> for RunObservation {
     }
 }
 
+impl<'a, S: TargetSystem> SimHarness<'a, S> {
+    /// Executes a batch with `run` per job: inline for a single job,
+    /// publishing its side effects directly (the commit that follows finds
+    /// no buffers); fanned out otherwise, each worker's telemetry buffered
+    /// until the commit.
+    fn batch<R: Send>(
+        &mut self,
+        jobs: &[(FaultSchedule, u64)],
+        run: impl Fn(&Rose<S>, &Profile, &FaultSchedule, u64) -> R + Sync,
+    ) -> Vec<R> {
+        self.pending.clear();
+        let (rose, profile) = (self.rose, self.profile);
+        if let [(schedule, seed)] = jobs {
+            return vec![run(rose, profile, schedule, *seed)];
+        }
+        let results = rose.fan_out(jobs.to_vec(), |worker, (schedule, seed)| {
+            run(worker, profile, &schedule, seed)
+        });
+        let (runs, pending) = results.into_iter().unzip();
+        self.pending = pending;
+        runs
+    }
+}
+
 impl<'a, S: TargetSystem> RunHarness for SimHarness<'a, S> {
     fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation {
         self.rose.run_once(self.profile, schedule, seed).into()
     }
 
     fn run_speculative(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunObservation> {
-        self.pending.clear();
-        if let [(schedule, seed)] = jobs {
-            // Nothing to speculate over: run inline, publishing side
-            // effects directly. The commit that follows finds no buffers.
-            return vec![self.run(schedule, *seed)];
-        }
-        let rose = self.rose;
-        let profile = self.profile;
-        let results = rose.fan_out(jobs.to_vec(), |worker, (schedule, seed)| {
-            RunObservation::from(worker.run_once(profile, &schedule, seed))
-        });
-        let (observations, pending) = results.into_iter().unzip();
-        self.pending = pending;
-        observations
+        self.batch(jobs, |rose, profile, schedule, seed| {
+            rose.run_once(profile, schedule, seed).into()
+        })
+    }
+
+    fn run_verdicts(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunVerdict> {
+        let causal = self.rose.cfg.causal;
+        self.batch(jobs, |rose, profile, schedule, seed| {
+            rose.verdict(profile, schedule, seed, causal)
+        })
     }
 
     fn commit_speculative(&mut self, used: usize) {

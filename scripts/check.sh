@@ -169,7 +169,12 @@ echo "== the benchmark's mirror of run_once / run_workflow still equals them"
 # mirror shows up only as a failed traced benchmark pass.
 cargo test --release --offline --quiet --manifest-path bench/Cargo.toml --test mirror_equivalence
 
-echo "== benchmark package passes its smoke run"
-bench/run.sh --smoke
+echo "== benchmark package passes its traced smoke run"
+# --trace 1 adds the traced pass, which drives the search through the
+# mirror's harness: that harness plays confirmation replays out, while
+# run_case stops them at their verdict. The pass fails if any count the two
+# compare (runs, events, the report) disagrees — if a verdict ever feeds a
+# count the mirror cannot reproduce.
+bench/run.sh --smoke --trace 1
 
 echo "ok"
