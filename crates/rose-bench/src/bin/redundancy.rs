@@ -129,7 +129,7 @@ fn main() {
         interpretation: "redundancy_factor = events_total / (events_total - \
                          shared_prefix_events); a fork-on-snapshot executor that resumed \
                          each candidate from the first injection point would simulate \
-                         ~1/factor of the events the sweep pays today (ROADMAP item 1)"
+                         ~1/factor of the events the sweep pays today (ROADMAP item 4 step 4)"
             .into(),
         rows,
     };
