@@ -102,7 +102,8 @@ pub struct DiagnosisReport {
     /// [`rose_obs::causal`]). Empty when the harness recorded no causal log.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub propagation: Vec<rose_obs::PropagationChain>,
-    /// Sweep-redundancy measurement over the charged discovery runs.
+    /// Sweep-redundancy measurement over the charged discovery runs that
+    /// played out.
     #[serde(default)]
     pub redundancy: SweepRedundancy,
     /// SCF faults whose Level-2 sweep keyed on a recorded execution index
@@ -121,12 +122,14 @@ pub struct DiagnosisReport {
 /// Consecutive candidates of a sweep differ only in when their faults fire:
 /// everything before the first injection replays the identical fault-free
 /// prefix. This measures that waste — the quantity a fork-on-snapshot
-/// executor would reclaim — over the charged discovery runs only: a
-/// confirmation replay stops at its verdict and carries no event count
-/// ([`RunVerdict`]).
+/// executor would reclaim — over the charged discovery runs that played out
+/// only, the runs whose counts compare: a discovery run that showed the bug
+/// may have stopped at detection, and a confirmation replay stops at its
+/// verdict and carries no event count ([`RunVerdict`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SweepRedundancy {
-    /// Simulation queue items executed across the charged discovery runs.
+    /// Simulation queue items executed across the charged discovery runs
+    /// that played out.
     pub events_total: u64,
     /// Events inside fault-free prefixes shared with the previous charged
     /// discovery run (`min` of the two prefixes, summed over consecutive
@@ -234,8 +237,8 @@ trait Charged: Sized {
     fn execute(h: &mut dyn RunHarness, jobs: &[(FaultSchedule, u64)]) -> Vec<Self>;
     /// Virtual time the run is charged.
     fn wall(&self) -> SimDuration;
-    /// The run's full observation — the only kind whose events enter
-    /// [`SweepRedundancy`].
+    /// The run's observation when it played out — the only runs whose
+    /// events enter [`SweepRedundancy`].
     fn observation(&self) -> Option<&RunObservation>;
 }
 
@@ -248,8 +251,10 @@ impl Charged for RunObservation {
         self.wall
     }
 
+    /// `None` when the run showed the bug: the harness may have stopped it
+    /// at detection, so its counts do not compare with a played-out run's.
     fn observation(&self) -> Option<&RunObservation> {
-        Some(self)
+        (!self.bug).then_some(self)
     }
 }
 
@@ -316,11 +321,11 @@ pub struct Diagnoser<'a> {
     /// Schedules that showed the bug but confirmed below target, with the
     /// level that produced them: what the pruning runs re-confirm.
     candidates: Vec<(FaultSchedule, u8)>,
-    /// Redundancy accounting over charged discovery runs (see
-    /// [`SweepRedundancy`]).
+    /// Redundancy accounting over charged discovery runs that played out
+    /// (see [`SweepRedundancy`]).
     events_total: u64,
     shared_prefix_events: u64,
-    /// Fault-free prefix length of the previously charged discovery run.
+    /// Fault-free prefix length of the previously counted discovery run.
     last_prefix: Option<u64>,
     /// SCF sweeps that keyed on a recorded execution index (Level 2.5).
     ei_sweeps: usize,
@@ -608,6 +613,9 @@ impl<'a> Diagnoser<'a> {
     /// functions until the bug reproduces, the chain stops being observed,
     /// or a duplicate function ends the unique code path. Each step depends
     /// on what the previous run observed, so its window is one schedule.
+    /// It reads the observation it is handed: a run that showed the bug
+    /// below target may have stopped at detection, and a chain it had not
+    /// reached by then counts as unobserved.
     fn find_context(
         &mut self,
         h: &mut dyn RunHarness,
@@ -720,9 +728,9 @@ impl<'a> Diagnoser<'a> {
     }
 
     /// Books one executed run: the seed stream advances and the run's
-    /// virtual time is accounted, and a discovery run's events too. Every
-    /// charged run passes through here, in charge order — the only place
-    /// run-derived report state may accumulate, so reports stay
+    /// virtual time is accounted, and a played-out discovery run's events
+    /// too. Every charged run passes through here, in charge order — the
+    /// only place run-derived report state may accumulate, so reports stay
     /// bit-identical at every speculation width.
     fn charge(&mut self, run: &impl Charged) {
         self.seed_counter += 1;
@@ -1690,6 +1698,140 @@ mod tests {
             }
         }
         assert!(confirmed > 0, "some search confirmed at target");
+    }
+
+    /// [`Played`]'s runs, except that a discovery run that shows the bug
+    /// carries junk event counts, as one stopped at detection carries
+    /// counts no played-out run shares.
+    struct JunkWhenShown;
+
+    impl RunHarness for JunkWhenShown {
+        fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation {
+            let mut obs = eventful(schedule, seed);
+            if obs.bug {
+                obs.sim_events = seed % 13;
+                obs.events_before_injection = seed.is_multiple_of(2).then_some(seed % 1_000_003);
+            }
+            obs
+        }
+    }
+
+    #[test]
+    fn a_discovery_run_that_shows_the_bug_counts_no_events() {
+        let mut profile = Profile::default();
+        profile.syscall_counts.insert(SyscallId::Connect, 30);
+        let symbols = SymbolTable::new();
+        let mut shown = 0;
+        for ex in [scf_extraction(), scf_ei_extraction(6)] {
+            let ei = ex.faults[0].ei.is_some();
+            for discovery_runs in [1u32, 3] {
+                for speculation in [1usize, 2, 4] {
+                    let cfg = DiagnosisConfig {
+                        speculation,
+                        discovery_runs,
+                        ..Default::default()
+                    };
+                    let at = format!(
+                        "ei={ei} discovery_runs={discovery_runs} speculation={speculation}"
+                    );
+                    let junk = Diagnoser::new(cfg.clone(), &profile, &symbols, &ex)
+                        .diagnose(&mut JunkWhenShown);
+                    let mut played = Played(Vec::new());
+                    let clean = Diagnoser::new(cfg, &profile, &symbols, &ex).diagnose(&mut played);
+                    assert_eq!(
+                        serde_json::to_string(&junk).unwrap(),
+                        serde_json::to_string(&clean).unwrap(),
+                        "{at}"
+                    );
+                    assert!(clean.redundancy.events_total > 0, "{at}");
+                    shown += played
+                        .0
+                        .iter()
+                        .filter(|(s, seed)| eventful(s, *seed).bug)
+                        .count();
+                }
+            }
+        }
+        assert!(shown > 0, "some run showed the bug");
+    }
+
+    /// A crash the bug needs keyed on `trigger` on node 0; confirmation
+    /// replays never show the bug, so every guess stays below target. A
+    /// discovery run that shows the bug reports `shown` as what it observed
+    /// — a run stopped at detection saw only what came before — and any
+    /// other run `setup` then `trigger`. Logs every discovery schedule.
+    struct ShownEarly {
+        shown: Vec<(NodeId, String)>,
+        schedules: Vec<FaultSchedule>,
+    }
+
+    impl RunHarness for ShownEarly {
+        fn run(&mut self, schedule: &FaultSchedule, _seed: u64) -> RunObservation {
+            self.schedules.push(schedule.clone());
+            let bug = schedule.faults.iter().any(|f| {
+                f.node == NodeId(0)
+                    && f.conditions.iter().any(
+                        |c| matches!(c, Condition::FunctionEntered { name } if name == "trigger"),
+                    )
+            });
+            let af_calls = if bug {
+                self.shown.clone()
+            } else {
+                vec![(NodeId(0), "setup".into()), (NodeId(0), "trigger".into())]
+            };
+            RunObservation {
+                bug,
+                af_calls,
+                feedback: rose_inject::ExecutionFeedback {
+                    injected: vec![(0, 1)],
+                    armed: vec![0],
+                },
+                wall: SimDuration::from_secs(10),
+                ..Default::default()
+            }
+        }
+
+        fn run_verdicts(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunVerdict> {
+            jobs.iter()
+                .map(|_| RunVerdict {
+                    bug: false,
+                    wall: SimDuration::from_secs(10),
+                    causal: None,
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn find_context_reads_a_stopped_observation_as_it_is() {
+        let profile = Profile::default();
+        let symbols = SymbolTable::new();
+        let ex = one_crash_extraction(&["trigger", "setup"]);
+        // Whether the search went on to the chain `setup → trigger` after
+        // the sub-target run keyed on `trigger` alone.
+        let extended = |shown: &[&str]| {
+            let mut h = ShownEarly {
+                shown: shown.iter().map(|f| (NodeId(0), f.to_string())).collect(),
+                schedules: Vec::new(),
+            };
+            let cfg = DiagnosisConfig {
+                enable_amplification: false,
+                ..Default::default()
+            };
+            let rep = Diagnoser::new(cfg, &profile, &symbols, &ex).diagnose(&mut h);
+            assert!(!rep.reproduced);
+            h.schedules.iter().any(|s| {
+                s.faults
+                    .iter()
+                    .flat_map(|f| &f.conditions)
+                    .any(|c| matches!(c, Condition::FunctionEntered { name } if name == "setup"))
+            })
+        };
+        // Stopped before `trigger` ran: the chain is unobserved, so the
+        // context does not hold and the search stops contextualizing.
+        assert!(!extended(&["setup"]));
+        // The same run having observed the chain keeps extending.
+        assert!(extended(&["setup", "trigger"]));
     }
 
     #[test]

@@ -10,6 +10,11 @@ use rose_inject::{ExecutionFeedback, FaultSchedule};
 
 /// Everything the diagnosis loop needs to observe from one discovery run:
 /// the search refines the next schedule from its `feedback` and `af_calls`.
+///
+/// A harness may stop a run at its first detection, as a capture is dumped
+/// there: a bug-positive observation then describes the run up to the
+/// verdict (a prefix of the played-out `af_calls`, the faults armed and
+/// injected by then). One that never detects describes the whole run.
 #[derive(Debug, Clone, Default)]
 pub struct RunObservation {
     /// Did the bug oracle fire?
@@ -25,8 +30,10 @@ pub struct RunObservation {
     /// Causal provenance log of the run, when the harness collected one.
     pub causal: Option<rose_events::CausalLog>,
     /// Simulation queue items executed during the run (the sweep-redundancy
-    /// profiler's unit of work). Only discovery runs carry a count: a
-    /// confirmation replay is a [`RunVerdict`].
+    /// profiler's unit of work), up to where the run stopped. Only a
+    /// discovery run that played out counts into the measurement: one that
+    /// showed the bug may have stopped at detection, and a confirmation
+    /// replay is a [`RunVerdict`].
     pub sim_events: u64,
     /// Of those, how many executed before the first fault fired — the
     /// fault-free prefix a later candidate of the same sweep re-simulates.
@@ -95,7 +102,9 @@ pub trait RunHarness {
 
     /// Speculatively executes a batch of independent `(schedule, seed)`
     /// discovery runs — possibly in parallel — returning observations in
-    /// job order.
+    /// job order. An implementation may stop a run at its first detection
+    /// and observe it there; a bug-positive observation then ends at
+    /// detection (see [`RunObservation`]).
     ///
     /// Every discovery run of the diagnosis reaches the harness through
     /// here, and confirmation replays through [`RunHarness::run_verdicts`].

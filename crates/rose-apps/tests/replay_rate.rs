@@ -3,7 +3,10 @@
 //! each replay at its first detection; per seed, their `bug` bits are
 //! `Rose::run_replays`' at one and two workers, and a stopped replay's
 //! propagation chains are the played-out run's, minus the one-hop chains of
-//! faults injected after detection.
+//! faults injected after detection. A discovery run stops there too
+//! (`Rose::replay_discoveries`): per seed, its observation is the
+//! played-out one where the bug never shows, and a prefix of it where it
+//! does.
 
 use rose_apps::driver::CaptureMethod;
 use rose_apps::hdfs::{hdfs_capture, HdfsBug, HdfsCase};
@@ -50,20 +53,63 @@ fn stopped_equals_played<S: TargetSystem>(
     bits
 }
 
-fn hdfs_12070() -> (HdfsCase, FaultSchedule) {
-    let CaptureMethod::Scripted(schedule) = hdfs_capture(HdfsBug::Hdfs12070).method else {
-        panic!("HDFS-12070 ships a scripted trigger");
-    };
-    let case = HdfsCase {
-        bug: HdfsBug::Hdfs12070,
-    };
-    (case, schedule)
+/// Whether every element of `part` is in `whole`.
+fn subset<T: PartialEq>(part: &[T], whole: &[T]) -> bool {
+    part.iter().all(|x| whole.contains(x))
 }
 
-#[test]
-fn redisraft_43_stopped_verdicts_are_the_full_replays_bits() {
-    // The boot leader is cut off and crashed as it rejoins; the crash lands
-    // in the log-rebuild window on some seeds and misses it on others.
+/// Holds each stopped discovery observation against the played-out run of
+/// the same seed at one and two workers: equal in every field where the bug
+/// never showed, a prefix of it where it did. Returns the `bug` bits.
+fn stopped_discovery_is_a_prefix<S: TargetSystem>(
+    system: S,
+    schedule: &FaultSchedule,
+    n: u32,
+) -> Vec<bool> {
+    let profile = Rose::new(system.clone()).profile();
+    let mut bits = Vec::new();
+    for jobs in [1, 2] {
+        let cfg = RoseConfig {
+            jobs,
+            ..RoseConfig::default()
+        };
+        let rose = Rose::with_config(system.clone(), cfg);
+        let full = rose.run_replays(&profile, schedule, n, BASE_SEED);
+        let stopped = rose.replay_discoveries(&profile, schedule, n, BASE_SEED);
+        assert_eq!(stopped.len(), full.len());
+        let mut cut = 0;
+        for (i, (s, f)) in stopped.iter().zip(&full).enumerate() {
+            let at = format!("jobs={jobs} replay {i}");
+            assert_eq!(s.bug, f.bug, "{at}");
+            assert_eq!(s.wall, f.wall, "{at}");
+            assert!(s.causal.is_none() && f.causal.is_none(), "{at}");
+            if !s.bug {
+                assert_eq!(s.af_calls, f.af_calls, "{at}");
+                assert_eq!(s.feedback, f.feedback, "{at}");
+                assert_eq!(s.sim_events, f.sim_events, "{at}");
+                assert_eq!(s.events_before_injection, f.events_before_injection, "{at}");
+                continue;
+            }
+            assert!(f.af_calls.starts_with(&s.af_calls), "{at}");
+            assert!(subset(&s.feedback.armed, &f.feedback.armed), "{at}");
+            assert!(subset(&s.feedback.injected, &f.feedback.injected), "{at}");
+            assert!(s.sim_events <= f.sim_events, "{at}");
+            if s.events_before_injection.is_some() {
+                assert_eq!(s.events_before_injection, f.events_before_injection, "{at}");
+            }
+            cut += usize::from(s.sim_events < f.sim_events);
+        }
+        bits = stopped.iter().map(|o| o.bug).collect();
+        // The stop is real: a run that shows the bug before its last poll
+        // executes less than the played-out run.
+        assert!(cut > 0 || !bits.contains(&true), "jobs={jobs}");
+    }
+    bits
+}
+
+/// RedisRaft-43's boot leader, cut off and crashed as it rejoins: the crash
+/// lands in the log-rebuild window on some seeds and misses it on others.
+fn redisraft_43() -> (RedisRaftCase, FaultSchedule) {
     let mut s = FaultSchedule::new();
     s.push(
         ScheduledFault::new(
@@ -85,7 +131,23 @@ fn redisraft_43_stopped_verdicts_are_the_full_replays_bits() {
     let case = RedisRaftCase {
         bug: RedisRaftBug::Rr43,
     };
-    let bits = stopped_equals_played(case, &s, 6);
+    (case, s)
+}
+
+fn hdfs_12070() -> (HdfsCase, FaultSchedule) {
+    let CaptureMethod::Scripted(schedule) = hdfs_capture(HdfsBug::Hdfs12070).method else {
+        panic!("HDFS-12070 ships a scripted trigger");
+    };
+    let case = HdfsCase {
+        bug: HdfsBug::Hdfs12070,
+    };
+    (case, schedule)
+}
+
+#[test]
+fn redisraft_43_stopped_verdicts_are_the_full_replays_bits() {
+    let (case, schedule) = redisraft_43();
+    let bits = stopped_equals_played(case, &schedule, 6);
     assert!(
         bits.contains(&true) && bits.contains(&false),
         "a sub-100 % schedule: {bits:?}"
@@ -145,5 +207,36 @@ fn a_stopped_replay_loses_only_the_chains_of_faults_injected_after_detection() {
             .collect();
         assert!(expected.len() < all.len(), "the late crash's chain goes");
         assert_eq!(propagation_chains(stopped), expected, "seed {seed}");
+
+        // A report's chains come from its confirmation replays, so a
+        // discovery run records no log even with provenance on.
+        let [discovery] = &rose.replay_discoveries(&profile, &schedule, 1, seed)[..] else {
+            panic!("one replay");
+        };
+        assert!(discovery.causal.is_none(), "seed {seed}");
     }
+}
+
+#[test]
+fn redisraft_43_stopped_discovery_runs_are_prefixes_of_the_full_runs() {
+    let (case, schedule) = redisraft_43();
+    let bits = stopped_discovery_is_a_prefix(case, &schedule, 6);
+    assert!(
+        bits.contains(&true) && bits.contains(&false),
+        "a sub-100 % schedule: {bits:?}"
+    );
+}
+
+#[test]
+fn hdfs_12070_stopped_discovery_runs_are_prefixes_of_the_full_runs() {
+    let (case, schedule) = hdfs_12070();
+    let bits = stopped_discovery_is_a_prefix(case, &schedule, 4);
+    assert!(bits.iter().all(|bug| *bug), "{bits:?}");
+}
+
+#[test]
+fn a_discovery_run_that_never_detects_plays_out() {
+    let (case, _) = hdfs_12070();
+    let bits = stopped_discovery_is_a_prefix(case, &FaultSchedule::new(), 3);
+    assert!(bits.iter().all(|bug| !*bug), "{bits:?}");
 }

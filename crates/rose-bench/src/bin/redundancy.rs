@@ -37,7 +37,8 @@ struct RedundancyRow {
     reproduced: bool,
     runs: usize,
     schedules_generated: usize,
-    /// Simulation queue items executed across every charged testing run.
+    /// Simulation queue items executed across the charged discovery runs
+    /// that played out (never showed the bug).
     events_total: u64,
     /// Events inside fault-free prefixes shared with the previous run.
     shared_prefix_events: u64,

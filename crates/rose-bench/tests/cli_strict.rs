@@ -130,12 +130,9 @@ fn redundancy_writes_one_json_row_per_bug() {
     assert_eq!(rows.len(), 1, "{text}");
     let row = &rows[0];
     assert_eq!(row["bug"].as_str(), Some("HDFS-12070"));
-    assert!(
-        row["events_total"].as_u64().is_some_and(|n| n > 0),
-        "{text}"
-    );
-    assert!(
-        row["redundancy_factor"].as_f64().is_some_and(|f| f >= 1.0),
-        "{text}"
-    );
+    assert_eq!(row["reproduced"].as_bool(), Some(true), "{text}");
+    // The one discovery run shows the bug and stops at detection, so no
+    // played-out run is counted: the columns are there, and empty.
+    assert_eq!(row["events_total"].as_u64(), Some(0), "{text}");
+    assert_eq!(row["redundancy_factor"].as_f64(), Some(0.0), "{text}");
 }

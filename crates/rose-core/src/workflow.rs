@@ -30,12 +30,14 @@ pub struct RoseConfig {
     /// execution. 1 = fully sequential. Results, reports, and telemetry are
     /// bit-identical for every value — this is purely a wall-clock knob.
     pub jobs: usize,
-    /// Collect causal provenance in testing runs ([`Rose::run_once`],
-    /// confirmation replays and [`Rose::replay_verdicts`]): every such run
-    /// records a happens-before log (injections, overridden syscalls,
-    /// tainted message receipts, crash/pause transitions, oracle detection),
-    /// and the diagnosis report carries per-fault propagation chains
-    /// computed from the winning schedule's confirmation run.
+    /// Collect causal provenance in the testing runs that are read for it
+    /// ([`Rose::run_once`], confirmation replays and
+    /// [`Rose::replay_verdicts`]; not discovery runs, whose log nothing
+    /// reads): every such run records a happens-before log (injections,
+    /// overridden syscalls, tainted message receipts, crash/pause
+    /// transitions, oracle detection), and the diagnosis report carries
+    /// per-fault propagation chains computed from the winning schedule's
+    /// confirmation run.
     pub causal: bool,
 }
 
@@ -352,29 +354,86 @@ impl<S: TargetSystem> Rose<S> {
         }
     }
 
-    /// Runs one testing execution with a schedule, played out in full: the
-    /// harness's discovery runs, and replays outside diagnosis that read
-    /// more than the verdict (e.g. the ablations).
+    /// Runs one testing execution with a schedule, played out in full. Every
+    /// run the diagnosis charges stops at its verdict instead
+    /// (`Rose::verdict`, `Rose::discovery`); only replays outside diagnosis
+    /// that read more than the verdict play out (e.g. the ablations).
     pub fn run_once(&self, profile: &Profile, schedule: &FaultSchedule, seed: u64) -> RunOnce {
-        let TestingRun {
-            mut sim,
-            tracer_cfg,
-            duration,
-        } = self.deploy_testing(profile, schedule, seed);
+        let mut run = self.deploy_testing(profile, schedule, seed);
         if self.cfg.causal {
-            sim.record_causal();
+            run.sim.record_causal();
         }
         // The oracle is polled until it first fires, so a transient
         // manifestation (e.g. an unavailability window that later heals)
         // still counts. The run then plays out in full, unpolled: the dump,
         // and with it `af_calls`, the executor's feedback and `sim_events`,
-        // describe the whole run, and the search refines the next schedule
-        // from them. Only discovery runs play out; a confirmation replay
-        // stops at its verdict (`Rose::verdict`).
-        let bug = self.poll_oracle(&mut sim, duration, |sim| {
+        // describe the whole run.
+        let bug = self.poll_oracle(&mut run.sim, run.duration, |sim| {
             sim.record_oracle();
             false
         });
+        self.observe(&mut run, bug, self.cfg.causal)
+    }
+
+    /// The body of every run the diagnosis charges: one testing execution
+    /// with a schedule up to its verdict — the same hooks over the same
+    /// execution as [`Rose::run_once`] until the oracle first fires, and
+    /// nothing after. The oracle latches there, so the verdict is the
+    /// played-out run's; the causal log, recorded when `causal` is set, ends
+    /// at the oracle node. Returns the stopped run and its verdict.
+    fn run_to_verdict(
+        &self,
+        profile: &Profile,
+        schedule: &FaultSchedule,
+        seed: u64,
+        causal: bool,
+    ) -> (TestingRun<S>, bool) {
+        let mut run = self.deploy_testing(profile, schedule, seed);
+        if causal {
+            run.sim.record_causal();
+        }
+        let bug = self.poll_oracle(&mut run.sim, run.duration, |sim| {
+            sim.record_oracle();
+            true
+        });
+        (run, bug)
+    }
+
+    /// A confirmation replay: [`Rose::run_to_verdict`], read for its
+    /// verdict alone.
+    fn verdict(
+        &self,
+        profile: &Profile,
+        schedule: &FaultSchedule,
+        seed: u64,
+        causal: bool,
+    ) -> RunVerdict {
+        let (mut run, bug) = self.run_to_verdict(profile, schedule, seed, causal);
+        RunVerdict {
+            bug,
+            wall: self.charged_wall(&run),
+            causal: causal.then(|| run.sim.take_causal_log()),
+        }
+    }
+
+    /// A discovery run: [`Rose::run_to_verdict`], observed where it stopped.
+    /// A run that shows the bug is observed at its first detection, as a
+    /// capture is dumped there; one that never does plays out in full, so
+    /// its observation is [`Rose::run_once`]'s. It records no causal log:
+    /// a report's chains come from its confirmation replays.
+    fn discovery(&self, profile: &Profile, schedule: &FaultSchedule, seed: u64) -> RunObservation {
+        let (mut run, bug) = self.run_to_verdict(profile, schedule, seed, false);
+        self.observe(&mut run, bug, false).into()
+    }
+
+    /// What a testing run saw up to now: the tracer's dump, the AF calls it
+    /// resolves to, the executor's feedback (published to telemetry), the
+    /// kernel's event counts and, when `causal` is set, the causal log.
+    fn observe(&self, run: &mut TestingRun<S>, bug: bool, causal: bool) -> RunOnce {
+        let wall = self.charged_wall(run);
+        let TestingRun {
+            sim, tracer_cfg, ..
+        } = run;
         let now = sim.now();
         let trace = sim.hook_mut::<Tracer>().expect("tracer attached").dump(now);
         let feedback = sim
@@ -391,7 +450,6 @@ impl<S: TargetSystem> Rose<S> {
                 _ => None,
             })
             .collect();
-        let wall = duration + self.system.oracle_cost();
         feedback.publish_obs(&self.obs);
         let sim_events = sim.core().events_executed();
         let events_before_injection = sim.core().first_injection_events();
@@ -401,40 +459,16 @@ impl<S: TargetSystem> Rose<S> {
             feedback,
             af_calls,
             wall,
-            causal: self.cfg.causal.then(|| sim.take_causal_log()),
+            causal: causal.then(|| sim.take_causal_log()),
             sim_events,
             events_before_injection,
         }
     }
 
-    /// Runs one testing execution with a schedule up to its verdict: the
-    /// same hooks over the same execution as [`Rose::run_once`] until the
-    /// oracle first fires, and nothing after. The oracle latches there, so
-    /// the verdict is the played-out run's; the causal log, recorded when
-    /// `causal` is set, ends at the oracle node. The run is charged the
-    /// length it was scheduled for, as a played-out one is.
-    fn verdict(
-        &self,
-        profile: &Profile,
-        schedule: &FaultSchedule,
-        seed: u64,
-        causal: bool,
-    ) -> RunVerdict {
-        let TestingRun {
-            mut sim, duration, ..
-        } = self.deploy_testing(profile, schedule, seed);
-        if causal {
-            sim.record_causal();
-        }
-        let bug = self.poll_oracle(&mut sim, duration, |sim| {
-            sim.record_oracle();
-            true
-        });
-        RunVerdict {
-            bug,
-            wall: duration + self.system.oracle_cost(),
-            causal: causal.then(|| sim.take_causal_log()),
-        }
+    /// Virtual time a testing run is charged: the length it was scheduled
+    /// for plus the oracle's cost, wherever it stopped.
+    fn charged_wall(&self, run: &TestingRun<S>) -> SimDuration {
+        run.duration + self.system.oracle_cost()
     }
 
     /// A detached copy of this toolchain for a worker thread: same system
@@ -549,6 +583,22 @@ impl<S: TargetSystem> Rose<S> {
         })
     }
 
+    /// Runs `n` independent replays of a schedule as [`Rose::run_replays`]
+    /// does, each as the diagnosis runs a discovery run: stopped at its
+    /// first detection and observed there, with no causal log. A replay
+    /// that never detects plays out, so its observation is `run_replays`'.
+    pub fn replay_discoveries(
+        &self,
+        profile: &Profile,
+        schedule: &FaultSchedule,
+        n: u32,
+        base_seed: u64,
+    ) -> Vec<RunObservation> {
+        self.map_replays(n, base_seed, |rose, seed| {
+            rose.discovery(profile, schedule, seed)
+        })
+    }
+
     /// Measures the replay rate of a schedule over `n` fresh seeds, fanned
     /// out across the configured worker pool: the share of
     /// [`Rose::run_replays`]' runs with `bug` set. Only that bit of each
@@ -604,9 +654,10 @@ pub struct RunOnce {
 }
 
 /// The [`RunHarness`] the diagnosis loop drives: each run deploys a fresh
-/// simulated cluster, executes the schedule, and evaluates the oracle. A
-/// discovery run plays out in full ([`Rose::run_once`]); a confirmation
-/// replay stops at its verdict (`Rose::verdict`).
+/// simulated cluster, executes the schedule, and evaluates the oracle. Every
+/// run stops at its verdict (`Rose::run_to_verdict`): a discovery run is
+/// observed there (`Rose::discovery`), a confirmation replay keeps only the
+/// verdict (`Rose::verdict`).
 ///
 /// Speculative batches fork one worker toolchain per job (a `SimHarness` is
 /// just a config plus profile reference — forking is cheap), buffer each
@@ -662,12 +713,12 @@ impl<'a, S: TargetSystem> SimHarness<'a, S> {
 
 impl<'a, S: TargetSystem> RunHarness for SimHarness<'a, S> {
     fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation {
-        self.rose.run_once(self.profile, schedule, seed).into()
+        self.rose.discovery(self.profile, schedule, seed)
     }
 
     fn run_speculative(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunObservation> {
         self.batch(jobs, |rose, profile, schedule, seed| {
-            rose.run_once(profile, schedule, seed).into()
+            rose.discovery(profile, schedule, seed)
         })
     }
 

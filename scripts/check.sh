@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -34,6 +34,8 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -rnF "fn name(&self) -> &'static str" crates tests examples \
     || grep -rnE "OpenPs|OpenNd|open_pause|open_silence|EdgeKind::Observe|fn add_span" crates/*/src \
     || grep -rnE "CausalRecorder|attach_causal" crates/rose-inject/src crates/rose-trace/src \
+    || awk '/^impl.* RunHarness for SimHarness/,/^}/' crates/rose-core/src/workflow.rs \
+        | grep -n "run_once(" \
     || grep -n "Mutex" crates/rose-sim/src/causal.rs \
     || grep -rnE "\.to_json\(\)\.len\(\)" crates/*/src \
     || grep -rnE "gauge_set|MetricsSnapshot|merge_snapshot|obs\.observe\(|flush_obs" crates/*/src \
@@ -62,7 +64,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "and provenance has one writer: the run's kernel owns the causal recorder (no Mutex), the" \
         "executor notes its injections in HookEffects (no recorder in rose-inject or rose-trace)," \
         "the tracer records no open pause/silence after the verdict (nothing read them), and" \
-        "ChromeTrace has no add_span (add_flow_anchor is its one slice)"
+        "ChromeTrace has no add_span (add_flow_anchor is its one slice)," \
+        "and every run the diagnosis charges stops at its verdict (no run_once in SimHarness's" \
+        "RunHarness impl: discovery runs and confirmation replays both go through run_to_verdict)"
     exit 1
 fi
 
@@ -171,10 +175,10 @@ cargo test --release --offline --quiet --manifest-path bench/Cargo.toml --test m
 
 echo "== benchmark package passes its traced smoke run"
 # --trace 1 adds the traced pass, which drives the search through the
-# mirror's harness: that harness plays confirmation replays out, while
-# run_case stops them at their verdict. The pass fails if any count the two
-# compare (runs, events, the report) disagrees — if a verdict ever feeds a
-# count the mirror cannot reproduce.
+# mirror's harness: that harness plays discovery runs and confirmation
+# replays out, while run_case stops both at their verdict. The pass fails if
+# any count the two compare (runs, events, the report) disagrees — if a run
+# stopped at its verdict ever feeds a count the mirror cannot reproduce.
 bench/run.sh --smoke --trace 1
 
 echo "ok"
