@@ -7,7 +7,7 @@ use rose_profile::{Profile, SymbolTable};
 use serde::{Deserialize, Serialize};
 
 use crate::extract::{Extraction, ExtractionStats};
-use crate::harness::{RunHarness, RunObservation, RunVerdict};
+use crate::harness::{RunHarness, RunObservation};
 
 /// Hard cap on syscall-invocation sweeps (paper §4.5.2: 50).
 pub const SCF_SWEEP_CAP: u64 = 50;
@@ -123,9 +123,9 @@ pub struct DiagnosisReport {
 /// everything before the first injection replays the identical fault-free
 /// prefix. This measures that waste — the quantity a fork-on-snapshot
 /// executor would reclaim — over the charged discovery runs that played out
-/// only, the runs whose counts compare: a discovery run that showed the bug
-/// may have stopped at detection, and a confirmation replay stops at its
-/// verdict and carries no event count ([`RunVerdict`]).
+/// only, the runs whose counts compare: a run that showed the bug, discovery
+/// run or confirmation replay, may have stopped at detection, and a
+/// confirmation replay is no candidate of a sweep.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SweepRedundancy {
     /// Simulation queue items executed across the charged discovery runs
@@ -229,64 +229,21 @@ struct WindowOutcome {
     last: RunObservation,
 }
 
-/// The two kinds of run the batch-replay primitive charges: a discovery
-/// run's full [`RunObservation`], and a confirmation replay's
-/// [`RunVerdict`].
-trait Charged: Sized {
-    /// Executes a batch of this kind of run through the harness.
-    fn execute(h: &mut dyn RunHarness, jobs: &[(FaultSchedule, u64)]) -> Vec<Self>;
-    /// Virtual time the run is charged.
-    fn wall(&self) -> SimDuration;
-    /// The run's observation when it played out — the only runs whose
-    /// events enter [`SweepRedundancy`].
-    fn observation(&self) -> Option<&RunObservation>;
-}
-
-impl Charged for RunObservation {
-    fn execute(h: &mut dyn RunHarness, jobs: &[(FaultSchedule, u64)]) -> Vec<Self> {
-        h.run_speculative(jobs)
-    }
-
-    fn wall(&self) -> SimDuration {
-        self.wall
-    }
-
-    /// `None` when the run showed the bug: the harness may have stopped it
-    /// at detection, so its counts do not compare with a played-out run's.
-    fn observation(&self) -> Option<&RunObservation> {
-        (!self.bug).then_some(self)
-    }
-}
-
-impl Charged for RunVerdict {
-    fn execute(h: &mut dyn RunHarness, jobs: &[(FaultSchedule, u64)]) -> Vec<Self> {
-        h.run_verdicts(jobs)
-    }
-
-    fn wall(&self) -> SimDuration {
-        self.wall
-    }
-
-    fn observation(&self) -> Option<&RunObservation> {
-        None
-    }
-}
-
 /// Cursor of the batch-replay primitive ([`Diagnoser::next_run`]) over a
 /// plan — the runs the sequential search executes next, in order, for as
 /// long as nothing stops it: `per` runs of each schedule in `window`.
-struct Replay<'p, R> {
+struct Replay<'p> {
     window: &'p [FaultSchedule],
     per: usize,
     /// Plan position of the next run to charge.
     next: usize,
     /// Executed runs of the harness batch in flight, not yet charged.
-    batch: std::vec::IntoIter<R>,
+    batch: std::vec::IntoIter<RunObservation>,
     /// Runs of that batch charged so far — the prefix to commit.
     used: usize,
 }
 
-impl<'p, R> Replay<'p, R> {
+impl<'p> Replay<'p> {
     fn new(window: &'p [FaultSchedule], per: usize) -> Self {
         Replay {
             window,
@@ -728,21 +685,18 @@ impl<'a> Diagnoser<'a> {
     }
 
     /// Books one executed run: the seed stream advances and the run's
-    /// virtual time is accounted, and a played-out discovery run's events
-    /// too. Every charged run passes through here, in charge order — the
-    /// only place run-derived report state may accumulate, so reports stay
-    /// bit-identical at every speculation width.
-    fn charge(&mut self, run: &impl Charged) {
+    /// virtual time is accounted. Every charged run passes through here, in
+    /// charge order, and run-derived report state accumulates only from
+    /// charged runs, in that order, so reports stay bit-identical at every
+    /// speculation width.
+    fn charge(&mut self, run: &RunObservation) {
         self.seed_counter += 1;
         self.runs += 1;
-        self.total_time += run.wall();
-        if let Some(obs) = run.observation() {
-            self.count_events(obs);
-        }
+        self.total_time += run.wall;
     }
 
-    /// The sweep-redundancy share of [`Diagnoser::charge`], for a run that
-    /// carries its events.
+    /// The sweep-redundancy count of a charged discovery run that played
+    /// out (see [`SweepRedundancy`]).
     fn count_events(&mut self, obs: &RunObservation) {
         self.events_total += obs.sim_events;
         // The fault-free prefix: everything before the first injection, or
@@ -761,9 +715,8 @@ impl<'a> Diagnoser<'a> {
     /// otherwise — seeding job *k* with `peek_seed(k+1)`. The caller
     /// replays its sequential decisions over the runs it pulls and, as soon
     /// as one of them stops it, [`Replay::commit`]s: runs executed
-    /// beyond that point are never charged. The run kind picks the harness
-    /// call: observations for discovery, verdicts for confirmation.
-    fn next_run<R: Charged>(&mut self, h: &mut dyn RunHarness, replay: &mut Replay<'_, R>) -> R {
+    /// beyond that point are never charged.
+    fn next_run(&mut self, h: &mut dyn RunHarness, replay: &mut Replay<'_>) -> RunObservation {
         if replay.batch.len() == 0 {
             replay.commit(h);
             let len = if self.cfg.speculation > 1 {
@@ -777,7 +730,7 @@ impl<'a> Diagnoser<'a> {
                     (sched.clone(), self.peek_seed(k as u64 + 1))
                 })
                 .collect();
-            replay.batch = R::execute(h, &jobs).into_iter();
+            replay.batch = h.run_speculative(&jobs).into_iter();
         }
         let run = replay
             .batch
@@ -819,8 +772,11 @@ impl<'a> Diagnoser<'a> {
             charged += 1;
             let mut bug = false;
             for _ in 0..per {
-                let obs: RunObservation = self.next_run(h, &mut replay);
+                let obs = self.next_run(h, &mut replay);
                 bug = obs.bug;
+                if !bug {
+                    self.count_events(&obs);
+                }
                 last = Some(obs);
                 if bug {
                     break;
@@ -862,18 +818,19 @@ impl<'a> Diagnoser<'a> {
     /// `confirmBug`: replay-rate estimation over fresh seeds with the
     /// paper's early abort, which is checked at the *top* of each
     /// iteration — so a batched confirmation charges exactly the runs the
-    /// one-by-one loop performs and discards the rest. It reads one verdict
-    /// per replay ([`RunHarness::run_verdicts`]).
+    /// one-by-one loop performs and discards the rest. It reads each
+    /// replay's `bug`, and the causal log of the first that shows it, from
+    /// the same [`RunObservation`] a discovery run returns.
     fn confirm(&mut self, h: &mut dyn RunHarness, schedule: FaultSchedule, level: u8) -> Guess {
-        let runs = self.cfg.confirm_runs;
+        let runs = self.cfg.confirm_runs.max(1);
         let mut replay = Replay::new(std::slice::from_ref(&schedule), runs as usize);
         let (mut bug_runs, mut correct_runs) = (0u32, 0u32);
         let mut causal = None;
         while bug_runs + correct_runs < runs && correct_runs <= self.cfg.confirm_abort_correct {
-            let verdict: RunVerdict = self.next_run(h, &mut replay);
-            if verdict.bug {
+            let run = self.next_run(h, &mut replay);
+            if run.bug {
                 bug_runs += 1;
-                causal = causal.or(verdict.causal);
+                causal = causal.or(run.causal);
             } else {
                 correct_runs += 1;
             }
@@ -1341,6 +1298,32 @@ mod tests {
         assert!(rep.schedule.is_none());
     }
 
+    #[test]
+    fn zero_confirm_runs_confirm_over_one_replay() {
+        struct AlwaysBug;
+        impl RunHarness for AlwaysBug {
+            fn run(&mut self, _s: &FaultSchedule, _seed: u64) -> RunObservation {
+                RunObservation {
+                    bug: true,
+                    wall: SimDuration::from_secs(5),
+                    ..Default::default()
+                }
+            }
+        }
+        let profile = Profile::default();
+        let symbols = SymbolTable::new();
+        let ex = one_crash_extraction(&["a"]);
+        let cfg = DiagnosisConfig {
+            confirm_runs: 0,
+            ..Default::default()
+        };
+        let rep = Diagnoser::new(cfg, &profile, &symbols, &ex).diagnose(&mut AlwaysBug);
+        assert!(rep.reproduced);
+        assert_eq!(rep.replay_rate, 100.0);
+        // The Level 1 discovery run, then one confirmation replay.
+        assert_eq!(rep.runs, 2);
+    }
+
     /// Counts harness executions so tests can verify that speculation
     /// actually over-executes while the report stays identical.
     struct Counted<H> {
@@ -1576,50 +1559,8 @@ mod tests {
         obs
     }
 
-    /// Which batch call a job came through.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Via {
-        Speculative,
-        Verdicts,
-    }
-
-    /// An [`eventful`] harness that overrides both batch calls, as one that
-    /// stops a replay at its verdict does, and logs every job with the call
-    /// it came through.
-    struct Routed(Vec<(Via, FaultSchedule, u64)>);
-
-    impl RunHarness for Routed {
-        fn run(&mut self, _schedule: &FaultSchedule, _seed: u64) -> RunObservation {
-            unreachable!("the search executes every run through a batch call")
-        }
-
-        fn run_speculative(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunObservation> {
-            jobs.iter()
-                .map(|(schedule, seed)| {
-                    self.0.push((Via::Speculative, schedule.clone(), *seed));
-                    eventful(schedule, *seed)
-                })
-                .collect()
-        }
-
-        fn run_verdicts(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunVerdict> {
-            jobs.iter()
-                .map(|(schedule, seed)| {
-                    self.0.push((Via::Verdicts, schedule.clone(), *seed));
-                    let obs = eventful(schedule, *seed);
-                    RunVerdict {
-                        bug: obs.bug,
-                        wall: obs.wall,
-                        causal: obs.causal,
-                    }
-                })
-                .collect()
-        }
-    }
-
-    /// The same runs through the trait's defaults only: confirmations are
-    /// played out through `run_speculative`, as the benchmark's mirror
-    /// harness plays them. Logs every job it executes.
+    /// [`eventful`]'s runs through the trait's defaults, played out as the
+    /// benchmark's mirror harness plays them. Logs every job it executes.
     struct Played(Vec<(FaultSchedule, u64)>);
 
     impl RunHarness for Played {
@@ -1629,84 +1570,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn confirmations_arrive_as_verdicts_and_discovery_runs_as_observations() {
-        let mut profile = Profile::default();
-        profile.syscall_counts.insert(SyscallId::Connect, 30);
-        let symbols = SymbolTable::new();
-        let mut confirmed = 0;
-        for ex in [scf_extraction(), scf_ei_extraction(6)] {
-            let ei = ex.faults[0].ei.is_some();
-            for discovery_runs in [1u32, 3] {
-                for speculation in [1usize, 2, 4] {
-                    let cfg = DiagnosisConfig {
-                        speculation,
-                        discovery_runs,
-                        ..Default::default()
-                    };
-                    let at = format!(
-                        "ei={ei} discovery_runs={discovery_runs} speculation={speculation}"
-                    );
-                    let mut routed = Routed(Vec::new());
-                    let stopped =
-                        Diagnoser::new(cfg.clone(), &profile, &symbols, &ex).diagnose(&mut routed);
-                    let mut played = Played(Vec::new());
-                    let full = Diagnoser::new(cfg, &profile, &symbols, &ex).diagnose(&mut played);
-                    assert_eq!(
-                        serde_json::to_string(&stopped).unwrap(),
-                        serde_json::to_string(&full).unwrap(),
-                        "{at}"
-                    );
-                    // The same jobs in the same order; only the call differs.
-                    let jobs: Vec<_> = routed
-                        .0
-                        .iter()
-                        .map(|(_, s, seed)| (s.clone(), *seed))
-                        .collect();
-                    assert_eq!(jobs, played.0, "{at}");
-                    assert!(stopped.redundancy.events_total > 0, "{at}");
-
-                    // A confirmation replays a schedule whose discovery run
-                    // showed the bug.
-                    let mut shown: Vec<&FaultSchedule> = Vec::new();
-                    for (via, schedule, seed) in &routed.0 {
-                        match via {
-                            Via::Speculative if eventful(schedule, *seed).bug => {
-                                shown.push(schedule)
-                            }
-                            Via::Speculative => {}
-                            Via::Verdicts => assert!(shown.contains(&schedule), "{at}"),
-                        }
-                    }
-                    if speculation == 1 {
-                        // Every run executed is charged, so each discovery
-                        // run that shows the bug is followed by its
-                        // schedule's confirmation.
-                        assert_eq!(routed.0.len(), stopped.runs, "{at}");
-                        for pair in routed.0.windows(2) {
-                            let [(via, schedule, seed), (next_via, next_schedule, _)] = pair else {
-                                unreachable!()
-                            };
-                            if *via == Via::Speculative && eventful(schedule, *seed).bug {
-                                assert_eq!(*next_via, Via::Verdicts, "{at}");
-                                assert_eq!(next_schedule, schedule, "{at}");
-                            }
-                        }
-                    }
-                    confirmed += usize::from(stopped.reproduced);
-                }
-            }
-        }
-        assert!(confirmed > 0, "some search confirmed at target");
-    }
-
-    /// [`Played`]'s runs, except that a discovery run that shows the bug
-    /// carries junk event counts, as one stopped at detection carries
-    /// counts no played-out run shares.
-    struct JunkWhenShown;
+    /// [`Played`]'s runs, except that a run that shows the bug, discovery
+    /// run or confirmation replay, carries junk event counts, as one
+    /// stopped at detection carries counts no played-out run shares. Logs
+    /// every job it executes.
+    struct JunkWhenShown(Vec<(FaultSchedule, u64)>);
 
     impl RunHarness for JunkWhenShown {
         fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation {
+            self.0.push((schedule.clone(), seed));
             let mut obs = eventful(schedule, seed);
             if obs.bug {
                 obs.sim_events = seed % 13;
@@ -1721,7 +1593,7 @@ mod tests {
         let mut profile = Profile::default();
         profile.syscall_counts.insert(SyscallId::Connect, 30);
         let symbols = SymbolTable::new();
-        let mut shown = 0;
+        let (mut shown, mut confirmed) = (0, 0);
         for ex in [scf_extraction(), scf_ei_extraction(6)] {
             let ei = ex.faults[0].ei.is_some();
             for discovery_runs in [1u32, 3] {
@@ -1734,32 +1606,37 @@ mod tests {
                     let at = format!(
                         "ei={ei} discovery_runs={discovery_runs} speculation={speculation}"
                     );
-                    let junk = Diagnoser::new(cfg.clone(), &profile, &symbols, &ex)
-                        .diagnose(&mut JunkWhenShown);
+                    let mut junk = JunkWhenShown(Vec::new());
+                    let stopped =
+                        Diagnoser::new(cfg.clone(), &profile, &symbols, &ex).diagnose(&mut junk);
                     let mut played = Played(Vec::new());
                     let clean = Diagnoser::new(cfg, &profile, &symbols, &ex).diagnose(&mut played);
                     assert_eq!(
-                        serde_json::to_string(&junk).unwrap(),
+                        serde_json::to_string(&stopped).unwrap(),
                         serde_json::to_string(&clean).unwrap(),
                         "{at}"
                     );
+                    assert_eq!(junk.0, played.0, "the same jobs in the same order: {at}");
                     assert!(clean.redundancy.events_total > 0, "{at}");
                     shown += played
                         .0
                         .iter()
                         .filter(|(s, seed)| eventful(s, *seed).bug)
                         .count();
+                    confirmed += usize::from(clean.reproduced);
                 }
             }
         }
         assert!(shown > 0, "some run showed the bug");
+        assert!(confirmed > 0, "some search confirmed at target");
     }
 
-    /// A crash the bug needs keyed on `trigger` on node 0; confirmation
-    /// replays never show the bug, so every guess stays below target. A
-    /// discovery run that shows the bug reports `shown` as what it observed
-    /// — a run stopped at detection saw only what came before — and any
-    /// other run `setup` then `trigger`. Logs every discovery schedule.
+    /// A crash the bug needs keyed on `trigger` on node 0; only the first
+    /// run of a schedule shows the bug, so its confirmation replays never
+    /// do and every guess stays below target. A run that shows the bug
+    /// reports `shown` as what it observed — a run stopped at detection saw
+    /// only what came before — and any other run `setup` then `trigger`.
+    /// Logs every run's schedule.
     struct ShownEarly {
         shown: Vec<(NodeId, String)>,
         schedules: Vec<FaultSchedule>,
@@ -1767,13 +1644,15 @@ mod tests {
 
     impl RunHarness for ShownEarly {
         fn run(&mut self, schedule: &FaultSchedule, _seed: u64) -> RunObservation {
+            let first = !self.schedules.contains(schedule);
             self.schedules.push(schedule.clone());
-            let bug = schedule.faults.iter().any(|f| {
-                f.node == NodeId(0)
+            let bug = first
+                && schedule.faults.iter().any(|f| {
+                    f.node == NodeId(0)
                     && f.conditions.iter().any(
                         |c| matches!(c, Condition::FunctionEntered { name } if name == "trigger"),
                     )
-            });
+                });
             let af_calls = if bug {
                 self.shown.clone()
             } else {
@@ -1789,16 +1668,6 @@ mod tests {
                 wall: SimDuration::from_secs(10),
                 ..Default::default()
             }
-        }
-
-        fn run_verdicts(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunVerdict> {
-            jobs.iter()
-                .map(|_| RunVerdict {
-                    bug: false,
-                    wall: SimDuration::from_secs(10),
-                    causal: None,
-                })
-                .collect()
         }
     }
 

@@ -4,17 +4,21 @@
 //! The diagnosis phase is pure search logic; executing a candidate schedule
 //! (deploy system, run workload, inject, check oracle) is delegated to a
 //! [`RunHarness`] implemented by `rose-core` over the simulated cluster.
+//! Every run the diagnosis charges, discovery run or confirmation replay,
+//! comes back as one [`RunObservation`].
 
 use rose_events::{NodeId, SimDuration};
 use rose_inject::{ExecutionFeedback, FaultSchedule};
 
-/// Everything the diagnosis loop needs to observe from one discovery run:
-/// the search refines the next schedule from its `feedback` and `af_calls`.
+/// Everything the diagnosis loop reads from one charged run: a discovery
+/// run's `feedback` and `af_calls` refine the next schedule, and
+/// `confirmBug` reads a confirmation replay's `bug` and `causal`.
 ///
 /// A harness may stop a run at its first detection, as a capture is dumped
 /// there: a bug-positive observation then describes the run up to the
 /// verdict (a prefix of the played-out `af_calls`, the faults armed and
-/// injected by then). One that never detects describes the whole run.
+/// injected by then, the causal log up to its oracle node). One that never
+/// detects describes the whole run.
 #[derive(Debug, Clone, Default)]
 pub struct RunObservation {
     /// Did the bug oracle fire?
@@ -24,16 +28,16 @@ pub struct RunObservation {
     pub af_calls: Vec<(NodeId, String)>,
     /// Executor feedback: which faults were injected/armed.
     pub feedback: ExecutionFeedback,
-    /// Virtual time the run consumed (accumulated into the Table 1 `Time`
-    /// column).
+    /// Virtual time the run is charged (accumulated into the Table 1 `Time`
+    /// column): the length it was scheduled for plus the oracle's cost, so
+    /// where the run stopped does not move it.
     pub wall: SimDuration,
     /// Causal provenance log of the run, when the harness collected one.
     pub causal: Option<rose_events::CausalLog>,
     /// Simulation queue items executed during the run (the sweep-redundancy
     /// profiler's unit of work), up to where the run stopped. Only a
     /// discovery run that played out counts into the measurement: one that
-    /// showed the bug may have stopped at detection, and a confirmation
-    /// replay is a [`RunVerdict`].
+    /// showed the bug may have stopped at detection.
     pub sim_events: u64,
     /// Of those, how many executed before the first fault fired — the
     /// fault-free prefix a later candidate of the same sweep re-simulates.
@@ -68,32 +72,6 @@ impl RunObservation {
     }
 }
 
-/// What `confirmBug` reads from one confirmation replay: the run's verdict —
-/// did the bug show — and not what it saw on the way. One per run, not a
-/// per-fault account of what each injected fault did.
-#[derive(Debug, Clone, Default)]
-pub struct RunVerdict {
-    /// Did the bug oracle fire?
-    pub bug: bool,
-    /// Virtual time the run is charged: the length it was scheduled for,
-    /// plus the oracle's cost, exactly as for a [`RunObservation`] — where
-    /// the run stopped does not move the Table 1 `Time` column.
-    pub wall: SimDuration,
-    /// Causal provenance log of the run up to its verdict, when the harness
-    /// collected one.
-    pub causal: Option<rose_events::CausalLog>,
-}
-
-impl From<RunObservation> for RunVerdict {
-    fn from(o: RunObservation) -> Self {
-        RunVerdict {
-            bug: o.bug,
-            wall: o.wall,
-            causal: o.causal,
-        }
-    }
-}
-
 /// Executes candidate fault schedules in the testing environment.
 pub trait RunHarness {
     /// Runs the target system once with `schedule` injected, using `seed`
@@ -101,16 +79,16 @@ pub trait RunHarness {
     fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation;
 
     /// Speculatively executes a batch of independent `(schedule, seed)`
-    /// discovery runs — possibly in parallel — returning observations in
-    /// job order. An implementation may stop a run at its first detection
-    /// and observe it there; a bug-positive observation then ends at
-    /// detection (see [`RunObservation`]).
+    /// runs — possibly in parallel — returning observations in job order.
+    /// An implementation may stop a run at its first detection and observe
+    /// it there; a bug-positive observation then ends at detection (see
+    /// [`RunObservation`]).
     ///
-    /// Every discovery run of the diagnosis reaches the harness through
-    /// here, and confirmation replays through [`RunHarness::run_verdicts`].
-    /// The search lays a batch out in the order it executes runs one by
-    /// one, then replays its decisions over the returned runs; the prefix
-    /// of jobs it actually reached is reported via
+    /// Every run the diagnosis charges reaches the harness through here,
+    /// discovery runs and confirmation replays alike. The search lays a
+    /// batch out in the order it executes runs one by one, then replays its
+    /// decisions over the returned runs; the prefix of jobs it actually
+    /// reached is reported via
     /// [`RunHarness::commit_speculative`]. Implementations with run side
     /// effects (telemetry) should buffer them per job until that call, and
     /// drop whatever lies beyond the committed prefix, so speculation is
@@ -125,25 +103,9 @@ pub trait RunHarness {
             .collect()
     }
 
-    /// Executes a batch of confirmation replays exactly as
-    /// [`RunHarness::run_speculative`] does discovery runs, returning each
-    /// run's verdict in job order. A verdict is all `confirmBug` reads and
-    /// the oracle latches at its first detection, so an implementation may
-    /// stop each run there. The default plays the runs out through
-    /// `run_speculative` and keeps their verdicts: exact, only slower.
-    fn run_verdicts(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunVerdict> {
-        self.run_speculative(jobs)
-            .into_iter()
-            .map(RunVerdict::from)
-            .collect()
-    }
-
-    /// Commits the first `used` jobs of the last batch, whichever of
-    /// [`run_speculative`] or [`run_verdicts`] ran it: their buffered side
-    /// effects become visible, the rest are discarded. No-op by default.
-    ///
-    /// [`run_speculative`]: RunHarness::run_speculative
-    /// [`run_verdicts`]: RunHarness::run_verdicts
+    /// Commits the first `used` jobs of the last
+    /// [`RunHarness::run_speculative`] batch: their buffered side effects
+    /// become visible, the rest are discarded. No-op by default.
     fn commit_speculative(&mut self, used: usize) {
         let _ = used;
     }

@@ -19,7 +19,7 @@
 //!   rest;
 //! - **confirmation** — re-run candidate schedules ten times and accept at
 //!   a ≥ 60 % replay rate (with the paper's early-abort after 4 clean runs),
-//!   reading one verdict per replay.
+//!   reading each replay's verdict.
 
 pub mod diagnose;
 pub mod extract;
@@ -30,4 +30,4 @@ pub use diagnose::{
     WARMUP,
 };
 pub use extract::{extract_faults, ExtractedFault, Extraction, ExtractionStats};
-pub use harness::{RunHarness, RunObservation, RunVerdict};
+pub use harness::{RunHarness, RunObservation};

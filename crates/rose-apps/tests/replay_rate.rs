@@ -1,12 +1,11 @@
 //! A replay stopped at its verdict reaches the verdict of the same replay
-//! played out in full. `Rose::replay_verdicts` and `Rose::replay_rate` stop
-//! each replay at its first detection; per seed, their `bug` bits are
-//! `Rose::run_replays`' at one and two workers, and a stopped replay's
-//! propagation chains are the played-out run's, minus the one-hop chains of
-//! faults injected after detection. A discovery run stops there too
-//! (`Rose::replay_discoveries`): per seed, its observation is the
-//! played-out one where the bug never shows, and a prefix of it where it
-//! does.
+//! played out in full. `Rose::stopped_replays` and `Rose::replay_rate` stop
+//! each replay at its first detection, as the diagnosis stops every run it
+//! charges. Per seed, at one and two workers, a stopped replay's
+//! observation is `Rose::run_replays`' where the bug never shows and a
+//! prefix of it where it does, the rate is the played-out runs' share of
+//! bug runs, and a stopped replay's propagation chains are the played-out
+//! run's, minus the one-hop chains of faults injected after detection.
 
 use rose_apps::driver::CaptureMethod;
 use rose_apps::hdfs::{hdfs_capture, HdfsBug, HdfsCase};
@@ -18,50 +17,17 @@ use rose_obs::causal::propagation_chains;
 
 const BASE_SEED: u64 = 5_000;
 
-/// Holds the stopped verdicts, and the rate over them, equal per seed to
-/// the played-out replays' `bug` bits at one and two workers; returns
-/// those bits.
-fn stopped_equals_played<S: TargetSystem>(
-    system: S,
-    schedule: &FaultSchedule,
-    n: u32,
-) -> Vec<bool> {
-    let profile = Rose::new(system.clone()).profile();
-    let mut bits = Vec::new();
-    for jobs in [1, 2] {
-        let cfg = RoseConfig {
-            jobs,
-            ..RoseConfig::default()
-        };
-        let rose = Rose::with_config(system.clone(), cfg);
-        let full: Vec<bool> = rose
-            .run_replays(&profile, schedule, n, BASE_SEED)
-            .iter()
-            .map(|r| r.bug)
-            .collect();
-        let stopped: Vec<bool> = rose
-            .replay_verdicts(&profile, schedule, n, BASE_SEED)
-            .iter()
-            .map(|v| v.bug)
-            .collect();
-        assert_eq!(stopped, full, "jobs={jobs}");
-        let share = 100.0 * full.iter().filter(|bug| **bug).count() as f64 / f64::from(n);
-        let rate = rose.replay_rate(&profile, schedule, n, BASE_SEED);
-        assert_eq!(rate, share, "jobs={jobs}");
-        bits = full;
-    }
-    bits
-}
-
 /// Whether every element of `part` is in `whole`.
 fn subset<T: PartialEq>(part: &[T], whole: &[T]) -> bool {
     part.iter().all(|x| whole.contains(x))
 }
 
-/// Holds each stopped discovery observation against the played-out run of
-/// the same seed at one and two workers: equal in every field where the bug
-/// never showed, a prefix of it where it did. Returns the `bug` bits.
-fn stopped_discovery_is_a_prefix<S: TargetSystem>(
+/// Holds each stopped replay against the played-out run of the same seed at
+/// one and two workers: the same `bug` and `wall`, equal in every field where
+/// the bug never showed, a prefix of it where it did; and `replay_rate` equal
+/// to the share of played-out runs that showed the bug. Returns the `bug`
+/// bits.
+fn stopped_is_played_or_a_prefix<S: TargetSystem>(
     system: S,
     schedule: &FaultSchedule,
     n: u32,
@@ -75,7 +41,7 @@ fn stopped_discovery_is_a_prefix<S: TargetSystem>(
         };
         let rose = Rose::with_config(system.clone(), cfg);
         let full = rose.run_replays(&profile, schedule, n, BASE_SEED);
-        let stopped = rose.replay_discoveries(&profile, schedule, n, BASE_SEED);
+        let stopped = rose.stopped_replays(&profile, schedule, n, BASE_SEED);
         assert_eq!(stopped.len(), full.len());
         let mut cut = 0;
         for (i, (s, f)) in stopped.iter().zip(&full).enumerate() {
@@ -99,7 +65,10 @@ fn stopped_discovery_is_a_prefix<S: TargetSystem>(
             }
             cut += usize::from(s.sim_events < f.sim_events);
         }
-        bits = stopped.iter().map(|o| o.bug).collect();
+        bits = full.iter().map(|r| r.bug).collect();
+        let share = 100.0 * bits.iter().filter(|bug| **bug).count() as f64 / f64::from(n);
+        let rate = rose.replay_rate(&profile, schedule, n, BASE_SEED);
+        assert_eq!(rate, share, "jobs={jobs}");
         // The stop is real: a run that shows the bug before its last poll
         // executes less than the played-out run.
         assert!(cut > 0 || !bits.contains(&true), "jobs={jobs}");
@@ -145,9 +114,9 @@ fn hdfs_12070() -> (HdfsCase, FaultSchedule) {
 }
 
 #[test]
-fn redisraft_43_stopped_verdicts_are_the_full_replays_bits() {
+fn redisraft_43_stopped_replays_are_the_full_replays_or_their_prefixes() {
     let (case, schedule) = redisraft_43();
-    let bits = stopped_equals_played(case, &schedule, 6);
+    let bits = stopped_is_played_or_a_prefix(case, &schedule, 6);
     assert!(
         bits.contains(&true) && bits.contains(&false),
         "a sub-100 % schedule: {bits:?}"
@@ -155,9 +124,9 @@ fn redisraft_43_stopped_verdicts_are_the_full_replays_bits() {
 }
 
 #[test]
-fn hdfs_12070_stopped_verdicts_are_the_full_replays_bits() {
+fn hdfs_12070_stopped_replays_are_the_full_replays_or_their_prefixes() {
     let (case, schedule) = hdfs_12070();
-    let bits = stopped_equals_played(case, &schedule, 4);
+    let bits = stopped_is_played_or_a_prefix(case, &schedule, 4);
     assert!(bits.iter().all(|bug| *bug), "{bits:?}");
 }
 
@@ -175,7 +144,8 @@ fn a_stopped_replay_loses_only_the_chains_of_faults_injected_after_detection() {
         causal: true,
         ..RoseConfig::default()
     };
-    let rose = Rose::with_config(case, cfg);
+    let rose = Rose::with_config(case.clone(), cfg);
+    let unrecorded = Rose::new(case);
     let profile = rose.profile();
     for seed in [BASE_SEED, BASE_SEED + 31] {
         let played = rose
@@ -183,9 +153,10 @@ fn a_stopped_replay_loses_only_the_chains_of_faults_injected_after_detection() {
             .causal
             .expect("causal provenance is on");
         let oracle = played.oracle().expect("the bug shows");
-        let [stopped] = &rose.replay_verdicts(&profile, &schedule, 1, seed)[..] else {
+        let [stopped] = &rose.stopped_replays(&profile, &schedule, 1, seed)[..] else {
             panic!("one replay");
         };
+        assert!(stopped.bug, "seed {seed}");
         let stopped = stopped.causal.as_ref().expect("causal provenance is on");
 
         // The stopped log is the played-out one up to its oracle node.
@@ -208,35 +179,17 @@ fn a_stopped_replay_loses_only_the_chains_of_faults_injected_after_detection() {
         assert!(expected.len() < all.len(), "the late crash's chain goes");
         assert_eq!(propagation_chains(stopped), expected, "seed {seed}");
 
-        // A report's chains come from its confirmation replays, so a
-        // discovery run records no log even with provenance on.
-        let [discovery] = &rose.replay_discoveries(&profile, &schedule, 1, seed)[..] else {
+        // A stopped replay records its log iff causal provenance is on.
+        let [stopped] = &unrecorded.stopped_replays(&profile, &schedule, 1, seed)[..] else {
             panic!("one replay");
         };
-        assert!(discovery.causal.is_none(), "seed {seed}");
+        assert!(stopped.bug && stopped.causal.is_none(), "seed {seed}");
     }
-}
-
-#[test]
-fn redisraft_43_stopped_discovery_runs_are_prefixes_of_the_full_runs() {
-    let (case, schedule) = redisraft_43();
-    let bits = stopped_discovery_is_a_prefix(case, &schedule, 6);
-    assert!(
-        bits.contains(&true) && bits.contains(&false),
-        "a sub-100 % schedule: {bits:?}"
-    );
-}
-
-#[test]
-fn hdfs_12070_stopped_discovery_runs_are_prefixes_of_the_full_runs() {
-    let (case, schedule) = hdfs_12070();
-    let bits = stopped_discovery_is_a_prefix(case, &schedule, 4);
-    assert!(bits.iter().all(|bug| *bug), "{bits:?}");
 }
 
 #[test]
 fn a_discovery_run_that_never_detects_plays_out() {
     let (case, _) = hdfs_12070();
-    let bits = stopped_discovery_is_a_prefix(case, &FaultSchedule::new(), 3);
+    let bits = stopped_is_played_or_a_prefix(case, &FaultSchedule::new(), 3);
     assert!(bits.iter().all(|bug| !*bug), "{bits:?}");
 }

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use rose_analyze::{
     extract_faults, Diagnoser, DiagnosisConfig, DiagnosisReport, Extraction, RunHarness,
-    RunObservation, RunVerdict,
+    RunObservation,
 };
 use rose_events::{EventKind, FunctionId, NodeId, SimDuration, Trace};
 use rose_inject::{ExecutionFeedback, Executor, FaultSchedule};
@@ -30,10 +30,11 @@ pub struct RoseConfig {
     /// execution. 1 = fully sequential. Results, reports, and telemetry are
     /// bit-identical for every value — this is purely a wall-clock knob.
     pub jobs: usize,
-    /// Collect causal provenance in the testing runs that are read for it
-    /// ([`Rose::run_once`], confirmation replays and
-    /// [`Rose::replay_verdicts`]; not discovery runs, whose log nothing
-    /// reads): every such run records a happens-before log (injections,
+    /// Collect causal provenance in [`Rose::run_once`], in every run the
+    /// diagnosis charges (discovery runs and confirmation replays alike)
+    /// and in [`Rose::stopped_replays`], though not in
+    /// [`Rose::replay_rate`]'s runs, which it reads for the verdict alone:
+    /// each such run records a happens-before log (injections,
     /// overridden syscalls, tainted message receipts, crash/pause
     /// transitions, oracle detection), and the diagnosis report carries
     /// per-fault propagation chains computed from the winning schedule's
@@ -356,8 +357,8 @@ impl<S: TargetSystem> Rose<S> {
 
     /// Runs one testing execution with a schedule, played out in full. Every
     /// run the diagnosis charges stops at its verdict instead
-    /// (`Rose::verdict`, `Rose::discovery`); only replays outside diagnosis
-    /// that read more than the verdict play out (e.g. the ablations).
+    /// (`Rose::run_to_verdict`); only replays outside diagnosis that read
+    /// more than the verdict play out (e.g. the ablations).
     pub fn run_once(&self, profile: &Profile, schedule: &FaultSchedule, seed: u64) -> RunOnce {
         let mut run = self.deploy_testing(profile, schedule, seed);
         if self.cfg.causal {
@@ -378,16 +379,18 @@ impl<S: TargetSystem> Rose<S> {
     /// The body of every run the diagnosis charges: one testing execution
     /// with a schedule up to its verdict — the same hooks over the same
     /// execution as [`Rose::run_once`] until the oracle first fires, and
-    /// nothing after. The oracle latches there, so the verdict is the
-    /// played-out run's; the causal log, recorded when `causal` is set, ends
-    /// at the oracle node. Returns the stopped run and its verdict.
+    /// nothing after — observed where it stopped, as a capture is dumped
+    /// at detection. The oracle latches there, so the verdict is the
+    /// played-out run's, and a run that never detects plays out in full and
+    /// observes as `run_once`'s. The causal log, recorded when `causal` is
+    /// set, ends at the oracle node.
     fn run_to_verdict(
         &self,
         profile: &Profile,
         schedule: &FaultSchedule,
         seed: u64,
         causal: bool,
-    ) -> (TestingRun<S>, bool) {
+    ) -> RunObservation {
         let mut run = self.deploy_testing(profile, schedule, seed);
         if causal {
             run.sim.record_causal();
@@ -396,44 +399,21 @@ impl<S: TargetSystem> Rose<S> {
             sim.record_oracle();
             true
         });
-        (run, bug)
-    }
-
-    /// A confirmation replay: [`Rose::run_to_verdict`], read for its
-    /// verdict alone.
-    fn verdict(
-        &self,
-        profile: &Profile,
-        schedule: &FaultSchedule,
-        seed: u64,
-        causal: bool,
-    ) -> RunVerdict {
-        let (mut run, bug) = self.run_to_verdict(profile, schedule, seed, causal);
-        RunVerdict {
-            bug,
-            wall: self.charged_wall(&run),
-            causal: causal.then(|| run.sim.take_causal_log()),
-        }
-    }
-
-    /// A discovery run: [`Rose::run_to_verdict`], observed where it stopped.
-    /// A run that shows the bug is observed at its first detection, as a
-    /// capture is dumped there; one that never does plays out in full, so
-    /// its observation is [`Rose::run_once`]'s. It records no causal log:
-    /// a report's chains come from its confirmation replays.
-    fn discovery(&self, profile: &Profile, schedule: &FaultSchedule, seed: u64) -> RunObservation {
-        let (mut run, bug) = self.run_to_verdict(profile, schedule, seed, false);
-        self.observe(&mut run, bug, false).into()
+        self.observe(&mut run, bug, causal).into()
     }
 
     /// What a testing run saw up to now: the tracer's dump, the AF calls it
     /// resolves to, the executor's feedback (published to telemetry), the
     /// kernel's event counts and, when `causal` is set, the causal log.
     fn observe(&self, run: &mut TestingRun<S>, bug: bool, causal: bool) -> RunOnce {
-        let wall = self.charged_wall(run);
         let TestingRun {
-            sim, tracer_cfg, ..
+            sim,
+            tracer_cfg,
+            duration,
         } = run;
+        // Charged the length it was scheduled for plus the oracle's cost,
+        // wherever it stopped.
+        let wall = *duration + self.system.oracle_cost();
         let now = sim.now();
         let trace = sim.hook_mut::<Tracer>().expect("tracer attached").dump(now);
         let feedback = sim
@@ -463,12 +443,6 @@ impl<S: TargetSystem> Rose<S> {
             sim_events,
             events_before_injection,
         }
-    }
-
-    /// Virtual time a testing run is charged: the length it was scheduled
-    /// for plus the oracle's cost, wherever it stopped.
-    fn charged_wall(&self, run: &TestingRun<S>) -> SimDuration {
-        run.duration + self.system.oracle_cost()
     }
 
     /// A detached copy of this toolchain for a worker thread: same system
@@ -569,25 +543,11 @@ impl<S: TargetSystem> Rose<S> {
     }
 
     /// Runs `n` independent replays of a schedule as [`Rose::run_replays`]
-    /// does, each stopped at its verdict, returning the verdicts in seed
-    /// order; each carries its causal log when [`RoseConfig::causal`] is on.
-    pub fn replay_verdicts(
-        &self,
-        profile: &Profile,
-        schedule: &FaultSchedule,
-        n: u32,
-        base_seed: u64,
-    ) -> Vec<RunVerdict> {
-        self.map_replays(n, base_seed, |rose, seed| {
-            rose.verdict(profile, schedule, seed, rose.cfg.causal)
-        })
-    }
-
-    /// Runs `n` independent replays of a schedule as [`Rose::run_replays`]
-    /// does, each as the diagnosis runs a discovery run: stopped at its
-    /// first detection and observed there, with no causal log. A replay
-    /// that never detects plays out, so its observation is `run_replays`'.
-    pub fn replay_discoveries(
+    /// does, each as the diagnosis runs it: stopped at its first detection
+    /// and observed there, with its causal log when [`RoseConfig::causal`]
+    /// is on. A replay that never detects plays out, so its observation is
+    /// `run_replays`'.
+    pub fn stopped_replays(
         &self,
         profile: &Profile,
         schedule: &FaultSchedule,
@@ -595,7 +555,7 @@ impl<S: TargetSystem> Rose<S> {
         base_seed: u64,
     ) -> Vec<RunObservation> {
         self.map_replays(n, base_seed, |rose, seed| {
-            rose.discovery(profile, schedule, seed)
+            rose.run_to_verdict(profile, schedule, seed, rose.cfg.causal)
         })
     }
 
@@ -613,7 +573,7 @@ impl<S: TargetSystem> Rose<S> {
     ) -> f64 {
         let bugs = self
             .map_replays(n, base_seed, |rose, seed| {
-                rose.verdict(profile, schedule, seed, false).bug
+                rose.run_to_verdict(profile, schedule, seed, false).bug
             })
             .into_iter()
             .filter(|bug| *bug)
@@ -655,9 +615,8 @@ pub struct RunOnce {
 
 /// The [`RunHarness`] the diagnosis loop drives: each run deploys a fresh
 /// simulated cluster, executes the schedule, and evaluates the oracle. Every
-/// run stops at its verdict (`Rose::run_to_verdict`): a discovery run is
-/// observed there (`Rose::discovery`), a confirmation replay keeps only the
-/// verdict (`Rose::verdict`).
+/// run, discovery run or confirmation replay, stops at its verdict and is
+/// observed there (`Rose::run_to_verdict`).
 ///
 /// Speculative batches fork one worker toolchain per job (a `SimHarness` is
 /// just a config plus profile reference — forking is cheap), buffer each
@@ -687,46 +646,29 @@ impl From<RunOnce> for RunObservation {
     }
 }
 
-impl<'a, S: TargetSystem> SimHarness<'a, S> {
-    /// Executes a batch with `run` per job: inline for a single job,
-    /// publishing its side effects directly (the commit that follows finds
-    /// no buffers); fanned out otherwise, each worker's telemetry buffered
-    /// until the commit.
-    fn batch<R: Send>(
-        &mut self,
-        jobs: &[(FaultSchedule, u64)],
-        run: impl Fn(&Rose<S>, &Profile, &FaultSchedule, u64) -> R + Sync,
-    ) -> Vec<R> {
+impl<'a, S: TargetSystem> RunHarness for SimHarness<'a, S> {
+    fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation {
+        self.rose
+            .run_to_verdict(self.profile, schedule, seed, self.rose.cfg.causal)
+    }
+
+    /// A single job runs inline, publishing its side effects directly (the
+    /// commit that follows finds no buffers); a batch fans out, each
+    /// worker's telemetry buffered until the commit.
+    fn run_speculative(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunObservation> {
         self.pending.clear();
-        let (rose, profile) = (self.rose, self.profile);
         if let [(schedule, seed)] = jobs {
-            return vec![run(rose, profile, schedule, *seed)];
+            return vec![self.run(schedule, *seed)];
         }
-        let results = rose.fan_out(jobs.to_vec(), |worker, (schedule, seed)| {
-            run(worker, profile, &schedule, seed)
-        });
+        let profile = self.profile;
+        let results = self
+            .rose
+            .fan_out(jobs.to_vec(), |worker, (schedule, seed)| {
+                worker.run_to_verdict(profile, &schedule, seed, worker.cfg.causal)
+            });
         let (runs, pending) = results.into_iter().unzip();
         self.pending = pending;
         runs
-    }
-}
-
-impl<'a, S: TargetSystem> RunHarness for SimHarness<'a, S> {
-    fn run(&mut self, schedule: &FaultSchedule, seed: u64) -> RunObservation {
-        self.rose.discovery(self.profile, schedule, seed)
-    }
-
-    fn run_speculative(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunObservation> {
-        self.batch(jobs, |rose, profile, schedule, seed| {
-            rose.discovery(profile, schedule, seed)
-        })
-    }
-
-    fn run_verdicts(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunVerdict> {
-        let causal = self.rose.cfg.causal;
-        self.batch(jobs, |rose, profile, schedule, seed| {
-            rose.verdict(profile, schedule, seed, causal)
-        })
     }
 
     fn commit_speculative(&mut self, used: usize) {

@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -36,6 +36,7 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -rnE "CausalRecorder|attach_causal" crates/rose-inject/src crates/rose-trace/src \
     || awk '/^impl.* RunHarness for SimHarness/,/^}/' crates/rose-core/src/workflow.rs \
         | grep -n "run_once(" \
+    || grep -rnE "RunVerdict|run_verdicts|trait Charged|fn discovery\(" crates tests examples \
     || grep -n "Mutex" crates/rose-sim/src/causal.rs \
     || grep -rnE "\.to_json\(\)\.len\(\)" crates/*/src \
     || grep -rnE "gauge_set|MetricsSnapshot|merge_snapshot|obs\.observe\(|flush_obs" crates/*/src \
@@ -66,7 +67,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "the tracer records no open pause/silence after the verdict (nothing read them), and" \
         "ChromeTrace has no add_span (add_flow_anchor is its one slice)," \
         "and every run the diagnosis charges stops at its verdict (no run_once in SimHarness's" \
-        "RunHarness impl: discovery runs and confirmation replays both go through run_to_verdict)"
+        "RunHarness impl: discovery runs and confirmation replays both go through run_to_verdict)" \
+        "and comes back as one RunObservation (no RunVerdict, run_verdicts, Charged run kind or" \
+        "Rose::discovery view beside it)"
     exit 1
 fi
 
