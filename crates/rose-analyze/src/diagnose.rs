@@ -20,7 +20,7 @@ pub const WARMUP: SimDuration = SimDuration::from_secs(5);
 pub struct DiagnosisConfig {
     /// Accept a schedule at this replay rate (paper: 60 %).
     pub target_replay_rate: f64,
-    /// Confirmation runs per candidate (paper: 10).
+    /// Confirmation runs per candidate (paper: 10); 0 counts as 1.
     pub confirm_runs: u32,
     /// Abort a confirmation once this many clean runs are seen (paper:
     /// `if correctRuns > 3 return 0`).
