@@ -102,8 +102,8 @@ pub struct DiagnosisReport {
     /// [`rose_obs::causal`]). Empty when the harness recorded no causal log.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub propagation: Vec<rose_obs::PropagationChain>,
-    /// Sweep-redundancy measurement over the charged discovery runs that
-    /// played out.
+    /// Simulated events of the charged discovery runs that played out (see
+    /// [`SweepRedundancy`]).
     #[serde(default)]
     pub redundancy: SweepRedundancy,
     /// SCF faults whose Level-2 sweep keyed on a recorded execution index
@@ -117,28 +117,17 @@ pub struct DiagnosisReport {
     pub ei_schedules: usize,
 }
 
-/// How much simulation work the schedule search repeated.
-///
-/// Consecutive candidates of a sweep differ only in when their faults fire:
-/// everything before the first injection replays the identical fault-free
-/// prefix. This measures that waste — the quantity a fork-on-snapshot
-/// executor would reclaim — over the charged discovery runs that played out
-/// only, the runs whose counts compare: a run that showed the bug, discovery
-/// run or confirmation replay, may have stopped at detection, and a
-/// confirmation replay is no candidate of a sweep.
+/// Simulated events of the charged discovery runs that played out (never
+/// showed the bug): the runs every harness plays the same way, so the
+/// benchmark's mirror (`bench/src/workloads.rs`,
+/// `bench/tests/mirror_equivalence.rs`) compares this total with its own.
+/// That comparison is its only reader; ROADMAP item 2(b) deletes it once the
+/// benchmark stops making it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SweepRedundancy {
     /// Simulation queue items executed across the charged discovery runs
     /// that played out.
     pub events_total: u64,
-    /// Events inside fault-free prefixes shared with the previous charged
-    /// discovery run (`min` of the two prefixes, summed over consecutive
-    /// pairs).
-    pub shared_prefix_events: u64,
-    /// `events_total / (events_total - shared_prefix_events)`: how many
-    /// times more events were simulated than a prefix-sharing executor
-    /// would have needed. 0 when nothing was measured.
-    pub redundancy_factor: f64,
 }
 
 impl DiagnosisReport {
@@ -278,12 +267,9 @@ pub struct Diagnoser<'a> {
     /// Schedules that showed the bug but confirmed below target, with the
     /// level that produced them: what the pruning runs re-confirm.
     candidates: Vec<(FaultSchedule, u8)>,
-    /// Redundancy accounting over charged discovery runs that played out
-    /// (see [`SweepRedundancy`]).
+    /// Events of the charged discovery runs that played out (see
+    /// [`SweepRedundancy`]).
     events_total: u64,
-    shared_prefix_events: u64,
-    /// Fault-free prefix length of the previously counted discovery run.
-    last_prefix: Option<u64>,
     /// SCF sweeps that keyed on a recorded execution index (Level 2.5).
     ei_sweeps: usize,
     /// Schedules charged inside those EI-keyed sweeps.
@@ -310,8 +296,6 @@ impl<'a> Diagnoser<'a> {
             amplifications: 0,
             candidates: Vec::new(),
             events_total: 0,
-            shared_prefix_events: 0,
-            last_prefix: None,
             ei_sweeps: 0,
             ei_schedules: 0,
         }
@@ -695,19 +679,6 @@ impl<'a> Diagnoser<'a> {
         self.total_time += run.wall;
     }
 
-    /// The sweep-redundancy count of a charged discovery run that played
-    /// out (see [`SweepRedundancy`]).
-    fn count_events(&mut self, obs: &RunObservation) {
-        self.events_total += obs.sim_events;
-        // The fault-free prefix: everything before the first injection, or
-        // the whole run when no fault fired at all.
-        let prefix = obs.events_before_injection.unwrap_or(obs.sim_events);
-        if let Some(prev) = self.last_prefix {
-            self.shared_prefix_events += prev.min(prefix);
-        }
-        self.last_prefix = Some(prefix);
-    }
-
     /// The batch-replay primitive: charges and returns the next run of
     /// `replay`'s plan. When no executed run is waiting it lays out the
     /// next harness batch — one job with speculation off, so the search
@@ -775,7 +746,7 @@ impl<'a> Diagnoser<'a> {
                 let obs = self.next_run(h, &mut replay);
                 bug = obs.bug;
                 if !bug {
-                    self.count_events(&obs);
+                    self.events_total += obs.sim_events;
                 }
                 last = Some(obs);
                 if bug {
@@ -862,16 +833,6 @@ impl<'a> Diagnoser<'a> {
             .unwrap_or_default();
         let schedule = best.map(|g| g.schedule);
         let faults_injected = schedule.as_ref().map(summary_of).unwrap_or_default();
-        let fresh = self.events_total.saturating_sub(self.shared_prefix_events);
-        let redundancy = SweepRedundancy {
-            events_total: self.events_total,
-            shared_prefix_events: self.shared_prefix_events,
-            redundancy_factor: if fresh > 0 {
-                self.events_total as f64 / fresh as f64
-            } else {
-                0.0
-            },
-        };
         DiagnosisReport {
             reproduced: schedule.is_some() && rate >= self.cfg.target_replay_rate,
             schedule,
@@ -884,7 +845,9 @@ impl<'a> Diagnoser<'a> {
             extraction: self.extraction.stats,
             faults_injected,
             propagation,
-            redundancy,
+            redundancy: SweepRedundancy {
+                events_total: self.events_total,
+            },
             ei_sweeps: self.ei_sweeps,
             ei_schedules: self.ei_schedules,
         }
@@ -1530,14 +1493,14 @@ mod tests {
     }
 
     /// [`SeedyNth`]'s and [`SeedyEi`]'s bug, with what a simulated run
-    /// carries besides its bit: seed-dependent event counts and, on a bug
-    /// run, a causal log stamped with the seed — so the report's redundancy
-    /// and propagation chains say which runs they came from.
+    /// carries besides its bit: a seed-dependent event count and, on a bug
+    /// run, a causal log stamped with the seed — so the report's
+    /// `redundancy.events_total` and propagation chains say which runs they
+    /// came from.
     fn eventful(schedule: &FaultSchedule, seed: u64) -> RunObservation {
         let mut obs = SeedyNth.run(schedule, seed);
         obs.bug |= SeedyEi.run(schedule, seed).bug;
         obs.sim_events = 1_000 + seed % 97;
-        obs.events_before_injection = Some(seed % 89);
         if obs.bug {
             let mut log = rose_events::CausalLog::default();
             let inject = log.push_node(
@@ -1571,8 +1534,8 @@ mod tests {
     }
 
     /// [`Played`]'s runs, except that a run that shows the bug, discovery
-    /// run or confirmation replay, carries junk event counts, as one
-    /// stopped at detection carries counts no played-out run shares. Logs
+    /// run or confirmation replay, carries a junk event count, as one
+    /// stopped at detection carries a count no played-out run shares. Logs
     /// every job it executes.
     struct JunkWhenShown(Vec<(FaultSchedule, u64)>);
 
@@ -1582,7 +1545,6 @@ mod tests {
             let mut obs = eventful(schedule, seed);
             if obs.bug {
                 obs.sim_events = seed % 13;
-                obs.events_before_injection = seed.is_multiple_of(2).then_some(seed % 1_000_003);
             }
             obs
         }

@@ -34,13 +34,16 @@ pub struct RunObservation {
     pub wall: SimDuration,
     /// Causal provenance log of the run, when the harness collected one.
     pub causal: Option<rose_events::CausalLog>,
-    /// Simulation queue items executed during the run (the sweep-redundancy
-    /// profiler's unit of work), up to where the run stopped. Only a
-    /// discovery run that played out counts into the measurement: one that
-    /// showed the bug may have stopped at detection.
+    /// Simulation queue items executed during the run, up to where it
+    /// stopped. Only a discovery run that played out counts into
+    /// [`crate::diagnose::SweepRedundancy`]: one that showed the bug may
+    /// have stopped at detection.
     pub sim_events: u64,
-    /// Of those, how many executed before the first fault fired — the
-    /// fault-free prefix a later candidate of the same sweep re-simulates.
+    /// Of those, how many executed before the first fault fired. The
+    /// diagnosis does not read it; it stays only because the benchmark's
+    /// mirror (`bench/src/mirror.rs`) fills it and
+    /// `bench/tests/mirror_equivalence.rs` compares it. ROADMAP item 2(b)
+    /// deletes it.
     pub events_before_injection: Option<u64>,
 }
 

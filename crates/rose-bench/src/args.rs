@@ -126,29 +126,40 @@ impl Args {
     }
 
     /// Ends parsing for a binary whose positional arguments name registry
-    /// cases (`BugId::parse`, case-insensitive); none picks `default`. Any
-    /// error — an unknown name included — exits with `usage`.
+    /// cases (see [`registry_cases`]); none picks `default`. Any error — an
+    /// unknown or repeated name included — exits with `usage`.
     pub fn bugs(self, usage: &str, default: &[BugId]) -> Vec<BugId> {
-        let names = self.check().unwrap_or_else(|e| exit_usage(&e, usage));
-        let picked: Vec<BugId> = names
-            .iter()
-            .map(|name| {
-                BugId::parse(name).unwrap_or_else(|| {
-                    let known: Vec<&str> = BugId::all_with_hunted()
-                        .iter()
-                        .map(|id| id.info().name)
-                        .collect();
-                    let msg = format!("unknown bug '{name}'; known: {}", known.join(", "));
-                    exit_usage(&msg, usage)
-                })
-            })
-            .collect();
+        let picked = self
+            .check()
+            .and_then(|names| registry_cases(&names))
+            .unwrap_or_else(|e| exit_usage(&e, usage));
         if picked.is_empty() {
             default.to_vec()
         } else {
             picked
         }
     }
+}
+
+/// The registry cases `names` name (`BugId::parse`, case-insensitive), in
+/// order. An unknown name is an error that lists the roster; a repeated
+/// one is an error too, not a case run twice.
+fn registry_cases(names: &[String]) -> Result<Vec<BugId>, String> {
+    let mut picked = Vec::new();
+    for name in names {
+        let Some(id) = BugId::parse(name) else {
+            let known: Vec<&str> = BugId::all_with_hunted()
+                .iter()
+                .map(|id| id.info().name)
+                .collect();
+            return Err(format!("unknown bug '{name}'; known: {}", known.join(", ")));
+        };
+        if picked.contains(&id) {
+            return Err(format!("repeated bug '{name}'"));
+        }
+        picked.push(id);
+    }
+    Ok(picked)
 }
 
 fn exit_usage(msg: &str, usage: &str) -> ! {
@@ -229,7 +240,8 @@ mod tests {
         assert!(a.check().unwrap_err().contains("--jobs"));
     }
 
-    /// `jobs` + `--out` + positionals, as `hunt`/`redundancy` parse.
+    /// `jobs` + `--quick` + `--out` + positionals: the flags `hunt` and
+    /// `table1` take between them.
     fn names(v: &[&str]) -> Result<Vec<String>, String> {
         let mut a = args(v);
         a.jobs();
@@ -273,5 +285,20 @@ mod tests {
         let mut a = args(&["--secs", "0"]);
         assert_eq!(a.value::<NonZeroU64>("--secs"), None);
         assert!(a.check().unwrap_err().contains("--secs"));
+    }
+
+    #[test]
+    fn bug_names_are_registry_cases_named_once() {
+        let names =
+            |v: &[&str]| registry_cases(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        assert_eq!(names(&[]), Ok(Vec::new()));
+        assert_eq!(
+            names(&["hdfs-12070", "RoseRaft-COMPACT"]),
+            Ok(vec![BugId::Hdfs12070, BugId::RaftCompactionLoss])
+        );
+        // A repeat, in any spelling, would run the same campaign twice.
+        for twice in [["HDFS-12070", "HDFS-12070"], ["HDFS-12070", "hdfs-12070"]] {
+            assert_eq!(names(&twice), Err(format!("repeated bug '{}'", twice[1])));
+        }
     }
 }

@@ -4,14 +4,16 @@
 //! removed by the trace diff — plus the §6.5 discussion summary (bugs per
 //! diagnosis level).
 //!
-//! Usage: `cargo run -p rose-bench --release --bin table1 [-- --quick] [-- --jobs N] [-- --report out.jsonl] [-- --trace-dir traces/] [-- --causal causal/]`
-//! (`--quick` runs the five RedisRaft rows only; `--jobs N` runs up to `N`
-//! bug campaigns concurrently with bit-identical output; `--report <path>`
-//! appends one JSONL phase record per workflow phase plus a campaign
-//! summary per bug to `<path>`; `--trace-dir <dir>` saves each captured
-//! trace as `<bug>.rosetrace` and changes nothing else; `--causal <dir>`
-//! records causal provenance during testing runs and writes each bug's
-//! fault-propagation chains as `<bug>.flow.json` + `<bug>.dot`).
+//! Usage: `cargo run -p rose-bench --release --bin table1 [-- --quick | BUG ...] [-- --jobs N] [-- --report out.jsonl] [-- --trace-dir traces/] [-- --causal causal/]`
+//! (`--quick` runs the five RedisRaft rows only; positional `BUG` arguments
+//! run exactly those registry cases instead, hunted ones such as
+//! `RoseRaft-COMPACT` included, and cannot be combined with `--quick`;
+//! `--jobs N` runs up to `N` bug campaigns concurrently with bit-identical
+//! output; `--report <path>` appends one JSONL phase record per workflow
+//! phase plus a campaign summary per bug to `<path>`; `--trace-dir <dir>`
+//! saves each captured trace as `<bug>.rosetrace` and changes nothing else;
+//! `--causal <dir>` records causal provenance during testing runs and writes
+//! each bug's fault-propagation chains as `<bug>.flow.json` + `<bug>.dot`).
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag or a bad
 //! value prints the usage line to stderr and exits with status 2.
 
@@ -23,7 +25,8 @@ use rose_bench::table::render;
 use rose_core::{ordered_map, RoseConfig};
 
 const USAGE: &str =
-    "usage: table1 [--quick] [--jobs N] [--report PATH] [--trace-dir DIR] [--causal DIR]";
+    "usage: table1 [--quick | BUG ...] [--jobs N] [--report PATH] [--trace-dir DIR] \
+                     [--causal DIR]";
 
 fn main() {
     let mut args = Args::from_env();
@@ -32,9 +35,14 @@ fn main() {
     let report_path = args.report();
     let trace_dir = args.trace_dir();
     let causal_dir = args.causal_dir();
-    args.finish(USAGE);
+    // `--quick` picks the rows itself: a bug name beside it is an error.
+    let bugs = if quick {
+        args.finish(USAGE);
+        BugId::campaign(true).to_vec()
+    } else {
+        args.bugs(USAGE, BugId::campaign(false))
+    };
     let sink = ReportSink::open(report_path);
-    let bugs = BugId::campaign(quick);
 
     let mut rows = Vec::new();
     let mut levels = [0u32; 4];
@@ -45,7 +53,7 @@ fn main() {
     // Campaign-level pool: each case is an independent sequential workflow
     // (inner jobs stay at 1), so every per-bug report is bit-identical to a
     // lone run; `ordered_map` hands the outcomes back in Table 1 row order.
-    let outcomes: Vec<(BugId, CaseOutcome, f64)> = ordered_map(jobs, bugs.to_vec(), |id| {
+    let outcomes: Vec<(BugId, CaseOutcome, f64)> = ordered_map(jobs, bugs, |id| {
         let info = id.info();
         report::section(format!("{} ({}) …", info.name, info.system));
         let t0 = std::time::Instant::now();

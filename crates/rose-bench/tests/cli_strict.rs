@@ -3,13 +3,12 @@
 
 use std::process::Command;
 
-const BINS: [(&str, &str); 7] = [
+const BINS: [(&str, &str); 6] = [
     ("table1", env!("CARGO_BIN_EXE_table1")),
     ("table2", env!("CARGO_BIN_EXE_table2")),
     ("table3", env!("CARGO_BIN_EXE_table3")),
     ("motivation", env!("CARGO_BIN_EXE_motivation")),
     ("ablations", env!("CARGO_BIN_EXE_ablations")),
-    ("redundancy", env!("CARGO_BIN_EXE_redundancy")),
     ("hunt", env!("CARGO_BIN_EXE_hunt")),
 ];
 
@@ -40,7 +39,8 @@ fn unknown_flags_exit_2_with_usage() {
         assert_rejected(name, &["--causal", "d"]);
         assert_rejected(name, &["--trace-dir", "d"]);
     }
-    assert_rejected("table1", &["RedisRaft-42"]);
+    // `--quick` picks its own rows: a bug name beside it is ambiguous.
+    assert_rejected("table1", &["--quick", "HDFS-12070"]);
 }
 
 #[test]
@@ -51,7 +51,7 @@ fn missing_and_unparsable_values_exit_2_with_usage() {
     assert_rejected("ablations", &["--jobs", "x"]);
     assert_rejected("hunt", &["RedisRaft-42", "--budget", "-1"]);
     assert_rejected("hunt", &["--seed=abc"]);
-    assert_rejected("redundancy", &["--out"]);
+    assert_rejected("hunt", &["--out"]);
     // An empty value is a missing one, not the working directory.
     assert_rejected("hunt", &["RedisRaft-42", "--budget", "1", "--state-dir="]);
     // Zero is not a count.
@@ -63,8 +63,9 @@ fn missing_and_unparsable_values_exit_2_with_usage() {
 
 #[test]
 fn unknown_bug_names_exit_2_with_the_roster() {
-    for name in ["hunt", "redundancy"] {
+    for name in ["hunt", "table1"] {
         assert_rejected(name, &["--jobs=4", "NoSuchBug-1"]);
+        assert_rejected(name, &["HDFS-12070", "hdfs-12070"]);
     }
 }
 
@@ -98,41 +99,25 @@ fn hunt_rejects_an_uncreatable_path_before_writing_its_report() {
     }
 }
 
-/// The one bin whose happy path no other gate runs: a sweep-redundancy row
-/// for the cheapest case, written where `--out` says.
+/// `table1` runs any registry case by name: one row, and a summary over
+/// that row alone.
 #[test]
-fn redundancy_writes_one_json_row_per_bug() {
+fn table1_runs_one_named_case() {
     let exe = BINS
         .iter()
-        .find(|(n, _)| *n == "redundancy")
+        .find(|(n, _)| *n == "table1")
         .expect("known bin")
         .1;
-    let out_path =
-        std::env::temp_dir().join(format!("rose-redundancy-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&out_path);
     let out = Command::new(exe)
         .arg("HDFS-12070")
-        .arg("--out")
-        .arg(&out_path)
         .output()
         .expect("bin starts");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "redundancy HDFS-12070: {stderr}"
-    );
-
-    let text = std::fs::read_to_string(&out_path).expect("--out was written");
-    let _ = std::fs::remove_file(&out_path);
-    let json: serde_json::Value = serde_json::from_str(&text).expect("--out holds JSON");
-    let rows = json["rows"].as_array().expect("a rows array");
-    assert_eq!(rows.len(), 1, "{text}");
-    let row = &rows[0];
-    assert_eq!(row["bug"].as_str(), Some("HDFS-12070"));
-    assert_eq!(row["reproduced"].as_bool(), Some(true), "{text}");
-    // The one discovery run shows the bug and stops at detection, so no
-    // played-out run is counted: the columns are there, and empty.
-    assert_eq!(row["events_total"].as_u64(), Some(0), "{text}");
-    assert_eq!(row["redundancy_factor"].as_f64(), Some(0.0), "{text}");
+    assert_eq!(out.status.code(), Some(0), "table1 HDFS-12070: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows: Vec<&str> = stdout.lines().filter(|l| l.contains("HDFS-")).collect();
+    assert_eq!(rows.len(), 1, "{stdout}");
+    assert!(rows[0].contains("HDFS-12070"), "{stdout}");
+    assert!(rows[0].contains("yes (L"), "{stdout}");
+    assert!(stdout.contains("reproduced: 1/1"), "{stdout}");
 }

@@ -609,7 +609,9 @@ pub struct RunOnce {
     pub causal: Option<rose_events::CausalLog>,
     /// Simulation queue items the run executed.
     pub sim_events: u64,
-    /// Of those, how many ran before the first fault fired.
+    /// Of those, how many ran before the first fault fired. Kept only for
+    /// the benchmark's mirror, which compares it; ROADMAP item 2(b)
+    /// deletes it.
     pub events_before_injection: Option<u64>,
 }
 

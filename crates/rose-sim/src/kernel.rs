@@ -146,13 +146,13 @@ pub struct SimCore<M> {
     /// hook's part is the injection notes in its [`HookEffects`]. Disabled
     /// (free) unless [`crate::Sim::record_causal`] turned it on.
     pub(crate) causal: CausalRecorder,
-    /// Queue items handled so far (the per-run simulated-event count the
-    /// sweep-redundancy profiler reads).
+    /// Queue items handled so far (the per-run simulated-event count).
     pub(crate) events_executed: u64,
     /// `events_executed` at the moment the first fault-injecting hook
-    /// effect was applied; `None` until then. The prefix before this point
-    /// is identical for every run of the same seed, which is what a
-    /// fork-on-snapshot search engine could skip.
+    /// effect was applied; `None` until then. It feeds
+    /// `RunObservation::events_before_injection`, whose only reader is the
+    /// benchmark's mirror (`bench/src/mirror.rs` builds one from it);
+    /// ROADMAP item 2(b) deletes both.
     pub(crate) first_injection_events: Option<u64>,
     /// Per-node pending CPU time, drained into the next outbound message
     /// latency (the overhead model).
@@ -220,8 +220,7 @@ impl<M> SimCore<M> {
         self.first_injection_events
     }
 
-    /// Marks the injection point for the redundancy profile (first call
-    /// wins).
+    /// Marks the first injection point (first call wins).
     fn note_injection(&mut self) {
         if self.first_injection_events.is_none() {
             self.first_injection_events = Some(self.events_executed);

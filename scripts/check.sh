@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -37,6 +37,8 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || awk '/^impl.* RunHarness for SimHarness/,/^}/' crates/rose-core/src/workflow.rs \
         | grep -n "run_once(" \
     || grep -rnE "RunVerdict|run_verdicts|trait Charged|fn discovery\(" crates tests examples \
+    || grep -rnE "shared_prefix_events|redundancy_factor|last_prefix|BENCH_redundancy|bin/redundancy" \
+        crates tests examples src README.md DESIGN.md \
     || grep -n "Mutex" crates/rose-sim/src/causal.rs \
     || grep -rnE "\.to_json\(\)\.len\(\)" crates/*/src \
     || grep -rnE "gauge_set|MetricsSnapshot|merge_snapshot|obs\.observe\(|flush_obs" crates/*/src \
@@ -69,7 +71,10 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "and every run the diagnosis charges stops at its verdict (no run_once in SimHarness's" \
         "RunHarness impl: discovery runs and confirmation replays both go through run_to_verdict)" \
         "and comes back as one RunObservation (no RunVerdict, run_verdicts, Charged run kind or" \
-        "Rose::discovery view beside it)"
+        "Rose::discovery view beside it)," \
+        "and the sweep-redundancy instrument is gone (no redundancy bin, BENCH_redundancy.json," \
+        "shared-prefix count or factor): it measured nothing on its rows, each of its bugs taking" \
+        "one discovery run that shows the bug, and the fork-on-snapshot question lives in the hunt"
     exit 1
 fi
 
