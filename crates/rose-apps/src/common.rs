@@ -1,11 +1,107 @@
 //! Shared helpers for the simulated target systems.
+//!
+//! The models and their clients build some text on every operation: keys,
+//! values, history ops, journal lines, block paths. They build it from
+//! string pieces and the one integer writer here ([`write_u64`],
+//! [`write_hex`]), not through `core::fmt`: the formatter was the largest
+//! single slice of a short run's profile. The text is byte for byte what
+//! `format!` wrote; the tests below hold each builder to its `format!`
+//! original.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 use rand::Rng;
 use rose_events::SimDuration;
 use rose_sim::NodeCtx;
+
+/// The digits of one `u64`, right-aligned in a stack buffer (20 decimal
+/// digits is `u64::MAX`'s length).
+struct Digits {
+    buf: [u8; 20],
+    at: usize,
+}
+
+impl Digits {
+    fn decimal(n: u64) -> Digits {
+        Digits::new(n, 10)
+    }
+
+    fn hex(n: u64) -> Digits {
+        Digits::new(n, 16)
+    }
+
+    #[inline(always)]
+    fn new(mut n: u64, radix: u64) -> Digits {
+        let mut d = Digits {
+            buf: [0; 20],
+            at: 20,
+        };
+        loop {
+            d.at -= 1;
+            d.buf[d.at] = b"0123456789abcdef"[(n % radix) as usize];
+            n /= radix;
+            if n == 0 {
+                return d;
+            }
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[self.at..]).expect("ASCII digits")
+    }
+}
+
+/// Writes `n` in decimal: the text `{n}` formats.
+pub fn write_u64(out: &mut impl fmt::Write, n: u64) -> fmt::Result {
+    out.write_str(Digits::decimal(n).as_str())
+}
+
+/// Writes `n` in lower-case hex, without a prefix: the text `{n:x}` formats.
+pub fn write_hex(out: &mut impl fmt::Write, n: u64) -> fmt::Result {
+    out.write_str(Digits::hex(n).as_str())
+}
+
+/// `prefix` followed by `n` in decimal (`format!("{prefix}{n}")`): a key
+/// such as `k2`, a path such as `/hbase/proc/7`.
+pub fn numbered(prefix: &str, n: u64) -> String {
+    [prefix, Digits::decimal(n).as_str()].concat()
+}
+
+/// A client's value for its `n`-th write, `{tag}{client}{sep}{n}`: `c3n17`
+/// is client 3's 17th append.
+pub fn client_value(tag: &str, client: u32, sep: &str, n: u64) -> String {
+    let client = Digits::decimal(u64::from(client));
+    [tag, client.as_str(), sep, Digits::decimal(n).as_str()].concat()
+}
+
+/// The history op of an append, `append k={key} v={val}`.
+pub fn append_op(key: &str, val: &str) -> String {
+    ["append k=", key, " v=", val].concat()
+}
+
+/// The history op of a read, `read k={key}`.
+pub fn read_op(key: &str) -> String {
+    ["read k=", key].concat()
+}
+
+/// Appends the journal record `{n} {key} {val}\n` (a txn-log or oplog
+/// line) to `out`.
+pub fn push_record(out: &mut String, n: u64, key: &str, val: &str) {
+    let _ = write_u64(out, n);
+    for piece in [" ", key, " ", val, "\n"] {
+        out.push_str(piece);
+    }
+}
+
+/// Appends the record `{key}={val}\n` (a segment or changelog line) to
+/// `out`.
+pub fn push_kv_record(out: &mut String, key: &str, val: &str) {
+    for piece in [key, "=", val, "\n"] {
+        out.push_str(piece);
+    }
+}
 
 /// Samples a randomized election timeout (Raft-style).
 pub fn election_timeout(rng: &mut impl Rng) -> SimDuration {
@@ -35,8 +131,9 @@ pub fn benign_probes<M: Clone + std::fmt::Debug + 'static>(
 ) {
     match style {
         ProbeStyle::Jvm => {
-            let _ = ctx.stat(&format!("/proc/self/task/{}/stat", 100 + tick % 7));
-            let _ = ctx.readlink(&format!("/tmp/hsperfdata/{}", tick % 5));
+            let (task, perf) = jvm_probe_paths(tick);
+            let _ = ctx.stat(&task);
+            let _ = ctx.readlink(&perf);
             if tick.is_multiple_of(3) {
                 let _ = ctx.stat("/etc/jvm.options");
             }
@@ -47,6 +144,16 @@ pub fn benign_probes<M: Clone + std::fmt::Debug + 'static>(
             }
         }
     }
+}
+
+/// The two missing paths a JVM probes at `tick`: a task's `stat` file and
+/// a perf-data link.
+fn jvm_probe_paths(tick: u64) -> (String, String) {
+    let task = Digits::decimal(100 + tick % 7);
+    (
+        ["/proc/self/task/", task.as_str(), "/stat"].concat(),
+        numbered("/tmp/hsperfdata/", tick % 5),
+    )
 }
 
 /// A key's append list. The store owns it; a read reply (and a snapshot
@@ -191,11 +298,113 @@ pub(crate) mod sharing {
     }
 }
 
+/// The per-operation text as the models used to build it, through
+/// `format!`: the reference the tests hold the builders to.
+#[cfg(test)]
+pub(crate) mod reference {
+    pub(crate) fn numbered(prefix: &str, n: u64) -> String {
+        format!("{prefix}{n}")
+    }
+
+    pub(crate) fn client_value(tag: &str, client: u32, sep: &str, n: u64) -> String {
+        format!("{tag}{client}{sep}{n}")
+    }
+
+    pub(crate) fn append_op(key: &str, val: &str) -> String {
+        format!("append k={key} v={val}")
+    }
+
+    pub(crate) fn read_op(key: &str) -> String {
+        format!("read k={key}")
+    }
+
+    pub(crate) fn record(n: u64, key: &str, val: &str) -> String {
+        format!("{n} {key} {val}\n")
+    }
+
+    pub(crate) fn kv_record(key: &str, val: &str) -> String {
+        format!("{key}={val}\n")
+    }
+
+    pub(crate) fn jvm_probe_paths(tick: u64) -> (String, String) {
+        (
+            format!("/proc/self/task/{}/stat", 100 + tick % 7),
+            format!("/tmp/hsperfdata/{}", tick % 5),
+        )
+    }
+
+    /// The numbers where a digit writer goes wrong if it does: 0, every
+    /// power of ten and its neighbours, and the ends of `u32` and `u64`.
+    pub(crate) fn edge_u64s() -> Vec<u64> {
+        let mut ns = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        let mut power = 1u64;
+        loop {
+            ns.extend([power - 1, power, power + 1]);
+            match power.checked_mul(10) {
+                Some(next) => power = next,
+                None => return ns,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    fn written(n: u64) -> (String, String) {
+        let (mut dec, mut hex) = (String::from("x"), String::from("x"));
+        write_u64(&mut dec, n).unwrap();
+        write_hex(&mut hex, n).unwrap();
+        (dec, hex)
+    }
+
+    #[test]
+    fn the_writer_prints_the_formatters_digits_at_the_edges() {
+        for n in reference::edge_u64s() {
+            assert_eq!(written(n), (format!("x{n}"), format!("x{n:x}")));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn the_writer_prints_the_formatters_digits(n in any::<u64>(), shift in 0..64u32) {
+            for n in [n, n >> shift] {
+                let (dec, hex) = written(n);
+                prop_assert_eq!(dec, format!("x{n}"));
+                prop_assert_eq!(hex, format!("x{n:x}"));
+            }
+        }
+    }
+
+    #[test]
+    fn the_text_builders_write_the_format_text() {
+        for n in reference::edge_u64s().into_iter().chain(0..1_000) {
+            assert_eq!(numbered("k", n), reference::numbered("k", n));
+            assert_eq!(numbered("", n), reference::numbered("", n));
+            let client = n as u32;
+            let value = client_value("c", client, "n", n);
+            assert_eq!(value, reference::client_value("c", client, "n", n));
+            let key = numbered("z", n % 3);
+            assert_eq!(append_op(&key, &value), reference::append_op(&key, &value));
+            assert_eq!(read_op(&key), reference::read_op(&key));
+            let mut line = String::from("kept\n");
+            push_record(&mut line, n, &key, &value);
+            assert_eq!(
+                line,
+                ["kept\n", &reference::record(n, &key, &value)].concat()
+            );
+            line.clear();
+            push_kv_record(&mut line, &key, &value);
+            assert_eq!(line, reference::kv_record(&key, &value));
+            assert_eq!(jvm_probe_paths(n), reference::jvm_probe_paths(n));
+        }
+        assert_eq!(append_op("", ""), reference::append_op("", ""));
+    }
 
     #[test]
     fn election_timeouts_are_in_range_and_jittered() {

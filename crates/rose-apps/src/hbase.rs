@@ -13,14 +13,14 @@ use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome};
 
-use crate::common::{benign_probes, tags, ProbeStyle};
+use crate::common::{benign_probes, numbered, tags, ProbeStyle};
 use crate::driver::{CaptureMethod, CaptureSpec};
 
 /// The master node.
 pub const MASTER: NodeId = NodeId(0);
 
 fn proc_path(pid: u64) -> String {
-    format!("/hbase/proc/{pid}")
+    numbered("/hbase/proc/", pid)
 }
 
 /// Wire messages.
@@ -98,7 +98,7 @@ impl Application for HBase {
             Bmsg::Submit { pid } => {
                 ctx.enter_function("executeProcedure");
                 let persisted = ctx
-                    .write_file(&proc_path(pid), format!("result-{pid}").as_bytes())
+                    .write_file(&proc_path(pid), numbered("result-", pid).as_bytes())
                     .is_ok();
                 if persisted || self.bug {
                     // DEFECT (HBASE-19608): completion is flagged even when
@@ -285,7 +285,7 @@ impl ClientDriver<Bmsg> for ProcClient {
             None => {
                 self.next_pid += 1;
                 let pid = self.next_pid;
-                let hidx = ctx.invoke(format!("proc pid={pid}"));
+                let hidx = ctx.invoke(numbered("proc pid=", pid));
                 self.polling = Some((hidx, pid, 0));
                 ctx.send(MASTER, Bmsg::Submit { pid });
             }

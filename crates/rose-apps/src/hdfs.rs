@@ -20,7 +20,7 @@ use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
-use crate::common::{benign_probes, tags, ProbeStyle};
+use crate::common::{append_op, benign_probes, client_value, numbered, read_op, tags, ProbeStyle};
 use crate::driver::{CaptureMethod, CaptureSpec};
 
 /// The four seeded HDFS defects.
@@ -141,7 +141,15 @@ const LEASE_TIMER: u64 = 52;
 const BALANCE_TIMER: u64 = 53;
 
 fn block_path(file: &str) -> String {
-    format!("/dn/blk_{file}")
+    ["/dn/blk_", file].concat()
+}
+
+/// Sets `line` to the edit-log record `{verb} {file}\n`.
+fn edit_record(line: &mut String, verb: &str, file: &str) {
+    line.clear();
+    for piece in [verb, " ", file, "\n"] {
+        line.push_str(piece);
+    }
 }
 
 /// Block placement: each file's block lives on exactly one datanode.
@@ -165,6 +173,9 @@ pub struct Hdfs {
     /// Balancer: completed rounds (the crash path needs warm state).
     rounds_completed: u64,
     tick: u64,
+    /// The edit record or replica line being written; kept for its
+    /// capacity.
+    line: String,
 }
 
 impl Hdfs {
@@ -179,6 +190,7 @@ impl Hdfs {
             token_expired: false,
             rounds_completed: 0,
             tick: 0,
+            line: String::new(),
         }
     }
 
@@ -208,11 +220,12 @@ impl Hdfs {
         }
     }
 
-    /// NN: append an edit record (hot path).
-    fn append_edit(&mut self, ctx: &mut NodeCtx<'_, Hmsg>, record: &str) {
+    /// NN: append the edit record `{verb} {file}` (hot path).
+    fn append_edit(&mut self, ctx: &mut NodeCtx<'_, Hmsg>, verb: &str, file: &str) {
         ctx.enter_function("appendEdit");
         if let Ok(fd) = ctx.open(EDITS, OpenFlags::Append) {
-            let _ = ctx.write(fd, record.as_bytes());
+            edit_record(&mut self.line, verb, file);
+            let _ = ctx.write(fd, self.line.as_bytes());
             let _ = ctx.close(fd);
         }
         ctx.exit_function();
@@ -354,7 +367,10 @@ impl Application for Hdfs {
             Hmsg::RepBlock { file, val, rid } => {
                 // DN stores the replica.
                 if let Ok(fd) = ctx.open(&block_path(&file), OpenFlags::Append) {
-                    let _ = ctx.write(fd, format!("{val}\n").as_bytes());
+                    self.line.clear();
+                    self.line.push_str(&val);
+                    self.line.push('\n');
+                    let _ = ctx.write(fd, self.line.as_bytes());
                     let _ = ctx.close(fd);
                 }
                 let _ = ctx.send(from, Hmsg::RepOk { rid });
@@ -438,7 +454,7 @@ impl Application for Hdfs {
                 if ok {
                     ctx.log(format!("INFO block recovery complete for {file}; closing"));
                     self.leases.remove(&file);
-                    self.append_edit(ctx, &format!("close {file}\n"));
+                    self.append_edit(ctx, "close", &file);
                 } else {
                     ctx.log(format!("ERROR block recovery failed for {file}"));
                     if self.is(HdfsBug::Hdfs12070) {
@@ -465,7 +481,7 @@ impl Application for Hdfs {
         }
         match req {
             Hmsg::Write { file, val, id } => {
-                self.append_edit(ctx, &format!("write {file}\n"));
+                self.append_edit(ctx, "write", &file);
                 self.files
                     .entry(file.clone())
                     .or_default()
@@ -489,7 +505,7 @@ impl Application for Hdfs {
             Hmsg::OpenFile { file } => {
                 let now = ctx.now().as_micros();
                 self.leases.insert(file.clone(), (now + 8_000_000, now));
-                self.append_edit(ctx, &format!("open {file}\n"));
+                self.append_edit(ctx, "open", &file);
                 self.files.entry(file.clone()).or_default();
                 // Materialize the under-construction block on its DN.
                 self.next_rid += 1;
@@ -727,10 +743,10 @@ impl ClientDriver<Hmsg> for HdfsClient {
                 }
                 if self.outstanding.is_none() {
                     self.counter += 1;
-                    let file = format!("f{}", self.counter % 3);
-                    let val = format!("c{}n{}", ctx.id().0, self.counter);
+                    let file = numbered("f", self.counter % 3);
+                    let val = client_value("c", ctx.id().0, "n", self.counter);
                     let id = (u64::from(ctx.id().0) << 32) | self.counter;
-                    let hidx = ctx.invoke(format!("append k={file} v={val}"));
+                    let hidx = ctx.invoke(append_op(&file, &val));
                     ctx.send(NN, Hmsg::Write { file, val, id });
                     self.outstanding = Some((hidx, id, now + 1_500_000));
                 }
@@ -753,8 +769,8 @@ impl ClientDriver<Hmsg> for HdfsClient {
                         self.read_pending = Some((hidx, file, started, retries + 1));
                     }
                 } else {
-                    let file = format!("f{}", ctx.rng().gen_range(0..3u32));
-                    let hidx = ctx.invoke(format!("read k={file}"));
+                    let file = numbered("f", u64::from(ctx.rng().gen_range(0..3u32)));
+                    let hidx = ctx.invoke(read_op(&file));
                     ctx.send(NN, Hmsg::Read { file: file.clone() });
                     self.read_pending = Some((hidx, file, now, 0));
                 }
@@ -829,4 +845,21 @@ impl ClientDriver<Hmsg> for WriterClient {
     }
 
     fn on_reply(&mut self, _ctx: &mut ClientCtx<'_, Hmsg>, _from: NodeId, _msg: Hmsg) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn block_paths_and_edit_records_are_the_format_text() {
+        let mut line = String::from("stale");
+        for file in ["f0", "f_uc", ""] {
+            assert_eq!(block_path(file), format!("/dn/blk_{file}"));
+            for verb in ["open", "write", "close"] {
+                edit_record(&mut line, verb, file);
+                assert_eq!(line, format!("{verb} {file}\n"));
+            }
+        }
+    }
 }

@@ -15,7 +15,7 @@ use rose_sim::{
     Application, ClientCtx, ClientDriver, ClientId, History, NodeCtx, OpOutcome, OpenFlags,
 };
 
-use crate::common::{benign_probes, tags, ProbeStyle};
+use crate::common::{benign_probes, numbered, push_kv_record, tags, ProbeStyle};
 use crate::driver::{CaptureMethod, CaptureSpec};
 
 const CHANGELOG: &str = "/kafka/changelog";
@@ -64,6 +64,8 @@ pub struct Kafka {
     /// The emitted (downstream-visible) view.
     emitted: BTreeMap<String, String>,
     tick: u64,
+    /// The changelog record being written; kept for its capacity.
+    line: String,
 }
 
 impl Kafka {
@@ -74,6 +76,7 @@ impl Kafka {
             table: BTreeMap::new(),
             emitted: BTreeMap::new(),
             tick: 0,
+            line: String::new(),
         }
     }
 
@@ -86,7 +89,9 @@ impl Kafka {
         ctx.enter_function("flushChangelog");
         let persisted = (|| {
             let fd = ctx.open(CHANGELOG, OpenFlags::Append).ok()?;
-            let _ = ctx.write(fd, format!("{key}={val}\n").as_bytes());
+            self.line.clear();
+            push_kv_record(&mut self.line, key, val);
+            let _ = ctx.write(fd, self.line.as_bytes());
             ctx.close(fd).ok()
         })()
         .is_some();
@@ -289,17 +294,17 @@ impl ClientDriver<Kmsg> for KafkaClient {
                 }
                 if self.outstanding.is_none() {
                     self.counter += 1;
-                    let key = format!("k{}", self.counter % 3);
-                    let val = format!("v{}", self.counter);
+                    let key = numbered("k", self.counter % 3);
+                    let val = numbered("v", self.counter);
                     let id = self.counter;
-                    let hidx = ctx.invoke(format!("update {key}={val}"));
+                    let hidx = ctx.invoke(["update ", &key, "=", &val].concat());
                     ctx.send(TABLE_BROKER, Kmsg::Update { key, val, id });
                     self.outstanding = Some((hidx, id, now + 1_500_000));
                 }
                 ctx.set_timer(SimDuration::from_millis(120), tags::CLIENT_OP);
             }
             tags::CLIENT_READ => {
-                let key = format!("k{}", ctx.rng().gen_range(0..3u32));
+                let key = numbered("k", u64::from(ctx.rng().gen_range(0..3u32)));
                 ctx.send(TABLE_BROKER, Kmsg::Read { key });
                 ctx.set_timer(SimDuration::from_millis(700), tags::CLIENT_READ);
             }
@@ -319,7 +324,7 @@ impl ClientDriver<Kmsg> for KafkaClient {
                 }
             }
             Kmsg::ReadOk { key, val } => {
-                let hidx = ctx.invoke(format!("view {key}"));
+                let hidx = ctx.invoke(["view ", &key].concat());
                 ctx.complete(hidx, OpOutcome::Ok(val));
             }
             _ => {}

@@ -17,7 +17,8 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
 use crate::common::{
-    benign_probes, election_timeout, join_values, push_value, read_values, tags, ProbeStyle, Values,
+    append_op, benign_probes, client_value, election_timeout, join_values, numbered, push_record,
+    push_value, read_op, read_values, tags, ProbeStyle, Values,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
@@ -142,6 +143,8 @@ pub struct MongoDb {
     /// Heartbeat recency from the primary.
     last_primary_us: u64,
     tick: u64,
+    /// The oplog line `persist_oplog` is writing; kept for its capacity.
+    line: String,
 }
 
 impl MongoDb {
@@ -162,6 +165,7 @@ impl MongoDb {
             unreplicated: Vec::new(),
             last_primary_us: 0,
             tick: 0,
+            line: String::new(),
         }
     }
 
@@ -172,7 +176,9 @@ impl MongoDb {
     fn persist_oplog(&mut self, ctx: &mut NodeCtx<'_, Mmsg>, pos: u64, key: &str, val: &str) {
         ctx.enter_function("appendOplog");
         if let Ok(fd) = ctx.open("/mongo/oplog", OpenFlags::Append) {
-            let _ = ctx.write(fd, format!("{pos} {key} {val}\n").as_bytes());
+            self.line.clear();
+            push_record(&mut self.line, pos, key, val);
+            let _ = ctx.write(fd, self.line.as_bytes());
             let _ = ctx.close(fd);
         }
         ctx.exit_function();
@@ -601,17 +607,17 @@ impl ClientDriver<Mmsg> for MongoClient {
                 }
                 if self.outstanding.is_none() {
                     self.counter += 1;
-                    let key = format!("d{}", self.counter % 3);
-                    let val = format!("c{}n{}", ctx.id().0, self.counter);
+                    let key = numbered("d", self.counter % 3);
+                    let val = client_value("c", ctx.id().0, "n", self.counter);
                     let id = (u64::from(ctx.id().0) << 32) | self.counter;
-                    let hidx = ctx.invoke(format!("append k={key} v={val}"));
+                    let hidx = ctx.invoke(append_op(&key, &val));
                     ctx.send(self.primary, Mmsg::Insert { key, val, id });
                     self.outstanding = Some((hidx, id, now + 1_200_000));
                 }
                 ctx.set_timer(SimDuration::from_millis(70), tags::CLIENT_OP);
             }
             tags::CLIENT_READ => {
-                let key = format!("d{}", ctx.rng().gen_range(0..3u32));
+                let key = numbered("d", u64::from(ctx.rng().gen_range(0..3u32)));
                 ctx.send(self.primary, Mmsg::Find { key });
                 ctx.set_timer(SimDuration::from_millis(900), tags::CLIENT_READ);
             }
@@ -632,15 +638,15 @@ impl ClientDriver<Mmsg> for MongoClient {
                 }
             }
             Mmsg::FindOk { key, values } => {
-                let hidx = ctx.invoke(format!("read k={key}"));
+                let hidx = ctx.invoke(read_op(&key));
                 ctx.complete(hidx, OpOutcome::Ok(Some(join_values(&values))));
             }
             Mmsg::NotPrimary { primary } => {
                 if let Some(p) = primary {
                     self.primary = p;
                     if let Some((_, id, _)) = self.outstanding {
-                        let key = format!("d{}", (id & 0xffff_ffff) % 3);
-                        let val = format!("c{}n{}", ctx.id().0, id & 0xffff_ffff);
+                        let key = numbered("d", (id & 0xffff_ffff) % 3);
+                        let val = client_value("c", ctx.id().0, "n", id & 0xffff_ffff);
                         ctx.send(p, Mmsg::Insert { key, val, id });
                     }
                 } else {

@@ -5,7 +5,7 @@ use rose_events::{NodeId, SimDuration};
 use rose_sim::{ClientCtx, ClientDriver, OpOutcome};
 
 use super::node::RaftMsg;
-use crate::common::tags;
+use crate::common::{numbered, read_op, tags, write_u64};
 
 /// Timer tag: the admin issues the next membership target.
 const ADMIN_ISSUE: u64 = 40;
@@ -49,10 +49,10 @@ impl KvClient {
             return;
         }
         self.counter += 1;
-        let key = format!("k{}", self.counter % 3);
+        let key = numbered("k", self.counter % 3);
         let val = (u64::from(ctx.id().0) << 32) | self.counter;
         let id = val;
-        let hidx = ctx.invoke(format!("put k={key} v={val}"));
+        let hidx = ctx.invoke(put_op(&key, val));
         let deadline_us = ctx.now().as_micros() + 1_200_000;
         ctx.send(
             self.leader,
@@ -71,6 +71,17 @@ impl KvClient {
             attempts: 1,
         });
     }
+}
+
+/// The history op of a write, `put k={key} v={val}`.
+fn put_op(key: &str, val: u64) -> String {
+    // The pieces are 9 bytes, and a `u64` is at most 20 digits.
+    let mut op = String::with_capacity(key.len() + 29);
+    for piece in ["put k=", key, " v="] {
+        op.push_str(piece);
+    }
+    let _ = write_u64(&mut op, val);
+    op
 }
 
 impl Default for KvClient {
@@ -112,7 +123,7 @@ impl ClientDriver<RaftMsg> for KvClient {
                 ctx.set_timer(SimDuration::from_millis(40), tags::CLIENT_OP);
             }
             tags::CLIENT_READ => {
-                let key = format!("k{}", ctx.rng().gen_range(0..3u32));
+                let key = numbered("k", u64::from(ctx.rng().gen_range(0..3u32)));
                 ctx.send(self.leader, RaftMsg::Get { key });
                 ctx.set_timer(SimDuration::from_millis(700), tags::CLIENT_READ);
             }
@@ -133,8 +144,8 @@ impl ClientDriver<RaftMsg> for KvClient {
                 }
             }
             RaftMsg::GetOk { key, val } => {
-                let hidx = ctx.invoke(format!("read k={key}"));
-                let shown = val.map(|v| v.to_string());
+                let hidx = ctx.invoke(read_op(&key));
+                let shown = val.map(|v| numbered("", v));
                 ctx.complete(hidx, OpOutcome::Ok(shown));
             }
             RaftMsg::Redirect { leader } => {
@@ -247,6 +258,20 @@ impl ClientDriver<RaftMsg> for ReconfigAdmin {
                 }
             }
             _ => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::common::reference::edge_u64s;
+
+    #[test]
+    fn a_put_op_is_the_format_text() {
+        for val in edge_u64s() {
+            assert_eq!(put_op("k2", val), format!("put k=k2 v={val}"));
+            assert_eq!(numbered("", val), val.to_string());
         }
     }
 }

@@ -11,12 +11,13 @@
 //! line per pair, and an `end` trailer that marks the image complete.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt;
 use std::hash::Hasher as _;
 
 use rose_events::FnvHasher;
 
-use super::log::{Cmd, Entry};
+use super::log::{csv_into, Cmd, Entry};
+use crate::common::{write_hex, write_u64};
 
 /// The state machine.
 #[derive(Debug, Clone, Default)]
@@ -42,11 +43,10 @@ impl KvState {
                 }
             }
         }
-        // FNV-1a (the repo's stock content hash) of the text
-        // `{chain:x}|{idx}|{term}|{cmd}`, hashed as it is formatted.
+        // FNV-1a (the repo's stock content hash) of the mix text, hashed
+        // as it is written.
         let mut mix = FnvHasher::default();
-        let _ = write!(mix, "{:x}|{}|{}|", self.chain, e.idx, e.term);
-        let _ = e.cmd.encode_into(&mut mix);
+        let _ = write_mix(&mut mix, self.chain, e);
         self.chain = mix.finish();
         self.applied = e.idx;
         self.applied_term = e.term;
@@ -58,13 +58,34 @@ impl KvState {
     }
 }
 
+/// Writes `{chain:x}|{idx}|{term}|{cmd}`, the text the chain hash after `e`
+/// is the FNV-1a of.
+fn write_mix(out: &mut impl fmt::Write, chain: u64, e: &Entry) -> fmt::Result {
+    write_hex(out, chain)?;
+    for n in [e.idx, e.term] {
+        out.write_char('|')?;
+        write_u64(out, n)?;
+    }
+    out.write_char('|')?;
+    e.cmd.encode_into(out)
+}
+
+/// Writes `{k}={v};`, one pair of the text the content digest is the
+/// FNV-1a of.
+fn write_pair(out: &mut impl fmt::Write, k: &str, v: u64) -> fmt::Result {
+    out.write_str(k)?;
+    out.write_char('=')?;
+    write_u64(out, v)?;
+    out.write_char(';')
+}
+
 /// Digest of an arbitrary map (used on restore, over what was actually
 /// reconstructed from disk).
 pub fn digest_of(map: &BTreeMap<String, u64>) -> u64 {
     // FNV-1a of every `{k}={v};`, in key order.
     let mut h = FnvHasher::default();
     for (k, v) in map {
-        let _ = write!(h, "{k}={v};");
+        let _ = write_pair(&mut h, k, *v);
     }
     h.finish()
 }
@@ -104,16 +125,18 @@ impl SnapImage {
 
     /// Header line (without the KV body).
     pub fn encode_header(&self) -> String {
-        let voters = self
-            .voters
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "snap {} {} {:x} {:x} {}\n",
-            self.idx, self.term, self.chain, self.digest, voters
-        )
+        let mut out = String::from("snap ");
+        let _ = write_u64(&mut out, self.idx);
+        out.push(' ');
+        let _ = write_u64(&mut out, self.term);
+        out.push(' ');
+        let _ = write_hex(&mut out, self.chain);
+        out.push(' ');
+        let _ = write_hex(&mut out, self.digest);
+        out.push(' ');
+        let _ = csv_into(&self.voters, &mut out);
+        out.push('\n');
+        out
     }
 
     /// Full-file encoding: header, pairs, `end` trailer.
@@ -130,7 +153,11 @@ impl SnapImage {
     pub fn encode_items<'a>(items: impl Iterator<Item = (&'a str, u64)>) -> String {
         let mut out = String::new();
         for (k, v) in items {
-            let _ = writeln!(out, "k {k} {v}");
+            for piece in ["k ", k, " "] {
+                out.push_str(piece);
+            }
+            let _ = write_u64(&mut out, v);
+            out.push('\n');
         }
         out
     }
@@ -178,7 +205,64 @@ impl SnapImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::reference::edge_u64s;
     use crate::raft::log::reference::{self, every_cmd};
+
+    /// The snapshot header and pair lines as `format!` built them.
+    fn reference_header(img: &SnapImage) -> String {
+        let voters = img
+            .voters
+            .iter()
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join(",");
+        format!(
+            "snap {} {} {:x} {:x} {}\n",
+            img.idx, img.term, img.chain, img.digest, voters
+        )
+    }
+
+    #[test]
+    fn the_written_text_is_the_format_text() {
+        let edges = edge_u64s();
+        for (i, n) in edges.iter().copied().enumerate() {
+            let m = edges[(i * 7 + 3) % edges.len()];
+            for cmd in every_cmd() {
+                let e = Entry {
+                    idx: n,
+                    term: m,
+                    cmd,
+                };
+                let mut mix = String::new();
+                write_mix(&mut mix, m ^ n, &e).unwrap();
+                let want = format!(
+                    "{:x}|{}|{}|{}",
+                    m ^ n,
+                    e.idx,
+                    e.term,
+                    reference::cmd(&e.cmd)
+                );
+                assert_eq!(mix, want);
+            }
+            let mut pair = String::new();
+            write_pair(&mut pair, "k1", n).unwrap();
+            assert_eq!(pair, format!("k1={n};"));
+            let items = SnapImage::encode_items([("k0", n), ("", m)].into_iter());
+            assert_eq!(items, format!("k k0 {n}\nk  {m}\n"));
+            for voters in [vec![], vec![4], vec![0, 1, 2, 3, 4]] {
+                let img = SnapImage {
+                    idx: n,
+                    term: m,
+                    chain: m.rotate_left(7),
+                    digest: n.wrapping_mul(m),
+                    voters,
+                    map: BTreeMap::new(),
+                    complete: true,
+                };
+                assert_eq!(img.encode_header(), reference_header(&img));
+            }
+        }
+    }
 
     /// FNV-1a over a byte slice, as `apply` and `digest_of` called it on
     /// the strings they used to build.

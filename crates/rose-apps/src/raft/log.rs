@@ -9,9 +9,12 @@
 //!
 //! Encoders write into the caller's sink (`fmt::Write`): the node's reused
 //! line buffer on the append path, the chain hasher on the apply path.
+//! Numbers go through [`write_u64`], not the formatter.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::sync::Arc;
+
+use crate::common::write_u64;
 
 /// A state-machine command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +48,14 @@ impl Cmd {
     /// Writes the one-line wire/disk encoding.
     pub fn encode_into(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Cmd::Put { key, val, id } => write!(out, "put {key} {val} {id}"),
+            Cmd::Put { key, val, id } => {
+                out.write_str("put ")?;
+                out.write_str(key)?;
+                out.write_char(' ')?;
+                write_u64(out, *val)?;
+                out.write_char(' ')?;
+                write_u64(out, *id)
+            }
             Cmd::Noop => out.write_str("noop"),
             Cmd::Joint { old, new } => {
                 out.write_str("joint ")?;
@@ -87,12 +97,13 @@ impl Cmd {
     }
 }
 
-fn csv_into(v: &[u32], out: &mut impl fmt::Write) -> fmt::Result {
+/// Writes a voter set as `0,1,2` (nothing for an empty set).
+pub(crate) fn csv_into(v: &[u32], out: &mut impl fmt::Write) -> fmt::Result {
     for (i, n) in v.iter().enumerate() {
         if i > 0 {
             out.write_char(',')?;
         }
-        write!(out, "{n}")?;
+        write_u64(out, u64::from(*n))?;
     }
     Ok(())
 }
@@ -115,7 +126,11 @@ pub struct Entry {
 impl Entry {
     /// Writes the entry's log-file line, without the newline.
     pub fn encode_into(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        write!(out, "e {} {} ", self.idx, self.term)?;
+        out.write_str("e ")?;
+        write_u64(out, self.idx)?;
+        out.write_char(' ')?;
+        write_u64(out, self.term)?;
+        out.write_char(' ')?;
         self.cmd.encode_into(out)
     }
 
@@ -218,8 +233,11 @@ impl RaftLog {
 
     /// Full-file encoding (header + every entry).
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "base {} {}", self.base_idx, self.base_term);
+        let mut out = String::from("base ");
+        let _ = write_u64(&mut out, self.base_idx);
+        out.push(' ');
+        let _ = write_u64(&mut out, self.base_term);
+        out.push('\n');
         for e in &self.entries {
             Self::encode_entry(e, &mut out);
         }
@@ -328,6 +346,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::every_cmd;
     use super::*;
+    use crate::common::reference::edge_u64s;
 
     fn entry(idx: u64, term: u64) -> Arc<Entry> {
         Arc::new(Entry {
@@ -367,6 +386,34 @@ mod tests {
         }
         assert_eq!(log.encode(), reference::log(&log));
         assert_eq!(RaftLog::default().encode(), "base 0 0\n");
+    }
+
+    #[test]
+    fn the_numbers_are_written_as_the_formatter_wrote_them() {
+        for n in edge_u64s() {
+            let e = Entry {
+                idx: n,
+                term: n.rotate_left(13),
+                cmd: Cmd::Put {
+                    key: "k1".into(),
+                    val: n,
+                    id: !n,
+                },
+            };
+            let mut line = String::new();
+            RaftLog::encode_entry(&e, &mut line);
+            assert_eq!(line, reference::entry_line(&e));
+            let log = RaftLog {
+                base_idx: n,
+                base_term: !n,
+                entries: vec![Arc::new(e)],
+            };
+            assert_eq!(log.encode(), reference::log(&log));
+            let voters = [n as u32, u32::MAX, 0];
+            let mut csv = String::new();
+            csv_into(&voters, &mut csv).unwrap();
+            assert_eq!(csv, format!("{},{},{}", voters[0], voters[1], voters[2]));
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use rose_sim::{Application, ClientId, NodeCtx, OpenFlags};
 
 use super::kv::{digest_of, KvState, SnapImage};
 use super::log::{Cmd, Entry, RaftLog};
-use crate::common::{benign_probes, election_timeout, tags, ProbeStyle};
+use crate::common::{benign_probes, election_timeout, tags, write_hex, write_u64, ProbeStyle};
 
 /// Durable metadata (current term, vote).
 pub const META_PATH: &str = "/raft/meta";
@@ -269,6 +269,42 @@ impl Default for RoseRaft {
     }
 }
 
+/// The meta file: `m <term> <voted-for, or x>`.
+fn meta_text(term: u64, voted_for: Option<u32>) -> String {
+    let mut out = String::from("m ");
+    let _ = write_u64(&mut out, term);
+    out.push(' ');
+    match voted_for {
+        Some(v) => {
+            let _ = write_u64(&mut out, u64::from(v));
+        }
+        None => out.push('x'),
+    }
+    out.push('\n');
+    out
+}
+
+/// A journal line the checker reads: `{head} {name}{n} …`, then
+/// ` chain={chain:x}` when given.
+fn journal_line<const N: usize>(
+    head: &str,
+    fields: [(&str, u64); N],
+    chain: Option<u64>,
+) -> String {
+    let mut line = String::with_capacity(96);
+    line.push_str(head);
+    for (name, n) in fields {
+        line.push(' ');
+        line.push_str(name);
+        let _ = write_u64(&mut line, n);
+    }
+    if let Some(chain) = chain {
+        line.push_str(" chain=");
+        let _ = write_hex(&mut line, chain);
+    }
+    line
+}
+
 fn majority(n: usize) -> usize {
     n / 2 + 1
 }
@@ -300,7 +336,7 @@ impl RoseRaft {
         data: &str,
         probed: bool,
     ) -> Result<(), Errno> {
-        let tmp = format!("{path}.tmp");
+        let tmp = [path, ".tmp"].concat();
         if probed {
             ctx.at_offset(0);
         }
@@ -325,10 +361,7 @@ impl RoseRaft {
     }
 
     fn persist_meta(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>) {
-        let voted = self
-            .voted_for
-            .map_or_else(|| "x".to_string(), |v| v.to_string());
-        let data = format!("m {} {}\n", self.term, voted);
+        let data = meta_text(self.term, self.voted_for);
         if let Err(e) = Self::write_atomic(ctx, META_PATH, &data, false) {
             ctx.panic(format!("io error persisting meta: {e:?}"));
         }
@@ -541,9 +574,10 @@ impl RoseRaft {
         self.log.append(Arc::clone(&e));
         self.persist_append(ctx, &e);
         if idx.is_multiple_of(STRIDE) {
-            ctx.log(format!(
-                "raft: LEADER_APPEND term={} idx={}",
-                self.term, idx
+            ctx.log(journal_line(
+                "raft: LEADER_APPEND",
+                [("term=", self.term), ("idx=", idx)],
+                None,
             ));
         }
         self.replicate(ctx);
@@ -623,9 +657,10 @@ impl RoseRaft {
             };
             self.kv.apply(e);
             if idx.is_multiple_of(STRIDE) {
-                ctx.log(format!(
-                    "raft: APPLY idx={} term={} chain={:x}",
-                    idx, e.term, self.kv.chain
+                ctx.log(journal_line(
+                    "raft: APPLY",
+                    [("idx=", idx), ("term=", e.term)],
+                    Some(self.kv.chain),
                 ));
                 self.checkpoints.insert(idx, (e.term, self.kv.chain));
                 while self.checkpoints.len() > 64 {
@@ -813,7 +848,7 @@ impl RoseRaft {
         }
         .encode_header();
         let res = (|| {
-            let tmp = format!("{SNAP_PATH}.tmp");
+            let tmp = [SNAP_PATH, ".tmp"].concat();
             ctx.at_offset(0);
             let fd = ctx.open(&tmp, OpenFlags::Write)?;
             ctx.at_offset(1);
@@ -1291,6 +1326,32 @@ impl Application for RoseRaft {
                 let _ = ctx.reply(client, RaftMsg::ReconfigOk { accepted: true });
             }
             _ => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::common::reference::edge_u64s;
+
+    #[test]
+    fn the_meta_file_and_journal_lines_are_the_format_text() {
+        let edges = edge_u64s();
+        for (i, n) in edges.iter().copied().enumerate() {
+            let m = edges[(i * 5 + 1) % edges.len()];
+            for voted in [None, Some(0), Some(4), Some(u32::MAX)] {
+                let shown = voted.map_or_else(|| "x".to_string(), |v| v.to_string());
+                assert_eq!(meta_text(n, voted), format!("m {n} {shown}\n"));
+            }
+            assert_eq!(
+                journal_line("raft: LEADER_APPEND", [("term=", n), ("idx=", m)], None),
+                format!("raft: LEADER_APPEND term={n} idx={m}")
+            );
+            assert_eq!(
+                journal_line("raft: APPLY", [("idx=", n), ("term=", m)], Some(n ^ m)),
+                format!("raft: APPLY idx={n} term={m} chain={:x}", n ^ m)
+            );
         }
     }
 }

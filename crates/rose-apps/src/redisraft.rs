@@ -13,7 +13,6 @@
 //! | `RedisRaft-NEW2` | a deposed leader replays its uncommitted entries to the new leader; apply asserts on repeated operation ids | leader isolated by a partition during writes, then healed |
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use rand::Rng;
@@ -22,7 +21,8 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
 use crate::common::{
-    benign_probes, election_timeout, join_values, push_value, read_values, tags, ProbeStyle, Values,
+    append_op, benign_probes, client_value, election_timeout, join_values, numbered, push_value,
+    read_op, read_values, tags, write_u64, ProbeStyle, Values,
 };
 
 /// The five seeded RedisRaft defects.
@@ -78,32 +78,15 @@ impl Entry {
     /// `e <idx> <term> <key> <val> <id>`.
     fn write_line(&self, out: &mut String) {
         out.push_str("e ");
-        push_decimal(out, self.idx);
+        let _ = write_u64(out, self.idx);
         out.push(' ');
-        push_decimal(out, self.term);
-        out.push(' ');
-        out.push_str(&self.key);
-        out.push(' ');
-        out.push_str(&self.val);
-        out.push(' ');
-        push_decimal(out, self.id);
+        let _ = write_u64(out, self.term);
+        for piece in [" ", &self.key, " ", &self.val, " "] {
+            out.push_str(piece);
+        }
+        let _ = write_u64(out, self.id);
         out.push('\n');
     }
-}
-
-/// Appends `n` in decimal, as `{n}` would print it, without the formatter.
-fn push_decimal(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// A replicated entry as the log, an AppendEntries message and the replay
@@ -327,12 +310,18 @@ impl RedisRaft {
     // --- Persistence ------------------------------------------------------
 
     fn persist_log(&mut self, ctx: &mut NodeCtx<'_, Rmsg>) {
-        let mut out = String::new();
-        let _ = writeln!(out, "base {}", self.log_base);
+        let _ = ctx.write_file(LOG_PATH, self.log_text().as_bytes());
+    }
+
+    /// The whole on-disk log: `base <idx>`, then one line per entry.
+    fn log_text(&self) -> String {
+        let mut out = String::from("base ");
+        let _ = write_u64(&mut out, self.log_base);
+        out.push('\n');
         for e in &self.log {
             e.write_line(&mut out);
         }
-        let _ = ctx.write_file(LOG_PATH, out.as_bytes());
+        out
     }
 
     fn append_log_entry(&mut self, ctx: &mut NodeCtx<'_, Rmsg>, e: &Entry) {
@@ -350,10 +339,13 @@ impl RedisRaft {
     }
 
     fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut out = String::new();
-        let _ = writeln!(out, "idx {}", self.applied);
+        let mut out = String::from("idx ");
+        let _ = write_u64(&mut out, self.applied);
+        out.push('\n');
         for (k, vs) in &self.kv {
-            let _ = write!(out, "kv {k} ");
+            for piece in ["kv ", k, " "] {
+                out.push_str(piece);
+            }
             for (i, v) in vs.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -1244,10 +1236,10 @@ impl RaftClient {
             return;
         }
         self.counter += 1;
-        let key = format!("k{}", self.counter % 3);
-        let val = format!("c{}n{}", ctx.id().0, self.counter);
+        let key = numbered("k", self.counter % 3);
+        let val = client_value("c", ctx.id().0, "n", self.counter);
         let id = (u64::from(ctx.id().0) << 32) | self.counter;
-        let hidx = ctx.invoke(format!("append k={key} v={val}"));
+        let hidx = ctx.invoke(append_op(&key, &val));
         let deadline_us = ctx.now().as_micros() + 1_200_000;
         ctx.send(
             self.leader,
@@ -1308,7 +1300,7 @@ impl ClientDriver<Rmsg> for RaftClient {
                 ctx.set_timer(SimDuration::from_millis(40), tags::CLIENT_OP);
             }
             tags::CLIENT_READ => {
-                let key = format!("k{}", ctx.rng().gen_range(0..3u32));
+                let key = numbered("k", u64::from(ctx.rng().gen_range(0..3u32)));
                 ctx.send(self.leader, Rmsg::Get { key });
                 ctx.set_timer(SimDuration::from_millis(700), tags::CLIENT_READ);
             }
@@ -1329,7 +1321,7 @@ impl ClientDriver<Rmsg> for RaftClient {
                 }
             }
             Rmsg::GetOk { key, values } => {
-                let hidx = ctx.invoke(format!("read k={key}"));
+                let hidx = ctx.invoke(read_op(&key));
                 ctx.complete(hidx, OpOutcome::Ok(Some(join_values(&values))));
             }
             Rmsg::Redirect { leader } => {
@@ -1351,29 +1343,39 @@ impl ClientDriver<Rmsg> for RaftClient {
 
 #[cfg(test)]
 mod tests {
+    use std::fmt::Write as _;
+
     use super::*;
+    use crate::common::reference::edge_u64s;
 
     #[test]
-    fn write_line_prints_what_the_formatter_printed() {
-        let mut out = String::from("base 0\n");
-        let mut want = out.clone();
-        for (idx, term, id) in [
-            (0, 0, 0),
-            (1, 9, 10),
-            (407, 3, (2 << 32) | 136),
-            (u64::MAX, 100, u64::MAX),
-        ] {
+    fn the_persisted_text_is_what_the_formatter_printed() {
+        let mut node = RedisRaft::new(None);
+        node.log_base = 406;
+        let mut want_log = String::from("base 406\n");
+        for (i, n) in edge_u64s().into_iter().enumerate() {
             let e = Entry {
-                idx,
-                term,
-                key: "k1".into(),
-                val: format!("c2n{idx}"),
-                id,
+                idx: n,
+                term: i as u64,
+                key: format!("k{}", i % 3),
+                val: format!("c2n{n}"),
+                id: n.rotate_left(i as u32),
             };
-            e.write_line(&mut out);
-            let _ = writeln!(want, "e {} {} {} {} {}", e.idx, e.term, e.key, e.val, e.id);
+            let _ = writeln!(
+                want_log,
+                "e {} {} {} {} {}",
+                e.idx, e.term, e.key, e.val, e.id
+            );
+            node.log.push(Arc::new(e));
         }
-        assert_eq!(out, want);
+        assert_eq!(node.log_text(), want_log);
+
+        node.applied = u64::MAX;
+        push_value(&mut node.kv, "k0", "c1n1".into());
+        push_value(&mut node.kv, "k0", "c2n1".into());
+        push_value(&mut node.kv, "k2", "c1n2".into());
+        let want_snapshot = format!("idx {}\nkv k0 c1n1,c2n1\nkv k2 c1n2\n", u64::MAX);
+        assert_eq!(node.snapshot_bytes(), want_snapshot.as_bytes());
     }
 
     #[test]

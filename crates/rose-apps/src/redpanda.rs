@@ -16,7 +16,8 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
 use crate::common::{
-    benign_probes, join_values, push_value, read_values, tags, ProbeStyle, Values,
+    append_op, benign_probes, client_value, join_values, numbered, push_kv_record, push_value,
+    read_op, read_values, tags, ProbeStyle, Values,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
@@ -83,6 +84,8 @@ pub struct Redpanda {
     /// `(pid, session)`, so a new session forgets history.
     dedup: BTreeMap<(u32, u64), u64>,
     tick: u64,
+    /// The segment record being written; kept for its capacity.
+    line: String,
 }
 
 impl Redpanda {
@@ -94,6 +97,7 @@ impl Redpanda {
             log: BTreeMap::new(),
             dedup: BTreeMap::new(),
             tick: 0,
+            line: String::new(),
         }
     }
 
@@ -142,7 +146,9 @@ impl Application for Redpanda {
                 if seq > last {
                     ctx.enter_function("appendBatch");
                     if let Ok(fd) = ctx.open(SEGMENT, OpenFlags::Append) {
-                        let _ = ctx.write(fd, format!("{key}={val}\n").as_bytes());
+                        self.line.clear();
+                        push_kv_record(&mut self.line, &key, &val);
+                        let _ = ctx.write(fd, self.line.as_bytes());
                         let _ = ctx.close(fd);
                     }
                     ctx.exit_function();
@@ -324,8 +330,8 @@ impl ClientDriver<Pmsg> for Producer {
                             let jitter = ctx.rng().gen_range(0..1_000_000);
                             self.outstanding =
                                 Some((hidx, seq, now + 4_000_000 + jitter, retries + 1));
-                            let key = format!("k{}", seq % 3);
-                            let val = format!("p{}s{}", ctx.id().0, seq);
+                            let key = numbered("k", seq % 3);
+                            let val = client_value("p", ctx.id().0, "s", seq);
                             ctx.send(
                                 LEADER,
                                 Pmsg::Produce {
@@ -348,9 +354,9 @@ impl ClientDriver<Pmsg> for Producer {
                 if self.outstanding.is_none() {
                     self.seq += 1;
                     let seq = self.seq;
-                    let key = format!("k{}", seq % 3);
-                    let val = format!("p{}s{}", ctx.id().0, seq);
-                    let hidx = ctx.invoke(format!("append k={key} v={val}"));
+                    let key = numbered("k", seq % 3);
+                    let val = client_value("p", ctx.id().0, "s", seq);
+                    let hidx = ctx.invoke(append_op(&key, &val));
                     // Session timeout ~4-5 s: only pauses longer than this
                     // force a reconnect.
                     let jitter = ctx.rng().gen_range(0..1_000_000);
@@ -369,7 +375,7 @@ impl ClientDriver<Pmsg> for Producer {
                 ctx.set_timer(SimDuration::from_millis(100), tags::CLIENT_OP);
             }
             tags::CLIENT_READ => {
-                let key = format!("k{}", ctx.rng().gen_range(0..3u32));
+                let key = numbered("k", u64::from(ctx.rng().gen_range(0..3u32)));
                 ctx.send(LEADER, Pmsg::Consume { key });
                 ctx.set_timer(SimDuration::from_millis(900), tags::CLIENT_READ);
             }
@@ -389,7 +395,7 @@ impl ClientDriver<Pmsg> for Producer {
                 }
             }
             Pmsg::ConsumeOk { key, values } => {
-                let hidx = ctx.invoke(format!("read k={key}"));
+                let hidx = ctx.invoke(read_op(&key));
                 ctx.complete(hidx, OpOutcome::Ok(Some(join_values(&values))));
             }
             _ => {}

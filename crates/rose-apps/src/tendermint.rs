@@ -10,7 +10,7 @@ use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome};
 
-use crate::common::{benign_probes, tags, ProbeStyle};
+use crate::common::{benign_probes, numbered, tags, ProbeStyle};
 use crate::driver::{CaptureMethod, CaptureSpec};
 
 const PRIV_KEY: &str = "/tm/priv_validator_key.json";
@@ -110,7 +110,7 @@ impl Application for Tendermint {
                 if proposer == ctx.node() {
                     ctx.enter_function("signProposal");
                     let signature = match &self.key {
-                        Some(k) => format!("sig:{}", &k[..6.min(k.len())]),
+                        Some(k) => ["sig:", &k[..6.min(k.len())]].concat(),
                         None => {
                             // The manifestation: blocks signed with an
                             // unvalidated key.
@@ -284,12 +284,12 @@ impl ClientDriver<Tmsg> for TxClient {
         if self.outstanding.is_none() {
             self.counter += 1;
             let id = self.counter;
-            let hidx = ctx.invoke(format!("append k=txs v={id}"));
+            let hidx = ctx.invoke(numbered("append k=txs v=", id));
             let target = NodeId((id % 3) as u32);
             ctx.send(
                 target,
                 Tmsg::Tx {
-                    data: format!("tx{id}"),
+                    data: numbered("tx", id),
                     id,
                 },
             );

@@ -12,7 +12,6 @@
 //! | `ZOOKEEPER-4203` | a failed `accept` during an election round kills the election logic while the candidate keeps disrupting with ever-higher epochs | SCF on a specific `accept` invocation |
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use rand::Rng;
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
@@ -20,7 +19,8 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
 use crate::common::{
-    benign_probes, election_timeout, join_values, push_value, read_values, tags, ProbeStyle, Values,
+    append_op, benign_probes, client_value, election_timeout, join_values, numbered, push_record,
+    push_value, read_op, read_values, tags, ProbeStyle, Values,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
@@ -247,7 +247,7 @@ impl ZooKeeper {
     fn append_txn(&mut self, ctx: &mut NodeCtx<'_, Zmsg>, zxid: u64, key: &str, val: &str) -> bool {
         ctx.enter_function("appendTxnLog");
         self.line.clear();
-        let _ = writeln!(self.line, "{zxid} {key} {val}");
+        push_record(&mut self.line, zxid, key, val);
         let ok = (|| {
             let fd = ctx.open(TXNLOG, OpenFlags::Append).ok()?;
             let r = ctx.write(fd, self.line.as_bytes());
@@ -703,17 +703,17 @@ impl ClientDriver<Zmsg> for ZkClient {
                 }
                 if self.outstanding.is_none() {
                     self.counter += 1;
-                    let key = format!("z{}", self.counter % 3);
-                    let val = format!("c{}n{}", ctx.id().0, self.counter);
+                    let key = numbered("z", self.counter % 3);
+                    let val = client_value("c", ctx.id().0, "n", self.counter);
                     let id = (u64::from(ctx.id().0) << 32) | self.counter;
-                    let hidx = ctx.invoke(format!("append k={key} v={val}"));
+                    let hidx = ctx.invoke(append_op(&key, &val));
                     ctx.send(self.leader, Zmsg::Create { key, val, id });
                     self.outstanding = Some((hidx, id, now + 1_200_000));
                 }
                 ctx.set_timer(SimDuration::from_millis(60), tags::CLIENT_OP);
             }
             tags::CLIENT_READ => {
-                let key = format!("z{}", ctx.rng().gen_range(0..3u32));
+                let key = numbered("z", u64::from(ctx.rng().gen_range(0..3u32)));
                 ctx.send(self.leader, Zmsg::Read { key });
                 ctx.set_timer(SimDuration::from_millis(800), tags::CLIENT_READ);
             }
@@ -734,7 +734,7 @@ impl ClientDriver<Zmsg> for ZkClient {
                 }
             }
             Zmsg::ReadOk { key, values } => {
-                let hidx = ctx.invoke(format!("read k={key}"));
+                let hidx = ctx.invoke(read_op(&key));
                 ctx.complete(hidx, OpOutcome::Ok(Some(join_values(&values))));
             }
             Zmsg::Redirect { leader } => {

@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -39,6 +39,7 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -rnE "RunVerdict|run_verdicts|trait Charged|fn discovery\(" crates tests examples \
     || grep -rnE "shared_prefix_events|redundancy_factor|last_prefix|BENCH_redundancy|bin/redundancy" \
         crates tests examples src README.md DESIGN.md \
+    || grep -rn "fn push_decimal" crates/*/src \
     || grep -n "Mutex" crates/rose-sim/src/causal.rs \
     || grep -rnE "\.to_json\(\)\.len\(\)" crates/*/src \
     || grep -rnE "gauge_set|MetricsSnapshot|merge_snapshot|obs\.observe\(|flush_obs" crates/*/src \
@@ -74,7 +75,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "Rose::discovery view beside it)," \
         "and the sweep-redundancy instrument is gone (no redundancy bin, BENCH_redundancy.json," \
         "shared-prefix count or factor): it measured nothing on its rows, each of its bugs taking" \
-        "one discovery run that shows the bug, and the fork-on-snapshot question lives in the hunt"
+        "one discovery run that shows the bug, and the fork-on-snapshot question lives in the hunt," \
+        "and the target models have one integer writer (rose_apps::common's write_u64/write_hex;" \
+        "RedisRaft's private push_decimal is gone)"
     exit 1
 fi
 

@@ -9,10 +9,12 @@
 //! syscall (recording a failed call or first seeing a context is allowed to
 //! allocate; a steady-state probe is not). The targets are where a
 //! campaign's wall time lives: RedisRaft (Table 1's heavy cases), RoseRaft
-//! (the hunt) and Redpanda (an Elle-checked list store) share value lists
-//! and log entries from store to wire and format into reused buffers, so a
-//! whole fault-free run stays within a few allocations per simulated event;
-//! and the Elle checker a run is polled with borrows from the history, so
+//! (the hunt), Redpanda (an Elle-checked list store) and the client-heavy
+//! ZooKeeper, HDFS and MongoDB share value lists and log entries from store
+//! to wire, write their journal lines into reused buffers and build their
+//! per-operation text without the formatter, so a whole fault-free run
+//! stays within two and a half allocations per simulated event; and the
+//! Elle checker a run is polled with borrows from the history, so
 //! one call on a finished run allocates next to nothing beside the run it
 //! judges. This binary owns its global allocator, so it holds exactly one
 //! test.
@@ -21,6 +23,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rose::apps::hdfs::{HdfsBug, HdfsCase};
+use rose::apps::mongodb::{MongoBug, MongoCase};
 use rose::apps::raft::{RaftScenario, RoseRaftCase};
 use rose::apps::redisraft::{RedisRaftBug, RedisRaftCase};
 use rose::apps::redpanda::{RedpandaBug, RedpandaCase};
@@ -175,15 +179,28 @@ fn hook_chain_stays_within_its_allocation_budget() {
     let redisraft = RedisRaftCase {
         bug: RedisRaftBug::Rr42,
     };
-    bare_run_stays_within(redisraft, 3.0);
+    bare_run_stays_within(redisraft, 2.5);
     let roseraft = RoseRaftCase {
         scenario: RaftScenario::CompactionLoss,
     };
-    bare_run_stays_within(roseraft, 4.0);
+    bare_run_stays_within(roseraft, 1.5);
     let redpanda = RedpandaCase {
         bug: RedpandaBug::Rp3003,
     };
-    let sim = bare_run_stays_within(redpanda.clone(), 3.5);
+    let sim = bare_run_stays_within(redpanda.clone(), 1.75);
+    bare_run_stays_within(ZkCase { bug: ZkBug::Zk2247 }, 1.25);
+    bare_run_stays_within(
+        HdfsCase {
+            bug: HdfsBug::Hdfs4233,
+        },
+        1.5,
+    );
+    bare_run_stays_within(
+        MongoCase {
+            bug: MongoBug::Mongo243,
+        },
+        2.0,
+    );
 
     // One oracle poll on the finished run: the Elle checker over the whole
     // history.
