@@ -92,14 +92,12 @@ pub trait RunHarness {
     /// batch out in the order it executes runs one by one, then replays its
     /// decisions over the returned runs; the prefix of jobs it actually
     /// reached is reported via
-    /// [`RunHarness::commit_speculative`]. Implementations with run side
-    /// effects (telemetry) should buffer them per job until that call, and
-    /// drop whatever lies beyond the committed prefix, so speculation is
-    /// invisible in the output. The default runs the jobs one by one with
-    /// [`RunHarness::run`], publishing side effects directly — exact for
-    /// side-effect-free harnesses (the test doubles) and for single-job
-    /// batches, which are all the diagnosis loop emits with speculation
-    /// off.
+    /// [`RunHarness::commit_speculative`]. A harness with run side effects
+    /// (telemetry) publishes nothing here: it publishes them at that call,
+    /// for the committed prefix alone, so speculation is invisible in the
+    /// output. The default runs the jobs one by one with
+    /// [`RunHarness::run`] — exact for side-effect-free harnesses (the test
+    /// doubles).
     fn run_speculative(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunObservation> {
         jobs.iter()
             .map(|(schedule, seed)| self.run(schedule, *seed))
@@ -107,8 +105,9 @@ pub trait RunHarness {
     }
 
     /// Commits the first `used` jobs of the last
-    /// [`RunHarness::run_speculative`] batch: their buffered side effects
-    /// become visible, the rest are discarded. No-op by default.
+    /// [`RunHarness::run_speculative`] batch: the harness publishes their
+    /// side effects (`rose-core`'s counts the runs), and the rest leave
+    /// none. No-op by default.
     fn commit_speculative(&mut self, used: usize) {
         let _ = used;
     }

@@ -2,7 +2,7 @@
 //! yield one structured record per phase plus a campaign summary, and a
 //! serde-round-trippable JSONL report that is byte-identical across
 //! identical-seed reruns; a confirmation replay adds the reproduction
-//! record.
+//! record; and the registry counts exactly the testing runs charged.
 
 use std::collections::BTreeMap;
 
@@ -97,6 +97,38 @@ fn a_confirmation_replay_appends_the_reproduction_record() {
     assert_eq!(repro.oracle_bug, run.bug);
     let names: Vec<String> = obs.phases().into_iter().map(|s| s.name).collect();
     assert_eq!(names, ["profiling", "reproduction"]);
+}
+
+#[test]
+fn the_registry_counts_every_charged_run_at_every_width() {
+    // Three discovery runs per schedule make the width-2 search execute
+    // runs it never charges: the first one already shows the bug.
+    for discovery_runs in [1, 3] {
+        for jobs in [1, 2] {
+            let mut cfg = RoseConfig::default();
+            cfg.diagnosis.discovery_runs = discovery_runs;
+            let opts = DriverOptions {
+                jobs,
+                ..DriverOptions::default()
+            };
+            let out = run_case(BugId::Kafka12508, cfg, &opts);
+            let report = out.report.expect("Kafka-12508 is captured");
+            assert_eq!(
+                out.obs.counter("workflow.testing_runs"),
+                report.runs as u64,
+                "discovery_runs={discovery_runs} jobs={jobs}"
+            );
+        }
+    }
+
+    // A replay-rate measurement charges its `n` replays.
+    let mut rose = Rose::new(KafkaCase);
+    let obs = Obs::new();
+    rose.attach_obs(obs.clone());
+    let profile = rose.profile();
+    let before = obs.counter("workflow.testing_runs");
+    rose.replay_rate(&profile, &rose_inject::FaultSchedule::new(), 3, 7);
+    assert_eq!(obs.counter("workflow.testing_runs") - before, 3);
 }
 
 #[test]

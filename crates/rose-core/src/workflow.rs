@@ -9,11 +9,12 @@ use rose_analyze::{
 };
 use rose_events::{EventKind, FunctionId, NodeId, SimDuration, Trace};
 use rose_inject::{ExecutionFeedback, Executor, FaultSchedule};
-use rose_obs::{Obs, PhaseRecord, ReproductionStats, TracingStats};
+use rose_obs::{Obs, PhaseRecord, ProfilingStats, ReproductionStats, TracingStats};
 use rose_profile::{Profile, ProfilingHook};
 use rose_sim::{KernelHook, Sim, SimConfig};
 use rose_trace::{Tracer, TracerConfig, TracerReport};
 
+use crate::parallel::ordered_map;
 use crate::system::TargetSystem;
 
 /// Seed of the failure-free profiling run.
@@ -27,8 +28,10 @@ pub struct RoseConfig {
     /// Length of the failure-free profiling run.
     pub profiling_duration: SimDuration,
     /// Worker threads for replay fan-out and speculative schedule
-    /// execution. 1 = fully sequential. Results, reports, and telemetry are
-    /// bit-identical for every value — this is purely a wall-clock knob.
+    /// execution. 1 = fully sequential. The workers share this toolchain
+    /// and publish no telemetry; the calling thread counts the runs it
+    /// charges. Results, reports and telemetry are bit-identical for every
+    /// value — this is purely a wall-clock knob.
     pub jobs: usize,
     /// Collect causal provenance in [`Rose::run_once`], in every run the
     /// diagnosis charges (discovery runs and confirmation replays alike)
@@ -121,7 +124,8 @@ impl<S: TargetSystem> Rose<S> {
     }
 
     /// Attaches a campaign telemetry registry: each phase appends its span
-    /// and record to it, and every testing run counts itself.
+    /// and record to it, and the calling thread counts the testing runs a
+    /// phase charges (`workflow.testing_runs`) once their number is known.
     pub fn attach_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -201,7 +205,15 @@ impl<S: TargetSystem> Rose<S> {
             .expect("profiling hook attached");
         let profile = Profile::from_run(hook, self.cfg.profiling_duration, candidates);
         self.obs.end_phase(span, self.cfg.profiling_duration);
-        profile.publish_obs(&self.obs);
+        let kept = profile.infrequent_functions().len();
+        self.obs.record(PhaseRecord::Profiling(ProfilingStats {
+            candidates: profile.candidates.len(),
+            kept,
+            dropped: profile.candidates.len() - kept,
+            benign: profile.benign.len(),
+            duration_secs: profile.run_duration.as_secs_f64(),
+            syscalls: profile.syscall_counts.values().sum(),
+        }));
         profile
     }
 
@@ -305,7 +317,6 @@ impl<S: TargetSystem> Rose<S> {
         let mut harness = SimHarness {
             rose: self,
             profile,
-            pending: Vec::new(),
         };
         let mut diagnoser = Diagnoser::new(diag_cfg, profile, &symbols, extraction);
         let report = diagnoser.diagnose(&mut harness);
@@ -347,7 +358,6 @@ impl<S: TargetSystem> Rose<S> {
             .system
             .run_duration()
             .max(span + SimDuration::from_secs(30));
-        self.obs.counter_inc("workflow.testing_runs");
         TestingRun {
             sim,
             tracer_cfg,
@@ -358,7 +368,8 @@ impl<S: TargetSystem> Rose<S> {
     /// Runs one testing execution with a schedule, played out in full. Every
     /// run the diagnosis charges stops at its verdict instead
     /// (`Rose::run_to_verdict`); only replays outside diagnosis that read
-    /// more than the verdict play out (e.g. the ablations).
+    /// more than the verdict play out (e.g. the ablations). A bare run
+    /// counts nothing in telemetry; the callers that charge runs count them.
     pub fn run_once(&self, profile: &Profile, schedule: &FaultSchedule, seed: u64) -> RunOnce {
         let mut run = self.deploy_testing(profile, schedule, seed);
         if self.cfg.causal {
@@ -403,8 +414,8 @@ impl<S: TargetSystem> Rose<S> {
     }
 
     /// What a testing run saw up to now: the tracer's dump, the AF calls it
-    /// resolves to, the executor's feedback (published to telemetry), the
-    /// kernel's event counts and, when `causal` is set, the causal log.
+    /// resolves to, the executor's feedback, the kernel's event counts and,
+    /// when `causal` is set, the causal log.
     fn observe(&self, run: &mut TestingRun<S>, bug: bool, causal: bool) -> RunOnce {
         let TestingRun {
             sim,
@@ -430,7 +441,6 @@ impl<S: TargetSystem> Rose<S> {
                 _ => None,
             })
             .collect();
-        feedback.publish_obs(&self.obs);
         let sim_events = sim.core().events_executed();
         let events_before_injection = sim.core().first_injection_events();
         RunOnce {
@@ -445,63 +455,24 @@ impl<S: TargetSystem> Rose<S> {
         }
     }
 
-    /// A detached copy of this toolchain for a worker thread: same system
-    /// and configuration, but telemetry goes to a fresh private registry
-    /// (active iff this one is active) that the caller absorbs in job
-    /// order afterwards — see [`Obs::absorb`].
-    fn fork(&self) -> Rose<S> {
-        Rose {
-            system: self.system.clone(),
-            cfg: self.cfg.clone(),
-            obs: if self.obs.is_active() {
-                Obs::new()
-            } else {
-                Obs::disabled()
-            },
-        }
-    }
-
-    /// Runs `run` once per item, each on its own [`Rose::fork`], across the
-    /// configured worker pool. Returns each result with its worker's
-    /// telemetry, in item order, for the caller to absorb when it decides.
-    fn fan_out<T: Send, R: Send>(
-        &self,
-        items: Vec<T>,
-        run: impl Fn(&Rose<S>, T) -> R + Sync,
-    ) -> Vec<(R, Obs)> {
-        crate::parallel::ordered_map(self.cfg.jobs, items, |item| {
-            let worker = self.fork();
-            let out = run(&worker, item);
-            (out, worker.obs)
-        })
-    }
-
     /// Runs `run` once per replay seed (`base_seed + 31·i`, wrapping) across
     /// the configured worker pool, returning the results in seed order.
     ///
     /// Replays are embarrassingly parallel — each deploys its own fresh
-    /// simulated cluster. Worker telemetry is absorbed in seed order, so
-    /// every counter and the record list end up identical to a sequential
-    /// pass no matter how many workers ran.
+    /// simulated cluster. The workers share this toolchain and publish
+    /// nothing; the `n` runs are counted here, so the registry is the same
+    /// at every width.
     fn map_replays<T: Send>(
         &self,
         n: u32,
         base_seed: u64,
-        run: impl Fn(&Rose<S>, u64) -> T + Sync,
+        run: impl Fn(u64) -> T + Sync,
     ) -> Vec<T> {
-        let seeds: Vec<u64> = (0..n)
+        let seeds = (0..n)
             .map(|i| base_seed.wrapping_add(31 * u64::from(i)))
             .collect();
-        if self.cfg.jobs <= 1 {
-            return seeds.into_iter().map(|seed| run(self, seed)).collect();
-        }
-        self.fan_out(seeds, run)
-            .into_iter()
-            .map(|(out, worker_obs)| {
-                self.obs.absorb(&worker_obs);
-                out
-            })
-            .collect()
+        self.obs.counter_add("workflow.testing_runs", u64::from(n));
+        ordered_map(self.cfg.jobs, seeds, run)
     }
 
     /// Runs `n` independent replays of a schedule (seeds
@@ -514,8 +485,8 @@ impl<S: TargetSystem> Rose<S> {
         n: u32,
         base_seed: u64,
     ) -> Vec<RunObservation> {
-        self.map_replays(n, base_seed, |rose, seed| {
-            rose.run_once(profile, schedule, seed).into()
+        self.map_replays(n, base_seed, |seed| {
+            self.run_once(profile, schedule, seed).into()
         })
     }
 
@@ -529,6 +500,7 @@ impl<S: TargetSystem> Rose<S> {
     ) -> RunObservation {
         let span = self.obs.begin_phase("reproduction");
         let run = RunObservation::from(self.run_once(profile, schedule, seed));
+        self.obs.counter_inc("workflow.testing_runs");
         self.obs.end_phase(span, run.wall);
         self.obs
             .record(PhaseRecord::Reproduction(ReproductionStats {
@@ -554,8 +526,8 @@ impl<S: TargetSystem> Rose<S> {
         n: u32,
         base_seed: u64,
     ) -> Vec<RunObservation> {
-        self.map_replays(n, base_seed, |rose, seed| {
-            rose.run_to_verdict(profile, schedule, seed, rose.cfg.causal)
+        self.map_replays(n, base_seed, |seed| {
+            self.run_to_verdict(profile, schedule, seed, self.cfg.causal)
         })
     }
 
@@ -572,8 +544,8 @@ impl<S: TargetSystem> Rose<S> {
         base_seed: u64,
     ) -> f64 {
         let bugs = self
-            .map_replays(n, base_seed, |rose, seed| {
-                rose.run_to_verdict(profile, schedule, seed, false).bug
+            .map_replays(n, base_seed, |seed| {
+                self.run_to_verdict(profile, schedule, seed, false).bug
             })
             .into_iter()
             .filter(|bug| *bug)
@@ -620,18 +592,13 @@ pub struct RunOnce {
 /// run, discovery run or confirmation replay, stops at its verdict and is
 /// observed there (`Rose::run_to_verdict`).
 ///
-/// Speculative batches fork one worker toolchain per job (a `SimHarness` is
-/// just a config plus profile reference — forking is cheap), buffer each
-/// worker's telemetry registry in job order, and publish only the prefix
-/// the diagnosis loop commits. Telemetry of over-speculated runs is
-/// discarded wholesale, so reports stay byte-identical to sequential
-/// execution.
+/// A speculative batch runs across the configured worker pool, every
+/// worker sharing the one toolchain and publishing nothing. The harness
+/// counts the prefix the diagnosis loop commits, so over-speculated runs
+/// leave no trace and the registry is the same at every width.
 struct SimHarness<'a, S: TargetSystem> {
     rose: &'a Rose<S>,
     profile: &'a Profile,
-    /// Private telemetry registries of the last speculative batch, one per
-    /// job, awaiting [`RunHarness::commit_speculative`].
-    pending: Vec<Obs>,
 }
 
 impl From<RunOnce> for RunObservation {
@@ -654,28 +621,16 @@ impl<'a, S: TargetSystem> RunHarness for SimHarness<'a, S> {
             .run_to_verdict(self.profile, schedule, seed, self.rose.cfg.causal)
     }
 
-    /// A single job runs inline, publishing its side effects directly (the
-    /// commit that follows finds no buffers); a batch fans out, each
-    /// worker's telemetry buffered until the commit.
     fn run_speculative(&mut self, jobs: &[(FaultSchedule, u64)]) -> Vec<RunObservation> {
-        self.pending.clear();
-        if let [(schedule, seed)] = jobs {
-            return vec![self.run(schedule, *seed)];
-        }
-        let profile = self.profile;
-        let results = self
-            .rose
-            .fan_out(jobs.to_vec(), |worker, (schedule, seed)| {
-                worker.run_to_verdict(profile, &schedule, seed, worker.cfg.causal)
-            });
-        let (runs, pending) = results.into_iter().unzip();
-        self.pending = pending;
-        runs
+        let (rose, profile) = (self.rose, self.profile);
+        ordered_map(rose.cfg.jobs, jobs.iter().collect(), |(schedule, seed)| {
+            rose.run_to_verdict(profile, schedule, *seed, rose.cfg.causal)
+        })
     }
 
     fn commit_speculative(&mut self, used: usize) {
-        for worker_obs in self.pending.drain(..).take(used) {
-            self.rose.obs.absorb(&worker_obs);
-        }
+        self.rose
+            .obs
+            .counter_add("workflow.testing_runs", used as u64);
     }
 }

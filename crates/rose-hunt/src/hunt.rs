@@ -299,7 +299,7 @@ pub fn hunt<S: TargetSystem>(
     cfg: &HuntConfig,
 ) -> Result<HuntOutcome, rose_store::StoreError> {
     // Exploration runs are sequential inside: workers are the hunt's own
-    // fan-out.
+    // fan-out, and they share this one toolchain.
     let rose = Rose::new(system.clone());
     let profile = rose.profile();
     let duration = system.run_duration();
@@ -371,9 +371,8 @@ pub fn hunt<S: TargetSystem>(
     while winner.is_none() && runs < cfg.budget && !frontier.is_empty() {
         let batch = frontier.pop_batch(BATCH.min(cfg.budget - runs));
         let results = ordered_map(cfg.jobs, batch, |cand| {
-            let worker = Rose::new(system.clone());
             let seed = derive_seed(cfg.seed, cand.fingerprint);
-            let run = explore_run(&worker, &profile, &cand.schedule, seed, duration);
+            let run = explore_run(&rose, &profile, &cand.schedule, seed, duration);
             (cand, seed, run)
         });
         for (cand, seed, run) in results {

@@ -4,7 +4,7 @@
 //! testing environment and collects (§4.3):
 //!
 //! 1. per-function invocation counts, split into *frequent* (discarded) and
-//!    *infrequent* (monitored) at a configurable rate (default 2 calls/s);
+//!    *infrequent* (monitored) at [`FREQUENCY_THRESHOLD`] (2 calls/s);
 //! 2. system-call frequencies (used to cap Level 2 invocation sweeps);
 //! 3. the faults that occur even without failures — *benign* faults that
 //!    the diagnosis phase removes from the buggy trace (the FR% column).
@@ -13,10 +13,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rose_events::{Errno, EventKind, SimDuration, SyscallId};
 use rose_sim::{HookEffects, HookEnv, KernelHook, SysResult, SyscallArgs};
-use serde::{Deserialize, Serialize};
 
 /// Identity of a benign system-call failure, pid-independent.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FaultFingerprint {
     /// Which call failed.
     pub syscall: SyscallId,
@@ -84,7 +83,7 @@ impl KernelHook for ProfilingHook {
 
 /// The profiling phase output, consumed by the tracer (monitoring sites)
 /// and the diagnosis phase (benign faults, syscall frequencies).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Profile {
     /// Function entry counts from the profiling run.
     pub function_counts: BTreeMap<String, u64>,
@@ -96,9 +95,12 @@ pub struct Profile {
     pub run_duration: SimDuration,
     /// Candidate functions (resolved from the developer's file list).
     pub candidates: Vec<String>,
-    /// The frequency threshold, calls per second (paper default: 2).
-    pub frequency_threshold: f64,
 }
+
+/// The frequency heuristic's threshold, calls per second (§4.3): a
+/// candidate function called at most this often during profiling is
+/// monitored.
+pub const FREQUENCY_THRESHOLD: f64 = 2.0;
 
 impl Profile {
     /// Builds a profile from a finished profiling run.
@@ -139,7 +141,6 @@ impl Profile {
             benign,
             run_duration,
             candidates,
-            frequency_threshold: 2.0,
         }
     }
 
@@ -157,7 +158,7 @@ impl Profile {
     pub fn infrequent_functions(&self) -> Vec<String> {
         self.candidates
             .iter()
-            .filter(|f| self.rate(f) <= self.frequency_threshold)
+            .filter(|f| self.rate(f) <= FREQUENCY_THRESHOLD)
             .cloned()
             .collect()
     }
@@ -167,7 +168,7 @@ impl Profile {
     pub fn frequent_functions(&self) -> Vec<String> {
         self.candidates
             .iter()
-            .filter(|f| self.rate(f) > self.frequency_threshold)
+            .filter(|f| self.rate(f) > FREQUENCY_THRESHOLD)
             .cloned()
             .collect()
     }
@@ -206,41 +207,6 @@ impl Profile {
     }
 }
 
-impl Profile {
-    /// The profiling-phase record for the campaign's JSONL run report.
-    pub fn phase_record(&self) -> rose_obs::ProfilingStats {
-        let candidates = self.candidates.len();
-        let kept = self.infrequent_functions().len();
-        rose_obs::ProfilingStats {
-            candidates,
-            kept,
-            dropped: candidates.saturating_sub(kept),
-            benign: self.benign.len(),
-            duration_secs: self.run_duration.as_secs_f64(),
-            syscalls: self.syscall_counts.values().sum(),
-        }
-    }
-
-    /// Appends the profiling phase record to a telemetry registry.
-    pub fn publish_obs(&self, obs: &rose_obs::Obs) {
-        obs.record(rose_obs::PhaseRecord::Profiling(self.phase_record()));
-    }
-
-    /// Writes the profile to a file (the Profiler's output artifact, §5.1).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let s = serde_json::to_string(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, s)
-    }
-
-    /// Reads a profile back from a file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let s = std::fs::read_to_string(path)?;
-        serde_json::from_str(&s)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +214,6 @@ mod tests {
     fn profile_with(counts: &[(&str, u64)], secs: u64) -> Profile {
         let mut p = Profile {
             run_duration: SimDuration::from_secs(secs),
-            frequency_threshold: 2.0,
             ..Default::default()
         };
         for (name, c) in counts {

@@ -138,26 +138,10 @@ impl Tracer {
     /// what was recorded since this one.
     pub fn dump(&mut self, now: SimTime) -> Trace {
         // Flush pauses that have not yet ended.
-        let pending: Vec<Event> = self
-            .ongoing_pauses
-            .iter()
-            .filter_map(|(pid, (node, since))| {
-                let d = now.since(*since);
-                (d >= PS_WAIT_THRESHOLD).then(|| {
-                    Event::new(
-                        now,
-                        *node,
-                        EventKind::Ps {
-                            pid: *pid,
-                            state: ProcState::Waiting,
-                            duration: d,
-                        },
-                    )
-                })
-            })
-            .collect();
-        for e in pending {
-            self.record(e);
+        let paused: Vec<(Pid, (NodeId, SimTime))> =
+            self.ongoing_pauses.iter().map(|(p, v)| (*p, *v)).collect();
+        for (pid, (node, since)) in paused {
+            self.record_pause(now, node, pid, since);
         }
         // Flush connections that are silent right now.
         let silent: Vec<Event> = self
@@ -196,6 +180,20 @@ impl Tracer {
     fn record(&mut self, event: Event) {
         self.events_matched += 1;
         self.window.push(event);
+    }
+
+    /// Records the PS(Waiting) event of `pid`'s pause on `node`, begun at
+    /// `since` and flushed at `now`, if it lasted [`PS_WAIT_THRESHOLD`].
+    fn record_pause(&mut self, now: SimTime, node: NodeId, pid: Pid, since: SimTime) {
+        let duration = now.since(since);
+        if duration >= PS_WAIT_THRESHOLD {
+            let ev = EventKind::Ps {
+                pid,
+                state: ProcState::Waiting,
+                duration,
+            };
+            self.record(Event::new(now, node, ev));
+        }
     }
 
     fn charge(&mut self, d: SimDuration, fx: &mut HookEffects) {
@@ -365,15 +363,7 @@ impl KernelHook for Tracer {
             .map(|(p, v)| (*p, *v))
             .collect();
         for (pid, (node, since)) in ended {
-            let duration = now.since(since);
-            if duration >= PS_WAIT_THRESHOLD {
-                let ev = EventKind::Ps {
-                    pid,
-                    state: ProcState::Waiting,
-                    duration,
-                };
-                self.record(Event::new(now, node, ev));
-            }
+            self.record_pause(now, node, pid, since);
         }
         self.ongoing_pauses = still_paused;
     }
@@ -384,15 +374,7 @@ impl KernelHook for Tracer {
                 // A crash ends any pause the poller was tracking: flush it
                 // first so the pause is not lost from the window.
                 if let Some((pnode, since)) = self.ongoing_pauses.remove(pid) {
-                    let duration = now.since(since);
-                    if duration >= PS_WAIT_THRESHOLD {
-                        let ev = EventKind::Ps {
-                            pid: *pid,
-                            state: ProcState::Waiting,
-                            duration,
-                        };
-                        self.record(Event::new(now, pnode, ev));
-                    }
+                    self.record_pause(now, pnode, *pid, since);
                 }
                 let ev = EventKind::Ps {
                     pid: *pid,

@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec or the tracer rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -43,19 +43,22 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -n "Mutex" crates/rose-sim/src/causal.rs \
     || grep -rnE "\.to_json\(\)\.len\(\)" crates/*/src \
     || grep -rnE "gauge_set|MetricsSnapshot|merge_snapshot|obs\.observe\(|flush_obs" crates/*/src \
+    || grep -rn "\.absorb(" crates/rose-core/src crates/rose-hunt/src crates/rose-apps/src \
     || grep -n "criterion" Cargo.toml Cargo.lock crates/*/Cargo.toml third_party/*/Cargo.toml \
         bench/Cargo.toml bench/Cargo.lock \
     || grep -rnE "ROSE_(JOBS|REPORT|TRACE_DIR|CAUSAL)|env::var" \
         crates/rose-bench/src README.md DESIGN.md .claude/skills/verify/SKILL.md \
     || cargo tree -p rose-trace | grep rose-store \
-    || cargo tree -p rose-sim -p rose-store -p rose-trace | grep rose-obs; then
+    || cargo tree -p rose-sim -p rose-store -p rose-trace -p rose-profile | grep rose-obs; then
     echo "FAIL: as_any impls are gone (trait upcasting), Level 2.5 is the only search," \
         ".rosetrace the only trace file, descriptor -> path is the kernel's" \
         "(SyscallArgs::fd_path), a dump is sized by Trace::json_len," \
         "a number nobody reads is not published (Obs holds counters only)," \
         "bench/run.sh is the one wall-clock instrument," \
         "a flag is the only spelling of a harness input; the tracer stays free of the store," \
-        "telemetry is the workflow layers' concern (no rose-obs under rose-sim, rose-store, rose-trace)," \
+        "telemetry is the workflow layers' concern (no rose-obs under rose-sim, rose-store, rose-trace," \
+        "rose-profile) and is counted on the calling thread (workers publish nothing: no workflow" \
+        "crate absorbs a forked registry; only bench/'s mirror does)," \
         "a campaign diagnoses the trace it captured: capture_and_diagnose writes every" \
         "campaign file, none is read back, and there is no capture-timeline Chrome export," \
         "a confirmed schedule carries its own causal log (a Guess, no last_confirm_causal)," \

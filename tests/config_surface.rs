@@ -12,6 +12,7 @@ use rose::apps::driver::{DriverOptions, CAPTURE_DURATION};
 use rose::core::{RoseConfig, PROFILING_SEED};
 use rose::events::{SimDuration, DEFAULT_WINDOW_CAPACITY};
 use rose::hunt::{HuntConfig, BATCH, CHILDREN_PER_RUN, MAX_DEPTH, PAUSE, SCF_ROOT_CAP, TIME_STEP};
+use rose::profile::FREQUENCY_THRESHOLD;
 use rose::trace::{TracerConfig, TracerMode, CONTENT_CAP, ND_THRESHOLD, PS_WAIT_THRESHOLD};
 
 /// Destructures `$value` into exactly the listed fields and binds `$count`
@@ -109,6 +110,9 @@ fn twenty_seven_options_with_the_papers_defaults() {
 
 #[test]
 fn constants_equal_the_papers_numbers() {
+    // Profiling (§4.3): functions called at most 2 times a second are
+    // monitored.
+    assert_eq!(FREQUENCY_THRESHOLD, 2.0);
     // Tracer (§4.4): window of 1 M events, ND after 5 s of silence, PS after
     // 3 s waiting; the IO-content baseline captures up to 128 bytes.
     assert_eq!(DEFAULT_WINDOW_CAPACITY, 1_000_000);
