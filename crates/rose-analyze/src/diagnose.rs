@@ -4,7 +4,7 @@
 use rose_events::{SimDuration, SimTime};
 use rose_inject::{Condition, FaultAction, FaultSchedule, ScheduledFault};
 use rose_profile::{Profile, SymbolTable};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::extract::{Extraction, ExtractionStats};
 use crate::harness::{RunHarness, RunObservation};
@@ -74,7 +74,7 @@ impl Default for DiagnosisConfig {
 }
 
 /// The outcome of a diagnosis, one row of the paper's Table 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DiagnosisReport {
     /// Whether a schedule reached the target replay rate.
     pub reproduced: bool,
@@ -100,20 +100,17 @@ pub struct DiagnosisReport {
     /// Per-injected-fault propagation chains from the winning schedule's
     /// confirmation run, when provenance was collected (see
     /// [`rose_obs::causal`]). Empty when the harness recorded no causal log.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub propagation: Vec<rose_obs::PropagationChain>,
     /// Simulated events of the charged discovery runs that played out (see
     /// [`SweepRedundancy`]).
-    #[serde(default)]
     pub redundancy: SweepRedundancy,
     /// SCF faults whose Level-2 sweep keyed on a recorded execution index
     /// (Level 2.5) instead of flat invocation counting.
-    #[serde(default)]
     pub ei_sweeps: usize,
     /// Schedules generated inside those EI-keyed sweeps — the quantity the
     /// flat-counter cap of 50 bounds, and that EI shrinks to the handful of
     /// per-context counts actually recorded.
-    #[serde(default)]
     pub ei_schedules: usize,
 }
 
@@ -123,7 +120,7 @@ pub struct DiagnosisReport {
 /// `bench/tests/mirror_equivalence.rs`) compares this total with its own.
 /// That comparison is its only reader; ROADMAP item 2(b) deletes it once the
 /// benchmark stops making it.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SweepRedundancy {
     /// Simulation queue items executed across the charged discovery runs
     /// that played out.

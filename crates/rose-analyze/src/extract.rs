@@ -14,10 +14,10 @@ use rose_events::{
 };
 use rose_inject::{FaultAction, PartitionKind};
 use rose_profile::Profile;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A fault recovered from the production trace, before contextualization.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractedFault {
     /// Node the fault occurred on (for partitions: the isolated node or the
     /// link source).
@@ -34,7 +34,6 @@ pub struct ExtractedFault {
     /// Level 2.5 (per-context counts under the recorded calling context),
     /// with the flat invocation sweep as the fallback. Always `None` for
     /// non-SCF faults.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub ei: Option<ExecutionIndex>,
 }
 
@@ -50,7 +49,7 @@ impl ExtractedFault {
 }
 
 /// Statistics of the extraction, feeding Table 1's `FR%` column.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ExtractionStats {
     /// Fault events found in the trace.
     pub total_fault_events: usize,

@@ -3,10 +3,8 @@
 //! obtained, plus the hunted (unscripted) cases of the in-repo Raft
 //! target.
 
-use serde::{Deserialize, Serialize};
-
 /// Where a bug (and its trace) comes from, per the paper's methodology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
     /// Jepsen analyses: the trace is captured by running the system under
     /// the randomized nemesis until the oracle fires (§6.1).
@@ -35,7 +33,7 @@ impl Source {
 }
 
 /// The 20 bugs of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum BugId {
     RedisRaft42,
@@ -327,7 +325,7 @@ impl std::fmt::Display for BugId {
 /// Renders as `Hunt-<base-name>-<16 hex digits>` and parses back
 /// loss-free — the hunt bin uses these ids to label discovered-schedule
 /// artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DiscoveryId {
     /// The registry case (and oracle) the discovery was hunted against.
     pub base: BugId,
@@ -361,7 +359,7 @@ impl DiscoveryId {
 }
 
 /// Static bug metadata (a Table 1 row skeleton).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BugInfo {
     /// The bug.
     pub id: BugId,

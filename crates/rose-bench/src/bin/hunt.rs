@@ -27,7 +27,8 @@
 //! value or an unknown bug name prints the usage line to stderr and exits
 //! with status 2.
 
-use std::io::Write;
+use std::fs::File;
+use std::io::{self, Write};
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
@@ -37,7 +38,7 @@ use rose_bench::args::Args;
 use rose_bench::report::{self, ReportSink};
 use rose_bench::table::render;
 use rose_core::TargetSystem;
-use rose_hunt::{hunt, HuntConfig, HuntOutcome};
+use rose_hunt::{hunt, FrontierRecord, HuntConfig, HuntOutcome};
 use rose_inject::schedule_fingerprint;
 use rose_obs::PhaseRecord;
 use serde::Serialize;
@@ -108,6 +109,24 @@ impl SystemVisitor for HuntVisitor {
     }
 }
 
+/// Appends one JSONL line per exploration run of `bug` to the frontier log.
+fn write_log(file: &mut File, bug: &str, records: &[FrontierRecord]) -> io::Result<()> {
+    #[derive(Serialize)]
+    struct LogLine {
+        bug: String,
+        record: FrontierRecord,
+    }
+    for record in records {
+        let line = serde_json::to_string(&LogLine {
+            bug: bug.to_string(),
+            record: record.clone(),
+        })
+        .map_err(io::Error::other)?;
+        writeln!(file, "{line}")?;
+    }
+    Ok(())
+}
+
 const USAGE: &str = "usage: hunt [BUG ...] [--budget N] [--seed N] [--jobs N] [--out PATH] \
                      [--log PATH] [--state-dir DIR] [--report PATH]";
 
@@ -132,11 +151,12 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let mut log_file = log_path.as_ref().map(|p| {
-        std::fs::File::create(p).unwrap_or_else(|e| {
+    let mut log = log_path.map(|p| match File::create(&p) {
+        Ok(file) => (p, file),
+        Err(e) => {
             eprintln!("cannot create log file {}: {e}", p.display());
             std::process::exit(2);
-        })
+        }
     });
     let sink = ReportSink::open(report_path);
 
@@ -162,22 +182,15 @@ fn main() {
                 continue;
             }
         };
-        if let Some(f) = log_file.as_mut() {
-            #[derive(Serialize)]
-            struct LogLine {
-                bug: String,
-                record: rose_hunt::FrontierRecord,
-            }
-            for record in &outcome.log {
-                match serde_json::to_string(&LogLine {
-                    bug: info.name.to_string(),
-                    record: record.clone(),
-                }) {
-                    Ok(line) => {
-                        let _ = writeln!(f, "{line}");
-                    }
-                    Err(e) => report::progress(format!("warning: log serialization: {e}")),
-                }
+        // A log that cannot take a line is reported once and not written
+        // again: what follows the lost lines would not be the frontier.
+        if let Some((path, file)) = &mut log {
+            if let Err(e) = write_log(file, info.name, &outcome.log) {
+                report::progress(format!(
+                    "warning: could not write frontier log {}: {e}",
+                    path.display()
+                ));
+                log = None;
             }
         }
         sink.write_records(&[PhaseRecord::Hunt(outcome.stats.clone())]);

@@ -51,7 +51,8 @@ pub fn write_summary(path: &str, what: &str, summary: &impl serde::Serialize) {
 #[derive(Debug, Clone, Default)]
 pub struct ReportSink {
     path: Option<PathBuf>,
-    lock: Arc<Mutex<()>>,
+    /// The append lock; it guards whether an append has failed.
+    lost: Arc<Mutex<bool>>,
 }
 
 impl ReportSink {
@@ -64,7 +65,7 @@ impl ReportSink {
     pub fn to_path(path: impl Into<PathBuf>) -> Self {
         ReportSink {
             path: Some(path.into()),
-            lock: Arc::default(),
+            lost: Arc::default(),
         }
     }
 
@@ -91,9 +92,12 @@ impl ReportSink {
         self.path.is_some()
     }
 
-    /// Tells the progress channel where the report went, if anywhere.
+    /// Tells the progress channel where the report went, if anywhere. A
+    /// report that lost a batch was already warned about, batch by batch,
+    /// and is not announced.
     pub fn announce(&self) {
-        if let Some(path) = &self.path {
+        let lost = *self.lost.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(path) = self.path.as_ref().filter(|_| !lost) {
             progress(format!("JSONL report appended to {}", path.display()));
         }
     }
@@ -115,13 +119,14 @@ impl ReportSink {
         // Serialize before locking; hold the lock across open+append so
         // batches from concurrent clones land as contiguous whole lines.
         let jsonl = report.to_jsonl();
-        let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        let mut lost = self.lost.lock().unwrap_or_else(|e| e.into_inner());
         let append = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
             .and_then(|mut f| f.write_all(jsonl.as_bytes()));
         if let Err(e) = append {
+            *lost = true;
             progress(format!(
                 "warning: could not write report to {}: {e}",
                 path.display()

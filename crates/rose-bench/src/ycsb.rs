@@ -4,10 +4,9 @@
 //! YCSB workload A: 50 % reads, 50 % updates, zipfian key popularity.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// YCSB workload parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct YcsbConfig {
     /// Number of distinct keys.
     pub record_count: u64,

@@ -187,7 +187,7 @@ impl Trace {
 }
 
 /// Per-type event counts of a trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCounts {
     /// System-call failures.
     pub scf: usize,

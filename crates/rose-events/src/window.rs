@@ -5,8 +5,6 @@
 //! paper — and only writes them out when the bug oracle requests a `dump`.
 //! This bounds the memory footprint and removes disk I/O from the hot path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::Event;
 
 /// Default window capacity (paper §4.4: "1 million by default").
@@ -21,7 +19,7 @@ const MIN_GROWTH_CHUNK: usize = 1024;
 
 /// A fixed-capacity ring buffer of [`Event`]s that overwrites its oldest
 /// entries when full.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlidingWindow {
     capacity: usize,
     /// Ring storage; once `len == capacity`, `head` points at the oldest
@@ -36,7 +34,6 @@ pub struct SlidingWindow {
     /// survives eviction and [`SlidingWindow::drain`], so one window can
     /// report its true peak across dumps (the Table 2 `Memory` column is a
     /// peak, not an instantaneous figure).
-    #[serde(default)]
     peak_bytes: usize,
 }
 

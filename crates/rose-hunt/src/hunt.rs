@@ -33,7 +33,7 @@ use rose_obs::HuntStats;
 use rose_profile::Profile;
 use rose_sim::KernelHook;
 use rose_trace::Tracer;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errno::ErrnoModel;
 use crate::frontier::{Candidate, Frontier};
@@ -98,7 +98,7 @@ impl Default for HuntConfig {
 /// One line of the frontier log: what one exploration run did. The log
 /// (serialized as JSONL by the bench bin) is part of the determinism
 /// surface the `--jobs` gate compares byte for byte.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FrontierRecord {
     /// 1-based exploration run index.
     pub run: usize,

@@ -12,12 +12,11 @@
 //! every context as it executes).
 
 use rose_events::{fingerprint, Errno, NodeId, SimDuration, SyscallId};
-use serde::{Deserialize, Serialize};
 
 use crate::schedule::{Condition, FaultAction, FaultSchedule, ScheduledFault};
 
 /// What kind of observed execution point a site names.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SiteKind {
     /// A monitored application function was entered on the node.
     Function {
@@ -38,7 +37,7 @@ pub enum SiteKind {
 }
 
 /// One candidate injection point on one node.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct InjectionSite {
     /// The node the fault would target.
     pub node: NodeId,

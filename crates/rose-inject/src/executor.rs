@@ -17,8 +17,7 @@ struct FaultRt {
     injected_at: Option<SimTime>,
     /// Matching syscalls seen since arming (for `Scf` nth matching).
     scf_count: u64,
-    /// Matching syscalls seen for the active `SyscallInvocation` /
-    /// `ExecutionIndex` condition.
+    /// Syscalls seen under the active `ExecutionIndex` condition's chain.
     cond_count: u64,
     /// The active `ExecutionIndex` condition's chain as this run's kernel
     /// interned it, once the run has entered that chain (`None` until
@@ -266,39 +265,28 @@ impl Faults {
     /// A system call entered on `env.node`: the whole per-probe pass.
     fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
         let node = env.node;
-        let path = args.subject_path();
 
-        // 1. Progress SyscallInvocation / ExecutionIndex conditions.
+        // 1. Progress ExecutionIndex conditions. The count is per calling
+        // context: only invocations made under the exact recorded chain
+        // advance it, so benign interleaving changes elsewhere cannot shift
+        // the target.
         let call = args.call;
-        let injecting = self.observe(node, env.now, fx, |cond, rt| {
-            match cond {
-                Condition::SyscallInvocation {
-                    syscall,
-                    path: want,
-                    nth,
-                } if *syscall == call && (want.is_none() || want.as_deref() == path) => {
-                    rt.cond_count += 1;
-                    return rt.cond_count >= *nth;
+        let injecting = self.observe(node, env.now, fx, |cond, rt| match cond {
+            Condition::ExecutionIndex {
+                chain: want,
+                syscall,
+                count,
+            } if *syscall == call => {
+                if rt.want_chain.is_none() {
+                    rt.want_chain = env.chains.lookup(want);
                 }
-                // The count is per calling context: only invocations made
-                // under the exact recorded chain advance it, so benign
-                // interleaving changes elsewhere cannot shift the target.
-                Condition::ExecutionIndex {
-                    chain: want,
-                    syscall,
-                    count,
-                } if *syscall == call => {
-                    if rt.want_chain.is_none() {
-                        rt.want_chain = env.chains.lookup(want);
-                    }
-                    if rt.want_chain == Some(env.chain) {
-                        rt.cond_count += 1;
-                        return rt.cond_count >= *count;
-                    }
+                if rt.want_chain != Some(env.chain) {
+                    return false;
                 }
-                _ => {}
+                rt.cond_count += 1;
+                rt.cond_count >= *count
             }
-            false
+            _ => false,
         });
         if injecting {
             return;
@@ -306,6 +294,7 @@ impl Faults {
 
         // 2. Armed SCF faults match this invocation (`observe` left the
         // state-based conditions at their fixed point for `env.now`).
+        let path = args.subject_path();
         for i in 0..self.schedule.faults.len() {
             let f = &self.schedule.faults[i];
             let rt = &mut self.rt[i];
@@ -366,8 +355,8 @@ impl Faults {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct NodeWaits {
     /// One [`SyscallId::bit`] per syscall a pending fault of the node
-    /// counts: its current `SyscallInvocation` / `ExecutionIndex` condition,
-    /// or the call an armed `Scf` fails.
+    /// counts: its current `ExecutionIndex` condition, or the call an armed
+    /// `Scf` fails.
     syscalls: u32,
     /// A pending fault's current condition is a function entry or offset.
     uprobes: bool,
@@ -466,10 +455,7 @@ impl Filter {
                 continue;
             }
             match fault.conditions.get(rt.progress) {
-                Some(
-                    Condition::SyscallInvocation { syscall, .. }
-                    | Condition::ExecutionIndex { syscall, .. },
-                ) => waits.syscalls |= syscall.bit(),
+                Some(Condition::ExecutionIndex { syscall, .. }) => waits.syscalls |= syscall.bit(),
                 Some(Condition::FunctionEntered { .. } | Condition::FunctionOffset { .. }) => {
                     waits.uprobes = true;
                 }
@@ -593,12 +579,7 @@ mod tests {
                 name,
                 offset: (dice >> 32) as u32 % 2,
             },
-            2 => Condition::SyscallInvocation {
-                syscall,
-                path: ((dice >> 32) % 2 == 0).then(|| pick(&PATHS, dice >> 40).to_string()),
-                nth: small,
-            },
-            3 => Condition::ExecutionIndex {
+            2 | 3 => Condition::ExecutionIndex {
                 chain: match (dice >> 32) % 6 {
                     5 => vec!["ghost".to_string()],
                     i => table.names(ids[i as usize]).to_vec(),

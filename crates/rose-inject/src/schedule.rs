@@ -7,7 +7,7 @@
 //! Analyzer emits (§5.3).
 
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
-use rose_sim::{DropRule, HookEffects, NetCmd, SignalKind, SignalReq, SignalTarget};
+use rose_sim::{DropRule, HookEffects, NetCmd, SignalKind, SignalReq};
 use serde::{Deserialize, Serialize};
 
 /// Index of a fault within its schedule.
@@ -84,10 +84,7 @@ impl FaultAction {
     /// Returns whether it wrote an effect; a split with an empty side has
     /// none to write.
     pub fn apply(&self, node: NodeId, fx: &mut HookEffects) -> bool {
-        let signal = |kind| SignalReq {
-            target: SignalTarget::Node(node),
-            kind,
-        };
+        let signal = |kind| SignalReq { node, kind };
         match self {
             FaultAction::Scf { errno, .. } => fx.set_override(*errno),
             FaultAction::Crash => fx.set_signal(signal(SignalKind::Crash)),
@@ -143,21 +140,13 @@ pub enum Condition {
         /// Offset within the function.
         offset: u32,
     },
-    /// The target node performed its `nth` matching system call (counted
-    /// while this condition is active).
-    SyscallInvocation {
-        /// Call to count.
-        syscall: SyscallId,
-        /// Restrict to this path.
-        path: Option<String>,
-        /// 1-based count.
-        nth: u64,
-    },
     /// The target node performed its `count`th matching system call while
     /// its live function-entry chain equalled `chain` (Level 2.5 execution
-    /// index). Unlike [`Condition::SyscallInvocation`], the count is scoped
-    /// to one calling context, so it does not drift when unrelated
-    /// interleaving adds or removes invocations elsewhere.
+    /// index). This is the per-context way to name the nth call;
+    /// [`FaultAction::Scf`]'s `nth` is the flat one, counted over every
+    /// matching call once the fault is armed. Scoped to one calling context,
+    /// the count does not drift when unrelated interleaving adds or removes
+    /// invocations elsewhere.
     ExecutionIndex {
         /// Required function-entry chain, outermost first.
         chain: Vec<String>,
@@ -379,7 +368,7 @@ mod tests {
             (wrote, fx)
         };
         let signal = |kind| SignalReq {
-            target: SignalTarget::Node(NodeId(2)),
+            node: NodeId(2),
             kind,
         };
         let cut = |src: u32, dst: u32, heal_after| NetCmd::Install {

@@ -8,7 +8,7 @@ use rose_inject::{
 };
 use rose_sim::{
     Application, ChainId, ChainTable, HookEffects, HookEnv, KernelHook, NodeCtx, OpenFlags,
-    ProcTable, SignalKind, SignalReq, SignalTarget, Sim, SimConfig, SyscallArgs,
+    ProcTable, SignalKind, SignalReq, Sim, SimConfig, SyscallArgs,
 };
 
 /// A snapshotting app: every 200 ms it runs `storeSnapshotData` which opens,
@@ -399,7 +399,7 @@ fn spent_schedule_has_no_effect_and_keeps_its_feedback() {
     assert_eq!(fx, HookEffects::none(), "not due yet");
     probe_all(&mut ex, 2, &mut fx);
     let crash = SignalReq {
-        target: SignalTarget::Node(NodeId(0)),
+        node: NodeId(0),
         kind: SignalKind::Crash,
     };
     assert_eq!(fx.signal(), Some(crash));

@@ -36,13 +36,14 @@ fn arb_condition() -> impl Strategy<Value = Condition> {
         (1u64..10_000_000).prop_map(|after| Condition::TimeElapsed {
             after: SimDuration::from_micros(after)
         }),
-        (proptest::option::of("[a-z/]{1,8}"), 1u64..10).prop_map(|(path, nth)| {
-            Condition::SyscallInvocation {
+        (proptest::collection::vec("[a-zA-Z]{1,12}", 0..4), 1u64..10).prop_map(|(chain, count)| {
+            Condition::ExecutionIndex {
+                chain,
                 syscall: SyscallId::Read,
-                path,
-                nth,
+                count,
             }
         }),
+        (0usize..6).prop_map(|fault| Condition::AfterFault { fault }),
     ]
 }
 

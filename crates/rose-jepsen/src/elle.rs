@@ -20,10 +20,9 @@ use std::collections::{BTreeMap, HashSet};
 
 use rose_events::FnvBuildHasher;
 use rose_sim::{History, OpOutcome};
-use serde::{Deserialize, Serialize};
 
 /// One detected anomaly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Anomaly {
     /// A value occurs more than once in a read of `key`.
     Duplicate {
@@ -53,7 +52,7 @@ pub enum Anomaly {
 }
 
 /// The checker verdict.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ElleReport {
     /// All anomalies found.
     pub anomalies: Vec<Anomaly>,

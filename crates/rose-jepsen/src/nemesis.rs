@@ -14,10 +14,9 @@ use rand::{Rng, SeedableRng};
 use rose_events::{NodeId, SimDuration, SimTime};
 use rose_inject::{FaultAction, PartitionKind};
 use rose_sim::{HookEffects, KernelHook, ProcTable};
-use serde::{Deserialize, Serialize};
 
 /// Fault kinds the nemesis may inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NemesisOp {
     /// Kill a random node (the supervisor restarts it).
     Crash,
@@ -31,7 +30,7 @@ pub enum NemesisOp {
 }
 
 /// Nemesis configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NemesisConfig {
     /// Nemesis RNG seed (independent of the run seed, like a separate
     /// Jepsen control node).

@@ -26,11 +26,10 @@
 
 use rose_events::NodeId;
 use rose_sim::Logs;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One detected invariant violation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RaftViolation {
     /// Two distinct nodes won the same term (election safety).
     DualLeaders {
@@ -92,7 +91,7 @@ impl RaftViolation {
 }
 
 /// The checker verdict over one run's journal.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RaftReport {
     /// Everything found, in journal order.
     pub violations: Vec<RaftViolation>,

@@ -14,7 +14,7 @@ use rose_events::{FnvHasher, SimDuration, SimTime};
 use rose_jepsen::{Nemesis, NemesisConfig, NemesisOp};
 use rose_sim::{HookEffects, KernelHook, NetCmd, ProcTable, SignalKind};
 
-const EXPECTED: u64 = 0x0a2cbdc5b1ef027b;
+const EXPECTED: u64 = 0xd2f387950129787f;
 
 /// Which operation wrote `fx`, as an index into the op list below.
 fn op_of(fx: &HookEffects) -> usize {

@@ -19,12 +19,12 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use rose_events::{CausalLog, CauseId, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::chrome::{node_pid, ChromeTrace, CAMPAIGN_PID, TID_CAUSAL};
 
 /// One hop on a propagation chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ChainHop {
     /// The causal node's id in the originating log.
     pub id: u64,
@@ -35,12 +35,12 @@ pub struct ChainHop {
     /// Human-readable event summary ("write -> EIO", "recv from n1", ...).
     pub label: String,
     /// Kind of the causal edge *into* this hop; empty on the first hop.
-    #[serde(default, skip_serializing_if = "String::is_empty")]
+    #[serde(skip_serializing_if = "String::is_empty")]
     pub via: String,
 }
 
 /// The shortest causal path from one injected fault to the oracle event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PropagationChain {
     /// The fault's index in the schedule.
     pub fault: u64,

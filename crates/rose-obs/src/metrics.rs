@@ -22,7 +22,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use rose_events::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::report::PhaseRecord;
 
@@ -34,7 +33,7 @@ pub struct SpanId(usize);
 ///
 /// `start`/`end` are offsets from the campaign start, in accumulated
 /// simulated time across the runs the campaign performed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSpan {
     /// Phase name ("profiling", "tracing", "diagnosis", "reproduction").
     pub name: String,

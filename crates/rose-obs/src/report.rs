@@ -229,7 +229,7 @@ impl PhaseRecord {
 }
 
 /// A full run report: the ordered phase records of one or more campaigns.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Records in emission order.
     pub records: Vec<PhaseRecord>,

@@ -9,10 +9,9 @@
 //! the classification Level 3 uses to prioritize its sweep.
 
 use rose_events::SyscallId;
-use serde::{Deserialize, Serialize};
 
 /// What an intra-function offset does, per the disassembly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OffsetKind {
     /// A call site to a system call (Level 3 priority i).
     SyscallSite(SyscallId),
@@ -34,7 +33,7 @@ impl OffsetKind {
 }
 
 /// One instrumentable offset inside a function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OffsetSite {
     /// The offset value applications report via `NodeCtx::at_offset`.
     pub offset: u32,
@@ -43,20 +42,18 @@ pub struct OffsetSite {
 }
 
 /// A function symbol.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionSym {
     /// Symbol name.
     pub name: String,
     /// Source file the symbol is defined in.
     pub file: String,
-    /// Pseudo binary address (as `readelf` would report).
-    pub addr: u64,
     /// Instrumentable offsets, in code order.
     pub offsets: Vec<OffsetSite>,
 }
 
 /// The symbol table of a target binary.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SymbolTable {
     /// All function symbols.
     pub functions: Vec<FunctionSym>,
@@ -70,11 +67,9 @@ impl SymbolTable {
 
     /// Builder: adds a function.
     pub fn function(mut self, name: &str, file: &str, offsets: Vec<OffsetSite>) -> Self {
-        let addr = 0x1000 + 0x40 * self.functions.len() as u64;
         self.functions.push(FunctionSym {
             name: name.to_string(),
             file: file.to_string(),
-            addr,
             offsets,
         });
         self
@@ -178,11 +173,5 @@ mod tests {
             .collect();
         assert_eq!(order, vec![1, 2, 3, 0]);
         assert!(t.sweep_order("missing").is_empty());
-    }
-
-    #[test]
-    fn addresses_are_distinct() {
-        let t = table();
-        assert_ne!(t.functions[0].addr, t.functions[1].addr);
     }
 }

@@ -1,14 +1,13 @@
 //! Simulation configuration.
 
 use rose_events::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for one simulated cluster run.
 ///
 /// Every run is fully determined by this configuration plus the `seed`; two
 /// runs with identical configuration and seed produce identical traces.
 /// Replay-rate experiments vary only the seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// RNG seed; the single source of nondeterminism.
     pub seed: u64,

@@ -60,21 +60,15 @@ pub enum SignalKind {
     Pause(SimDuration),
 }
 
-/// Where a signal should be delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SignalTarget {
-    /// The process that hit the probe (resolved to its node's main process,
-    /// as the paper's executor does for child pids).
-    Current,
-    /// A specific node's main process (used by time-triggered faults).
-    Node(NodeId),
-}
-
-/// A requested signal.
+/// A signal a hook asks the kernel to send (`bpf_send_signal`). It names
+/// the node whose main process receives it, the way the paper's executor
+/// resolves a child helper's pid to its node (§5.4). A crash of the node
+/// whose callback made the probe unwinds at the probe, any other crash waits
+/// for the driver loop, and a pause stops the process at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignalReq {
-    /// Delivery target.
-    pub target: SignalTarget,
+    /// Node whose main process receives the signal.
+    pub node: NodeId,
     /// Crash or pause.
     pub kind: SignalKind,
 }
@@ -244,11 +238,11 @@ mod tests {
     #[test]
     fn setters_are_first_writer_wins_for_faults_and_additive_for_the_rest() {
         let crash = SignalReq {
-            target: SignalTarget::Current,
+            node: NodeId(0),
             kind: SignalKind::Crash,
         };
         let pause = SignalReq {
-            target: SignalTarget::Node(NodeId(1)),
+            node: NodeId(1),
             kind: SignalKind::Pause(SimDuration::from_secs(1)),
         };
         let mut fx = HookEffects::none();

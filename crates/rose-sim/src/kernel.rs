@@ -16,9 +16,7 @@ use rose_events::{Errno, IpAddr, NodeId, Pid, SimDuration, SimTime, SyscallId};
 use crate::causal::CausalRecorder;
 use crate::chain::{ChainId, ChainTable};
 use crate::config::SimConfig;
-use crate::hooks::{
-    HookEffects, HookEnv, KernelHook, NetCmd, ProcEvent, SignalKind, SignalReq, SignalTarget,
-};
+use crate::hooks::{HookEffects, HookEnv, KernelHook, NetCmd, ProcEvent, SignalKind, SignalReq};
 use crate::net::NetState;
 use crate::process::{ProcTable, RunState};
 use crate::queue::EventQueue;
@@ -358,7 +356,7 @@ impl<M> SimCore<M> {
             h.sys_exit(&env, &args, &result, &mut fx);
         }
 
-        self.apply_effects(node, &mut fx);
+        self.apply_effects(Some(node), &mut fx);
         result
     }
 
@@ -393,7 +391,7 @@ impl<M> SimCore<M> {
         for h in &mut self.hooks {
             h.uprobe(&env, function, offset, &mut fx);
         }
-        self.apply_effects(node, &mut fx);
+        self.apply_effects(Some(node), &mut fx);
     }
 
     /// Fires the XDP ingress tap for a node-to-node packet.
@@ -410,7 +408,7 @@ impl<M> SimCore<M> {
         for h in &mut self.hooks {
             h.packet_in(&env, src, dst, &mut fx);
         }
-        self.apply_effects(dst_node, &mut fx);
+        self.apply_effects(Some(dst_node), &mut fx);
     }
 
     /// Runs the periodic hook poll.
@@ -419,20 +417,7 @@ impl<M> SimCore<M> {
         for h in &mut self.hooks {
             h.poll(self.now, &self.procs, &mut fx);
         }
-        self.record_injections(&mut fx);
-        // Poll runs on a kernel thread: no callback is active, so pauses are
-        // applied inline and crashes are deferred to the driver loop.
-        if fx.is_injecting() {
-            self.note_injection();
-        }
-        self.apply_net_cmds(fx.net);
-        if let Some(SignalReq {
-            target: SignalTarget::Node(n),
-            kind,
-        }) = fx.signal
-        {
-            self.deliver_signal(n, n, kind);
-        }
+        self.apply_effects(None, &mut fx);
     }
 
     /// Records the injections the hooks noted in `fx`, after their loop and
@@ -448,36 +433,37 @@ impl<M> SimCore<M> {
         }
     }
 
-    /// Applies hook effects raised at a probe point inside `node`'s process.
-    fn apply_effects(&mut self, node: NodeId, effects: &mut HookEffects) {
+    /// Applies the effects the hooks wrote at one interception point.
+    /// `probe` is the node whose process made the probe; the poll has none:
+    /// it runs on a kernel thread, so it charges no node and its crashes
+    /// wait for the driver loop.
+    fn apply_effects(&mut self, probe: Option<NodeId>, effects: &mut HookEffects) {
         self.record_injections(effects);
         if effects.is_injecting() {
             self.note_injection();
         }
-        self.charge(node, effects.charge);
+        if let Some(node) = probe {
+            self.charge(node, effects.charge);
+        }
         self.apply_net_cmds(mem::take(&mut effects.net));
-        if let Some(SignalReq { target, kind }) = effects.signal {
-            let target_node = match target {
-                SignalTarget::Current => node,
-                SignalTarget::Node(n) => n,
-            };
-            self.deliver_signal(node, target_node, kind);
+        if let Some(signal) = effects.signal {
+            self.deliver_signal(probe, signal);
         }
     }
 
-    /// Delivers a crash/pause signal. Signals for the currently executing
-    /// node take effect here (a crash unwinds); signals for other nodes are
+    /// Delivers a crash/pause signal. A crash of the node whose callback
+    /// made the probe takes effect here (it unwinds); every other crash is
     /// deferred to the driver loop.
-    fn deliver_signal(&mut self, probe_node: NodeId, target: NodeId, kind: SignalKind) {
-        let in_callback = self.active.map(|(n, _)| n) == Some(probe_node);
+    fn deliver_signal(&mut self, probe: Option<NodeId>, SignalReq { node, kind }: SignalReq) {
+        let unwinds = probe == Some(node) && self.active.map(|(n, _)| n) == probe;
         match kind {
-            SignalKind::Crash if in_callback && target == probe_node => {
+            SignalKind::Crash if unwinds => {
                 // SAFETY-adjacent note: this is control flow, not UB — the
                 // driver catches the unwind at the callback boundary.
-                std::panic::panic_any(CrashPayload { node: target });
+                std::panic::panic_any(CrashPayload { node });
             }
-            SignalKind::Crash => self.pending_crashes.push(target),
-            SignalKind::Pause(d) => self.pause_node(target, d),
+            SignalKind::Crash => self.pending_crashes.push(node),
+            SignalKind::Pause(d) => self.pause_node(node, d),
         }
     }
 

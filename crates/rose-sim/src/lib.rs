@@ -43,9 +43,7 @@ mod fd_path_test;
 pub use app::{Application, ClientCtx, ClientDriver, NodeCtx};
 pub use chain::{ChainId, ChainTable};
 pub use config::SimConfig;
-pub use hooks::{
-    HookEffects, HookEnv, KernelHook, NetCmd, ProcEvent, SignalKind, SignalReq, SignalTarget,
-};
+pub use hooks::{HookEffects, HookEnv, KernelHook, NetCmd, ProcEvent, SignalKind, SignalReq};
 pub use kernel::{AppPanic, CrashPayload, Endpoint, SimCore};
 pub use net::{ConnEntry, ConnTable, DropRule, NetState};
 pub use process::{ProcTable, ProcessEntry, RunState};

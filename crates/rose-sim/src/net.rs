@@ -10,11 +10,10 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use rose_events::{IpAddr, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A TC drop filter: packets from `src` to `dst` are dropped while the rule
 /// is installed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DropRule {
     /// Source address to match.
     pub src: IpAddr,

@@ -4,10 +4,9 @@
 use std::collections::BTreeMap;
 
 use rose_events::{NodeId, SimTime, SyscallId};
-use serde::{Deserialize, Serialize};
 
 /// One application log line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogLine {
     /// When it was written.
     pub ts: SimTime,
@@ -18,7 +17,7 @@ pub struct LogLine {
 }
 
 /// The cluster-wide application log, the input of log-grep bug oracles.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Logs {
     lines: Vec<LogLine>,
 }
@@ -51,10 +50,7 @@ impl Logs {
 }
 
 /// A client identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub u32);
 
 impl std::fmt::Display for ClientId {
@@ -64,7 +60,7 @@ impl std::fmt::Display for ClientId {
 }
 
 /// Outcome of a client operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpOutcome {
     /// Acknowledged with an optional value (reads carry the value read).
     Ok(Option<String>),
@@ -77,7 +73,7 @@ pub enum OpOutcome {
 
 /// One operation in the Jepsen-style history consumed by the Elle-like
 /// checker.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistoryOp {
     /// Issuing client.
     pub client: ClientId,
@@ -92,7 +88,7 @@ pub struct HistoryOp {
 }
 
 /// The run history: invoked and completed client operations.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct History {
     ops: Vec<HistoryOp>,
 }

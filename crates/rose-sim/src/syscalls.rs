@@ -6,10 +6,9 @@
 //! against the per-node VFS and network state.
 
 use rose_events::{Errno, Fd, IpAddr, SyscallId};
-use serde::{Deserialize, Serialize};
 
 /// Flags for `open`/`openat`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpenFlags {
     /// Open an existing file for reading.
     Read,
@@ -20,7 +19,7 @@ pub enum OpenFlags {
 }
 
 /// File metadata returned by `stat`/`fstat`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileMeta {
     /// File size in bytes.
     pub size: u64,
@@ -123,7 +122,7 @@ impl<'a> SyscallArgs<'a> {
 }
 
 /// Successful return values of system calls.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SysRet {
     /// A new descriptor (`open`, `dup`, `accept`).
     Fd(Fd),
@@ -133,8 +132,6 @@ pub enum SysRet {
     Len(usize),
     /// File metadata (`stat`, `fstat`).
     Meta(FileMeta),
-    /// Path read back (`readlink`).
-    Path(String),
     /// Nothing (`close`, `fsync`, `rename`, `unlink`, `connect`, `send`).
     Unit,
 }

@@ -5,8 +5,8 @@
 
 use rose_events::{NodeId, Pid, SimDuration, SyscallId};
 use rose_sim::{
-    Application, HookEffects, HookEnv, KernelHook, NodeCtx, SignalKind, SignalReq, SignalTarget,
-    Sim, SimConfig, SyscallArgs,
+    Application, HookEffects, HookEnv, KernelHook, NodeCtx, SignalKind, SignalReq, Sim, SimConfig,
+    SyscallArgs,
 };
 
 /// Records the calling context of every `sys_enter`, and optionally crashes
@@ -36,7 +36,7 @@ impl KernelHook for ChainSpy {
         {
             self.crashes_fired += 1;
             fx.set_signal(SignalReq {
-                target: SignalTarget::Current,
+                node: env.node,
                 kind: SignalKind::Crash,
             });
         }

@@ -6,7 +6,7 @@ use rose_events::{
 };
 use rose_sim::{
     Application, ClientCtx, ClientDriver, HookEffects, HookEnv, KernelHook, NodeCtx, OpenFlags,
-    ProcEvent, SignalKind, SignalReq, SignalTarget, Sim, SimConfig, SysResult, SyscallArgs,
+    ProcEvent, SignalKind, SignalReq, Sim, SimConfig, SysResult, SyscallArgs,
 };
 
 /// A toy app: periodically pings peers, persists a counter, and panics on
@@ -112,7 +112,7 @@ impl KernelHook for SpyHook {
         {
             let (_, d) = self.pause_at_next_recv.take().unwrap();
             fx.set_signal(SignalReq {
-                target: SignalTarget::Current,
+                node: env.node,
                 kind: SignalKind::Pause(d),
             });
         }
@@ -138,17 +138,11 @@ impl KernelHook for SpyHook {
         }
     }
 
-    fn uprobe(
-        &mut self,
-        _env: &HookEnv,
-        function: &str,
-        offset: Option<u32>,
-        fx: &mut HookEffects,
-    ) {
+    fn uprobe(&mut self, env: &HookEnv, function: &str, offset: Option<u32>, fx: &mut HookEffects) {
         self.uprobes.push((function.to_string(), offset));
         if offset.is_none() && self.crash_in.as_deref() == Some(function) {
             fx.set_signal(SignalReq {
-                target: SignalTarget::Current,
+                node: env.node,
                 kind: SignalKind::Crash,
             });
         }
