@@ -7,14 +7,17 @@
 //! single slice of a short run's profile. The text is byte for byte what
 //! `format!` wrote; the tests below hold each builder to its `format!`
 //! original.
+//!
+//! [`ClosedLoop`] is the workload client of every model but HBase: the
+//! retry, timeout and leader policy every history oracle depends on, once.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use rand::Rng;
-use rose_events::SimDuration;
-use rose_sim::NodeCtx;
+use rose_events::{NodeId, SimDuration};
+use rose_sim::{ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome};
 
 /// The digits of one `u64`, right-aligned in a stack buffer (20 decimal
 /// digits is `u64::MAX`'s length).
@@ -199,6 +202,243 @@ pub mod tags {
     pub const CLIENT_OP: u64 = 20;
     /// Client final read.
     pub const CLIENT_READ: u64 = 22;
+}
+
+/// Where a [`Workload`]'s client sends its writes and reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// Always this node.
+    Fixed(NodeId),
+    /// Write `id` to node `id % n`.
+    Spread(u32),
+    /// The leader, starting at node 0: learned from each ack and redirect,
+    /// and the next node once the client gives up on a write.
+    LeaderNextOnGiveUp,
+    /// The same, except that the client moves to the next node on each
+    /// retry instead.
+    LeaderNextOnRetry,
+}
+
+/// What a reply means to the [`ClosedLoop`].
+#[derive(Debug)]
+pub enum Reply {
+    /// The write with this op id was applied.
+    Ack(u64),
+    /// A read was answered: the history op it records and the value read.
+    Read(String, Option<String>),
+    /// Not the leader; the leader, if the node knows it.
+    Redirect(Option<NodeId>),
+    /// Nothing the loop acts on.
+    Other,
+}
+
+/// One system's side of the closed-loop workload: what its client writes
+/// and reads, and what it makes of a reply. [`ClosedLoop`] runs it.
+pub trait Workload: 'static {
+    /// The system's message type.
+    type Msg: Clone + fmt::Debug + 'static;
+    /// How often the client expires, retries or issues a write.
+    const WRITE_PERIOD: SimDuration;
+    /// How often the client reads, if it reads.
+    const READ_PERIOD: Option<SimDuration>;
+    /// How long one send of a write waits for its ack, in µs.
+    const TIMEOUT_US: u64;
+    /// Each send also waits a uniform draw below this many µs (0: no draw).
+    const JITTER_US: u64 = 0;
+    /// Sends of one write before the client records a `Timeout`.
+    const SENDS: u32;
+    /// Where writes and reads go.
+    const ROUTE: Route;
+    /// Whether a redirect that names the leader resends the write in flight.
+    const RESEND_ON_REDIRECT: bool = false;
+
+    /// `client`'s `n`-th write: its history op, its op id and its message.
+    fn write(&mut self, client: ClientId, n: u64) -> (String, u64, Self::Msg);
+
+    /// The message that sends write `n` again: by default the write's own.
+    fn resend(&mut self, client: ClientId, n: u64) -> Self::Msg {
+        self.write(client, n).2
+    }
+
+    /// The periodic read, sent to `node`.
+    fn read(&mut self, ctx: &mut ClientCtx<'_, Self::Msg>, node: NodeId) {
+        let _ = (ctx, node);
+    }
+
+    /// Classifies a reply. A read the workload tracks itself completes
+    /// here and is [`Reply::Other`] to the loop.
+    fn classify(&mut self, ctx: &mut ClientCtx<'_, Self::Msg>, msg: Self::Msg) -> Reply;
+}
+
+/// The op id of `client`'s `n`-th write where several clients write: the
+/// client in the high 32 bits.
+pub fn client_op_id(client: ClientId, n: u64) -> u64 {
+    (u64::from(client.0) << 32) | n
+}
+
+/// The key a periodic read asks for: `prefix` and a uniform draw of 0..3.
+pub fn read_key(
+    ctx: &mut ClientCtx<'_, impl Clone + fmt::Debug + 'static>,
+    prefix: &str,
+) -> String {
+    numbered(prefix, u64::from(ctx.rng().gen_range(0..3u32)))
+}
+
+/// The write in flight.
+struct InFlight {
+    hidx: usize,
+    id: u64,
+    deadline_us: u64,
+    sends: u32,
+}
+
+/// The Jepsen-style closed-loop client of every target model but HBase:
+/// one write in flight, retried with the same op id until the workload's
+/// send count runs out, and a periodic read.
+pub struct ClosedLoop<W> {
+    workload: W,
+    /// Writes issued; the one in flight is the latest.
+    issued: u64,
+    /// The node writes and reads go to.
+    node: NodeId,
+    outstanding: Option<InFlight>,
+    /// Writes acknowledged.
+    pub acked: u64,
+}
+
+impl<W: Workload + Default> ClosedLoop<W> {
+    /// A fresh client.
+    pub fn new() -> Self {
+        ClosedLoop {
+            workload: W::default(),
+            issued: 0,
+            node: match W::ROUTE {
+                Route::Fixed(node) => node,
+                _ => NodeId(0),
+            },
+            outstanding: None,
+            acked: 0,
+        }
+    }
+}
+
+impl<W: Workload + Default> Default for ClosedLoop<W> {
+    fn default() -> Self {
+        ClosedLoop::new()
+    }
+}
+
+impl<W: Workload> ClosedLoop<W> {
+    fn deadline(ctx: &mut ClientCtx<'_, W::Msg>, now: u64) -> u64 {
+        let jitter = match W::JITTER_US {
+            0 => 0,
+            bound => ctx.rng().gen_range(0..bound),
+        };
+        now + W::TIMEOUT_US + jitter
+    }
+
+    fn target(&self, id: u64) -> NodeId {
+        match W::ROUTE {
+            Route::Spread(n) => NodeId((id % u64::from(n)) as u32),
+            _ => self.node,
+        }
+    }
+
+    fn next_node(&mut self, ctx: &ClientCtx<'_, W::Msg>, after: NodeId) {
+        self.node = NodeId((after.0 + 1) % ctx.cluster_size());
+    }
+
+    /// Expires, retries or gives up on the write in flight, then issues the
+    /// next write if none is in flight.
+    fn write_tick(&mut self, ctx: &mut ClientCtx<'_, W::Msg>) {
+        let now = ctx.now().as_micros();
+        if let Some(mut op) = self.outstanding.take() {
+            if now <= op.deadline_us {
+                self.outstanding = Some(op);
+            } else if op.sends < W::SENDS {
+                op.sends += 1;
+                if W::ROUTE == Route::LeaderNextOnRetry {
+                    self.next_node(ctx, self.node);
+                }
+                let msg = self.workload.resend(ctx.id(), self.issued);
+                op.deadline_us = Self::deadline(ctx, now);
+                ctx.send(self.target(op.id), msg);
+                self.outstanding = Some(op);
+            } else {
+                ctx.complete(op.hidx, OpOutcome::Timeout);
+                if W::ROUTE == Route::LeaderNextOnGiveUp {
+                    self.next_node(ctx, self.node);
+                }
+            }
+        }
+        if self.outstanding.is_none() {
+            self.issued += 1;
+            let (op, id, msg) = self.workload.write(ctx.id(), self.issued);
+            let hidx = ctx.invoke(op);
+            let deadline_us = Self::deadline(ctx, now);
+            ctx.send(self.target(id), msg);
+            self.outstanding = Some(InFlight {
+                hidx,
+                id,
+                deadline_us,
+                sends: 1,
+            });
+        }
+    }
+}
+
+impl<W: Workload> ClientDriver<W::Msg> for ClosedLoop<W> {
+    fn on_start(&mut self, ctx: &mut ClientCtx<'_, W::Msg>) {
+        ctx.set_timer(W::WRITE_PERIOD, tags::CLIENT_OP);
+        if let Some(period) = W::READ_PERIOD {
+            ctx.set_timer(period, tags::CLIENT_READ);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut ClientCtx<'_, W::Msg>, tag: u64) {
+        match (tag, W::READ_PERIOD) {
+            (tags::CLIENT_OP, _) => {
+                self.write_tick(ctx);
+                ctx.set_timer(W::WRITE_PERIOD, tags::CLIENT_OP);
+            }
+            (tags::CLIENT_READ, Some(period)) => {
+                self.workload.read(ctx, self.node);
+                ctx.set_timer(period, tags::CLIENT_READ);
+            }
+            _ => {}
+        }
+    }
+
+    fn on_reply(&mut self, ctx: &mut ClientCtx<'_, W::Msg>, from: NodeId, msg: W::Msg) {
+        let follows_leader = matches!(
+            W::ROUTE,
+            Route::LeaderNextOnGiveUp | Route::LeaderNextOnRetry
+        );
+        match self.workload.classify(ctx, msg) {
+            Reply::Ack(id) => {
+                if let Some(op) = self.outstanding.take_if(|op| op.id == id) {
+                    ctx.complete(op.hidx, OpOutcome::Ok(None));
+                    self.acked += 1;
+                    if follows_leader {
+                        self.node = from;
+                    }
+                }
+            }
+            Reply::Read(op, value) => {
+                let hidx = ctx.invoke(op);
+                ctx.complete(hidx, OpOutcome::Ok(value));
+            }
+            Reply::Redirect(Some(leader)) => {
+                self.node = leader;
+                if W::RESEND_ON_REDIRECT && self.outstanding.is_some() {
+                    let msg = self.workload.resend(ctx.id(), self.issued);
+                    ctx.send(leader, msg);
+                }
+            }
+            Reply::Redirect(None) => self.next_node(ctx, from),
+            Reply::Other => {}
+        }
+    }
 }
 
 /// The one-copy rule, checked from outside a running store: shared by the

@@ -151,32 +151,6 @@ impl Application for HBase {
     }
 }
 
-/// The symbol table.
-pub fn hbase_symbols() -> SymbolTable {
-    SymbolTable::new()
-        .function(
-            "executeProcedure",
-            "master.java",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Write),
-            ],
-        )
-        .function(
-            "getProcedureResult",
-            "master.java",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Read),
-            ],
-        )
-}
-
-/// The developer-provided key files.
-pub fn hbase_key_files() -> Vec<String> {
-    vec!["master.java".into()]
-}
-
 /// The HBASE-19608 case.
 #[derive(Debug, Clone)]
 pub struct HbaseCase;
@@ -207,12 +181,30 @@ impl rose_core::TargetSystem for HbaseCase {
             && sim.core().logs.grep("FATAL client: null procedure result")
     }
 
+    /// The symbol table.
     fn symbols(&self) -> SymbolTable {
-        hbase_symbols()
+        SymbolTable::new()
+            .function(
+                "executeProcedure",
+                "master.java",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Write),
+                ],
+            )
+            .function(
+                "getProcedureResult",
+                "master.java",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Read),
+                ],
+            )
     }
 
+    /// The developer-provided key files.
     fn key_files(&self) -> Vec<String> {
-        hbase_key_files()
+        vec!["master.java".into()]
     }
 
     fn run_duration(&self) -> SimDuration {

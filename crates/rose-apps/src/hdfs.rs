@@ -15,12 +15,14 @@
 
 use std::collections::BTreeMap;
 
-use rand::Rng;
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
-use crate::common::{append_op, benign_probes, client_value, numbered, read_op, tags, ProbeStyle};
+use crate::common::{
+    append_op, benign_probes, client_op_id, client_value, numbered, read_key, read_op, tags,
+    ClosedLoop, ProbeStyle, Reply, Route, Workload,
+};
 use crate::driver::{CaptureMethod, CaptureSpec};
 
 /// The four seeded HDFS defects.
@@ -523,57 +525,6 @@ impl Application for Hdfs {
     }
 }
 
-/// The HDFS symbol table.
-pub fn hdfs_symbols() -> SymbolTable {
-    SymbolTable::new()
-        .function(
-            "rollEditLog",
-            "editlog.java",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Write),
-                site::sys(2, SyscallId::Rename),
-            ],
-        )
-        .function(
-            "appendEdit",
-            "editlog.java",
-            vec![site::sys(0, SyscallId::Write)],
-        )
-        .function(
-            "blockReport",
-            "datanode.java",
-            vec![site::sys(0, SyscallId::Fstat)],
-        )
-        .function(
-            "recoverBlock",
-            "datanode.java",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Fstat),
-            ],
-        )
-        .function(
-            "serveRead",
-            "datanode.java",
-            vec![site::sys(0, SyscallId::Read)],
-        )
-        .function(
-            "balancerRound",
-            "balancer.java",
-            vec![site::sys(0, SyscallId::Connect)],
-        )
-}
-
-/// The developer-provided key files.
-pub fn hdfs_key_files() -> Vec<String> {
-    vec![
-        "editlog.java".into(),
-        "datanode.java".into(),
-        "balancer.java".into(),
-    ]
-}
-
 /// One HDFS bug case.
 #[derive(Debug, Clone)]
 pub struct HdfsCase {
@@ -617,12 +568,55 @@ impl rose_core::TargetSystem for HdfsCase {
         }
     }
 
+    /// The HDFS symbol table.
     fn symbols(&self) -> SymbolTable {
-        hdfs_symbols()
+        SymbolTable::new()
+            .function(
+                "rollEditLog",
+                "editlog.java",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Write),
+                    site::sys(2, SyscallId::Rename),
+                ],
+            )
+            .function(
+                "appendEdit",
+                "editlog.java",
+                vec![site::sys(0, SyscallId::Write)],
+            )
+            .function(
+                "blockReport",
+                "datanode.java",
+                vec![site::sys(0, SyscallId::Fstat)],
+            )
+            .function(
+                "recoverBlock",
+                "datanode.java",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Fstat),
+                ],
+            )
+            .function(
+                "serveRead",
+                "datanode.java",
+                vec![site::sys(0, SyscallId::Read)],
+            )
+            .function(
+                "balancerRound",
+                "balancer.java",
+                vec![site::sys(0, SyscallId::Connect)],
+            )
     }
 
+    /// The developer-provided key files.
     fn key_files(&self) -> Vec<String> {
-        hdfs_key_files()
+        vec![
+            "editlog.java".into(),
+            "datanode.java".into(),
+            "balancer.java".into(),
+        ]
     }
 
     fn run_duration(&self) -> SimDuration {
@@ -697,113 +691,66 @@ pub fn hdfs_capture(bug: HdfsBug) -> CaptureSpec {
 
 // --- Workload ---------------------------------------------------------------
 
-/// An append/read client against the NameNode.
-pub struct HdfsClient {
-    counter: u64,
-    outstanding: Option<(usize, u64, u64)>,
-    /// An in-flight read: (history idx, file, started µs, retries).
+/// An append/read workload against the NameNode. Its read is tracked: a
+/// read that keeps getting bounced is retried every read period, and one
+/// still unfinished 10 s after it began is the HDFS-16332 manifestation.
+#[derive(Default)]
+pub struct HdfsWorkload {
+    /// The read in flight: (history idx, file, started µs, retries).
     read_pending: Option<(usize, String, u64, u32)>,
-    /// Acked writes.
-    pub acked: u64,
 }
 
-impl HdfsClient {
-    /// A fresh client.
-    pub fn new() -> Self {
-        HdfsClient {
-            counter: 0,
-            outstanding: None,
-            read_pending: None,
-            acked: 0,
-        }
-    }
-}
+/// The HDFS client.
+pub type HdfsClient = ClosedLoop<HdfsWorkload>;
 
-impl Default for HdfsClient {
-    fn default() -> Self {
-        HdfsClient::new()
-    }
-}
+impl Workload for HdfsWorkload {
+    type Msg = Hmsg;
+    const WRITE_PERIOD: SimDuration = SimDuration::from_millis(80);
+    const READ_PERIOD: Option<SimDuration> = Some(SimDuration::from_millis(900));
+    const TIMEOUT_US: u64 = 1_500_000;
+    const SENDS: u32 = 1;
+    const ROUTE: Route = Route::Fixed(NN);
 
-impl ClientDriver<Hmsg> for HdfsClient {
-    fn on_start(&mut self, ctx: &mut ClientCtx<'_, Hmsg>) {
-        ctx.set_timer(SimDuration::from_millis(80), tags::CLIENT_OP);
-        ctx.set_timer(SimDuration::from_millis(900), tags::CLIENT_READ);
+    fn write(&mut self, client: ClientId, n: u64) -> (String, u64, Hmsg) {
+        let file = numbered("f", n % 3);
+        let val = client_value("c", client.0, "n", n);
+        let (op, id) = (append_op(&file, &val), client_op_id(client, n));
+        (op, id, Hmsg::Write { file, val, id })
     }
 
-    fn on_timer(&mut self, ctx: &mut ClientCtx<'_, Hmsg>, tag: u64) {
-        match tag {
-            tags::CLIENT_OP => {
-                let now = ctx.now().as_micros();
-                if let Some((hidx, _, deadline)) = self.outstanding {
-                    if now > deadline {
-                        ctx.complete(hidx, OpOutcome::Timeout);
-                        self.outstanding = None;
-                    }
-                }
-                if self.outstanding.is_none() {
-                    self.counter += 1;
-                    let file = numbered("f", self.counter % 3);
-                    let val = client_value("c", ctx.id().0, "n", self.counter);
-                    let id = (u64::from(ctx.id().0) << 32) | self.counter;
-                    let hidx = ctx.invoke(append_op(&file, &val));
-                    ctx.send(NN, Hmsg::Write { file, val, id });
-                    self.outstanding = Some((hidx, id, now + 1_500_000));
-                }
-                ctx.set_timer(SimDuration::from_millis(80), tags::CLIENT_OP);
+    fn read(&mut self, ctx: &mut ClientCtx<'_, Hmsg>, node: NodeId) {
+        let now = ctx.now().as_micros();
+        if let Some((hidx, file, started, retries)) = self.read_pending.take() {
+            if now.saturating_sub(started) > 10_000_000 {
+                ctx.log(format!(
+                    "ERROR slow read detected: {file} unfinished after {}s ({retries} retries)",
+                    (now - started) / 1_000_000
+                ));
+                ctx.complete(hidx, OpOutcome::Fail("slow read".into()));
+            } else {
+                ctx.send(node, Hmsg::Read { file: file.clone() });
+                self.read_pending = Some((hidx, file, started, retries + 1));
             }
-            tags::CLIENT_READ => {
-                let now = ctx.now().as_micros();
-                // A read that keeps getting bounced is the HDFS-16332
-                // manifestation.
-                if let Some((hidx, file, started, retries)) = self.read_pending.take() {
-                    if now.saturating_sub(started) > 10_000_000 {
-                        ctx.log(format!(
-                            "ERROR slow read detected: {file} unfinished after {}s ({retries} retries)",
-                            (now - started) / 1_000_000
-                        ));
-                        ctx.complete(hidx, OpOutcome::Fail("slow read".into()));
-                    } else {
-                        // Retry the same read.
-                        ctx.send(NN, Hmsg::Read { file: file.clone() });
-                        self.read_pending = Some((hidx, file, started, retries + 1));
-                    }
-                } else {
-                    let file = numbered("f", u64::from(ctx.rng().gen_range(0..3u32)));
-                    let hidx = ctx.invoke(read_op(&file));
-                    ctx.send(NN, Hmsg::Read { file: file.clone() });
-                    self.read_pending = Some((hidx, file, now, 0));
-                }
-                ctx.set_timer(SimDuration::from_millis(900), tags::CLIENT_READ);
-            }
-            _ => {}
+        } else {
+            let file = read_key(ctx, "f");
+            let hidx = ctx.invoke(read_op(&file));
+            ctx.send(node, Hmsg::Read { file: file.clone() });
+            self.read_pending = Some((hidx, file, now, 0));
         }
     }
 
-    fn on_reply(&mut self, ctx: &mut ClientCtx<'_, Hmsg>, _from: NodeId, msg: Hmsg) {
+    fn classify(&mut self, ctx: &mut ClientCtx<'_, Hmsg>, msg: Hmsg) -> Reply {
         match msg {
-            Hmsg::WriteOk { id } => {
-                if let Some((hidx, want, _)) = self.outstanding {
-                    if id == want {
-                        ctx.complete(hidx, OpOutcome::Ok(None));
-                        self.outstanding = None;
-                        self.acked += 1;
-                    }
-                }
-            }
+            Hmsg::WriteOk { id } => Reply::Ack(id),
+            // Another file's answer leaves the pending read as it is; a
+            // `ReadRetry` keeps it for the next read tick to retry.
             Hmsg::ReadOk { file, values } => {
-                if let Some((hidx, f, _, _)) = self.read_pending.take() {
-                    if f == file {
-                        ctx.complete(hidx, OpOutcome::Ok(Some(values)));
-                    } else {
-                        self.read_pending = Some((hidx, f, 0, 0));
-                    }
+                if let Some((hidx, ..)) = self.read_pending.take_if(|read| read.1 == file) {
+                    ctx.complete(hidx, OpOutcome::Ok(Some(values)));
                 }
+                Reply::Other
             }
-            Hmsg::ReadRetry { .. } => {
-                // Keep the pending read; the next CLIENT_READ tick retries.
-            }
-            _ => {}
+            _ => Reply::Other,
         }
     }
 }

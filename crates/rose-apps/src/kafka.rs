@@ -8,14 +8,14 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use rand::Rng;
 use rose_events::{Errno, FnvBuildHasher, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
-use rose_sim::{
-    Application, ClientCtx, ClientDriver, ClientId, History, NodeCtx, OpOutcome, OpenFlags,
-};
+use rose_sim::{Application, ClientCtx, ClientId, History, NodeCtx, OpOutcome, OpenFlags};
 
-use crate::common::{benign_probes, numbered, push_kv_record, tags, ProbeStyle};
+use crate::common::{
+    benign_probes, numbered, push_kv_record, read_key, tags, ClosedLoop, ProbeStyle, Reply, Route,
+    Workload,
+};
 use crate::driver::{CaptureMethod, CaptureSpec};
 
 const CHANGELOG: &str = "/kafka/changelog";
@@ -149,23 +149,6 @@ impl Application for Kafka {
     }
 }
 
-/// The broker symbol table.
-pub fn kafka_symbols() -> SymbolTable {
-    SymbolTable::new().function(
-        "flushChangelog",
-        "streams.java",
-        vec![
-            site::sys(0, SyscallId::Openat),
-            site::sys(1, SyscallId::Write),
-        ],
-    )
-}
-
-/// The developer-provided key files.
-pub fn kafka_key_files() -> Vec<String> {
-    vec!["streams.java".into()]
-}
-
 /// The KAFKA-12508 case.
 #[derive(Debug, Clone)]
 pub struct KafkaCase;
@@ -196,12 +179,21 @@ impl rose_core::TargetSystem for KafkaCase {
         lost_update_detected(sim)
     }
 
+    /// The broker symbol table.
     fn symbols(&self) -> SymbolTable {
-        kafka_symbols()
+        SymbolTable::new().function(
+            "flushChangelog",
+            "streams.java",
+            vec![
+                site::sys(0, SyscallId::Openat),
+                site::sys(1, SyscallId::Write),
+            ],
+        )
     }
 
+    /// The developer-provided key files.
     fn key_files(&self) -> Vec<String> {
-        kafka_key_files()
+        vec!["streams.java".into()]
     }
 
     fn run_duration(&self) -> SimDuration {
@@ -251,83 +243,38 @@ pub fn kafka_capture() -> CaptureSpec {
 
 // --- Workload ---------------------------------------------------------------
 
-/// An update/read client for the emit-on-change table.
-pub struct KafkaClient {
-    counter: u64,
-    outstanding: Option<(usize, u64, u64)>,
-    /// Acked updates.
-    pub acked: u64,
-}
+/// The update/read workload of the emit-on-change table. A read is a
+/// `view` op: it reads the downstream-visible value.
+#[derive(Default)]
+pub struct KafkaWorkload;
 
-impl KafkaClient {
-    /// A fresh client.
-    pub fn new() -> Self {
-        KafkaClient {
-            counter: 0,
-            outstanding: None,
-            acked: 0,
-        }
-    }
-}
+/// The Kafka client.
+pub type KafkaClient = ClosedLoop<KafkaWorkload>;
 
-impl Default for KafkaClient {
-    fn default() -> Self {
-        KafkaClient::new()
-    }
-}
+impl Workload for KafkaWorkload {
+    type Msg = Kmsg;
+    const WRITE_PERIOD: SimDuration = SimDuration::from_millis(120);
+    const READ_PERIOD: Option<SimDuration> = Some(SimDuration::from_millis(700));
+    const TIMEOUT_US: u64 = 1_500_000;
+    const SENDS: u32 = 1;
+    const ROUTE: Route = Route::Fixed(TABLE_BROKER);
 
-impl ClientDriver<Kmsg> for KafkaClient {
-    fn on_start(&mut self, ctx: &mut ClientCtx<'_, Kmsg>) {
-        ctx.set_timer(SimDuration::from_millis(120), tags::CLIENT_OP);
-        ctx.set_timer(SimDuration::from_millis(700), tags::CLIENT_READ);
+    fn write(&mut self, _client: ClientId, n: u64) -> (String, u64, Kmsg) {
+        let (key, val) = (numbered("k", n % 3), numbered("v", n));
+        let op = ["update ", &key, "=", &val].concat();
+        (op, n, Kmsg::Update { key, val, id: n })
     }
 
-    fn on_timer(&mut self, ctx: &mut ClientCtx<'_, Kmsg>, tag: u64) {
-        match tag {
-            tags::CLIENT_OP => {
-                let now = ctx.now().as_micros();
-                if let Some((hidx, _, deadline)) = self.outstanding {
-                    if now > deadline {
-                        ctx.complete(hidx, OpOutcome::Timeout);
-                        self.outstanding = None;
-                    }
-                }
-                if self.outstanding.is_none() {
-                    self.counter += 1;
-                    let key = numbered("k", self.counter % 3);
-                    let val = numbered("v", self.counter);
-                    let id = self.counter;
-                    let hidx = ctx.invoke(["update ", &key, "=", &val].concat());
-                    ctx.send(TABLE_BROKER, Kmsg::Update { key, val, id });
-                    self.outstanding = Some((hidx, id, now + 1_500_000));
-                }
-                ctx.set_timer(SimDuration::from_millis(120), tags::CLIENT_OP);
-            }
-            tags::CLIENT_READ => {
-                let key = numbered("k", u64::from(ctx.rng().gen_range(0..3u32)));
-                ctx.send(TABLE_BROKER, Kmsg::Read { key });
-                ctx.set_timer(SimDuration::from_millis(700), tags::CLIENT_READ);
-            }
-            _ => {}
-        }
+    fn read(&mut self, ctx: &mut ClientCtx<'_, Kmsg>, node: NodeId) {
+        let key = read_key(ctx, "k");
+        ctx.send(node, Kmsg::Read { key });
     }
 
-    fn on_reply(&mut self, ctx: &mut ClientCtx<'_, Kmsg>, _from: NodeId, msg: Kmsg) {
+    fn classify(&mut self, _ctx: &mut ClientCtx<'_, Kmsg>, msg: Kmsg) -> Reply {
         match msg {
-            Kmsg::UpdateOk { id } => {
-                if let Some((hidx, want, _)) = self.outstanding {
-                    if id == want {
-                        ctx.complete(hidx, OpOutcome::Ok(None));
-                        self.outstanding = None;
-                        self.acked += 1;
-                    }
-                }
-            }
-            Kmsg::ReadOk { key, val } => {
-                let hidx = ctx.invoke(["view ", &key].concat());
-                ctx.complete(hidx, OpOutcome::Ok(val));
-            }
-            _ => {}
+            Kmsg::UpdateOk { id } => Reply::Ack(id),
+            Kmsg::ReadOk { key, val } => Reply::Read(["view ", &key].concat(), val),
+            _ => Reply::Other,
         }
     }
 }

@@ -14,11 +14,12 @@ use std::sync::Arc;
 use rand::Rng;
 use rose_events::{NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
-use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
+use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
-    append_op, benign_probes, client_value, election_timeout, join_values, numbered, push_record,
-    push_value, read_op, read_values, tags, ProbeStyle, Values,
+    append_op, benign_probes, client_op_id, client_value, election_timeout, join_values, numbered,
+    push_record, push_value, read_key, read_op, read_values, tags, ClosedLoop, ProbeStyle, Reply,
+    Route, Values, Workload,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
@@ -464,24 +465,6 @@ impl Application for MongoDb {
     }
 }
 
-/// The symbol table.
-pub fn mongodb_symbols() -> SymbolTable {
-    SymbolTable::new()
-        .function(
-            "appendOplog",
-            "oplog.cpp",
-            vec![site::sys(0, SyscallId::Write)],
-        )
-        .function("stepDown", "repl.cpp", vec![site::other(0)])
-        .function("callElection", "repl.cpp", vec![site::other(0)])
-        .function("becomePrimary", "repl.cpp", vec![site::other(0)])
-}
-
-/// The developer-provided key files.
-pub fn mongodb_key_files() -> Vec<String> {
-    vec!["oplog.cpp".into(), "repl.cpp".into()]
-}
-
 /// One MongoDB case.
 #[derive(Debug, Clone)]
 pub struct MongoCase {
@@ -519,12 +502,22 @@ impl rose_core::TargetSystem for MongoCase {
         }
     }
 
+    /// The symbol table.
     fn symbols(&self) -> SymbolTable {
-        mongodb_symbols()
+        SymbolTable::new()
+            .function(
+                "appendOplog",
+                "oplog.cpp",
+                vec![site::sys(0, SyscallId::Write)],
+            )
+            .function("stepDown", "repl.cpp", vec![site::other(0)])
+            .function("callElection", "repl.cpp", vec![site::other(0)])
+            .function("becomePrimary", "repl.cpp", vec![site::other(0)])
     }
 
+    /// The developer-provided key files.
     fn key_files(&self) -> Vec<String> {
-        mongodb_key_files()
+        vec!["oplog.cpp".into(), "repl.cpp".into()]
     }
 
     fn run_duration(&self) -> SimDuration {
@@ -560,101 +553,40 @@ pub fn mongodb_bug_of(id: BugId) -> Option<MongoBug> {
 
 // --- Workload ---------------------------------------------------------------
 
-/// An insert/read client with primary discovery.
-pub struct MongoClient {
-    counter: u64,
-    primary: NodeId,
-    outstanding: Option<(usize, u64, u64)>,
-    /// Acked inserts.
-    pub acked: u64,
-}
+/// An insert/read workload with primary discovery.
+#[derive(Default)]
+pub struct MongoWorkload;
 
-impl MongoClient {
-    /// A fresh client.
-    pub fn new() -> Self {
-        MongoClient {
-            counter: 0,
-            primary: NodeId(0),
-            outstanding: None,
-            acked: 0,
-        }
-    }
-}
+/// The MongoDB client.
+pub type MongoClient = ClosedLoop<MongoWorkload>;
 
-impl Default for MongoClient {
-    fn default() -> Self {
-        MongoClient::new()
-    }
-}
+impl Workload for MongoWorkload {
+    type Msg = Mmsg;
+    const WRITE_PERIOD: SimDuration = SimDuration::from_millis(70);
+    const READ_PERIOD: Option<SimDuration> = Some(SimDuration::from_millis(900));
+    const TIMEOUT_US: u64 = 1_200_000;
+    const SENDS: u32 = 1;
+    const ROUTE: Route = Route::LeaderNextOnGiveUp;
+    const RESEND_ON_REDIRECT: bool = true;
 
-impl ClientDriver<Mmsg> for MongoClient {
-    fn on_start(&mut self, ctx: &mut ClientCtx<'_, Mmsg>) {
-        ctx.set_timer(SimDuration::from_millis(70), tags::CLIENT_OP);
-        ctx.set_timer(SimDuration::from_millis(900), tags::CLIENT_READ);
+    fn write(&mut self, client: ClientId, n: u64) -> (String, u64, Mmsg) {
+        let key = numbered("d", n % 3);
+        let val = client_value("c", client.0, "n", n);
+        let (op, id) = (append_op(&key, &val), client_op_id(client, n));
+        (op, id, Mmsg::Insert { key, val, id })
     }
 
-    fn on_timer(&mut self, ctx: &mut ClientCtx<'_, Mmsg>, tag: u64) {
-        match tag {
-            tags::CLIENT_OP => {
-                let now = ctx.now().as_micros();
-                if let Some((hidx, _, deadline)) = self.outstanding {
-                    if now > deadline {
-                        ctx.complete(hidx, OpOutcome::Timeout);
-                        self.outstanding = None;
-                        let n = ctx.cluster_size();
-                        self.primary = NodeId((self.primary.0 + 1) % n);
-                    }
-                }
-                if self.outstanding.is_none() {
-                    self.counter += 1;
-                    let key = numbered("d", self.counter % 3);
-                    let val = client_value("c", ctx.id().0, "n", self.counter);
-                    let id = (u64::from(ctx.id().0) << 32) | self.counter;
-                    let hidx = ctx.invoke(append_op(&key, &val));
-                    ctx.send(self.primary, Mmsg::Insert { key, val, id });
-                    self.outstanding = Some((hidx, id, now + 1_200_000));
-                }
-                ctx.set_timer(SimDuration::from_millis(70), tags::CLIENT_OP);
-            }
-            tags::CLIENT_READ => {
-                let key = numbered("d", u64::from(ctx.rng().gen_range(0..3u32)));
-                ctx.send(self.primary, Mmsg::Find { key });
-                ctx.set_timer(SimDuration::from_millis(900), tags::CLIENT_READ);
-            }
-            _ => {}
-        }
+    fn read(&mut self, ctx: &mut ClientCtx<'_, Mmsg>, node: NodeId) {
+        let key = read_key(ctx, "d");
+        ctx.send(node, Mmsg::Find { key });
     }
 
-    fn on_reply(&mut self, ctx: &mut ClientCtx<'_, Mmsg>, from: NodeId, msg: Mmsg) {
+    fn classify(&mut self, _ctx: &mut ClientCtx<'_, Mmsg>, msg: Mmsg) -> Reply {
         match msg {
-            Mmsg::InsertOk { id } => {
-                if let Some((hidx, want, _)) = self.outstanding {
-                    if id == want {
-                        ctx.complete(hidx, OpOutcome::Ok(None));
-                        self.outstanding = None;
-                        self.acked += 1;
-                        self.primary = from;
-                    }
-                }
-            }
-            Mmsg::FindOk { key, values } => {
-                let hidx = ctx.invoke(read_op(&key));
-                ctx.complete(hidx, OpOutcome::Ok(Some(join_values(&values))));
-            }
-            Mmsg::NotPrimary { primary } => {
-                if let Some(p) = primary {
-                    self.primary = p;
-                    if let Some((_, id, _)) = self.outstanding {
-                        let key = numbered("d", (id & 0xffff_ffff) % 3);
-                        let val = client_value("c", ctx.id().0, "n", id & 0xffff_ffff);
-                        ctx.send(p, Mmsg::Insert { key, val, id });
-                    }
-                } else {
-                    let n = ctx.cluster_size();
-                    self.primary = NodeId((from.0 + 1) % n);
-                }
-            }
-            _ => {}
+            Mmsg::InsertOk { id } => Reply::Ack(id),
+            Mmsg::FindOk { key, values } => Reply::Read(read_op(&key), Some(join_values(&values))),
+            Mmsg::NotPrimary { primary } => Reply::Redirect(primary),
+            _ => Reply::Other,
         }
     }
 }

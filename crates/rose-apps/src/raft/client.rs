@@ -1,77 +1,26 @@
 //! Workload drivers: closed-loop KV clients and a membership admin.
 
-use rand::Rng;
 use rose_events::{NodeId, SimDuration};
-use rose_sim::{ClientCtx, ClientDriver, OpOutcome};
+use rose_sim::{ClientCtx, ClientDriver, ClientId};
 
 use super::node::RaftMsg;
-use crate::common::{numbered, read_op, tags, write_u64};
+use crate::common::{
+    client_op_id, numbered, read_key, read_op, write_u64, ClosedLoop, Reply, Route, Workload,
+};
 
 /// Timer tag: the admin issues the next membership target.
 const ADMIN_ISSUE: u64 = 40;
 /// Timer tag: the admin retries an unacknowledged request.
 const ADMIN_RETRY: u64 = 41;
 
-/// A pending client write.
-struct OutOp {
-    hidx: usize,
-    id: u64,
-    key: String,
-    val: u64,
-    deadline_us: u64,
-    attempts: u32,
-}
-
-/// A closed-loop put/read client. Retries a timed-out write **with the
-/// same operation id** against the next node (idempotent retry), so
+/// A closed-loop put/read workload. A timed-out write is retried **with
+/// the same operation id** against the next node (idempotent retry), so
 /// duplicate delivery never double-applies.
-pub struct KvClient {
-    counter: u64,
-    leader: NodeId,
-    outstanding: Option<OutOp>,
-    /// Writes acknowledged.
-    pub acked: u64,
-}
+#[derive(Default)]
+pub struct KvWorkload;
 
-impl KvClient {
-    /// A fresh client.
-    pub fn new() -> Self {
-        KvClient {
-            counter: 0,
-            leader: NodeId(0),
-            outstanding: None,
-            acked: 0,
-        }
-    }
-
-    fn next_op(&mut self, ctx: &mut ClientCtx<'_, RaftMsg>) {
-        if self.outstanding.is_some() {
-            return;
-        }
-        self.counter += 1;
-        let key = numbered("k", self.counter % 3);
-        let val = (u64::from(ctx.id().0) << 32) | self.counter;
-        let id = val;
-        let hidx = ctx.invoke(put_op(&key, val));
-        let deadline_us = ctx.now().as_micros() + 1_200_000;
-        ctx.send(
-            self.leader,
-            RaftMsg::Put {
-                key: key.clone(),
-                val,
-                id,
-            },
-        );
-        self.outstanding = Some(OutOp {
-            hidx,
-            id,
-            key,
-            val,
-            deadline_us,
-            attempts: 1,
-        });
-    }
-}
+/// The RoseRaft client.
+pub type KvClient = ClosedLoop<KvWorkload>;
 
 /// The history op of a write, `put k={key} v={val}`.
 fn put_op(key: &str, val: u64) -> String {
@@ -84,83 +33,33 @@ fn put_op(key: &str, val: u64) -> String {
     op
 }
 
-impl Default for KvClient {
-    fn default() -> Self {
-        KvClient::new()
-    }
-}
+impl Workload for KvWorkload {
+    type Msg = RaftMsg;
+    const WRITE_PERIOD: SimDuration = SimDuration::from_millis(40);
+    const READ_PERIOD: Option<SimDuration> = Some(SimDuration::from_millis(700));
+    const TIMEOUT_US: u64 = 1_200_000;
+    const SENDS: u32 = 4;
+    const ROUTE: Route = Route::LeaderNextOnRetry;
+    const RESEND_ON_REDIRECT: bool = true;
 
-impl ClientDriver<RaftMsg> for KvClient {
-    fn on_start(&mut self, ctx: &mut ClientCtx<'_, RaftMsg>) {
-        ctx.set_timer(SimDuration::from_millis(40), tags::CLIENT_OP);
-        ctx.set_timer(SimDuration::from_millis(700), tags::CLIENT_READ);
-    }
-
-    fn on_timer(&mut self, ctx: &mut ClientCtx<'_, RaftMsg>, tag: u64) {
-        match tag {
-            tags::CLIENT_OP => {
-                let now = ctx.now().as_micros();
-                let n = ctx.cluster_size();
-                let mut finished = false;
-                if let Some(op) = &mut self.outstanding {
-                    if now > op.deadline_us {
-                        if op.attempts < 4 {
-                            op.attempts += 1;
-                            op.deadline_us = now + 1_200_000;
-                            self.leader = NodeId((self.leader.0 + 1) % n);
-                            let (key, val, id) = (op.key.clone(), op.val, op.id);
-                            ctx.send(self.leader, RaftMsg::Put { key, val, id });
-                        } else {
-                            ctx.complete(op.hidx, OpOutcome::Timeout);
-                            finished = true;
-                        }
-                    }
-                }
-                if finished {
-                    self.outstanding = None;
-                }
-                self.next_op(ctx);
-                ctx.set_timer(SimDuration::from_millis(40), tags::CLIENT_OP);
-            }
-            tags::CLIENT_READ => {
-                let key = numbered("k", u64::from(ctx.rng().gen_range(0..3u32)));
-                ctx.send(self.leader, RaftMsg::Get { key });
-                ctx.set_timer(SimDuration::from_millis(700), tags::CLIENT_READ);
-            }
-            _ => {}
-        }
+    /// The value written is the op id itself.
+    fn write(&mut self, client: ClientId, n: u64) -> (String, u64, RaftMsg) {
+        let key = numbered("k", n % 3);
+        let val = client_op_id(client, n);
+        (put_op(&key, val), val, RaftMsg::Put { key, val, id: val })
     }
 
-    fn on_reply(&mut self, ctx: &mut ClientCtx<'_, RaftMsg>, from: NodeId, msg: RaftMsg) {
+    fn read(&mut self, ctx: &mut ClientCtx<'_, RaftMsg>, node: NodeId) {
+        let key = read_key(ctx, "k");
+        ctx.send(node, RaftMsg::Get { key });
+    }
+
+    fn classify(&mut self, _ctx: &mut ClientCtx<'_, RaftMsg>, msg: RaftMsg) -> Reply {
         match msg {
-            RaftMsg::PutOk { id } => {
-                if let Some(op) = &self.outstanding {
-                    if id == op.id {
-                        ctx.complete(op.hidx, OpOutcome::Ok(None));
-                        self.outstanding = None;
-                        self.acked += 1;
-                        self.leader = from;
-                    }
-                }
-            }
-            RaftMsg::GetOk { key, val } => {
-                let hidx = ctx.invoke(read_op(&key));
-                let shown = val.map(|v| numbered("", v));
-                ctx.complete(hidx, OpOutcome::Ok(shown));
-            }
-            RaftMsg::Redirect { leader } => {
-                if let Some(l) = leader {
-                    self.leader = l;
-                    if let Some(op) = &self.outstanding {
-                        let (key, val, id) = (op.key.clone(), op.val, op.id);
-                        ctx.send(l, RaftMsg::Put { key, val, id });
-                    }
-                } else {
-                    let n = ctx.cluster_size();
-                    self.leader = NodeId((from.0 + 1) % n);
-                }
-            }
-            _ => {}
+            RaftMsg::PutOk { id } => Reply::Ack(id),
+            RaftMsg::GetOk { key, val } => Reply::Read(read_op(&key), val.map(|v| numbered("", v))),
+            RaftMsg::Redirect { leader } => Reply::Redirect(leader),
+            _ => Reply::Other,
         }
     }
 }

@@ -112,12 +112,89 @@ impl rose_core::TargetSystem for RoseRaftCase {
             .any(|tag| report.has(tag))
     }
 
+    /// The binary's symbol table: the recovery/compaction/snapshot/membership
+    /// functions a developer would list, plus the hot replication tick that
+    /// profiling filters out by call frequency.
     fn symbols(&self) -> SymbolTable {
-        roseraft_symbols()
+        use rose_events::SyscallId;
+        SymbolTable::new()
+            .function(
+                "recoverState",
+                "raft/consensus.rs",
+                vec![site::call(0, "loadSnapshotFile")],
+            )
+            .function(
+                "loadSnapshotFile",
+                "raft/snapshot.rs",
+                vec![site::sys(0, SyscallId::Openat)],
+            )
+            .function(
+                "compactLog",
+                "raft/storage.rs",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Write),
+                    site::sys(2, SyscallId::Fsync),
+                    site::sys(3, SyscallId::Rename),
+                    site::other(4),
+                ],
+            )
+            .function(
+                "writeSnapshotFile",
+                "raft/snapshot.rs",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Write),
+                    site::sys(2, SyscallId::Fsync),
+                    site::sys(3, SyscallId::Rename),
+                    site::other(4),
+                ],
+            )
+            .function(
+                "beginSnapshotTransfer",
+                "raft/snapshot.rs",
+                vec![site::other(0)],
+            )
+            .function(
+                "installSnapshotBegin",
+                "raft/snapshot.rs",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Write),
+                    site::sys(2, SyscallId::Rename),
+                ],
+            )
+            .function(
+                "installSnapshotChunk",
+                "raft/snapshot.rs",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Write),
+                    site::sys(2, SyscallId::Close),
+                    site::other(3),
+                ],
+            )
+            .function(
+                "applyConfigChange",
+                "raft/consensus.rs",
+                vec![site::other(0)],
+            )
+            .function("startElection", "raft/consensus.rs", vec![site::other(0)])
+            .function("becomeLeader", "raft/consensus.rs", vec![site::other(0)])
+            .function(
+                "raftTickReplicate",
+                "raft/consensus.rs",
+                vec![site::other(0)],
+            )
     }
 
+    /// Developer-provided key source files (consensus, storage, snapshots).
     fn key_files(&self) -> Vec<String> {
-        roseraft_key_files()
+        vec![
+            "raft/consensus.rs".into(),
+            "raft/storage.rs".into(),
+            "raft/snapshot.rs".into(),
+        ]
     }
 
     fn run_duration(&self) -> SimDuration {
@@ -130,91 +207,6 @@ impl rose_core::TargetSystem for RoseRaftCase {
             self.scenario.violation_tags().join(", ")
         )
     }
-}
-
-/// The binary's symbol table: the recovery/compaction/snapshot/membership
-/// functions a developer would list, plus the hot replication tick that
-/// profiling filters out by call frequency.
-pub fn roseraft_symbols() -> SymbolTable {
-    use rose_events::SyscallId;
-    SymbolTable::new()
-        .function(
-            "recoverState",
-            "raft/consensus.rs",
-            vec![site::call(0, "loadSnapshotFile")],
-        )
-        .function(
-            "loadSnapshotFile",
-            "raft/snapshot.rs",
-            vec![site::sys(0, SyscallId::Openat)],
-        )
-        .function(
-            "compactLog",
-            "raft/storage.rs",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Write),
-                site::sys(2, SyscallId::Fsync),
-                site::sys(3, SyscallId::Rename),
-                site::other(4),
-            ],
-        )
-        .function(
-            "writeSnapshotFile",
-            "raft/snapshot.rs",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Write),
-                site::sys(2, SyscallId::Fsync),
-                site::sys(3, SyscallId::Rename),
-                site::other(4),
-            ],
-        )
-        .function(
-            "beginSnapshotTransfer",
-            "raft/snapshot.rs",
-            vec![site::other(0)],
-        )
-        .function(
-            "installSnapshotBegin",
-            "raft/snapshot.rs",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Write),
-                site::sys(2, SyscallId::Rename),
-            ],
-        )
-        .function(
-            "installSnapshotChunk",
-            "raft/snapshot.rs",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Write),
-                site::sys(2, SyscallId::Close),
-                site::other(3),
-            ],
-        )
-        .function(
-            "applyConfigChange",
-            "raft/consensus.rs",
-            vec![site::other(0)],
-        )
-        .function("startElection", "raft/consensus.rs", vec![site::other(0)])
-        .function("becomeLeader", "raft/consensus.rs", vec![site::other(0)])
-        .function(
-            "raftTickReplicate",
-            "raft/consensus.rs",
-            vec![site::other(0)],
-        )
-}
-
-/// Developer-provided key source files (consensus, storage, snapshots).
-pub fn roseraft_key_files() -> Vec<String> {
-    vec![
-        "raft/consensus.rs".into(),
-        "raft/storage.rs".into(),
-        "raft/snapshot.rs".into(),
-    ]
 }
 
 /// How each hunted scenario's "production" trace is obtained: randomized

@@ -15,14 +15,14 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
-use rand::Rng;
 use rose_events::{Errno, FnvBuildHasher, NodeId, SimDuration};
 use rose_profile::{site, SymbolTable};
-use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
+use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
-    append_op, benign_probes, client_value, election_timeout, join_values, numbered, push_value,
-    read_op, read_values, tags, write_u64, ProbeStyle, Values,
+    append_op, benign_probes, client_op_id, client_value, election_timeout, join_values, numbered,
+    push_value, read_key, read_op, read_values, tags, write_u64, ClosedLoop, ProbeStyle, Reply,
+    Route, Values, Workload,
 };
 
 /// The five seeded RedisRaft defects.
@@ -1054,12 +1054,37 @@ impl rose_core::TargetSystem for RedisRaftCase {
         sim.core().logs.grep(self.bug.oracle_needle())
     }
 
+    /// The binary's symbol table (the `readelf`/`objdump` analogue).
     fn symbols(&self) -> SymbolTable {
-        redisraft_symbols()
+        use rose_events::SyscallId;
+        SymbolTable::new()
+            .function("recoverState", "raft.c", vec![site::call(0, "parseLog")])
+            .function("parseLog", "raft.c", vec![site::sys(0, SyscallId::Openat)])
+            .function("RaftLogCreate", "raft.c", vec![site::call(0, "parseLog")])
+            .function("RaftLogCurrentIdx", "raft.c", vec![site::other(0)])
+            .function("applyEntry", "raft.c", vec![site::other(0)])
+            .function(
+                "storeSnapshotData",
+                "snapshot.c",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Write),
+                    site::sys(2, SyscallId::Close),
+                ],
+            )
+            .function("sendSnapshot", "snapshot.c", vec![site::other(0)])
+            .function(
+                "installSnapshot",
+                "snapshot.c",
+                vec![site::sys(0, SyscallId::Unlink)],
+            )
+            .function("startElection", "election.c", vec![site::other(0)])
+            .function("becomeLeader", "election.c", vec![site::other(0)])
     }
 
+    /// The developer-provided key source files (snapshotting, raft, elections).
     fn key_files(&self) -> Vec<String> {
-        redisraft_key_files()
+        vec!["raft.c".into(), "snapshot.c".into(), "election.c".into()]
     }
 
     fn run_duration(&self) -> SimDuration {
@@ -1162,181 +1187,46 @@ pub fn redisraft_capture(bug: RedisRaftBug) -> crate::driver::CaptureSpec {
     }
 }
 
-/// The binary's symbol table (the `readelf`/`objdump` analogue).
-pub fn redisraft_symbols() -> SymbolTable {
-    use rose_events::SyscallId;
-    SymbolTable::new()
-        .function("recoverState", "raft.c", vec![site::call(0, "parseLog")])
-        .function("parseLog", "raft.c", vec![site::sys(0, SyscallId::Openat)])
-        .function("RaftLogCreate", "raft.c", vec![site::call(0, "parseLog")])
-        .function("RaftLogCurrentIdx", "raft.c", vec![site::other(0)])
-        .function("applyEntry", "raft.c", vec![site::other(0)])
-        .function(
-            "storeSnapshotData",
-            "snapshot.c",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Write),
-                site::sys(2, SyscallId::Close),
-            ],
-        )
-        .function("sendSnapshot", "snapshot.c", vec![site::other(0)])
-        .function(
-            "installSnapshot",
-            "snapshot.c",
-            vec![site::sys(0, SyscallId::Unlink)],
-        )
-        .function("startElection", "election.c", vec![site::other(0)])
-        .function("becomeLeader", "election.c", vec![site::other(0)])
-}
-
-/// The developer-provided key source files (snapshotting, raft, elections).
-pub fn redisraft_key_files() -> Vec<String> {
-    vec!["raft.c".into(), "snapshot.c".into(), "election.c".into()]
-}
-
 // --- Workload --------------------------------------------------------------
 
-/// A pending client operation.
-struct OutOp {
-    hidx: usize,
-    id: u64,
-    key: String,
-    val: String,
-    deadline_us: u64,
-    attempts: u32,
-}
-
-/// A closed-loop append/read client (Jepsen-style append workload).
+/// A closed-loop append/read workload (Jepsen-style append workload).
 ///
 /// Retries a timed-out operation **with the same operation id** against the
 /// next node — the idempotent-retry behaviour real Redis clients exhibit,
 /// and the reason duplicated commits exist at all (RedisRaft-NEW2).
-pub struct RaftClient {
-    counter: u64,
-    leader: NodeId,
-    outstanding: Option<OutOp>,
-    /// Completed appends acked.
-    pub acked: u64,
-}
+#[derive(Default)]
+pub struct AppendWorkload;
 
-impl RaftClient {
-    /// A fresh client.
-    pub fn new() -> Self {
-        RaftClient {
-            counter: 0,
-            leader: NodeId(0),
-            outstanding: None,
-            acked: 0,
-        }
+/// The RedisRaft client.
+pub type RaftClient = ClosedLoop<AppendWorkload>;
+
+impl Workload for AppendWorkload {
+    type Msg = Rmsg;
+    const WRITE_PERIOD: SimDuration = SimDuration::from_millis(40);
+    const READ_PERIOD: Option<SimDuration> = Some(SimDuration::from_millis(700));
+    const TIMEOUT_US: u64 = 1_200_000;
+    const SENDS: u32 = 4;
+    const ROUTE: Route = Route::LeaderNextOnRetry;
+    const RESEND_ON_REDIRECT: bool = true;
+
+    fn write(&mut self, client: ClientId, n: u64) -> (String, u64, Rmsg) {
+        let key = numbered("k", n % 3);
+        let val = client_value("c", client.0, "n", n);
+        let (op, id) = (append_op(&key, &val), client_op_id(client, n));
+        (op, id, Rmsg::Put { key, val, id })
     }
 
-    fn next_op(&mut self, ctx: &mut ClientCtx<'_, Rmsg>) {
-        if self.outstanding.is_some() {
-            return;
-        }
-        self.counter += 1;
-        let key = numbered("k", self.counter % 3);
-        let val = client_value("c", ctx.id().0, "n", self.counter);
-        let id = (u64::from(ctx.id().0) << 32) | self.counter;
-        let hidx = ctx.invoke(append_op(&key, &val));
-        let deadline_us = ctx.now().as_micros() + 1_200_000;
-        ctx.send(
-            self.leader,
-            Rmsg::Put {
-                key: key.clone(),
-                val: val.clone(),
-                id,
-            },
-        );
-        self.outstanding = Some(OutOp {
-            hidx,
-            id,
-            key,
-            val,
-            deadline_us,
-            attempts: 1,
-        });
-    }
-}
-
-impl Default for RaftClient {
-    fn default() -> Self {
-        RaftClient::new()
-    }
-}
-
-impl ClientDriver<Rmsg> for RaftClient {
-    fn on_start(&mut self, ctx: &mut ClientCtx<'_, Rmsg>) {
-        ctx.set_timer(SimDuration::from_millis(40), tags::CLIENT_OP);
-        ctx.set_timer(SimDuration::from_millis(700), tags::CLIENT_READ);
+    fn read(&mut self, ctx: &mut ClientCtx<'_, Rmsg>, node: NodeId) {
+        let key = read_key(ctx, "k");
+        ctx.send(node, Rmsg::Get { key });
     }
 
-    fn on_timer(&mut self, ctx: &mut ClientCtx<'_, Rmsg>, tag: u64) {
-        match tag {
-            tags::CLIENT_OP => {
-                // Retry or expire a stuck op, then issue the next one.
-                let now = ctx.now().as_micros();
-                let n = ctx.cluster_size();
-                let mut finished = false;
-                if let Some(op) = &mut self.outstanding {
-                    if now > op.deadline_us {
-                        if op.attempts < 4 {
-                            op.attempts += 1;
-                            op.deadline_us = now + 1_200_000;
-                            self.leader = NodeId((self.leader.0 + 1) % n);
-                            let (key, val, id) = (op.key.clone(), op.val.clone(), op.id);
-                            ctx.send(self.leader, Rmsg::Put { key, val, id });
-                        } else {
-                            ctx.complete(op.hidx, OpOutcome::Timeout);
-                            finished = true;
-                        }
-                    }
-                }
-                if finished {
-                    self.outstanding = None;
-                }
-                self.next_op(ctx);
-                ctx.set_timer(SimDuration::from_millis(40), tags::CLIENT_OP);
-            }
-            tags::CLIENT_READ => {
-                let key = numbered("k", u64::from(ctx.rng().gen_range(0..3u32)));
-                ctx.send(self.leader, Rmsg::Get { key });
-                ctx.set_timer(SimDuration::from_millis(700), tags::CLIENT_READ);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_reply(&mut self, ctx: &mut ClientCtx<'_, Rmsg>, from: NodeId, msg: Rmsg) {
+    fn classify(&mut self, _ctx: &mut ClientCtx<'_, Rmsg>, msg: Rmsg) -> Reply {
         match msg {
-            Rmsg::PutOk { id } => {
-                if let Some(op) = &self.outstanding {
-                    if id == op.id {
-                        ctx.complete(op.hidx, OpOutcome::Ok(None));
-                        self.outstanding = None;
-                        self.acked += 1;
-                        self.leader = from;
-                    }
-                }
-            }
-            Rmsg::GetOk { key, values } => {
-                let hidx = ctx.invoke(read_op(&key));
-                ctx.complete(hidx, OpOutcome::Ok(Some(join_values(&values))));
-            }
-            Rmsg::Redirect { leader } => {
-                if let Some(l) = leader {
-                    self.leader = l;
-                    if let Some(op) = &self.outstanding {
-                        let (key, val, id) = (op.key.clone(), op.val.clone(), op.id);
-                        ctx.send(l, Rmsg::Put { key, val, id });
-                    }
-                } else {
-                    let n = ctx.cluster_size();
-                    self.leader = NodeId((from.0 + 1) % n);
-                }
-            }
-            _ => {}
+            Rmsg::PutOk { id } => Reply::Ack(id),
+            Rmsg::GetOk { key, values } => Reply::Read(read_op(&key), Some(join_values(&values))),
+            Rmsg::Redirect { leader } => Reply::Redirect(leader),
+            _ => Reply::Other,
         }
     }
 }

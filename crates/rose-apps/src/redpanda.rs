@@ -10,14 +10,13 @@
 
 use std::collections::BTreeMap;
 
-use rand::Rng;
 use rose_events::{NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
-use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
+use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
     append_op, benign_probes, client_value, join_values, numbered, push_kv_record, push_value,
-    read_op, read_values, tags, ProbeStyle, Values,
+    read_key, read_op, read_values, tags, ClosedLoop, ProbeStyle, Reply, Route, Values, Workload,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
@@ -175,32 +174,6 @@ impl Application for Redpanda {
     }
 }
 
-/// The broker symbol table.
-pub fn redpanda_symbols() -> SymbolTable {
-    SymbolTable::new()
-        .function(
-            "appendBatch",
-            "storage.cc",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Write),
-            ],
-        )
-        .function(
-            "rollSegment",
-            "storage.cc",
-            vec![
-                site::sys(0, SyscallId::Rename),
-                site::sys(1, SyscallId::Openat),
-            ],
-        )
-}
-
-/// The developer-provided key files.
-pub fn redpanda_key_files() -> Vec<String> {
-    vec!["storage.cc".into()]
-}
-
 /// One Redpanda bug case (both share the defect; oracles differ).
 #[derive(Debug, Clone)]
 pub struct RedpandaCase {
@@ -240,12 +213,30 @@ impl rose_core::TargetSystem for RedpandaCase {
         }
     }
 
+    /// The broker symbol table.
     fn symbols(&self) -> SymbolTable {
-        redpanda_symbols()
+        SymbolTable::new()
+            .function(
+                "appendBatch",
+                "storage.cc",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Write),
+                ],
+            )
+            .function(
+                "rollSegment",
+                "storage.cc",
+                vec![
+                    site::sys(0, SyscallId::Rename),
+                    site::sys(1, SyscallId::Openat),
+                ],
+            )
     }
 
+    /// The developer-provided key files.
     fn key_files(&self) -> Vec<String> {
-        redpanda_key_files()
+        vec!["storage.cc".into()]
     }
 
     fn run_duration(&self) -> SimDuration {
@@ -283,122 +274,63 @@ pub fn redpanda_bug_of(id: BugId) -> Option<RedpandaBug> {
 // --- Workload ---------------------------------------------------------------
 
 /// An idempotent producer with session reconnects, plus a consumer side.
-pub struct Producer {
-    seq: u64,
+pub struct RedpandaWorkload {
     session: u64,
-    outstanding: Option<(usize, u64, u64, u32)>,
-    /// Acked appends.
-    pub acked: u64,
 }
 
-impl Producer {
-    /// A fresh producer.
-    pub fn new() -> Self {
-        Producer {
-            seq: 0,
-            session: 1,
-            outstanding: None,
-            acked: 0,
-        }
-    }
-}
-
-impl Default for Producer {
+impl Default for RedpandaWorkload {
     fn default() -> Self {
-        Producer::new()
+        RedpandaWorkload { session: 1 }
     }
 }
 
-impl ClientDriver<Pmsg> for Producer {
-    fn on_start(&mut self, ctx: &mut ClientCtx<'_, Pmsg>) {
-        ctx.set_timer(SimDuration::from_millis(100), tags::CLIENT_OP);
-        ctx.set_timer(SimDuration::from_millis(900), tags::CLIENT_READ);
+/// The Redpanda client.
+pub type Producer = ClosedLoop<RedpandaWorkload>;
+
+impl Workload for RedpandaWorkload {
+    type Msg = Pmsg;
+    const WRITE_PERIOD: SimDuration = SimDuration::from_millis(100);
+    const READ_PERIOD: Option<SimDuration> = Some(SimDuration::from_millis(900));
+    // Session timeout ~4-5 s: only pauses longer than this force a
+    // reconnect.
+    const TIMEOUT_US: u64 = 4_000_000;
+    const JITTER_US: u64 = 1_000_000;
+    const SENDS: u32 = 4;
+    const ROUTE: Route = Route::Fixed(LEADER);
+
+    fn write(&mut self, client: ClientId, seq: u64) -> (String, u64, Pmsg) {
+        let key = numbered("k", seq % 3);
+        let val = client_value("p", client.0, "s", seq);
+        let op = append_op(&key, &val);
+        let produce = Pmsg::Produce {
+            key,
+            val,
+            pid: client.0,
+            seq,
+            session: self.session,
+        };
+        (op, seq, produce)
     }
 
-    fn on_timer(&mut self, ctx: &mut ClientCtx<'_, Pmsg>, tag: u64) {
-        match tag {
-            tags::CLIENT_OP => {
-                let now = ctx.now().as_micros();
-                let mut expired = false;
-                if let Some((hidx, seq, deadline, retries)) = self.outstanding {
-                    if now > deadline {
-                        if retries < 3 {
-                            // Session timeout: reconnect with a fresh session
-                            // and retry the same sequence — the idempotent-
-                            // producer contract.
-                            self.session += 1;
-                            let jitter = ctx.rng().gen_range(0..1_000_000);
-                            self.outstanding =
-                                Some((hidx, seq, now + 4_000_000 + jitter, retries + 1));
-                            let key = numbered("k", seq % 3);
-                            let val = client_value("p", ctx.id().0, "s", seq);
-                            ctx.send(
-                                LEADER,
-                                Pmsg::Produce {
-                                    key,
-                                    val,
-                                    pid: ctx.id().0,
-                                    seq,
-                                    session: self.session,
-                                },
-                            );
-                        } else {
-                            ctx.complete(hidx, OpOutcome::Timeout);
-                            expired = true;
-                        }
-                    }
-                }
-                if expired {
-                    self.outstanding = None;
-                }
-                if self.outstanding.is_none() {
-                    self.seq += 1;
-                    let seq = self.seq;
-                    let key = numbered("k", seq % 3);
-                    let val = client_value("p", ctx.id().0, "s", seq);
-                    let hidx = ctx.invoke(append_op(&key, &val));
-                    // Session timeout ~4-5 s: only pauses longer than this
-                    // force a reconnect.
-                    let jitter = ctx.rng().gen_range(0..1_000_000);
-                    ctx.send(
-                        LEADER,
-                        Pmsg::Produce {
-                            key,
-                            val,
-                            pid: ctx.id().0,
-                            seq,
-                            session: self.session,
-                        },
-                    );
-                    self.outstanding = Some((hidx, seq, now + 4_000_000 + jitter, 0));
-                }
-                ctx.set_timer(SimDuration::from_millis(100), tags::CLIENT_OP);
-            }
-            tags::CLIENT_READ => {
-                let key = numbered("k", u64::from(ctx.rng().gen_range(0..3u32)));
-                ctx.send(LEADER, Pmsg::Consume { key });
-                ctx.set_timer(SimDuration::from_millis(900), tags::CLIENT_READ);
-            }
-            _ => {}
-        }
+    /// A session timeout: reconnect with a fresh session and retry the same
+    /// sequence — the idempotent-producer contract.
+    fn resend(&mut self, client: ClientId, seq: u64) -> Pmsg {
+        self.session += 1;
+        self.write(client, seq).2
     }
 
-    fn on_reply(&mut self, ctx: &mut ClientCtx<'_, Pmsg>, _from: NodeId, msg: Pmsg) {
+    fn read(&mut self, ctx: &mut ClientCtx<'_, Pmsg>, node: NodeId) {
+        let key = read_key(ctx, "k");
+        ctx.send(node, Pmsg::Consume { key });
+    }
+
+    fn classify(&mut self, _ctx: &mut ClientCtx<'_, Pmsg>, msg: Pmsg) -> Reply {
         match msg {
-            Pmsg::ProduceOk { seq } => {
-                if let Some((hidx, want, _, _)) = self.outstanding {
-                    if seq == want {
-                        ctx.complete(hidx, OpOutcome::Ok(None));
-                        self.outstanding = None;
-                        self.acked += 1;
-                    }
-                }
-            }
+            Pmsg::ProduceOk { seq } => Reply::Ack(seq),
             Pmsg::ConsumeOk { key, values } => {
-                let hidx = ctx.invoke(read_op(&key));
-                ctx.complete(hidx, OpOutcome::Ok(Some(join_values(&values))));
+                Reply::Read(read_op(&key), Some(join_values(&values)))
             }
-            _ => {}
+            _ => Reply::Other,
         }
     }
 }

@@ -8,9 +8,11 @@
 
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
-use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome};
+use rose_sim::{Application, ClientCtx, ClientId, NodeCtx};
 
-use crate::common::{benign_probes, numbered, tags, ProbeStyle};
+use crate::common::{
+    benign_probes, numbered, tags, ClosedLoop, ProbeStyle, Reply, Route, Workload,
+};
 use crate::driver::{CaptureMethod, CaptureSpec};
 
 const PRIV_KEY: &str = "/tm/priv_validator_key.json";
@@ -156,25 +158,6 @@ impl Application for Tendermint {
     }
 }
 
-/// The symbol table.
-pub fn tendermint_symbols() -> SymbolTable {
-    SymbolTable::new()
-        .function(
-            "loadPrivValidator",
-            "privval.go",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Read),
-            ],
-        )
-        .function("signProposal", "privval.go", vec![site::other(0)])
-}
-
-/// The developer-provided key files.
-pub fn tendermint_key_files() -> Vec<String> {
-    vec!["privval.go".into()]
-}
-
 /// The Tendermint-5839 case.
 #[derive(Debug, Clone)]
 pub struct TendermintCase;
@@ -212,12 +195,23 @@ impl rose_core::TargetSystem for TendermintCase {
         sim.core().logs.grep("signed block with unvalidated key")
     }
 
+    /// The symbol table.
     fn symbols(&self) -> SymbolTable {
-        tendermint_symbols()
+        SymbolTable::new()
+            .function(
+                "loadPrivValidator",
+                "privval.go",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Read),
+                ],
+            )
+            .function("signProposal", "privval.go", vec![site::other(0)])
     }
 
+    /// The developer-provided key files.
     fn key_files(&self) -> Vec<String> {
-        tendermint_key_files()
+        vec!["privval.go".into()]
     }
 
     fn run_duration(&self) -> SimDuration {
@@ -243,70 +237,34 @@ pub fn tendermint_capture() -> CaptureSpec {
 
 // --- Workload ---------------------------------------------------------------
 
-/// A transaction-submitting client.
-pub struct TxClient {
-    counter: u64,
-    outstanding: Option<(usize, u64, u64)>,
-    /// Included transactions.
-    pub included: u64,
-}
+/// A transaction-submitting workload: transaction `id` goes to validator
+/// `id % 3`, and nothing is read.
+#[derive(Default)]
+pub struct TxWorkload;
 
-impl TxClient {
-    /// A fresh client.
-    pub fn new() -> Self {
-        TxClient {
-            counter: 0,
-            outstanding: None,
-            included: 0,
-        }
-    }
-}
+/// The Tendermint client; `acked` counts included transactions.
+pub type TxClient = ClosedLoop<TxWorkload>;
 
-impl Default for TxClient {
-    fn default() -> Self {
-        TxClient::new()
-    }
-}
+impl Workload for TxWorkload {
+    type Msg = Tmsg;
+    const WRITE_PERIOD: SimDuration = SimDuration::from_millis(150);
+    const READ_PERIOD: Option<SimDuration> = None;
+    const TIMEOUT_US: u64 = 2_000_000;
+    const SENDS: u32 = 1;
+    const ROUTE: Route = Route::Spread(3);
 
-impl ClientDriver<Tmsg> for TxClient {
-    fn on_start(&mut self, ctx: &mut ClientCtx<'_, Tmsg>) {
-        ctx.set_timer(SimDuration::from_millis(150), tags::CLIENT_OP);
+    fn write(&mut self, _client: ClientId, id: u64) -> (String, u64, Tmsg) {
+        let tx = Tmsg::Tx {
+            data: numbered("tx", id),
+            id,
+        };
+        (numbered("append k=txs v=", id), id, tx)
     }
 
-    fn on_timer(&mut self, ctx: &mut ClientCtx<'_, Tmsg>, _tag: u64) {
-        let now = ctx.now().as_micros();
-        if let Some((hidx, _, deadline)) = self.outstanding {
-            if now > deadline {
-                ctx.complete(hidx, OpOutcome::Timeout);
-                self.outstanding = None;
-            }
-        }
-        if self.outstanding.is_none() {
-            self.counter += 1;
-            let id = self.counter;
-            let hidx = ctx.invoke(numbered("append k=txs v=", id));
-            let target = NodeId((id % 3) as u32);
-            ctx.send(
-                target,
-                Tmsg::Tx {
-                    data: numbered("tx", id),
-                    id,
-                },
-            );
-            self.outstanding = Some((hidx, id, now + 2_000_000));
-        }
-        ctx.set_timer(SimDuration::from_millis(150), tags::CLIENT_OP);
-    }
-
-    fn on_reply(&mut self, ctx: &mut ClientCtx<'_, Tmsg>, _from: NodeId, msg: Tmsg) {
-        if let Tmsg::TxOk { id } = msg {
-            if let Some((hidx, want, _)) = self.outstanding {
-                if id == want {
-                    ctx.complete(hidx, OpOutcome::Ok(None));
-                    self.outstanding = None;
-                    self.included += 1;
-                }
-            }
+    fn classify(&mut self, _ctx: &mut ClientCtx<'_, Tmsg>, msg: Tmsg) -> Reply {
+        match msg {
+            Tmsg::TxOk { id } => Reply::Ack(id),
+            _ => Reply::Other,
         }
     }
 }

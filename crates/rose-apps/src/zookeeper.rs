@@ -16,11 +16,12 @@ use std::collections::BTreeMap;
 use rand::Rng;
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
-use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
+use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
-    append_op, benign_probes, client_value, election_timeout, join_values, numbered, push_record,
-    push_value, read_op, read_values, tags, ProbeStyle, Values,
+    append_op, benign_probes, client_op_id, client_value, election_timeout, join_values, numbered,
+    push_record, push_value, read_key, read_op, read_values, tags, ClosedLoop, ProbeStyle, Reply,
+    Route, Values, Workload,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
@@ -471,48 +472,6 @@ impl Application for ZooKeeper {
     }
 }
 
-/// The ensemble's symbol table.
-pub fn zookeeper_symbols() -> SymbolTable {
-    SymbolTable::new()
-        .function(
-            "calculateSnapshotSize",
-            "snapshot.java",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Read),
-            ],
-        )
-        .function(
-            "electionRound",
-            "election.java",
-            vec![site::sys(0, SyscallId::Accept)],
-        )
-        .function("becomeLeader", "election.java", vec![site::other(0)])
-        .function(
-            "appendTxnLog",
-            "txnlog.java",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Write),
-            ],
-        )
-        .function(
-            "syncWithLeader",
-            "sync.java",
-            vec![site::sys(0, SyscallId::Read)],
-        )
-}
-
-/// The developer-provided key files.
-pub fn zookeeper_key_files() -> Vec<String> {
-    vec![
-        "snapshot.java".into(),
-        "election.java".into(),
-        "txnlog.java".into(),
-        "sync.java".into(),
-    ]
-}
-
 /// One ZooKeeper bug case.
 #[derive(Debug, Clone)]
 pub struct ZkCase {
@@ -567,12 +526,46 @@ impl rose_core::TargetSystem for ZkCase {
         }
     }
 
+    /// The ensemble's symbol table.
     fn symbols(&self) -> SymbolTable {
-        zookeeper_symbols()
+        SymbolTable::new()
+            .function(
+                "calculateSnapshotSize",
+                "snapshot.java",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Read),
+                ],
+            )
+            .function(
+                "electionRound",
+                "election.java",
+                vec![site::sys(0, SyscallId::Accept)],
+            )
+            .function("becomeLeader", "election.java", vec![site::other(0)])
+            .function(
+                "appendTxnLog",
+                "txnlog.java",
+                vec![
+                    site::sys(0, SyscallId::Openat),
+                    site::sys(1, SyscallId::Write),
+                ],
+            )
+            .function(
+                "syncWithLeader",
+                "sync.java",
+                vec![site::sys(0, SyscallId::Read)],
+            )
     }
 
+    /// The developer-provided key files.
     fn key_files(&self) -> Vec<String> {
-        zookeeper_key_files()
+        vec![
+            "snapshot.java".into(),
+            "election.java".into(),
+            "txnlog.java".into(),
+            "sync.java".into(),
+        ]
     }
 
     fn run_duration(&self) -> SimDuration {
@@ -656,96 +649,40 @@ pub fn zookeeper_bug_of(id: BugId) -> Option<ZkBug> {
 
 // --- Workload ---------------------------------------------------------------
 
-/// A znode create/read client.
-pub struct ZkClient {
-    counter: u64,
-    leader: NodeId,
-    outstanding: Option<(usize, u64, u64)>,
-    /// Acked creates.
-    pub acked: u64,
-}
+/// A znode create/read workload. A redirect moves the client to the leader
+/// but does not resend: the create times out there.
+#[derive(Default)]
+pub struct ZkWorkload;
 
-impl ZkClient {
-    /// A fresh client.
-    pub fn new() -> Self {
-        ZkClient {
-            counter: 0,
-            leader: NodeId(0),
-            outstanding: None,
-            acked: 0,
-        }
-    }
-}
+/// The ZooKeeper client.
+pub type ZkClient = ClosedLoop<ZkWorkload>;
 
-impl Default for ZkClient {
-    fn default() -> Self {
-        ZkClient::new()
-    }
-}
+impl Workload for ZkWorkload {
+    type Msg = Zmsg;
+    const WRITE_PERIOD: SimDuration = SimDuration::from_millis(60);
+    const READ_PERIOD: Option<SimDuration> = Some(SimDuration::from_millis(800));
+    const TIMEOUT_US: u64 = 1_200_000;
+    const SENDS: u32 = 1;
+    const ROUTE: Route = Route::LeaderNextOnGiveUp;
 
-impl ClientDriver<Zmsg> for ZkClient {
-    fn on_start(&mut self, ctx: &mut ClientCtx<'_, Zmsg>) {
-        ctx.set_timer(SimDuration::from_millis(60), tags::CLIENT_OP);
-        ctx.set_timer(SimDuration::from_millis(800), tags::CLIENT_READ);
+    fn write(&mut self, client: ClientId, n: u64) -> (String, u64, Zmsg) {
+        let key = numbered("z", n % 3);
+        let val = client_value("c", client.0, "n", n);
+        let (op, id) = (append_op(&key, &val), client_op_id(client, n));
+        (op, id, Zmsg::Create { key, val, id })
     }
 
-    fn on_timer(&mut self, ctx: &mut ClientCtx<'_, Zmsg>, tag: u64) {
-        match tag {
-            tags::CLIENT_OP => {
-                let now = ctx.now().as_micros();
-                if let Some((hidx, _, deadline)) = self.outstanding {
-                    if now > deadline {
-                        ctx.complete(hidx, OpOutcome::Timeout);
-                        self.outstanding = None;
-                        let n = ctx.cluster_size();
-                        self.leader = NodeId((self.leader.0 + 1) % n);
-                    }
-                }
-                if self.outstanding.is_none() {
-                    self.counter += 1;
-                    let key = numbered("z", self.counter % 3);
-                    let val = client_value("c", ctx.id().0, "n", self.counter);
-                    let id = (u64::from(ctx.id().0) << 32) | self.counter;
-                    let hidx = ctx.invoke(append_op(&key, &val));
-                    ctx.send(self.leader, Zmsg::Create { key, val, id });
-                    self.outstanding = Some((hidx, id, now + 1_200_000));
-                }
-                ctx.set_timer(SimDuration::from_millis(60), tags::CLIENT_OP);
-            }
-            tags::CLIENT_READ => {
-                let key = numbered("z", u64::from(ctx.rng().gen_range(0..3u32)));
-                ctx.send(self.leader, Zmsg::Read { key });
-                ctx.set_timer(SimDuration::from_millis(800), tags::CLIENT_READ);
-            }
-            _ => {}
-        }
+    fn read(&mut self, ctx: &mut ClientCtx<'_, Zmsg>, node: NodeId) {
+        let key = read_key(ctx, "z");
+        ctx.send(node, Zmsg::Read { key });
     }
 
-    fn on_reply(&mut self, ctx: &mut ClientCtx<'_, Zmsg>, from: NodeId, msg: Zmsg) {
+    fn classify(&mut self, _ctx: &mut ClientCtx<'_, Zmsg>, msg: Zmsg) -> Reply {
         match msg {
-            Zmsg::CreateOk { id } => {
-                if let Some((hidx, want, _)) = self.outstanding {
-                    if id == want {
-                        ctx.complete(hidx, OpOutcome::Ok(None));
-                        self.outstanding = None;
-                        self.acked += 1;
-                        self.leader = from;
-                    }
-                }
-            }
-            Zmsg::ReadOk { key, values } => {
-                let hidx = ctx.invoke(read_op(&key));
-                ctx.complete(hidx, OpOutcome::Ok(Some(join_values(&values))));
-            }
-            Zmsg::Redirect { leader } => {
-                if let Some(l) = leader {
-                    self.leader = l;
-                } else {
-                    let n = ctx.cluster_size();
-                    self.leader = NodeId((from.0 + 1) % n);
-                }
-            }
-            _ => {}
+            Zmsg::CreateOk { id } => Reply::Ack(id),
+            Zmsg::ReadOk { key, values } => Reply::Read(read_op(&key), Some(join_values(&values))),
+            Zmsg::Redirect { leader } => Reply::Redirect(leader),
+            _ => Reply::Other,
         }
     }
 }

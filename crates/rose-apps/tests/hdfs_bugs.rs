@@ -1,11 +1,11 @@
 //! Trigger-level tests for the seeded HDFS defects.
 
 use rose_apps::driver::CaptureMethod;
-use rose_apps::hdfs::{hdfs_capture, Hdfs, HdfsBug, HdfsCase, HdfsClient, WriterClient};
+use rose_apps::hdfs::{hdfs_capture, Hdfs, HdfsBug, HdfsCase, HdfsClient, Hmsg, WriterClient, NN};
 use rose_core::TargetSystem;
-use rose_events::SimDuration;
+use rose_events::{NodeId, SimDuration, SimTime};
 use rose_inject::Executor;
-use rose_sim::{ClientId, Sim, SimConfig};
+use rose_sim::{Application, ClientId, NodeCtx, OpOutcome, Sim, SimConfig};
 
 fn cluster(
     bug: Option<HdfsBug>,
@@ -227,4 +227,73 @@ fn hdfs16332_expired_token_never_refreshes() {
     sim.run_for(SimDuration::from_secs(40));
     assert!(!case.oracle(&sim));
     assert!(sim.core().logs.grep("block token refreshed"));
+}
+
+/// A NameNode that answers every read with another file's `ReadOk`, and
+/// nothing else.
+#[derive(Default)]
+struct MisdirectedNameNode {
+    /// When each read arrived.
+    reads: Vec<SimTime>,
+}
+
+impl Application for MisdirectedNameNode {
+    type Msg = Hmsg;
+
+    fn on_start(&mut self, _ctx: &mut NodeCtx<'_, Hmsg>) {}
+
+    fn on_message(&mut self, _ctx: &mut NodeCtx<'_, Hmsg>, _from: NodeId, _msg: Hmsg) {}
+
+    fn on_timer(&mut self, _ctx: &mut NodeCtx<'_, Hmsg>, _tag: u64) {}
+
+    fn on_client_request(&mut self, ctx: &mut NodeCtx<'_, Hmsg>, client: ClientId, req: Hmsg) {
+        if let Hmsg::Read { file } = req {
+            self.reads.push(ctx.now());
+            let file = [&file, "-other"].concat();
+            let _ = ctx.reply(
+                client,
+                Hmsg::ReadOk {
+                    file,
+                    values: String::new(),
+                },
+            );
+        }
+    }
+}
+
+#[test]
+fn another_files_read_answer_leaves_the_pending_read_as_it_was() {
+    let mut sim = Sim::new(SimConfig::new(1, 5), |_| MisdirectedNameNode::default());
+    sim.add_client(Box::new(HdfsClient::new()));
+    sim.start();
+    sim.run_for(SimDuration::from_secs(15));
+    let core = sim.core();
+    let read = core
+        .history
+        .ops()
+        .iter()
+        .find(|op| op.op.starts_with("read "))
+        .expect("a read was issued");
+    assert_eq!(read.outcome, OpOutcome::Fail("slow read".into()));
+    let detected = core
+        .logs
+        .lines()
+        .iter()
+        .find(|l| l.line.contains("slow read detected"))
+        .expect("the unanswered read was detected");
+    let waited = detected.ts.as_micros() - read.invoked.as_micros();
+    assert!(
+        waited >= 10_000_000,
+        "detected {waited} µs after the read began"
+    );
+    // Every read request before the detection but the first was a retry of
+    // the same read.
+    let reads = &sim.app(NN).expect("the NameNode runs").reads;
+    let sent = reads.iter().filter(|at| **at < detected.ts).count();
+    let retries = format!("({} retries)", sent - 1);
+    assert!(
+        sent > 1 && detected.line.ends_with(&retries),
+        "{}",
+        detected.line
+    );
 }

@@ -261,7 +261,7 @@ mod tendermint {
         sim.start();
         sim.run_for(SimDuration::from_secs(20));
         assert!(!TendermintCase.oracle(&sim));
-        let included = sim.client_ref::<TxClient>(ClientId(0)).unwrap().included;
+        let included = sim.client_ref::<TxClient>(ClientId(0)).unwrap().acked;
         assert!(included > 30, "included={included}");
     }
 
@@ -302,10 +302,10 @@ mod tendermint {
                 TendermintCase.oracle(sim)
             }
             fn symbols(&self) -> rose_profile::SymbolTable {
-                rose_apps::tendermint::tendermint_symbols()
+                TendermintCase.symbols()
             }
             fn key_files(&self) -> Vec<String> {
-                rose_apps::tendermint::tendermint_key_files()
+                TendermintCase.key_files()
             }
         }
         let rose = Rose::new(Fixed);

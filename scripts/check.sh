@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -49,6 +49,7 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -rnE "ROSE_(JOBS|REPORT|TRACE_DIR|CAUSAL)|env::var" \
         crates/rose-bench/src README.md DESIGN.md .claude/skills/verify/SKILL.md \
     || grep -rnE "SyscallInvocation|SignalTarget|SysRet::Path" crates examples tests src \
+    || grep -rn "outstanding:" crates/rose-apps/src --exclude=common.rs \
     || grep -nE "^serde" crates/rose-{sim,profile,core,jepsen}/Cargo.toml \
     || grep -n "^serde_json" crates/rose-hunt/Cargo.toml \
     || cargo tree -p rose-trace | grep rose-store \
@@ -88,7 +89,10 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "(no SyscallInvocation), a SignalReq names its node (no SignalTarget), readlink returns" \
         "no path (no SysRet::Path), and the kernel, the profiler, the workflow and the Jepsen" \
         "checkers write no format (no serde under rose-sim, rose-profile, rose-core or" \
-        "rose-jepsen, no serde_json under rose-hunt)"
+        "rose-jepsen, no serde_json under rose-hunt)," \
+        "and the target models have one closed loop: a workload client's write in flight," \
+        "deadline, retries and leader live in rose_apps::common's ClosedLoop (no outstanding:" \
+        "field outside common.rs)"
     exit 1
 fi
 

@@ -5,7 +5,7 @@ use rose::analyze::Extraction;
 use rose::apps::driver::{
     capture_buggy_trace, capture_spec, visit_case, DriverOptions, SystemVisitor,
 };
-use rose::apps::redisraft::{RaftClient, RedisRaft};
+use rose::apps::redisraft::{RaftClient, RedisRaft, RedisRaftBug, RedisRaftCase};
 use rose::apps::registry::BugId;
 use rose::core::{Rose, RoseConfig, TargetSystem};
 use rose::events::{EventKind, NodeId, SimDuration, Trace};
@@ -30,8 +30,12 @@ fn profile_then_trace_then_extract() {
     sim.start();
     sim.run_for(SimDuration::from_secs(30));
     let hook = sim.hook_ref::<ProfilingHook>().unwrap();
-    let candidates: Vec<String> = rose::apps::redisraft::redisraft_symbols()
-        .functions_in_files(&rose::apps::redisraft::redisraft_key_files())
+    let case = RedisRaftCase {
+        bug: RedisRaftBug::Rr42,
+    };
+    let candidates: Vec<String> = case
+        .symbols()
+        .functions_in_files(&case.key_files())
         .map(str::to_string)
         .collect();
     let profile = rose::profile::Profile::from_run(hook, SimDuration::from_secs(30), candidates);
