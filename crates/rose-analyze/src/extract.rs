@@ -6,7 +6,7 @@
 //! into partitions, and order the result by the paper's priority
 //! (PS → ND → SCF, chronological within each class).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rose_events::{
     Errno, Event, EventKind, ExecutionIndex, FunctionId, IpAddr, NodeId, ProcState, SimDuration,
@@ -114,7 +114,7 @@ pub fn extract_faults(
     let mut stats = ExtractionStats::default();
     let mut faults: Vec<ExtractedFault> = Vec::new();
     let mut nd_events: Vec<(&Event, IpAddr, IpAddr, SimDuration)> = Vec::new();
-    let mut seen_scf: BTreeMap<(NodeId, SyscallId, Errno, Option<String>), usize> = BTreeMap::new();
+    let mut seen_scf: BTreeSet<(NodeId, SyscallId, Errno, Option<String>)> = BTreeSet::new();
     // Crash dedup: a node that panics immediately after a restart produces a
     // symptom crash; collapse crashes on the same node within a short window.
     let mut last_crash: BTreeMap<NodeId, SimTime> = BTreeMap::new();
@@ -145,13 +145,10 @@ pub fn extract_faults(
                     continue;
                 }
                 let path = path.as_deref().map(str::to_owned);
-                let key = (e.node, *syscall, *errno, path.clone());
-                if let Some(&existing) = seen_scf.get(&key) {
-                    // Repeated identical failure: one candidate fault.
-                    let _ = existing;
+                // Repeated identical failure: one candidate fault.
+                if !seen_scf.insert((e.node, *syscall, *errno, path.clone())) {
                     continue;
                 }
-                seen_scf.insert(key, faults.len());
                 faults.push(ExtractedFault {
                     node: e.node,
                     ts: e.ts,

@@ -202,11 +202,6 @@ impl rose_core::TargetSystem for HbaseCase {
             )
     }
 
-    /// The developer-provided key files.
-    fn key_files(&self) -> Vec<String> {
-        vec!["master.java".into()]
-    }
-
     fn run_duration(&self) -> SimDuration {
         SimDuration::from_secs(60)
     }

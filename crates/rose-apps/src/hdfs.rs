@@ -610,15 +610,6 @@ impl rose_core::TargetSystem for HdfsCase {
             )
     }
 
-    /// The developer-provided key files.
-    fn key_files(&self) -> Vec<String> {
-        vec![
-            "editlog.java".into(),
-            "datanode.java".into(),
-            "balancer.java".into(),
-        ]
-    }
-
     fn run_duration(&self) -> SimDuration {
         SimDuration::from_secs(60)
     }

@@ -191,11 +191,6 @@ impl rose_core::TargetSystem for KafkaCase {
         )
     }
 
-    /// The developer-provided key files.
-    fn key_files(&self) -> Vec<String> {
-        vec!["streams.java".into()]
-    }
-
     fn run_duration(&self) -> SimDuration {
         SimDuration::from_secs(60)
     }

@@ -515,11 +515,6 @@ impl rose_core::TargetSystem for MongoCase {
             .function("becomePrimary", "repl.cpp", vec![site::other(0)])
     }
 
-    /// The developer-provided key files.
-    fn key_files(&self) -> Vec<String> {
-        vec!["oplog.cpp".into(), "repl.cpp".into()]
-    }
-
     fn run_duration(&self) -> SimDuration {
         SimDuration::from_secs(60)
     }

@@ -188,15 +188,6 @@ impl rose_core::TargetSystem for RoseRaftCase {
             )
     }
 
-    /// Developer-provided key source files (consensus, storage, snapshots).
-    fn key_files(&self) -> Vec<String> {
-        vec![
-            "raft/consensus.rs".into(),
-            "raft/storage.rs".into(),
-            "raft/snapshot.rs".into(),
-        ]
-    }
-
     fn run_duration(&self) -> SimDuration {
         SimDuration::from_secs(120)
     }

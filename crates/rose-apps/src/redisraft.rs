@@ -1082,11 +1082,6 @@ impl rose_core::TargetSystem for RedisRaftCase {
             .function("becomeLeader", "election.c", vec![site::other(0)])
     }
 
-    /// The developer-provided key source files (snapshotting, raft, elections).
-    fn key_files(&self) -> Vec<String> {
-        vec!["raft.c".into(), "snapshot.c".into(), "election.c".into()]
-    }
-
     fn run_duration(&self) -> SimDuration {
         SimDuration::from_secs(120)
     }

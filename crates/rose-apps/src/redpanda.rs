@@ -234,11 +234,6 @@ impl rose_core::TargetSystem for RedpandaCase {
             )
     }
 
-    /// The developer-provided key files.
-    fn key_files(&self) -> Vec<String> {
-        vec!["storage.cc".into()]
-    }
-
     fn run_duration(&self) -> SimDuration {
         SimDuration::from_secs(60)
     }

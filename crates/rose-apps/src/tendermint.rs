@@ -209,11 +209,6 @@ impl rose_core::TargetSystem for TendermintCase {
             .function("signProposal", "privval.go", vec![site::other(0)])
     }
 
-    /// The developer-provided key files.
-    fn key_files(&self) -> Vec<String> {
-        vec!["privval.go".into()]
-    }
-
     fn run_duration(&self) -> SimDuration {
         SimDuration::from_secs(40)
     }

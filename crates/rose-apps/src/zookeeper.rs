@@ -558,16 +558,6 @@ impl rose_core::TargetSystem for ZkCase {
             )
     }
 
-    /// The developer-provided key files.
-    fn key_files(&self) -> Vec<String> {
-        vec![
-            "snapshot.java".into(),
-            "election.java".into(),
-            "txnlog.java".into(),
-            "sync.java".into(),
-        ]
-    }
-
     fn run_duration(&self) -> SimDuration {
         SimDuration::from_secs(60)
     }

@@ -68,9 +68,6 @@ impl TargetSystem for PollByPoll {
     fn symbols(&self) -> SymbolTable {
         self.0.symbols()
     }
-    fn key_files(&self) -> Vec<String> {
-        self.0.key_files()
-    }
     fn run_duration(&self) -> SimDuration {
         self.0.run_duration()
     }

@@ -304,9 +304,6 @@ mod tendermint {
             fn symbols(&self) -> rose_profile::SymbolTable {
                 TendermintCase.symbols()
             }
-            fn key_files(&self) -> Vec<String> {
-                TendermintCase.key_files()
-            }
         }
         let rose = Rose::new(Fixed);
         let mut sim = rose.deploy(

@@ -21,8 +21,9 @@ use rose_bench::args::Args;
 use rose_bench::rediskv::run_ycsb;
 use rose_bench::report::{self, ReportSink};
 use rose_bench::table::{fmt_bytes, render};
-use rose_core::ordered_map;
-use rose_obs::{PhaseRecord, TracingStats};
+use rose_core::{ordered_map, TraceCapture};
+use rose_events::SimTime;
+use rose_obs::PhaseRecord;
 use rose_trace::{Tracer, TracerConfig, TracerMode};
 
 fn tracer_for(mode: TracerMode) -> Tracer {
@@ -67,15 +68,16 @@ fn main() {
                 let (mut sim, ops) = run_ycsb(vec![Box::new(tracer_for(mode))], clients, secs, 42);
                 let now = sim.now();
                 let tracer = sim.hook_mut::<Tracer>().unwrap();
-                let trace = tracer.dump(now);
-                let rep = tracer.report();
-                let charged = tracer.total_charged;
-                // The dump in both serializations (the JSON and Binary columns).
-                let dump_bytes = (
-                    trace.json_len() as u64,
-                    rose_store::encoded_trace_bytes(&trace),
-                );
-                (name, ops, Some((trace.len(), rep, charged, dump_bytes)))
+                let capture = TraceCapture {
+                    trace: tracer.dump(now),
+                    bug: false,
+                    report: tracer.report(),
+                    charged: tracer.total_charged,
+                    elapsed: now.since(SimTime::ZERO),
+                };
+                // The record carries the dump in both serializations (the
+                // JSON and Binary columns).
+                (name, ops, Some(capture.phase_record(1)))
             }
         },
     );
@@ -86,36 +88,25 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, ops, traced) in measurements {
-        let Some((trace_events, rep, charged, (dump_json, dump_store))) = traced else {
+        let Some(rec) = traced else {
             continue;
         };
         let overhead = 100.0 * (base_ops.saturating_sub(ops)) as f64 / base_ops as f64;
-        sink.write_records(&[PhaseRecord::Tracing(TracingStats {
-            attempts: 1,
-            bug_detected: false,
-            trace_events,
-            events_matched: rep.events_matched,
-            events_saved: rep.events_saved,
-            peak_bytes: rep.peak_bytes,
-            processing_us: rep.processing_us,
-            overhead_charged_us: charged.as_micros(),
-            dump_json_bytes: dump_json,
-            dump_store_bytes: dump_store,
-        })]);
         rows.push(vec![
             name.to_string(),
-            rep.events_matched.to_string(),
-            rep.events_saved.to_string(),
-            fmt_bytes(rep.peak_bytes),
-            fmt_bytes(dump_json as usize),
-            fmt_bytes(dump_store as usize),
-            format!("{:.2}", rep.processing_us as f64 / 1e6),
+            rec.events_matched.to_string(),
+            rec.events_saved.to_string(),
+            fmt_bytes(rec.peak_bytes),
+            fmt_bytes(rec.dump_json_bytes as usize),
+            fmt_bytes(rec.dump_store_bytes as usize),
+            format!("{:.2}", rec.processing_us as f64 / 1e6),
             format!("{overhead:.1}%"),
         ]);
         report::progress(format!(
             "  {name}: {ops} ops, {} events, overhead {overhead:.1}%",
-            rep.events_matched
+            rec.events_matched
         ));
+        sink.write_records(&[PhaseRecord::Tracing(rec)]);
     }
 
     report::out("\nTable 2: Cost of the Rose tracer versus alternatives");

@@ -3,8 +3,8 @@
 //! An exploration run carries executor + tracer + the zero-charge site
 //! probe; a scripted capture carries executor + tracer. If the probe really
 //! perturbs nothing, the window a discovery run dumps when the oracle fires
-//! is, event for event, the trace `Rose::capture_trace_with_schedule` yields
-//! for the same schedule at the same seed — which is what lets the hunt skip
+//! is, event for event, the trace `Rose::capture_trace` yields under
+//! `Executor::new(schedule)` at the same seed — which is what lets the hunt skip
 //! that re-run. This test is the standing check of that equivalence, on the
 //! `scripts/check.sh` hunt smoke case (a whole-node crash found by the
 //! menu) and on a scripted-capture case (a syscall failure keyed on an
@@ -14,6 +14,7 @@ use rose_apps::driver::{visit_case, SystemVisitor};
 use rose_apps::registry::BugId;
 use rose_core::{Rose, TargetSystem};
 use rose_hunt::{hunt, HuntConfig};
+use rose_inject::Executor;
 
 struct DumpVsRecapture {
     budget: usize,
@@ -36,8 +37,9 @@ impl SystemVisitor for DumpVsRecapture {
         let duration = system.run_duration();
         let rose = Rose::new(system);
         let profile = rose.profile();
+        let executor = Executor::new(found.schedule.clone());
         let recapture =
-            rose.capture_trace_with_schedule(&profile, &found.schedule, found.seed, duration);
+            rose.capture_trace(&profile, vec![Box::new(executor)], found.seed, duration);
         assert!(recapture.bug, "{id}: the replay missed the bug");
         assert_eq!(
             found.trace, recapture.trace,

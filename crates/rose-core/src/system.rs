@@ -53,8 +53,13 @@ pub trait TargetSystem: Clone + Send + Sync + 'static {
 
     /// Developer-provided source files controlling critical functionality
     /// (snapshotting, recovery, elections, …); resolved to candidate
-    /// functions during profiling.
-    fn key_files(&self) -> Vec<String>;
+    /// functions during profiling. Default: every file [`Self::symbols`]
+    /// names, in first-seen order, so a function added to the table is
+    /// monitored without a second edit. An override narrows the candidates
+    /// to the functions of the files it lists.
+    fn key_files(&self) -> Vec<String> {
+        self.symbols().files()
+    }
 
     /// How long one testing run lasts.
     fn run_duration(&self) -> SimDuration {

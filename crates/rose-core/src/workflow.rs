@@ -65,12 +65,6 @@ pub struct TraceCapture {
     pub bug: bool,
     /// The tracer's counters at dump time (Table 2 columns).
     pub report: TracerReport,
-    /// Size of the dump in the JSON dump format, bytes. The historic Table 2
-    /// "memory" story measured this serialization; it is reported next to
-    /// the binary size so the two are comparable.
-    pub dump_json_bytes: u64,
-    /// Size of the dump in the `.rosetrace` binary codec, bytes.
-    pub dump_store_bytes: u64,
     /// Total probe CPU time the tracer charged during the run.
     pub charged: SimDuration,
     /// Simulated time the capture run covered.
@@ -78,8 +72,14 @@ pub struct TraceCapture {
 }
 
 impl TraceCapture {
-    /// The tracing-phase record for the campaign's JSONL run report.
-    /// `attempts` is how many capture runs were needed (1 = first try).
+    /// The tracing-phase record for the campaign's JSONL run report and
+    /// Table 2 — the one place a [`TracingStats`] is built. `attempts` is
+    /// how many capture runs were needed (1 = first try).
+    ///
+    /// The dump is sized here, in the JSON dump format (the historic
+    /// Table 2 "memory" story measured that serialization) and in the
+    /// `.rosetrace` binary codec, so only a dump that is reported is ever
+    /// sized: serializing one costs far more than taking it.
     pub fn phase_record(&self, attempts: usize) -> TracingStats {
         TracingStats {
             attempts,
@@ -90,8 +90,8 @@ impl TraceCapture {
             peak_bytes: self.report.peak_bytes,
             processing_us: self.report.processing_us,
             overhead_charged_us: self.charged.as_micros(),
-            dump_json_bytes: self.dump_json_bytes,
-            dump_store_bytes: self.dump_store_bytes,
+            dump_json_bytes: self.trace.json_len() as u64,
+            dump_store_bytes: rose_store::encoded_trace_bytes(&self.trace),
         }
     }
 }
@@ -232,9 +232,11 @@ impl<S: TargetSystem> Rose<S> {
     }
 
     /// **Phase 2 — Tracing**: runs the deployment with the production
-    /// tracer and arbitrary extra hooks (e.g. a Jepsen-style nemesis or a
-    /// scripted fault schedule) and dumps the trace at the end of the run —
-    /// the stand-in for a monitored production deployment.
+    /// tracer and arbitrary extra hooks (a Jepsen-style nemesis, or
+    /// `Executor::new(schedule)` to recreate a trace from a known fault
+    /// schedule, as done for the Anduril bug corpus) and dumps the trace
+    /// when the oracle first fires, else at the end of the run — the
+    /// stand-in for a monitored production deployment.
     pub fn capture_trace(
         &self,
         profile: &Profile,
@@ -255,38 +257,13 @@ impl<S: TargetSystem> Rose<S> {
         let trace = tracer.dump(now);
         let report = tracer.report();
         let charged = tracer.total_charged;
-        // The capture's phase record carries the dump sizes (Table 2).
-        // Serializing a dump to measure it costs far more than the dump,
-        // so testing runs, which never report the sizes, do not.
-        let dump_json_bytes = trace.json_len() as u64;
-        let dump_store_bytes = rose_store::encoded_trace_bytes(&trace);
         TraceCapture {
             trace,
             bug,
             report,
-            dump_json_bytes,
-            dump_store_bytes,
             charged,
             elapsed: now.since(rose_events::SimTime::ZERO),
         }
-    }
-
-    /// Convenience: capture under a specific fault schedule (used when
-    /// recreating traces from known test cases, as done for the Anduril
-    /// bug corpus).
-    pub fn capture_trace_with_schedule(
-        &self,
-        profile: &Profile,
-        schedule: &FaultSchedule,
-        seed: u64,
-        duration: SimDuration,
-    ) -> TraceCapture {
-        self.capture_trace(
-            profile,
-            vec![Box::new(Executor::new(schedule.clone()))],
-            seed,
-            duration,
-        )
     }
 
     /// **Phase 3+4 — Diagnosis and Reproduction** (§4.5, §4.6): extracts

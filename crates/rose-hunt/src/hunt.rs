@@ -252,8 +252,8 @@ struct ExploreRun {
 /// Runs one exploration deployment: executor + production tracer + the
 /// zero-charge site probe. The hook stack is a scripted capture's stack
 /// plus the probe, and the probe charges nothing — so the dump of a run
-/// that fires the oracle is the trace [`Rose::capture_trace_with_schedule`]
-/// yields for the same schedule and seed (pinned by
+/// that fires the oracle is the trace [`Rose::capture_trace`] yields under
+/// `Executor::new(schedule)` for the same seed (pinned by
 /// `rose-bench/tests/hunt_handoff.rs`).
 fn explore_run<S: TargetSystem>(
     rose: &Rose<S>,

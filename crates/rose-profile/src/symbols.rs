@@ -88,6 +88,18 @@ impl SymbolTable {
             .map(|f| f.name.as_str())
     }
 
+    /// The source files the table's functions are defined in, each once,
+    /// in first-seen order.
+    pub fn files(&self) -> Vec<String> {
+        let mut files: Vec<String> = Vec::new();
+        for f in &self.functions {
+            if !files.contains(&f.file) {
+                files.push(f.file.clone());
+            }
+        }
+        files
+    }
+
     /// Looks a function up by name.
     pub fn get(&self, name: &str) -> Option<&FunctionSym> {
         self.functions.iter().find(|f| f.name == name)
@@ -161,6 +173,15 @@ mod tests {
         let files = vec!["snapshot.c".to_string()];
         let fns: Vec<&str> = t.functions_in_files(&files).collect();
         assert_eq!(fns, vec!["storeSnapshotData"]);
+    }
+
+    #[test]
+    fn files_are_listed_once_in_first_seen_order() {
+        let t = table()
+            .function("takeSnapshot", "snapshot.c", vec![])
+            .function("election", "election.c", vec![]);
+        assert_eq!(t.files(), vec!["snapshot.c", "raft.c", "election.c"]);
+        assert!(SymbolTable::new().files().is_empty());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! This is the downstream-user story: write a distributed application
 //! against the simulated kernel, give Rose the developer inputs the paper
-//! asks for (binary symbols, key files, a workload, a bug oracle), and let
-//! the workflow find the reproducing fault schedule.
+//! asks for (binary symbols, a workload, a bug oracle), and let the
+//! workflow find the reproducing fault schedule. The paper's key files
+//! default to every file the symbol table names; a system overrides
+//! `TargetSystem::key_files` only to monitor fewer of them.
 //!
 //! The toy system here is a two-node "config store" whose reload path
 //! mishandles a failed `rename`: the store keeps serving the *old* config
@@ -149,9 +151,6 @@ impl TargetSystem for ConfigStoreCase {
             ],
         )
     }
-    fn key_files(&self) -> Vec<String> {
-        vec!["reload.rs".into()]
-    }
     fn run_duration(&self) -> SimDuration {
         SimDuration::from_secs(30)
     }
@@ -172,8 +171,12 @@ fn main() {
             nth: 3,
         },
     ));
-    let _ = Executor::new(trigger.clone());
-    let cap = rose.capture_trace_with_schedule(&profile, &trigger, 7, SimDuration::from_secs(30));
+    let cap = rose.capture_trace(
+        &profile,
+        vec![Box::new(Executor::new(trigger))],
+        7,
+        SimDuration::from_secs(30),
+    );
     assert!(cap.bug, "the incident trace shows the mismatch");
     println!("captured an incident trace with {} events", cap.trace.len());
 

@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -50,6 +50,11 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         crates/rose-bench/src README.md DESIGN.md .claude/skills/verify/SKILL.md \
     || grep -rnE "SyscallInvocation|SignalTarget|SysRet::Path" crates examples tests src \
     || grep -rn "outstanding:" crates/rose-apps/src --exclude=common.rs \
+    || grep -rn "fn key_files" crates/rose-apps/src examples \
+    || grep -rn --exclude-dir=target "capture_trace_with_schedule" \
+        crates examples tests src bench README.md DESIGN.md \
+    || grep -rnF "TracingStats {" crates examples tests src \
+        | grep -vE "^crates/rose-core/src/workflow.rs:|^crates/rose-obs/src/" \
     || grep -nE "^serde" crates/rose-{sim,profile,core,jepsen}/Cargo.toml \
     || grep -n "^serde_json" crates/rose-hunt/Cargo.toml \
     || cargo tree -p rose-trace | grep rose-store \
@@ -92,7 +97,12 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "rose-jepsen, no serde_json under rose-hunt)," \
         "and the target models have one closed loop: a workload client's write in flight," \
         "deadline, retries and leader live in rose_apps::common's ClosedLoop (no outstanding:" \
-        "field outside common.rs)"
+        "field outside common.rs)," \
+        "and the tracing phase states each fact once: a system's key files default to the files" \
+        "its symbol table names (no fn key_files in a registry system or an example), a scripted" \
+        "capture is capture_trace with an Executor among its hooks (no capture_trace_with_schedule)," \
+        "and TraceCapture::phase_record is the one builder of a tracing record, sizing the dump it" \
+        "reports (no TracingStats literal outside rose-core's workflow.rs and rose-obs)"
     exit 1
 fi
 
