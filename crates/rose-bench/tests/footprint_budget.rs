@@ -2,22 +2,25 @@
 //! tracer, then `dump → save_trace → read_all`.
 //!
 //! The tracer is *lightweight* because what it keeps per call is small and
-//! kept once: a 56-byte event pushed into the window, the window's own
+//! kept once: a 48-byte event pushed into the window, the window's own
 //! buffer handed to the dump, frames encoded from the dump's slice and
 //! decoded into the vector `read_all` returns. The load generator keeps no
 //! journal, so the cluster's memory does not grow with the operations it
 //! completes. Two ceilings hold that, about 15 % above the readings this
 //! test prints (they repeat exactly, debug and release):
 //!
-//! * allocations per completed operation, whole pipeline — 2.495 here (the
-//!   cluster's own messages and values; dump, save and read add 83 in all);
-//!   3.494 at the parent commit, with a journalled `format!` per operation,
+//! * allocations per completed operation, whole pipeline — 2.496 here (the
+//!   cluster's own messages and values; dump, save and read add 94 in all,
+//!   an SCF path costing two boxes, not one, where it is built or read);
+//!   3.494 before that, with a journalled `format!` per operation,
 //!   a cloned dump and a payload and an event vector per frame;
-//! * the high-water mark of live heap bytes above the start — 12.9 MB here
-//!   (10.0 MB the cluster with its 2.8 MB window, then the dump's sort
-//!   scratch or the vector read back); 35.0 MB at the parent: 25.0 MB the
-//!   cluster with a 4.8 MB window of 96-byte events and the journal of one
-//!   virtual second, then a copied dump.
+//! * the high-water mark of live heap bytes above the start — 12.1 MB here
+//!   (9.6 MB the cluster with its 2.4 MB window of 48-byte events, then the
+//!   vector read back; the dump sorts each instant where it lies, with no
+//!   scratch); 12.9 MB with 56-byte events and a dump that stable-sorted
+//!   the whole window; 35.0 MB before that: 25.0 MB the cluster with a
+//!   4.8 MB window of 96-byte events and the journal of one virtual second,
+//!   then a copied dump.
 //!
 //! This binary owns its global allocator, so it holds exactly one test.
 
@@ -87,7 +90,7 @@ fn reading<R>(base: usize, f: impl FnOnce() -> R) -> (u64, f64, R) {
 #[test]
 fn the_traced_ycsb_pipeline_stays_within_its_footprint() {
     const ALLOCATIONS_PER_OP: f64 = 2.9;
-    const PEAK_LIVE_MB: f64 = 14.8;
+    const PEAK_LIVE_MB: f64 = 13.9;
 
     let path =
         std::env::temp_dir().join(format!("rose-footprint-{}.rosetrace", std::process::id()));

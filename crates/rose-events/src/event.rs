@@ -83,12 +83,61 @@ impl fmt::Display for ExecutionIndex {
     }
 }
 
+/// An owned string behind one thin pointer: an SCF's path.
+///
+/// A `Box<str>` is a pointer and a length, 16 bytes in every SCF slot of a
+/// window whether or not the call named a path. This keeps the pair on the
+/// heap and the slot at 8 bytes (`None` included), at the price of a second
+/// allocation per path. It derefs to `str`, and its `{:?}`, serde form and
+/// hash are those of a `Box<str>`, so no output tells the two apart.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct ThinStr(Box<Box<str>>);
+
+impl core::ops::Deref for ThinStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for ThinStr {
+    fn from(s: &str) -> Self {
+        ThinStr(Box::new(s.into()))
+    }
+}
+
+impl From<String> for ThinStr {
+    fn from(s: String) -> Self {
+        ThinStr(Box::new(s.into_boxed_str()))
+    }
+}
+
+impl fmt::Debug for ThinStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl Serialize for ThinStr {
+    fn ser(&self) -> serde::Value {
+        (**self).ser()
+    }
+}
+
+impl Deserialize for ThinStr {
+    fn de(value: &serde::Value) -> Result<Self, serde::Error> {
+        String::de(value).map(ThinStr::from)
+    }
+}
+
 /// The type-specific payload `I` of an event.
 ///
 /// Layout rule: a tracer window holds hundreds of thousands of these, nearly
 /// all of them the small fixed-size variants, so the rare variable-length
 /// payloads (an SCF's path and execution index, an IO-content prefix) sit
 /// behind one pointer each instead of sizing every event by the largest.
+/// DESIGN.md's "Event layout" section has the arithmetic.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum EventKind {
     /// System Call Failure: `{pid, syscall_id, fd, filename, errno}`.
@@ -104,7 +153,7 @@ pub enum EventKind {
         /// File descriptor operated on, for fd-based calls.
         fd: Option<Fd>,
         /// Path operated on, when known.
-        path: Option<Box<str>>,
+        path: Option<ThinStr>,
         /// The error returned.
         errno: Errno,
         /// The call's execution index, when the tracer recorded one.
@@ -236,8 +285,8 @@ pub struct Event {
 }
 
 // A dump holds one `Event` per window slot and every store and merge stage
-// moves them by value: the record stays within 56 bytes.
-const _: () = assert!(size_of::<Event>() <= 56 && size_of::<EventKind>() <= 40);
+// moves them by value: the record is 48 bytes, its payload 32.
+const _: () = assert!(size_of::<Event>() == 48 && size_of::<EventKind>() == 32);
 
 impl Event {
     /// Builds an event.
@@ -444,7 +493,7 @@ mod tests {
             pid: Pid(1),
             syscall: SyscallId::Read,
             fd: Some(Fd(3)),
-            path: path.map(Box::from),
+            path: path.map(ThinStr::from),
             errno: Errno::Eio,
             ei: ei.cloned().map(Box::new),
         };

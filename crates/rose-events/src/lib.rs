@@ -26,10 +26,10 @@ pub mod trace;
 pub mod window;
 
 pub use causal::{CausalEdge, CausalKind, CausalLog, CausalNode, CauseId, EdgeKind};
-pub use event::{Event, EventKind, ExecutionIndex, ProcState};
+pub use event::{Event, EventKind, ExecutionIndex, ProcState, ThinStr};
 pub use fingerprint::{Fingerprinter, FnvBuildHasher, FnvHasher};
 pub use ids::{Fd, FunctionId, IpAddr, NodeId, Pid};
 pub use syscall::{Errno, SyscallId};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceCounts};
+pub use trace::{sort_canonical, Trace, TraceCounts};
 pub use window::{SlidingWindow, DEFAULT_WINDOW_CAPACITY};

@@ -17,15 +17,23 @@ pub struct Trace {
     events: Vec<Event>,
 }
 
-/// Stable-sorts `events` by `(ts, node)` unless they already are in that
-/// order: the sort allocates scratch for half its input even when it has
-/// nothing to move.
-fn sort_canonical(events: &mut [Event]) {
-    let sorted = events
-        .windows(2)
-        .all(|w| (w[0].ts, w[0].node) <= (w[1].ts, w[1].node));
-    if !sorted {
+/// Puts `events` in the canonical trace order: the stable sort by
+/// `(ts, node)`, so full ties keep the order they arrived in.
+///
+/// A window dumps in push order, which is time order with the nodes of one
+/// instant interleaved as their events happened. For such an input only the
+/// equal-timestamp runs can be out of order, and stable-sorting each run by
+/// node is the whole sort: no scratch the size of the dump, nothing moved
+/// outside a run that needs it. Any other input takes the full stable sort.
+pub fn sort_canonical(events: &mut [Event]) {
+    if !events.is_sorted_by_key(|e| e.ts) {
         events.sort_by_key(|e| (e.ts, e.node));
+        return;
+    }
+    for run in events.chunk_by_mut(|a, b| a.ts == b.ts) {
+        if !run.is_sorted_by_key(|e| e.node) {
+            run.sort_by_key(|e| e.node);
+        }
     }
 }
 
@@ -35,9 +43,9 @@ impl Trace {
         Trace { events: Vec::new() }
     }
 
-    /// Builds a trace from events, sorting them by `(ts, node)` to establish
-    /// the canonical order. A window dumps in push order, so the usual input
-    /// is already canonical and is kept as it arrived.
+    /// Builds a trace from events in the canonical `(ts, node)` order
+    /// ([`sort_canonical`]), sorted in place: the trace keeps the allocation
+    /// it was handed.
     pub fn from_events(mut events: Vec<Event>) -> Self {
         sort_canonical(&mut events);
         Trace { events }
@@ -252,6 +260,18 @@ mod tests {
         let t = Trace::from_events(ordered);
         assert_eq!(t.events().as_ptr(), ptr);
         assert_eq!(t.events(), &copy[..]);
+        // Time-ordered with the nodes of each instant interleaved, as a
+        // cluster-wide window dumps them, one cluster longer than a small
+        // sort's insertion cutoff: each instant is sorted where it lies.
+        let interleaved: Vec<Event> = (0..96u32)
+            .map(|i| af(u64::from(i.saturating_sub(39) / 8), 3 - i % 4, i))
+            .collect();
+        let mut want = interleaved.clone();
+        want.sort_by_key(|e| (e.ts, e.node));
+        let ptr = interleaved.as_ptr();
+        let t = Trace::from_events(interleaved);
+        assert_eq!(t.events().as_ptr(), ptr);
+        assert_eq!(t.events(), &want[..]);
         // Unordered: the stable sort, so equal keys keep arrival order.
         let unordered: Vec<Event> = (0..64u32)
             .map(|i| af(u64::from(7 * i % 16), i % 3, i))

@@ -118,22 +118,6 @@ impl SlidingWindow {
         self.peak_bytes
     }
 
-    /// Copies the window contents out in chronological (push) order.
-    ///
-    /// This is the `dump` primitive; the window itself is left untouched so
-    /// tracing can continue.
-    pub fn snapshot(&self) -> Vec<Event> {
-        if self.head == 0 {
-            // Not yet wrapped (or wrapped back to the start): the buffer is
-            // already in push order, one straight copy suffices.
-            return self.buf.clone();
-        }
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-
     /// Moves the window contents out in chronological (push) order — the
     /// buffer itself, rotated in place, not a copy — and leaves the window
     /// empty: `total_pushed` and `peak_bytes` carry on.
@@ -182,7 +166,7 @@ mod tests {
         for i in 0..5 {
             w.push(ev(i));
         }
-        let snap = w.snapshot();
+        let snap: Vec<Event> = w.iter().cloned().collect();
         assert_eq!(snap.len(), 5);
         assert!(snap.windows(2).all(|p| p[0].ts < p[1].ts));
     }
@@ -193,7 +177,7 @@ mod tests {
         for i in 0..10 {
             w.push(ev(i));
         }
-        let snap = w.snapshot();
+        let snap: Vec<Event> = w.iter().cloned().collect();
         assert_eq!(snap.len(), 4);
         assert_eq!(snap[0].ts, SimTime::from_micros(6));
         assert_eq!(snap[3].ts, SimTime::from_micros(9));
@@ -258,13 +242,14 @@ mod tests {
     }
 
     #[test]
-    fn drain_is_snapshot_then_clear_without_the_copy() {
+    fn drain_is_iter_then_clear_without_the_copy() {
         for pushes in [0u64, 3, 4, 6, 8, 9] {
             let mut w = SlidingWindow::with_capacity(4);
             for i in 0..pushes {
                 w.push(ev(i));
             }
-            let (expected, peak) = (w.snapshot(), w.peak_bytes());
+            let expected: Vec<Event> = w.iter().cloned().collect();
+            let peak = w.peak_bytes();
             assert_eq!(w.drain(), expected, "after {pushes} pushes");
             assert!(w.is_empty());
             assert_eq!(w.bytes(), 0);

@@ -1,5 +1,6 @@
 //! Property-based tests of the event model: the sliding window against a
-//! naive model, trace-merge invariants, and serde round-trips.
+//! naive model, the canonical order and trace-merge invariants, and serde
+//! round-trips.
 
 use proptest::prelude::*;
 use rose_events::{
@@ -22,7 +23,7 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
                 pid: Pid(100 + p),
                 syscall: SyscallId::Read,
                 fd: Some(Fd(3)),
-                path: path.map(String::into_boxed_str),
+                path: path.map(Into::into),
                 errno: Errno::Eio,
                 ei: ei
                     .map(|(chain, count)| Box::new(rose_events::ExecutionIndex::new(chain, count))),
@@ -66,7 +67,7 @@ proptest! {
         // Naive model: the last `cap` events in push order.
         let start = events.len().saturating_sub(cap);
         let expect: Vec<Event> = events[start..].to_vec();
-        prop_assert_eq!(w.snapshot(), expect);
+        prop_assert_eq!(w.iter().cloned().collect::<Vec<_>>(), expect);
         prop_assert_eq!(w.total_pushed(), events.len() as u64);
         let bytes: usize = w.iter().map(|e| e.kind.wire_size()).sum();
         prop_assert_eq!(w.bytes(), bytes);
@@ -121,6 +122,40 @@ proptest! {
         reference.sort_by_key(|e| (e.ts, e.node));
         let merged = Trace::merge(dumps);
         prop_assert_eq!(merged.events(), &reference[..]);
+    }
+
+    #[test]
+    fn canonical_order_is_the_stable_ts_node_sort(
+        steps in proptest::collection::vec((0u64..8, 0u32..5), 0..300),
+        time_ordered in any::<bool>(),
+        stay in 5u64..9,
+    ) {
+        // Time-ordered inputs are what a window dumps: timestamps never go
+        // back, and a step stays on the same instant unless its draw is
+        // above `stay` — three in eight down to never, so cross-node
+        // clusters of equal timestamps run from a few events to the whole
+        // input, long enough for an unstable sort to reorder a tie. The
+        // other inputs draw timestamps at random and take the fallback.
+        // Unique function ids make a reordered tie show.
+        let mut ts = 0u64;
+        let events: Vec<Event> = steps
+            .iter()
+            .zip(0u32..)
+            .map(|(&(step, node), uid)| {
+                ts = if time_ordered { ts + step.saturating_sub(stay) } else { step };
+                Event::new(
+                    SimTime::from_micros(ts),
+                    NodeId(node),
+                    EventKind::Af { pid: Pid(1), function: FunctionId(uid) },
+                )
+            })
+            .collect();
+        let mut reference = events.clone();
+        reference.sort_by_key(|e| (e.ts, e.node));
+        let mut canonical = events.clone();
+        rose_events::sort_canonical(&mut canonical);
+        prop_assert_eq!(&canonical, &reference);
+        prop_assert_eq!(Trace::from_events(events).events(), &reference[..]);
     }
 
     #[test]

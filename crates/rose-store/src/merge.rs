@@ -65,9 +65,9 @@ impl<R: Read + Seek> Cursor<R> {
 ///
 /// Sorted inputs (finished files whose index records order) are streamed
 /// frame by frame. An input that is unsorted — or whose order is unknown
-/// because the file had no index — is loaded and stably sorted up front,
-/// mirroring the pre-sort `Trace::merge` applies to unsorted dumps; its
-/// full size then counts toward `peak_events_in_flight`.
+/// because the file had no index — is loaded and put in canonical order up
+/// front by the same [`rose_events::sort_canonical`] `Trace::merge` applies
+/// to its dumps; its full size then counts toward `peak_events_in_flight`.
 pub fn merge_readers<R: Read + Seek>(
     readers: Vec<TraceReader<R>>,
 ) -> Result<(Trace, MergeStats), StoreError> {
@@ -84,7 +84,7 @@ pub fn merge_readers<R: Read + Seek>(
             let mut events = reader.read_all()?;
             in_flight += events.len() as u64;
             stats.frames_read += reader.frame_count() as u64;
-            events.sort_by_key(|e| (e.ts, e.node));
+            rose_events::sort_canonical(&mut events);
             events.into_iter()
         };
         cursors.push(Cursor {

@@ -39,7 +39,7 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
                 pid: Pid(100 + p),
                 syscall: SyscallId::ALL[sys],
                 fd: fd.map(Fd),
-                path: path.map(String::into_boxed_str),
+                path: path.map(Into::into),
                 errno: Errno::ALL[errno],
                 ei: ei
                     .map(|(chain, count)| Box::new(rose_events::ExecutionIndex::new(chain, count))),
@@ -165,14 +165,14 @@ proptest! {
         events in proptest::collection::vec(arb_event(), 0..120),
         cap in 1usize..32,
     ) {
-        // The sliding window after wraparound hands its snapshot to the
-        // dump path in push order; the codec must carry that dump through
+        // The sliding window after wraparound hands its drained buffer to
+        // the dump path in push order; the codec must carry that dump through
         // a Trace losslessly even when eviction left the oldest events gone.
         let mut w = SlidingWindow::with_capacity(cap);
         for e in &events {
             w.push(e.clone());
         }
-        let trace = Trace::from_events(w.snapshot());
+        let trace = Trace::from_events(w.drain());
         let mut buf = Vec::new();
         let mut tw = TraceWriter::with_frame_capacity(&mut buf, 7).unwrap();
         for e in trace.events() {

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use rose_events::{
     Event, EventKind, ExecutionIndex, IpAddr, NodeId, Pid, ProcState, SimDuration, SimTime,
-    SlidingWindow, SyscallId, Trace,
+    SlidingWindow, SyscallId, ThinStr, Trace,
 };
 use rose_sim::{
     ChainId, HookEffects, HookEnv, KernelHook, ProcEvent, ProcTable, RunState, SyscallArgs,
@@ -253,7 +253,7 @@ impl KernelHook for Tracer {
                         pid: env.pid,
                         syscall: args.call,
                         fd: args.fd,
-                        path: args.subject_path().map(Box::from),
+                        path: args.subject_path().map(ThinStr::from),
                         errno: *errno,
                         ei: ei_of(ei_count),
                     };
@@ -288,7 +288,7 @@ impl KernelHook for Tracer {
                         pid: env.pid,
                         syscall: args.call,
                         fd: args.fd,
-                        path: args.subject_path().map(Box::from),
+                        path: args.subject_path().map(ThinStr::from),
                         errno: *errno,
                         ei: ei_of(ei_count),
                     },
