@@ -96,25 +96,30 @@ impl Application for HBase {
         }
         match req {
             Bmsg::Submit { pid } => {
-                ctx.enter_function("executeProcedure");
-                let persisted = ctx
-                    .write_file(&proc_path(pid), numbered("result-", pid).as_bytes())
-                    .is_ok();
-                if persisted || self.bug {
-                    // DEFECT (HBASE-19608): completion is flagged even when
-                    // the result never became durable — the race window
-                    // `getProcedureResult` falls into.
-                    self.complete.insert(pid, true);
+                {
+                    let ctx = &mut ctx.function("executeProcedure");
+                    let persisted = ctx
+                        .write_file(&proc_path(pid), numbered("result-", pid).as_bytes())
+                        .is_ok();
+                    if persisted || self.bug {
+                        // DEFECT (HBASE-19608): completion is flagged even
+                        // when the result never became durable — the race
+                        // window `getProcedureResult` falls into.
+                        self.complete.insert(pid, true);
+                    }
+                    if !persisted {
+                        ctx.log(format!("ERROR procedure {pid} result write failed"));
+                    }
                 }
-                if !persisted {
-                    ctx.log(format!("ERROR procedure {pid} result write failed"));
-                }
-                ctx.exit_function();
                 let _ = ctx.reply(client, Bmsg::SubmitOk { pid });
             }
             Bmsg::GetResult { pid } => {
-                ctx.enter_function("getProcedureResult");
-                let payload = if self.complete.get(&pid).copied().unwrap_or(false) {
+                let payload = {
+                    let ctx = &mut ctx.function("getProcedureResult");
+                    if !self.complete.get(&pid).copied().unwrap_or(false) {
+                        // Not complete yet: the client re-polls.
+                        return;
+                    }
                     match ctx.open_read(&proc_path(pid)) {
                         Ok(fd) => {
                             let data = ctx.read(fd, 256).unwrap_or_default();
@@ -122,28 +127,21 @@ impl Application for HBase {
                             Some(String::from_utf8_lossy(&data).to_string())
                         }
                         Err(e) => {
-                            if self.bug {
-                                // DEFECT (HBASE-19608): complete-but-unreadable
-                                // returns null to the client.
-                                ctx.log(format!(
-                                    "ERROR getProcedureResult race: returning null ({e})"
-                                ));
-                                None
-                            } else {
+                            if !self.bug {
                                 // Correct behaviour: report as still running
                                 // so the client re-polls.
                                 ctx.log(format!("WARN result not yet readable ({e}); retry"));
-                                ctx.exit_function();
                                 return;
                             }
+                            // DEFECT (HBASE-19608): complete-but-unreadable
+                            // returns null to the client.
+                            ctx.log(format!(
+                                "ERROR getProcedureResult race: returning null ({e})"
+                            ));
+                            None
                         }
                     }
-                } else {
-                    // Not complete yet: the client re-polls.
-                    ctx.exit_function();
-                    return;
                 };
-                ctx.exit_function();
                 let _ = ctx.reply(client, Bmsg::Result { pid, payload });
             }
             _ => {}

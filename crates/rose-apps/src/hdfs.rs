@@ -202,7 +202,7 @@ impl Hdfs {
 
     /// NN: roll the edit log (the HDFS-4233 path).
     fn roll_edit_log(&mut self, ctx: &mut NodeCtx<'_, Hmsg>) {
-        ctx.enter_function("rollEditLog");
+        let ctx = &mut ctx.function("rollEditLog");
         let rolled = (|| {
             let fd = ctx.open(EDITS_NEW, OpenFlags::Write).ok()?;
             let _ = ctx.write(fd, b"EDITS-SEGMENT-V1\n");
@@ -210,7 +210,6 @@ impl Hdfs {
             ctx.rename(EDITS_NEW, EDITS).ok()
         })()
         .is_some();
-        ctx.exit_function();
         if !rolled {
             if self.is(HdfsBug::Hdfs4233) {
                 // DEFECT (HDFS-4233): the NN keeps serving with zero
@@ -224,18 +223,17 @@ impl Hdfs {
 
     /// NN: append the edit record `{verb} {file}` (hot path).
     fn append_edit(&mut self, ctx: &mut NodeCtx<'_, Hmsg>, verb: &str, file: &str) {
-        ctx.enter_function("appendEdit");
+        let ctx = &mut ctx.function("appendEdit");
         if let Ok(fd) = ctx.open(EDITS, OpenFlags::Append) {
             edit_record(&mut self.line, verb, file);
             let _ = ctx.write(fd, self.line.as_bytes());
             let _ = ctx.close(fd);
         }
-        ctx.exit_function();
     }
 
     /// DN: the block report (hot path, many `fstat`s).
     fn block_report(&mut self, ctx: &mut NodeCtx<'_, Hmsg>) {
-        ctx.enter_function("blockReport");
+        let ctx = &mut ctx.function("blockReport");
         // Block files this DN currently stores.
         let paths: Vec<String> = ctx.list_paths("/dn/");
         for p in paths {
@@ -244,29 +242,25 @@ impl Hdfs {
                 let _ = ctx.close(fd);
             }
         }
-        ctx.exit_function();
     }
 
     /// DN: validate a replica during block recovery (HDFS-12070 path).
     fn recover_block(&mut self, ctx: &mut NodeCtx<'_, Hmsg>, file: &str) -> bool {
-        ctx.enter_function("recoverBlock");
-        let ok = (|| {
+        let ctx = &mut ctx.function("recoverBlock");
+        (|| {
             let fd = ctx.open_read(&block_path(file)).ok()?;
             let r = ctx.fstat(fd);
             let _ = ctx.close(fd);
             r.ok()
         })()
-        .is_some();
-        ctx.exit_function();
-        ok
+        .is_some()
     }
 
     /// Balancer: probe namenodes and datanodes (HDFS-15032 path).
     fn balancer_round(&mut self, ctx: &mut NodeCtx<'_, Hmsg>) {
-        ctx.enter_function("balancerRound");
+        let ctx = &mut ctx.function("balancerRound");
         // Active namenode first.
         if let Err(e) = ctx.connect(NN) {
-            ctx.exit_function();
             if self.is(HdfsBug::Hdfs15032) && self.rounds_completed >= 1 {
                 // DEFECT (HDFS-15032): once the balancer holds iteration
                 // state from a completed round, the unavailable-namenode
@@ -292,7 +286,6 @@ impl Hdfs {
             }
         }
         self.rounds_completed += 1;
-        ctx.exit_function();
     }
 }
 
@@ -384,47 +377,49 @@ impl Application for Hdfs {
             }
             Hmsg::Fetch { file, client } => {
                 // DN read path, with block-token validation (HDFS-16332).
-                ctx.enter_function("serveRead");
                 let mut retry = false;
                 let mut values = String::new();
-                if self.token_expired {
-                    // DEFECT (HDFS-16332): the expired token is never
-                    // refreshed; every read is bounced.
-                    retry = true;
-                } else {
-                    if let Ok(fd) = ctx.open_read(&block_path(&file)) {
-                        match ctx.read(fd, 4096) {
-                            Ok(data) => {
-                                // The client reports the lines comma-joined;
-                                // join them here, in the one buffer that
-                                // travels DN → NN → client.
-                                for (i, line) in String::from_utf8_lossy(&data).lines().enumerate()
-                                {
-                                    if i > 0 {
-                                        values.push(',');
+                {
+                    let ctx = &mut ctx.function("serveRead");
+                    if self.token_expired {
+                        // DEFECT (HDFS-16332): the expired token is never
+                        // refreshed; every read is bounced.
+                        retry = true;
+                    } else {
+                        if let Ok(fd) = ctx.open_read(&block_path(&file)) {
+                            match ctx.read(fd, 4096) {
+                                Ok(data) => {
+                                    // The client reports the lines comma-joined;
+                                    // join them here, in the one buffer that
+                                    // travels DN → NN → client.
+                                    for (i, line) in
+                                        String::from_utf8_lossy(&data).lines().enumerate()
+                                    {
+                                        if i > 0 {
+                                            values.push(',');
+                                        }
+                                        values.push_str(line);
                                     }
-                                    values.push_str(line);
+                                    let _ = ctx.close(fd);
                                 }
-                                let _ = ctx.close(fd);
-                            }
-                            Err(Errno::Eacces) => {
-                                let _ = ctx.close(fd);
-                                ctx.log("WARN block token expired during read");
-                                if self.is(HdfsBug::Hdfs16332) {
-                                    self.token_expired = true;
-                                } else {
-                                    ctx.log("INFO block token refreshed");
+                                Err(Errno::Eacces) => {
+                                    let _ = ctx.close(fd);
+                                    ctx.log("WARN block token expired during read");
+                                    if self.is(HdfsBug::Hdfs16332) {
+                                        self.token_expired = true;
+                                    } else {
+                                        ctx.log("INFO block token refreshed");
+                                    }
+                                    retry = true;
                                 }
-                                retry = true;
-                            }
-                            Err(_) => {
-                                let _ = ctx.close(fd);
-                                retry = true;
+                                Err(_) => {
+                                    let _ = ctx.close(fd);
+                                    retry = true;
+                                }
                             }
                         }
                     }
                 }
-                ctx.exit_function();
                 let _ = ctx.send(
                     from,
                     Hmsg::Fetched {

@@ -86,7 +86,7 @@ impl Kafka {
             // No change: nothing to emit.
             return true;
         }
-        ctx.enter_function("flushChangelog");
+        let ctx = &mut ctx.function("flushChangelog");
         let persisted = (|| {
             let fd = ctx.open(CHANGELOG, OpenFlags::Append).ok()?;
             self.line.clear();
@@ -95,7 +95,6 @@ impl Kafka {
             ctx.close(fd).ok()
         })()
         .is_some();
-        ctx.exit_function();
         self.table.insert(key.to_string(), val.to_string());
         if persisted {
             self.emitted.insert(key.to_string(), val.to_string());

@@ -175,19 +175,18 @@ impl MongoDb {
     }
 
     fn persist_oplog(&mut self, ctx: &mut NodeCtx<'_, Mmsg>, pos: u64, key: &str, val: &str) {
-        ctx.enter_function("appendOplog");
+        let ctx = &mut ctx.function("appendOplog");
         if let Ok(fd) = ctx.open("/mongo/oplog", OpenFlags::Append) {
             self.line.clear();
             push_record(&mut self.line, pos, key, val);
             let _ = ctx.write(fd, self.line.as_bytes());
             let _ = ctx.close(fd);
         }
-        ctx.exit_function();
     }
 
     fn step_down(&mut self, ctx: &mut NodeCtx<'_, Mmsg>, term: u64, primary: Option<NodeId>) {
         if self.role == Role::Primary {
-            ctx.enter_function("stepDown");
+            let ctx = &mut ctx.function("stepDown");
             ctx.log(format!(
                 "INFO stepping down at term {} → {}",
                 self.term, term
@@ -205,7 +204,6 @@ impl MongoDb {
             }
             self.oplog_pos = self.oplog.keys().next_back().copied().unwrap_or(0);
             self.pending.clear();
-            ctx.exit_function();
         }
         self.role = Role::Secondary;
         self.term = term;
@@ -217,7 +215,7 @@ impl MongoDb {
     /// under w=1), missing entries are requested.
     fn reconcile(&mut self, ctx: &mut NodeCtx<'_, Mmsg>, primary: NodeId, pos: u64) {
         if self.oplog_pos > pos {
-            ctx.enter_function("rollbackDivergent");
+            let ctx = &mut ctx.function("rollbackDivergent");
             let divergent: Vec<u64> = self.oplog.range(pos + 1..).map(|(p, _)| *p).collect();
             for p in divergent {
                 if let Some((key, val)) = self.oplog.remove(&p) {
@@ -229,7 +227,6 @@ impl MongoDb {
             }
             self.oplog_pos = pos.min(self.oplog_pos);
             self.oplog_pos = self.oplog.keys().next_back().copied().unwrap_or(0);
-            ctx.exit_function();
         } else if self.oplog_pos < pos {
             let _ = ctx.send(
                 primary,
@@ -262,7 +259,7 @@ impl Application for MongoDb {
                     && now.saturating_sub(self.last_primary_us) < 1_500_000;
                 let fire = self.term == 0 || ctx.rng().gen_bool(0.6);
                 if self.role != Role::Primary && !primary_fresh && fire {
-                    ctx.enter_function("callElection");
+                    let ctx = &mut ctx.function("callElection");
                     self.term += 1;
                     self.votes = 1;
                     self.voted_in = self.term;
@@ -271,7 +268,6 @@ impl Application for MongoDb {
                         term: self.term,
                         pos: self.oplog_pos,
                     });
-                    ctx.exit_function();
                 }
                 let t = election_timeout(ctx.rng());
                 ctx.set_timer(t, tags::ELECTION);
@@ -331,12 +327,11 @@ impl Application for MongoDb {
                 if self.votes * 2 > ctx.cluster_size() {
                     self.role = Role::Primary;
                     self.primary = Some(ctx.node());
-                    ctx.enter_function("becomePrimary");
+                    let _ = ctx.function("becomePrimary");
                     ctx.log(format!(
                         "INFO became primary term {} pos {}",
                         self.term, self.oplog_pos
                     ));
-                    ctx.exit_function();
                     ctx.set_timer(SimDuration::from_millis(150), tags::HEARTBEAT);
                 }
             }

@@ -391,7 +391,7 @@ impl RoseRaft {
     // ---- recovery -----------------------------------------------------
 
     fn recover(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>) {
-        ctx.enter_function("recoverState");
+        let ctx = &mut ctx.function("recoverState");
         match ctx.read_file(META_PATH) {
             Ok(data) => {
                 let text = String::from_utf8_lossy(&data);
@@ -400,10 +400,7 @@ impl RoseRaft {
                 self.voted_for = it.next().and_then(|v| v.parse().ok());
             }
             Err(Errno::Enoent) => {}
-            Err(e) => {
-                ctx.exit_function();
-                ctx.panic(format!("io error reading meta: {e:?}"));
-            }
+            Err(e) => ctx.panic(format!("io error reading meta: {e:?}")),
         }
 
         let snap = self.load_snapshot_file(ctx);
@@ -413,14 +410,10 @@ impl RoseRaft {
         match ctx.read_file(LOG_PATH) {
             Ok(data) => self.log = RaftLog::parse(&data),
             Err(Errno::Enoent) => fresh_log = true,
-            Err(e) => {
-                ctx.exit_function();
-                ctx.panic(format!("io error reading log: {e:?}"));
-            }
+            Err(e) => ctx.panic(format!("io error reading log: {e:?}")),
         }
         if fresh_log {
             if let Err(e) = ctx.write_file(LOG_PATH, self.log.encode().as_bytes()) {
-                ctx.exit_function();
                 ctx.panic(format!("io error creating log: {e:?}"));
             }
         }
@@ -447,32 +440,19 @@ impl RoseRaft {
                 .unwrap_or_else(|| (0..ctx.cluster_size()).collect()),
         };
         self.last_snap = snap;
-        ctx.exit_function();
     }
 
     /// Reads and adopts the on-disk snapshot, journaling what was actually
     /// reconstructed.
     fn load_snapshot_file(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>) -> Option<SnapImage> {
-        ctx.enter_function("loadSnapshotFile");
+        let ctx = &mut ctx.function("loadSnapshotFile");
         ctx.at_offset(0);
         let data = match ctx.read_file(SNAP_PATH) {
             Ok(data) => data,
-            Err(Errno::Enoent) => {
-                ctx.exit_function();
-                return None;
-            }
-            Err(e) => {
-                ctx.exit_function();
-                ctx.panic(format!("io error reading snapshot: {e:?}"));
-            }
+            Err(Errno::Enoent) => return None,
+            Err(e) => ctx.panic(format!("io error reading snapshot: {e:?}")),
         };
-        let img = match SnapImage::parse(&data) {
-            Some(img) => img,
-            None => {
-                ctx.exit_function();
-                return None;
-            }
-        };
+        let img = SnapImage::parse(&data)?;
         self.kv.map = img.map.clone();
         self.kv.chain = img.chain;
         self.kv.applied = img.idx;
@@ -482,7 +462,6 @@ impl RoseRaft {
             "raft: SNAP_RESTORE idx={} chain={:x} digest={:x}",
             img.idx, img.chain, digest
         ));
-        ctx.exit_function();
         Some(img)
     }
 
@@ -493,20 +472,21 @@ impl RoseRaft {
     }
 
     fn start_election(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>) {
-        ctx.enter_function("startElection");
-        ctx.at_offset(0);
-        self.term += 1;
-        self.voted_for = Some(Self::me(ctx));
-        self.persist_meta(ctx);
-        self.role = Role::Candidate;
-        self.leader = None;
-        self.votes = BTreeSet::from([Self::me(ctx)]);
-        ctx.broadcast(RaftMsg::Vote {
-            term: self.term,
-            last_idx: self.log.last_idx(),
-            last_term: self.log.last_term(),
-        });
-        ctx.exit_function();
+        {
+            let ctx = &mut ctx.function("startElection");
+            ctx.at_offset(0);
+            self.term += 1;
+            self.voted_for = Some(Self::me(ctx));
+            self.persist_meta(ctx);
+            self.role = Role::Candidate;
+            self.leader = None;
+            self.votes = BTreeSet::from([Self::me(ctx)]);
+            ctx.broadcast(RaftMsg::Vote {
+                term: self.term,
+                last_idx: self.log.last_idx(),
+                last_term: self.log.last_term(),
+            });
+        }
         self.maybe_win(ctx);
     }
 
@@ -525,21 +505,22 @@ impl RoseRaft {
     }
 
     fn become_leader(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>) {
-        ctx.enter_function("becomeLeader");
-        ctx.at_offset(0);
-        self.role = Role::Leader;
-        self.leader = Some(ctx.node());
-        ctx.log(format!(
-            "raft: BECAME_LEADER term={} idx={}",
-            self.term,
-            self.log.last_idx()
-        ));
-        let last = self.log.last_idx();
-        self.next_idx = ctx.peers().iter().map(|p| (p.0, last + 1)).collect();
-        self.match_idx = ctx.peers().iter().map(|p| (p.0, 0)).collect();
-        self.xfers.clear();
-        ctx.set_timer(HEARTBEAT_EVERY, tags::HEARTBEAT);
-        ctx.exit_function();
+        {
+            let ctx = &mut ctx.function("becomeLeader");
+            ctx.at_offset(0);
+            self.role = Role::Leader;
+            self.leader = Some(ctx.node());
+            ctx.log(format!(
+                "raft: BECAME_LEADER term={} idx={}",
+                self.term,
+                self.log.last_idx()
+            ));
+            let last = self.log.last_idx();
+            self.next_idx = ctx.peers().iter().map(|p| (p.0, last + 1)).collect();
+            self.match_idx = ctx.peers().iter().map(|p| (p.0, 0)).collect();
+            self.xfers.clear();
+            ctx.set_timer(HEARTBEAT_EVERY, tags::HEARTBEAT);
+        }
         // A no-op entry commits everything from earlier terms (§5.4.2: a
         // leader only counts replicas for entries of its own term).
         self.leader_append(ctx, Cmd::Noop);
@@ -586,9 +567,8 @@ impl RoseRaft {
     }
 
     fn replicate(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>) {
-        ctx.enter_function("raftTickReplicate");
-        let peers = ctx.peers();
-        for p in peers {
+        let mut scope = ctx.function("raftTickReplicate");
+        for p in scope.peers() {
             if self.xfers.contains_key(&p.0) {
                 continue;
             }
@@ -598,9 +578,11 @@ impl RoseRaft {
                 .copied()
                 .unwrap_or(self.log.last_idx() + 1);
             if ni <= self.log.base_idx {
-                ctx.exit_function();
+                // The transfer starts outside this function, which then
+                // enters anew.
+                drop(scope);
                 self.begin_snapshot_transfer(ctx, p);
-                ctx.enter_function("raftTickReplicate");
+                scope = ctx.function("raftTickReplicate");
                 continue;
             }
             let prev_idx = ni - 1;
@@ -608,7 +590,7 @@ impl RoseRaft {
                 continue;
             };
             let entries = self.log.batch_from(ni, REPL_BATCH).to_vec();
-            let _ = ctx.send(
+            let _ = scope.send(
                 p,
                 RaftMsg::App {
                     term: self.term,
@@ -619,7 +601,6 @@ impl RoseRaft {
                 },
             );
         }
-        ctx.exit_function();
     }
 
     fn advance_commit(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>) {
@@ -691,7 +672,7 @@ impl RoseRaft {
     /// immediately spares a second round of quorum tracking during the
     /// transition; the final entry then merely confirms it.
     fn apply_config_change(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>, cmd: &Cmd) {
-        ctx.enter_function("applyConfigChange");
+        let ctx = &mut ctx.function("applyConfigChange");
         ctx.at_offset(0);
         match cmd {
             Cmd::Joint { new, .. } | Cmd::Final { new } => {
@@ -699,7 +680,6 @@ impl RoseRaft {
             }
             _ => {}
         }
-        ctx.exit_function();
     }
 
     /// Recomputes the active membership after a truncation removed log
@@ -731,20 +711,18 @@ impl RoseRaft {
     /// The snapshot image is captured now but written by a deferred timer
     /// (stage B), keeping the large snapshot fsync off the apply path.
     fn compact_log(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>) {
-        ctx.enter_function("compactLog");
+        let ctx = &mut ctx.function("compactLog");
         self.snap_pending = Some(SnapImage::of(&self.kv, &self.voters));
         self.log.compact_to(self.kv.applied, self.kv.applied_term);
         self.persist_log_rewrite(ctx, true);
         ctx.set_timer(STAGE_GAP, tags::STAGE_B);
-        ctx.exit_function();
     }
 
     /// Stage B: write the snapshot image captured by stage A.
     fn write_snapshot_file(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>, img: SnapImage) {
-        ctx.enter_function("writeSnapshotFile");
+        let ctx = &mut ctx.function("writeSnapshotFile");
         let data = img.encode();
         if let Err(e) = Self::write_atomic(ctx, SNAP_PATH, &data, true) {
-            ctx.exit_function();
             ctx.panic(format!("io error writing snapshot: {e:?}"));
         }
         ctx.log(format!(
@@ -752,7 +730,6 @@ impl RoseRaft {
             img.idx, img.chain, img.digest
         ));
         self.last_snap = Some(img);
-        ctx.exit_function();
     }
 
     // ---- snapshot transfer --------------------------------------------
@@ -761,7 +738,7 @@ impl RoseRaft {
         let Some(img) = self.last_snap.clone() else {
             return;
         };
-        ctx.enter_function("beginSnapshotTransfer");
+        let ctx = &mut ctx.function("beginSnapshotTransfer");
         ctx.at_offset(0);
         let items: Vec<(String, u64)> = img.map.iter().map(|(k, v)| (k.clone(), *v)).collect();
         let per = items.len().div_ceil(XFER_CHUNKS).max(1);
@@ -789,7 +766,6 @@ impl RoseRaft {
             },
         );
         ctx.set_timer(XFER_GAP, XFER_BASE + u64::from(peer.0));
-        ctx.exit_function();
     }
 
     fn pump_transfer(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>, peer: u32) {
@@ -836,7 +812,7 @@ impl RoseRaft {
         digest: u64,
         voters: Vec<u32>,
     ) {
-        ctx.enter_function("installSnapshotBegin");
+        let ctx = &mut ctx.function("installSnapshotBegin");
         let header = SnapImage {
             idx,
             term: snap_term,
@@ -859,7 +835,6 @@ impl RoseRaft {
             ctx.rename(&tmp, SNAP_PATH)
         })();
         if let Err(e) = res {
-            ctx.exit_function();
             ctx.panic(format!("io error starting snapshot install: {e:?}"));
         }
         self.incoming = Some(Install {
@@ -867,7 +842,6 @@ impl RoseRaft {
             snap_term,
             seq: 0,
         });
-        ctx.exit_function();
     }
 
     fn install_chunk(
@@ -885,88 +859,78 @@ impl RoseRaft {
             self.incoming = None;
             return;
         }
-        ctx.enter_function("installSnapshotChunk");
-        let mut body = SnapImage::encode_items(items.iter().map(|(k, v)| (k.as_str(), *v)));
-        if last {
-            body.push_str("end\n");
-        }
-        let res = (|| {
-            ctx.at_offset(0);
-            let fd = ctx.open(SNAP_PATH, OpenFlags::Append)?;
-            ctx.at_offset(1);
-            ctx.write(fd, body.as_bytes())?;
-            ctx.fsync(fd)?;
-            ctx.at_offset(2);
-            ctx.close(fd)
-        })();
-        if let Err(e) = res {
-            ctx.exit_function();
-            ctx.panic(format!("io error installing snapshot chunk: {e:?}"));
-        }
-        if !last {
-            if let Some(inst) = &mut self.incoming {
-                inst.seq += 1;
+        // The ack goes out once the function has returned.
+        let ack = {
+            let ctx = &mut ctx.function("installSnapshotChunk");
+            let mut body = SnapImage::encode_items(items.iter().map(|(k, v)| (k.as_str(), *v)));
+            if last {
+                body.push_str("end\n");
             }
-            ctx.exit_function();
-            return;
-        }
-        ctx.at_offset(3);
-        let snap_term = inst.snap_term;
-        self.incoming = None;
-        // Adopt the streamed image.
-        match ctx.read_file(SNAP_PATH) {
-            Ok(data) => {
-                if let Some(img) = SnapImage::parse(&data) {
-                    if img.idx <= self.kv.applied {
-                        // The log outran the snapshot while it streamed in
-                        // (regular replication resumed concurrently):
-                        // adopting it now would move the machine backwards.
-                        let matched = self.log.last_idx();
-                        let term = self.term;
-                        ctx.exit_function();
-                        if let Some(leader) = self.leader {
-                            let _ = ctx.send(leader, RaftMsg::AppOk { term, matched });
-                        }
-                        return;
-                    }
-                    self.kv.map = img.map.clone();
-                    self.kv.chain = img.chain;
-                    self.kv.applied = img.idx;
-                    self.kv.applied_term = img.term;
-                    let digest = digest_of(&self.kv.map);
-                    ctx.log(format!(
-                        "raft: SNAP_RESTORE idx={} chain={:x} digest={:x}",
-                        img.idx, img.chain, digest
-                    ));
-                    if self.log.last_idx() < img.idx {
-                        self.log = RaftLog {
-                            base_idx: img.idx,
-                            base_term: snap_term,
-                            entries: Vec::new(),
-                        };
-                    } else {
-                        self.log.compact_to(img.idx, snap_term);
-                    }
-                    self.persist_log_rewrite(ctx, false);
-                    self.commit = self.commit.max(img.idx);
-                    if !img.voters.is_empty() {
-                        self.voters = img.voters.clone();
-                    }
-                    self.last_snap = Some(img);
-                    let matched = self.log.last_idx();
-                    let term = self.term;
-                    ctx.exit_function();
-                    if let Some(leader) = self.leader {
-                        let _ = ctx.send(leader, RaftMsg::AppOk { term, matched });
-                    }
-                    return;
+            let res = (|| {
+                ctx.at_offset(0);
+                let fd = ctx.open(SNAP_PATH, OpenFlags::Append)?;
+                ctx.at_offset(1);
+                ctx.write(fd, body.as_bytes())?;
+                ctx.fsync(fd)?;
+                ctx.at_offset(2);
+                ctx.close(fd)
+            })();
+            if let Err(e) = res {
+                ctx.panic(format!("io error installing snapshot chunk: {e:?}"));
+            }
+            if !last {
+                if let Some(inst) = &mut self.incoming {
+                    inst.seq += 1;
                 }
-                ctx.exit_function();
+                return;
             }
-            Err(e) => {
-                ctx.exit_function();
-                ctx.panic(format!("io error reading installed snapshot: {e:?}"));
+            ctx.at_offset(3);
+            let snap_term = inst.snap_term;
+            self.incoming = None;
+            // Adopt the streamed image.
+            let data = match ctx.read_file(SNAP_PATH) {
+                Ok(data) => data,
+                Err(e) => ctx.panic(format!("io error reading installed snapshot: {e:?}")),
+            };
+            let Some(img) = SnapImage::parse(&data) else {
+                return;
+            };
+            // Unless the log outran the snapshot while it streamed in
+            // (regular replication resumed concurrently): adopting it then
+            // would move the machine backwards.
+            if img.idx > self.kv.applied {
+                self.kv.map = img.map.clone();
+                self.kv.chain = img.chain;
+                self.kv.applied = img.idx;
+                self.kv.applied_term = img.term;
+                let digest = digest_of(&self.kv.map);
+                ctx.log(format!(
+                    "raft: SNAP_RESTORE idx={} chain={:x} digest={:x}",
+                    img.idx, img.chain, digest
+                ));
+                if self.log.last_idx() < img.idx {
+                    self.log = RaftLog {
+                        base_idx: img.idx,
+                        base_term: snap_term,
+                        entries: Vec::new(),
+                    };
+                } else {
+                    self.log.compact_to(img.idx, snap_term);
+                }
+                self.persist_log_rewrite(ctx, false);
+                self.commit = self.commit.max(img.idx);
+                if !img.voters.is_empty() {
+                    self.voters = img.voters.clone();
+                }
+                self.last_snap = Some(img);
             }
+            RaftMsg::AppOk {
+                term: self.term,
+                matched: self.log.last_idx(),
+            }
+        };
+        if let Some(leader) = self.leader {
+            let _ = ctx.send(leader, ack);
         }
     }
 

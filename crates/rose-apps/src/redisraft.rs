@@ -360,7 +360,7 @@ impl RedisRaft {
     /// Writes the snapshot **in place** (the RedisRaft-NEW file
     /// mismanagement: open-truncate, write, close — no tmp + rename).
     fn store_snapshot_data(&mut self, ctx: &mut NodeCtx<'_, Rmsg>) {
-        ctx.enter_function("storeSnapshotData");
+        let ctx = &mut ctx.function("storeSnapshotData");
         ctx.at_offset(0);
         if let Ok(fd) = ctx.open(SNAP_PATH, OpenFlags::Write) {
             ctx.at_offset(1);
@@ -369,7 +369,6 @@ impl RedisRaft {
             ctx.at_offset(2);
             let _ = ctx.close(fd);
         }
-        ctx.exit_function();
     }
 
     fn maybe_snapshot(&mut self, ctx: &mut NodeCtx<'_, Rmsg>) {
@@ -392,14 +391,13 @@ impl RedisRaft {
     // --- Recovery ---------------------------------------------------------
 
     fn recover(&mut self, ctx: &mut NodeCtx<'_, Rmsg>) {
-        ctx.enter_function("recoverState");
+        let ctx = &mut ctx.function("recoverState");
         match ctx.read_file(SNAP_PATH) {
             Ok(bytes) => {
                 if !self.parse_snapshot(&bytes) {
                     if self.is(RedisRaftBug::RrNew) {
                         // DEFECT (RedisRaft-NEW): no tolerance for a torn
                         // snapshot — Redis itself fails to start.
-                        ctx.exit_function();
                         ctx.panic("FATAL: inconsistent snapshot file");
                     }
                     // Correct behaviour: discard the unusable snapshot.
@@ -414,13 +412,11 @@ impl RedisRaft {
 
         match ctx.read_file(LOG_PATH) {
             Ok(bytes) => {
-                ctx.enter_function("parseLog");
+                let _ = ctx.function("parseLog");
                 let ok = self.parse_log(&bytes);
-                ctx.exit_function();
                 if !ok || self.log_base != self.snapshot_idx {
                     // Integrity invariant: the on-disk log must start
                     // exactly where the snapshot ends.
-                    ctx.exit_function();
                     ctx.panic(format!(
                         "PANIC assert: snapshot and log integrity (log base {} vs snapshot {})",
                         self.log_base, self.snapshot_idx
@@ -433,7 +429,6 @@ impl RedisRaft {
                     // with a rebuilt index starting at 0 instead of keeping
                     // the snapshot's index.
                     self.log_base = 0;
-                    ctx.exit_function();
                     ctx.panic(format!(
                         "PANIC: snapshot index mismatch (log 0 vs snapshot {})",
                         self.snapshot_idx
@@ -448,7 +443,6 @@ impl RedisRaft {
         }
         self.commit = self.snapshot_idx.max(self.commit);
         self.applied = self.applied.max(self.snapshot_idx);
-        ctx.exit_function();
     }
 
     fn parse_snapshot(&mut self, bytes: &[u8]) -> bool {
@@ -528,7 +522,7 @@ impl RedisRaft {
     // --- Roles ------------------------------------------------------------
 
     fn start_election(&mut self, ctx: &mut NodeCtx<'_, Rmsg>) {
-        ctx.enter_function("startElection");
+        let ctx = &mut ctx.function("startElection");
         self.term += 1;
         self.role = Role::Candidate;
         self.voted_in = self.term;
@@ -539,18 +533,16 @@ impl RedisRaft {
             term: self.term,
             last,
         });
-        ctx.exit_function();
     }
 
     fn become_leader(&mut self, ctx: &mut NodeCtx<'_, Rmsg>) {
-        ctx.enter_function("becomeLeader");
+        let _ = ctx.function("becomeLeader");
         self.role = Role::Leader;
         self.leader = Some(ctx.node());
         let next = self.last_idx() + 1;
         for p in ctx.peers() {
             self.next_idx.insert(p, next);
         }
-        ctx.exit_function();
         self.heartbeat(ctx);
     }
 
@@ -579,9 +571,8 @@ impl RedisRaft {
     fn heartbeat(&mut self, ctx: &mut NodeCtx<'_, Rmsg>) {
         // Cheap index accessor RedisRaft calls constantly; the function-
         // frequency heuristic must filter it (paper Table 3 example).
-        ctx.enter_function("RaftLogCurrentIdx");
+        let _ = ctx.function("RaftLogCurrentIdx");
         let last = self.last_idx();
-        ctx.exit_function();
         for p in ctx.peers() {
             let next = *self.next_idx.entry(p).or_insert(last + 1);
             if next <= self.log_base && self.snapshot_idx > 0 {
@@ -619,7 +610,7 @@ impl RedisRaft {
         if self.pending_snap.contains_key(&peer) {
             return;
         }
-        ctx.enter_function("sendSnapshot");
+        let ctx = &mut ctx.function("sendSnapshot");
         let payload: SnapData = self
             .kv
             .iter()
@@ -635,7 +626,6 @@ impl RedisRaft {
             SimDuration::from_millis(ship),
             SNAP_SEND_BASE + u64::from(peer.0),
         );
-        ctx.exit_function();
     }
 
     fn transmit_snapshot(&mut self, ctx: &mut NodeCtx<'_, Rmsg>, peer: NodeId) {
@@ -657,7 +647,7 @@ impl RedisRaft {
     }
 
     fn install_snapshot(&mut self, ctx: &mut NodeCtx<'_, Rmsg>, idx: u64, data: SnapData) {
-        ctx.enter_function("installSnapshot");
+        let ctx = &mut ctx.function("installSnapshot");
         self.kv = data.into_iter().collect();
         self.snapshot_idx = idx;
         self.applied = idx;
@@ -672,7 +662,6 @@ impl RedisRaft {
         }
         self.rebuild_pending = true;
         ctx.set_timer(SimDuration::from_millis(20), REBUILD_STAGE1);
-        ctx.exit_function();
     }
 
     fn apply_committed(&mut self, ctx: &mut NodeCtx<'_, Rmsg>) {
@@ -682,22 +671,21 @@ impl RedisRaft {
                 break;
             };
             let e = &self.log[pos];
-            ctx.enter_function("applyEntry");
-            if !self.applied_ids.insert(e.id) {
-                if self.is(RedisRaftBug::RrNew2) {
-                    // DEFECT manifestation (RedisRaft-NEW2): the replayed
-                    // entry reaches apply twice and Redis fails hard.
-                    ctx.exit_function();
-                    ctx.panic(format!("ERR repeated key: op {} applied twice", e.id));
+            {
+                let ctx = &mut ctx.function("applyEntry");
+                if !self.applied_ids.insert(e.id) {
+                    if self.is(RedisRaftBug::RrNew2) {
+                        // DEFECT manifestation (RedisRaft-NEW2): the replayed
+                        // entry reaches apply twice and Redis fails hard.
+                        ctx.panic(format!("ERR repeated key: op {} applied twice", e.id));
+                    }
+                    // Correct behaviour: duplicates are skipped idempotently.
+                    self.applied = next;
+                    continue;
                 }
-                // Correct behaviour: duplicates are skipped idempotently.
+                push_value(&mut self.kv, &e.key, e.val.clone());
                 self.applied = next;
-                ctx.exit_function();
-                continue;
             }
-            push_value(&mut self.kv, &e.key, e.val.clone());
-            self.applied = next;
-            ctx.exit_function();
             if self.role == Role::Leader {
                 if let Some((client, id)) = self.pending_clients.remove(&next) {
                     let _ = ctx.reply(client, Rmsg::PutOk { id });
@@ -786,15 +774,13 @@ impl Application for RedisRaft {
                 // The on-disk file only reappears in stage 2 (`parseLog`)
                 // — the paper's "crashed before the invocation of
                 // parseLog" window.
-                ctx.enter_function("RaftLogCreate");
+                let ctx = &mut ctx.function("RaftLogCreate");
                 ctx.set_timer(SimDuration::from_millis(300), REBUILD_STAGE2);
-                ctx.exit_function();
             }
             REBUILD_STAGE2 if self.rebuild_pending => {
-                ctx.enter_function("parseLog");
+                let ctx = &mut ctx.function("parseLog");
                 self.persist_log(ctx);
                 self.rebuild_pending = false;
-                ctx.exit_function();
             }
             t if (SNAP_SEND_BASE..REBUILD_STAGE1).contains(&t) => {
                 let peer = NodeId((t - SNAP_SEND_BASE) as u32);
@@ -853,9 +839,8 @@ impl Application for RedisRaft {
                 }
                 // The hot index accessor is consulted on every append RPC
                 // (the paper's 131k-calls-per-run example).
-                ctx.enter_function("RaftLogCurrentIdx");
+                let _ = ctx.function("RaftLogCurrentIdx");
                 let last = self.last_idx();
-                ctx.exit_function();
                 if prev > last {
                     let _ = ctx.send(
                         from,
@@ -907,8 +892,7 @@ impl Application for RedisRaft {
                 if self.role != Role::Leader || term != self.term {
                     return;
                 }
-                ctx.enter_function("RaftLogCurrentIdx");
-                ctx.exit_function();
+                let _ = ctx.function("RaftLogCurrentIdx");
                 self.next_idx.insert(from, matched + 1);
                 // Quorum commit: count self + peers with matched >= idx.
                 let mut candidates: Vec<u64> = Vec::with_capacity(self.next_idx.len() + 1);

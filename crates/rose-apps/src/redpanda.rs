@@ -143,22 +143,22 @@ impl Application for Redpanda {
                 let dk = self.dedup_key(pid, session);
                 let last = self.dedup.get(&dk).copied().unwrap_or(0);
                 if seq > last {
-                    ctx.enter_function("appendBatch");
-                    if let Ok(fd) = ctx.open(SEGMENT, OpenFlags::Append) {
-                        self.line.clear();
-                        push_kv_record(&mut self.line, &key, &val);
-                        let _ = ctx.write(fd, self.line.as_bytes());
-                        let _ = ctx.close(fd);
+                    {
+                        let ctx = &mut ctx.function("appendBatch");
+                        if let Ok(fd) = ctx.open(SEGMENT, OpenFlags::Append) {
+                            self.line.clear();
+                            push_kv_record(&mut self.line, &key, &val);
+                            let _ = ctx.write(fd, self.line.as_bytes());
+                            let _ = ctx.close(fd);
+                        }
                     }
-                    ctx.exit_function();
                     self.segment_records += 1;
                     if self.segment_records.is_multiple_of(400) {
                         // Roll the active segment (rare maintenance path).
-                        ctx.enter_function("rollSegment");
+                        let ctx = &mut ctx.function("rollSegment");
                         let sealed = format!("{SEGMENT}.{}", self.segment_records);
                         let _ = ctx.rename(SEGMENT, &sealed);
                         let _ = ctx.write_file(SEGMENT, b"");
-                        ctx.exit_function();
                     }
                     push_value(&mut self.log, &key, val);
                     self.dedup.insert(dk, seq);

@@ -73,7 +73,7 @@ impl Tendermint {
 
     /// Loads the validator key at boot (the Tendermint-5839 site).
     fn load_priv_validator(&mut self, ctx: &mut NodeCtx<'_, Tmsg>) {
-        ctx.enter_function("loadPrivValidator");
+        let ctx = &mut ctx.function("loadPrivValidator");
         match ctx.read_file(PRIV_KEY) {
             Ok(bytes) => {
                 self.key = Some(String::from_utf8_lossy(&bytes).to_string());
@@ -85,12 +85,10 @@ impl Tendermint {
                     // the node proceeds with an unvalidated (empty) key.
                     self.key = None;
                 } else {
-                    ctx.exit_function();
                     ctx.panic("validator key unreadable; refusing to start");
                 }
             }
         }
-        ctx.exit_function();
     }
 }
 
@@ -110,7 +108,7 @@ impl Application for Tendermint {
                 self.height += 1;
                 let proposer = NodeId((self.height % u64::from(ctx.cluster_size())) as u32);
                 if proposer == ctx.node() {
-                    ctx.enter_function("signProposal");
+                    let _ = ctx.function("signProposal");
                     let signature = match &self.key {
                         Some(k) => ["sig:", &k[..6.min(k.len())]].concat(),
                         None => {
@@ -120,7 +118,6 @@ impl Application for Tendermint {
                             "sig:UNVALIDATED".to_string()
                         }
                     };
-                    ctx.exit_function();
                     ctx.broadcast(Tmsg::Proposal {
                         height: self.height,
                         signature,

@@ -187,7 +187,7 @@ impl ZooKeeper {
 
     /// Boot-time snapshot size calculation (the ZOOKEEPER-3006 path).
     fn calculate_snapshot_size(&mut self, ctx: &mut NodeCtx<'_, Zmsg>) {
-        ctx.enter_function("calculateSnapshotSize");
+        let ctx = &mut ctx.function("calculateSnapshotSize");
         let mut size: Option<usize> = None;
         if let Ok(fd) = ctx.open_read(SNAPSHOT) {
             match ctx.read(fd, 4096) {
@@ -201,10 +201,8 @@ impl ZooKeeper {
         }
         if self.is(ZkBug::Zk3006) && size.is_none() {
             // DEFECT (ZOOKEEPER-3006): …but the null size is used anyway.
-            ctx.exit_function();
             ctx.panic("NullPointerException: snapshot size is null");
         }
-        ctx.exit_function();
     }
 
     /// Election round: broadcast a ballot for a fresh epoch.
@@ -220,13 +218,12 @@ impl ZooKeeper {
             ctx.broadcast(Zmsg::Ballot { epoch: self.epoch });
             return;
         }
-        ctx.enter_function("electionRound");
+        let ctx = &mut ctx.function("electionRound");
         self.epoch += 1;
         self.role = Role::Looking;
         self.ballots = 1;
         self.leader = None;
         ctx.broadcast(Zmsg::Ballot { epoch: self.epoch });
-        ctx.exit_function();
     }
 
     /// The election-channel accept — the ZOOKEEPER-4203 injection point.
@@ -246,7 +243,7 @@ impl ZooKeeper {
     }
 
     fn append_txn(&mut self, ctx: &mut NodeCtx<'_, Zmsg>, zxid: u64, key: &str, val: &str) -> bool {
-        ctx.enter_function("appendTxnLog");
+        let ctx = &mut ctx.function("appendTxnLog");
         self.line.clear();
         push_record(&mut self.line, zxid, key, val);
         let ok = (|| {
@@ -256,7 +253,6 @@ impl ZooKeeper {
             r.ok()
         })()
         .is_some();
-        ctx.exit_function();
         if !ok {
             ctx.log("ERROR txn log write failed");
             if self.is(ZkBug::Zk2247) {
@@ -274,7 +270,7 @@ impl ZooKeeper {
     /// Follower sync with the leader over the peer channel (pseudo-socket) —
     /// the ZOOKEEPER-3157 injection point.
     fn sync_with_leader(&mut self, ctx: &mut NodeCtx<'_, Zmsg>) {
-        ctx.enter_function("syncWithLeader");
+        let ctx = &mut ctx.function("syncWithLeader");
         if let Ok(fd) = ctx.open_read(PEER_SOCK) {
             if let Err(e) = ctx.read(fd, 64) {
                 ctx.log(format!("ERROR peer channel read failed: {e}"));
@@ -286,7 +282,6 @@ impl ZooKeeper {
             }
             let _ = ctx.close(fd);
         }
-        ctx.exit_function();
     }
 }
 
@@ -374,8 +369,7 @@ impl Application for ZooKeeper {
                     if self.ballots * 2 > ctx.cluster_size() as u64 {
                         self.role = Role::Leader;
                         self.leader = Some(ctx.node());
-                        ctx.enter_function("becomeLeader");
-                        ctx.exit_function();
+                        let _ = ctx.function("becomeLeader");
                         // Discovery/sync phase before the broadcast phase.
                         self.serving_from_us = ctx.now().as_micros() + 2_000_000;
                         ctx.set_timer(SimDuration::from_millis(150), tags::HEARTBEAT);

@@ -1,16 +1,24 @@
 //! Registry coverage: every registered case — the 20 Table-1 bugs plus the
 //! hunted Raft scenarios — must enumerate, build and run its cluster
 //! fault-free, expose tracer metadata, and round-trip its probe through
-//! serde. Guards against a registry entry whose system wiring is broken or
-//! whose oracle misfires on a healthy cluster.
+//! serde, and declare in its symbol table every function and offset its
+//! fault-free and capture runs probe. Guards against a registry entry whose
+//! system wiring is broken, whose oracle misfires on a healthy cluster, or
+//! whose model probes a function profiling and tracing cannot see.
 //!
 //! Run with `--release`; this deploys all 23 clusters.
 
-use std::collections::BTreeSet;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
-use rose_apps::driver::{probe_case, CaseProbe};
+use rose_apps::driver::{
+    capture_spec, probe_case, visit_case, CaseProbe, DriverOptions, SystemVisitor, CAPTURE_DURATION,
+};
 use rose_apps::registry::BugId;
+use rose_core::{Rose, RoseConfig, TargetSystem};
 use rose_events::SimDuration;
+use rose_sim::{HookEffects, HookEnv, KernelHook};
 
 #[test]
 fn every_registered_case_probes_clean() {
@@ -66,5 +74,81 @@ fn hunted_oracles_describe_invariants_scripted_oracles_symptoms() {
                 p.oracle_description
             );
         }
+    }
+}
+
+/// Function → the probes a run fired in it: `None` for the entry, else the
+/// offset.
+type Reached = BTreeMap<String, BTreeSet<Option<u32>>>;
+
+/// Records every uprobe a run fires, into a set the test keeps.
+struct UprobeRecorder(Rc<RefCell<Reached>>);
+
+impl KernelHook for UprobeRecorder {
+    fn uprobe(&mut self, _env: &HookEnv, function: &str, offset: Option<u32>, _: &mut HookEffects) {
+        let mut reached = self.0.borrow_mut();
+        match reached.get_mut(function) {
+            Some(probes) => {
+                probes.insert(offset);
+            }
+            None => {
+                reached.insert(function.to_string(), BTreeSet::from([offset]));
+            }
+        }
+    }
+}
+
+/// What one case's fault-free run and first capture run reached that its
+/// symbol table does not declare: `(function, None)` for a function the
+/// table omits, `(function, Some(offset))` for an undeclared offset.
+struct Undeclared;
+
+impl SystemVisitor for Undeclared {
+    type Out = Vec<(String, Option<u32>)>;
+
+    fn visit<S: TargetSystem>(self, id: BugId, system: S) -> Self::Out {
+        let reached = Rc::new(RefCell::new(Reached::new()));
+        let recorder = || -> Box<dyn KernelHook> { Box::new(UprobeRecorder(reached.clone())) };
+        let rose = Rose::with_config(system, RoseConfig::default());
+        let mut sim = rose.deploy(id as u64 + 1, vec![recorder()]);
+        sim.start();
+        sim.run_for(SimDuration::from_secs(12));
+        // The driver's first capture attempt.
+        let capture = capture_spec(id);
+        let mut hooks = capture.hooks(0);
+        hooks.push(recorder());
+        let duration = capture.duration.unwrap_or(CAPTURE_DURATION);
+        let seed = DriverOptions::default().capture_seed;
+        rose.capture_trace(&rose.profile(), hooks, seed, duration);
+
+        let symbols = rose.system().symbols();
+        let reached = reached.take();
+        let mut undeclared = Vec::new();
+        for (function, probes) in reached {
+            let Some(sym) = symbols.get(&function) else {
+                undeclared.push((function, None));
+                continue;
+            };
+            for offset in probes.into_iter().flatten() {
+                if !sym.offsets.iter().any(|site| site.offset == offset) {
+                    undeclared.push((function.clone(), Some(offset)));
+                }
+            }
+        }
+        undeclared
+    }
+}
+
+#[test]
+fn every_function_a_case_enters_is_in_its_symbol_table() {
+    // A function the symbol table omits is invisible to profiling and
+    // tracing, and nothing else reports it. (MongoDB's `rollbackDivergent`
+    // is such a function, but no run here reaches it.)
+    for id in BugId::all_with_hunted() {
+        let undeclared = visit_case(id, Undeclared);
+        assert!(
+            undeclared.is_empty(),
+            "{id}: undeclared probes {undeclared:?}"
+        );
     }
 }

@@ -54,16 +54,14 @@ impl Application for ScriptApp {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Beat>, _tag: u64) {
         match self.ops[self.next] {
             Op::Gossip(k) => {
-                ctx.enter_function("gossip");
+                let ctx = &mut ctx.function("gossip");
                 for _ in 0..k {
                     let _ = ctx.send(NodeId(1), Beat);
                 }
-                ctx.exit_function();
             }
             Op::Replicate => {
-                ctx.enter_function("replicateEntry");
+                let ctx = &mut ctx.function("replicateEntry");
                 let _ = ctx.send(NodeId(1), Beat);
-                ctx.exit_function();
             }
         }
         self.next += 1;

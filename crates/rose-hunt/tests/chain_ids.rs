@@ -72,22 +72,16 @@ fn arb_script() -> impl Strategy<Value = Vec<Vec<Op>>> {
     proptest::collection::vec(proptest::collection::vec(arb_op(), 0..16), 1..6)
 }
 
-/// Runs one callback's ops, leaving the function stack as it found it (the
-/// kernel asserts that of every callback that returns).
-fn run_ops(ctx: &mut NodeCtx<'_, ()>, ops: &[Op]) {
-    let mut depth = 0usize;
-    for op in ops {
+/// Runs a callback's ops until an `Exit` closes the function they run in
+/// (an `Exit` outside any is a no-op) or the ops end, which closes every
+/// function still open. An `Enter` runs the ops after it in the entered
+/// function's scope.
+fn run_ops(ctx: &mut NodeCtx<'_, ()>, ops: &mut std::slice::Iter<'_, Op>, in_function: bool) {
+    while let Some(op) = ops.next() {
         match op {
-            Op::Enter(f) => {
-                ctx.enter_function(FUNCTIONS[*f]);
-                depth += 1;
-            }
-            Op::Exit => {
-                if depth > 0 {
-                    ctx.exit_function();
-                    depth -= 1;
-                }
-            }
+            Op::Enter(f) => run_ops(&mut ctx.function(FUNCTIONS[*f]), ops, true),
+            Op::Exit if in_function => return,
+            Op::Exit => {}
             Op::Fail(0) => {
                 let _ = ctx.stat("/missing");
             }
@@ -106,12 +100,9 @@ fn run_ops(ctx: &mut NodeCtx<'_, ()>, ops: &[Op]) {
             Op::Succeed(_) => {
                 let _ = ctx.write_file("/state", b"x");
             }
-            Op::Child(ops) => ctx.as_child(|child| run_ops(child, ops)),
+            Op::Child(ops) => ctx.as_child(|child| run_ops(child, &mut ops.iter(), false)),
             Op::Crash => ctx.panic("scripted crash"),
         }
-    }
-    for _ in 0..depth {
-        ctx.exit_function();
     }
 }
 
@@ -138,7 +129,7 @@ impl Application for ScriptNode {
         };
         self.next.set(i + 1);
         ctx.set_timer(SimDuration::from_millis(1), 0);
-        run_ops(ctx, ops);
+        run_ops(ctx, &mut ops.iter(), false);
     }
 }
 

@@ -26,31 +26,31 @@ impl Application for Snapshotter {
 
     fn on_start(&mut self, ctx: &mut NodeCtx<'_, Tick>) {
         // Recovery: validate the snapshot if one exists.
-        ctx.enter_function("loadSnapshot");
+        let ctx = &mut ctx.function("loadSnapshot");
         match ctx.read_file("/data/snap") {
             Ok(data) if !data.is_empty() && data.len() < 16 => {
                 ctx.panic(format!("corrupt snapshot: {} bytes", data.len()));
             }
             _ => {}
         }
-        ctx.exit_function();
         ctx.set_timer(SimDuration::from_millis(200), 0);
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Tick>, _tag: u64) {
         self.rounds += 1;
-        ctx.enter_function("storeSnapshotData");
-        ctx.at_offset(0);
-        if let Ok(fd) = ctx.open("/data/snap.tmp", OpenFlags::Write) {
-            ctx.at_offset(1);
-            let _ = ctx.write(fd, b"header--");
-            ctx.at_offset(2);
-            let _ = ctx.write(fd, b"payload-payload-");
-            ctx.at_offset(3);
-            let _ = ctx.close(fd);
-            let _ = ctx.rename("/data/snap.tmp", "/data/snap");
+        {
+            let ctx = &mut ctx.function("storeSnapshotData");
+            ctx.at_offset(0);
+            if let Ok(fd) = ctx.open("/data/snap.tmp", OpenFlags::Write) {
+                ctx.at_offset(1);
+                let _ = ctx.write(fd, b"header--");
+                ctx.at_offset(2);
+                let _ = ctx.write(fd, b"payload-payload-");
+                ctx.at_offset(3);
+                let _ = ctx.close(fd);
+                let _ = ctx.rename("/data/snap.tmp", "/data/snap");
+            }
         }
-        ctx.exit_function();
         // Heartbeat chatter so partitions have something to cut.
         ctx.broadcast(Tick);
         ctx.set_timer(SimDuration::from_millis(200), 0);

@@ -10,6 +10,7 @@
 
 use std::any::Any;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use rand::rngs::SmallRng;
 use rose_events::{Errno, Fd, NodeId, Pid, SimDuration, SimTime, SyscallId};
@@ -78,6 +79,10 @@ pub trait ClientDriver<M>: Any {
 /// full hook chain (injection override, tracing) before and after executing.
 /// An injected kill signal unwinds out of the current callback at that exact
 /// point — partial work (e.g. half-written files) persists.
+///
+/// The calling context hooks see — the execution-index key — is the chain
+/// of [`FnScope`]s live on the pid: [`NodeCtx::function`] enters one, and
+/// it ends where its block does.
 pub struct NodeCtx<'a, M> {
     pub(crate) core: &'a mut SimCore<M>,
     pub(crate) node: NodeId,
@@ -326,16 +331,23 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
 
     // --- Instrumentation points -----------------------------------------
 
-    /// Marks entry into a named application function — the uprobe site.
-    /// Must be paired with [`NodeCtx::exit_function`].
-    pub fn enter_function(&mut self, name: &str) {
+    /// Enters a named application function — the uprobe site — and returns
+    /// the scope of its body. The scope derefs to this context, and
+    /// dropping it leaves the function: at the end of its block, on an early
+    /// `return` or `?`, and on an unwinding crash alike.
+    ///
+    /// A body that makes syscalls shadows the context with its scope,
+    /// `let ctx = &mut ctx.function("f");`; a pure body is the one statement
+    /// `let _ = ctx.function("f");`.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with [`CrashPayload`](crate::CrashPayload) on an injected
+    /// kill at the entry probe, like every syscall.
+    pub fn function<'s>(&'s mut self, name: &str) -> FnScope<'s, 'a, M> {
         self.core.push_function(self.pid, name);
         self.core.fire_uprobe(self.node, self.pid, None);
-    }
-
-    /// Marks exit from the innermost entered function.
-    pub fn exit_function(&mut self) {
-        self.core.pop_function(self.pid);
+        FnScope { ctx: self }
     }
 
     /// Marks an instrumentable offset inside the innermost entered function
@@ -343,8 +355,8 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
     ///
     /// # Panics
     ///
-    /// Panics if called outside an entered function — an application
-    /// programming error.
+    /// Panics if called outside a [`FnScope`] — an application programming
+    /// error.
     pub fn at_offset(&mut self, offset: u32) {
         self.core.fire_uprobe(self.node, self.pid, Some(offset));
     }
@@ -361,9 +373,37 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
         let prev = std::mem::replace(&mut self.pid, child);
         let out = f(self);
         self.pid = prev;
-        self.core.procs.exit(child);
-        self.core.reap(self.node, child);
+        self.core.exit_process(self.node, child);
         out
+    }
+}
+
+/// The body of an application function entered through
+/// [`NodeCtx::function`]: the context, one call deeper. Dropping the scope
+/// leaves the function, so every entry has its exit and a callback cannot
+/// return inside a function it entered.
+#[must_use = "dropping the scope leaves the function at once"]
+pub struct FnScope<'s, 'a, M> {
+    ctx: &'s mut NodeCtx<'a, M>,
+}
+
+impl<'a, M> Deref for FnScope<'_, 'a, M> {
+    type Target = NodeCtx<'a, M>;
+
+    fn deref(&self) -> &Self::Target {
+        self.ctx
+    }
+}
+
+impl<M> DerefMut for FnScope<'_, '_, M> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        self.ctx
+    }
+}
+
+impl<M> Drop for FnScope<'_, '_, M> {
+    fn drop(&mut self) {
+        self.ctx.core.pop_function(self.ctx.pid);
     }
 }
 

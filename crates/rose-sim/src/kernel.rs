@@ -567,18 +567,21 @@ impl<M> SimCore<M> {
         *chain = self.chains.enter(*chain, name);
     }
 
-    /// Pops a function from a pid's stack.
+    /// Pops a function from a pid's stack (a [`crate::FnScope`] dropped).
     pub(crate) fn pop_function(&mut self, pid: Pid) {
         if let Some(chain) = self.fn_stack.get_mut(pid.0 as usize) {
             *chain = self.chains.parent(*chain);
         }
     }
 
-    /// Clears all bookkeeping of a dead process.
-    pub(crate) fn reap(&mut self, node: NodeId, pid: Pid) {
-        self.vfs[node.0 as usize].drop_process(pid);
-        if let Some(chain) = self.fn_stack.get_mut(pid.0 as usize) {
-            *chain = ChainId::ROOT;
+    /// Exits `pid` — and every child helper with it — and clears the
+    /// bookkeeping of each process that exited.
+    pub(crate) fn exit_process(&mut self, node: NodeId, pid: Pid) {
+        for gone in self.procs.exit(pid) {
+            self.vfs[node.0 as usize].drop_process(gone);
+            if let Some(chain) = self.fn_stack.get_mut(gone.0 as usize) {
+                *chain = ChainId::ROOT;
+            }
         }
         debug_assert!(
             self.vfs[node.0 as usize]

@@ -40,7 +40,7 @@ pub mod vfs;
 #[cfg(test)]
 mod fd_path_test;
 
-pub use app::{Application, ClientCtx, ClientDriver, NodeCtx};
+pub use app::{Application, ClientCtx, ClientDriver, FnScope, NodeCtx};
 pub use chain::{ChainId, ChainTable};
 pub use config::SimConfig;
 pub use hooks::{HookEffects, HookEnv, KernelHook, NetCmd, ProcEvent, SignalKind, SignalReq};

@@ -90,19 +90,22 @@ impl ProcTable {
         Some(self.spawn(node, Some(parent), now))
     }
 
-    /// Marks a process exited. Children of the process exit with it.
-    pub fn exit(&mut self, pid: Pid) {
+    /// Marks a process exited, and its child helpers with it. Returns every
+    /// pid the exit took down, `pid` first.
+    pub fn exit(&mut self, pid: Pid) -> Vec<Pid> {
         let Some(slot) = self.slot(pid) else {
-            return;
+            return Vec::new();
         };
         self.procs[slot].state = RunState::Exited;
+        let mut exited = vec![pid];
         // A child is spawned after its parent, so it sits behind it.
-        for child in slot + 1..self.procs.len() {
-            let e = &self.procs[child];
-            if e.parent == Some(pid) && e.state != RunState::Exited {
-                self.exit(e.pid);
+        for e in &mut self.procs[slot + 1..] {
+            if e.state != RunState::Exited && e.parent.is_some_and(|p| exited.contains(&p)) {
+                e.state = RunState::Exited;
+                exited.push(e.pid);
             }
         }
+        exited
     }
 
     /// Marks a process paused.
@@ -199,8 +202,9 @@ mod tests {
         let mut t = ProcTable::new();
         let p = t.spawn_main(NodeId(0), SimTime::ZERO);
         let c = t.spawn_child(p, SimTime::ZERO).unwrap();
+        let grandchild = t.spawn_child(c, SimTime::ZERO).unwrap();
         assert_eq!(t.get(c).unwrap().parent, Some(p));
-        t.exit(p);
+        assert_eq!(t.exit(p), [p, c, grandchild]);
         assert_eq!(t.live().count(), 0);
     }
 

@@ -448,47 +448,33 @@ impl<A: Application> Sim<A> {
             return;
         };
         self.core.active = Some((node, pid));
-        let chain_before = self.core.chain_of(pid);
         let core = &mut self.core;
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             let mut ctx = NodeCtx { core, node, pid };
             f(app, &mut ctx);
         }));
         self.core.active = None;
-        match result {
-            Ok(()) => {
-                // An unbalanced enter/exit would silently shift every later
-                // execution index of this pid. (A crash or abort is exempt:
-                // the stack is reaped with the process.)
-                debug_assert_eq!(
-                    self.core.chain_of(pid),
-                    chain_before,
-                    "callback on {node} returned inside {:?}: enter_function without exit_function",
-                    self.core.chains.names(self.core.chain_of(pid)),
-                );
-            }
-            Err(payload) => {
-                let (reason, aborted) = if let Some(cp) = payload.downcast_ref::<CrashPayload>() {
-                    (
-                        format!("killed at probe point (injected fault on {})", cp.node),
-                        false,
-                    )
-                } else if let Some(ap) = payload.downcast_ref::<AppPanic>() {
-                    (ap.message.clone(), true)
-                } else if let Some(s) = payload.downcast_ref::<&str>() {
-                    let s = (*s).to_string();
-                    self.core.log(node, format!("PANIC: {s}"));
-                    (s, true)
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    self.core.log(node, format!("PANIC: {s}"));
-                    (s.clone(), true)
-                } else {
-                    ("unknown panic".to_string(), true)
-                };
-                // The callback unwound half-way through the state, which
-                // `handle_crash` drops with the process.
-                self.handle_crash(node, reason, aborted);
-            }
+        if let Err(payload) = result {
+            let (reason, aborted) = if let Some(cp) = payload.downcast_ref::<CrashPayload>() {
+                (
+                    format!("killed at probe point (injected fault on {})", cp.node),
+                    false,
+                )
+            } else if let Some(ap) = payload.downcast_ref::<AppPanic>() {
+                (ap.message.clone(), true)
+            } else if let Some(s) = payload.downcast_ref::<&str>() {
+                let s = (*s).to_string();
+                self.core.log(node, format!("PANIC: {s}"));
+                (s, true)
+            } else if let Some(s) = payload.downcast_ref::<String>() {
+                self.core.log(node, format!("PANIC: {s}"));
+                (s.clone(), true)
+            } else {
+                ("unknown panic".to_string(), true)
+            };
+            // The callback unwound half-way through the state, which
+            // `handle_crash` drops with the process.
+            self.handle_crash(node, reason, aborted);
         }
     }
 
@@ -516,8 +502,7 @@ impl<A: Application> Sim<A> {
         let Some(pid) = self.core.procs.main_pid(node) else {
             return; // Already down.
         };
-        self.core.procs.exit(pid);
-        self.core.reap(node, pid);
+        self.core.exit_process(node, pid);
         self.core.stats.crashes += 1;
         self.core.causal.crash(node, aborted, self.core.now);
         self.core.paused_buf.remove(&node);

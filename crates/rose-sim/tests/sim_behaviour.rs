@@ -33,7 +33,7 @@ impl Application for PingApp {
 
     fn on_start(&mut self, ctx: &mut NodeCtx<'_, Msg>) {
         // Recover the counter from disk, tolerating a missing file.
-        ctx.enter_function("recover");
+        let ctx = &mut ctx.function("recover");
         match ctx.read_file("/state/counter") {
             Ok(bytes) if bytes.len() == 8 => {
                 self.counter = u64::from_le_bytes(bytes.try_into().unwrap());
@@ -42,7 +42,6 @@ impl Application for PingApp {
             Err(Errno::Enoent) => {}
             Err(e) => ctx.log(format!("recover failed: {e}")),
         }
-        ctx.exit_function();
         ctx.set_timer(SimDuration::from_millis(100), TICK);
     }
 
@@ -68,12 +67,13 @@ impl Application for PingApp {
         req: Msg,
     ) {
         if let Msg::Put(v) = req {
-            ctx.enter_function("persist");
-            self.counter = v;
-            ctx.at_offset(0);
-            let _ = ctx.write_file("/state/counter", &v.to_le_bytes());
-            ctx.at_offset(1);
-            ctx.exit_function();
+            {
+                let ctx = &mut ctx.function("persist");
+                self.counter = v;
+                ctx.at_offset(0);
+                let _ = ctx.write_file("/state/counter", &v.to_le_bytes());
+                ctx.at_offset(1);
+            }
             let _ = ctx.reply(client, Msg::PutOk);
         }
     }

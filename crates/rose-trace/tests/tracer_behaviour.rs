@@ -23,14 +23,14 @@ impl Application for Chatty {
         // Benign failure, common in JVM deployments (paper §6.2).
         let _ = ctx.stat("/proc/does-not-exist");
         // Normal I/O on a real file.
-        ctx.enter_function("appendLog");
-        let fd = ctx.open("/data/log", OpenFlags::Append).unwrap();
-        let _ = ctx.write(fd, b"entry");
-        let _ = ctx.close(fd);
-        ctx.exit_function();
+        {
+            let ctx = &mut ctx.function("appendLog");
+            let fd = ctx.open("/data/log", OpenFlags::Append).unwrap();
+            let _ = ctx.write(fd, b"entry");
+            let _ = ctx.close(fd);
+        }
         // Unmonitored hot function.
-        ctx.enter_function("hotPath");
-        ctx.exit_function();
+        let _ = ctx.function("hotPath");
         ctx.broadcast(Ping);
         ctx.set_timer(SimDuration::from_millis(100), 0);
     }

@@ -53,13 +53,16 @@ impl Application for ConfigStore {
     fn on_client_request(&mut self, ctx: &mut NodeCtx<'_, Msg>, client: ClientId, req: Msg) {
         match req {
             Msg::Reload { version } => {
-                ctx.enter_function("reloadConfig");
-                let _ = ctx.write_file(STAGED, version.to_string().as_bytes());
-                // THE BUG: a failed rename is ignored — the node replies
-                // with the new version while the active file still holds
-                // the old one.
-                let _ = ctx.rename(STAGED, ACTIVE);
-                ctx.exit_function();
+                {
+                    // An instrumented function is a scope: its uprobe fires
+                    // here, and the function returns where the block ends.
+                    let ctx = &mut ctx.function("reloadConfig");
+                    let _ = ctx.write_file(STAGED, version.to_string().as_bytes());
+                    // THE BUG: a failed rename is ignored — the node replies
+                    // with the new version while the active file still
+                    // holds the old one.
+                    let _ = ctx.rename(STAGED, ACTIVE);
+                }
                 let _ = ctx.reply(client, Msg::ReloadOk { version });
             }
             Msg::Query => {

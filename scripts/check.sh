@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path, window snapshot beside drain or (ts, node) sort outside the canonical order; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path, window snapshot beside drain, (ts, node) sort outside the canonical order or function entry without its scope; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -59,6 +59,7 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -n "fn snapshot" crates/rose-events/src/window.rs \
     || grep -rnE "sort[a-z_]*\(\|e\| \(e\.ts, e\.node\)\)" crates/*/src src examples \
         | grep -v "^crates/rose-events/src/trace.rs:" \
+    || grep -rnE "(enter|exit)_function\(" crates src tests examples \
     || grep -nE "^serde" crates/rose-{sim,profile,core,jepsen}/Cargo.toml \
     || grep -n "^serde_json" crates/rose-hunt/Cargo.toml \
     || cargo tree -p rose-trace | grep rose-store \
@@ -110,7 +111,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "and a window slot stays 48 bytes: an SCF path is one thin pointer (ThinStr, no" \
         "Option<Box<str>> path in event.rs), the window hands out its events by drain or iter" \
         "(no SlidingWindow::snapshot copy), and rose_events::sort_canonical is the one" \
-        "canonical order (no (e.ts, e.node) sort key in program code outside trace.rs)"
+        "canonical order (no (e.ts, e.node) sort key in program code outside trace.rs)," \
+        "and an instrumented function is a scope: NodeCtx::function returns an FnScope whose" \
+        "drop leaves the function, so no entry lacks its exit (no enter_function/exit_function pair)"
     exit 1
 fi
 

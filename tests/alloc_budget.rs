@@ -167,11 +167,9 @@ fn hook_chain_stays_within_its_allocation_budget() {
     // whole hook stack.
     let pid = sim.core().procs.main_pid(NodeId(0)).expect("node 0 is up");
     let mut ctx = NodeCtx::scratch(sim.core_mut(), NodeId(0), pid);
-    ctx.enter_function("allocBudgetProbe");
-    ctx.exit_function();
+    let _ = ctx.function("allocBudgetProbe");
     let (second, ()) = allocations_of(|| {
-        ctx.enter_function("allocBudgetProbe");
-        ctx.exit_function();
+        let _ = ctx.function("allocBudgetProbe");
     });
     assert_eq!(second, 0, "re-entering a seen chain must not allocate");
 
