@@ -125,9 +125,32 @@ pub enum ProbeStyle {
     Native,
 }
 
-/// Emits benign failing system calls, to be called from a periodic timer.
-/// `tick` lets the pattern vary deterministically.
-pub fn benign_probes<M: Clone + std::fmt::Debug + 'static>(
+/// How often a target model's background loop ([`background_tick`]) runs.
+pub const TICK_PERIOD: SimDuration = SimDuration::from_millis(500);
+
+/// One pass of a target model's background loop, run on each
+/// [`tags::TICK`] (`on_start` arms the first, [`TICK_PERIOD`] after boot):
+/// bumps `tick`, probes the environment the way the runtime does
+/// ([`ProbeStyle`]), broadcasts `keepalive` on every `every`-th tick so
+/// each link stays visible to the network tap, and re-arms the timer.
+pub fn background_tick<M: Clone + fmt::Debug + 'static>(
+    ctx: &mut NodeCtx<'_, M>,
+    tick: &mut u64,
+    style: ProbeStyle,
+    every: u64,
+    keepalive: M,
+) {
+    *tick += 1;
+    benign_probes(ctx, style, *tick);
+    if tick.is_multiple_of(every) {
+        ctx.broadcast(keepalive);
+    }
+    ctx.set_timer(TICK_PERIOD, tags::TICK);
+}
+
+/// Emits benign failing system calls; `tick` lets the pattern vary
+/// deterministically.
+fn benign_probes<M: Clone + fmt::Debug + 'static>(
     ctx: &mut NodeCtx<'_, M>,
     style: ProbeStyle,
     tick: u64,
@@ -590,10 +613,17 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use rose_events::{IpAddr, SimTime, SyscallId};
+    use rose_sim::{
+        Application, ChainId, HookEffects, HookEnv, KernelHook, Sim, SimConfig, SyscallArgs,
+    };
 
     fn written(n: u64) -> (String, String) {
         let (mut dec, mut hex) = (String::from("x"), String::from("x"));
@@ -644,6 +674,157 @@ mod tests {
             assert_eq!(jvm_probe_paths(n), reference::jvm_probe_paths(n));
         }
         assert_eq!(append_op("", ""), reference::append_op("", ""));
+    }
+
+    /// The keepalive period of the loop under test, in passes.
+    const EVERY: u64 = 4;
+
+    /// A node that runs only the background loop and logs `(now, node,
+    /// tick)` after each pass, and `(now, node, 0)` at each start.
+    struct Looper {
+        style: ProbeStyle,
+        tick: u64,
+        log: Rc<RefCell<Vec<(SimTime, NodeId, u64)>>>,
+    }
+
+    #[derive(Clone, Debug)]
+    struct Keepalive;
+
+    impl Application for Looper {
+        type Msg = Keepalive;
+
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_, Keepalive>) {
+            self.log.borrow_mut().push((ctx.now(), ctx.node(), 0));
+            ctx.set_timer(TICK_PERIOD, tags::TICK);
+        }
+
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Keepalive>, tag: u64) {
+            assert_eq!(tag, tags::TICK);
+            background_tick(ctx, &mut self.tick, self.style, EVERY, Keepalive);
+            self.log
+                .borrow_mut()
+                .push((ctx.now(), ctx.node(), self.tick));
+        }
+
+        fn on_message(&mut self, _: &mut NodeCtx<'_, Keepalive>, _: NodeId, _: Keepalive) {}
+    }
+
+    /// One probe or send: when, where, the call, its path or peer, and
+    /// whether it fired outside every instrumented function.
+    type Call = (
+        SimTime,
+        NodeId,
+        SyscallId,
+        Option<String>,
+        Option<IpAddr>,
+        bool,
+    );
+
+    /// Records every probe and send the cluster makes.
+    #[derive(Default)]
+    struct Recorder(Vec<Call>);
+
+    impl KernelHook for Recorder {
+        fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, _: &mut HookEffects) {
+            if matches!(
+                args.call,
+                SyscallId::Stat | SyscallId::Readlink | SyscallId::Send
+            ) {
+                self.0.push((
+                    env.now,
+                    env.node,
+                    args.call,
+                    args.path.map(str::to_string),
+                    args.peer,
+                    env.chain == ChainId::ROOT,
+                ));
+            }
+        }
+    }
+
+    /// What `node`'s loop calls on its `tick`-th pass, at `now`: its
+    /// style's probes, then on every [`EVERY`]-th pass a keepalive to each
+    /// peer of the three.
+    fn expected_pass(now: SimTime, node: NodeId, style: ProbeStyle, tick: u64) -> Vec<Call> {
+        let at = |call, path: &str| (now, node, call, Some(path.to_string()), None, true);
+        let mut calls = Vec::new();
+        match style {
+            ProbeStyle::Jvm => {
+                let (task, perf) = reference::jvm_probe_paths(tick);
+                calls.push(at(SyscallId::Stat, &task));
+                calls.push(at(SyscallId::Readlink, &perf));
+                if tick.is_multiple_of(3) {
+                    calls.push(at(SyscallId::Stat, "/etc/jvm.options"));
+                }
+            }
+            ProbeStyle::Native => {
+                if tick.is_multiple_of(5) {
+                    calls.push(at(SyscallId::Stat, "/etc/app.local.conf"));
+                }
+            }
+        }
+        if tick.is_multiple_of(EVERY) {
+            for peer in (0..3).map(NodeId).filter(|&p| p != node) {
+                calls.push((now, node, SyscallId::Send, None, Some(peer.ip()), true));
+            }
+        }
+        calls
+    }
+
+    #[test]
+    fn the_background_loop_probes_every_pass_and_keeps_alive_every_nth() {
+        let style = |n: NodeId| match n.0 {
+            0 => ProbeStyle::Native,
+            _ => ProbeStyle::Jvm,
+        };
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Sim::new(SimConfig::new(3, 7), {
+            let log = log.clone();
+            move |n| Looper {
+                style: style(n),
+                tick: 0,
+                log: log.clone(),
+            }
+        });
+        sim.add_hook(Box::<Recorder>::default());
+        sim.start();
+        sim.run_for(SimDuration::from_millis(3_200));
+        sim.inject_crash(NodeId(1));
+        sim.run_for(SimDuration::from_millis(8_800));
+
+        let log = log.take();
+        // Every pass probes and sends exactly what its tick calls for, at
+        // the root calling context, and nothing else probes or sends.
+        let mut expected = Vec::new();
+        for &(now, node, tick) in log.iter().filter(|(_, _, tick)| *tick > 0) {
+            expected.extend(expected_pass(now, node, style(node), tick));
+        }
+        let recorded = &sim.hook_ref::<Recorder>().expect("attached").0;
+        assert_eq!(*recorded, expected);
+        assert!(recorded.iter().any(|c| c.2 == SyscallId::Send));
+        // Each start arms the first pass a period later, each pass the
+        // next; a restarted node counts from 1 again.
+        let mut starts = [0; 3];
+        for n in (0..3).map(NodeId) {
+            let mine: Vec<_> = log.iter().filter(|(_, node, _)| *node == n).collect();
+            for pair in mine.windows(2) {
+                let ((before, _, t0), (after, _, t1)) = (pair[0], pair[1]);
+                if *t1 == 0 {
+                    starts[n.0 as usize] += 1;
+                    continue;
+                }
+                assert_eq!((*t1, *after), (t0 + 1, *before + TICK_PERIOD), "{n}");
+            }
+        }
+        assert_eq!(starts, [0, 1, 0], "only node 1 restarted");
+        let node1: Vec<u64> = log
+            .iter()
+            .filter(|e| e.1 == NodeId(1))
+            .map(|e| e.2)
+            .collect();
+        let restart = node1.iter().rposition(|&t| t == 0).unwrap();
+        assert_eq!(&node1[..restart], [0, 1, 2, 3, 4, 5, 6]);
+        assert!(node1.len() > restart + 5, "{node1:?}");
     }
 
     #[test]

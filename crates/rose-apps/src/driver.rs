@@ -11,7 +11,6 @@ use rose_jepsen::{Nemesis, NemesisConfig};
 use rose_obs::{CampaignSummary, Obs, PhaseRecord};
 use rose_profile::Profile;
 use rose_sim::KernelHook;
-use serde::{Deserialize, Serialize};
 
 use crate::registry::BugId;
 
@@ -324,30 +323,6 @@ pub fn flat_vs_ei(
     visit_case(id, Both { rose_cfg, opts })
 }
 
-/// A registry-coverage probe of one case: the static metadata a
-/// [`TargetSystem`] exposes, plus the outcome of a short fault-free deploy
-/// of its cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CaseProbe {
-    /// Registry bug name.
-    pub bug: String,
-    /// Target system label.
-    pub system: String,
-    /// Provenance tag (`J`/`A`/`M`/`H`).
-    pub source_tag: String,
-    /// Nodes in the simulated deployment.
-    pub cluster_size: u32,
-    /// The developer-provided key-file list.
-    pub key_files: Vec<String>,
-    /// Functions the symbol table resolves from those files — what the
-    /// tracer would monitor.
-    pub monitored_functions: Vec<String>,
-    /// What the case's oracle checks, in its own words.
-    pub oracle_description: String,
-    /// Whether the oracle stayed silent over the fault-free deploy.
-    pub clean_oracle: bool,
-}
-
 /// Generic dispatch over the concrete [`TargetSystem`] behind a registry
 /// id. Tools that need the system — the workflow driver, the coverage
 /// probe, oracle-only hunting campaigns — implement this visitor, and
@@ -457,49 +432,6 @@ fn dispatch<V: CaseVisitor>(id: BugId, v: V) -> V::Out {
         BugId::RaftSnapshotTear => roseraft(v, RaftScenario::SnapshotTear),
         BugId::RaftCompactionLoss => roseraft(v, RaftScenario::CompactionLoss),
         BugId::RaftReconfigSplit => roseraft(v, RaftScenario::ReconfigSplit),
-    }
-}
-
-/// Builds the case's cluster, runs it fault-free for `duration`, and
-/// collects the probe. Driven by `tests/registry_coverage.rs`, which holds
-/// every registered case to a quiet fault-free run.
-pub fn probe_case(id: BugId, duration: SimDuration) -> CaseProbe {
-    struct ProbeVisitor {
-        duration: SimDuration,
-    }
-    impl SystemVisitor for ProbeVisitor {
-        type Out = CaseProbe;
-        fn visit<S: TargetSystem>(self, id: BugId, system: S) -> CaseProbe {
-            probe(id, system, self.duration)
-        }
-    }
-    visit_case(id, ProbeVisitor { duration })
-}
-
-fn probe<S: TargetSystem>(id: BugId, system: S, duration: SimDuration) -> CaseProbe {
-    let key_files = system.key_files();
-    let monitored_functions: Vec<String> = system
-        .symbols()
-        .functions_in_files(&key_files)
-        .map(str::to_string)
-        .collect();
-    let oracle_description = system.oracle_description();
-    let cluster_size = system.cluster_size();
-    let rose = Rose::with_config(system, RoseConfig::default());
-    let mut sim = rose.deploy(id as u64 + 1, Vec::new());
-    sim.start();
-    sim.run_for(duration);
-    let clean_oracle = !rose.system().oracle(&sim);
-    let info = id.info();
-    CaseProbe {
-        bug: info.name.to_string(),
-        system: info.system.to_string(),
-        source_tag: info.source.tag().to_string(),
-        cluster_size,
-        key_files,
-        monitored_functions,
-        oracle_description,
-        clean_oracle,
     }
 }
 

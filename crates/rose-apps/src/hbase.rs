@@ -13,7 +13,7 @@ use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome};
 
-use crate::common::{benign_probes, numbered, tags, ProbeStyle};
+use crate::common::{background_tick, numbered, tags, ProbeStyle, TICK_PERIOD};
 use crate::driver::{CaptureMethod, CaptureSpec};
 
 /// The master node.
@@ -76,16 +76,11 @@ impl Application for HBase {
     type Msg = Bmsg;
 
     fn on_start(&mut self, ctx: &mut NodeCtx<'_, Bmsg>) {
-        ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+        ctx.set_timer(TICK_PERIOD, tags::TICK);
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Bmsg>, _tag: u64) {
-        self.tick += 1;
-        benign_probes(ctx, ProbeStyle::Jvm, self.tick);
-        if self.tick.is_multiple_of(2) {
-            ctx.broadcast(Bmsg::Gossip);
-        }
-        ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+        background_tick(ctx, &mut self.tick, ProbeStyle::Jvm, 2, Bmsg::Gossip);
     }
 
     fn on_message(&mut self, _ctx: &mut NodeCtx<'_, Bmsg>, _from: NodeId, _msg: Bmsg) {}
@@ -198,10 +193,6 @@ impl rose_core::TargetSystem for HbaseCase {
                     site::sys(1, SyscallId::Read),
                 ],
             )
-    }
-
-    fn run_duration(&self) -> SimDuration {
-        SimDuration::from_secs(60)
     }
 }
 

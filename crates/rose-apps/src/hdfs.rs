@@ -20,8 +20,8 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
 use crate::common::{
-    append_op, benign_probes, client_op_id, client_value, numbered, read_key, read_op, tags,
-    ClosedLoop, ProbeStyle, Reply, Route, Workload,
+    append_op, background_tick, client_op_id, client_value, numbered, read_key, read_op, tags,
+    ClosedLoop, ProbeStyle, Reply, Route, Workload, TICK_PERIOD,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 
@@ -306,18 +306,13 @@ impl Application for Hdfs {
                 ctx.set_timer(SimDuration::from_secs(2), REPORT_TIMER);
             }
         }
-        ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+        ctx.set_timer(TICK_PERIOD, tags::TICK);
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Hmsg>, tag: u64) {
         match tag {
             tags::TICK => {
-                self.tick += 1;
-                benign_probes(ctx, ProbeStyle::Jvm, self.tick);
-                if self.tick.is_multiple_of(2) {
-                    ctx.broadcast(Hmsg::Gossip);
-                }
-                ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+                background_tick(ctx, &mut self.tick, ProbeStyle::Jvm, 2, Hmsg::Gossip);
             }
             ROLL_TIMER => {
                 self.roll_edit_log(ctx);
@@ -603,10 +598,6 @@ impl rose_core::TargetSystem for HdfsCase {
                 "balancer.java",
                 vec![site::sys(0, SyscallId::Connect)],
             )
-    }
-
-    fn run_duration(&self) -> SimDuration {
-        SimDuration::from_secs(60)
     }
 }
 

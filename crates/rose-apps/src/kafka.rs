@@ -13,8 +13,8 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientId, History, NodeCtx, OpOutcome, OpenFlags};
 
 use crate::common::{
-    benign_probes, numbered, push_kv_record, read_key, tags, ClosedLoop, ProbeStyle, Reply, Route,
-    Workload,
+    background_tick, numbered, push_kv_record, read_key, tags, ClosedLoop, ProbeStyle, Reply,
+    Route, Workload, TICK_PERIOD,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 
@@ -117,16 +117,11 @@ impl Application for Kafka {
     type Msg = Kmsg;
 
     fn on_start(&mut self, ctx: &mut NodeCtx<'_, Kmsg>) {
-        ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+        ctx.set_timer(TICK_PERIOD, tags::TICK);
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Kmsg>, _tag: u64) {
-        self.tick += 1;
-        benign_probes(ctx, ProbeStyle::Jvm, self.tick);
-        if self.tick.is_multiple_of(2) {
-            ctx.broadcast(Kmsg::Gossip);
-        }
-        ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+        background_tick(ctx, &mut self.tick, ProbeStyle::Jvm, 2, Kmsg::Gossip);
     }
 
     fn on_message(&mut self, _ctx: &mut NodeCtx<'_, Kmsg>, _from: NodeId, _msg: Kmsg) {}
@@ -188,10 +183,6 @@ impl rose_core::TargetSystem for KafkaCase {
                 site::sys(1, SyscallId::Write),
             ],
         )
-    }
-
-    fn run_duration(&self) -> SimDuration {
-        SimDuration::from_secs(60)
     }
 }
 

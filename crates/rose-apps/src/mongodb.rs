@@ -17,9 +17,9 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
-    append_op, benign_probes, client_op_id, client_value, election_timeout, join_values, numbered,
-    push_record, push_value, read_key, read_op, read_values, tags, ClosedLoop, ProbeStyle, Reply,
-    Route, Values, Workload,
+    append_op, background_tick, client_op_id, client_value, election_timeout, join_values,
+    numbered, push_record, push_value, read_key, read_op, read_values, tags, ClosedLoop,
+    ProbeStyle, Reply, Route, Values, Workload, TICK_PERIOD,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
@@ -248,7 +248,7 @@ impl Application for MongoDb {
             election_timeout(ctx.rng())
         };
         ctx.set_timer(t, tags::ELECTION);
-        ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+        ctx.set_timer(TICK_PERIOD, tags::TICK);
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Mmsg>, tag: u64) {
@@ -280,12 +280,7 @@ impl Application for MongoDb {
                 ctx.set_timer(SimDuration::from_millis(150), tags::HEARTBEAT);
             }
             tags::TICK => {
-                self.tick += 1;
-                benign_probes(ctx, ProbeStyle::Native, self.tick);
-                if self.tick.is_multiple_of(2) {
-                    ctx.broadcast(Mmsg::Gossip);
-                }
-                ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+                background_tick(ctx, &mut self.tick, ProbeStyle::Native, 2, Mmsg::Gossip);
             }
             _ => {}
         }
@@ -508,10 +503,6 @@ impl rose_core::TargetSystem for MongoCase {
             .function("stepDown", "repl.cpp", vec![site::other(0)])
             .function("callElection", "repl.cpp", vec![site::other(0)])
             .function("becomePrimary", "repl.cpp", vec![site::other(0)])
-    }
-
-    fn run_duration(&self) -> SimDuration {
-        SimDuration::from_secs(60)
     }
 }
 

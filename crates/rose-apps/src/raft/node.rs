@@ -23,7 +23,9 @@ use rose_sim::{Application, ClientId, NodeCtx, OpenFlags};
 
 use super::kv::{digest_of, KvState, SnapImage};
 use super::log::{Cmd, Entry, RaftLog};
-use crate::common::{benign_probes, election_timeout, tags, write_hex, write_u64, ProbeStyle};
+use crate::common::{
+    background_tick, election_timeout, tags, write_hex, write_u64, ProbeStyle, TICK_PERIOD,
+};
 
 /// Durable metadata (current term, vote).
 pub const META_PATH: &str = "/raft/meta";
@@ -49,8 +51,6 @@ const STAGE_GAP: SimDuration = SimDuration::from_millis(350);
 const FINAL_DELAY: SimDuration = SimDuration::from_secs(2);
 /// Heartbeat cadence.
 const HEARTBEAT_EVERY: SimDuration = SimDuration::from_millis(150);
-/// Housekeeping tick.
-const TICK_EVERY: SimDuration = SimDuration::from_millis(500);
 
 /// Timer tag for the deferred final membership entry.
 const FINAL_DUE: u64 = 30;
@@ -1041,7 +1041,7 @@ impl Application for RoseRaft {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>) {
         *self = RoseRaft::default();
         self.recover(ctx);
-        ctx.set_timer(TICK_EVERY, tags::TICK);
+        ctx.set_timer(TICK_PERIOD, tags::TICK);
         // Boot bias: the first election timeout is staggered by node id so
         // the first term resolves quickly; restarts use the random timeout.
         let first = if ctx.generation() == 0 {
@@ -1056,10 +1056,8 @@ impl Application for RoseRaft {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, RaftMsg>, tag: u64) {
         match tag {
             tags::TICK => {
-                self.tick += 1;
-                benign_probes(ctx, ProbeStyle::Native, self.tick);
-                ctx.broadcast(RaftMsg::Gossip { term: self.term });
-                ctx.set_timer(TICK_EVERY, tags::TICK);
+                let keepalive = RaftMsg::Gossip { term: self.term };
+                background_tick(ctx, &mut self.tick, ProbeStyle::Native, 1, keepalive);
             }
             tags::ELECTION => {
                 let now = ctx.now();

@@ -20,9 +20,9 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
-    append_op, benign_probes, client_op_id, client_value, election_timeout, join_values, numbered,
-    push_value, read_key, read_op, read_values, tags, write_u64, ClosedLoop, ProbeStyle, Reply,
-    Route, Values, Workload,
+    append_op, background_tick, client_op_id, client_value, election_timeout, join_values,
+    numbered, push_value, read_key, read_op, read_values, tags, write_u64, ClosedLoop, ProbeStyle,
+    Reply, Route, Values, Workload, TICK_PERIOD,
 };
 
 /// The five seeded RedisRaft defects.
@@ -733,7 +733,7 @@ impl Application for RedisRaft {
         };
         ctx.set_timer(t, tags::ELECTION);
         ctx.set_timer(SimDuration::from_millis(150), tags::HEARTBEAT);
-        ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+        ctx.set_timer(TICK_PERIOD, tags::TICK);
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Rmsg>, tag: u64) {
@@ -762,12 +762,7 @@ impl Application for RedisRaft {
                 ctx.set_timer(SimDuration::from_millis(150), tags::HEARTBEAT);
             }
             tags::TICK => {
-                self.tick += 1;
-                benign_probes(ctx, ProbeStyle::Native, self.tick);
-                if self.tick.is_multiple_of(2) {
-                    ctx.broadcast(Rmsg::Gossip);
-                }
-                ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+                background_tick(ctx, &mut self.tick, ProbeStyle::Native, 2, Rmsg::Gossip);
             }
             REBUILD_STAGE1 if self.rebuild_pending => {
                 // Stage 1 of the log rebuild: allocate the structure.

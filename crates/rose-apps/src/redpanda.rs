@@ -15,8 +15,9 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
-    append_op, benign_probes, client_value, join_values, numbered, push_kv_record, push_value,
+    append_op, background_tick, client_value, join_values, numbered, push_kv_record, push_value,
     read_key, read_op, read_values, tags, ClosedLoop, ProbeStyle, Reply, Route, Values, Workload,
+    TICK_PERIOD,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
@@ -114,16 +115,11 @@ impl Application for Redpanda {
     type Msg = Pmsg;
 
     fn on_start(&mut self, ctx: &mut NodeCtx<'_, Pmsg>) {
-        ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+        ctx.set_timer(TICK_PERIOD, tags::TICK);
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Pmsg>, _tag: u64) {
-        self.tick += 1;
-        benign_probes(ctx, ProbeStyle::Native, self.tick);
-        if self.tick.is_multiple_of(2) {
-            ctx.broadcast(Pmsg::Gossip);
-        }
-        ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+        background_tick(ctx, &mut self.tick, ProbeStyle::Native, 2, Pmsg::Gossip);
     }
 
     fn on_message(&mut self, _ctx: &mut NodeCtx<'_, Pmsg>, _from: NodeId, _msg: Pmsg) {}
@@ -232,10 +228,6 @@ impl rose_core::TargetSystem for RedpandaCase {
                     site::sys(1, SyscallId::Openat),
                 ],
             )
-    }
-
-    fn run_duration(&self) -> SimDuration {
-        SimDuration::from_secs(60)
     }
 
     fn oracle_cost(&self) -> SimDuration {

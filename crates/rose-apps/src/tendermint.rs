@@ -11,7 +11,7 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientId, NodeCtx};
 
 use crate::common::{
-    benign_probes, numbered, tags, ClosedLoop, ProbeStyle, Reply, Route, Workload,
+    background_tick, numbered, tags, ClosedLoop, ProbeStyle, Reply, Route, Workload, TICK_PERIOD,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 
@@ -97,7 +97,7 @@ impl Application for Tendermint {
 
     fn on_start(&mut self, ctx: &mut NodeCtx<'_, Tmsg>) {
         self.load_priv_validator(ctx);
-        ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+        ctx.set_timer(TICK_PERIOD, tags::TICK);
         ctx.set_timer(SimDuration::from_millis(300), tags::HEARTBEAT);
     }
 
@@ -129,12 +129,7 @@ impl Application for Tendermint {
                 ctx.set_timer(SimDuration::from_millis(300), tags::HEARTBEAT);
             }
             tags::TICK => {
-                self.tick += 1;
-                benign_probes(ctx, ProbeStyle::Native, self.tick);
-                if self.tick.is_multiple_of(2) {
-                    ctx.broadcast(Tmsg::Gossip);
-                }
-                ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+                background_tick(ctx, &mut self.tick, ProbeStyle::Native, 2, Tmsg::Gossip);
             }
             _ => {}
         }

@@ -19,9 +19,9 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
-    append_op, benign_probes, client_op_id, client_value, election_timeout, join_values, numbered,
-    push_record, push_value, read_key, read_op, read_values, tags, ClosedLoop, ProbeStyle, Reply,
-    Route, Values, Workload,
+    append_op, background_tick, client_op_id, client_value, election_timeout, join_values,
+    numbered, push_record, push_value, read_key, read_op, read_values, tags, ClosedLoop,
+    ProbeStyle, Reply, Route, Values, Workload, TICK_PERIOD,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
@@ -296,7 +296,7 @@ impl Application for ZooKeeper {
             election_timeout(ctx.rng())
         };
         ctx.set_timer(t, tags::ELECTION);
-        ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+        ctx.set_timer(TICK_PERIOD, tags::TICK);
         ctx.set_timer(SimDuration::from_millis(900), SYNC_TIMER);
     }
 
@@ -324,12 +324,7 @@ impl Application for ZooKeeper {
                 ctx.set_timer(SimDuration::from_millis(150), tags::HEARTBEAT);
             }
             tags::TICK => {
-                self.tick += 1;
-                benign_probes(ctx, ProbeStyle::Jvm, self.tick);
-                if self.tick.is_multiple_of(2) {
-                    ctx.broadcast(Zmsg::Gossip);
-                }
-                ctx.set_timer(SimDuration::from_millis(500), tags::TICK);
+                background_tick(ctx, &mut self.tick, ProbeStyle::Jvm, 2, Zmsg::Gossip);
             }
             SYNC_TIMER => {
                 if self.role == Role::Follower {
@@ -550,10 +545,6 @@ impl rose_core::TargetSystem for ZkCase {
                 "sync.java",
                 vec![site::sys(0, SyscallId::Read)],
             )
-    }
-
-    fn run_duration(&self) -> SimDuration {
-        SimDuration::from_secs(60)
     }
 }
 

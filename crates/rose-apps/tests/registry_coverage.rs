@@ -1,10 +1,10 @@
 //! Registry coverage: every registered case — the 20 Table-1 bugs plus the
 //! hunted Raft scenarios — must enumerate, build and run its cluster
-//! fault-free, expose tracer metadata, and round-trip its probe through
-//! serde, and declare in its symbol table every function and offset its
-//! fault-free and capture runs probe. Guards against a registry entry whose
-//! system wiring is broken, whose oracle misfires on a healthy cluster, or
-//! whose model probes a function profiling and tracing cannot see.
+//! fault-free, expose tracer metadata, and declare in its symbol table
+//! every function and offset its fault-free and capture runs probe. Guards
+//! against a registry entry whose system wiring is broken, whose oracle
+//! misfires on a healthy cluster, or whose model probes a function
+//! profiling and tracing cannot see.
 //!
 //! Run with `--release`; this deploys all 23 clusters.
 
@@ -12,13 +12,76 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use rose_apps::driver::{
-    capture_spec, probe_case, visit_case, CaseProbe, DriverOptions, SystemVisitor, CAPTURE_DURATION,
-};
+use rose_apps::driver::{capture_spec, visit_case, DriverOptions, SystemVisitor, CAPTURE_DURATION};
 use rose_apps::registry::BugId;
 use rose_core::{Rose, RoseConfig, TargetSystem};
 use rose_events::SimDuration;
 use rose_sim::{HookEffects, HookEnv, KernelHook};
+
+/// A registry-coverage probe of one case: the static metadata a
+/// [`TargetSystem`] exposes, plus the outcome of a short fault-free deploy
+/// of its cluster.
+struct CaseProbe {
+    /// Registry bug name.
+    bug: String,
+    /// Target system label.
+    system: String,
+    /// Provenance tag (`J`/`A`/`M`/`H`).
+    source_tag: String,
+    /// Nodes in the simulated deployment.
+    cluster_size: u32,
+    /// The developer-provided key-file list.
+    key_files: Vec<String>,
+    /// Functions the symbol table resolves from those files — what the
+    /// tracer would monitor.
+    monitored_functions: Vec<String>,
+    /// What the case's oracle checks, in its own words.
+    oracle_description: String,
+    /// Whether the oracle stayed silent over the fault-free deploy.
+    clean_oracle: bool,
+}
+
+/// Builds the case's cluster, runs it fault-free for `duration`, and
+/// collects the probe.
+fn probe_case(id: BugId, duration: SimDuration) -> CaseProbe {
+    struct ProbeVisitor {
+        duration: SimDuration,
+    }
+    impl SystemVisitor for ProbeVisitor {
+        type Out = CaseProbe;
+        fn visit<S: TargetSystem>(self, id: BugId, system: S) -> CaseProbe {
+            probe(id, system, self.duration)
+        }
+    }
+    visit_case(id, ProbeVisitor { duration })
+}
+
+fn probe<S: TargetSystem>(id: BugId, system: S, duration: SimDuration) -> CaseProbe {
+    let key_files = system.key_files();
+    let monitored_functions: Vec<String> = system
+        .symbols()
+        .functions_in_files(&key_files)
+        .map(str::to_string)
+        .collect();
+    let oracle_description = system.oracle_description();
+    let cluster_size = system.cluster_size();
+    let rose = Rose::with_config(system, RoseConfig::default());
+    let mut sim = rose.deploy(id as u64 + 1, Vec::new());
+    sim.start();
+    sim.run_for(duration);
+    let clean_oracle = !rose.system().oracle(&sim);
+    let info = id.info();
+    CaseProbe {
+        bug: info.name.to_string(),
+        system: info.system.to_string(),
+        source_tag: info.source.tag().to_string(),
+        cluster_size,
+        key_files,
+        monitored_functions,
+        oracle_description,
+        clean_oracle,
+    }
+}
 
 #[test]
 fn every_registered_case_probes_clean() {
@@ -48,11 +111,6 @@ fn every_registered_case_probes_clean() {
             "{id}: no oracle description"
         );
         assert!(p.clean_oracle, "{id}: oracle fired on a fault-free deploy");
-
-        // The probe round-trips through serde untouched.
-        let json = serde_json::to_string(&p).unwrap();
-        let back: CaseProbe = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back, "{id}: probe did not round-trip");
     }
     assert_eq!(names.len(), BugId::all_with_hunted().len());
 }

@@ -11,4 +11,4 @@ pub mod ycsb;
 
 pub use rediskv::{RedisKv, YcsbClient};
 pub use report::ReportSink;
-pub use ycsb::{YcsbConfig, ZipfSampler};
+pub use ycsb::ZipfSampler;

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use rose_events::{NodeId, SimDuration};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpenFlags};
 
-use crate::ycsb::{YcsbConfig, ZipfSampler};
+use crate::ycsb::{ZipfSampler, READ_PROPORTION, RECORD_COUNT, THETA, VALUE_SIZE};
 
 const AOF: &str = "/redis/appendonly.aof";
 
@@ -122,7 +122,6 @@ impl Application for RedisKv {
 
 /// A closed-loop YCSB client bound to the cluster.
 pub struct YcsbClient {
-    cfg: YcsbConfig,
     zipf: ZipfSampler,
     rng: SmallRng,
     next_id: u64,
@@ -131,12 +130,10 @@ pub struct YcsbClient {
 }
 
 impl YcsbClient {
-    /// A client for the given workload.
-    pub fn new(cfg: YcsbConfig, seed: u64) -> Self {
-        let zipf = ZipfSampler::new(cfg.record_count, cfg.theta);
+    /// A workload-A client.
+    pub fn new(seed: u64) -> Self {
         YcsbClient {
-            cfg,
-            zipf,
+            zipf: ZipfSampler::new(RECORD_COUNT, THETA),
             rng: SmallRng::seed_from_u64(seed),
             next_id: 0,
             completed: 0,
@@ -148,10 +145,10 @@ impl YcsbClient {
         let id = self.next_id;
         let key = self.zipf.sample(&mut self.rng);
         let shard = NodeId((key % u64::from(ctx.cluster_size())) as u32);
-        if self.rng.gen_bool(self.cfg.read_proportion) {
+        if self.rng.gen_bool(READ_PROPORTION) {
             ctx.send(shard, Rkmsg::Get { key, id });
         } else {
-            let val = vec![0xabu8; self.cfg.value_size];
+            let val = vec![0xabu8; VALUE_SIZE];
             ctx.send(shard, Rkmsg::Set { key, val, id });
         }
     }
@@ -201,10 +198,7 @@ fn ycsb_cluster(
     }
     let mut ids = Vec::new();
     for c in 0..clients {
-        ids.push(sim.add_client(Box::new(YcsbClient::new(
-            YcsbConfig::workload_a(),
-            900 + u64::from(c),
-        ))));
+        ids.push(sim.add_client(Box::new(YcsbClient::new(900 + u64::from(c)))));
     }
     (sim, ids)
 }

@@ -5,30 +5,14 @@
 
 use rand::Rng;
 
-/// YCSB workload parameters.
-#[derive(Debug, Clone)]
-pub struct YcsbConfig {
-    /// Number of distinct keys.
-    pub record_count: u64,
-    /// Fraction of reads (workload A: 0.5).
-    pub read_proportion: f64,
-    /// Zipfian skew parameter (YCSB default: 0.99).
-    pub theta: f64,
-    /// Value payload size in bytes.
-    pub value_size: usize,
-}
-
-impl YcsbConfig {
-    /// Workload A: 50 % reads, 50 % updates.
-    pub fn workload_a() -> Self {
-        YcsbConfig {
-            record_count: 1_000,
-            read_proportion: 0.5,
-            theta: 0.99,
-            value_size: 100,
-        }
-    }
-}
+/// Number of distinct keys.
+pub(crate) const RECORD_COUNT: u64 = 1_000;
+/// Fraction of reads (workload A: 0.5, the rest are updates).
+pub(crate) const READ_PROPORTION: f64 = 0.5;
+/// Zipfian skew parameter (YCSB default: 0.99).
+pub(crate) const THETA: f64 = 0.99;
+/// Value payload size in bytes.
+pub(crate) const VALUE_SIZE: usize = 100;
 
 /// A Zipfian key sampler (the standard YCSB rejection-free method of
 /// Gray et al., "Quickly generating billion-record synthetic databases").
@@ -83,6 +67,14 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn the_workload_is_ycsb_a() {
+        assert_eq!(READ_PROPORTION, 0.5);
+        assert_eq!(THETA, 0.99);
+        assert_eq!(RECORD_COUNT, 1_000);
+        assert_eq!(VALUE_SIZE, 100);
+    }
 
     #[test]
     fn zipf_is_skewed_towards_low_indexes() {

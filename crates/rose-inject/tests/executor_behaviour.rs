@@ -114,8 +114,8 @@ fn crash_fires_at_function_entry() {
 #[test]
 fn crash_at_offset_corrupts_snapshot() {
     // Crash node 0 exactly at offset 2 of storeSnapshotData: after the
-    // 8-byte header write, before the 16-byte payload write. No restart, so
-    // the partial file persists.
+    // 8-byte header write, before the 16-byte payload write. Until the
+    // supervisor restarts the node, the partial file persists.
     let mut s = FaultSchedule::new();
     s.push(
         ScheduledFault::new(NodeId(0), FaultAction::Crash).after(Condition::FunctionOffset {
@@ -123,14 +123,12 @@ fn crash_at_offset_corrupts_snapshot() {
             offset: 2,
         }),
     );
-    let cfg = SimConfig {
-        auto_restart: false,
-        ..SimConfig::new(3, 3)
-    };
-    let mut sim = Sim::new(cfg, |_| Snapshotter::default());
+    let mut sim = Sim::new(SimConfig::new(3, 3), |_| Snapshotter::default());
     sim.add_hook(Box::new(Executor::new(s)));
     sim.start();
-    sim.run_for(SimDuration::from_secs(2));
+    // The first round crashes at 200 ms; the restart comes 1.5 s after the
+    // crash at the earliest.
+    sim.run_for(SimDuration::from_secs(1));
     assert!(sim.app(NodeId(0)).is_none());
     let tmp = sim.core().vfs[0].peek("/data/snap.tmp").unwrap();
     assert_eq!(

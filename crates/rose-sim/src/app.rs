@@ -47,18 +47,6 @@ pub trait Application: 'static {
 
     /// A timer set through [`NodeCtx::set_timer`] fired.
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>, tag: u64);
-
-    /// The implicit `recv` for an incoming message failed (injected SCF on
-    /// `recv`). The message is lost; the application sees the error exactly
-    /// as a failed socket read. `from` is `None` for client connections.
-    fn on_recv_error(
-        &mut self,
-        ctx: &mut NodeCtx<'_, Self::Msg>,
-        from: Option<NodeId>,
-        errno: Errno,
-    ) {
-        let _ = (ctx, from, errno);
-    }
 }
 
 /// A workload client: drives the cluster from outside the traced boundary.

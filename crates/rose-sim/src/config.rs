@@ -17,8 +17,6 @@ pub struct SimConfig {
     pub net_latency_min: SimDuration,
     /// Maximum one-way message latency (uniformly sampled).
     pub net_latency_max: SimDuration,
-    /// Whether crashed nodes are restarted at all.
-    pub auto_restart: bool,
     /// Base CPU cost charged per executed system call, feeding the overhead
     /// model.
     pub syscall_exec_cost: SimDuration,
@@ -32,7 +30,6 @@ impl SimConfig {
             nodes: n,
             net_latency_min: SimDuration::from_micros(300),
             net_latency_max: SimDuration::from_micros(1_800),
-            auto_restart: true,
             syscall_exec_cost: SimDuration::from_micros(2),
         }
     }
@@ -53,7 +50,6 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(crate::sim::PROC_POLL_INTERVAL, SimDuration::from_secs(1));
         assert_eq!(crate::sim::RESTART_DELAY, SimDuration::from_secs(2));
-        assert!(c.auto_restart);
         assert_eq!(c.nodes, 3);
     }
 }

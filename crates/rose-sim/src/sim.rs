@@ -21,8 +21,8 @@ use crate::syscalls::SyscallArgs;
 /// (paper default: 1 s).
 pub(crate) const PROC_POLL_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
-/// Delay before the supervisor restarts a crashed node, plus up to 25 %
-/// jitter.
+/// Delay before the supervisor restarts a crashed node, jittered by ±25 %
+/// (1.5–2.5 s).
 pub(crate) const RESTART_DELAY: SimDuration = SimDuration::from_secs(2);
 
 /// Installs a process-wide panic hook that silences the expected simulation
@@ -114,7 +114,7 @@ impl<A: Application> Sim<A> {
 
     /// Mutable kernel state. Driven by `tests/sim_behaviour.rs` and the root
     /// `tests/alloc_budget.rs`, which issue syscalls on a hand-built
-    /// `NodeCtx` and switch restarts off mid-run.
+    /// `NodeCtx`.
     pub fn core_mut(&mut self) -> &mut SimCore<A::Msg> {
         &mut self.core
     }
@@ -381,17 +381,11 @@ impl<A: Application> Sim<A> {
                 .with_peer(from.ip())
                 .with_len(64);
             let pid = ctx.pid;
-            match ctx.core.syscall(n, pid, args) {
-                Ok(_) => match from {
+            // A failed `recv` (an injected SCF) loses the message.
+            if ctx.core.syscall(n, pid, args).is_ok() {
+                match from {
                     Endpoint::Node(m) => app.on_message(ctx, m, msg),
                     Endpoint::Client(c) => app.on_client_request(ctx, c, msg),
-                },
-                Err(e) => {
-                    let peer = match from {
-                        Endpoint::Node(m) => Some(m),
-                        Endpoint::Client(_) => None,
-                    };
-                    app.on_recv_error(ctx, peer, e);
                 }
             }
         });
@@ -510,12 +504,10 @@ impl<A: Application> Sim<A> {
         self.core.log(node, format!("process down: {reason}"));
         self.core
             .notify_proc_event(ProcEvent::Crashed { node, pid, aborted });
-        if self.core.cfg.auto_restart {
-            let base = RESTART_DELAY.as_micros();
-            let jitter = self.core.rng.gen_range(0.75..1.25_f64);
-            let delay = SimDuration::from_micros((base as f64 * jitter) as u64);
-            self.core.schedule_in(delay, Item::NodeStart(node));
-        }
+        let base = RESTART_DELAY.as_micros();
+        let jitter = self.core.rng.gen_range(0.75..1.25_f64);
+        let delay = SimDuration::from_micros((base as f64 * jitter) as u64);
+        self.core.schedule_in(delay, Item::NodeStart(node));
     }
 
     fn drain_pending_signals(&mut self) {

@@ -314,9 +314,10 @@ fn crash_at_uprobe_kills_node_mid_function() {
     let mut sim = make_sim(4);
     sim.hook_mut::<SpyHook>().unwrap().crash_in = Some("persist".into());
     let _c = sim.add_client(Box::new(PutClient { acked: false }));
-    sim.core_mut().cfg.auto_restart = false;
     sim.start();
-    sim.run_for(SimDuration::from_secs(2));
+    // The put lands within 2 ms; the supervisor restarts a node 1.5 s after
+    // its crash at the earliest.
+    sim.run_for(SimDuration::from_secs(1));
     // Node 0 died at the entry of `persist`, before writing the file.
     assert!(sim.app(NodeId(0)).is_none());
     assert!(sim.core().vfs[0].peek("/state/counter").is_none());
@@ -387,11 +388,11 @@ fn partition_blocks_traffic_and_heals() {
 #[test]
 fn connect_fails_under_partition_and_to_dead_nodes() {
     let mut sim = make_sim(7);
-    sim.core_mut().cfg.auto_restart = false;
     sim.start();
     sim.run_for(SimDuration::from_secs(1));
     sim.inject_isolation(NodeId(2), None);
     sim.inject_crash(NodeId(1));
+    // Well before the supervisor's earliest restart, 1.5 s after the crash.
     sim.run_for(SimDuration::from_millis(100));
     // Drive connects from inside the next callback via a probe: simplest is
     // to inspect kernel state directly through a scripted syscall.
@@ -460,12 +461,10 @@ fn app_panic_is_logged_and_crashes_node() {
             ctx.panic("assert idx == snapshot.idx failed");
         }
     }
-    let cfg = SimConfig {
-        auto_restart: false,
-        ..SimConfig::new(1, 1)
-    };
-    let mut sim: Sim<Bomb> = Sim::new(cfg, |_| Bomb);
+    let mut sim: Sim<Bomb> = Sim::new(SimConfig::new(1, 1), |_| Bomb);
     sim.start();
+    // The bomb goes off at 10 ms; its restart comes 1.5 s later at the
+    // earliest.
     sim.run_for(SimDuration::from_secs(1));
     assert!(sim
         .core()

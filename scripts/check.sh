@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path, window snapshot beside drain, (ts, node) sort outside the canonical order or function entry without its scope; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path, window snapshot beside drain, (ts, node) sort outside the canonical order, function entry without its scope, background loop beside the one in common.rs, recv-error callback, restart switch or YCSB config struct; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -60,7 +60,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -rnE "sort[a-z_]*\(\|e\| \(e\.ts, e\.node\)\)" crates/*/src src examples \
         | grep -v "^crates/rose-events/src/trace.rs:" \
     || grep -rnE "(enter|exit)_function\(" crates src tests examples \
-    || grep -nE "^serde" crates/rose-{sim,profile,core,jepsen}/Cargo.toml \
+    || grep -rn "benign_probes(" crates/rose-apps/src --exclude=common.rs \
+    || grep -rnE "on_recv_error|auto_restart|YcsbConfig" crates src tests examples \
+    || grep -nE "^serde" crates/rose-{sim,profile,core,jepsen,apps}/Cargo.toml \
     || grep -n "^serde_json" crates/rose-hunt/Cargo.toml \
     || cargo tree -p rose-trace | grep rose-store \
     || cargo tree -p rose-sim -p rose-store -p rose-trace -p rose-profile | grep rose-obs; then
@@ -97,9 +99,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "RedisRaft's private push_decimal is gone)," \
         "and nothing stays that nothing produces: the nth call is Scf's nth or an ExecutionIndex" \
         "(no SyscallInvocation), a SignalReq names its node (no SignalTarget), readlink returns" \
-        "no path (no SysRet::Path), and the kernel, the profiler, the workflow and the Jepsen" \
-        "checkers write no format (no serde under rose-sim, rose-profile, rose-core or" \
-        "rose-jepsen, no serde_json under rose-hunt)," \
+        "no path (no SysRet::Path), and the kernel, the profiler, the workflow, the Jepsen" \
+        "checkers and the target models write no format (no serde under rose-sim, rose-profile," \
+        "rose-core, rose-jepsen or rose-apps, no serde_json under rose-hunt)," \
         "and the target models have one closed loop: a workload client's write in flight," \
         "deadline, retries and leader live in rose_apps::common's ClosedLoop (no outstanding:" \
         "field outside common.rs)," \
@@ -113,7 +115,11 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "(no SlidingWindow::snapshot copy), and rose_events::sort_canonical is the one" \
         "canonical order (no (e.ts, e.node) sort key in program code outside trace.rs)," \
         "and an instrumented function is a scope: NodeCtx::function returns an FnScope whose" \
-        "drop leaves the function, so no entry lacks its exit (no enter_function/exit_function pair)"
+        "drop leaves the function, so no entry lacks its exit (no enter_function/exit_function pair)," \
+        "and the target models run one background loop: rose_apps::common's background_tick" \
+        "probes, keeps alive and re-arms for all nine (no benign_probes call outside common.rs)," \
+        "and no hook without an implementor or knob with one value stays (no Application::" \
+        "on_recv_error, SimConfig::auto_restart or YcsbConfig: workload A is four consts)"
     exit 1
 fi
 
