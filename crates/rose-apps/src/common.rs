@@ -16,7 +16,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use rand::Rng;
-use rose_events::{NodeId, SimDuration};
+use rose_events::{Errno, NodeId, SimDuration, SyscallId};
+use rose_inject::{FaultAction, ScheduledFault};
 use rose_sim::{ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome};
 
 /// The digits of one `u64`, right-aligned in a stack buffer (20 decimal
@@ -208,6 +209,26 @@ pub fn read_values(store: &BTreeMap<String, Values>, key: &str) -> Values {
 /// replies and the Elle checker (`"v1,v2,v3"`).
 pub fn join_values(values: &[String]) -> String {
     values.join(",")
+}
+
+/// One fault of a scripted capture: the `nth` `syscall` on `node` (on
+/// `path`, when one is named) fails with `errno`.
+pub fn scf(
+    node: NodeId,
+    syscall: SyscallId,
+    errno: Errno,
+    path: Option<&str>,
+    nth: u64,
+) -> ScheduledFault {
+    ScheduledFault::new(
+        node,
+        FaultAction::Scf {
+            syscall,
+            errno,
+            path: path.map(str::to_owned),
+            nth,
+        },
+    )
 }
 
 /// Timer tag allocator: systems build their tags from these bases to keep

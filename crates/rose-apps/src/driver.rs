@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use rose_analyze::DiagnosisReport;
 use rose_core::{Rose, RoseConfig, TargetSystem};
 use rose_events::SimDuration;
-use rose_inject::{Executor, FaultSchedule};
+use rose_inject::{Executor, FaultSchedule, ScheduledFault};
 use rose_jepsen::{Nemesis, NemesisConfig};
 use rose_obs::{CampaignSummary, Obs, PhaseRecord};
 use rose_profile::Profile;
@@ -49,6 +49,15 @@ impl From<CaptureMethod> for CaptureSpec {
 }
 
 impl CaptureSpec {
+    /// A scripted capture of `faults`, in production order.
+    pub fn scripted(faults: impl IntoIterator<Item = ScheduledFault>) -> Self {
+        let mut schedule = FaultSchedule::new();
+        for fault in faults {
+            schedule.push(fault);
+        }
+        CaptureSpec::from(CaptureMethod::Scripted(schedule))
+    }
+
     /// Sets the per-attempt capture duration.
     pub fn with_duration(mut self, d: SimDuration) -> Self {
         self.duration = Some(d);

@@ -13,8 +13,8 @@ use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome};
 
-use crate::common::{background_tick, numbered, tags, ProbeStyle, TICK_PERIOD};
-use crate::driver::{CaptureMethod, CaptureSpec};
+use crate::common::{background_tick, numbered, scf, tags, ProbeStyle, TICK_PERIOD};
+use crate::driver::CaptureSpec;
 
 /// The master node.
 pub const MASTER: NodeId = NodeId(0);
@@ -198,18 +198,8 @@ impl rose_core::TargetSystem for HbaseCase {
 
 /// Scripted capture trigger: fail the result-file open for one poll.
 pub fn hbase_capture() -> CaptureSpec {
-    use rose_inject::{FaultAction, FaultSchedule, ScheduledFault};
-    let mut s = FaultSchedule::new();
-    s.push(ScheduledFault::new(
-        MASTER,
-        FaultAction::Scf {
-            syscall: SyscallId::Openat,
-            errno: Errno::Eio,
-            path: Some(proc_path(3)),
-            nth: 1,
-        },
-    ));
-    CaptureSpec::from(CaptureMethod::Scripted(s))
+    let path = proc_path(3);
+    CaptureSpec::scripted([scf(MASTER, SyscallId::Openat, Errno::Eio, Some(&path), 1)])
 }
 
 // --- Workload ---------------------------------------------------------------

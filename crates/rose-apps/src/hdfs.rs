@@ -20,10 +20,10 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
 use crate::common::{
-    append_op, background_tick, client_op_id, client_value, numbered, read_key, read_op, tags,
+    append_op, background_tick, client_op_id, client_value, numbered, read_key, read_op, scf, tags,
     ClosedLoop, ProbeStyle, Reply, Route, Workload, TICK_PERIOD,
 };
-use crate::driver::{CaptureMethod, CaptureSpec};
+use crate::driver::CaptureSpec;
 
 /// The four seeded HDFS defects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -603,67 +603,27 @@ impl rose_core::TargetSystem for HdfsCase {
 
 /// Scripted capture triggers (the Anduril test cases).
 pub fn hdfs_capture(bug: HdfsBug) -> CaptureSpec {
-    use rose_inject::{FaultAction, FaultSchedule, ScheduledFault};
-    let mut s = FaultSchedule::new();
-    match bug {
-        HdfsBug::Hdfs4233 => {
-            s.push(ScheduledFault::new(
-                NN,
-                FaultAction::Scf {
-                    syscall: SyscallId::Openat,
-                    errno: Errno::Eio,
-                    path: Some(EDITS_NEW.into()),
-                    nth: 1,
-                },
-            ));
-        }
-        HdfsBug::Hdfs12070 => {
-            // Fail the first fstat inside the block-recovery path (the
-            // block reports fstat the same file every round, so the bare
-            // invocation index varies; the Anduril test pins the recovery
-            // context).
-            s.push(
-                ScheduledFault::new(
-                    dn_of("f_uc"),
-                    FaultAction::Scf {
-                        syscall: SyscallId::Fstat,
-                        errno: Errno::Eio,
-                        path: Some(block_path("f_uc")),
-                        nth: 1,
-                    },
-                )
-                .after(rose_inject::Condition::FunctionEntered {
-                    name: "recoverBlock".into(),
-                }),
-            );
-        }
-        HdfsBug::Hdfs15032 => {
-            // Fail the balancer's active-NN connect in its third round
-            // (4 connects per round; the first round's failure is handled
-            // by the initialization path).
-            s.push(ScheduledFault::new(
-                BALANCER,
-                FaultAction::Scf {
-                    syscall: SyscallId::Connect,
-                    errno: Errno::Etimedout,
-                    path: None,
-                    nth: 9,
-                },
-            ));
-        }
-        HdfsBug::Hdfs16332 => {
-            s.push(ScheduledFault::new(
-                dn_of("f1"),
-                FaultAction::Scf {
-                    syscall: SyscallId::Read,
-                    errno: Errno::Eacces,
-                    path: None,
-                    nth: 1,
-                },
-            ));
-        }
-    }
-    CaptureSpec::from(CaptureMethod::Scripted(s))
+    CaptureSpec::scripted([match bug {
+        HdfsBug::Hdfs4233 => scf(NN, SyscallId::Openat, Errno::Eio, Some(EDITS_NEW), 1),
+        // Fail the first fstat inside the block-recovery path (the block
+        // reports fstat the same file every round, so the bare invocation
+        // index varies; the Anduril test pins the recovery context).
+        HdfsBug::Hdfs12070 => scf(
+            dn_of("f_uc"),
+            SyscallId::Fstat,
+            Errno::Eio,
+            Some(&block_path("f_uc")),
+            1,
+        )
+        .after(rose_inject::Condition::FunctionEntered {
+            name: "recoverBlock".into(),
+        }),
+        // Fail the balancer's active-NN connect in its third round
+        // (4 connects per round; the first round's failure is handled by
+        // the initialization path).
+        HdfsBug::Hdfs15032 => scf(BALANCER, SyscallId::Connect, Errno::Etimedout, None, 9),
+        HdfsBug::Hdfs16332 => scf(dn_of("f1"), SyscallId::Read, Errno::Eacces, None, 1),
+    }])
 }
 
 // --- Workload ---------------------------------------------------------------

@@ -13,10 +13,10 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientId, History, NodeCtx, OpOutcome, OpenFlags};
 
 use crate::common::{
-    background_tick, numbered, push_kv_record, read_key, tags, ClosedLoop, ProbeStyle, Reply,
+    background_tick, numbered, push_kv_record, read_key, scf, tags, ClosedLoop, ProbeStyle, Reply,
     Route, Workload, TICK_PERIOD,
 };
-use crate::driver::{CaptureMethod, CaptureSpec};
+use crate::driver::CaptureSpec;
 
 const CHANGELOG: &str = "/kafka/changelog";
 /// The broker hosting the table.
@@ -212,18 +212,13 @@ fn lost_update(changelog: &[u8], history: &History) -> bool {
 
 /// Scripted capture trigger: fail the changelog open for a fresh update.
 pub fn kafka_capture() -> CaptureSpec {
-    use rose_inject::{FaultAction, FaultSchedule, ScheduledFault};
-    let mut s = FaultSchedule::new();
-    s.push(ScheduledFault::new(
+    CaptureSpec::scripted([scf(
         TABLE_BROKER,
-        FaultAction::Scf {
-            syscall: SyscallId::Openat,
-            errno: Errno::Eio,
-            path: Some(CHANGELOG.into()),
-            nth: 5,
-        },
-    ));
-    CaptureSpec::from(CaptureMethod::Scripted(s))
+        SyscallId::Openat,
+        Errno::Eio,
+        Some(CHANGELOG),
+        5,
+    )])
 }
 
 // --- Workload ---------------------------------------------------------------

@@ -225,7 +225,6 @@ impl MongoDb {
                     ctx.log(format!("WARN rollback: dropping {key}={val}"));
                 }
             }
-            self.oplog_pos = pos.min(self.oplog_pos);
             self.oplog_pos = self.oplog.keys().next_back().copied().unwrap_or(0);
         } else if self.oplog_pos < pos {
             let _ = ctx.send(

@@ -1118,33 +1118,25 @@ pub fn redisraft_capture(bug: RedisRaftBug) -> crate::driver::CaptureSpec {
             CaptureSpec::from(CaptureMethod::NemesisWithPrelude(cfg, prelude))
                 .with_duration(SimDuration::from_secs(45))
         }
-        RedisRaftBug::RrNew => {
-            let mut s = FaultSchedule::new();
-            s.push(
-                ScheduledFault::new(
-                    NodeId(0),
-                    FaultAction::Partition {
-                        kind: PartitionKind::IsolateNode(NodeId(0)),
-                        duration: Some(SimDuration::from_secs(8)),
-                    },
-                )
-                .after(Condition::TimeElapsed {
-                    after: SimDuration::from_secs(10),
-                }),
-            );
-            s.push(ScheduledFault::new(NodeId(0), FaultAction::Crash).after(
-                Condition::TimeElapsed {
-                    after: SimDuration::from_secs(25),
+        RedisRaftBug::RrNew => CaptureSpec::scripted([
+            ScheduledFault::new(
+                NodeId(0),
+                FaultAction::Partition {
+                    kind: PartitionKind::IsolateNode(NodeId(0)),
+                    duration: Some(SimDuration::from_secs(8)),
                 },
-            ));
-            s.push(ScheduledFault::new(NodeId(2), FaultAction::Crash).after(
-                Condition::FunctionOffset {
-                    name: "storeSnapshotData".into(),
-                    offset: 1,
-                },
-            ));
-            CaptureSpec::from(CaptureMethod::Scripted(s))
-        }
+            )
+            .after(Condition::TimeElapsed {
+                after: SimDuration::from_secs(10),
+            }),
+            ScheduledFault::new(NodeId(0), FaultAction::Crash).after(Condition::TimeElapsed {
+                after: SimDuration::from_secs(25),
+            }),
+            ScheduledFault::new(NodeId(2), FaultAction::Crash).after(Condition::FunctionOffset {
+                name: "storeSnapshotData".into(),
+                offset: 1,
+            }),
+        ]),
         RedisRaftBug::RrNew2 => {
             // One partition per capture attempt: replaying a first-partition
             // trigger keeps the replay independent of randomized

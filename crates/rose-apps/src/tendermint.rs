@@ -11,9 +11,10 @@ use rose_profile::{site, SymbolTable};
 use rose_sim::{Application, ClientCtx, ClientId, NodeCtx};
 
 use crate::common::{
-    background_tick, numbered, tags, ClosedLoop, ProbeStyle, Reply, Route, Workload, TICK_PERIOD,
+    background_tick, numbered, scf, tags, ClosedLoop, ProbeStyle, Reply, Route, Workload,
+    TICK_PERIOD,
 };
-use crate::driver::{CaptureMethod, CaptureSpec};
+use crate::driver::CaptureSpec;
 
 const PRIV_KEY: &str = "/tm/priv_validator_key.json";
 
@@ -208,18 +209,13 @@ impl rose_core::TargetSystem for TendermintCase {
 
 /// Scripted capture trigger: the key file open fails with EACCES at boot.
 pub fn tendermint_capture() -> CaptureSpec {
-    use rose_inject::{FaultAction, FaultSchedule, ScheduledFault};
-    let mut s = FaultSchedule::new();
-    s.push(ScheduledFault::new(
+    CaptureSpec::scripted([scf(
         NodeId(1),
-        FaultAction::Scf {
-            syscall: SyscallId::Openat,
-            errno: Errno::Eacces,
-            path: Some(PRIV_KEY.into()),
-            nth: 1,
-        },
-    ));
-    CaptureSpec::from(CaptureMethod::Scripted(s))
+        SyscallId::Openat,
+        Errno::Eacces,
+        Some(PRIV_KEY),
+        1,
+    )])
 }
 
 // --- Workload ---------------------------------------------------------------

@@ -20,10 +20,10 @@ use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
     append_op, background_tick, client_op_id, client_value, election_timeout, join_values,
-    numbered, push_record, push_value, read_key, read_op, read_values, tags, ClosedLoop,
+    numbered, push_record, push_value, read_key, read_op, read_values, scf, tags, ClosedLoop,
     ProbeStyle, Reply, Route, Values, Workload, TICK_PERIOD,
 };
-use crate::driver::{CaptureMethod, CaptureSpec};
+use crate::driver::CaptureSpec;
 use crate::registry::BugId;
 
 /// The four seeded ZooKeeper defects.
@@ -550,65 +550,27 @@ impl rose_core::TargetSystem for ZkCase {
 
 /// Scripted capture triggers (the Anduril test cases, run under the tracer).
 pub fn zookeeper_capture(bug: ZkBug) -> CaptureSpec {
-    use rose_inject::{FaultAction, FaultSchedule, ScheduledFault};
-    let mut s = FaultSchedule::new();
-    match bug {
-        ZkBug::Zk2247 => {
-            // Fail a txn-log write on the boot leader.
-            s.push(ScheduledFault::new(
-                NodeId(0),
-                FaultAction::Scf {
-                    syscall: SyscallId::Write,
-                    errno: Errno::Eio,
-                    path: Some(TXNLOG.into()),
-                    nth: 3,
-                },
-            ));
-        }
-        ZkBug::Zk3006 => {
-            // Fail the first read of the snapshot file cluster-wide.
-            s.push(ScheduledFault::new(
-                NodeId(1),
-                FaultAction::Scf {
-                    syscall: SyscallId::Read,
-                    errno: Errno::Eio,
-                    path: Some(SNAPSHOT.into()),
-                    nth: 1,
-                },
-            ));
-        }
-        ZkBug::Zk3157 => {
-            s.push(ScheduledFault::new(
-                NodeId(2),
-                FaultAction::Scf {
-                    syscall: SyscallId::Read,
-                    errno: Errno::Econnreset,
-                    path: Some(PEER_SOCK.into()),
-                    nth: 1,
-                },
-            ));
-        }
-        ZkBug::Zk4203 => {
-            // Fail the first accept after the boot candidate enters its
-            // election round (the Anduril test pins the injection inside
-            // the election exchange; session accepts precede it).
-            s.push(
-                ScheduledFault::new(
-                    NodeId(0),
-                    FaultAction::Scf {
-                        syscall: SyscallId::Accept,
-                        errno: Errno::Econnreset,
-                        path: None,
-                        nth: 1,
-                    },
-                )
-                .after(rose_inject::Condition::FunctionEntered {
-                    name: "electionRound".into(),
-                }),
-            );
-        }
-    }
-    CaptureSpec::from(CaptureMethod::Scripted(s))
+    CaptureSpec::scripted([match bug {
+        // Fail a txn-log write on the boot leader.
+        ZkBug::Zk2247 => scf(NodeId(0), SyscallId::Write, Errno::Eio, Some(TXNLOG), 3),
+        // Fail the first read of the snapshot file cluster-wide.
+        ZkBug::Zk3006 => scf(NodeId(1), SyscallId::Read, Errno::Eio, Some(SNAPSHOT), 1),
+        ZkBug::Zk3157 => scf(
+            NodeId(2),
+            SyscallId::Read,
+            Errno::Econnreset,
+            Some(PEER_SOCK),
+            1,
+        ),
+        // Fail the first accept after the boot candidate enters its
+        // election round (the Anduril test pins the injection inside the
+        // election exchange; session accepts precede it).
+        ZkBug::Zk4203 => scf(NodeId(0), SyscallId::Accept, Errno::Econnreset, None, 1).after(
+            rose_inject::Condition::FunctionEntered {
+                name: "electionRound".into(),
+            },
+        ),
+    }])
 }
 
 /// The registry ids of the ZooKeeper cases.

@@ -14,7 +14,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ids::NodeId;
 use crate::syscall::{Errno, SyscallId};
@@ -22,9 +22,7 @@ use crate::time::SimTime;
 
 /// Identifier of a node in a per-run causal log: its index in
 /// [`CausalLog::nodes`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct CauseId(pub u64);
 
@@ -35,7 +33,7 @@ impl fmt::Display for CauseId {
 }
 
 /// What a causal node records.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum CausalKind {
     /// A scheduled fault fired (the executor's `bpf_override_return` /
     /// `bpf_send_signal` / TC-install moment).
@@ -92,7 +90,7 @@ impl CausalKind {
 }
 
 /// The happens-before relation an edge records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum EdgeKind {
     /// Intra-node program order: the previous causal node on the same
     /// simulated node.
@@ -125,7 +123,7 @@ impl fmt::Display for EdgeKind {
 }
 
 /// One node of the per-run causality DAG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CausalNode {
     /// Its id (index in [`CausalLog::nodes`]).
     pub id: CauseId,
@@ -139,7 +137,7 @@ pub struct CausalNode {
 }
 
 /// A happens-before edge `from → to` (`from` precedes `to`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CausalEdge {
     /// The earlier node.
     pub from: CauseId,
@@ -153,7 +151,7 @@ pub struct CausalEdge {
 /// an index) plus the edges between them. Edges always point from an
 /// earlier-emitted node to a later one, so the log is a DAG by
 /// construction.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CausalLog {
     /// Nodes, in emission order.
     pub nodes: Vec<CausalNode>,
@@ -229,28 +227,6 @@ mod tests {
         assert_eq!(log.injections().collect::<Vec<_>>(), vec![a]);
         assert_eq!(log.oracle(), Some(b));
         assert_eq!(log.node(a).node, Some(NodeId(0)));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut log = CausalLog::default();
-        let a = log.push_node(
-            SimTime::from_millis(10),
-            Some(NodeId(1)),
-            CausalKind::Scf {
-                syscall: SyscallId::Write,
-                errno: Errno::Eio,
-            },
-        );
-        let b = log.push_node(
-            SimTime::from_millis(20),
-            Some(NodeId(2)),
-            CausalKind::Recv { from: NodeId(1) },
-        );
-        log.push_edge(a, b, EdgeKind::Message);
-        let json = serde_json::to_string(&log).unwrap();
-        let back: CausalLog = serde_json::from_str(&json).unwrap();
-        assert_eq!(log, back);
     }
 
     #[test]

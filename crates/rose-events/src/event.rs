@@ -125,12 +125,6 @@ impl Serialize for ThinStr {
     }
 }
 
-impl Deserialize for ThinStr {
-    fn de(value: &serde::Value) -> Result<Self, serde::Error> {
-        String::de(value).map(ThinStr::from)
-    }
-}
-
 /// The type-specific payload `I` of an event.
 ///
 /// Layout rule: a tracer window holds hundreds of thousands of these, nearly
@@ -138,7 +132,7 @@ impl Deserialize for ThinStr {
 /// payloads (an SCF's path and execution index, an IO-content prefix) sit
 /// behind one pointer each instead of sizing every event by the largest.
 /// DESIGN.md's "Event layout" section has the arithmetic.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub enum EventKind {
     /// System Call Failure: `{pid, syscall_id, fd, filename, errno}`.
     ///
@@ -157,7 +151,7 @@ pub enum EventKind {
         /// The error returned.
         errno: Errno,
         /// The call's execution index, when the tracer recorded one.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
+        #[serde(skip_serializing_if = "Option::is_none")]
         ei: Option<Box<ExecutionIndex>>,
     },
     /// Application Function: `{pid, function_id}` — an infrequent profiled
@@ -335,20 +329,6 @@ impl Serialize for Event {
     }
 }
 
-impl Deserialize for Event {
-    fn de(value: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            serde::__field(value, name)
-                .ok_or_else(|| serde::Error::msg(format!("missing field `{name}`")))
-        };
-        Ok(Event::new(
-            SimTime::de(field("ts")?)?,
-            NodeId::de(field("node")?)?,
-            EventKind::de(field("kind")?)?,
-        ))
-    }
-}
-
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{} {} {}] ", self.ts, self.node, self.kind.tag())?;
@@ -420,7 +400,7 @@ mod tests {
     }
 
     #[test]
-    fn scf_ei_round_trips_and_counts_in_wire_size() {
+    fn scf_ei_counts_in_wire_size_and_displays() {
         let bare = scf(Errno::Eio);
         let mut kind = bare.clone();
         if let EventKind::Scf { ei, .. } = &mut kind {
@@ -431,9 +411,6 @@ mod tests {
         }
         assert!(kind.wire_size() > bare.wire_size());
         let e = Event::new(SimTime::from_secs(1), NodeId(0), kind);
-        let json = serde_json::to_string(&e).unwrap();
-        let back: Event = serde_json::from_str(&json).unwrap();
-        assert_eq!(e, back);
         assert!(e
             .to_string()
             .contains("ei=[applyEntry>storeSnapshotData]#3"));
@@ -539,14 +516,6 @@ mod tests {
             let cached = Event::new(SimTime::ZERO, NodeId(0), kind).wire_size();
             assert_eq!(cached, bytes);
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let e = Event::new(SimTime::from_millis(42), NodeId(3), scf(Errno::Enoent));
-        let json = serde_json::to_string(&e).unwrap();
-        let back: Event = serde_json::from_str(&json).unwrap();
-        assert_eq!(e, back);
     }
 
     #[test]

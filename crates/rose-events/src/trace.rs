@@ -5,14 +5,14 @@
 //! (paper §4.4: "If the tracer is deployed on multiple nodes, we first merge
 //! the traces before passing them to the next phase").
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::event::{Event, EventKind};
 use crate::ids::NodeId;
 use crate::time::SimTime;
 
 /// A chronologically ordered sequence of events from one or more nodes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Trace {
     events: Vec<Event>,
 }
@@ -171,11 +171,6 @@ impl Trace {
             })
             .sum();
         framing + commas + events
-    }
-
-    /// Parses a trace from its JSON dump.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
     }
 
     /// Per-type event counts `(scf, af, nd, ps, ok)` for reporting.
@@ -380,13 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let t = Trace::from_events(vec![af(1, 0, 1), crash(2, 0)]);
-        let back = Trace::from_json(&t.to_json()).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
     fn json_len_counts_the_framing_of_small_traces() {
         // No event, one event (no comma) and two (one comma).
         for n in 0..3 {
@@ -394,10 +382,5 @@ mod tests {
             let dump = t.to_json();
             assert_eq!(t.json_len(), dump.len(), "{dump}");
         }
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(Trace::from_json("not json").is_err());
     }
 }

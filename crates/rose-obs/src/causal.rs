@@ -226,7 +226,7 @@ pub fn save_chains(
     std::fs::create_dir_all(dir)?;
     let mut chrome = ChromeTrace::new();
     export_flow(chains, &mut chrome);
-    chrome.save(dir.join(format!("{stem}.flow.json")))?;
+    std::fs::write(dir.join(format!("{stem}.flow.json")), chrome.to_json())?;
     std::fs::write(dir.join(format!("{stem}.dot")), to_dot(chains))
 }
 

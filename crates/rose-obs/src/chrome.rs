@@ -12,10 +12,9 @@
 //!   the flow arrows attach to.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
 use rose_events::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The campaign track.
 pub const CAMPAIGN_PID: u32 = 0;
@@ -28,7 +27,7 @@ pub const fn node_pid(node: NodeId) -> u32 {
 }
 
 /// One Chrome `trace_event` record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct TraceEvent {
     /// Event name, shown on the slice.
     pub name: String,
@@ -37,28 +36,28 @@ pub struct TraceEvent {
     /// Timestamp in microseconds of simulated time.
     pub ts: u64,
     /// Duration in microseconds (complete events only).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dur: Option<u64>,
     /// Process track.
     pub pid: u32,
     /// Thread lane.
     pub tid: u32,
     /// Comma-separated category list.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub cat: Option<String>,
     /// Free-form arguments shown in the selection panel.
-    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
+    #[serde(skip_serializing_if = "BTreeMap::is_empty")]
     pub args: BTreeMap<String, String>,
     /// Flow id binding `"s"`/`"t"`/`"f"` steps together (flow events only).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub id: Option<u64>,
     /// Flow binding point; `"e"` attaches a step to the enclosing slice.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub bp: Option<String>,
 }
 
 /// A Perfetto-loadable trace: `{"traceEvents": [...]}`.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct ChromeTrace {
     /// The events, in emission order (viewers sort by `ts` themselves).
     #[serde(rename = "traceEvents")]
@@ -76,14 +75,10 @@ impl ChromeTrace {
         self.trace_events.push(TraceEvent {
             name: "thread_name".into(),
             ph: "M".into(),
-            ts: 0,
-            dur: None,
             pid,
             tid,
-            cat: None,
             args: BTreeMap::from([("name".to_owned(), name.to_owned())]),
-            id: None,
-            bp: None,
+            ..TraceEvent::default()
         });
     }
 
@@ -99,9 +94,7 @@ impl ChromeTrace {
             pid,
             tid: TID_CAUSAL,
             cat: Some("causal".to_owned()),
-            args: BTreeMap::new(),
-            id: None,
-            bp: None,
+            ..TraceEvent::default()
         });
     }
 
@@ -120,30 +113,19 @@ impl ChromeTrace {
             name: name.into(),
             ph: ph.to_owned(),
             ts: ts_us,
-            dur: None,
             pid,
             tid: TID_CAUSAL,
             cat: Some("flow".to_owned()),
-            args: BTreeMap::new(),
             id: Some(flow_id),
             // Bind the finish step to its enclosing anchor slice.
             bp: (ph == "f").then(|| "e".to_owned()),
+            ..TraceEvent::default()
         });
     }
 
     /// Serializes to the Chrome JSON Object Format.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("chrome trace serialization")
-    }
-
-    /// Parses a trace back (for tests and tooling).
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Writes the trace to a file, replacing it.
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
     }
 }
 
@@ -200,8 +182,5 @@ mod tests {
             !pids.contains(&CAMPAIGN_PID),
             "node pid collides with campaign"
         );
-
-        // 4. And the typed round-trip is lossless.
-        assert_eq!(ChromeTrace::from_json(&json).unwrap(), chrome);
     }
 }

@@ -147,21 +147,7 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
     /// Sends a message to a peer node (a `send` system call followed by a
     /// network transit; TC filters may drop it silently downstream).
     pub fn send(&mut self, to: NodeId, msg: M) -> Result<(), Errno> {
-        let args = SyscallArgs::bare(SyscallId::Send)
-            .with_peer(to.ip())
-            .with_len(64);
-        self.core.syscall(self.node, self.pid, args)?;
-        let latency = self.core.sample_latency() + self.core.drain_busy(self.node);
-        let item = Item::Deliver {
-            to: Endpoint::Node(to),
-            from: Endpoint::Node(self.node),
-            msg,
-            // Captured at send time: the frontier may advance before the
-            // message is delivered.
-            cause: self.core.causal.send_cause(self.node),
-        };
-        self.core.schedule_in(latency, item);
-        Ok(())
+        self.transmit(Endpoint::Node(to), msg)
     }
 
     /// Sends a message to every peer.
@@ -177,20 +163,33 @@ impl<'a, M: Clone + fmt::Debug + 'static> NodeCtx<'a, M> {
 
     /// Replies to a workload client.
     pub fn reply(&mut self, client: ClientId, msg: M) -> Result<(), Errno> {
+        self.transmit(Endpoint::Client(client), msg)
+    }
+
+    /// The `send` system call, then the message's transit to `to`.
+    fn transmit(&mut self, to: Endpoint, msg: M) -> Result<(), Errno> {
         let args = SyscallArgs::bare(SyscallId::Send)
-            .with_peer(Endpoint::Client(client).ip())
+            .with_peer(to.ip())
             .with_len(64);
         self.core.syscall(self.node, self.pid, args)?;
         let latency = self.core.sample_latency() + self.core.drain_busy(self.node);
-        let item = Item::Deliver {
-            to: Endpoint::Client(client),
-            from: Endpoint::Node(self.node),
-            msg,
-            // Clients live outside the traced boundary: replies carry no
-            // provenance.
-            cause: None,
+        // A peer's copy carries the sender's frontier as of the send: it may
+        // advance before the message is delivered. Clients live outside the
+        // traced boundary, so replies carry no provenance.
+        let cause = match to {
+            Endpoint::Node(_) => self.core.causal.send_cause(self.node),
+            Endpoint::Client(_) => None,
         };
-        self.core.schedule_in(latency, item);
+        let from = Endpoint::Node(self.node);
+        self.core.schedule_in(
+            latency,
+            Item::Deliver {
+                to,
+                from,
+                msg,
+                cause,
+            },
+        );
         Ok(())
     }
 

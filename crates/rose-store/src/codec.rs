@@ -159,8 +159,8 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// Summary of one frame, duplicated into the file index so readers can skip
-/// frames by time range or node without touching their payloads.
+/// Summary of one frame, duplicated into the file index (a scan of an
+/// unfinished file rebuilds it from the frame headers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameInfo {
     /// Events in the frame.
@@ -174,49 +174,13 @@ pub struct FrameInfo {
     pub node_mask: u64,
 }
 
-impl FrameInfo {
-    /// Whether the frame may contain events from `node`.
-    pub fn may_contain_node(&self, node: NodeId) -> bool {
-        self.node_mask & (1u64 << node.0.min(63)) != 0
-    }
-
-    /// Whether the frame's timestamp range intersects `[lo, hi]`.
-    pub fn intersects(&self, lo: SimTime, hi: SimTime) -> bool {
-        self.min_ts <= hi.0 && self.max_ts >= lo.0
-    }
-}
-
-fn syscall_index(id: SyscallId) -> u8 {
-    id as u8
-}
-
-fn syscall_from_index(i: u8) -> Result<SyscallId, StoreError> {
-    SyscallId::ALL
+/// The entry `i` of an on-disk index table (`SyscallId::ALL`,
+/// `Errno::ALL`, [`PROC_STATES`]); the encoder writes `value as u8`.
+fn from_index<T: Copy>(table: &[T], i: u8, what: &str) -> Result<T, StoreError> {
+    table
         .get(i as usize)
         .copied()
-        .ok_or_else(|| StoreError::corrupt(format!("syscall index {i} out of range")))
-}
-
-fn errno_index(e: Errno) -> u8 {
-    e as u8
-}
-
-fn errno_from_index(i: u8) -> Result<Errno, StoreError> {
-    Errno::ALL
-        .get(i as usize)
-        .copied()
-        .ok_or_else(|| StoreError::corrupt(format!("errno index {i} out of range")))
-}
-
-fn state_index(s: ProcState) -> u8 {
-    s as u8
-}
-
-fn state_from_index(i: u8) -> Result<ProcState, StoreError> {
-    PROC_STATES
-        .get(i as usize)
-        .copied()
-        .ok_or_else(|| StoreError::corrupt(format!("proc-state index {i} out of range")))
+        .ok_or_else(|| StoreError::corrupt(format!("{what} index {i} out of range")))
 }
 
 /// Encodes a batch of events into one frame payload (header + dictionary +
@@ -305,14 +269,14 @@ fn encode_event(out: &mut Vec<u8>, dict_map: &HashMap<&str, u64>, prev_ts: &mut 
             ei,
         } => {
             write_varint(out, u64::from(pid.0));
-            out.push(syscall_index(*syscall));
+            out.push(*syscall as u8);
             if let Some(fd) = fd {
                 write_varint(out, u64::from(fd.0));
             }
             if let Some(path) = path {
                 write_varint(out, dict_map[&**path]);
             }
-            out.push(errno_index(*errno));
+            out.push(*errno as u8);
             if let Some(ei) = ei {
                 write_varint(out, ei.chain.len() as u64);
                 for frame in &ei.chain {
@@ -342,7 +306,7 @@ fn encode_event(out: &mut Vec<u8>, dict_map: &HashMap<&str, u64>, prev_ts: &mut 
             duration,
         } => {
             write_varint(out, u64::from(pid.0));
-            out.push(state_index(*state));
+            out.push(*state as u8);
             write_varint(out, duration.0);
         }
         EventKind::SyscallOk {
@@ -351,7 +315,7 @@ fn encode_event(out: &mut Vec<u8>, dict_map: &HashMap<&str, u64>, prev_ts: &mut 
             content,
         } => {
             write_varint(out, u64::from(pid.0));
-            out.push(syscall_index(*syscall));
+            out.push(*syscall as u8);
             if let Some(content) = content {
                 write_varint(out, content.len() as u64);
                 out.extend_from_slice(content);
@@ -477,7 +441,7 @@ fn decode_event(
                 })
             };
             let pid = Pid(read_u32(pos, "pid")?);
-            let syscall = syscall_from_index(read_byte(pos)?)?;
+            let syscall = from_index(&SyscallId::ALL, read_byte(pos)?, "syscall")?;
             let fd = if flags & FLAG_A != 0 {
                 Some(Fd(read_u32(pos, "fd")?))
             } else {
@@ -489,7 +453,7 @@ fn decode_event(
             } else {
                 None
             };
-            let errno = errno_from_index(read_byte(pos)?)?;
+            let errno = from_index(&Errno::ALL, read_byte(pos)?, "errno")?;
             let ei = if flags & FLAG_C != 0 {
                 let chain_len = read_varint(buf, pos)? as usize;
                 // Each chain frame costs at least one byte, so a length past
@@ -545,7 +509,7 @@ fn decode_event(
             }
             EventKind::Ps {
                 pid: Pid(read_u32(pos, "pid")?),
-                state: state_from_index(read_byte(pos)?)?,
+                state: from_index(&PROC_STATES, read_byte(pos)?, "proc-state")?,
                 duration: SimDuration(read_varint(buf, pos)?),
             }
         }
@@ -554,7 +518,7 @@ fn decode_event(
                 return Err(StoreError::corrupt(format!("bad OK tag {tag:#04x}")));
             }
             let pid = Pid(read_u32(pos, "pid")?);
-            let syscall = syscall_from_index(read_byte(pos)?)?;
+            let syscall = from_index(&SyscallId::ALL, read_byte(pos)?, "syscall")?;
             let content = if flags & FLAG_A != 0 {
                 let len = read_varint(buf, pos)? as usize;
                 let end = pos
@@ -666,15 +630,15 @@ mod tests {
         // tables; this pins the two views together.
         for (i, s) in SyscallId::ALL.iter().enumerate() {
             assert_eq!(*s as usize, i);
-            assert_eq!(syscall_from_index(i as u8).unwrap(), *s);
+            assert_eq!(from_index(&SyscallId::ALL, i as u8, "syscall").unwrap(), *s);
         }
         for (i, e) in Errno::ALL.iter().enumerate() {
             assert_eq!(*e as usize, i);
-            assert_eq!(errno_from_index(i as u8).unwrap(), *e);
+            assert_eq!(from_index(&Errno::ALL, i as u8, "errno").unwrap(), *e);
         }
         for (i, s) in PROC_STATES.iter().enumerate() {
             assert_eq!(*s as usize, i);
-            assert_eq!(state_from_index(i as u8).unwrap(), *s);
+            assert_eq!(from_index(&PROC_STATES, i as u8, "proc-state").unwrap(), *s);
         }
     }
 
@@ -737,8 +701,9 @@ mod tests {
         assert_eq!(info.events, 5);
         assert_eq!(info.min_ts, 0);
         assert_eq!(info.max_ts, u64::MAX);
-        assert!(info.may_contain_node(NodeId(0)));
-        assert!(info.may_contain_node(NodeId(64)));
+        // Node 0's bit, and node 64 folded into bit 63.
+        assert_ne!(info.node_mask & 1, 0);
+        assert_ne!(info.node_mask & (1 << 63), 0);
         let back = decode_frame(&payload).unwrap();
         assert_eq!(back, events);
     }

@@ -1,8 +1,7 @@
 //! `.rosetrace` reader with frame-granular seeks.
 //!
 //! A finished file is opened through its index: frame offsets and summaries
-//! come from the trailer, so time-range and per-node reads decode only the
-//! frames that can match. Unfinished files (no trailer — a tracer that died
+//! come from the trailer. Unfinished files (no trailer — a tracer that died
 //! mid-capture) are scanned sequentially once at open to rebuild the same
 //! metadata, CRC-checking every frame along the way.
 
@@ -10,7 +9,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-use rose_events::{Event, NodeId, SimTime, Trace};
+use rose_events::{Event, Trace};
 
 use crate::codec::{
     bounded_count, crc32, decode_frame_into, parse_frame_header, read_varint, FrameInfo,
@@ -165,36 +164,6 @@ impl<R: Read + Seek> TraceReader<R> {
         let mut out = Vec::with_capacity(self.event_count() as usize);
         for i in 0..self.frame_count() {
             self.read_frame_into(i, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// Events with `lo <= ts <= hi`, decoding only frames whose timestamp
-    /// range intersects the query. Driven, like [`Self::read_node`], by the
-    /// root `tests/store_corruption.rs` (every damaged file through every
-    /// read path) and `tests/codec_proptests.rs`.
-    pub fn read_range(&mut self, lo: SimTime, hi: SimTime) -> Result<Vec<Event>, StoreError> {
-        let (mut out, mut frame) = (Vec::new(), Vec::new());
-        for i in 0..self.frame_count() {
-            if !self.metas[i].info.intersects(lo, hi) {
-                continue;
-            }
-            self.read_frame_into(i, &mut frame)?;
-            out.extend(frame.drain(..).filter(|e| lo <= e.ts && e.ts <= hi));
-        }
-        Ok(out)
-    }
-
-    /// Events from one node, decoding only frames whose node bitmask can
-    /// contain it.
-    pub fn read_node(&mut self, node: NodeId) -> Result<Vec<Event>, StoreError> {
-        let (mut out, mut frame) = (Vec::new(), Vec::new());
-        for i in 0..self.frame_count() {
-            if !self.metas[i].info.may_contain_node(node) {
-                continue;
-            }
-            self.read_frame_into(i, &mut frame)?;
-            out.extend(frame.drain(..).filter(|e| e.node == node));
         }
         Ok(out)
     }

@@ -1,7 +1,7 @@
 //! Property-based tests of the `.rosetrace` codec: bit-identical round
 //! trips over every event kind (extreme timestamps, unicode filenames,
-//! captured I/O payloads included), metadata consistency, and seek-query
-//! equivalence with full decodes.
+//! captured I/O payloads included), metadata consistency, and frame-by-frame
+//! reads equal to full decodes.
 
 use std::io::Cursor;
 
@@ -136,19 +136,25 @@ proptest! {
     }
 
     #[test]
-    fn range_and_node_queries_equal_full_decode(
+    fn frame_by_frame_reads_equal_full_decode(
         events in proptest::collection::vec(arb_event(), 0..150),
-        lo in any::<u64>(), hi in any::<u64>(), node in 0u32..80,
+        frame_cap in 1usize..32,
     ) {
-        let (lo, hi) = (SimTime(lo.min(hi)), SimTime(lo.max(hi)));
-        let buf = encode(&events, 8);
+        // Frames read in reverse, each onto the front of what came after
+        // it, rebuild the file: a frame decodes alone, to exactly the
+        // events its summary counts.
+        let buf = encode(&events, frame_cap);
         let mut r = TraceReader::new(Cursor::new(buf)).unwrap();
-        let want_range: Vec<Event> = events.iter()
-            .filter(|e| lo <= e.ts && e.ts <= hi).cloned().collect();
-        prop_assert_eq!(r.read_range(lo, hi).unwrap(), want_range);
-        let want_node: Vec<Event> = events.iter()
-            .filter(|e| e.node == NodeId(node)).cloned().collect();
-        prop_assert_eq!(r.read_node(NodeId(node)).unwrap(), want_node);
+        let mut rebuilt: Vec<Event> = Vec::new();
+        for i in (0..r.frame_count()).rev() {
+            let mut frame = Vec::new();
+            let n = r.read_frame_into(i, &mut frame).unwrap();
+            prop_assert_eq!(n as u64, r.frame_metas()[i].info.events);
+            prop_assert_eq!(frame.len(), n);
+            frame.append(&mut rebuilt);
+            rebuilt = frame;
+        }
+        prop_assert_eq!(rebuilt, events);
     }
 
     #[test]

@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path, window snapshot beside drain, (ts, node) sort outside the canonical order, function entry without its scope, background loop beside the one in common.rs, recv-error callback, restart switch or YCSB config struct; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path, window snapshot beside drain, (ts, node) sort outside the canonical order, function entry without its scope, background loop beside the one in common.rs, recv-error callback, restart switch or YCSB config struct, scripted capture or SCF literal beside CaptureSpec::scripted and common::scf, second codec index lookup, or read path only its tests call; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -62,6 +62,12 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -rnE "(enter|exit)_function\(" crates src tests examples \
     || grep -rn "benign_probes(" crates/rose-apps/src --exclude=common.rs \
     || grep -rnE "on_recv_error|auto_restart|YcsbConfig" crates src tests examples \
+    || grep -rnF "CaptureMethod::Scripted(" crates/rose-apps/src --exclude=driver.rs \
+    || grep -rnF "FaultAction::Scf {" crates/rose-apps/src --exclude=common.rs \
+    || grep -nE "fn (syscall|errno|state)_(from_)?index" crates/rose-store/src/codec.rs \
+    || grep -rnE "fn read_range|fn read_node" crates/rose-store \
+    || grep -rnF "fn from_json(" crates/rose-events/src crates/rose-obs/src \
+    || grep -rnE "impl Deserialize for (Event|ThinStr)\b" crates/*/src \
     || grep -nE "^serde" crates/rose-{sim,profile,core,jepsen,apps}/Cargo.toml \
     || grep -n "^serde_json" crates/rose-hunt/Cargo.toml \
     || cargo tree -p rose-trace | grep rose-store \
@@ -119,7 +125,13 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "and the target models run one background loop: rose_apps::common's background_tick" \
         "probes, keeps alive and re-arms for all nine (no benign_probes call outside common.rs)," \
         "and no hook without an implementor or knob with one value stays (no Application::" \
-        "on_recv_error, SimConfig::auto_restart or YcsbConfig: workload A is four consts)"
+        "on_recv_error, SimConfig::auto_restart or YcsbConfig: workload A is four consts)," \
+        "and each job is written once: a scripted capture is CaptureSpec::scripted over" \
+        "rose_apps::common::scf faults (no CaptureMethod::Scripted outside driver.rs, no" \
+        "FaultAction::Scf literal outside common.rs), the codec has one index-table lookup" \
+        "(from_index; no syscall_/errno_/state_(from_)index pair), and no read path stays that" \
+        "only its tests call (no TraceReader::read_range/read_node, no Trace or ChromeTrace" \
+        "from_json, no hand-written Deserialize for Event or ThinStr: a JSON dump is an output)"
     exit 1
 fi
 

@@ -6,7 +6,6 @@
 use rose::apps::driver::{run_case, DriverOptions};
 use rose::apps::registry::BugId;
 use rose::core::RoseConfig;
-use rose::obs::ChromeTrace;
 
 #[test]
 fn a_reproduced_case_exports_its_propagation_chains() {
@@ -36,8 +35,8 @@ fn a_reproduced_case_exports_its_propagation_chains() {
     );
 
     let flow = std::fs::read_to_string(dir.join("zookeeper-3006.flow.json")).expect("flow export");
-    let flow = ChromeTrace::from_json(&flow).expect("the flow export parses");
-    assert!(!flow.trace_events.is_empty());
+    let flow: serde_json::Value = serde_json::from_str(&flow).expect("the flow export parses");
+    assert!(!flow["traceEvents"].as_array().expect("a trace").is_empty());
     let dot = std::fs::read_to_string(dir.join("zookeeper-3006.dot")).expect("dot export");
     assert!(dot.starts_with("digraph"), "not a graph: {dot}");
     let trace = rose::store::load_trace(dir.join("zookeeper-3006.rosetrace")).expect("trace file");

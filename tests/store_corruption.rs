@@ -162,12 +162,9 @@ fn counts_no_file_could_back_are_typed_errors_not_allocations() {
         let mut reader = open(&file).unwrap();
         assert!(typed(reader.read_all().unwrap_err()));
         assert!(typed(reader.read_frame(0).unwrap_err()));
-        assert!(typed(reader.read_node(NodeId(0)).unwrap_err()));
-        assert!(typed(
-            reader
-                .read_range(SimTime(0), SimTime(u64::MAX))
-                .unwrap_err()
-        ));
+        let mut out = events()[..1].to_vec();
+        assert!(typed(reader.read_frame_into(0, &mut out).unwrap_err()));
+        assert_eq!(out, events()[..1], "a refused frame left events behind");
         assert!(typed(
             merge_readers(vec![open(&file).unwrap()]).unwrap_err()
         ));

@@ -153,12 +153,12 @@ fn crash_events_distinguish_kills_from_aborts() {
     assert!(crashed, "external kill recorded as Crashed");
 }
 
-/// One case's captured trace, extracted three ways: in memory, through its
-/// JSON form, and through a `.rosetrace` file.
-struct ThreeWays;
+/// One case's captured trace, extracted in memory and through a
+/// `.rosetrace` file.
+struct TwoWays;
 
-impl SystemVisitor for ThreeWays {
-    type Out = [Extraction; 3];
+impl SystemVisitor for TwoWays {
+    type Out = [Extraction; 2];
     fn visit<S: TargetSystem>(self, id: BugId, system: S) -> Self::Out {
         let cfg = RoseConfig {
             profiling_duration: SimDuration::from_secs(10),
@@ -176,7 +176,6 @@ impl SystemVisitor for ThreeWays {
             .unwrap_or_else(|| panic!("{id}: no trace captured"))
             .trace;
 
-        let json = Trace::from_json(&trace.to_json()).expect("JSON parses back");
         let path = std::env::temp_dir().join(format!(
             "rose-differential-{}-{}.rosetrace",
             std::process::id(),
@@ -191,18 +190,18 @@ impl SystemVisitor for ThreeWays {
             binary == trace,
             "{id}: the reloaded .rosetrace differs from the dump"
         );
-        [&trace, &json, &binary].map(|t| rose.extract(&profile, t))
+        [&trace, &binary].map(|t| rose.extract(&profile, t))
     }
 }
 
 /// One case per target system. Nothing may be lost by a trace's trip
-/// through either format, execution indices included: the binary file is
-/// the only one `--trace-dir` writes, and it loads back equal to the dump,
+/// through the store, execution indices included: the binary file is the
+/// only one `--trace-dir` writes, and it loads back equal to the dump,
 /// event for event. A campaign therefore diagnoses the trace it captured
 /// and never reads its own file back: extraction is the diagnosis's only
 /// input from a trace, and this test holds it equal on every path.
 #[test]
-fn binary_and_json_traces_extract_identically() {
+fn binary_traces_extract_identically() {
     let mut indexed = 0;
     for id in [
         BugId::Redpanda3003,
@@ -215,9 +214,8 @@ fn binary_and_json_traces_extract_identically() {
         BugId::RedisRaftNew2,
         BugId::RaftCompactionLoss,
     ] {
-        let [memory, json, binary] = visit_case(id, ThreeWays);
+        let [memory, binary] = visit_case(id, TwoWays);
         assert!(!memory.faults.is_empty(), "{id}: nothing extracted");
-        assert_eq!(json, memory, "{id}: JSON round trip changed the extraction");
         assert_eq!(
             binary, memory,
             "{id}: store round trip changed the extraction"
