@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
-use rose_profile::{site, SymbolTable};
+use rose_profile::SymbolTable;
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome};
 
 use crate::common::{background_tick, numbered, scf, tags, ProbeStyle, TICK_PERIOD};
@@ -177,22 +177,8 @@ impl rose_core::TargetSystem for HbaseCase {
     /// The symbol table.
     fn symbols(&self) -> SymbolTable {
         SymbolTable::new()
-            .function(
-                "executeProcedure",
-                "master.java",
-                vec![
-                    site::sys(0, SyscallId::Openat),
-                    site::sys(1, SyscallId::Write),
-                ],
-            )
-            .function(
-                "getProcedureResult",
-                "master.java",
-                vec![
-                    site::sys(0, SyscallId::Openat),
-                    site::sys(1, SyscallId::Read),
-                ],
-            )
+            .function("executeProcedure", "master.java", vec![])
+            .function("getProcedureResult", "master.java", vec![])
     }
 }
 

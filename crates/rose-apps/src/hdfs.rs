@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
-use rose_profile::{site, SymbolTable};
+use rose_profile::SymbolTable;
 use rose_sim::{Application, ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome, OpenFlags};
 
 use crate::common::{
@@ -561,43 +561,12 @@ impl rose_core::TargetSystem for HdfsCase {
     /// The HDFS symbol table.
     fn symbols(&self) -> SymbolTable {
         SymbolTable::new()
-            .function(
-                "rollEditLog",
-                "editlog.java",
-                vec![
-                    site::sys(0, SyscallId::Openat),
-                    site::sys(1, SyscallId::Write),
-                    site::sys(2, SyscallId::Rename),
-                ],
-            )
-            .function(
-                "appendEdit",
-                "editlog.java",
-                vec![site::sys(0, SyscallId::Write)],
-            )
-            .function(
-                "blockReport",
-                "datanode.java",
-                vec![site::sys(0, SyscallId::Fstat)],
-            )
-            .function(
-                "recoverBlock",
-                "datanode.java",
-                vec![
-                    site::sys(0, SyscallId::Openat),
-                    site::sys(1, SyscallId::Fstat),
-                ],
-            )
-            .function(
-                "serveRead",
-                "datanode.java",
-                vec![site::sys(0, SyscallId::Read)],
-            )
-            .function(
-                "balancerRound",
-                "balancer.java",
-                vec![site::sys(0, SyscallId::Connect)],
-            )
+            .function("rollEditLog", "editlog.java", vec![])
+            .function("appendEdit", "editlog.java", vec![])
+            .function("blockReport", "datanode.java", vec![])
+            .function("recoverBlock", "datanode.java", vec![])
+            .function("serveRead", "datanode.java", vec![])
+            .function("balancerRound", "balancer.java", vec![])
     }
 }
 

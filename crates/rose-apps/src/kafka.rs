@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use rose_events::{Errno, FnvBuildHasher, NodeId, SimDuration, SyscallId};
-use rose_profile::{site, SymbolTable};
+use rose_profile::SymbolTable;
 use rose_sim::{Application, ClientCtx, ClientId, History, NodeCtx, OpOutcome, OpenFlags};
 
 use crate::common::{
@@ -175,14 +175,7 @@ impl rose_core::TargetSystem for KafkaCase {
 
     /// The broker symbol table.
     fn symbols(&self) -> SymbolTable {
-        SymbolTable::new().function(
-            "flushChangelog",
-            "streams.java",
-            vec![
-                site::sys(0, SyscallId::Openat),
-                site::sys(1, SyscallId::Write),
-            ],
-        )
+        SymbolTable::new().function("flushChangelog", "streams.java", vec![])
     }
 }
 

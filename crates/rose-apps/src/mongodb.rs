@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::Rng;
-use rose_events::{NodeId, SimDuration, SyscallId};
-use rose_profile::{site, SymbolTable};
+use rose_events::{NodeId, SimDuration};
+use rose_profile::SymbolTable;
 use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
@@ -494,14 +494,10 @@ impl rose_core::TargetSystem for MongoCase {
     /// The symbol table.
     fn symbols(&self) -> SymbolTable {
         SymbolTable::new()
-            .function(
-                "appendOplog",
-                "oplog.cpp",
-                vec![site::sys(0, SyscallId::Write)],
-            )
-            .function("stepDown", "repl.cpp", vec![site::other(0)])
-            .function("callElection", "repl.cpp", vec![site::other(0)])
-            .function("becomePrimary", "repl.cpp", vec![site::other(0)])
+            .function("appendOplog", "oplog.cpp", vec![])
+            .function("stepDown", "repl.cpp", vec![])
+            .function("callElection", "repl.cpp", vec![])
+            .function("becomePrimary", "repl.cpp", vec![])
     }
 }
 

@@ -10,8 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use rose_events::{NodeId, SimDuration, SyscallId};
-use rose_profile::{site, SymbolTable};
+use rose_events::{NodeId, SimDuration};
+use rose_profile::SymbolTable;
 use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
@@ -212,22 +212,8 @@ impl rose_core::TargetSystem for RedpandaCase {
     /// The broker symbol table.
     fn symbols(&self) -> SymbolTable {
         SymbolTable::new()
-            .function(
-                "appendBatch",
-                "storage.cc",
-                vec![
-                    site::sys(0, SyscallId::Openat),
-                    site::sys(1, SyscallId::Write),
-                ],
-            )
-            .function(
-                "rollSegment",
-                "storage.cc",
-                vec![
-                    site::sys(0, SyscallId::Rename),
-                    site::sys(1, SyscallId::Openat),
-                ],
-            )
+            .function("appendBatch", "storage.cc", vec![])
+            .function("rollSegment", "storage.cc", vec![])
     }
 
     fn oracle_cost(&self) -> SimDuration {

@@ -7,7 +7,7 @@
 //! key instead of refusing to start.
 
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
-use rose_profile::{site, SymbolTable};
+use rose_profile::SymbolTable;
 use rose_sim::{Application, ClientCtx, ClientId, NodeCtx};
 
 use crate::common::{
@@ -191,15 +191,8 @@ impl rose_core::TargetSystem for TendermintCase {
     /// The symbol table.
     fn symbols(&self) -> SymbolTable {
         SymbolTable::new()
-            .function(
-                "loadPrivValidator",
-                "privval.go",
-                vec![
-                    site::sys(0, SyscallId::Openat),
-                    site::sys(1, SyscallId::Read),
-                ],
-            )
-            .function("signProposal", "privval.go", vec![site::other(0)])
+            .function("loadPrivValidator", "privval.go", vec![])
+            .function("signProposal", "privval.go", vec![])
     }
 
     fn run_duration(&self) -> SimDuration {

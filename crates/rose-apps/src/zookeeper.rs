@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use rand::Rng;
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
-use rose_profile::{site, SymbolTable};
+use rose_profile::SymbolTable;
 use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
 
 use crate::common::{
@@ -518,33 +518,11 @@ impl rose_core::TargetSystem for ZkCase {
     /// The ensemble's symbol table.
     fn symbols(&self) -> SymbolTable {
         SymbolTable::new()
-            .function(
-                "calculateSnapshotSize",
-                "snapshot.java",
-                vec![
-                    site::sys(0, SyscallId::Openat),
-                    site::sys(1, SyscallId::Read),
-                ],
-            )
-            .function(
-                "electionRound",
-                "election.java",
-                vec![site::sys(0, SyscallId::Accept)],
-            )
-            .function("becomeLeader", "election.java", vec![site::other(0)])
-            .function(
-                "appendTxnLog",
-                "txnlog.java",
-                vec![
-                    site::sys(0, SyscallId::Openat),
-                    site::sys(1, SyscallId::Write),
-                ],
-            )
-            .function(
-                "syncWithLeader",
-                "sync.java",
-                vec![site::sys(0, SyscallId::Read)],
-            )
+            .function("calculateSnapshotSize", "snapshot.java", vec![])
+            .function("electionRound", "election.java", vec![])
+            .function("becomeLeader", "election.java", vec![])
+            .function("appendTxnLog", "txnlog.java", vec![])
+            .function("syncWithLeader", "sync.java", vec![])
     }
 }
 

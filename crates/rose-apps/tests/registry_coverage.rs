@@ -156,13 +156,25 @@ impl KernelHook for UprobeRecorder {
     }
 }
 
-/// What one case's fault-free run and first capture run reached that its
-/// symbol table does not declare: `(function, None)` for a function the
-/// table omits, `(function, Some(offset))` for an undeclared offset.
-struct Undeclared;
+/// What one case's fault-free run and first capture run reached, held
+/// against its symbol table.
+struct Probed {
+    /// What the runs reached that the table does not declare: `(function,
+    /// None)` for a function the table omits, `(function, Some(offset))`
+    /// for an undeclared offset.
+    undeclared: Vec<(String, Option<u32>)>,
+    /// Offset probes the runs reported, counted once per function and
+    /// offset.
+    reported_offsets: usize,
+    /// Offset sites the table declares.
+    declared_offsets: usize,
+}
 
-impl SystemVisitor for Undeclared {
-    type Out = Vec<(String, Option<u32>)>;
+/// Probes one case's fault-free run and first capture run.
+struct Coverage;
+
+impl SystemVisitor for Coverage {
+    type Out = Probed;
 
     fn visit<S: TargetSystem>(self, id: BugId, system: S) -> Self::Out {
         let reached = Rc::new(RefCell::new(Reached::new()));
@@ -181,6 +193,7 @@ impl SystemVisitor for Undeclared {
 
         let symbols = rose.system().symbols();
         let reached = reached.take();
+        let reported_offsets = reached.values().flatten().flatten().count();
         let mut undeclared = Vec::new();
         for (function, probes) in reached {
             let Some(sym) = symbols.get(&function) else {
@@ -193,7 +206,11 @@ impl SystemVisitor for Undeclared {
                 }
             }
         }
-        undeclared
+        Probed {
+            undeclared,
+            reported_offsets,
+            declared_offsets: symbols.functions.iter().map(|f| f.offsets.len()).sum(),
+        }
     }
 }
 
@@ -201,12 +218,20 @@ impl SystemVisitor for Undeclared {
 fn every_function_a_case_enters_is_in_its_symbol_table() {
     // A function the symbol table omits is invisible to profiling and
     // tracing, and nothing else reports it. (MongoDB's `rollbackDivergent`
-    // is such a function, but no run here reaches it.)
+    // is such a function, but no run here reaches it.) The other way
+    // round, an offset site in a model that reports none is one Level 3
+    // can only charge runs on: no probe ever fires there.
     for id in BugId::all_with_hunted() {
-        let undeclared = visit_case(id, Undeclared);
+        let probed = visit_case(id, Coverage);
+        let undeclared = &probed.undeclared;
         assert!(
             undeclared.is_empty(),
             "{id}: undeclared probes {undeclared:?}"
+        );
+        assert!(
+            probed.reported_offsets > 0 || probed.declared_offsets == 0,
+            "{id}: declares {} offset sites, but its runs report no offset",
+            probed.declared_offsets
         );
     }
 }

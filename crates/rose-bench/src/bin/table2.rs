@@ -48,39 +48,41 @@ fn main() {
 
     // The baseline and the three tracer modes are four independent simulated
     // clusters; overhead percentages are derived only after all four finish,
-    // so the table is identical at any `--jobs`.
-    let measurements = ordered_map(
-        jobs,
-        vec![
-            None,
-            Some(("Rose", TracerMode::Rose)),
-            Some(("Full", TracerMode::Full)),
-            Some(("IO Content", TracerMode::IoContent)),
-        ],
-        |entry| match entry {
-            None => {
-                report::section(format!("baseline (no tracer), {secs}s of YCSB-A …"));
-                let (_, ops) = run_ycsb(vec![], clients, secs, 42);
-                ("baseline", ops, None)
-            }
-            Some((name, mode)) => {
-                report::section(format!("{name} tracer …"));
-                let (mut sim, ops) = run_ycsb(vec![Box::new(tracer_for(mode))], clients, secs, 42);
-                let now = sim.now();
-                let tracer = sim.hook_mut::<Tracer>().unwrap();
-                let capture = TraceCapture {
-                    trace: tracer.dump(now),
-                    bug: false,
-                    report: tracer.report(),
-                    charged: tracer.total_charged,
-                    elapsed: now.since(SimTime::ZERO),
-                };
-                // The record carries the dump in both serializations (the
-                // JSON and Binary columns).
-                (name, ops, Some(capture.phase_record(1)))
-            }
-        },
-    );
+    // so the table is identical at any `--jobs`. The section lines are
+    // printed here, in list order, so stderr is identical at any `--jobs` too.
+    let entries = vec![
+        None,
+        Some(("Rose", TracerMode::Rose)),
+        Some(("Full", TracerMode::Full)),
+        Some(("IO Content", TracerMode::IoContent)),
+    ];
+    for entry in &entries {
+        report::section(match entry {
+            None => format!("baseline (no tracer), {secs}s of YCSB-A …"),
+            Some((name, _)) => format!("{name} tracer …"),
+        });
+    }
+    let measurements = ordered_map(jobs, entries, |entry| match entry {
+        None => {
+            let (_, ops) = run_ycsb(vec![], clients, secs, 42);
+            ("baseline", ops, None)
+        }
+        Some((name, mode)) => {
+            let (mut sim, ops) = run_ycsb(vec![Box::new(tracer_for(mode))], clients, secs, 42);
+            let now = sim.now();
+            let tracer = sim.hook_mut::<Tracer>().unwrap();
+            let capture = TraceCapture {
+                trace: tracer.dump(now),
+                bug: false,
+                report: tracer.report(),
+                charged: tracer.total_charged,
+                elapsed: now.since(SimTime::ZERO),
+            };
+            // The record carries the dump in both serializations (the
+            // JSON and Binary columns).
+            (name, ops, Some(capture.phase_record(1)))
+        }
+    });
 
     let base_ops = measurements[0].1;
     let base_tput = base_ops as f64 / secs as f64;

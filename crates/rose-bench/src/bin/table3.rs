@@ -65,12 +65,12 @@ fn main() {
     ];
 
     // Each measurement is an isolated two-minute simulation; run up to
-    // `jobs` of them concurrently and collect the counts in table order.
-    let measured = ordered_map(jobs, cases, |id| {
-        let name = id.info().name;
-        report::section(format!("{name} …"));
-        (name, visit_case(id, Measure))
-    });
+    // `jobs` of them concurrently and collect the counts in table order. The
+    // section lines are printed here, in table order, before the fan-out.
+    for id in &cases {
+        report::section(format!("{} …", id.info().name));
+    }
+    let measured = ordered_map(jobs, cases, |id| (id.info().name, visit_case(id, Measure)));
 
     for (name, (all, kept)) in measured {
         let reduction = if all > 0 {

@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path, window snapshot beside drain, (ts, node) sort outside the canonical order, function entry without its scope, background loop beside the one in common.rs, recv-error callback, restart switch or YCSB config struct, scripted capture or SCF literal beside CaptureSpec::scripted and common::scf, second codec index lookup, or read path only its tests call; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path, window snapshot beside drain, (ts, node) sort outside the canonical order, function entry without its scope, background loop beside the one in common.rs, recv-error callback, restart switch or YCSB config struct, scripted capture or SCF literal beside CaptureSpec::scripted and common::scf, second codec index lookup, read path only its tests call, diagnose.rs beside its module split, or harness or seed stream outside the replay engine; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -68,6 +68,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -rnE "fn read_range|fn read_node" crates/rose-store \
     || grep -rnF "fn from_json(" crates/rose-events/src crates/rose-obs/src \
     || grep -rnE "impl Deserialize for (Event|ThinStr)\b" crates/*/src \
+    || ls -d crates/rose-analyze/src/diagnose.rs 2> /dev/null \
+    || grep -rn "dyn RunHarness" crates/rose-analyze/src/diagnose --exclude=mod.rs --exclude=replay.rs \
+    || grep -rnE "seed_counter|fn peek_seed|fn charge\(" crates/rose-analyze --exclude=replay.rs \
     || grep -nE "^serde" crates/rose-{sim,profile,core,jepsen,apps}/Cargo.toml \
     || grep -n "^serde_json" crates/rose-hunt/Cargo.toml \
     || cargo tree -p rose-trace | grep rose-store \
@@ -131,7 +134,11 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "FaultAction::Scf literal outside common.rs), the codec has one index-table lookup" \
         "(from_index; no syscall_/errno_/state_(from_)index pair), and no read path stays that" \
         "only its tests call (no TraceReader::read_range/read_node, no Trace or ChromeTrace" \
-        "from_json, no hand-written Deserialize for Event or ThinStr: a JSON dump is an output)"
+        "from_json, no hand-written Deserialize for Event or ThinStr: a JSON dump is an output)," \
+        "and the diagnosis is a ladder, confirmBug and a replay engine behind one entry: only" \
+        "diagnose/replay.rs holds the harness, the seed stream and the charge (no dyn RunHarness" \
+        "under diagnose/ outside mod.rs and replay.rs, no seed_counter, fn peek_seed or fn charge" \
+        "in rose-analyze outside replay.rs), and no diagnose.rs sits beside diagnose/"
     exit 1
 fi
 
