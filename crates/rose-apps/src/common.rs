@@ -13,12 +13,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use rand::Rng;
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_inject::{FaultAction, ScheduledFault};
-use rose_sim::{ClientCtx, ClientDriver, ClientId, NodeCtx, OpOutcome};
+use rose_sim::{ClientCtx, ClientDriver, ClientId, ListView, NodeCtx, OpOutcome};
 
 /// The digits of one `u64`, right-aligned in a stack buffer (20 decimal
 /// digits is `u64::MAX`'s length).
@@ -183,32 +182,20 @@ fn jvm_probe_paths(tick: u64) -> (String, String) {
     )
 }
 
-/// A key's append list. The store owns it; a read reply (and a snapshot
-/// payload) is another reference to the same list, not a copy. The store
-/// copies the list only when it changes it while a reference it handed out
-/// is still alive (`Arc::make_mut`), so a reply in flight keeps the list it
-/// was sent — exactly what the per-read deep copy used to buy.
-pub type Values = Arc<Vec<String>>;
-
-/// Appends `val` to `key`'s list in an append-list store.
-pub fn push_value(store: &mut BTreeMap<String, Values>, key: &str, val: String) {
+/// Appends `val` to `key`'s list in an append-list store: in place while
+/// the store's view is its log's tip (see [`ListView::push`]).
+pub fn push_value(store: &mut BTreeMap<String, ListView>, key: &str, val: &str) {
     match store.get_mut(key) {
-        Some(values) => Arc::make_mut(values).push(val),
+        Some(list) => list.push(val),
         None => {
-            store.insert(key.to_string(), Arc::new(vec![val]));
+            store.insert(key.to_string(), ListView::from_values([val]));
         }
     }
 }
 
-/// The list a read of `key` is answered with: the store's own, shared.
-pub fn read_values(store: &BTreeMap<String, Values>, key: &str) -> Values {
+/// The list a read of `key` is answered with: a view of the store's own.
+pub fn read_values(store: &BTreeMap<String, ListView>, key: &str) -> ListView {
     store.get(key).cloned().unwrap_or_default()
-}
-
-/// Serializes an append-list value set into the wire form used by read
-/// replies and the Elle checker (`"v1,v2,v3"`).
-pub fn join_values(values: &[String]) -> String {
-    values.join(",")
 }
 
 /// One fault of a scripted capture: the `nth` `syscall` on `node` (on
@@ -269,7 +256,7 @@ pub enum Reply {
     /// The write with this op id was applied.
     Ack(u64),
     /// A read was answered: the history op it records and the value read.
-    Read(String, Option<String>),
+    Read(String, Option<ListView>),
     /// Not the leader; the leader, if the node knows it.
     Redirect(Option<NodeId>),
     /// Nothing the loop acts on.
@@ -486,24 +473,20 @@ impl<W: Workload> ClientDriver<W::Msg> for ClosedLoop<W> {
 }
 
 /// The one-copy rule, checked from outside a running store: shared by the
-/// tests of every target that answers reads with [`Values`].
+/// tests of every target that answers reads with a [`ListView`].
 #[cfg(test)]
 pub(crate) mod sharing {
-    use std::sync::Arc;
-
     use rose_core::{Rose, TargetSystem};
     use rose_events::{NodeId, SimDuration};
-    use rose_sim::{Application, ClientCtx, ClientDriver};
-
-    use super::{join_values, Values};
+    use rose_sim::{Application, ClientCtx, ClientDriver, ListView};
 
     /// A client that reads one key every 10 ms and keeps every list it is
-    /// answered with, beside the text the list joined to on arrival.
+    /// answered with, beside the text the list read on arrival.
     struct Reader<M> {
         node: NodeId,
         ask: fn() -> M,
-        list_of: fn(M) -> Option<Values>,
-        replies: Vec<(Values, String)>,
+        list_of: fn(M) -> Option<ListView>,
+        replies: Vec<(ListView, String)>,
     }
 
     impl<M: Clone + std::fmt::Debug + 'static> ClientDriver<M> for Reader<M> {
@@ -518,10 +501,15 @@ pub(crate) mod sharing {
 
         fn on_reply(&mut self, _ctx: &mut ClientCtx<'_, M>, _from: NodeId, msg: M) {
             if let Some(list) = (self.list_of)(msg) {
-                let text = join_values(&list);
+                let text = list.text().to_string();
                 self.replies.push((list, text));
             }
         }
+    }
+
+    /// Whether `a` and `b` are one view: the same log, the same length.
+    fn same_view(a: &ListView, b: &ListView) -> bool {
+        a.continues(b) && b.continues(a)
     }
 
     /// Runs `system` fault-free for 30 s under its own workload plus a
@@ -529,16 +517,18 @@ pub(crate) mod sharing {
     /// that
     ///
     /// - a reply that arrives while the store's list is as long as it is
-    ///   the store's list (`Arc::ptr_eq`), and so are two replies with
-    ///   nothing appended between them;
+    ///   a view of the store's own log, and so are two replies with nothing
+    ///   appended between them;
+    /// - each reply continues the one before it (the store appended to its
+    ///   log in place);
     /// - every reply, however many appends later, still reads as it did
     ///   when it arrived.
     pub(crate) fn replies_share_the_stores_list_and_keep_what_they_were_sent<S: TargetSystem>(
         system: S,
         node: NodeId,
         ask: fn() -> <S::App as Application>::Msg,
-        list_of: fn(<S::App as Application>::Msg) -> Option<Values>,
-        stored: fn(&S::App) -> Option<&Values>,
+        list_of: fn(<S::App as Application>::Msg) -> Option<ListView>,
+        stored: fn(&S::App) -> Option<&ListView>,
     ) {
         let mut sim = Rose::new(system).deploy(5, Vec::new());
         let reader = sim.add_client(Box::new(Reader {
@@ -558,7 +548,7 @@ pub(crate) mod sharing {
             for (reply, _) in &replies[judged..] {
                 let store = sim.app(node).and_then(stored);
                 if let Some(store) = store.filter(|s| s.len() == reply.len()) {
-                    assert!(Arc::ptr_eq(store, reply), "an unchanged list was copied");
+                    assert!(same_view(store, reply), "an unchanged list was copied");
                     shared_with_store += 1;
                 }
             }
@@ -574,10 +564,11 @@ pub(crate) mod sharing {
         // (A key nobody appended to yet has no list to share.)
         for pair in replies.windows(2) {
             let (a, b) = (&pair[0].0, &pair[1].0);
-            assert_eq!(Arc::ptr_eq(a, b), a.len() == b.len() && !a.is_empty());
+            assert_eq!(same_view(a, b), a.len() == b.len() && !a.is_empty());
+            assert!(a.is_empty() || b.continues(a), "{a:?} then {b:?}");
         }
         for (list, on_arrival) in replies {
-            assert_eq!(join_values(list), *on_arrival);
+            assert_eq!(*list.text(), **on_arrival);
         }
     }
 }
@@ -861,23 +852,15 @@ mod tests {
     }
 
     #[test]
-    fn a_list_is_copied_only_while_a_reference_is_out() {
+    fn a_read_is_a_view_of_the_stores_list() {
         let mut store = BTreeMap::new();
-        push_value(&mut store, "k", "1".into());
-        let own = Arc::as_ptr(&store["k"]);
-        push_value(&mut store, "k", "2".into());
-        assert_eq!(Arc::as_ptr(&store["k"]), own, "nobody else holds it");
+        push_value(&mut store, "k", "1");
+        push_value(&mut store, "k", "2");
         let reply = read_values(&store, "k");
-        assert!(Arc::ptr_eq(&reply, &store["k"]));
-        push_value(&mut store, "k", "3".into());
-        assert_eq!(*reply, ["1", "2"]);
-        assert_eq!(*store["k"], ["1", "2", "3"]);
+        push_value(&mut store, "k", "3");
+        assert!(store["k"].continues(&reply), "appended in place");
+        assert_eq!(&*reply.text(), "1,2");
+        assert_eq!(&*store["k"].text(), "1,2,3");
         assert!(read_values(&store, "missing").is_empty());
-    }
-
-    #[test]
-    fn join_values_formats_elle_wire_form() {
-        assert_eq!(join_values(&["1".into(), "2".into()]), "1,2");
-        assert_eq!(join_values(&[]), "");
     }
 }

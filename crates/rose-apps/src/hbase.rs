@@ -256,7 +256,7 @@ impl ClientDriver<Bmsg> for ProcClient {
                     if pid == want {
                         match payload {
                             Some(p) => {
-                                ctx.complete(hidx, OpOutcome::Ok(Some(p)));
+                                ctx.complete(hidx, OpOutcome::Ok(Some(p.into())));
                                 self.done += 1;
                             }
                             None => {

@@ -652,7 +652,7 @@ impl Workload for HdfsWorkload {
             // `ReadRetry` keeps it for the next read tick to retry.
             Hmsg::ReadOk { file, values } => {
                 if let Some((hidx, ..)) = self.read_pending.take_if(|read| read.1 == file) {
-                    ctx.complete(hidx, OpOutcome::Ok(Some(values)));
+                    ctx.complete(hidx, OpOutcome::Ok(Some(values.into())));
                 }
                 Reply::Other
             }

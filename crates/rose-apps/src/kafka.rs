@@ -10,7 +10,9 @@ use std::collections::{BTreeMap, HashSet};
 
 use rose_events::{Errno, FnvBuildHasher, NodeId, SimDuration, SyscallId};
 use rose_profile::SymbolTable;
-use rose_sim::{Application, ClientCtx, ClientId, History, NodeCtx, OpOutcome, OpenFlags};
+use rose_sim::{
+    Application, ClientCtx, ClientId, History, ListView, NodeCtx, OpOutcome, OpenFlags,
+};
 
 use crate::common::{
     background_tick, numbered, push_kv_record, read_key, scf, tags, ClosedLoop, ProbeStyle, Reply,
@@ -246,7 +248,9 @@ impl Workload for KafkaWorkload {
     fn classify(&mut self, _ctx: &mut ClientCtx<'_, Kmsg>, msg: Kmsg) -> Reply {
         match msg {
             Kmsg::UpdateOk { id } => Reply::Ack(id),
-            Kmsg::ReadOk { key, val } => Reply::Read(["view ", &key].concat(), val),
+            Kmsg::ReadOk { key, val } => {
+                Reply::Read(["view ", &key].concat(), val.map(ListView::from))
+            }
             _ => Reply::Other,
         }
     }
@@ -269,7 +273,11 @@ mod tests {
         assert!(!lost_update(b"k0=v0\nk1=v1\n", &h), "k1=v1 was kept");
         // Unacknowledged updates and reads of the view are not judged.
         let idx = h.invoke(ClientId(0), "view k2".into(), SimTime::ZERO);
-        h.complete(idx, SimTime::from_secs(1), OpOutcome::Ok(Some("v9".into())));
+        h.complete(
+            idx,
+            SimTime::from_secs(1),
+            OpOutcome::Ok(Some(String::from("v9").into())),
+        );
         assert!(!lost_update(b"k1=v1\n", &h));
 
         let idx = h.invoke(ClientId(0), "update k2=v3".into(), SimTime::ZERO);

@@ -9,17 +9,16 @@
 //! | `MongoDB:3.2.10` | elections require full membership (v0-protocol quirk): any partition leaves the set primary-less — extended unavailability | isolate any node |
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use rand::Rng;
 use rose_events::{NodeId, SimDuration};
 use rose_profile::SymbolTable;
-use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
+use rose_sim::{Application, ClientCtx, ClientId, ListView, NodeCtx, OpenFlags};
 
 use crate::common::{
-    append_op, background_tick, client_op_id, client_value, election_timeout, join_values,
-    numbered, push_record, push_value, read_key, read_op, read_values, tags, ClosedLoop,
-    ProbeStyle, Reply, Route, Values, Workload, TICK_PERIOD,
+    append_op, background_tick, client_op_id, client_value, election_timeout, numbered,
+    push_record, push_value, read_key, read_op, read_values, tags, ClosedLoop, ProbeStyle, Reply,
+    Route, Workload, TICK_PERIOD,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
@@ -105,7 +104,7 @@ pub enum Mmsg {
         /// Key.
         key: String,
         /// Values.
-        values: Values,
+        values: ListView,
     },
     /// Not the primary.
     NotPrimary {
@@ -134,7 +133,7 @@ pub struct MongoDb {
     oplog_pos: u64,
     /// In-memory oplog: pos → (key, val) (drives sync and rollback).
     oplog: BTreeMap<u64, (String, String)>,
-    docs: BTreeMap<String, Values>,
+    docs: BTreeMap<String, ListView>,
     /// Positions acknowledged by secondaries (primary-side).
     repl_acks: BTreeMap<u64, u32>,
     /// Client acks pending replication (only used under majority acking).
@@ -197,7 +196,7 @@ impl MongoDb {
             // entries were already acknowledged — the data loss.
             for (pos, key, val) in std::mem::take(&mut self.unreplicated) {
                 if let Some(list) = self.docs.get_mut(&key) {
-                    Arc::make_mut(list).retain(|v| v != &val);
+                    list.retain(|v| v != val);
                 }
                 self.oplog.remove(&pos);
                 ctx.log(format!("WARN rollback: dropping {key}={val}"));
@@ -220,7 +219,7 @@ impl MongoDb {
             for p in divergent {
                 if let Some((key, val)) = self.oplog.remove(&p) {
                     if let Some(list) = self.docs.get_mut(&key) {
-                        Arc::make_mut(list).retain(|v| v != &val);
+                        list.retain(|v| v != val);
                     }
                     ctx.log(format!("WARN rollback: dropping {key}={val}"));
                 }
@@ -350,7 +349,7 @@ impl Application for MongoDb {
                 for (pos, key, val) in entries {
                     if pos == self.oplog_pos + 1 {
                         self.persist_oplog(ctx, pos, &key, &val);
-                        push_value(&mut self.docs, &key, val.clone());
+                        push_value(&mut self.docs, &key, &val);
                         self.oplog.insert(pos, (key, val));
                         self.oplog_pos = pos;
                     }
@@ -375,7 +374,7 @@ impl Application for MongoDb {
                 self.last_primary_us = ctx.now().as_micros();
                 if pos == self.oplog_pos + 1 {
                     self.persist_oplog(ctx, pos, &key, &val);
-                    push_value(&mut self.docs, &key, val.clone());
+                    push_value(&mut self.docs, &key, &val);
                     self.oplog.insert(pos, (key, val));
                     self.oplog_pos = pos;
                     let _ = ctx.send(from, Mmsg::ReplOk { pos });
@@ -418,7 +417,7 @@ impl Application for MongoDb {
                 self.oplog_pos += 1;
                 let pos = self.oplog_pos;
                 self.persist_oplog(ctx, pos, &key, &val);
-                push_value(&mut self.docs, &key, val.clone());
+                push_value(&mut self.docs, &key, &val);
                 self.oplog.insert(pos, (key.clone(), val.clone()));
                 self.unreplicated.push((pos, key.clone(), val.clone()));
                 ctx.broadcast(Mmsg::Repl {
@@ -560,7 +559,7 @@ impl Workload for MongoWorkload {
     fn classify(&mut self, _ctx: &mut ClientCtx<'_, Mmsg>, msg: Mmsg) -> Reply {
         match msg {
             Mmsg::InsertOk { id } => Reply::Ack(id),
-            Mmsg::FindOk { key, values } => Reply::Read(read_op(&key), Some(join_values(&values))),
+            Mmsg::FindOk { key, values } => Reply::Read(read_op(&key), Some(values)),
             Mmsg::NotPrimary { primary } => Reply::Redirect(primary),
             _ => Reply::Other,
         }

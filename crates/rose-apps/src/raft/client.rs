@@ -57,7 +57,9 @@ impl Workload for KvWorkload {
     fn classify(&mut self, _ctx: &mut ClientCtx<'_, RaftMsg>, msg: RaftMsg) -> Reply {
         match msg {
             RaftMsg::PutOk { id } => Reply::Ack(id),
-            RaftMsg::GetOk { key, val } => Reply::Read(read_op(&key), val.map(|v| numbered("", v))),
+            RaftMsg::GetOk { key, val } => {
+                Reply::Read(read_op(&key), val.map(|v| numbered("", v).into()))
+            }
             RaftMsg::Redirect { leader } => Reply::Redirect(leader),
             _ => Reply::Other,
         }

@@ -17,12 +17,12 @@ use std::sync::Arc;
 
 use rose_events::{Errno, FnvBuildHasher, NodeId, SimDuration};
 use rose_profile::{site, SymbolTable};
-use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
+use rose_sim::{Application, ClientCtx, ClientId, ListView, NodeCtx, OpenFlags};
 
 use crate::common::{
-    append_op, background_tick, client_op_id, client_value, election_timeout, join_values,
-    numbered, push_value, read_key, read_op, read_values, tags, write_u64, ClosedLoop, ProbeStyle,
-    Reply, Route, Values, Workload, TICK_PERIOD,
+    append_op, background_tick, client_op_id, client_value, election_timeout, numbered, push_value,
+    read_key, read_op, read_values, tags, write_u64, ClosedLoop, ProbeStyle, Reply, Route,
+    Workload, TICK_PERIOD,
 };
 
 /// The five seeded RedisRaft defects.
@@ -94,8 +94,8 @@ impl Entry {
 /// every follower's (entries are never changed once created).
 type SharedEntry = Arc<Entry>;
 
-/// A snapshot payload: every key with its list.
-type SnapData = Vec<(String, Values)>;
+/// A snapshot payload: every key with a view of its list.
+type SnapData = Vec<(String, ListView)>;
 
 /// A decided-but-untransmitted snapshot: (term at decision, snapshot
 /// index, payload).
@@ -174,7 +174,7 @@ pub enum Rmsg {
         /// Key.
         key: String,
         /// Current list.
-        values: Values,
+        values: ListView,
     },
     /// Not the leader; try elsewhere.
     Redirect {
@@ -216,7 +216,7 @@ pub struct RedisRaft {
     snapshot_idx: u64,
     commit: u64,
     applied: u64,
-    kv: BTreeMap<String, Values>,
+    kv: BTreeMap<String, ListView>,
     /// Operation ids applied so far; only inserted into and probed.
     applied_ids: HashSet<u64, FnvBuildHasher>,
     next_idx: BTreeMap<NodeId, u64>,
@@ -343,16 +343,9 @@ impl RedisRaft {
         let _ = write_u64(&mut out, self.applied);
         out.push('\n');
         for (k, vs) in &self.kv {
-            for piece in ["kv ", k, " "] {
+            for piece in ["kv ", k, " ", &vs.text(), "\n"] {
                 out.push_str(piece);
             }
-            for (i, v) in vs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(v);
-            }
-            out.push('\n');
         }
         out.into_bytes()
     }
@@ -463,12 +456,8 @@ impl RedisRaft {
         for l in lines {
             if let Some(rest) = l.strip_prefix("kv ") {
                 if let Some((k, vs)) = rest.split_once(' ') {
-                    let values: Vec<String> = vs
-                        .split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string)
-                        .collect();
-                    self.kv.insert(k.to_string(), Arc::new(values));
+                    let values = vs.split(',').filter(|s| !s.is_empty());
+                    self.kv.insert(k.to_string(), ListView::from_values(values));
                 }
             }
         }
@@ -683,7 +672,7 @@ impl RedisRaft {
                     self.applied = next;
                     continue;
                 }
-                push_value(&mut self.kv, &e.key, e.val.clone());
+                push_value(&mut self.kv, &e.key, &e.val);
                 self.applied = next;
             }
             if self.role == Role::Leader {
@@ -1190,7 +1179,7 @@ impl Workload for AppendWorkload {
     fn classify(&mut self, _ctx: &mut ClientCtx<'_, Rmsg>, msg: Rmsg) -> Reply {
         match msg {
             Rmsg::PutOk { id } => Reply::Ack(id),
-            Rmsg::GetOk { key, values } => Reply::Read(read_op(&key), Some(join_values(&values))),
+            Rmsg::GetOk { key, values } => Reply::Read(read_op(&key), Some(values)),
             Rmsg::Redirect { leader } => Reply::Redirect(leader),
             _ => Reply::Other,
         }
@@ -1227,11 +1216,30 @@ mod tests {
         assert_eq!(node.log_text(), want_log);
 
         node.applied = u64::MAX;
-        push_value(&mut node.kv, "k0", "c1n1".into());
-        push_value(&mut node.kv, "k0", "c2n1".into());
-        push_value(&mut node.kv, "k2", "c1n2".into());
+        push_value(&mut node.kv, "k0", "c1n1");
+        push_value(&mut node.kv, "k0", "c2n1");
+        push_value(&mut node.kv, "k2", "c1n2");
         let want_snapshot = format!("idx {}\nkv k0 c1n1,c2n1\nkv k2 c1n2\n", u64::MAX);
         assert_eq!(node.snapshot_bytes(), want_snapshot.as_bytes());
+    }
+
+    #[test]
+    fn recovery_reads_the_snapshots_lists_without_empty_fields() {
+        let mut node = RedisRaft::new(None);
+        let file = "idx 7\nkv k0 ,c1n1,,c2n1,\nkv k1 \nkv k2 c0n3\n";
+        assert!(node.parse_snapshot(file.as_bytes()));
+        let lists: Vec<(&str, String)> = node
+            .kv
+            .iter()
+            .map(|(k, list)| (k.as_str(), list.text().to_string()))
+            .collect();
+        let want = [("k0", "c1n1,c2n1"), ("k1", ""), ("k2", "c0n3")];
+        assert_eq!(lists, want.map(|(k, text)| (k, text.to_string())));
+        let rewritten = "idx 7\nkv k0 c1n1,c2n1\nkv k1 \nkv k2 c0n3\n";
+        assert_eq!(node.snapshot_bytes(), rewritten.as_bytes());
+        // A recovered list is the node's own log: applies extend it.
+        push_value(&mut node.kv, "k1", "c1n4");
+        assert_eq!(&*node.kv["k1"].text(), "c1n4");
     }
 
     #[test]

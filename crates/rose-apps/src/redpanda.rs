@@ -12,12 +12,11 @@ use std::collections::BTreeMap;
 
 use rose_events::{NodeId, SimDuration};
 use rose_profile::SymbolTable;
-use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
+use rose_sim::{Application, ClientCtx, ClientId, ListView, NodeCtx, OpenFlags};
 
 use crate::common::{
-    append_op, background_tick, client_value, join_values, numbered, push_kv_record, push_value,
-    read_key, read_op, read_values, tags, ClosedLoop, ProbeStyle, Reply, Route, Values, Workload,
-    TICK_PERIOD,
+    append_op, background_tick, client_value, numbered, push_kv_record, push_value, read_key,
+    read_op, read_values, tags, ClosedLoop, ProbeStyle, Reply, Route, Workload, TICK_PERIOD,
 };
 use crate::driver::{CaptureMethod, CaptureSpec};
 use crate::registry::BugId;
@@ -66,7 +65,7 @@ pub enum Pmsg {
         /// Key.
         key: String,
         /// Values at their offsets.
-        values: Values,
+        values: ListView,
     },
     /// Keepalive gossip.
     Gossip,
@@ -79,7 +78,7 @@ pub struct Redpanda {
     /// Appends into the active segment (rolled periodically).
     segment_records: u64,
     /// The log: key → values in offset order.
-    log: BTreeMap<String, Values>,
+    log: BTreeMap<String, ListView>,
     /// Dedup state. Correct binary: `pid → last seq`. Defect: keyed by
     /// `(pid, session)`, so a new session forgets history.
     dedup: BTreeMap<(u32, u64), u64>,
@@ -156,7 +155,7 @@ impl Application for Redpanda {
                         let _ = ctx.rename(SEGMENT, &sealed);
                         let _ = ctx.write_file(SEGMENT, b"");
                     }
-                    push_value(&mut self.log, &key, val);
+                    push_value(&mut self.log, &key, &val);
                     self.dedup.insert(dk, seq);
                 }
                 let _ = ctx.reply(client, Pmsg::ProduceOk { seq });
@@ -300,9 +299,7 @@ impl Workload for RedpandaWorkload {
     fn classify(&mut self, _ctx: &mut ClientCtx<'_, Pmsg>, msg: Pmsg) -> Reply {
         match msg {
             Pmsg::ProduceOk { seq } => Reply::Ack(seq),
-            Pmsg::ConsumeOk { key, values } => {
-                Reply::Read(read_op(&key), Some(join_values(&values)))
-            }
+            Pmsg::ConsumeOk { key, values } => Reply::Read(read_op(&key), Some(values)),
             _ => Reply::Other,
         }
     }

@@ -16,12 +16,12 @@ use std::collections::BTreeMap;
 use rand::Rng;
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_profile::SymbolTable;
-use rose_sim::{Application, ClientCtx, ClientId, NodeCtx, OpenFlags};
+use rose_sim::{Application, ClientCtx, ClientId, ListView, NodeCtx, OpenFlags};
 
 use crate::common::{
-    append_op, background_tick, client_op_id, client_value, election_timeout, join_values,
-    numbered, push_record, push_value, read_key, read_op, read_values, scf, tags, ClosedLoop,
-    ProbeStyle, Reply, Route, Values, Workload, TICK_PERIOD,
+    append_op, background_tick, client_op_id, client_value, election_timeout, numbered,
+    push_record, push_value, read_key, read_op, read_values, scf, tags, ClosedLoop, ProbeStyle,
+    Reply, Route, Workload, TICK_PERIOD,
 };
 use crate::driver::CaptureSpec;
 use crate::registry::BugId;
@@ -99,7 +99,7 @@ pub enum Zmsg {
         /// Key.
         key: String,
         /// Values.
-        values: Values,
+        values: ListView,
     },
     /// Not the leader.
     Redirect {
@@ -133,7 +133,7 @@ pub struct ZooKeeper {
     leader: Option<NodeId>,
     zxid: u64,
     committed: u64,
-    tree: BTreeMap<String, Values>,
+    tree: BTreeMap<String, ListView>,
     /// Pending client acks by zxid.
     pending: BTreeMap<u64, (ClientId, u64)>,
     /// Per-txn follower acks.
@@ -389,7 +389,7 @@ impl Application for ZooKeeper {
                 self.leader = Some(from);
                 self.role = Role::Follower;
                 if self.append_txn(ctx, zxid, &key, &val) {
-                    push_value(&mut self.tree, &key, val);
+                    push_value(&mut self.tree, &key, &val);
                     let _ = ctx.send(from, Zmsg::TxnOk { zxid });
                 }
             }
@@ -442,7 +442,7 @@ impl Application for ZooKeeper {
                 self.zxid += 1;
                 let zxid = self.zxid;
                 if self.append_txn(ctx, zxid, &key, &val) {
-                    push_value(&mut self.tree, &key, val.clone());
+                    push_value(&mut self.tree, &key, &val);
                     self.pending.insert(zxid, (client, id));
                     ctx.broadcast(Zmsg::Txn {
                         epoch: self.epoch,
@@ -595,7 +595,7 @@ impl Workload for ZkWorkload {
     fn classify(&mut self, _ctx: &mut ClientCtx<'_, Zmsg>, msg: Zmsg) -> Reply {
         match msg {
             Zmsg::CreateOk { id } => Reply::Ack(id),
-            Zmsg::ReadOk { key, values } => Reply::Read(read_op(&key), Some(join_values(&values))),
+            Zmsg::ReadOk { key, values } => Reply::Read(read_op(&key), Some(values)),
             Zmsg::Redirect { leader } => Reply::Redirect(leader),
             _ => Reply::Other,
         }

@@ -1,8 +1,6 @@
 //! The shared closed-loop client at its edges, for each of the eight
 //! workloads it runs, against scripted nodes that never run the system.
 
-use std::sync::Arc;
-
 use rose_apps::common::{ClosedLoop, Workload};
 use rose_apps::hdfs::{HdfsWorkload, Hmsg};
 use rose_apps::kafka::{KafkaWorkload, Kmsg};
@@ -14,7 +12,7 @@ use rose_apps::redpanda::{Pmsg, RedpandaWorkload};
 use rose_apps::tendermint::{Tmsg, TxWorkload};
 use rose_apps::zookeeper::{ZkWorkload, Zmsg};
 use rose_events::{NodeId, SimDuration};
-use rose_sim::{Application, ClientId, NodeCtx, OpOutcome, Sim, SimConfig};
+use rose_sim::{Application, ClientId, ListView, NodeCtx, OpOutcome, Sim, SimConfig};
 
 /// How the tests speak one workload's messages.
 trait Spoken: Workload + Default {
@@ -39,8 +37,8 @@ trait Spoken: Workload + Default {
     const FIRST_SENDS_AT: &'static [u32];
 }
 
-fn values(text: &str) -> Arc<Vec<String>> {
-    Arc::new(text.split(',').map(str::to_string).collect())
+fn values(text: &str) -> ListView {
+    ListView::from_values(text.split(','))
 }
 
 impl Spoken for KafkaWorkload {
@@ -403,7 +401,7 @@ fn a_read_reply_records_the_op_and_value<W: Spoken>() {
     let want: Vec<(String, OpOutcome)> = requests(&sim)
         .iter()
         .filter_map(|(_, _, req)| W::answer(req))
-        .map(|(_, op, value)| (op, OpOutcome::Ok(value)))
+        .map(|(_, op, value)| (op, OpOutcome::Ok(value.map(ListView::from))))
         .collect();
     let got: Vec<(String, OpOutcome)> = sim
         .core()

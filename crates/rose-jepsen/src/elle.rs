@@ -16,10 +16,11 @@
 //! `append k=<key> v=<value>` and `read k=<key>` with the read outcome
 //! carrying the comma-separated list.
 
+use std::cell::Ref;
 use std::collections::{BTreeMap, HashSet};
 
 use rose_events::FnvBuildHasher;
-use rose_sim::{History, OpOutcome};
+use rose_sim::{History, ListView, OpOutcome};
 
 /// One detected anomaly.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,9 +109,45 @@ fn parse_kv<'a>(op: &'a str, verb: &str) -> Option<(&'a str, Option<&'a str>)> {
 struct KeyOps<'h> {
     /// Acked appends: (value, ack time µs).
     acked: Vec<(&'h str, u64)>,
-    /// Ok reads in history order: (the list as recorded, comma-separated;
-    /// invocation time µs).
-    reads: Vec<(&'h str, u64)>,
+    /// Ok reads in history order.
+    reads: Vec<Read<'h>>,
+}
+
+/// One ok read, borrowed from the history.
+struct Read<'h> {
+    /// The list read, if the read returned one.
+    list: Option<&'h ListView>,
+    /// Its text, borrowed while the check runs.
+    text: Option<Ref<'h, str>>,
+    /// Invocation time µs.
+    invoked: u64,
+}
+
+impl<'h> Read<'h> {
+    fn new(list: Option<&'h ListView>, invoked: u64) -> Read<'h> {
+        let text = list.map(ListView::text);
+        Read {
+            list,
+            text,
+            invoked,
+        }
+    }
+
+    /// The list as recorded, comma-separated.
+    fn text(&self) -> &str {
+        self.text.as_deref().unwrap_or("")
+    }
+
+    /// What [`appended`] says of `self` read after `earlier`. Two views of
+    /// one log, the later not shorter, continue each other without a byte
+    /// compared; reads of different logs compare their texts.
+    fn appended_to(&self, earlier: &Read<'_>) -> Option<&str> {
+        let same_log = match (earlier.list, self.list) {
+            (Some(a), Some(b)) => b.continues(a),
+            _ => false,
+        };
+        appended(earlier.text(), self.text(), same_log)
+    }
 }
 
 /// The values of a recorded read.
@@ -121,14 +158,15 @@ fn values_of(list: &str) -> impl Iterator<Item = &str> {
 /// If the recorded list `b` is the recorded list `a` with more appended —
 /// the same text, continued at a comma — the appended part: the values of
 /// `b` are then those of `a` followed by those of the result. This is how
-/// successive reads of a healthy store relate, and it is decided by one
-/// `memcmp`; `None` only says the texts differ, not that the values do.
-fn appended<'h>(a: &str, b: &'h str) -> Option<&'h str> {
-    if a.is_empty() {
-        return Some(b);
+/// successive reads of a healthy store relate. `same_log` says that `b`
+/// already starts with `a` (both view one log); otherwise one `memcmp`
+/// decides. `None` only says the texts differ, not that the values do.
+fn appended<'h>(a: &str, b: &'h str, same_log: bool) -> Option<&'h str> {
+    if !same_log && !b.starts_with(a) {
+        return None;
     }
-    let rest = b.strip_prefix(a)?;
-    if rest.is_empty() {
+    let rest = &b[a.len()..];
+    if a.is_empty() || rest.is_empty() {
         Some(rest)
     } else {
         rest.strip_prefix(',')
@@ -139,7 +177,9 @@ fn appended<'h>(a: &str, b: &'h str) -> Option<&'h str> {
 ///
 /// A pure function of the history, called again on the whole history at
 /// every oracle poll of a run: it copies nothing — keys, values and read
-/// lists stay `&str`s into `history` until one lands in an [`Anomaly`].
+/// lists stay `&str`s into `history` until one lands in an [`Anomaly`] —
+/// and a read that continues the previous one's log is looked at only
+/// past the previous one's end.
 pub fn check_appends(history: &History) -> ElleReport {
     let mut report = ElleReport::default();
     let mut keys: BTreeMap<&str, KeyOps<'_>> = BTreeMap::new();
@@ -151,8 +191,7 @@ pub fn check_appends(history: &History) -> ElleReport {
             let at = op.completed.map(|t| t.as_micros()).unwrap_or(u64::MAX);
             keys.entry(k).or_default().acked.push((v, at));
         } else if let Some((k, _)) = parse_kv(&op.op, "read") {
-            let list = out.as_deref().unwrap_or("");
-            let read = (list, op.invoked.as_micros());
+            let read = Read::new(out.as_ref(), op.invoked.as_micros());
             keys.entry(k).or_default().reads.push(read);
         }
     }
@@ -163,13 +202,13 @@ pub fn check_appends(history: &History) -> ElleReport {
         // Duplicates within any single read. A read that continues a
         // duplicate-free one repeats none of its values either, so only
         // what it appended is looked at, against the values already seen.
-        let mut clean_prev: Option<&str> = None;
-        for &(list, _) in &ops.reads {
+        let mut clean_prev: Option<&Read<'_>> = None;
+        for read in &ops.reads {
             let unseen = clean_prev
-                .and_then(|prev| appended(prev, list))
+                .and_then(|prev| read.appended_to(prev))
                 .unwrap_or_else(|| {
                     seen.clear();
-                    list
+                    read.text()
                 });
             let found = report.anomalies.len();
             for v in values_of(unseen) {
@@ -180,14 +219,14 @@ pub fn check_appends(history: &History) -> ElleReport {
                     });
                 }
             }
-            clean_prev = (report.anomalies.len() == found).then_some(list);
+            clean_prev = (report.anomalies.len() == found).then_some(read);
         }
         // Prefix consistency between successive reads.
         for w in ops.reads.windows(2) {
-            let (a, b) = (w[0].0, w[1].0);
-            if appended(a, b).is_some() {
+            if w[1].appended_to(&w[0]).is_some() {
                 continue;
             }
+            let (a, b) = (w[0].text(), w[1].text());
             let a_len = values_of(a).count();
             if values_of(b).count() < a_len {
                 report.anomalies.push(Anomaly::StaleRead {
@@ -204,7 +243,7 @@ pub fn check_appends(history: &History) -> ElleReport {
         // issued (appends racing the read on the wire are not losses).
         // `seen` holds that read's values: the duplicate scan ended on it.
         const RTT_GUARD_US: u64 = 10_000;
-        let Some(&(_, final_invoked)) = ops.reads.last() else {
+        let Some(final_invoked) = ops.reads.last().map(|read| read.invoked) else {
             continue;
         };
         for &(v, acked_at) in &ops.acked {
@@ -265,7 +304,7 @@ mod tests {
     }
 
     fn ok(v: &str) -> OpOutcome {
-        OpOutcome::Ok(Some(v.to_string()))
+        OpOutcome::Ok(Some(v.to_string().into()))
     }
 
     /// `check_appends` as it was while it copied: a `String` per key, value
@@ -290,7 +329,8 @@ mod tests {
                             .or_default()
                             .push((v.to_string(), at));
                     } else if let Some((k, _)) = parse_kv(&op.op, "read") {
-                        let values: Vec<String> = out
+                        let text = out.as_ref().map(|list| list.text().to_string());
+                        let values: Vec<String> = text
                             .as_deref()
                             .unwrap_or("")
                             .split(',')
@@ -426,7 +466,7 @@ mod tests {
                     let answer = if (dice >> 40) % 16 == 0 {
                         None
                     } else {
-                        Some(text)
+                        Some(text.into())
                     };
                     let outcome = unacked.unwrap_or(Some(OpOutcome::Ok(answer)));
                     (format!("read k={k}"), outcome)
@@ -441,7 +481,7 @@ mod tests {
                         "append  k=c  v=v2 v=v3",
                     ];
                     let op = junk[(dice >> 8) as usize % junk.len()].to_string();
-                    (op, Some(OpOutcome::Ok(Some("v1,v1".into()))))
+                    (op, Some(ok("v1,v1")))
                 }
             };
             let idx = h.invoke(ClientId(u32::from(key)), op, SimTime::from_micros(now));
@@ -463,6 +503,130 @@ mod tests {
             let h = history_of(&ops);
             prop_assert_eq!(check_appends(&h), check_appends_copying(&h));
         }
+    }
+
+    /// One operation of a history over shared logs: (client, op, invoked
+    /// µs, completion µs and outcome if it completed).
+    type Entry = (u32, String, u64, Option<(u64, OpOutcome)>);
+
+    /// Plays generated operations against two stores of three keys, as a
+    /// replicated list store does, and records every read as a view of the
+    /// store's own log: appends land in one store or both, a rollback
+    /// drops a value (a fresh log), an install hands one store the other's
+    /// view (one log, two stores), and a corrupted read is a text of its
+    /// own. Outcomes, latencies and guards vary as in [`history_of`].
+    fn shared_log_entries(ops: &[GenOp]) -> Vec<Entry> {
+        let mut stores: [[ListView; 3]; 2] = Default::default();
+        let mut now = 0u64;
+        let mut entries = Vec::new();
+        for &(kind, key, val, gap, latency, dice) in ops {
+            now += gap;
+            let (k, key) = (["a", "b", "c"][usize::from(key)], usize::from(key));
+            let (at, other) = ((dice & 1) as usize, 1 - (dice & 1) as usize);
+            let v = format!("v{}", val % 16);
+            let unacked = match (dice >> 1) % 8 {
+                0 => Some(Some(OpOutcome::Fail("refused".into()))),
+                1 => Some(Some(OpOutcome::Timeout)),
+                2 => Some(None),
+                _ => None,
+            };
+            let (op, outcome) = match kind {
+                0..=3 => {
+                    if !matches!(unacked, Some(Some(OpOutcome::Fail(_)))) {
+                        stores[at][key].push(&v);
+                        if (dice >> 8) % 2 == 0 {
+                            stores[other][key].push(&v);
+                        }
+                    }
+                    let outcome = unacked.unwrap_or(Some(OpOutcome::Ok(None)));
+                    (format!("append k={k} v={v}"), outcome)
+                }
+                4 => {
+                    stores[at][key].retain(|x| x != v);
+                    continue;
+                }
+                5 => {
+                    stores[at][key] = stores[other][key].clone();
+                    continue;
+                }
+                _ => {
+                    let mut list = stores[at][key].clone();
+                    if (dice >> 8) % 8 == 0 {
+                        let text = list.text().replacen(&v, "vX", 1);
+                        list = text.into();
+                    }
+                    let outcome = unacked.unwrap_or(Some(OpOutcome::Ok(Some(list))));
+                    (format!("read k={k}"), outcome)
+                }
+            };
+            let done = outcome.map(|outcome| (now + latency, outcome));
+            entries.push((u32::from(kind), op, now, done));
+        }
+        entries
+    }
+
+    /// The history of `entries`.
+    fn history_of_entries(entries: &[Entry]) -> History {
+        let mut h = History::default();
+        for (client, op, invoked, done) in entries {
+            let idx = h.invoke(
+                ClientId(*client),
+                op.clone(),
+                SimTime::from_micros(*invoked),
+            );
+            if let Some((at, outcome)) = done {
+                h.complete(idx, SimTime::from_micros(*at), outcome.clone());
+            }
+        }
+        h
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn reads_of_shared_logs_are_judged_as_their_texts(ops in gen_ops()) {
+            let entries = shared_log_entries(&ops);
+            for n in 0..=entries.len() {
+                let h = history_of_entries(&entries[..n]);
+                prop_assert_eq!(check_appends(&h), check_appends_copying(&h), "prefix {}", n);
+            }
+        }
+    }
+
+    #[test]
+    fn the_shared_log_histories_continue_logs_and_reach_every_anomaly() {
+        let mut rng = proptest::test_runner::TestRng::deterministic();
+        let (mut continued, mut forked) = (0, 0);
+        let mut found = [0; 4];
+        for _ in 0..256 {
+            let h = history_of_entries(&shared_log_entries(&gen_ops().generate(&mut rng)));
+            let mut last: BTreeMap<&str, &ListView> = BTreeMap::new();
+            for op in h.ops() {
+                if let (Some((k, _)), OpOutcome::Ok(Some(list))) =
+                    (parse_kv(&op.op, "read"), &op.outcome)
+                {
+                    if let Some(prev) = last.insert(k, list) {
+                        match list.continues(prev) {
+                            true => continued += 1,
+                            false if list.text().starts_with(&*prev.text()) => forked += 1,
+                            false => {}
+                        }
+                    }
+                }
+            }
+            for a in &check_appends(&h).anomalies {
+                found[match a {
+                    Anomaly::Duplicate { .. } => 0,
+                    Anomaly::InconsistentOffsets { .. } => 1,
+                    Anomaly::StaleRead { .. } => 2,
+                    Anomaly::LostWrite { .. } => 3,
+                }] += 1;
+            }
+        }
+        assert!(
+            continued > 100 && forked > 10 && found.iter().all(|&n| n > 0),
+            "continued {continued}, text-only continuations {forked}, anomalies {found:?}"
+        );
     }
 
     #[test]
@@ -489,15 +653,23 @@ mod tests {
 
     #[test]
     fn appended_is_decided_at_a_comma() {
-        assert_eq!(appended("", ""), Some(""));
-        assert_eq!(appended("", "v1,v2"), Some("v1,v2"));
-        assert_eq!(appended("v1", "v1"), Some(""));
-        assert_eq!(appended("v1", "v1,v2,v3"), Some("v2,v3"));
-        assert_eq!(appended("v1,v2", "v1,v2,"), Some(""));
+        let by_text = |a, b| appended(a, b, false);
+        assert_eq!(by_text("", ""), Some(""));
+        assert_eq!(by_text("", "v1,v2"), Some("v1,v2"));
+        assert_eq!(by_text("v1", "v1"), Some(""));
+        assert_eq!(by_text("v1", "v1,v2,v3"), Some("v2,v3"));
+        assert_eq!(by_text("v1,v2", "v1,v2,"), Some(""));
         // The same bytes, but inside a value or not at the front.
-        assert_eq!(appended("v1", "v12,v2"), None);
-        assert_eq!(appended("v1,v2", "v1"), None);
-        assert_eq!(appended("v2", "v1,v2"), None);
+        assert_eq!(by_text("v1", "v12,v2"), None);
+        assert_eq!(by_text("v1,v2", "v1"), None);
+        assert_eq!(by_text("v2", "v1,v2"), None);
+        // Views of one log: the later one's text starts with the earlier's.
+        let mut store = ListView::from_values(["v1"]);
+        let earlier = store.clone();
+        store.push("v2");
+        let (a, b) = (Read::new(Some(&earlier), 0), Read::new(Some(&store), 1));
+        assert_eq!(b.appended_to(&a), Some("v2"));
+        assert_eq!(a.appended_to(&b), None, "shorter: judged by text");
     }
 
     #[test]

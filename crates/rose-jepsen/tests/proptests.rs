@@ -29,7 +29,7 @@ fn clean_history(n: usize, read_every: usize) -> History {
             h.complete(
                 idx,
                 SimTime::from_secs(t),
-                OpOutcome::Ok(Some(log.join(","))),
+                OpOutcome::Ok(Some(log.join(",").into())),
             );
         }
     }
@@ -38,7 +38,7 @@ fn clean_history(n: usize, read_every: usize) -> History {
     h.complete(
         idx,
         SimTime::from_secs(t),
-        OpOutcome::Ok(Some(log.join(","))),
+        OpOutcome::Ok(Some(log.join(",").into())),
     );
     h
 }
@@ -63,7 +63,7 @@ proptest! {
         let victim = victim % n;
         log.remove(victim);
         let idx = h.invoke(ClientId(1), "read k=a".into(), SimTime::from_secs(n as u64 + 10));
-        h.complete(idx, SimTime::from_secs(n as u64 + 10), OpOutcome::Ok(Some(log.join(","))));
+        h.complete(idx, SimTime::from_secs(n as u64 + 10), OpOutcome::Ok(Some(log.join(",").into())));
         prop_assert!(check_appends(&h).has_lost_writes());
     }
 
@@ -80,7 +80,7 @@ proptest! {
         let v = log[dup].clone();
         log.push(v);
         let idx = h.invoke(ClientId(1), "read k=a".into(), SimTime::from_secs(n as u64 + 10));
-        h.complete(idx, SimTime::from_secs(n as u64 + 10), OpOutcome::Ok(Some(log.join(","))));
+        h.complete(idx, SimTime::from_secs(n as u64 + 10), OpOutcome::Ok(Some(log.join(",").into())));
         prop_assert!(check_appends(&h).has_duplicates());
     }
 
@@ -92,7 +92,7 @@ proptest! {
             // Never completed: stays a Timeout.
         }
         let idx = h.invoke(ClientId(1), "read k=a".into(), SimTime::from_secs(n as u64 + 10));
-        h.complete(idx, SimTime::from_secs(n as u64 + 10), OpOutcome::Ok(Some(String::new())));
+        h.complete(idx, SimTime::from_secs(n as u64 + 10), OpOutcome::Ok(Some(String::new().into())));
         prop_assert!(check_appends(&h).ok());
     }
 }

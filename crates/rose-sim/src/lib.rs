@@ -48,6 +48,6 @@ pub use kernel::{AppPanic, CrashPayload, Endpoint, SimCore};
 pub use net::{ConnEntry, ConnTable, DropRule, NetState};
 pub use process::{ProcTable, ProcessEntry, RunState};
 pub use sim::Sim;
-pub use state::{ClientId, History, HistoryOp, Logs, OpOutcome, SimStats};
+pub use state::{ClientId, History, HistoryOp, ListView, Logs, OpOutcome, SimStats};
 pub use syscalls::{FileMeta, OpenFlags, SysResult, SysResultExt, SysRet, SyscallArgs};
 pub use vfs::Vfs;

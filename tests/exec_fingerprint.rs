@@ -61,7 +61,7 @@ fn fingerprint<A: Application>(sim: &Sim<A>) -> u64 {
         h.write_u64(op.completed.map_or(u64::MAX, |t| t.0));
         match &op.outcome {
             OpOutcome::Ok(None) => h.write_str("ok"),
-            OpOutcome::Ok(Some(v)) => h.write_str("ok").write_str(v),
+            OpOutcome::Ok(Some(v)) => h.write_str("ok").write_str(&v.text()),
             OpOutcome::Fail(why) => h.write_str("fail").write_str(why),
             OpOutcome::Timeout => h.write_str("timeout"),
         };
