@@ -18,8 +18,8 @@
 //! [-- --budget N] [-- --seed N] [-- --jobs N] [-- --out BENCH_hunt.json]
 //! [-- --log hunt_frontier.jsonl] [-- --state-dir DIR] [-- --report out.jsonl]`
 //!
-//! Positional `BUG` arguments name registry cases (default: the hunt
-//! roster below); `--budget` caps exploration runs per bug (default 192,
+//! Positional `BUG` arguments name registry cases (default: all of them,
+//! hunted ones included, in registry order); `--budget` caps exploration runs per bug (default 192,
 //! at least 1); `--state-dir` persists per-bug visited sets
 //! (`<bug>.visited`, the rose-store `RVST` format) so later campaigns skip
 //! known contexts; `--log` appends one JSONL line per exploration run.
@@ -43,25 +43,6 @@ use rose_inject::schedule_fingerprint;
 use rose_obs::PhaseRecord;
 use serde::Serialize;
 
-/// The default hunt roster: the Jepsen-sourced cases (whose bugs surface
-/// under whole-node and syscall faults during normal operation — exactly
-/// the space the hunt enumerates) plus the in-repo RoseRaft scenarios.
-/// Anduril/manual cases stay opt-in: their triggers are scripted
-/// multi-step sequences the bounded default budget is not sized for.
-const ROSTER: [BugId; 11] = [
-    BugId::RedisRaft42,
-    BugId::RedisRaft43,
-    BugId::RedisRaft51,
-    BugId::RedisRaftNew,
-    BugId::RedisRaftNew2,
-    BugId::Redpanda3003,
-    BugId::Redpanda3039,
-    BugId::Zookeeper2247,
-    BugId::RaftSnapshotTear,
-    BugId::RaftCompactionLoss,
-    BugId::RaftReconfigSplit,
-];
-
 /// One bug's hunt outcome in `BENCH_hunt.json`.
 #[derive(Serialize)]
 struct HuntRow {
@@ -84,6 +65,65 @@ struct HuntRow {
     /// Causal propagation chains the confirming diagnosis recorded.
     propagation_chains: usize,
     virtual_secs: f64,
+}
+
+impl HuntRow {
+    /// The row of `id`'s campaign outcome.
+    fn new(id: BugId, outcome: &HuntOutcome) -> Self {
+        let info = id.info();
+        let s = &outcome.stats;
+        let (discovery_id, schedule_summary, diagnosis_level, propagation_chains) =
+            match &outcome.discovery {
+                Some(d) => (
+                    Some(
+                        DiscoveryId {
+                            base: id,
+                            fingerprint: schedule_fingerprint(&d.schedule),
+                        }
+                        .to_string(),
+                    ),
+                    d.schedule.summary(),
+                    d.report.level,
+                    d.report.propagation.len(),
+                ),
+                None => (None, String::new(), 0, 0),
+            };
+        HuntRow {
+            bug: info.name.to_string(),
+            system: info.system.to_string(),
+            budget_runs: s.budget_runs,
+            runs: s.runs,
+            candidates: s.candidates,
+            contexts_visited: s.contexts_visited,
+            max_depth: s.max_depth,
+            discovered: s.discovered,
+            discovery_run: s.discovery_run,
+            discovery_id,
+            schedule_faults: s.schedule_faults,
+            schedule_summary,
+            confirmed: s.confirmed,
+            replay_rate_pct: s.replay_rate_pct,
+            diagnosis_level,
+            propagation_chains,
+            virtual_secs: s.virtual_secs,
+        }
+    }
+
+    /// The row's cells in the stdout table: `-` for what only a discovery has.
+    fn cells(&self) -> Vec<String> {
+        let found = |cell: String| if self.discovered { cell } else { "-".into() };
+        vec![
+            self.bug.clone(),
+            found(self.discovery_run.to_string()),
+            self.runs.to_string(),
+            self.candidates.to_string(),
+            self.contexts_visited.to_string(),
+            self.max_depth.to_string(),
+            found(self.schedule_summary.clone()),
+            if self.confirmed { "yes" } else { "no" }.to_string(),
+            format!("{:.0}", self.replay_rate_pct),
+        ]
+    }
 }
 
 #[derive(Serialize)]
@@ -141,7 +181,7 @@ fn main() {
     let log_path: Option<PathBuf> = args.value("--log");
     let jobs = args.jobs();
     let report_path = args.report();
-    let bugs = args.bugs(USAGE, &ROSTER);
+    let bugs = args.bugs(USAGE, &BugId::all_with_hunted());
 
     // The paths this bin can fail on come first: a bad one exits before
     // the report file gets its header.
@@ -163,7 +203,6 @@ fn main() {
     // Bugs run sequentially; the hunt itself fans its frontier batches
     // (and the hand-off diagnosis) across `--jobs` workers.
     let mut rows = Vec::new();
-    let mut table = Vec::new();
     for id in bugs {
         let info = id.info();
         report::section(format!("hunting {} ({}) …", info.name, info.system));
@@ -194,79 +233,27 @@ fn main() {
             }
         }
         sink.write_records(&[PhaseRecord::Hunt(outcome.stats.clone())]);
-        let s = &outcome.stats;
-        let (discovery_id, summary, level, chains) = match &outcome.discovery {
-            Some(d) => (
-                Some(
-                    DiscoveryId {
-                        base: id,
-                        fingerprint: schedule_fingerprint(&d.schedule),
-                    }
-                    .to_string(),
-                ),
-                d.schedule.summary(),
-                d.report.level,
-                d.report.propagation.len(),
-            ),
-            None => (None, String::new(), 0, 0),
-        };
+        let row = HuntRow::new(id, &outcome);
         report::progress(format!(
             "   {}: {} after {}/{} runs{}",
-            info.name,
-            if s.discovered {
+            row.bug,
+            if row.discovered {
                 "DISCOVERED"
             } else {
                 "nothing"
             },
-            s.discovery_run.max(s.runs),
-            s.budget_runs,
-            if s.discovered {
+            row.discovery_run.max(row.runs),
+            row.budget_runs,
+            if row.discovered {
                 format!(
                     " — {} ({} fault(s)), confirmed={} at {:.0}%",
-                    summary, s.schedule_faults, s.confirmed, s.replay_rate_pct
+                    row.schedule_summary, row.schedule_faults, row.confirmed, row.replay_rate_pct
                 )
             } else {
                 String::new()
             },
         ));
-        table.push(vec![
-            info.name.to_string(),
-            if s.discovered {
-                s.discovery_run.to_string()
-            } else {
-                "-".into()
-            },
-            s.runs.to_string(),
-            s.candidates.to_string(),
-            s.contexts_visited.to_string(),
-            s.max_depth.to_string(),
-            if s.discovered {
-                summary.clone()
-            } else {
-                "-".into()
-            },
-            if s.confirmed { "yes" } else { "no" }.to_string(),
-            format!("{:.0}", s.replay_rate_pct),
-        ]);
-        rows.push(HuntRow {
-            bug: info.name.to_string(),
-            system: info.system.to_string(),
-            budget_runs: s.budget_runs,
-            runs: s.runs,
-            candidates: s.candidates,
-            contexts_visited: s.contexts_visited,
-            max_depth: s.max_depth,
-            discovered: s.discovered,
-            discovery_run: s.discovery_run,
-            discovery_id,
-            schedule_faults: s.schedule_faults,
-            schedule_summary: summary,
-            confirmed: s.confirmed,
-            replay_rate_pct: s.replay_rate_pct,
-            diagnosis_level: level,
-            propagation_chains: chains,
-            virtual_secs: s.virtual_secs,
-        });
+        rows.push(row);
     }
 
     report::out("\nOracle-only hunting campaigns (co-evolving frontier search)\n");
@@ -274,7 +261,7 @@ fn main() {
         &[
             "Bug", "Found@", "Runs", "Cand", "Ctx", "Depth", "Schedule", "Conf", "RR%",
         ],
-        &table,
+        &rows.iter().map(HuntRow::cells).collect::<Vec<_>>(),
     ));
     let discovered = rows.iter().filter(|r| r.discovered).count();
     let confirmed = rows.iter().filter(|r| r.confirmed).count();
