@@ -19,10 +19,11 @@
 //! [-- --log hunt_frontier.jsonl] [-- --state-dir DIR] [-- --report out.jsonl]`
 //!
 //! Positional `BUG` arguments name registry cases (default: all of them,
-//! hunted ones included, in registry order); `--budget` caps exploration runs per bug (default 192,
-//! at least 1); `--state-dir` persists per-bug visited sets
-//! (`<bug>.visited`, the rose-store `RVST` format) so later campaigns skip
-//! known contexts; `--log` appends one JSONL line per exploration run.
+//! hunted ones included, in registry order); `--budget` caps exploration
+//! runs per bug (default 192, at least 1); `--state-dir` persists per-bug
+//! visited sets (`<bug>.visited`, the rose-store `RVST` format) so later
+//! campaigns skip known contexts; `--log` appends one JSONL line per
+//! exploration run.
 //! Flags are parsed strictly ([`rose_bench::args`]): an unknown flag, a bad
 //! value or an unknown bug name prints the usage line to stderr and exits
 //! with status 2.
