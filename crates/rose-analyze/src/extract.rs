@@ -9,8 +9,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use rose_events::{
-    Errno, Event, EventKind, ExecutionIndex, FunctionId, IpAddr, NodeId, ProcState, SimDuration,
-    SimTime, SyscallId, Trace,
+    Errno, Event, EventKind, ExecutionIndex, FunctionId, IpAddr, NodeId, ProcState, Scf,
+    SimDuration, SimTime, SyscallId, Trace,
 };
 use rose_inject::{FaultAction, PartitionKind};
 use rose_profile::Profile;
@@ -132,13 +132,14 @@ pub fn extract_faults(
 
     for e in trace.events() {
         match &e.kind {
-            EventKind::Scf {
-                syscall,
-                errno,
-                path,
-                ei,
-                ..
-            } => {
+            EventKind::Scf(scf) => {
+                let Scf {
+                    syscall,
+                    errno,
+                    path,
+                    ei,
+                    ..
+                } = &**scf;
                 stats.total_fault_events += 1;
                 if profile.is_benign(&e.kind) {
                     stats.removed_benign += 1;
@@ -159,7 +160,7 @@ pub fn extract_faults(
                         nth: 1,
                     },
                     preceding: preceding(e.node, e.ts),
-                    ei: ei.as_deref().cloned(),
+                    ei: ei.clone(),
                 });
             }
             EventKind::Ps {
@@ -202,11 +203,9 @@ pub fn extract_faults(
                 // external fault; restarts are bookkeeping.
                 ProcState::Aborted | ProcState::Restarted => {}
             },
-            EventKind::Nd {
-                dst, src, duration, ..
-            } => {
+            EventKind::Nd(nd) => {
                 stats.total_fault_events += 1;
-                nd_events.push((e, *src, *dst, *duration));
+                nd_events.push((e, nd.src, nd.dst, nd.duration));
             }
             EventKind::Af { .. } | EventKind::SyscallOk { .. } => {}
         }
@@ -513,14 +512,14 @@ mod tests {
         Event::new(
             SimTime::from_secs(ts),
             NodeId(node),
-            EventKind::Scf {
+            EventKind::from(Scf {
                 pid: Pid(node + 100),
                 syscall,
                 fd: None,
                 path: Some(path.into()),
                 errno,
                 ei: None,
-            },
+            }),
         )
     }
 
@@ -540,12 +539,12 @@ mod tests {
         Event::new(
             SimTime::from_secs(ts),
             NodeId(dst - 1),
-            EventKind::Nd {
+            EventKind::from(rose_events::Nd {
                 dst: IpAddr(dst),
                 src: IpAddr(src),
                 duration: SimDuration::from_secs(dur),
                 packet_count: 10,
-            },
+            }),
         )
     }
 

@@ -2,7 +2,7 @@
 //! tracer, then `dump → save_trace → read_all`.
 //!
 //! The tracer is *lightweight* because what it keeps per call is small and
-//! kept once: a 48-byte event pushed into the window, the window's own
+//! kept once: a 32-byte event pushed into the window, the window's own
 //! buffer handed to the dump, frames encoded from the dump's slice and
 //! decoded into the vector `read_all` returns. The load generator keeps no
 //! journal, so the cluster's memory does not grow with the operations it
@@ -11,16 +11,16 @@
 //!
 //! * allocations per completed operation, whole pipeline — 2.496 here (the
 //!   cluster's own messages and values; dump, save and read add 94 in all,
-//!   an SCF path costing two boxes, not one, where it is built or read);
-//!   3.494 before that, with a journalled `format!` per operation,
-//!   a cloned dump and a payload and an event vector per frame;
-//! * the high-water mark of live heap bytes above the start — 12.1 MB here
-//!   (9.6 MB the cluster with its 2.4 MB window of 48-byte events, then the
+//!   an SCF costing its payload's box and two for its path where it is
+//!   built or read); 3.494 before that, with a journalled `format!` per
+//!   operation, a cloned dump and a payload and an event vector per frame;
+//! * the high-water mark of live heap bytes above the start — 10.5 MB here
+//!   (8.8 MB the cluster with its 1.6 MB window of 32-byte events, then the
 //!   vector read back; the dump sorts each instant where it lies, with no
-//!   scratch); 12.9 MB with 56-byte events and a dump that stable-sorted
-//!   the whole window; 35.0 MB before that: 25.0 MB the cluster with a
-//!   4.8 MB window of 96-byte events and the journal of one virtual second,
-//!   then a copied dump.
+//!   scratch); 12.1 MB with 48-byte events; 12.9 MB with 56-byte events
+//!   and a dump that stable-sorted the whole window; 35.0 MB before that:
+//!   25.0 MB the cluster with a 4.8 MB window of 96-byte events and the
+//!   journal of one virtual second, then a copied dump.
 //!
 //! This binary owns its global allocator, so it holds exactly one test.
 
@@ -90,7 +90,7 @@ fn reading<R>(base: usize, f: impl FnOnce() -> R) -> (u64, f64, R) {
 #[test]
 fn the_traced_ycsb_pipeline_stays_within_its_footprint() {
     const ALLOCATIONS_PER_OP: f64 = 2.9;
-    const PEAK_LIVE_MB: f64 = 13.9;
+    const PEAK_LIVE_MB: f64 = 12.0;
 
     let path =
         std::env::temp_dir().join(format!("rose-footprint-{}.rosetrace", std::process::id()));

@@ -83,77 +83,131 @@ impl fmt::Display for ExecutionIndex {
     }
 }
 
-/// An owned string behind one thin pointer: an SCF's path.
+/// An owned unsized value behind one thin pointer: an SCF's path
+/// ([`ThinStr`]) or an I/O payload prefix ([`ThinBytes`]).
 ///
-/// A `Box<str>` is a pointer and a length, 16 bytes in every SCF slot of a
-/// window whether or not the call named a path. This keeps the pair on the
-/// heap and the slot at 8 bytes (`None` included), at the price of a second
-/// allocation per path. It derefs to `str`, and its `{:?}`, serde form and
-/// hash are those of a `Box<str>`, so no output tells the two apart.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct ThinStr(Box<Box<str>>);
+/// A `Box<str>` or `Box<[u8]>` is a pointer and a length, 16 bytes in every
+/// slot of a window whether or not the event carries the value. This keeps
+/// the pair on the heap and the slot at 8 bytes (`None` included), at the
+/// price of a second allocation per value. It derefs to the value, and its
+/// `{:?}`, serde form and hash are those of the plain box, so no output
+/// tells the two apart.
+#[derive(PartialEq, Eq, Hash)]
+pub struct Thin<T: ?Sized>(Box<Box<T>>);
 
-impl core::ops::Deref for ThinStr {
-    type Target = str;
+/// An SCF's path behind one thin pointer.
+pub type ThinStr = Thin<str>;
 
-    fn deref(&self) -> &str {
+/// An `IO content` payload prefix behind one thin pointer.
+pub type ThinBytes = Thin<[u8]>;
+
+impl<T: ?Sized> core::ops::Deref for Thin<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
         &self.0
+    }
+}
+
+impl<T: ?Sized> Clone for Thin<T>
+where
+    Box<T>: Clone,
+{
+    fn clone(&self) -> Self {
+        Thin(self.0.clone())
     }
 }
 
 impl From<&str> for ThinStr {
     fn from(s: &str) -> Self {
-        ThinStr(Box::new(s.into()))
+        Thin(Box::new(s.into()))
     }
 }
 
 impl From<String> for ThinStr {
     fn from(s: String) -> Self {
-        ThinStr(Box::new(s.into_boxed_str()))
+        Thin(Box::new(s.into_boxed_str()))
     }
 }
 
-impl fmt::Debug for ThinStr {
+impl From<&[u8]> for ThinBytes {
+    fn from(b: &[u8]) -> Self {
+        Thin(Box::new(b.into()))
+    }
+}
+
+impl From<Vec<u8>> for ThinBytes {
+    fn from(b: Vec<u8>) -> Self {
+        Thin(Box::new(b.into_boxed_slice()))
+    }
+}
+
+impl<T: ?Sized + fmt::Debug> fmt::Debug for Thin<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
     }
 }
 
-impl Serialize for ThinStr {
+impl<T: ?Sized + Serialize> Serialize for Thin<T> {
     fn ser(&self) -> serde::Value {
         (**self).ser()
     }
 }
 
+/// System Call Failure: `{pid, syscall_id, fd, filename, errno}`, the
+/// payload of [`EventKind::Scf`].
+///
+/// `fd` is present for fd-based I/O calls, `path` for path-based calls
+/// (captured lazily, only when the call fails) or reconstructed from the
+/// fd → path map in post-processing. The struct carries the variant's name,
+/// so its derived `{:?}` is the one the variant printed when these fields
+/// lay inline.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+pub struct Scf {
+    /// Process that issued the failing call.
+    pub pid: Pid,
+    /// Which system call failed.
+    pub syscall: SyscallId,
+    /// File descriptor operated on, for fd-based calls.
+    pub fd: Option<Fd>,
+    /// Path operated on, when known.
+    pub path: Option<ThinStr>,
+    /// The error returned.
+    pub errno: Errno,
+    /// The call's execution index, when the tracer recorded one.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub ei: Option<ExecutionIndex>,
+}
+
+/// Network Delay: `{dst_ip, src_ip, duration, packet_count}`, the payload
+/// of [`EventKind::Nd`] — a tracked connection went silent for longer than
+/// the detection threshold. Named like the variant for the same reason as
+/// [`Scf`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+pub struct Nd {
+    /// Destination (receiver-side, where the XDP tap runs).
+    pub dst: IpAddr,
+    /// Source address of the silent peer.
+    pub src: IpAddr,
+    /// Length of the silence.
+    pub duration: SimDuration,
+    /// Packets seen on the connection before the silence.
+    pub packet_count: u64,
+}
+
 /// The type-specific payload `I` of an event.
 ///
 /// Layout rule: a tracer window holds hundreds of thousands of these, nearly
-/// all of them the small fixed-size variants, so the rare variable-length
-/// payloads (an SCF's path and execution index, an IO-content prefix) sit
-/// behind one pointer each instead of sizing every event by the largest.
-/// DESIGN.md's "Event layout" section has the arithmetic.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+/// all of them the small fixed-size variants, so the two rare wide payloads
+/// (SCF, ND) sit behind one box each and the IO-content prefix behind one
+/// thin pointer, instead of sizing every event by the largest. AF, PS and
+/// content-less `SyscallOk` stay inline. DESIGN.md's "Event layout" section
+/// has the arithmetic. `{:?}` and the serde form are those of the inline
+/// layout: `Scf { pid: .. }`, `{"Scf":{"pid":..}}`.
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub enum EventKind {
-    /// System Call Failure: `{pid, syscall_id, fd, filename, errno}`.
-    ///
-    /// `fd` is present for fd-based I/O calls, `path` for path-based calls
-    /// (captured lazily, only when the call fails) or reconstructed from the
-    /// fd → path map in post-processing.
-    Scf {
-        /// Process that issued the failing call.
-        pid: Pid,
-        /// Which system call failed.
-        syscall: SyscallId,
-        /// File descriptor operated on, for fd-based calls.
-        fd: Option<Fd>,
-        /// Path operated on, when known.
-        path: Option<ThinStr>,
-        /// The error returned.
-        errno: Errno,
-        /// The call's execution index, when the tracer recorded one.
-        #[serde(skip_serializing_if = "Option::is_none")]
-        ei: Option<Box<ExecutionIndex>>,
-    },
+    /// A system-call failure ([`Scf`]).
+    Scf(Box<Scf>),
     /// Application Function: `{pid, function_id}` — an infrequent profiled
     /// function was entered (uprobe fired).
     Af {
@@ -162,18 +216,8 @@ pub enum EventKind {
         /// Profile-assigned function id.
         function: FunctionId,
     },
-    /// Network Delay: `{dst_ip, src_ip, duration, packet_count}` — a tracked
-    /// connection went silent for longer than the detection threshold.
-    Nd {
-        /// Destination (receiver-side, where the XDP tap runs).
-        dst: IpAddr,
-        /// Source address of the silent peer.
-        src: IpAddr,
-        /// Length of the silence.
-        duration: SimDuration,
-        /// Packets seen on the connection before the silence.
-        packet_count: u64,
-    },
+    /// A network delay ([`Nd`]).
+    Nd(Box<Nd>),
     /// Process State: `{pid, state, duration}` — a pause, crash, or restart.
     Ps {
         /// Affected process.
@@ -194,8 +238,54 @@ pub enum EventKind {
         syscall: SyscallId,
         /// Captured I/O payload prefix (`IO content` baseline only, ≤128 B).
         #[serde(default, skip_serializing_if = "Option::is_none")]
-        content: Option<Box<[u8]>>,
+        content: Option<ThinBytes>,
     },
+}
+
+impl From<Scf> for EventKind {
+    fn from(scf: Scf) -> Self {
+        EventKind::Scf(Box::new(scf))
+    }
+}
+
+impl From<Nd> for EventKind {
+    fn from(nd: Nd) -> Self {
+        EventKind::Nd(Box::new(nd))
+    }
+}
+
+impl fmt::Debug for EventKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EventKind::Scf(scf) => fmt::Debug::fmt(scf, f),
+            EventKind::Nd(nd) => fmt::Debug::fmt(nd, f),
+            EventKind::Af { pid, function } => f
+                .debug_struct("Af")
+                .field("pid", pid)
+                .field("function", function)
+                .finish(),
+            EventKind::Ps {
+                pid,
+                state,
+                duration,
+            } => f
+                .debug_struct("Ps")
+                .field("pid", pid)
+                .field("state", state)
+                .field("duration", duration)
+                .finish(),
+            EventKind::SyscallOk {
+                pid,
+                syscall,
+                content,
+            } => f
+                .debug_struct("SyscallOk")
+                .field("pid", pid)
+                .field("syscall", syscall)
+                .field("content", content)
+                .finish(),
+        }
+    }
 }
 
 impl EventKind {
@@ -203,7 +293,7 @@ impl EventKind {
     /// a PS pause/crash) as opposed to plain observability data.
     pub fn is_fault(&self) -> bool {
         match self {
-            EventKind::Scf { .. } | EventKind::Nd { .. } => true,
+            EventKind::Scf(_) | EventKind::Nd(_) => true,
             // Aborts are the failure showing, not an external fault.
             EventKind::Ps { state, .. } => {
                 matches!(state, ProcState::Waiting | ProcState::Crashed)
@@ -215,20 +305,20 @@ impl EventKind {
     /// The pid the event is attributed to, when it has one.
     pub fn pid(&self) -> Option<Pid> {
         match self {
-            EventKind::Scf { pid, .. }
-            | EventKind::Af { pid, .. }
+            EventKind::Scf(scf) => Some(scf.pid),
+            EventKind::Af { pid, .. }
             | EventKind::Ps { pid, .. }
             | EventKind::SyscallOk { pid, .. } => Some(*pid),
-            EventKind::Nd { .. } => None,
+            EventKind::Nd(_) => None,
         }
     }
 
     /// A short tag for display and statistics.
     pub fn tag(&self) -> &'static str {
         match self {
-            EventKind::Scf { .. } => "SCF",
+            EventKind::Scf(_) => "SCF",
             EventKind::Af { .. } => "AF",
-            EventKind::Nd { .. } => "ND",
+            EventKind::Nd(_) => "ND",
             EventKind::Ps { .. } => "PS",
             EventKind::SyscallOk { .. } => "OK",
         }
@@ -240,12 +330,12 @@ impl EventKind {
         // Fixed header: timestamp + node + discriminant.
         let base = 24;
         base + match self {
-            EventKind::Scf { path, ei, .. } => {
-                32 + path.as_ref().map_or(0, |p| p.len())
-                    + ei.as_ref().map_or(0, |ei| ei.wire_size())
+            EventKind::Scf(scf) => {
+                32 + scf.path.as_ref().map_or(0, |p| p.len())
+                    + scf.ei.as_ref().map_or(0, |ei| ei.wire_size())
             }
             EventKind::Af { .. } => 8,
-            EventKind::Nd { .. } => 24,
+            EventKind::Nd(_) => 24,
             EventKind::Ps { .. } => 16,
             EventKind::SyscallOk { content, .. } => {
                 // Full-tracing records carry the argument/register snapshot
@@ -279,8 +369,8 @@ pub struct Event {
 }
 
 // A dump holds one `Event` per window slot and every store and merge stage
-// moves them by value: the record is 48 bytes, its payload 32.
-const _: () = assert!(size_of::<Event>() == 48 && size_of::<EventKind>() == 32);
+// moves them by value: the record is 32 bytes, its payload 16.
+const _: () = assert!(size_of::<Event>() == 32 && size_of::<EventKind>() == 16);
 
 impl Event {
     /// Builds an event.
@@ -333,14 +423,15 @@ impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{} {} {}] ", self.ts, self.node, self.kind.tag())?;
         match &self.kind {
-            EventKind::Scf {
-                pid,
-                syscall,
-                fd,
-                path,
-                errno,
-                ei,
-            } => {
+            EventKind::Scf(scf) => {
+                let Scf {
+                    pid,
+                    syscall,
+                    fd,
+                    path,
+                    errno,
+                    ei,
+                } = &**scf;
                 write!(f, "{pid} {syscall} -> {errno}")?;
                 if let Some(fd) = fd {
                     write!(f, " {fd}")?;
@@ -354,12 +445,13 @@ impl fmt::Display for Event {
                 Ok(())
             }
             EventKind::Af { pid, function } => write!(f, "{pid} {function}"),
-            EventKind::Nd {
-                dst,
-                src,
-                duration,
-                packet_count,
-            } => {
+            EventKind::Nd(nd) => {
+                let Nd {
+                    dst,
+                    src,
+                    duration,
+                    packet_count,
+                } = &**nd;
                 write!(
                     f,
                     "{src} -> {dst} silent {duration} after {packet_count} pkts"
@@ -382,7 +474,7 @@ mod tests {
     use super::*;
 
     fn scf(errno: Errno) -> EventKind {
-        EventKind::Scf {
+        Scf {
             pid: Pid(1),
             syscall: SyscallId::Read,
             fd: Some(Fd(3)),
@@ -390,6 +482,7 @@ mod tests {
             errno,
             ei: None,
         }
+        .into()
     }
 
     #[test]
@@ -403,11 +496,11 @@ mod tests {
     fn scf_ei_counts_in_wire_size_and_displays() {
         let bare = scf(Errno::Eio);
         let mut kind = bare.clone();
-        if let EventKind::Scf { ei, .. } = &mut kind {
-            *ei = Some(Box::new(ExecutionIndex::new(
+        if let EventKind::Scf(scf) = &mut kind {
+            scf.ei = Some(ExecutionIndex::new(
                 vec!["applyEntry".into(), "storeSnapshotData".into()],
                 3,
-            )));
+            ));
         }
         assert!(kind.wire_size() > bare.wire_size());
         let e = Event::new(SimTime::from_secs(1), NodeId(0), kind);
@@ -419,12 +512,12 @@ mod tests {
     #[test]
     fn fault_classification() {
         assert!(scf(Errno::Eio).is_fault());
-        assert!(EventKind::Nd {
+        assert!(EventKind::from(Nd {
             dst: IpAddr(1),
             src: IpAddr(2),
             duration: SimDuration::from_secs(6),
             packet_count: 10,
-        }
+        })
         .is_fault());
         assert!(!EventKind::Af {
             pid: Pid(1),
@@ -466,18 +559,20 @@ mod tests {
         // follow the layout down.
         let ei = ExecutionIndex::new(vec!["applyEntry".into(), "fsync".into()], 3);
         assert_eq!(ei.wire_size(), 8 + (8 + 10) + (8 + 5));
-        let scf = |path: Option<&str>, ei: Option<&ExecutionIndex>| EventKind::Scf {
-            pid: Pid(1),
-            syscall: SyscallId::Read,
-            fd: Some(Fd(3)),
-            path: path.map(ThinStr::from),
-            errno: Errno::Eio,
-            ei: ei.cloned().map(Box::new),
+        let scf = |path: Option<&str>, ei: Option<&ExecutionIndex>| {
+            EventKind::from(Scf {
+                pid: Pid(1),
+                syscall: SyscallId::Read,
+                fd: Some(Fd(3)),
+                path: path.map(ThinStr::from),
+                errno: Errno::Eio,
+                ei: ei.cloned(),
+            })
         };
         let ok = |content: Option<&[u8]>| EventKind::SyscallOk {
             pid: Pid(1),
             syscall: SyscallId::Write,
-            content: content.map(Box::from),
+            content: content.map(ThinBytes::from),
         };
         let table = [
             (scf(None, None), 56),
@@ -491,12 +586,13 @@ mod tests {
                 32,
             ),
             (
-                EventKind::Nd {
+                Nd {
                     dst: IpAddr(1),
                     src: IpAddr(2),
                     duration: SimDuration::from_secs(6),
                     packet_count: 10,
-                },
+                }
+                .into(),
                 48,
             ),
             (

@@ -26,7 +26,7 @@ pub mod trace;
 pub mod window;
 
 pub use causal::{CausalEdge, CausalKind, CausalLog, CausalNode, CauseId, EdgeKind};
-pub use event::{Event, EventKind, ExecutionIndex, ProcState, ThinStr};
+pub use event::{Event, EventKind, ExecutionIndex, Nd, ProcState, Scf, Thin, ThinBytes, ThinStr};
 pub use fingerprint::{Fingerprinter, FnvBuildHasher, FnvHasher};
 pub use ids::{Fd, FunctionId, IpAddr, NodeId, Pid};
 pub use syscall::{Errno, SyscallId};

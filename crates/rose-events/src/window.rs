@@ -201,6 +201,7 @@ mod tests {
         // payload-carrying SyscallOk records) must keep `bytes` equal to
         // the exact sum over the events currently held, through several
         // full wraps of the ring.
+        use crate::event::Scf;
         use crate::syscall::{Errno, SyscallId};
         let mixed = |i: u64| {
             let kind = match i % 3 {
@@ -208,14 +209,14 @@ mod tests {
                     pid: Pid(1),
                     function: FunctionId(i as u32),
                 },
-                1 => EventKind::Scf {
+                1 => EventKind::from(Scf {
                     pid: Pid(1),
                     syscall: SyscallId::Open,
                     fd: None,
                     path: Some(format!("/var/lib/db/segment-{i:010}.log").into()),
                     errno: Errno::Enoent,
                     ei: None,
-                },
+                }),
                 _ => EventKind::SyscallOk {
                     pid: Pid(1),
                     syscall: SyscallId::Write,

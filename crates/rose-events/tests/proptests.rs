@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use rose_events::{
-    Errno, Event, EventKind, Fd, FunctionId, IpAddr, NodeId, Pid, ProcState, SimDuration, SimTime,
-    SlidingWindow, SyscallId, Trace,
+    Errno, Event, EventKind, Fd, FunctionId, IpAddr, Nd, NodeId, Pid, ProcState, Scf, SimDuration,
+    SimTime, SlidingWindow, SyscallId, Trace,
 };
 
 fn arb_kind() -> impl Strategy<Value = EventKind> {
@@ -19,21 +19,20 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
             proptest::option::of("[a-z/]{1,12}"),
             proptest::option::of((proptest::collection::vec("[a-zA-Z]{1,8}", 0..3), 1u32..100))
         )
-            .prop_map(|(p, path, ei)| EventKind::Scf {
+            .prop_map(|(p, path, ei)| EventKind::from(Scf {
                 pid: Pid(100 + p),
                 syscall: SyscallId::Read,
                 fd: Some(Fd(3)),
                 path: path.map(Into::into),
                 errno: Errno::Eio,
-                ei: ei
-                    .map(|(chain, count)| Box::new(rose_events::ExecutionIndex::new(chain, count))),
-            }),
-        (1u32..5, 1u32..5, 0u64..10_000_000).prop_map(|(s, d, dur)| EventKind::Nd {
+                ei: ei.map(|(chain, count)| rose_events::ExecutionIndex::new(chain, count)),
+            })),
+        (1u32..5, 1u32..5, 0u64..10_000_000).prop_map(|(s, d, dur)| EventKind::from(Nd {
             src: IpAddr(s),
             dst: IpAddr(d),
             duration: SimDuration::from_micros(dur),
             packet_count: 7,
-        }),
+        })),
         (0u32..4).prop_map(|p| EventKind::Ps {
             pid: Pid(100 + p),
             state: ProcState::Crashed,
@@ -46,7 +45,7 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
             .prop_map(|(p, content)| EventKind::SyscallOk {
                 pid: Pid(100 + p),
                 syscall: SyscallId::Write,
-                content: content.map(Vec::into_boxed_slice),
+                content: content.map(Into::into),
             }),
     ]
 }

@@ -252,9 +252,9 @@ proptest! {
             .events()
             .iter()
             .filter_map(|e| match &e.kind {
-                EventKind::Scf { syscall, ei, .. } => {
-                    let ei = ei.as_ref().expect("the tracer stamps every SCF");
-                    Some((e.node, ei.chain.clone(), *syscall, ei.count))
+                EventKind::Scf(scf) => {
+                    let ei = scf.ei.as_ref().expect("the tracer stamps every SCF");
+                    Some((e.node, ei.chain.clone(), scf.syscall, ei.count))
                 }
                 _ => None,
             })

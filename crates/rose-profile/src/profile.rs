@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rose_events::{Errno, EventKind, SimDuration, SyscallId};
+use rose_events::{Errno, EventKind, Scf, SimDuration, SyscallId};
 use rose_sim::{HookEffects, HookEnv, KernelHook, SysResult, SyscallArgs};
 
 /// Identity of a benign system-call failure, pid-independent.
@@ -177,12 +177,13 @@ impl Profile {
     /// failure-free run (the trace-diff test of §4.5.1).
     pub fn is_benign(&self, kind: &EventKind) -> bool {
         match kind {
-            EventKind::Scf {
-                syscall,
-                errno,
-                path,
-                ..
-            } => {
+            EventKind::Scf(scf) => {
+                let Scf {
+                    syscall,
+                    errno,
+                    path,
+                    ..
+                } = &**scf;
                 self.benign.contains(&FaultFingerprint {
                     syscall: *syscall,
                     errno: *errno,
@@ -265,30 +266,30 @@ mod tests {
             errno: Errno::Enoent,
             path: Some("/etc/app.conf".into()),
         });
-        let hit = EventKind::Scf {
+        let hit = EventKind::from(Scf {
             pid: rose_events::Pid(999),
             syscall: SyscallId::Stat,
             fd: None,
             path: Some("/etc/app.conf".into()),
             errno: Errno::Enoent,
             ei: None,
-        };
+        });
         assert!(p.is_benign(&hit));
-        let miss = EventKind::Scf {
+        let miss = EventKind::from(Scf {
             pid: rose_events::Pid(1),
             syscall: SyscallId::Stat,
             fd: None,
             path: Some("/data/snap".into()),
             errno: Errno::Enoent,
             ei: None,
-        };
+        });
         assert!(!p.is_benign(&miss), "different path is not benign");
-        let nd = EventKind::Nd {
+        let nd = EventKind::from(rose_events::Nd {
             dst: rose_events::IpAddr(1),
             src: rose_events::IpAddr(2),
             duration: SimDuration::from_secs(6),
             packet_count: 3,
-        };
+        });
         assert!(!p.is_benign(&nd), "ND is never benign");
     }
 
@@ -302,14 +303,14 @@ mod tests {
             errno: Errno::Enoent,
             path: None,
         });
-        let ev = EventKind::Scf {
+        let ev = EventKind::from(Scf {
             pid: rose_events::Pid(1),
             syscall: SyscallId::Readlink,
             fd: None,
             path: Some("/proc/self/whatever".into()),
             errno: Errno::Enoent,
             ei: None,
-        };
+        });
         assert!(p.is_benign(&ev));
     }
 }

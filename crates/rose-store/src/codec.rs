@@ -17,8 +17,8 @@
 use std::collections::HashMap;
 
 use rose_events::{
-    Errno, Event, EventKind, Fd, FunctionId, IpAddr, NodeId, Pid, ProcState, SimDuration, SimTime,
-    SyscallId,
+    Errno, Event, EventKind, Fd, FunctionId, IpAddr, Nd, NodeId, Pid, ProcState, Scf, SimDuration,
+    SimTime, SyscallId,
 };
 
 use crate::error::StoreError;
@@ -201,7 +201,8 @@ pub fn encode_frame(events: &[Event]) -> (Vec<u8>, FrameInfo) {
         info.min_ts = info.min_ts.min(e.ts.0);
         info.max_ts = info.max_ts.max(e.ts.0);
         info.node_mask |= 1u64 << e.node.0.min(63);
-        if let EventKind::Scf { path, ei, .. } = &e.kind {
+        if let EventKind::Scf(scf) = &e.kind {
+            let Scf { path, ei, .. } = &**scf;
             for s in path
                 .as_deref()
                 .into_iter()
@@ -239,14 +240,14 @@ pub fn encode_frame(events: &[Event]) -> (Vec<u8>, FrameInfo) {
 
 fn encode_event(out: &mut Vec<u8>, dict_map: &HashMap<&str, u64>, prev_ts: &mut u64, e: &Event) {
     let tag = match &e.kind {
-        EventKind::Scf { fd, path, ei, .. } => {
+        EventKind::Scf(scf) => {
             KIND_SCF
-                | if fd.is_some() { FLAG_A } else { 0 }
-                | if path.is_some() { FLAG_B } else { 0 }
-                | if ei.is_some() { FLAG_C } else { 0 }
+                | if scf.fd.is_some() { FLAG_A } else { 0 }
+                | if scf.path.is_some() { FLAG_B } else { 0 }
+                | if scf.ei.is_some() { FLAG_C } else { 0 }
         }
         EventKind::Af { .. } => KIND_AF,
-        EventKind::Nd { .. } => KIND_ND,
+        EventKind::Nd(_) => KIND_ND,
         EventKind::Ps { .. } => KIND_PS,
         EventKind::SyscallOk { content, .. } => {
             KIND_OK | if content.is_some() { FLAG_A } else { 0 }
@@ -260,14 +261,15 @@ fn encode_event(out: &mut Vec<u8>, dict_map: &HashMap<&str, u64>, prev_ts: &mut 
     *prev_ts = e.ts.0;
     write_varint(out, u64::from(e.node.0));
     match &e.kind {
-        EventKind::Scf {
-            pid,
-            syscall,
-            fd,
-            path,
-            errno,
-            ei,
-        } => {
+        EventKind::Scf(scf) => {
+            let Scf {
+                pid,
+                syscall,
+                fd,
+                path,
+                errno,
+                ei,
+            } = &**scf;
             write_varint(out, u64::from(pid.0));
             out.push(*syscall as u8);
             if let Some(fd) = fd {
@@ -289,12 +291,13 @@ fn encode_event(out: &mut Vec<u8>, dict_map: &HashMap<&str, u64>, prev_ts: &mut 
             write_varint(out, u64::from(pid.0));
             write_varint(out, u64::from(function.0));
         }
-        EventKind::Nd {
-            dst,
-            src,
-            duration,
-            packet_count,
-        } => {
+        EventKind::Nd(nd) => {
+            let Nd {
+                dst,
+                src,
+                duration,
+                packet_count,
+            } = &**nd;
             write_varint(out, u64::from(dst.0));
             write_varint(out, u64::from(src.0));
             write_varint(out, duration.0);
@@ -470,18 +473,18 @@ fn decode_event(
                     chain.push(dict_str(idx)?.to_string());
                 }
                 let count = read_u32(pos, "EI count")?;
-                Some(Box::new(rose_events::ExecutionIndex::new(chain, count)))
+                Some(rose_events::ExecutionIndex::new(chain, count))
             } else {
                 None
             };
-            EventKind::Scf {
+            EventKind::from(Scf {
                 pid,
                 syscall,
                 fd,
                 path,
                 errno,
                 ei,
-            }
+            })
         }
         KIND_AF => {
             if flags != 0 {
@@ -496,12 +499,12 @@ fn decode_event(
             if flags != 0 {
                 return Err(StoreError::corrupt(format!("bad ND tag {tag:#04x}")));
             }
-            EventKind::Nd {
+            EventKind::from(Nd {
                 dst: IpAddr(read_u32(pos, "dst ip")?),
                 src: IpAddr(read_u32(pos, "src ip")?),
                 duration: SimDuration(read_varint(buf, pos)?),
                 packet_count: read_varint(buf, pos)?,
-            }
+            })
         }
         KIND_PS => {
             if flags != 0 {
@@ -648,17 +651,17 @@ mod tests {
             Event::new(
                 SimTime::from_micros(10),
                 NodeId(0),
-                EventKind::Scf {
+                EventKind::from(Scf {
                     pid: Pid(7),
                     syscall: SyscallId::Open,
                     fd: None,
                     path: Some("/data/раздел/セグメント.log".into()),
                     errno: Errno::Enoent,
-                    ei: Some(Box::new(rose_events::ExecutionIndex::new(
+                    ei: Some(rose_events::ExecutionIndex::new(
                         vec!["applyEntry".into(), "writeSegment".into()],
                         42,
-                    ))),
-                },
+                    )),
+                }),
             ),
             Event::new(
                 SimTime::from_micros(5), // out of order on purpose
@@ -671,12 +674,12 @@ mod tests {
             Event::new(
                 SimTime(u64::MAX),
                 NodeId(2),
-                EventKind::Nd {
+                EventKind::from(Nd {
                     dst: IpAddr(1),
                     src: IpAddr(3),
                     duration: SimDuration::from_secs(6),
                     packet_count: u64::MAX,
-                },
+                }),
             ),
             Event::new(
                 SimTime(0),
@@ -693,7 +696,7 @@ mod tests {
                 EventKind::SyscallOk {
                     pid: Pid(1),
                     syscall: SyscallId::Write,
-                    content: Some([0, 255, 128].into()),
+                    content: Some([0, 255, 128][..].into()),
                 },
             ),
         ];
@@ -716,14 +719,14 @@ mod tests {
                 Event::new(
                     SimTime::from_micros(i),
                     NodeId(0),
-                    EventKind::Scf {
+                    EventKind::from(Scf {
                         pid: Pid(1),
                         syscall: SyscallId::Open,
                         fd: None,
                         path: Some(path.into()),
                         errno: Errno::Eio,
                         ei: None,
-                    },
+                    }),
                 )
             })
             .collect();
@@ -744,17 +747,17 @@ mod tests {
                 Event::new(
                     SimTime::from_micros(i),
                     NodeId(0),
-                    EventKind::Scf {
+                    EventKind::from(Scf {
                         pid: Pid(1),
                         syscall: SyscallId::Write,
                         fd: Some(Fd(3)),
                         path: Some(shared.into()),
                         errno: Errno::Eio,
-                        ei: Some(Box::new(rose_events::ExecutionIndex::new(
+                        ei: Some(rose_events::ExecutionIndex::new(
                             vec![shared.into(), shared.into(), "fsyncDir".into()],
                             i as u32 + 1,
-                        ))),
-                    },
+                        )),
+                    }),
                 )
             })
             .collect();
@@ -773,17 +776,14 @@ mod tests {
         let (mut payload, _) = encode_frame(&[Event::new(
             SimTime(1),
             NodeId(0),
-            EventKind::Scf {
+            EventKind::from(Scf {
                 pid: Pid(1),
                 syscall: SyscallId::Read,
                 fd: None,
                 path: None,
                 errno: Errno::Eio,
-                ei: Some(Box::new(rose_events::ExecutionIndex::new(
-                    vec!["f".into()],
-                    1,
-                ))),
-            },
+                ei: Some(rose_events::ExecutionIndex::new(vec!["f".into()], 1)),
+            }),
         )]);
         // The EI payload sits at the tail: chain_len, idx, count. Overwrite
         // the chain-length varint with a huge value.

@@ -7,8 +7,8 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 use rose_events::{
-    Errno, Event, EventKind, Fd, FunctionId, IpAddr, NodeId, Pid, ProcState, SimDuration, SimTime,
-    SlidingWindow, SyscallId, Trace,
+    Errno, Event, EventKind, Fd, FunctionId, IpAddr, Nd, NodeId, Pid, ProcState, Scf, SimDuration,
+    SimTime, SlidingWindow, SyscallId, Trace,
 };
 use rose_store::{TraceReader, TraceWriter};
 
@@ -35,25 +35,26 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
                 1u32..1000,
             )),
         )
-            .prop_map(|((p, sys), fd, path, errno, ei)| EventKind::Scf {
+            .prop_map(|((p, sys), fd, path, errno, ei)| EventKind::from(Scf {
                 pid: Pid(100 + p),
                 syscall: SyscallId::ALL[sys],
                 fd: fd.map(Fd),
                 path: path.map(Into::into),
                 errno: Errno::ALL[errno],
-                ei: ei
-                    .map(|(chain, count)| Box::new(rose_events::ExecutionIndex::new(chain, count))),
-            }),
+                ei: ei.map(|(chain, count)| rose_events::ExecutionIndex::new(chain, count)),
+            })),
         (0u32..64, 0u32..4).prop_map(|(f, p)| EventKind::Af {
             pid: Pid(100 + p),
             function: FunctionId(f),
         }),
-        (0u32..6, 0u32..6, any::<u64>(), any::<u64>()).prop_map(|(s, d, dur, n)| EventKind::Nd {
-            src: IpAddr(s),
-            dst: IpAddr(d),
-            duration: SimDuration(dur),
-            packet_count: n,
-        }),
+        (0u32..6, 0u32..6, any::<u64>(), any::<u64>()).prop_map(|(s, d, dur, n)| EventKind::from(
+            Nd {
+                src: IpAddr(s),
+                dst: IpAddr(d),
+                duration: SimDuration(dur),
+                packet_count: n,
+            }
+        )),
         (0u32..4, 0usize..4, any::<u64>()).prop_map(|(p, s, dur)| EventKind::Ps {
             pid: Pid(100 + p),
             state: [
@@ -72,7 +73,7 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
             .prop_map(|(p, sys, content)| EventKind::SyscallOk {
                 pid: Pid(100 + p),
                 syscall: SyscallId::ALL[sys],
-                content: content.map(Vec::into_boxed_slice),
+                content: content.map(Into::into),
             }),
     ]
 }

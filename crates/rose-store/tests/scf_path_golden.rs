@@ -4,21 +4,21 @@
 //! tracing record reports, the `.rosetrace` bytes and `{:?}` — must read
 //! exactly as it did when the path was a plain `Box<str>`.
 
-use rose_events::{Errno, Event, EventKind, Fd, NodeId, Pid, SimTime, SyscallId, Trace};
+use rose_events::{Errno, Event, EventKind, Fd, NodeId, Pid, Scf, SimTime, SyscallId, Trace};
 use rose_store::{TraceReader, TraceWriter};
 
 fn scf(ts: u64, path: Option<&str>) -> Event {
     Event::new(
         SimTime(ts),
         NodeId(1),
-        EventKind::Scf {
+        EventKind::from(Scf {
             pid: Pid(7),
             syscall: SyscallId::Open,
             fd: path.is_none().then_some(Fd(4)),
             path: path.map(Into::into),
             errno: Errno::Enoent,
             ei: None,
-        },
+        }),
     )
 }
 

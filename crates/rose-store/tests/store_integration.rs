@@ -3,8 +3,8 @@
 //! event mixes.
 
 use rose_events::{
-    Errno, Event, EventKind, Fd, FunctionId, IpAddr, NodeId, Pid, ProcState, SimDuration, SimTime,
-    SyscallId, Trace,
+    Errno, Event, EventKind, Fd, FunctionId, IpAddr, Nd, NodeId, Pid, ProcState, Scf, SimDuration,
+    SimTime, SyscallId, Trace,
 };
 use rose_store::codec::encode_frame;
 use rose_store::{
@@ -25,24 +25,24 @@ fn realistic_events(n: usize) -> Vec<Event> {
             let ts = SimTime(1_700_000_000_000_000 + i as u64 * 137);
             let node = NodeId((i % 3) as u32);
             let kind = match i % 10 {
-                0..=5 => EventKind::Scf {
+                0..=5 => EventKind::from(Scf {
                     pid: Pid(100 + (i % 3) as u32),
                     syscall: SyscallId::ALL[i % SyscallId::ALL.len()],
                     fd: Some(Fd((i % 32) as u32)),
                     path: Some(paths[i % paths.len()].into()),
                     errno: Errno::ALL[i % Errno::ALL.len()],
                     ei: None,
-                },
+                }),
                 6..=8 => EventKind::Af {
                     pid: Pid(100 + (i % 3) as u32),
                     function: FunctionId((i % 40) as u32),
                 },
-                9 if i % 20 == 9 => EventKind::Nd {
+                9 if i % 20 == 9 => EventKind::from(Nd {
                     src: IpAddr(1 + (i % 3) as u32),
                     dst: IpAddr(1 + ((i + 1) % 3) as u32),
                     duration: SimDuration::from_secs(6),
                     packet_count: 42,
-                },
+                }),
                 _ => EventKind::Ps {
                     pid: Pid(100 + (i % 3) as u32),
                     state: ProcState::Waiting,

@@ -4,8 +4,8 @@
 use std::collections::BTreeMap;
 
 use rose_events::{
-    Event, EventKind, ExecutionIndex, IpAddr, NodeId, Pid, ProcState, SimDuration, SimTime,
-    SlidingWindow, SyscallId, ThinStr, Trace,
+    Event, EventKind, ExecutionIndex, IpAddr, Nd, NodeId, Pid, ProcState, Scf, SimDuration,
+    SimTime, SlidingWindow, SyscallId, ThinBytes, ThinStr, Trace,
 };
 use rose_sim::{
     ChainId, HookEffects, HookEnv, KernelHook, ProcEvent, ProcTable, RunState, SyscallArgs,
@@ -153,12 +153,12 @@ impl Tracer {
                     Event::new(
                         now,
                         dst.node().unwrap_or_default(),
-                        EventKind::Nd {
+                        EventKind::from(Nd {
                             dst: *dst,
                             src: *src,
                             duration: gap,
                             packet_count: entry.packets,
-                        },
+                        }),
                     )
                 })
             })
@@ -233,12 +233,7 @@ impl KernelHook for Tracer {
         // stamped with its per-context invocation index.
         let ei_count = self.bump_ei(env.node, env.chain, args.call);
         // Names are resolved only here, when a failing call is recorded.
-        let ei_of = |count: u32| {
-            Some(Box::new(ExecutionIndex::new(
-                env.call_chain().to_vec(),
-                count,
-            )))
-        };
+        let ei_of = |count: u32| Some(ExecutionIndex::new(env.call_chain().to_vec(), count));
 
         match self.cfg.mode {
             TracerMode::Rose | TracerMode::IoContent => {
@@ -249,14 +244,14 @@ impl KernelHook for Tracer {
                     // descriptor table; the paper's tracer keeps that
                     // fd → path map itself, here a `PROBE_FILTER_COST`
                     // charge, not work.
-                    let ev = EventKind::Scf {
+                    let ev = EventKind::from(Scf {
                         pid: env.pid,
                         syscall: args.call,
                         fd: args.fd,
                         path: args.subject_path().map(ThinStr::from),
                         errno: *errno,
                         ei: ei_of(ei_count),
-                    };
+                    });
                     self.record(Event::new(env.now, env.node, ev));
                 }
                 // IO-content additionally captures read/write payloads.
@@ -268,7 +263,7 @@ impl KernelHook for Tracer {
                         (SyscallId::Read, Ok(rose_sim::SysRet::Bytes(b))) => b,
                         _ => &[],
                     };
-                    let content: Box<[u8]> = payload[..payload.len().min(CONTENT_CAP)].into();
+                    let content = ThinBytes::from(&payload[..payload.len().min(CONTENT_CAP)]);
                     charge += RECORD_EVENT_COST;
                     charge += SimDuration::from_nanos(
                         content.len() as u64 * COPY_PER_BYTE_COST.as_nanos(),
@@ -284,14 +279,14 @@ impl KernelHook for Tracer {
             TracerMode::Full => {
                 charge += RECORD_EVENT_COST;
                 let ev = match result {
-                    Err(errno) => EventKind::Scf {
+                    Err(errno) => EventKind::from(Scf {
                         pid: env.pid,
                         syscall: args.call,
                         fd: args.fd,
                         path: args.subject_path().map(ThinStr::from),
                         errno: *errno,
                         ei: ei_of(ei_count),
-                    },
+                    }),
                     Ok(_) => EventKind::SyscallOk {
                         pid: env.pid,
                         syscall: args.call,
@@ -334,12 +329,12 @@ impl KernelHook for Tracer {
         if let Some(prev) = self.conns.record(src, dst, env.now) {
             let gap = env.now.since(prev.last_seen);
             if gap >= ND_THRESHOLD {
-                let ev = EventKind::Nd {
+                let ev = EventKind::from(Nd {
                     dst,
                     src,
                     duration: gap,
                     packet_count: prev.packets,
-                };
+                });
                 self.record(Event::new(env.now, env.node, ev));
             }
         }

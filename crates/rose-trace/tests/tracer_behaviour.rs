@@ -84,12 +84,9 @@ fn scf_events_carry_path_and_errno() {
         .events()
         .iter()
         .find_map(|e| match &e.kind {
-            EventKind::Scf {
-                syscall: SyscallId::Stat,
-                path,
-                errno,
-                ..
-            } => Some((path.clone(), *errno)),
+            EventKind::Scf(scf) if scf.syscall == SyscallId::Stat => {
+                Some((scf.path.clone(), scf.errno))
+            }
             _ => None,
         })
         .expect("stat failure recorded");
@@ -129,13 +126,9 @@ fn fd_based_failures_resolve_paths_via_fd_map() {
         .events()
         .iter()
         .find_map(|e| match &e.kind {
-            EventKind::Scf {
-                syscall: SyscallId::Write,
-                path,
-                errno,
-                fd,
-                ..
-            } => Some((path.clone(), *errno, *fd)),
+            EventKind::Scf(scf) if scf.syscall == SyscallId::Write => {
+                Some((scf.path.clone(), scf.errno, scf.fd))
+            }
             _ => None,
         })
         .expect("write failure recorded");
@@ -201,12 +194,7 @@ fn nd_event_emitted_after_partition_heals() {
         .events()
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::Nd {
-                duration,
-                src,
-                dst,
-                packet_count,
-            } => Some((*duration, *src, *dst, *packet_count)),
+            EventKind::Nd(nd) => Some((nd.duration, nd.src, nd.dst, nd.packet_count)),
             _ => None,
         })
         .collect();

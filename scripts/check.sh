@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path, window snapshot beside drain, (ts, node) sort outside the canonical order, function entry without its scope, background loop beside the one in common.rs, recv-error callback, restart switch or YCSB config struct, scripted capture or SCF literal beside CaptureSpec::scripted and common::scf, second codec index lookup, read path only its tests call, diagnose.rs beside its module split, harness or seed stream outside the replay engine, joined copy of a read list, or hand-kept case list in a bench bin; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path or IO-content prefix, window snapshot beside drain, (ts, node) sort outside the canonical order, function entry without its scope, background loop beside the one in common.rs, recv-error callback, restart switch or YCSB config struct, scripted capture or SCF literal beside CaptureSpec::scripted and common::scf, second codec index lookup, read path only its tests call, diagnose.rs beside its module split, harness or seed stream outside the replay engine, joined copy of a read list, or hand-kept case list in a bench bin; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -56,6 +56,7 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -rnF "TracingStats {" crates examples tests src \
         | grep -vE "^crates/rose-core/src/workflow.rs:|^crates/rose-obs/src/" \
     || grep -nF "path: Option<Box<str>>" crates/rose-events/src/event.rs \
+    || grep -nF "content: Option<Box<[u8]>>" crates/rose-events/src/event.rs \
     || grep -n "fn snapshot" crates/rose-events/src/window.rs \
     || grep -rnE "sort[a-z_]*\(\|e\| \(e\.ts, e\.node\)\)" crates/*/src src examples \
         | grep -v "^crates/rose-events/src/trace.rs:" \
@@ -121,8 +122,9 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "capture is capture_trace with an Executor among its hooks (no capture_trace_with_schedule)," \
         "and TraceCapture::phase_record is the one builder of a tracing record, sizing the dump it" \
         "reports (no TracingStats literal outside rose-core's workflow.rs and rose-obs)," \
-        "and a window slot stays 48 bytes: an SCF path is one thin pointer (ThinStr, no" \
-        "Option<Box<str>> path in event.rs), the window hands out its events by drain or iter" \
+        "and a window slot stays 32 bytes: an SCF path and an IO-content prefix are one thin" \
+        "pointer each (ThinStr and ThinBytes, no Option<Box<str>> path or Option<Box<[u8]>>" \
+        "content in event.rs), the window hands out its events by drain or iter" \
         "(no SlidingWindow::snapshot copy), and rose_events::sort_canonical is the one" \
         "canonical order (no (e.ts, e.node) sort key in program code outside trace.rs)," \
         "and an instrumented function is a scope: NodeCtx::function returns an FnScope whose" \

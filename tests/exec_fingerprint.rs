@@ -115,14 +115,15 @@ fn hooks_fingerprint<A: Application>(sim: &mut Sim<A>) -> u64 {
             EventKind::SyscallOk { pid, syscall, .. } => {
                 h.write_u64(u64::from(pid.0)).write_u64(*syscall as u64);
             }
-            EventKind::Scf {
-                pid,
-                syscall,
-                fd,
-                path,
-                errno,
-                ei,
-            } => {
+            EventKind::Scf(scf) => {
+                let rose::events::Scf {
+                    pid,
+                    syscall,
+                    fd,
+                    path,
+                    errno,
+                    ei,
+                } = &**scf;
                 h.write_u64(u64::from(pid.0)).write_u64(*syscall as u64);
                 h.write_u64(fd.map_or(u64::MAX, |fd| u64::from(fd.0)));
                 h.write_str(path.as_deref().unwrap_or("\0"));

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::io::Cursor;
 
-use rose::events::{Errno, Event, EventKind, FunctionId, NodeId, Pid, SimTime, SyscallId};
+use rose::events::{Errno, Event, EventKind, FunctionId, NodeId, Pid, Scf, SimTime, SyscallId};
 use rose::store::codec::{crc32, write_varint, HEADER_LEN, MAGIC, TRAILER_MAGIC, VERSION};
 use rose::store::visited::{decode_visited, encode_visited};
 use rose::store::{merge_readers, StoreError, TraceReader, TraceWriter};
@@ -24,14 +24,14 @@ fn events() -> Vec<Event> {
                     function: FunctionId(i % 7),
                 }
             } else {
-                EventKind::Scf {
+                EventKind::from(Scf {
                     pid,
                     syscall: SyscallId::ALL[i as usize % SyscallId::ALL.len()],
                     fd: None,
                     path: Some(format!("/data/log.{}", i % 4).into()),
                     errno: Errno::ALL[i as usize % Errno::ALL.len()],
                     ei: None,
-                }
+                })
             };
             Event::new(SimTime(1_000 + u64::from(i) * 137), NodeId(i % 3), kind)
         })
