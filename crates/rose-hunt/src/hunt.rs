@@ -122,7 +122,8 @@ pub struct FrontierRecord {
 /// vouches for it.
 #[derive(Debug, Clone)]
 pub struct Discovery {
-    /// The schedule whose exploration run fired the oracle.
+    /// The schedule whose exploration run fired the oracle: never the
+    /// fault-free baseline, so it holds at least one fault.
     pub schedule: FaultSchedule,
     /// The seed of that run.
     pub seed: u64,
@@ -334,36 +335,36 @@ pub fn hunt<S: TargetSystem>(
         novelty: fresh.len(),
         oracle: base.trace.is_some(),
     });
-    if let Some(trace) = base.trace {
-        winner = Some((baseline.clone(), baseline_seed, runs, trace));
-    } else {
-        // Roots: the whole-node menu…
-        let horizon_us = duration
-            .as_micros()
-            .saturating_sub(SimDuration::from_secs(20).as_micros());
-        let horizon = SimDuration::from_micros(horizon_us);
-        // Menu and site roots share one score: the frontier's fingerprint
-        // tiebreak interleaves coarse whole-node faults with surgical
-        // context candidates, which empirically lands the quick wins of
-        // both families early instead of serializing one family behind
-        // the other.
-        for fault in whole_node_faults(system.cluster_size(), horizon) {
-            frontier.push(extend(&baseline, fault, 1));
+    // A baseline that fires the oracle is logged as such and is not a
+    // discovery: a failure no fault is needed for is not an
+    // external-fault-induced one, so every discovery carries a fault.
+    //
+    // Roots: the whole-node menu…
+    let horizon_us = duration
+        .as_micros()
+        .saturating_sub(SimDuration::from_secs(20).as_micros());
+    let horizon = SimDuration::from_micros(horizon_us);
+    // Menu and site roots share one score: the frontier's fingerprint
+    // tiebreak interleaves coarse whole-node faults with surgical
+    // context candidates, which empirically lands the quick wins of
+    // both families early instead of serializing one family behind
+    // the other.
+    for fault in whole_node_faults(system.cluster_size(), horizon) {
+        frontier.push(extend(&baseline, fault, 1));
+    }
+    // …plus the contexts the baseline itself exposed: every function
+    // site, and the first `SCF_ROOT_CAP` syscall contexts by
+    // fingerprint.
+    let mut scf_roots = 0usize;
+    for site in &fresh {
+        if matches!(site.kind, SiteKind::SyscallContext { .. }) {
+            scf_roots += 1;
+            if scf_roots > SCF_ROOT_CAP {
+                continue;
+            }
         }
-        // …plus the contexts the baseline itself exposed: every function
-        // site, and the first `SCF_ROOT_CAP` syscall contexts by
-        // fingerprint.
-        let mut scf_roots = 0usize;
-        for site in &fresh {
-            if matches!(site.kind, SiteKind::SyscallContext { .. }) {
-                scf_roots += 1;
-                if scf_roots > SCF_ROOT_CAP {
-                    continue;
-                }
-            }
-            for cand in site_candidates(&baseline, site, 1, cfg.seed) {
-                frontier.push(cand);
-            }
+        for cand in site_candidates(&baseline, site, 1, cfg.seed) {
+            frontier.push(cand);
         }
     }
 
