@@ -178,9 +178,9 @@ impl Trace {
         let mut c = TraceCounts::default();
         for e in &self.events {
             match e.kind {
-                EventKind::Scf { .. } => c.scf += 1,
+                EventKind::Scf(_) => c.scf += 1,
                 EventKind::Af { .. } => c.af += 1,
-                EventKind::Nd { .. } => c.nd += 1,
+                EventKind::Nd(_) => c.nd += 1,
                 EventKind::Ps { .. } => c.ps += 1,
                 EventKind::SyscallOk { .. } => c.ok += 1,
             }
