@@ -10,8 +10,6 @@
 //! logical injection site while the flat-counter condition misses it
 //! whenever the benign prefix changed.
 
-use std::collections::BTreeMap;
-
 use proptest::prelude::*;
 use rose_events::{Errno, NodeId, SimDuration, SyscallId};
 use rose_inject::{Condition, Executor, FaultAction, FaultSchedule, ScheduledFault};
@@ -72,13 +70,13 @@ impl Application for ScriptApp {
     }
 }
 
-/// Observes node 0's `send` invocations the way the tracer does: a flat
-/// running ordinal plus a per-(calling context) count, both bumped on every
-/// `sys_exit`. Injected failures (ETIMEDOUT) are recorded as hits.
+/// Observes node 0's `send` invocations: a flat running ordinal bumped on
+/// every `sys_exit`, plus the per-(calling context) count the kernel hands
+/// the call, which the tracer stamps. Injected failures (ETIMEDOUT) are
+/// recorded as hits.
 #[derive(Default)]
 struct SendSpy {
     flat_ordinal: u64,
-    ctx_counts: BTreeMap<Vec<String>, u32>,
     /// Every node-0 send: `(flat ordinal, chain, per-context count)`.
     sends: Vec<(u64, Vec<String>, u32)>,
     /// The overridden sends among them.
@@ -96,11 +94,9 @@ impl KernelHook for SendSpy {
         if env.node == NodeId(0) && args.call == SyscallId::Send {
             self.flat_ordinal += 1;
             let chain = env.call_chain().to_vec();
-            let count = self.ctx_counts.entry(chain.clone()).or_insert(0);
-            *count += 1;
-            self.sends.push((self.flat_ordinal, chain.clone(), *count));
+            self.sends.push((self.flat_ordinal, chain.clone(), args.ei));
             if matches!(result, Err(Errno::Etimedout)) {
-                self.hits.push((self.flat_ordinal, chain, *count));
+                self.hits.push((self.flat_ordinal, chain, args.ei));
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Differential oracle for interned calling contexts.
 //!
 //! The kernel hands hooks a [`ChainId`] instead of a vector of function
-//! names; the tracer's execution-index counts and the site probe key on it.
+//! names; the kernel's execution-index counts and the site probe key on it.
 //! This test drives random sequences of function entries and exits, failing
 //! and succeeding syscalls, forked child helpers and crash-and-restart
 //! cycles on three nodes, with a reference hook riding along that keys the

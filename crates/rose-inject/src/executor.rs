@@ -17,8 +17,11 @@ struct FaultRt {
     injected_at: Option<SimTime>,
     /// Matching syscalls seen since arming (for `Scf` nth matching).
     scf_count: u64,
-    /// Syscalls seen under the active `ExecutionIndex` condition's chain.
-    cond_count: u64,
+    /// The active `ExecutionIndex` condition's count origin: one less than
+    /// the kernel's index of the first matching call made while it is
+    /// current (`None` until then), so a call's count under the condition
+    /// is its index minus `base`.
+    base: Option<u32>,
     /// The active `ExecutionIndex` condition's chain as this run's kernel
     /// interned it, once the run has entered that chain (`None` until
     /// then: a chain nobody entered cannot be the current one). Probes then
@@ -248,7 +251,7 @@ impl Faults {
             };
             if matches(cond, rt) {
                 rt.progress += 1;
-                rt.cond_count = 0;
+                rt.base = None;
                 rt.want_chain = None;
                 progressed = true;
             }
@@ -283,8 +286,8 @@ impl Faults {
                 if rt.want_chain != Some(env.chain) {
                     return false;
                 }
-                rt.cond_count += 1;
-                rt.cond_count >= *count
+                let base = *rt.base.get_or_insert(args.ei - 1);
+                u64::from(args.ei - base) >= *count
             }
             _ => false,
         });
@@ -685,6 +688,8 @@ mod tests {
         let mut reference = Unfiltered(build(schedule));
         let (table, ids) = chains;
         let mut reach = Reach::default();
+        // The kernel's execution-index table, per (node, chain, syscall).
+        let mut counts = std::collections::BTreeMap::new();
 
         let mut now = SimTime::ZERO;
         for (i, &(dt, kind, dice)) in steps.iter().enumerate() {
@@ -708,6 +713,9 @@ mod tests {
                         1 => args.fd_path = Some(pick(&PATHS, dice >> 32)),
                         _ => {}
                     }
+                    let count = counts.entry((env.node, env.chain, args.call)).or_insert(0);
+                    *count += 1;
+                    args.ei = *count;
                     reach.probes += unspent;
                     let call = args.call.bit();
                     let admitted = filtered.admits(&env, |w| w.ready || w.syscalls & call != 0);

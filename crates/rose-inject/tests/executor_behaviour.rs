@@ -414,10 +414,10 @@ fn spent_schedule_has_no_effect_and_keeps_its_feedback() {
 
 /// Pins what the executor counts for an `ExecutionIndex` condition: only
 /// the invocations made while it is its fault's *current* condition. The
-/// tracer counts the same key from run start, but behind the `AfterFault`
-/// prerequisite `Executor::new` puts first, the executor's count starts
-/// when the earlier fault group fired — matching writes before that are
-/// not counted.
+/// kernel indexes the same key from run start, and the tracer stamps that
+/// index, but behind the `AfterFault` prerequisite `Executor::new` puts
+/// first, the executor counts from a base taken when the earlier fault
+/// group fired — matching writes before that are not counted.
 #[test]
 fn an_execution_index_behind_an_earlier_fault_counts_from_that_fault() {
     let mut chains = ChainTable::new();
@@ -446,7 +446,10 @@ fn an_execution_index_behind_an_earlier_fault_counts_from_that_fault() {
         ex.schedule().faults[1].conditions[0],
         Condition::AfterFault { fault: 0 }
     );
-    let write = |ex: &mut Executor, secs| {
+    // Each write carries the index the kernel would hand it: the writes
+    // are the first five under `flush` on node 0, at seconds 1, 2, 11, 12
+    // and 13.
+    let write = |ex: &mut Executor, secs, ei| {
         let env = HookEnv {
             now: SimTime::from_secs(secs),
             node: NodeId(0),
@@ -454,8 +457,12 @@ fn an_execution_index_behind_an_earlier_fault_counts_from_that_fault() {
             chain: flush,
             chains: &chains,
         };
+        let args = SyscallArgs {
+            ei,
+            ..SyscallArgs::bare(SyscallId::Write)
+        };
         let mut fx = HookEffects::none();
-        ex.sys_enter(&env, &SyscallArgs::bare(SyscallId::Write), &mut fx);
+        ex.sys_enter(&env, &args, &mut fx);
         fx
     };
     let none = HookEffects::none();
@@ -464,17 +471,17 @@ fn an_execution_index_behind_an_earlier_fault_counts_from_that_fault() {
     eio.set_override(Errno::Eio);
 
     // Two writes under the recorded context, then the crash.
-    assert_eq!(write(&mut ex, 1), none);
-    assert_eq!(write(&mut ex, 2), none);
+    assert_eq!(write(&mut ex, 1, 1), none);
+    assert_eq!(write(&mut ex, 2, 2), none);
     let mut fx = HookEffects::none();
     ex.poll(SimTime::from_secs(10), &ProcTable::new(), &mut fx);
     assert!(fx.signal().is_some(), "the crash fires when due");
 
-    // The override lands on the third write after the crash, not on the
-    // first (which would be the third since run start).
-    assert_eq!(write(&mut ex, 11), none);
-    assert_eq!(write(&mut ex, 12), none);
-    assert_eq!(write(&mut ex, 13), eio);
+    // The override lands on the third write after the crash, index 5, not
+    // on the first (index 3, the third since run start).
+    assert_eq!(write(&mut ex, 11, 3), none);
+    assert_eq!(write(&mut ex, 12, 4), none);
+    assert_eq!(write(&mut ex, 13, 5), eio);
     assert_eq!(
         ex.feedback().injected,
         vec![(0, 10_000_000), (1, 13_000_000)]

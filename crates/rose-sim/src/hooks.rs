@@ -33,10 +33,11 @@ pub struct HookEnv<'a> {
     pub pid: Pid,
     /// The firing process's live function-entry chain — the kernel's
     /// per-pid uprobe stack at the moment of the probe, interned. This is
-    /// the calling-context half of an execution index: equal ids are equal
-    /// chains, so hooks key and compare on it and never touch a string per
-    /// probe. [`ChainId::ROOT`] when the probe fired outside any
-    /// instrumented function.
+    /// the calling-context half of an execution index (a syscall's count
+    /// under it is [`SyscallArgs::ei`]): equal ids are equal chains, so
+    /// hooks key and compare on it and never touch a string per probe.
+    /// [`ChainId::ROOT`] when the probe fired outside any instrumented
+    /// function.
     pub chain: ChainId,
     /// The kernel's chain table, which resolves ids to names and names to
     /// ids.

@@ -165,6 +165,12 @@ pub struct SimCore<M> {
     /// past the end is outside any function). Entering a function moves to
     /// a child chain, leaving to the parent.
     fn_stack: Vec<ChainId>,
+    /// Execution-index counts: how many calls of each syscall each node
+    /// has entered under each calling context this run, as
+    /// `call_counts[node][chain][syscall]` (chain ids are dense, so a count
+    /// is two index operations). Per node: a restarted process continues
+    /// its node's counts and a child helper shares them.
+    call_counts: Vec<Vec<[u32; SyscallId::ALL.len()]>>,
     /// Crash signals raised by hooks against nodes other than the one
     /// currently executing; drained by the driver after each callback.
     pub(crate) pending_crashes: Vec<NodeId>,
@@ -197,6 +203,7 @@ impl<M> SimCore<M> {
             generations: vec![0; n],
             chains: ChainTable::new(),
             fn_stack: Vec::new(),
+            call_counts: vec![Vec::new(); n],
             pending_crashes: Vec::new(),
             active: None,
         }
@@ -314,11 +321,15 @@ impl<M> SimCore<M> {
             .fd
             .and_then(|fd| self.vfs[node.0 as usize].fd_path_shared(pid, fd))
             .cloned();
+        let chain = self.chain_of(pid);
+        // Counted at entry, before any hook runs. Every entered call also
+        // exits (an overridden one too), so `sys_exit` sees the same index.
+        let ei = self.count_call(node, chain, args.call);
         let args = SyscallArgs {
             fd_path: fd_path.as_deref(),
+            ei,
             ..args
         };
-        let chain = self.chain_of(pid);
         let env = HookEnv {
             now: self.now,
             node,
@@ -358,6 +369,18 @@ impl<M> SimCore<M> {
 
         self.apply_effects(Some(node), &mut fx);
         result
+    }
+
+    /// Counts one more call of `call` under `chain` on `node` and returns
+    /// the new count: the call's execution index.
+    fn count_call(&mut self, node: NodeId, chain: ChainId, call: SyscallId) -> u32 {
+        let per_chain = &mut self.call_counts[node.0 as usize];
+        if per_chain.len() <= chain.index() {
+            per_chain.resize(chain.index() + 1, [0; SyscallId::ALL.len()]);
+        }
+        let count = &mut per_chain[chain.index()][call as usize];
+        *count += 1;
+        *count
     }
 
     /// A pid's live calling context.

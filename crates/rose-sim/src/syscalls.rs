@@ -56,6 +56,13 @@ pub struct SyscallArgs<'a> {
     pub data_prefix: Option<&'a [u8]>,
     /// Open mode, for `open`/`openat`.
     pub flags: Option<OpenFlags>,
+    /// The call's execution index: the 1-based count of the calls of this
+    /// syscall that the node has entered under the calling context
+    /// ([`crate::HookEnv::chain`]) since the run began, this one included.
+    /// Filled in by the kernel; what a caller puts here is overwritten. The
+    /// kernel's table is the only place that counts calls, so no hook keeps
+    /// a count of its own.
+    pub ei: u32,
 }
 
 impl<'a> SyscallArgs<'a> {
@@ -70,6 +77,7 @@ impl<'a> SyscallArgs<'a> {
             len: 0,
             data_prefix: None,
             flags: None,
+            ei: 0,
         }
     }
 

@@ -1,7 +1,10 @@
 //! Per-pid function-stack attribution: the calling context the kernel hands
 //! to hooks as [`HookEnv::chain`] (names through [`HookEnv::call_chain`]) —
 //! the execution-index key — across nested function scopes however they
-//! end, forked child helpers, and crash/restart cycles.
+//! end, forked child helpers, and crash/restart cycles; and the index the
+//! kernel counts under that key ([`SyscallArgs::ei`]), per node.
+
+use std::collections::BTreeMap;
 
 use rose_events::{Errno, Fd, NodeId, Pid, SimDuration, SyscallId};
 use rose_sim::{
@@ -25,14 +28,20 @@ struct Seen {
     call: SyscallId,
     path: Option<String>,
     chain: Vec<String>,
+    /// The execution index the kernel handed the call.
+    ei: u32,
 }
 
 /// Records the calling context of every `sys_enter` and the descriptors
-/// `openat` hands out, and optionally crashes the current process at one
-/// probe point.
+/// `openat` hands out, holds the kernel's execution index to a count of its
+/// own at every `sys_enter` and `sys_exit`, and optionally crashes the
+/// current process at one probe point.
 #[derive(Default)]
 struct ChainSpy {
     seen: Vec<Seen>,
+    /// Calls entered per `(node, chain names, syscall)` since the run
+    /// began: what the kernel's index must equal.
+    counts: BTreeMap<(NodeId, Vec<String>, SyscallId), u32>,
     /// `(pid, fd)` of every successful `openat` on node 0.
     opened: Vec<(Pid, Fd)>,
     crash: Option<CrashPoint>,
@@ -59,10 +68,19 @@ impl ChainSpy {
             .unwrap_or_else(|| panic!("no syscall about {path}: {:?}", self.seen))
             .chain
     }
+
+    /// The spy's count of the probe's `(node, chain, syscall)`.
+    fn count(&mut self, env: &HookEnv, args: &SyscallArgs) -> &mut u32 {
+        let key = (env.node, env.call_chain().to_vec(), args.call);
+        self.counts.entry(key).or_insert(0)
+    }
 }
 
 impl KernelHook for ChainSpy {
     fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
+        let count = self.count(env, args);
+        *count += 1;
+        assert_eq!(args.ei, *count, "index at sys_enter of {args:?}");
         if env.node != NodeId(0) {
             return;
         }
@@ -71,6 +89,7 @@ impl KernelHook for ChainSpy {
             call: args.call,
             path: args.path.map(str::to_string),
             chain: env.call_chain().to_vec(),
+            ei: args.ei,
         });
         if let Some(CrashPoint::Call(function, call)) = self.crash {
             if args.call == call && env.call_chain().last().map(String::as_str) == Some(function) {
@@ -86,6 +105,7 @@ impl KernelHook for ChainSpy {
         result: &SysResult,
         _fx: &mut HookEffects,
     ) {
+        assert_eq!(args.ei, *self.count(env, args), "index at sys_exit");
         if let (NodeId(0), SyscallId::Openat, Ok(SysRet::Fd(fd))) = (env.node, args.call, result) {
             self.opened.push((env.pid, *fd));
         }
@@ -142,6 +162,8 @@ impl Application for ChainApp {
         {
             let ctx = &mut ctx.function("snapshot");
             ctx.as_child(|child| {
+                // Outside any function, like the parent's boot marker.
+                let _ = child.stat("/mark/child");
                 let child = &mut child.function("compressSnapshot");
                 let _ = child.write_file("/state/snap.tmp", b"snap");
             });
@@ -284,6 +306,16 @@ fn forked_child_has_its_own_chain() {
         .iter()
         .filter(|s| s.pid == main_pid)
         .all(|s| !s.chain.contains(&"compressSnapshot".to_string())));
+    // A helper shares its node's index: its root-level stat is the node's
+    // second, after the parent's boot marker.
+    let child_mark = spy
+        .seen
+        .iter()
+        .find(|s| s.path.as_deref() == Some("/mark/child"));
+    assert_eq!(
+        child_mark.map(|s| (s.pid != main_pid, s.ei)),
+        Some((true, 2))
+    );
     // The parent's rename still sees its own intact chain after the fork.
     assert!(spy
         .seen
@@ -308,6 +340,10 @@ fn assert_restart_starts_at_root(crash: CrashPoint, seed: u64) {
     assert_eq!(boots.len(), 2, "one boot, one restart");
     let new_pid = boots[1].pid;
     assert_ne!(new_pid, boots[0].pid);
+    // The index is the node's: the restarted process continues its node's
+    // count of root-level stats (the first boot's child helper made the
+    // second), it does not start one of its own.
+    assert_eq!([boots[0].ei, boots[1].ei], [1, 3]);
     let restarted: Vec<_> = spy.seen.iter().filter(|s| s.pid == new_pid).collect();
     // The new process's first syscall is the root-level boot marker, and
     // its recovery reads run under [recover > loadSegment]: no frame of

@@ -7,9 +7,7 @@ use rose_events::{
     Event, EventKind, ExecutionIndex, IpAddr, Nd, NodeId, Pid, ProcState, Scf, SimDuration,
     SimTime, SlidingWindow, SyscallId, ThinBytes, ThinStr, Trace,
 };
-use rose_sim::{
-    ChainId, HookEffects, HookEnv, KernelHook, ProcEvent, ProcTable, RunState, SyscallArgs,
-};
+use rose_sim::{HookEffects, HookEnv, KernelHook, ProcEvent, ProcTable, RunState, SyscallArgs};
 
 use crate::config::{TracerConfig, TracerMode};
 
@@ -81,17 +79,6 @@ pub struct Tracer {
     conns: rose_sim::ConnTable,
     /// Pauses in progress: pid → (node, since), discovered by polling.
     ongoing_pauses: BTreeMap<Pid, (rose_events::NodeId, SimTime)>,
-    /// Per-context invocation counts: how often each `(node, calling
-    /// context, syscall)` has executed this run, as
-    /// `ei_counts[node][chain][syscall]` — chain ids are dense, so the
-    /// per-syscall bump is two index operations. Bumped on **every**
-    /// `sys_exit` (success or failure) from run start, so the count
-    /// recorded on a failing SCF is the call's execution index since the
-    /// run began. The executor's count of the same key is not that: it
-    /// counts only while the `ExecutionIndex` condition is its fault's
-    /// current one, so behind an `AfterFault` prerequisite it counts from
-    /// the moment the earlier fault group fired (see DESIGN §6).
-    ei_counts: Vec<Vec<[u32; SyscallId::ALL.len()]>>,
     /// The monitored-function id of each chain's innermost function
     /// (`Some(None)`: not monitored), looked up by name the first time a
     /// uprobe fires under the chain and by chain id from then on.
@@ -112,7 +99,6 @@ impl Tracer {
             cfg,
             conns: rose_sim::ConnTable::new(),
             ongoing_pauses: BTreeMap::new(),
-            ei_counts: Vec::new(),
             af_by_chain: Vec::new(),
             events_matched: 0,
             last_dump_events: None,
@@ -200,22 +186,6 @@ impl Tracer {
         self.total_charged += d;
         fx.add_charge(d);
     }
-
-    /// Counts one more execution of `call` under `chain` on `node` and
-    /// returns the new count — the call's execution index.
-    fn bump_ei(&mut self, node: NodeId, chain: ChainId, call: SyscallId) -> u32 {
-        let node = node.0 as usize;
-        if self.ei_counts.len() <= node {
-            self.ei_counts.resize_with(node + 1, Vec::new);
-        }
-        let per_chain = &mut self.ei_counts[node];
-        if per_chain.len() <= chain.index() {
-            per_chain.resize(chain.index() + 1, [0; SyscallId::ALL.len()]);
-        }
-        let count = &mut per_chain[chain.index()][call as usize];
-        *count += 1;
-        *count
-    }
 }
 
 impl KernelHook for Tracer {
@@ -228,12 +198,9 @@ impl KernelHook for Tracer {
     ) {
         let mut charge = PROBE_FILTER_COST;
 
-        // Execution-index maintenance: every completed call bumps its
-        // (node, calling context, syscall) counter, so a failing call can be
-        // stamped with its per-context invocation index.
-        let ei_count = self.bump_ei(env.node, env.chain, args.call);
-        // Names are resolved only here, when a failing call is recorded.
-        let ei_of = |count: u32| Some(ExecutionIndex::new(env.call_chain().to_vec(), count));
+        // A failing call is stamped with the index the kernel counted for
+        // it; names are resolved only here, when the call is recorded.
+        let ei = || Some(ExecutionIndex::new(env.call_chain().to_vec(), args.ei));
 
         match self.cfg.mode {
             TracerMode::Rose | TracerMode::IoContent => {
@@ -250,7 +217,7 @@ impl KernelHook for Tracer {
                         fd: args.fd,
                         path: args.subject_path().map(ThinStr::from),
                         errno: *errno,
-                        ei: ei_of(ei_count),
+                        ei: ei(),
                     });
                     self.record(Event::new(env.now, env.node, ev));
                 }
@@ -285,7 +252,7 @@ impl KernelHook for Tracer {
                         fd: args.fd,
                         path: args.subject_path().map(ThinStr::from),
                         errno: *errno,
-                        ei: ei_of(ei_count),
+                        ei: ei(),
                     }),
                     Ok(_) => EventKind::SyscallOk {
                         pid: env.pid,
