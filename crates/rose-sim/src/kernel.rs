@@ -166,11 +166,12 @@ pub struct SimCore<M> {
     /// a child chain, leaving to the parent.
     fn_stack: Vec<ChainId>,
     /// Execution-index counts: how many calls of each syscall each node
-    /// has entered under each calling context this run, as
-    /// `call_counts[node][chain][syscall]` (chain ids are dense, so a count
-    /// is two index operations). Per node: a restarted process continues
+    /// has entered under each calling context this run, one row per
+    /// `(chain, node)` at `chain * nodes + node` (chain ids are dense, so a
+    /// count is one index operation; the table grows to a row the first
+    /// time a call reaches it). Per node: a restarted process continues
     /// its node's counts and a child helper shares them.
-    call_counts: Vec<Vec<[u32; SyscallId::ALL.len()]>>,
+    call_counts: Vec<[u32; SyscallId::ALL.len()]>,
     /// Crash signals raised by hooks against nodes other than the one
     /// currently executing; drained by the driver after each callback.
     pub(crate) pending_crashes: Vec<NodeId>,
@@ -203,7 +204,7 @@ impl<M> SimCore<M> {
             generations: vec![0; n],
             chains: ChainTable::new(),
             fn_stack: Vec::new(),
-            call_counts: vec![Vec::new(); n],
+            call_counts: Vec::new(),
             pending_crashes: Vec::new(),
             active: None,
         }
@@ -374,11 +375,11 @@ impl<M> SimCore<M> {
     /// Counts one more call of `call` under `chain` on `node` and returns
     /// the new count: the call's execution index.
     fn count_call(&mut self, node: NodeId, chain: ChainId, call: SyscallId) -> u32 {
-        let per_chain = &mut self.call_counts[node.0 as usize];
-        if per_chain.len() <= chain.index() {
-            per_chain.resize(chain.index() + 1, [0; SyscallId::ALL.len()]);
+        let row = chain.index() * self.cfg.nodes as usize + node.0 as usize;
+        if row >= self.call_counts.len() {
+            self.call_counts.resize(row + 1, [0; SyscallId::ALL.len()]);
         }
-        let count = &mut per_chain[chain.index()][call as usize];
+        let count = &mut self.call_counts[row][call as usize];
         *count += 1;
         *count
     }
