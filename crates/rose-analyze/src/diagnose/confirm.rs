@@ -8,6 +8,9 @@ use super::replay::Replay;
 use super::Search;
 use crate::harness::RunObservation;
 
+/// Confirmation runs per candidate (paper §4.5: 10).
+pub const CONFIRM_RUNS: u32 = 10;
+
 /// A schedule `confirmBug` measured, with its provenance: the diagnosis
 /// level that produced it and the causal log of its first bug run, from
 /// which a report builds its propagation chains.
@@ -110,11 +113,12 @@ impl Search<'_, '_> {
     /// replay's `bug`, and the causal log of the first that shows it, from
     /// the same [`RunObservation`] a discovery run returns.
     pub(super) fn confirm(&mut self, schedule: FaultSchedule, level: u8) -> Guess {
-        let runs = self.cfg.confirm_runs.max(1);
-        let mut replay = Replay::confirm_runs(&schedule, runs as usize);
+        let mut replay = Replay::confirm_runs(&schedule, CONFIRM_RUNS as usize);
         let (mut bug_runs, mut correct_runs) = (0u32, 0u32);
         let mut causal = None;
-        while bug_runs + correct_runs < runs && correct_runs <= self.cfg.confirm_abort_correct {
+        while bug_runs + correct_runs < CONFIRM_RUNS
+            && correct_runs <= self.cfg.confirm_abort_correct
+        {
             let run = self.engine.next_run(&mut replay);
             if run.bug {
                 bug_runs += 1;
@@ -124,10 +128,10 @@ impl Search<'_, '_> {
             }
         }
         self.engine.commit(&mut replay);
-        let rate = if bug_runs + correct_runs < runs {
+        let rate = if bug_runs + correct_runs < CONFIRM_RUNS {
             0.0 // aborted early
         } else {
-            100.0 * f64::from(bug_runs) / f64::from(runs)
+            100.0 * f64::from(bug_runs) / f64::from(CONFIRM_RUNS)
         };
         Guess {
             schedule,
@@ -163,23 +167,6 @@ mod tests {
     use crate::diagnose::{Diagnoser, DiagnosisConfig};
     use crate::extract::{Extraction, ExtractionStats};
     use rose_profile::{Profile, SymbolTable};
-
-    #[test]
-    fn zero_confirm_runs_confirm_over_one_replay() {
-        let profile = Profile::default();
-        let symbols = SymbolTable::new();
-        let ex = one_crash_extraction(&["a"]);
-        let cfg = DiagnosisConfig {
-            confirm_runs: 0,
-            ..Default::default()
-        };
-        let rep =
-            Diagnoser::new(cfg, &profile, &symbols, &ex).diagnose(&mut runs(|_, _| ran(true, 5)));
-        assert!(rep.reproduced);
-        assert_eq!(rep.replay_rate, 100.0);
-        // The Level 1 discovery run, then one confirmation replay.
-        assert_eq!(rep.runs, 2);
-    }
 
     #[test]
     fn flaky_bug_lands_as_candidate_with_measured_rate() {

@@ -26,6 +26,7 @@ mod ladder;
 mod replay;
 
 use confirm::Guess;
+pub use confirm::CONFIRM_RUNS;
 pub use ladder::{level1_schedule, SCF_SWEEP_CAP, WARMUP};
 use replay::Engine;
 
@@ -34,8 +35,6 @@ use replay::Engine;
 pub struct DiagnosisConfig {
     /// Accept a schedule at this replay rate (paper: 60 %).
     pub target_replay_rate: f64,
-    /// Confirmation runs per candidate (paper: 10); 0 counts as 1.
-    pub confirm_runs: u32,
     /// Abort a confirmation once this many clean runs are seen (paper:
     /// `if correctRuns > 3 return 0`).
     pub confirm_abort_correct: u32,
@@ -74,7 +73,6 @@ impl Default for DiagnosisConfig {
     fn default() -> Self {
         DiagnosisConfig {
             target_replay_rate: 60.0,
-            confirm_runs: 10,
             confirm_abort_correct: 3,
             max_schedules: 120,
             base_seed: 10_000,

@@ -26,7 +26,8 @@ pub mod extract;
 pub mod harness;
 
 pub use diagnose::{
-    level1_schedule, Diagnoser, DiagnosisConfig, DiagnosisReport, SCF_SWEEP_CAP, WARMUP,
+    level1_schedule, Diagnoser, DiagnosisConfig, DiagnosisReport, CONFIRM_RUNS, SCF_SWEEP_CAP,
+    WARMUP,
 };
 pub use extract::{extract_faults, ExtractedFault, Extraction, ExtractionStats};
 pub use harness::{RunHarness, RunObservation};

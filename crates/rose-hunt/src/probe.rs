@@ -138,22 +138,6 @@ mod tests {
         }
     }
 
-    /// Hands out argument records as the kernel does: each carries its
-    /// call's execution index, counted per `(node, chain, syscall)`.
-    #[derive(Default)]
-    struct Indices(BTreeMap<(u32, ChainId, SyscallId), u32>);
-
-    impl Indices {
-        fn args(&mut self, node: u32, chain: ChainId, call: SyscallId) -> SyscallArgs<'static> {
-            let ei = self.0.entry((node, chain, call)).or_insert(0);
-            *ei += 1;
-            SyscallArgs {
-                ei: *ei,
-                ..SyscallArgs::bare(call)
-            }
-        }
-    }
-
     #[test]
     fn probe_dedupes_and_orders_sites() {
         let mut probe = SiteProbe::new();
@@ -164,12 +148,11 @@ mod tests {
         let empty = ChainId::ROOT;
         let t = &chains;
         let fx = &mut HookEffects::none();
-        let mut kernel = Indices::default();
         let mut call = |node, chain, call| {
-            probe.sys_enter(&env(node, chain, t), &kernel.args(node, chain, call), fx);
+            probe.sys_enter(&env(node, chain, t), &SyscallArgs::bare(call), fx);
         };
         call(0, chain, SyscallId::Write);
-        call(0, chain, SyscallId::Write); // index 2: still count 1
+        call(0, chain, SyscallId::Write); // a second call: still count 1
         call(1, empty, SyscallId::Fsync);
         probe.uprobe(&env(0, chain, t), "applyEntry", None, fx);
         probe.uprobe(&env(0, chain, t), "applyEntry", None, fx);
@@ -213,13 +196,11 @@ mod tests {
         let fx = &mut HookEffects::none();
         let mut once = SiteProbe::new();
         let mut often = SiteProbe::new();
-        let mut kernel = Indices::default();
         for (node, chain, call) in contexts {
-            once.sys_enter(&env(node, chain, t), &kernel.args(node, chain, call), fx);
+            once.sys_enter(&env(node, chain, t), &SyscallArgs::bare(call), fx);
         }
-        let mut kernel = Indices::default();
         for (node, chain, call) in contexts.into_iter().chain(contexts).rev().chain(contexts) {
-            often.sys_enter(&env(node, chain, t), &kernel.args(node, chain, call), fx);
+            often.sys_enter(&env(node, chain, t), &SyscallArgs::bare(call), fx);
         }
         assert_eq!(once.sites().len(), 4);
         assert_eq!(often.sites().len(), 4);

@@ -17,11 +17,6 @@ struct FaultRt {
     injected_at: Option<SimTime>,
     /// Matching syscalls seen since arming (for `Scf` nth matching).
     scf_count: u64,
-    /// The active `ExecutionIndex` condition's count origin: one less than
-    /// the kernel's index of the first matching call made while it is
-    /// current (`None` until then), so a call's count under the condition
-    /// is its index minus `base`.
-    base: Option<u32>,
     /// The active `ExecutionIndex` condition's chain as this run's kernel
     /// interned it, once the run has entered that chain (`None` until
     /// then: a chain nobody entered cannot be the current one). Probes then
@@ -251,7 +246,6 @@ impl Faults {
             };
             if matches(cond, rt) {
                 rt.progress += 1;
-                rt.base = None;
                 rt.want_chain = None;
                 progressed = true;
             }
@@ -269,10 +263,10 @@ impl Faults {
     fn sys_enter(&mut self, env: &HookEnv, args: &SyscallArgs, fx: &mut HookEffects) {
         let node = env.node;
 
-        // 1. Progress ExecutionIndex conditions. The count is per calling
-        // context: only invocations made under the exact recorded chain
-        // advance it, so benign interleaving changes elsewhere cannot shift
-        // the target.
+        // 1. Progress ExecutionIndex conditions on the kernel's index of
+        // this call, counted per calling context from run start: only
+        // invocations made under the exact recorded chain match, so benign
+        // interleaving changes elsewhere cannot shift the target.
         let call = args.call;
         let injecting = self.observe(node, env.now, fx, |cond, rt| match cond {
             Condition::ExecutionIndex {
@@ -286,8 +280,7 @@ impl Faults {
                 if rt.want_chain != Some(env.chain) {
                     return false;
                 }
-                let base = *rt.base.get_or_insert(args.ei - 1);
-                u64::from(args.ei - base) >= *count
+                u64::from(args.ei) >= *count
             }
             _ => false,
         });

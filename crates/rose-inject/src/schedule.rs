@@ -140,19 +140,21 @@ pub enum Condition {
         /// Offset within the function.
         offset: u32,
     },
-    /// The target node performed its `count`th matching system call while
-    /// its live function-entry chain equalled `chain` (Level 2.5 execution
-    /// index). This is the per-context way to name the nth call;
-    /// [`FaultAction::Scf`]'s `nth` is the flat one, counted over every
-    /// matching call once the fault is armed. Scoped to one calling context,
-    /// the count does not drift when unrelated interleaving adds or removes
-    /// invocations elsewhere.
+    /// The target node makes a `syscall` under the function-entry chain
+    /// `chain` whose execution index — the kernel's count of that call in
+    /// that chain on the node, from run start (`SyscallArgs::ei`) — is at
+    /// least `count` (Level 2.5). A condition that becomes current after
+    /// its index has passed matches at the next such call. This is the
+    /// per-context way to name the nth call; [`FaultAction::Scf`]'s `nth`
+    /// is the flat one, counted over every matching call once the fault is
+    /// armed. Scoped to one calling context, the index does not drift when
+    /// unrelated interleaving adds or removes invocations elsewhere.
     ExecutionIndex {
         /// Required function-entry chain, outermost first.
         chain: Vec<String>,
         /// Call to count within the context.
         syscall: SyscallId,
-        /// 1-based per-context count.
+        /// 1-based execution index to reach.
         count: u64,
     },
     /// Another fault **group** of the same schedule has already been

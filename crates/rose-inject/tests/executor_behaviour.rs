@@ -412,14 +412,13 @@ fn spent_schedule_has_no_effect_and_keeps_its_feedback() {
     assert_eq!(ex.feedback(), feedback);
 }
 
-/// Pins what the executor counts for an `ExecutionIndex` condition: only
-/// the invocations made while it is its fault's *current* condition. The
-/// kernel indexes the same key from run start, and the tracer stamps that
-/// index, but behind the `AfterFault` prerequisite `Executor::new` puts
-/// first, the executor counts from a base taken when the earlier fault
-/// group fired — matching writes before that are not counted.
+/// Pins what an `ExecutionIndex` condition compares: the kernel's index of
+/// the call, counted from run start — the index the tracer stamps. Behind
+/// the `AfterFault` prerequisite `Executor::new` puts first, matching
+/// writes made before the earlier fault group fired still count, so a
+/// condition whose index has passed matches the next matching write.
 #[test]
-fn an_execution_index_behind_an_earlier_fault_counts_from_that_fault() {
+fn an_execution_index_behind_an_earlier_fault_counts_from_run_start() {
     let mut chains = ChainTable::new();
     let flush = chains.enter(ChainId::ROOT, "flush");
     let mut s = FaultSchedule::new();
@@ -447,8 +446,8 @@ fn an_execution_index_behind_an_earlier_fault_counts_from_that_fault() {
         Condition::AfterFault { fault: 0 }
     );
     // Each write carries the index the kernel would hand it: the writes
-    // are the first five under `flush` on node 0, at seconds 1, 2, 11, 12
-    // and 13.
+    // are the first four under `flush` on node 0, at seconds 1, 2, 11 and
+    // 12.
     let write = |ex: &mut Executor, secs, ei| {
         let env = HookEnv {
             now: SimTime::from_secs(secs),
@@ -477,14 +476,13 @@ fn an_execution_index_behind_an_earlier_fault_counts_from_that_fault() {
     ex.poll(SimTime::from_secs(10), &ProcTable::new(), &mut fx);
     assert!(fx.signal().is_some(), "the crash fires when due");
 
-    // The override lands on the third write after the crash, index 5, not
-    // on the first (index 3, the third since run start).
-    assert_eq!(write(&mut ex, 11, 3), none);
+    // The override lands on the first write after the crash: index 3, the
+    // third since run start.
+    assert_eq!(write(&mut ex, 11, 3), eio);
     assert_eq!(write(&mut ex, 12, 4), none);
-    assert_eq!(write(&mut ex, 13, 5), eio);
     assert_eq!(
         ex.feedback().injected,
-        vec![(0, 10_000_000), (1, 13_000_000)]
+        vec![(0, 10_000_000), (1, 11_000_000)]
     );
 }
 

@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets "${profile[@]}" -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q "${profile[@]}"
 
-echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path or IO-content prefix, window snapshot beside drain, (ts, node) sort outside the canonical order, function entry without its scope, background loop beside the one in common.rs, recv-error callback, restart switch or YCSB config struct, scripted capture or SCF literal beside CaptureSpec::scripted and common::scf, second codec index lookup, read path only its tests call, diagnose.rs beside its module split, harness or seed stream outside the replay engine, joined copy of a read list, hand-kept case list in a bench bin, or execution-index count kept outside the kernel; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
+echo "== no downcast glue, EI switch, JSON trace twin, per-hook descriptor or pid map, sizing by serialising, write-only metric, criterion, ROSE_* twin of a flag, campaign fork, side channel beside a confirmed schedule, second fault vocabulary or second subject-path rule, unread hook surface or hook name, post-verdict open-interval record, causal recorder outside the kernel, span helper, played-out run the diagnosis charges, second kind of charged run, sweep-redundancy instrument, second integer writer in the target models, forked registry absorbed by a workflow crate, condition or signal address nothing produces, serde edge from a crate that writes no format, workload client beside the one closed loop, key-file list restating the symbol table, scripted-capture twin of capture_trace or tracing record built outside TracingStats' one builder, fat SCF path or IO-content prefix, window snapshot beside drain, (ts, node) sort outside the canonical order, function entry without its scope, background loop beside the one in common.rs, recv-error callback, restart switch or YCSB config struct, scripted capture or SCF literal beside CaptureSpec::scripted and common::scf, second codec index lookup, read path only its tests call, diagnose.rs beside its module split, harness or seed stream outside the replay engine, joined copy of a read list, hand-kept case list in a bench bin, execution-index count kept outside the kernel or count origin in the executor; the nemesis writes no effect itself; rose-trace does not link rose-store, nor the kernel, the codec, the tracer or the profiler rose-obs"
 # Not the literal `--ei`: the negative CLI cases name it.
 if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Trace::load" \
     crates examples tests src README.md DESIGN.md \
@@ -75,6 +75,7 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
     || grep -rnE "fn join_values|type Values = Arc<Vec<String>>" crates/*/src \
     || grep -rnE "const [A-Z_]+: \[BugId; *[0-9]+\]" crates/rose-bench/src/bin \
     || grep -rnE "ei_counts|bump_ei|cond_count" crates/rose-{trace,inject,hunt}/src \
+    || grep -rnE "rt\.base|base: Option<u32>" crates/rose-inject/src \
     || grep -nE "^serde" crates/rose-{sim,profile,core,jepsen,apps}/Cargo.toml \
     || grep -n "^serde_json" crates/rose-hunt/Cargo.toml \
     || cargo tree -p rose-trace | grep rose-store \
@@ -151,9 +152,10 @@ if grep -rnE "fn as_any|ROSE_EI|diagnosis\.ei|cfg\.ei|dump\.json|Trace::save|Tra
         "BugId::all_with_hunted() and BENCH_hunt.json has a row per case (no const [BugId; N]" \
         "list under crates/rose-bench/src/bin)," \
         "and the kernel owns the execution index: SimCore counts every (node, chain, syscall)" \
-        "call at entry and hands hooks SyscallArgs::ei; the tracer stamps it and the executor" \
-        "counts index minus base (no ei_counts, bump_ei or cond_count in rose-trace, rose-inject" \
-        "or rose-hunt)"
+        "call at entry and hands hooks SyscallArgs::ei; the tracer stamps it, and an" \
+        "ExecutionIndex condition matches a call in its chain whose index is at least its count" \
+        "(no ei_counts, bump_ei or cond_count in rose-trace, rose-inject or rose-hunt, and no" \
+        "count origin, rt.base or base: Option<u32>, in rose-inject)"
     exit 1
 fi
 

@@ -7,7 +7,7 @@
 //! `const` next to its reader, and the second half of this file checks those
 //! constants (and the remaining defaults) against the paper's numbers.
 
-use rose::analyze::{DiagnosisConfig, SCF_SWEEP_CAP, WARMUP};
+use rose::analyze::{DiagnosisConfig, CONFIRM_RUNS, SCF_SWEEP_CAP, WARMUP};
 use rose::apps::driver::{DriverOptions, CAPTURE_DURATION};
 use rose::core::{RoseConfig, PROFILING_SEED};
 use rose::events::{SimDuration, DEFAULT_WINDOW_CAPACITY};
@@ -25,7 +25,7 @@ macro_rules! surface {
 }
 
 #[test]
-fn twenty_seven_options_with_the_papers_defaults() {
+fn twenty_six_options_with_the_papers_defaults() {
     surface!(
         rose = RoseConfig {
             diagnosis,
@@ -38,7 +38,6 @@ fn twenty_seven_options_with_the_papers_defaults() {
     surface!(
         diag = DiagnosisConfig {
             target_replay_rate,
-            confirm_runs,
             confirm_abort_correct,
             max_schedules,
             base_seed,
@@ -77,14 +76,13 @@ fn twenty_seven_options_with_the_papers_defaults() {
         } = TracerConfig::rose(["snap".to_string()])
     );
 
-    // `RoseConfig::diagnosis` is counted as its ten leaves.
-    assert_eq!((rose - 1, diag, driver, hunt, tracer), (3, 10, 7, 4, 3));
-    assert_eq!(rose - 1 + diag + driver + hunt + tracer, 27);
+    // `RoseConfig::diagnosis` is counted as its nine leaves.
+    assert_eq!((rose - 1, diag, driver, hunt, tracer), (3, 9, 7, 4, 3));
+    assert_eq!(rose - 1 + diag + driver + hunt + tracer, 26);
 
-    // Diagnosis (§4.5): accept at 60 %, 10 confirmation runs, abort once
-    // more than 3 of them come back clean.
+    // Diagnosis (§4.5): accept at 60 %, abort a confirmation once more than
+    // 3 of its runs come back clean.
     assert_eq!(target_replay_rate, 60.0);
-    assert_eq!(confirm_runs, 10);
     assert_eq!(confirm_abort_correct, 3);
     assert_eq!((max_schedules, base_seed, discovery_runs), (120, 10_000, 1));
     assert_eq!((cluster_nodes, speculation), (3, 1));
@@ -119,8 +117,10 @@ fn constants_equal_the_papers_numbers() {
     assert_eq!(ND_THRESHOLD, SimDuration::from_secs(5));
     assert_eq!(PS_WAIT_THRESHOLD, SimDuration::from_secs(3));
     assert_eq!(CONTENT_CAP, 128);
-    // Diagnosis (§4.5.2): invocation sweeps stop at 50; Level 1 times are
-    // offset by a 5 s warm-up.
+    // Diagnosis (§4.5): 10 confirmation runs per candidate; invocation
+    // sweeps stop at 50 (§4.5.2); Level 1 times are offset by a 5 s
+    // warm-up.
+    assert_eq!(CONFIRM_RUNS, 10);
     assert_eq!(SCF_SWEEP_CAP, 50);
     assert_eq!(WARMUP, SimDuration::from_secs(5));
     // Campaign driver: 120 s captures, profiling seed 42.

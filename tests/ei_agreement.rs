@@ -4,17 +4,23 @@
 //! write its `ExecutionIndex { count: k }` condition names, a Rose tracer
 //! records the failure, and a spy notes the index the kernel handed each
 //! failing call. The SCF the tracer records for the injected call carries
-//! the spy's index. When the condition is the schedule's first order group,
-//! that index is `k`. Behind an `AfterFault` crash it is larger: the
-//! executor counts `k` calls from the crash on, and the kernel counts from
-//! run start (ROADMAP item 9).
+//! the spy's index, and that index is `k` wherever the condition sits in
+//! the schedule: the kernel counts from run start, and so does the
+//! condition. Behind an `AfterFault` crash that comes after the `k`th
+//! call, the condition matches the next call instead. The last test holds
+//! a diagnosed schedule to the same rule: every fault of HBASE-19608's
+//! replays fires, each EI-keyed one at the index its condition records.
 
+use rose::apps::driver::{run_case, DriverOptions};
+use rose::apps::hbase::HbaseCase;
+use rose::apps::registry::BugId;
 use rose::events::{Errno, EventKind, NodeId, SimDuration, SyscallId};
 use rose::inject::{Condition, Executor, FaultAction, FaultSchedule, ScheduledFault};
 use rose::sim::{
     Application, HookEffects, HookEnv, KernelHook, NodeCtx, Sim, SimConfig, SysResult, SyscallArgs,
 };
 use rose::trace::{Tracer, TracerConfig};
+use rose::{Rose, RoseConfig};
 
 const K: u64 = 3;
 
@@ -118,18 +124,93 @@ fn a_first_group_index_is_the_recorded_count() {
     assert_eq!(u64::from(injected_index(s)), K);
 }
 
-#[test]
-fn an_index_behind_a_crash_counts_from_the_crash() {
+/// Node 1 crashes once `after` has elapsed; the flush-write fault waits
+/// for the crash.
+fn behind_a_crash(after: SimDuration) -> FaultSchedule {
     let mut s = FaultSchedule::new();
     s.push(
-        ScheduledFault::new(NodeId(1), FaultAction::Crash).after(Condition::TimeElapsed {
-            after: SimDuration::from_secs(1),
-        }),
+        ScheduledFault::new(NodeId(1), FaultAction::Crash).after(Condition::TimeElapsed { after }),
     );
     s.push(fail_kth_flush_write());
-    let index = u64::from(injected_index(s));
-    assert!(index > K, "index {index} is not past {K}");
+    s
+}
+
+#[test]
+fn an_index_behind_an_early_crash_is_the_recorded_count() {
+    // Node 0 wrote once under `flush` before the crash at 150 ms.
+    let s = behind_a_crash(SimDuration::from_millis(150));
+    assert_eq!(u64::from(injected_index(s)), K);
+}
+
+#[test]
+fn an_index_passed_behind_a_crash_fires_at_the_next_call() {
     // Node 0 wrote nine times under `flush` before the crash at 1 s: the
-    // executor's `K` calls are the node's 10th to 12th.
-    assert_eq!(index, 9 + K);
+    // `K`th write is long past, so the condition matches the 10th.
+    let s = behind_a_crash(SimDuration::from_secs(1));
+    assert_eq!(injected_index(s), 10);
+}
+
+#[test]
+fn a_diagnosed_schedule_fires_each_execution_index_where_it_was_recorded() {
+    let out = run_case(
+        BugId::Hbase19608,
+        RoseConfig::default(),
+        &DriverOptions::default(),
+    );
+    let report = out.report.expect("trace captured");
+    let schedule = report.schedule.expect("a diagnosed schedule");
+    // (fault, node, syscall, chain, count) of every EI-keyed SCF.
+    let keyed: Vec<_> = schedule
+        .faults
+        .iter()
+        .enumerate()
+        .filter_map(|(id, f)| {
+            let FaultAction::Scf { syscall, .. } = f.action else {
+                return None;
+            };
+            f.conditions.iter().find_map(|c| match c {
+                Condition::ExecutionIndex {
+                    chain,
+                    syscall: on,
+                    count,
+                } if *on == syscall => Some((id, f.node, syscall, chain.clone(), *count)),
+                _ => None,
+            })
+        })
+        .collect();
+    assert!(!keyed.is_empty(), "an EI-keyed SCF: {schedule:?}");
+
+    let rose = Rose::new(HbaseCase);
+    let profile = rose.profile();
+    for seed in [10_000, 10_031] {
+        let run = rose.run_once(&profile, &schedule, seed);
+        let injected = &run.feedback.injected;
+        for id in 0..schedule.faults.len() {
+            assert!(
+                run.feedback.was_injected(id),
+                "seed {seed}: fault {id} never fired: {:?}",
+                run.feedback
+            );
+        }
+        for (id, node, syscall, chain, count) in &keyed {
+            let at = injected.iter().find(|(f, _)| f == id).expect("fired").1;
+            let stamps: Vec<_> = run
+                .trace
+                .events()
+                .iter()
+                .filter(|e| e.node == *node && e.ts.as_micros() == at)
+                .filter_map(|e| match &e.kind {
+                    EventKind::Scf(scf) if scf.syscall == *syscall => scf.ei.as_ref(),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(stamps.len(), 1, "seed {seed}: fault {id}: {stamps:?}");
+            assert_eq!(stamps[0].chain, *chain, "seed {seed}: fault {id}");
+            assert_eq!(
+                u64::from(stamps[0].count),
+                *count,
+                "seed {seed}: fault {id}"
+            );
+        }
+    }
 }

@@ -77,7 +77,6 @@ fn assert_composed_matches_run_case(id: BugId) {
         ..RoseConfig::default()
     };
     cfg.diagnosis.max_schedules = 1;
-    cfg.diagnosis.confirm_runs = 1;
     let opts = DriverOptions {
         // Captures both heavy cases at the first attempt.
         capture_seed: 5,

@@ -24,11 +24,10 @@ impl SystemVisitor for TopOfTheSeedSpace {
             profiling_duration: SimDuration::from_secs(10),
             ..RoseConfig::default()
         };
-        // One schedule, one confirmation run, an unreachable target: every
-        // diagnosis round fails fast and sends the driver back to capture.
+        // One schedule and an unreachable target: every diagnosis round
+        // fails fast and sends the driver back to capture.
         cfg.diagnosis.base_seed = u64::MAX;
         cfg.diagnosis.max_schedules = 1;
-        cfg.diagnosis.confirm_runs = 1;
         cfg.diagnosis.target_replay_rate = 101.0;
         let rose = Rose::with_config(system, cfg);
         let profile = rose.profile();
